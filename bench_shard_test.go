@@ -3,7 +3,6 @@ package repro
 // Sharded control-plane benchmarks (PR 9): the publish path of a
 // multi-shard plane — region-affine job scheduling, seam certification,
 // quorum commit — against the single-shard path on the same churn.
-// TestBenchGuardShard pins the recorded ratio.
 
 import (
 	"math/rand"

@@ -205,8 +205,7 @@ func BenchmarkBetweenness(b *testing.B) {
 // with the layer pool bounded to 1, 4 and 8 workers. The forwarding
 // tables are bit-identical across the sweep (see
 // core.TestDeterministicAcrossWorkers); only wall-clock may differ.
-// Telemetry is off — this is the baseline the benchmark guard
-// (TestBenchGuardRouteParallel) compares across PRs.
+// Telemetry is off.
 func BenchmarkRouteParallel(b *testing.B) {
 	benchRouteParallel(b, false)
 }
@@ -248,8 +247,7 @@ func benchRouteParallel(b *testing.B, withTelemetry bool) {
 // (experiments.LargeClasses: three paper families at 4,096-32,768
 // switches) against the tier's deterministic 512-destination stride
 // sample. The flat routing core — CSR adjacency, dial queue, pooled CDG
-// arenas — exists for exactly this regime; BENCH_pr8.json records the
-// tier and TestBenchGuardFlatCore pins it. Worker counts never change
+// arenas — exists for exactly this regime. Worker counts never change
 // the routes (see TestFlatCoreEquivalence), only wall-clock.
 func BenchmarkRouteLarge(b *testing.B) {
 	sample := experiments.DefaultLargeConfig().DestSample

@@ -1,9 +1,7 @@
 package repro
 
 // Workload-tier benchmarks (PR 10): the fluid fast path at the scale
-// the flit simulator cannot reach. BenchmarkFlowsimSteady is the
-// recorded steady-state number behind TestBenchGuardWorkload's
-// events/sec floor; re-record per the BENCH_pr10.json description.
+// the flit simulator cannot reach.
 
 import (
 	"testing"
@@ -19,7 +17,7 @@ import (
 // torus routed by Torus-2QoS: the ISSUE 10 steady-state regime.
 // Routing and generation are setup; each op is one full fluid run
 // (path walk, quantum-coalesced max-min recomputes, event loop) of
-// 2,000,000 events — the constant TestBenchGuardWorkload divides by.
+// 2,000,000 events.
 func BenchmarkFlowsimSteady(b *testing.B) {
 	tp := topology.Torus3D(16, 16, 16, 1, 1)
 	eng, err := experiments.EngineByNameWorkers("torus2qos", tp, 1, 0)

@@ -77,16 +77,10 @@ func main() {
 		fmt.Printf("stat:     %s = %g\n", k, v)
 	}
 	if *gamma {
-		if len(res.PairPath) > 0 {
-			// Explicit per-pair witness paths (the exists engine) have no
-			// destination table for the table-walking metrics to traverse.
-			fmt.Printf("gamma:    n/a (explicit per-pair paths; see verified line for hop bound)\n")
-		} else {
-			g := metrics.EdgeForwardingIndex(tp.Net, res, nil)
-			fmt.Printf("gamma:    min %d / avg %.1f ± %.1f / max %d\n", g.Min, g.Avg, g.SD, g.Max)
-			pl := metrics.PathLengths(tp.Net, res, nil)
-			fmt.Printf("paths:    avg %.2f hops, max %d hops\n", pl.Avg, pl.Max)
-		}
+		g := metrics.EdgeForwardingIndex(tp.Net, res, nil)
+		fmt.Printf("gamma:    min %d / avg %.1f ± %.1f / max %d\n", g.Min, g.Avg, g.SD, g.Max)
+		pl := metrics.PathLengths(tp.Net, res, nil)
+		fmt.Printf("paths:    avg %.2f hops, max %d hops\n", pl.Avg, pl.Max)
 	}
 	if *tables {
 		dumpTables(tp, res)

@@ -457,9 +457,10 @@ func (ls *layerState) islands(dest graph.NodeID) []graph.NodeID {
 // backtrack implements the local backtracking of §4.6.2: it searches the
 // 2-hop surroundings of island node v for an alternative route. For every
 // reached in-neighbor u of v, every previously accepted (then overwritten)
-// channel a on u's stack is a valid path ending at u; if the dependencies
-// (a, (u,v)) — and (a, child) for every existing child of u — can be used
-// without closing a cycle, u is re-routed over a and v becomes reachable.
+// channel a = (w,u) on u's stack is an alternative way into u; if the
+// dependencies (usedChannel[w], a), (a, (u,v)) — and (a, child) for every
+// existing child of u — can be used without closing a cycle, u is
+// re-routed over a and v becomes reachable.
 // The cheapest valid alternative wins.
 func (ls *layerState) backtrack(v graph.NodeID) bool {
 	type cand struct {
@@ -478,7 +479,8 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
 	for _, cd := range cands {
-		u := ls.chFrom(cd.c)
+		u, w := ls.chFrom(cd.c), ls.chFrom(cd.a)
+		reroute := ls.usedChannel[u] != cd.a
 		e := ls.d.EdgeID(cd.a, cd.c)
 		if e < 0 || ls.d.EdgeState(e) == cdg.Blocked {
 			continue
@@ -489,9 +491,19 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 		if !ls.recheckChildren(cd.a, u) {
 			continue
 		}
+		if pw := ls.usedChannel[w]; reroute && pw != graph.NoChannel {
+			// a was accepted behind the channel w used at the time; a
+			// §4.6.3 shortcut may have re-routed w since, and only w's
+			// tree children were re-checked then.
+			e := ls.d.EdgeID(pw, cd.a)
+			if e < 0 || !ls.d.TryUseEdgeByID(e, pw, cd.a) {
+				continue
+			}
+		}
 		// Re-route u over the alternative channel a (its distance grows,
 		// which only affects balancing, not correctness).
-		if ls.usedChannel[u] != cd.a {
+		if reroute {
+			ls.children[w] = append(ls.children[w], cd.a)
 			ls.altStack[u] = append(ls.altStack[u], ls.usedChannel[u])
 			ls.usedChannel[u] = cd.a
 			ls.nodeDist[u] = ls.chDist[cd.a]

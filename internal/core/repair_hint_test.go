@@ -166,7 +166,7 @@ func TestRepairRootHintAllocs(t *testing.T) {
 // escape root accepted (hint=on: one validation BFS) against the same
 // repair electing its root from scratch (hint=off: Brandes betweenness
 // over every switch) — the per-churn-event saving of the runner's
-// escape-root cache, recorded in BENCH_pr9.json.
+// escape-root cache.
 func BenchmarkRepairRootHint(b *testing.B) {
 	f := newRepairHintFixture(b)
 	for _, hint := range []bool{true, false} {

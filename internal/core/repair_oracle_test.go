@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/routing"
+	"repro/internal/routing/verify"
 	"repro/internal/topology"
 )
 
@@ -233,5 +234,29 @@ func TestRepairBothCableDirectionsBackToBack(t *testing.T) {
 	}
 	if !cert.Connected || !cert.DeadlockFree {
 		t.Fatalf("certificate incomplete: %+v", cert)
+	}
+}
+
+// TestBacktrackAfterShortcutSeeds: on these seeds an 8x8x8 torus routed
+// with 4 VCs used to carry a 22-vertex dependency cycle on VL 0.
+// backtrack re-routed a node u over a stacked alternative a = (w, u) that
+// had been accepted behind the channel w used at the time; a §4.6.3
+// shortcut had re-routed w since, and the dependency (usedChannel[w], a)
+// was never established.
+func TestBacktrackAfterShortcutSeeds(t *testing.T) {
+	net := topology.Torus3D(8, 8, 8, 1, 1).Net
+	for _, seed := range []int64{1187360069141242400, 5832507463751417765, 8072522770810882875} {
+		opts := DefaultOptions()
+		opts.Seed = seed
+		res, err := New(opts).Route(net, net.Terminals(), 4)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if _, err := verify.Check(net, res, nil); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		if _, err := oracle.Certify(net, res, oracle.Options{MaxVCs: 4}); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
+	"repro/internal/routing/verify"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -224,5 +226,50 @@ func TestAblationSmallScale(t *testing.T) {
 		if r.GammaMax <= 0 {
 			t.Errorf("%s: no gamma recorded", r.Variant)
 		}
+	}
+}
+
+// TestMetricsDescribeVerifiedPaths: the metrics package and the verifier
+// read the same paths — PairPath overrides included — on every engine of
+// the roster: the longest path is the verifier's MaxHops, and the
+// inter-switch channel crossings add up to the path lengths less each
+// pair's injection and ejection hop.
+func TestMetricsDescribeVerifiedPaths(t *testing.T) {
+	tp := topology.Torus3D(5, 5, 1, 2, 1)
+	overrides := 0
+	for _, name := range []string{"nue", "updn", "mupdn", "lash", "lashtor", "dfsssp", "minhop", "smart", "sssp", "torus2qos", "dor", "angara", "exists"} {
+		eng, err := EngineByName(name, tp, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := eng.Route(tp.Net, tp.Net.Terminals(), 2)
+		if err != nil {
+			t.Logf("%s: not applicable at 2 VCs: %v", name, err)
+			continue
+		}
+		if name == "lashtor" || name == "mupdn" {
+			overrides += len(res.PairPath)
+		}
+		// minhop and sssp are not deadlock-free; the walk facts in the
+		// report are complete either way.
+		rep, _ := verify.Check(tp.Net, res, nil)
+		pl := metrics.PathLengths(tp.Net, res, nil)
+		if pl.Max != rep.MaxHops {
+			t.Errorf("%s: longest path %d, verifier MaxHops %d", name, pl.Max, rep.MaxHops)
+		}
+		pairs, hops, crossings := 0, 0, 0
+		for h, n := range pl.Hist {
+			pairs += n
+			hops += h * n
+		}
+		for _, v := range metrics.EdgeForwardingIndex(tp.Net, res, nil).PerChannel {
+			crossings += v
+		}
+		if pairs != rep.Pairs || crossings != hops-2*pairs {
+			t.Errorf("%s: %d pairs (verifier %d), %d inter-switch crossings for %d hops", name, pairs, rep.Pairs, crossings, hops)
+		}
+	}
+	if overrides == 0 {
+		t.Error("neither lashtor nor mupdn produced a PairPath override; the fixture covers nothing")
 	}
 }

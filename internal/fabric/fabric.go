@@ -211,7 +211,8 @@ func (m *Manager) NextHop(n, d graph.NodeID) graph.ChannelID {
 
 // Path walks the current epoch's tables from src to dst.
 func (m *Manager) Path(src, dst graph.NodeID) ([]graph.ChannelID, error) {
-	return m.snap.Load().Result.Table.Path(src, dst)
+	snap := m.snap.Load()
+	return routing.Walk(snap.Net, snap.Result, src, dst, nil)
 }
 
 // Metrics returns a copy of the lifetime aggregate metrics.

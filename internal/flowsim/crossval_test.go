@@ -6,8 +6,8 @@ package flowsim_test
 // cannot reach. On shared small topologies, routed by the real Nue
 // engine:
 //
-//  1. per-flow path walks are identical (the fluid walker follows the
-//     oracle-trusted table semantics hop for hop);
+//  1. per-flow paths are the production walker's (routing.Walk; its own
+//     tests and the oracle differential cover it);
 //  2. per-link load profiles are proportional — a fully delivered
 //     closed batch moves MessageFlits flits per flow across exactly the
 //     channels the fluid model credits with Bytes, so rank order is
@@ -19,8 +19,8 @@ package flowsim_test
 //     silently simulated.
 
 import (
+	"errors"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -90,35 +90,6 @@ func runBoth(t *testing.T, net *graph.Network, res *routing.Result, flows []work
 	return fr, sr
 }
 
-// TestCrossValidationPathIdentity: on every shared topology, the fluid
-// walker reproduces routing.Result.PathFor for every terminal pair the
-// workload can draw.
-func TestCrossValidationPathIdentity(t *testing.T) {
-	for _, tp := range xvalTopologies(t) {
-		res := routeNue(t, tp.Net)
-		terms := tp.Net.Terminals()
-		for _, src := range terms {
-			for _, dst := range terms {
-				if src == dst {
-					continue
-				}
-				want, err := res.PathFor(src, dst)
-				if err != nil {
-					t.Fatalf("%s: PathFor(%d,%d): %v", tp.Name, src, dst, err)
-				}
-				got, err := flowsim.WalkFlowPath(tp.Net, res, src, dst, nil)
-				if err != nil {
-					t.Fatalf("%s: WalkFlowPath(%d,%d): %v", tp.Name, src, dst, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s: paths differ for %d->%d:\n oracle: %v\n fluid:  %v",
-						tp.Name, src, dst, want, got)
-				}
-			}
-		}
-	}
-}
-
 // TestCrossValidationLinkProfile: after a fully delivered closed batch,
 // the flit model's per-link busy cycles are exactly proportional to the
 // fluid model's per-link bytes (one busy cycle per flit, xvalFlits
@@ -182,7 +153,7 @@ func TestCrossValidationMisroutedFlagged(t *testing.T) {
 		victim := terms[len(terms)-1]
 		// Walk the victim's path from terms[0] and point the second
 		// switch back at the first: src -> s0 -> s1 -> s0 -> s1 ...
-		path, err := res.PathFor(terms[0], victim)
+		path, err := routing.Walk(tp.Net, res, terms[0], victim, nil)
 		if err != nil || len(path) < 3 {
 			t.Fatalf("%s: fixture path: %v (len %d)", tp.Name, err, len(path))
 		}
@@ -199,11 +170,7 @@ func TestCrossValidationMisroutedFlagged(t *testing.T) {
 
 		flows := []workload.Flow{{Src: terms[0], Dst: victim, Bytes: xvalFlits}}
 		_, err = flowsim.Run(tp.Net, res, flows, flowsim.Config{})
-		var we *flowsim.WalkError
-		if e, ok := err.(*flowsim.WalkError); ok {
-			we = e
-		}
-		if we == nil || we.Reason != "forwarding loop" {
+		if we := new(*flowsim.WalkError); !errors.As(err, we) || !errors.Is(err, routing.ErrRoutingLoop) {
 			t.Fatalf("%s: fluid model did not flag the loop: %v", tp.Name, err)
 		}
 

@@ -3,9 +3,9 @@
 // flows, cross-validated against the flit-level model (internal/sim) on
 // small cases.
 //
-// Each flow's path is walked from the routing.Result table with the
-// same walker semantics the oracle trusts (explicit PairPath overrides,
-// destination-based next hops, from-node validation, loop detection).
+// Each flow's path comes from routing.Walk, the production definition
+// of a valid path (explicit PairPath overrides, destination-based next
+// hops, from-node and failed-channel validation, loop detection).
 // Rates are progressive-filling max-min allocations over per-channel
 // capacities: repeatedly freeze the bottleneck link's flows at its fair
 // share, release their demand from the rest of their path, and repeat
@@ -109,64 +109,25 @@ type Result struct {
 	AvgLinkUtilization, MaxLinkUtilization float64
 }
 
-// WalkError reports a flow whose table walk failed: the fluid model's
-// equivalent of the flit simulator's wedged run — a mis-routed table is
-// flagged, never silently simulated.
+// WalkError reports the first flow whose path routing.Walk refused: the
+// fluid model's equivalent of the flit simulator's wedged run — a
+// mis-routed table is flagged, never silently simulated. Err is the
+// *routing.WalkError.
 type WalkError struct {
 	FlowIndex int
-	Src, Dst  graph.NodeID
-	At        graph.NodeID
-	Reason    string
+	Err       error
 }
 
 func (e *WalkError) Error() string {
-	return fmt.Sprintf("flowsim: flow %d (%d -> %d): %s at node %d",
-		e.FlowIndex, e.Src, e.Dst, e.Reason, e.At)
+	return fmt.Sprintf("flowsim: flow %d: %v", e.FlowIndex, e.Err)
 }
 
-// WalkFlowPath walks one flow's channel path from the routing result —
-// explicit PairPath override when present, destination-based table walk
-// otherwise — validating each hop's from-node and bounding the walk by
-// the node count (any longer walk must revisit a node: a forwarding
-// loop). The cross-validation suite pins this walker against
-// routing.Result.PathFor.
+func (e *WalkError) Unwrap() error { return e.Err }
+
+// WalkFlowPath is routing.Walk under the name the benchmark replays a
+// run's path pass by.
 func WalkFlowPath(net *graph.Network, res *routing.Result, src, dst graph.NodeID, buf []graph.ChannelID) ([]graph.ChannelID, error) {
-	buf = buf[:0]
-	if res.PairPath != nil {
-		if p, ok := res.PairPath[routing.PairKey(src, dst)]; ok {
-			cur := src
-			for _, c := range p {
-				ch := net.Channel(c)
-				if ch.From != cur {
-					return nil, &WalkError{Src: src, Dst: dst, At: cur, Reason: "explicit path hop does not start at the walker's node"}
-				}
-				buf = append(buf, c)
-				cur = ch.To
-			}
-			if cur != dst {
-				return nil, &WalkError{Src: src, Dst: dst, At: cur, Reason: "explicit path ends short of the destination"}
-			}
-			return buf, nil
-		}
-	}
-	cur := src
-	budget := net.NumNodes()
-	for cur != dst {
-		c := res.Table.Next(cur, dst)
-		if c == graph.NoChannel {
-			return nil, &WalkError{Src: src, Dst: dst, At: cur, Reason: "no route"}
-		}
-		ch := net.Channel(c)
-		if ch.From != cur {
-			return nil, &WalkError{Src: src, Dst: dst, At: cur, Reason: "table entry does not start at the walker's node"}
-		}
-		buf = append(buf, c)
-		cur = ch.To
-		if budget--; budget < 0 {
-			return nil, &WalkError{Src: src, Dst: dst, At: cur, Reason: "forwarding loop"}
-		}
-	}
-	return buf, nil
+	return routing.Walk(net, res, src, dst, buf)
 }
 
 const inf = math.MaxFloat64
@@ -265,11 +226,9 @@ func (s *sim) walkPaths(res *routing.Result) error {
 				s.skipped[i] = true
 				continue
 			}
-			p, err := WalkFlowPath(s.net, res, fl.Src, fl.Dst, buf)
+			p, err := routing.Walk(s.net, res, fl.Src, fl.Dst, buf)
 			if err != nil {
-				we := err.(*WalkError)
-				we.FlowIndex = i
-				errs[wk] = we
+				errs[wk] = &WalkError{FlowIndex: i, Err: err}
 				return
 			}
 			buf = p
@@ -300,7 +259,7 @@ func (s *sim) walkPaths(res *routing.Result) error {
 			if s.skipped[i] {
 				continue
 			}
-			p, _ := WalkFlowPath(s.net, res, s.flows[i].Src, s.flows[i].Dst, buf)
+			p, _ := routing.Walk(s.net, res, s.flows[i].Src, s.flows[i].Dst, buf)
 			buf = p
 			copy(s.pathChan[s.pathOff[i]:s.pathOff[i+1]], p)
 		}

@@ -350,7 +350,7 @@ func (b *builder) buildTree(g Group) *routing.CastGroup {
 			// Tree attachment impossible without closing a cycle (or the
 			// layer is UBM-only): serve the member over a unicast leg if
 			// the routing reaches it at all.
-			if _, err := b.res.PathFor(src, m); err != nil {
+			if _, err := routing.Walk(b.net, b.res, src, m, nil); err != nil {
 				cg.Unrouted = append(cg.Unrouted, m)
 			} else {
 				cg.UBM = append(cg.UBM, m)
@@ -483,7 +483,7 @@ func (b *builder) readmit(cg *routing.CastGroup) bool {
 	}
 	// UBM legs ride the current table; they must still reach.
 	for _, m := range cg.UBM {
-		if _, err := b.res.PathFor(cg.Source, m); err != nil {
+		if _, err := routing.Walk(b.net, b.res, cg.Source, m, nil); err != nil {
 			return false
 		}
 	}

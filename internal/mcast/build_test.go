@@ -300,8 +300,7 @@ func TestSeededGroups(t *testing.T) {
 
 // BenchmarkCastTreeBuild measures full-table construction (trees plus
 // dependency admissions) for a broadcast-heavy workload on a 27-switch
-// torus; BENCH_pr6.json pins the result and TestBenchGuardMcast fails
-// the build on >5% regression.
+// torus.
 func BenchmarkCastTreeBuild(b *testing.B) {
 	tp := topology.Torus3D(3, 3, 3, 1, 1)
 	net := tp.Net

@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -65,33 +64,20 @@ func EdgeForwardingIndex(net *graph.Network, res *routing.Result, sources []grap
 
 // PathLengths computes hop statistics for the same traffic pairs.
 func PathLengths(net *graph.Network, res *routing.Result, sources []graph.NodeID) PathStats {
-	if sources == nil {
-		sources = connectedTerminals(net)
-	}
 	var st PathStats
 	total, pairs := 0, 0
-	depth := make([]int32, net.NumNodes())
-	for _, d := range res.Table.Dests() {
-		if net.Degree(d) == 0 {
-			continue
+	forEachPath(net, res, sources, func(p []graph.ChannelID) {
+		h := len(p)
+		total += h
+		pairs++
+		if h > st.Max {
+			st.Max = h
 		}
-		walkDepths(net, res.Table, d, depth)
-		for _, s := range sources {
-			if s == d || depth[s] < 0 {
-				continue
-			}
-			h := int(depth[s])
-			total += h
-			pairs++
-			if h > st.Max {
-				st.Max = h
-			}
-			for len(st.Hist) <= h {
-				st.Hist = append(st.Hist, 0)
-			}
-			st.Hist[h]++
+		for len(st.Hist) <= h {
+			st.Hist = append(st.Hist, 0)
 		}
-	}
+		st.Hist[h]++
+	})
 	if pairs > 0 {
 		st.Avg = float64(total) / float64(pairs)
 	}
@@ -99,89 +85,38 @@ func PathLengths(net *graph.Network, res *routing.Result, sources []graph.NodeID
 }
 
 // channelLoads counts, per channel, the number of (source, destination)
-// paths crossing it, using subtree accumulation per destination (the
-// tables are destination-based, so each destination induces an in-tree).
+// paths crossing it.
 func channelLoads(net *graph.Network, res *routing.Result, sources []graph.NodeID) []int {
+	counts := make([]int, net.NumChannels())
+	forEachPath(net, res, sources, func(p []graph.ChannelID) {
+		for _, c := range p {
+			counts[c]++
+		}
+	})
+	return counts
+}
+
+// forEachPath hands fn the routing.Walk path of every (source,
+// destination) pair that has one; pairs without a valid path (unreachable,
+// or mis-routed — the verifier's business) are left out. The slice is
+// reused between calls.
+func forEachPath(net *graph.Network, res *routing.Result, sources []graph.NodeID, fn func(p []graph.ChannelID)) {
 	if sources == nil {
 		sources = connectedTerminals(net)
 	}
-	isSource := make([]bool, net.NumNodes())
-	for _, s := range sources {
-		isSource[s] = true
-	}
-	counts := make([]int, net.NumChannels())
-	depth := make([]int32, net.NumNodes())
-	cnt := make([]int32, net.NumNodes())
-	order := make([]graph.NodeID, 0, net.NumNodes())
+	var buf []graph.ChannelID
 	for _, d := range res.Table.Dests() {
 		if net.Degree(d) == 0 {
 			continue
 		}
-		walkDepths(net, res.Table, d, depth)
-		order = order[:0]
-		for n := 0; n < net.NumNodes(); n++ {
-			cnt[n] = 0
-			if depth[n] > 0 {
-				order = append(order, graph.NodeID(n))
-				if isSource[n] {
-					cnt[n] = 1
-				}
-			}
-		}
-		sort.Slice(order, func(i, j int) bool { return depth[order[i]] > depth[order[j]] })
-		for _, u := range order {
-			c := res.Table.Next(u, d)
-			if c == graph.NoChannel {
+		for _, s := range sources {
+			if s == d {
 				continue
 			}
-			counts[c] += int(cnt[u])
-			cnt[net.Channel(c).To] += cnt[u]
-		}
-	}
-	return counts
-}
-
-// walkDepths fills depth[u] = hops from u to d following the table (-1 if
-// unreachable), memoized along shared suffixes.
-func walkDepths(net *graph.Network, table *routing.Table, d graph.NodeID, depth []int32) {
-	const unknown = -2
-	for i := range depth {
-		depth[i] = unknown
-	}
-	depth[d] = 0
-	var chain []graph.NodeID
-	for n := 0; n < net.NumNodes(); n++ {
-		u := graph.NodeID(n)
-		if depth[u] != unknown {
-			continue
-		}
-		chain = chain[:0]
-		cur := u
-		for depth[cur] == unknown {
-			chain = append(chain, cur)
-			c := table.Next(cur, d)
-			if c == graph.NoChannel {
-				depth[cur] = -1
-				break
+			if p, err := routing.Walk(net, res, s, d, buf); err == nil {
+				buf = p
+				fn(p)
 			}
-			depth[cur] = -3 // on current chain (loop guard)
-			cur = net.Channel(c).To
-		}
-		base := depth[cur]
-		if base < 0 {
-			for _, x := range chain {
-				depth[x] = -1
-			}
-			continue
-		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			base++
-			depth[chain[i]] = base
-		}
-	}
-	for i := range depth {
-		if depth[i] < 0 {
-			depth[i] = -1
 		}
 	}
 }

@@ -72,7 +72,7 @@ func (e TOREngine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (
 				if src == d {
 					continue
 				}
-				p, err := udRes.Table.Path(src, d)
+				p, err := routing.Walk(net, udRes, src, d, nil)
 				if err != nil {
 					return nil, fmt.Errorf("lashtor: overflow path %d->%d: %w", src, d, err)
 				}

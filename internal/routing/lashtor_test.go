@@ -130,7 +130,7 @@ func TestMultipleUpdnShortensPaths(t *testing.T) {
 				if s == d {
 					continue
 				}
-				p, err := res.PathFor(s, d)
+				p, err := routing.Walk(tp.Net, res, s, d, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

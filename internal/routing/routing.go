@@ -91,40 +91,16 @@ func (t *Table) Next(n, dest graph.NodeID) graph.ChannelID {
 	return t.next[int(r)*len(t.dests)+int(d)]
 }
 
-// ErrNoRoute is returned by Path when the table has no next hop.
+// ErrNoRoute matches a walk that met a missing table entry.
 var ErrNoRoute = errors.New("routing: no route")
 
-// ErrRoutingLoop is returned by Path when following the table revisits a
-// node.
+// ErrRoutingLoop matches a walk that revisited a node.
 var ErrRoutingLoop = errors.New("routing: forwarding loop")
 
-// Path follows the table from src to dst and returns the channel sequence.
-// It fails with ErrNoRoute on a missing entry and ErrRoutingLoop if a node
-// repeats (the table is not cycle-free).
+// Path follows the table from src to dst on the network it was built for;
+// see Walk for what makes the path valid and how a broken one is reported.
 func (t *Table) Path(src, dst graph.NodeID) ([]graph.ChannelID, error) {
-	if src == dst {
-		return nil, nil
-	}
-	var path []graph.ChannelID
-	seen := map[graph.NodeID]bool{src: true}
-	cur := src
-	for cur != dst {
-		c := t.Next(cur, dst)
-		if c == graph.NoChannel {
-			return nil, fmt.Errorf("%w: at node %d toward %d", ErrNoRoute, cur, dst)
-		}
-		ch := t.net.Channel(c)
-		if ch.From != cur {
-			return nil, fmt.Errorf("routing: table entry at %d is channel (%d,%d)", cur, ch.From, ch.To)
-		}
-		path = append(path, c)
-		cur = ch.To
-		if seen[cur] {
-			return nil, fmt.Errorf("%w: %d -> %d revisits node %d", ErrRoutingLoop, src, dst, cur)
-		}
-		seen[cur] = true
-	}
-	return path, nil
+	return Walk(t.net, &Result{Table: t}, src, dst, nil)
 }
 
 // Result is the complete output of a routing engine.
@@ -175,17 +151,6 @@ type Result struct {
 // PairKey packs a (source, destination) pair for PairPath lookups.
 func PairKey(src, dst graph.NodeID) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(dst))
-}
-
-// PathFor returns the channel path from src to dst: the explicit PairPath
-// override when present, the destination-based table walk otherwise.
-func (r *Result) PathFor(src, dst graph.NodeID) ([]graph.ChannelID, error) {
-	if r.PairPath != nil {
-		if p, ok := r.PairPath[PairKey(src, dst)]; ok {
-			return p, nil
-		}
-	}
-	return r.Table.Path(src, dst)
 }
 
 // VL returns the virtual lane a packet with service level sl occupies on

@@ -58,7 +58,7 @@ func (MultiEngine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (
 	// carry explicit per-pair routes (routing.Result.PairPath).
 	pairPath := make(map[uint64][]graph.ChannelID)
 	hops := func(res *routing.Result, s, d graph.NodeID) int {
-		p, err := res.Table.Path(s, d)
+		p, err := routing.Walk(net, res, s, d, nil)
 		if err != nil {
 			return 1 << 30
 		}
@@ -93,7 +93,7 @@ func (MultiEngine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (
 				}
 				pairLayer[src][di] = uint8(best)
 				if best != 0 {
-					p, err := subs[best].Table.Path(src, d)
+					p, err := routing.Walk(net, subs[best], src, d, nil)
 					if err == nil {
 						pairPath[routing.PairKey(src, d)] = p
 					}

@@ -36,19 +36,41 @@ type Report struct {
 
 // Check runs all verifications for the given sources (nil = all
 // terminals, or all connected nodes if the network has no terminals) and
-// returns an error describing the first violated property.
+// returns an error describing the first violated property. Every owed
+// pair is walked once, by routing.Walk; the walked path feeds the
+// connectivity verdict, MaxHops and the induced dependency graph.
 func Check(net *graph.Network, res *routing.Result, sources []graph.NodeID) (*Report, error) {
 	if sources == nil {
 		sources = defaultSources(net)
 	}
 	rep := &Report{}
-	if err := checkConnectivity(net, res, sources, rep); err != nil {
-		return rep, err
+	dg := newInducedCDG(net, res)
+	var path []graph.ChannelID
+	for _, d := range res.Table.Dests() {
+		if net.Degree(d) == 0 {
+			continue // destination disconnected by faults
+		}
+		dg.epoch++
+		reach := graph.ReverseBFS(net, d)
+		for _, s := range sources {
+			if s == d || reach.Dist[s] < 0 {
+				continue // cannot reach d (one-way faults); no path required
+			}
+			var err error
+			if path, err = routing.Walk(net, res, s, d, path); err != nil {
+				return rep, fmt.Errorf("verify: %w", err)
+			}
+			rep.Pairs++
+			if len(path) > rep.MaxHops {
+				rep.MaxHops = len(path)
+			}
+			if err := dg.addPath(s, d, path); err != nil {
+				return rep, err
+			}
+		}
 	}
-	if err := checkDeadlockFree(net, res, sources, rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	rep.Deps = dg.deps
+	return rep, checkDeadlockFree(dg, rep)
 }
 
 func defaultSources(net *graph.Network) []graph.NodeID {
@@ -71,86 +93,16 @@ func defaultSources(net *graph.Network) []graph.NodeID {
 	return out
 }
 
-// checkConnectivity walks every (source, destination) path.
-func checkConnectivity(net *graph.Network, res *routing.Result, sources []graph.NodeID, rep *Report) error {
-	for _, d := range res.Table.Dests() {
-		if net.Degree(d) == 0 {
-			continue // destination disconnected by faults
-		}
-		reach := graph.ReverseBFS(net, d)
-		for _, s := range sources {
-			if s == d {
-				continue
-			}
-			if reach.Dist[s] < 0 {
-				continue // cannot reach d (one-way faults); no path required
-			}
-			p, err := res.PathFor(s, d)
-			if err != nil {
-				return fmt.Errorf("verify: path %d -> %d: %w", s, d, err)
-			}
-			if err := validPath(net, p, s, d); err != nil {
-				return fmt.Errorf("verify: path %d -> %d: %w", s, d, err)
-			}
-			rep.Pairs++
-			if len(p) > rep.MaxHops {
-				rep.MaxHops = len(p)
-			}
-		}
-	}
-	return nil
-}
-
-// validPath checks continuity, endpoints and node-cycle freedom of an
-// explicit path (table walks enforce this implicitly; PairPath overrides
-// must be checked).
-func validPath(net *graph.Network, p []graph.ChannelID, s, d graph.NodeID) error {
-	if len(p) == 0 {
-		if s == d {
-			return nil
-		}
-		return fmt.Errorf("empty path")
-	}
-	if net.Channel(p[0]).From != s {
-		return fmt.Errorf("starts at node %d", net.Channel(p[0]).From)
-	}
-	if net.Channel(p[len(p)-1]).To != d {
-		return fmt.Errorf("ends at node %d", net.Channel(p[len(p)-1]).To)
-	}
-	seen := map[graph.NodeID]bool{s: true}
-	for i, c := range p {
-		ch := net.Channel(c)
-		if ch.Failed {
-			return fmt.Errorf("uses failed channel %d", c)
-		}
-		if i > 0 && net.Channel(p[i-1]).To != ch.From {
-			return fmt.Errorf("discontinuous at hop %d", i)
-		}
-		if seen[ch.To] {
-			return fmt.Errorf("revisits node %d", ch.To)
-		}
-		seen[ch.To] = true
-	}
-	return nil
-}
-
-// checkDeadlockFree builds the virtual-channel dependency graph induced by
-// all paths and checks it for cycles.
-func checkDeadlockFree(net *graph.Network, res *routing.Result, sources []graph.NodeID, rep *Report) error {
-	vcs := res.VCs
-	if vcs < 1 {
-		vcs = 1
-	}
-	adj, deps := InducedCDG(net, res, sources)
-	rep.Deps = deps
-	cyclic := cyclicVertices(net.NumChannels()*vcs, adj)
+// checkDeadlockFree checks the induced dependency graph for cycles.
+func checkDeadlockFree(dg *inducedCDG, rep *Report) error {
+	cyclic := cyclicVertices(len(dg.adj), dg.adj)
 	if len(cyclic) == 0 {
 		rep.DeadlockFree = true
 		return nil
 	}
 	vlSet := map[int]bool{}
 	for _, v := range cyclic {
-		vlSet[int(v)%vcs] = true
+		vlSet[int(v)%dg.vcs] = true
 	}
 	for vl := range vlSet {
 		rep.CyclicVLs = append(rep.CyclicVLs, vl)
@@ -159,95 +111,80 @@ func checkDeadlockFree(net *graph.Network, res *routing.Result, sources []graph.
 	return fmt.Errorf("verify: cyclic channel dependency graph on VLs %v (deadlock possible)", rep.CyclicVLs)
 }
 
-// InducedCDG builds the dependency graph over virtual-channel vertices
-// (channel*VCs + vl) induced by the actual traffic paths from sources to
-// the table's destinations. It returns the adjacency and the number of
-// distinct dependency edges.
-func InducedCDG(net *graph.Network, res *routing.Result, sources []graph.NodeID) ([][]int32, int) {
+// inducedCDG is the dependency graph over virtual-channel vertices
+// (channel*VCs + vl) induced by the traffic paths handed to addPath.
+type inducedCDG struct {
+	net  *graph.Network
+	res  *routing.Result
+	vcs  int
+	adj  [][]int32
+	seen []map[int32]bool
+	deps int // distinct dependency edges
+	// visited[sl][node] == epoch: the table suffix from node to the
+	// current destination is already recorded for service level sl (it is
+	// the same for every source). Check advances epoch per destination.
+	visited map[uint8][]int32
+	epoch   int32
+}
+
+func newInducedCDG(net *graph.Network, res *routing.Result) *inducedCDG {
 	vcs := res.VCs
 	if vcs < 1 {
 		vcs = 1
 	}
 	nv := net.NumChannels() * vcs
-	adj := make([][]int32, nv)
-	seen := make([]map[int32]bool, nv)
-	deps := 0
-	addDep := func(a, b int32) {
-		m := seen[a]
-		if m == nil {
-			m = make(map[int32]bool)
-			seen[a] = m
-		}
-		if !m[b] {
-			m[b] = true
-			adj[a] = append(adj[a], b)
-			deps++
-		}
+	return &inducedCDG{
+		net: net, res: res, vcs: vcs,
+		adj:     make([][]int32, nv),
+		seen:    make([]map[int32]bool, nv),
+		visited: make(map[uint8][]int32),
 	}
-	vertex := func(c graph.ChannelID, vl uint8) int32 {
-		return int32(int(c)*vcs + int(vl))
+}
+
+// addPath records the dependencies of the walked path s -> d. A lane
+// outside the VC budget is an error, never folded onto the last lane.
+func (g *inducedCDG) addPath(s, d graph.NodeID, path []graph.ChannelID) error {
+	sl := g.res.Layer(s, d)
+	_, explicit := g.res.PairPath[routing.PairKey(s, d)]
+	vis := g.visited[sl]
+	if vis == nil && !explicit {
+		vis = make([]int32, g.net.NumNodes())
+		g.visited[sl] = vis
 	}
-	// visited[sl][node] epochs avoid rewalking shared suffixes, which are
-	// identical for identical service levels.
-	visited := make(map[uint8][]int32)
-	epoch := int32(0)
-	for _, d := range res.Table.Dests() {
-		if net.Degree(d) == 0 {
-			continue
+	var prev int32
+	for i, c := range path {
+		vl := g.res.VL(sl, c)
+		if int(vl) >= g.vcs {
+			return fmt.Errorf("verify: path %d -> %d occupies VL %d on channel %d (hop %d), budget is %d VCs", s, d, vl, c, i, g.vcs)
 		}
-		epoch++
-		for _, s := range sources {
-			if s == d {
-				continue
-			}
-			sl := res.Layer(s, d)
-			if res.PairPath != nil {
-				if p, ok := res.PairPath[routing.PairKey(s, d)]; ok {
-					// Explicit (source-routed) path: add its dependencies
-					// directly.
-					for i := 0; i+1 < len(p); i++ {
-						v1, v2 := res.VL(sl, p[i]), res.VL(sl, p[i+1])
-						if int(v1) >= vcs {
-							v1 = uint8(vcs - 1)
-						}
-						if int(v2) >= vcs {
-							v2 = uint8(vcs - 1)
-						}
-						addDep(vertex(p[i], v1), vertex(p[i+1], v2))
-					}
-					continue
-				}
-			}
-			vis := visited[sl]
-			if vis == nil {
-				vis = make([]int32, net.NumNodes())
-				visited[sl] = vis
-			}
-			cur := s
-			var prev graph.ChannelID = graph.NoChannel
-			var prevVL uint8
-			for steps := 0; cur != d && steps <= net.NumNodes(); steps++ {
-				c := res.Table.Next(cur, d)
-				if c == graph.NoChannel {
-					break // connectivity check reports this separately
-				}
-				vl := res.VL(sl, c)
-				if int(vl) >= vcs {
-					vl = uint8(vcs - 1)
-				}
-				if prev != graph.NoChannel {
-					addDep(vertex(prev, prevVL), vertex(c, vl))
-				}
-				if vis[cur] == epoch && prev != graph.NoChannel {
-					break // suffix from cur already recorded for this SL
-				}
-				vis[cur] = epoch
-				prev, prevVL = c, vl
-				cur = net.Channel(c).To
-			}
+		v := int32(int(c)*g.vcs + int(vl))
+		if i > 0 {
+			g.addDep(prev, v)
 		}
+		prev = v
+		if explicit {
+			continue // a source-routed path shares no suffix
+		}
+		at := g.net.Channel(c).From
+		if i > 0 && vis[at] == g.epoch {
+			break
+		}
+		vis[at] = g.epoch
 	}
-	return adj, deps
+	return nil
+}
+
+func (g *inducedCDG) addDep(a, b int32) {
+	m := g.seen[a]
+	if m == nil {
+		m = make(map[int32]bool)
+		g.seen[a] = m
+	}
+	if !m[b] {
+		m[b] = true
+		g.adj[a] = append(g.adj[a], b)
+		g.deps++
+	}
 }
 
 // cyclicVertices returns the vertices left after Kahn's algorithm, i.e.

@@ -1,9 +1,14 @@
 package verify
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -204,5 +209,27 @@ func TestVerifierRejectsRevisitingOverride(t *testing.T) {
 	}
 	if _, err := Check(g, res, nil); err == nil {
 		t.Error("node-revisiting PairPath accepted")
+	}
+}
+
+// TestOverBudgetLaneRefused: a destination assigned the lane one past the
+// VC budget is a violation for both checkers; the verifier used to fold it
+// onto the last lane and judge only the folded graph.
+func TestOverBudgetLaneRefused(t *testing.T) {
+	tp := topology.Torus3D(3, 3, 1, 1, 1)
+	res, err := core.New(core.DefaultOptions()).Route(tp.Net, tp.Net.Terminals(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Check(tp.Net, res, nil); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	res.DestLayer[0] = uint8(res.VCs)
+	if _, err := Check(tp.Net, res, nil); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("occupies VL %d", res.VCs)) {
+		t.Errorf("verify.Check: %v, want the over-budget lane named", err)
+	}
+	var be *oracle.BudgetError
+	if _, err := oracle.Certify(tp.Net, res, oracle.Options{MaxVCs: 2}); !errors.As(err, &be) {
+		t.Errorf("oracle.Certify: %v, want a BudgetError", err)
 	}
 }

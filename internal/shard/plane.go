@@ -235,7 +235,7 @@ func (p *Plane) Apply(ev fabric.Event) (*Report, error) {
 	// on the coordinator merely because its destinations span regions,
 	// which says nothing about the seam's dependency structure, and
 	// certifying every such epoch would put two oracle passes on the
-	// common publish path (TestBenchGuardShard pins the ratio).
+	// common publish path.
 	//
 	// A refuted union is then attributed. Almost always the new tables
 	// are clean and the cycle only means the per-switch swap cannot run
