@@ -546,8 +546,8 @@ func (g *Graph) UsedAcyclic() bool {
 // per-edge states (unused/used/blocked — group identities are excluded,
 // they depend on allocation order, not on the routed configuration).
 // Two CDGs of the same layer digest equal iff every vertex and edge
-// ended in the same state; the equivalence test wall uses this to prove
-// the flat and legacy routing cores drive the CDG identically.
+// ended in the same state; the golden wall pins it per layer, so a change
+// that keeps the tables but drives the CDG differently is caught.
 func (g *Graph) StateDigest() uint64 {
 	const (
 		offset64 = 14695981039346656037

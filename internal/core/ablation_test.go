@@ -119,23 +119,6 @@ func TestIslandsAndEscapeFallbackVerify(t *testing.T) {
 	}
 }
 
-// TestSourcesOptionRestrictsWeighting ensures custom traffic sources are
-// honored (weights ignore non-sources, so tables change deterministically
-// but stay valid).
-func TestSourcesOptionRestrictsWeighting(t *testing.T) {
-	tp := topology.Torus3D(3, 3, 2, 2, 1)
-	dests := tp.Net.Terminals()
-	opts := DefaultOptions()
-	opts.Sources = dests[:4]
-	res, err := New(opts).Route(tp.Net, dests, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := verify.Check(tp.Net, res, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDisconnectedDestinationsSkipped: orphaned terminals keep a table
 // column but are not routed, and routing still succeeds.
 func TestDisconnectedDestinationsSkipped(t *testing.T) {

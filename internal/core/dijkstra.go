@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cdg"
 	"repro/internal/dial"
-	"repro/internal/fibheap"
 	"repro/internal/graph"
 )
 
@@ -20,10 +19,7 @@ type layerState struct {
 	tree *graph.Tree
 	opts Options
 
-	// csr is the flat adjacency view the hot path walks; nil in legacy
-	// mode (Options.LegacyCore), where channel attributes go through the
-	// Network methods instead. Both views observe identical adjacency in
-	// identical order, so routing output does not depend on the mode.
+	// csr is the flat adjacency view of net the hot path walks.
 	csr *graph.CSR
 
 	// weight is the Dijkstra weight of every channel, updated after each
@@ -47,14 +43,11 @@ type layerState struct {
 	// into v — the backtracking stack of §4.6.2.
 	altStack [][]graph.ChannelID
 
-	// The Dijkstra priority queue: a monotone bucket (dial) queue when the
-	// layer's weight regime admits one — Nue's hop weights start at 1 and
-	// only grow, so it always does unless LegacyCore forces the Fibonacci
-	// heap. Both implement the same lexicographic (key, item) extraction
-	// order and therefore pop identical sequences (DESIGN.md §15).
-	useDial bool
-	heap    *fibheap.Heap
-	dq      *dial.Queue
+	// dq is the Dijkstra priority queue, popping in (key, item) order.
+	// Nue's hop weights start at 1 and only grow (updateWeights adds
+	// non-negative increments), which keeps every insert at or above the
+	// dial queue's extraction watermark; the queue panics otherwise.
+	dq *dial.Queue
 
 	// byDistScratch and cntScratch are reused across weight updates;
 	// islandScratch across island scans; orderScratch and seenScratch
@@ -66,79 +59,6 @@ type layerState struct {
 	seenScratch   []bool
 
 	stats *Stats
-}
-
-// Channel-attribute accessors: CSR arrays on the flat path, Network
-// methods in legacy mode. The branches are perfectly predicted (csr is
-// fixed per layer), so the flat path pays nothing for keeping legacy
-// alive as an equivalence foil.
-
-func (ls *layerState) chTo(c graph.ChannelID) graph.NodeID {
-	if ls.csr != nil {
-		return ls.csr.To[c]
-	}
-	return ls.net.Channel(c).To
-}
-
-func (ls *layerState) chFrom(c graph.ChannelID) graph.NodeID {
-	if ls.csr != nil {
-		return ls.csr.From[c]
-	}
-	return ls.net.Channel(c).From
-}
-
-func (ls *layerState) outCh(n graph.NodeID) []graph.ChannelID {
-	if ls.csr != nil {
-		return ls.csr.Out(n)
-	}
-	return ls.net.Out(n)
-}
-
-func (ls *layerState) inCh(n graph.NodeID) []graph.ChannelID {
-	if ls.csr != nil {
-		return ls.csr.In(n)
-	}
-	return ls.net.In(n)
-}
-
-// Priority-queue indirection over the selected implementation.
-
-func (ls *layerState) pqReset() {
-	if ls.useDial {
-		ls.dq.Reset()
-	} else {
-		ls.heap.Reset()
-	}
-}
-
-func (ls *layerState) pqInsert(item int, key float64) {
-	if ls.useDial {
-		ls.dq.Insert(item, key)
-	} else {
-		ls.heap.Insert(item, key)
-	}
-}
-
-func (ls *layerState) pqInsertOrDecrease(item int, key float64) {
-	if ls.useDial {
-		ls.dq.InsertOrDecrease(item, key)
-	} else {
-		ls.heap.InsertOrDecrease(item, key)
-	}
-}
-
-func (ls *layerState) pqExtractMin() (int, bool) {
-	if ls.useDial {
-		return ls.dq.ExtractMin()
-	}
-	return ls.heap.ExtractMin()
-}
-
-func (ls *layerState) pqContains(item int) bool {
-	if ls.useDial {
-		return ls.dq.Contains(item)
-	}
-	return ls.heap.Contains(item)
 }
 
 // Stats aggregates counters across a Nue run.
@@ -167,7 +87,7 @@ type Stats struct {
 }
 
 // layerStatePool recycles layerState scratch (per-layer arrays and the
-// fib-heap) across layers, destinations and Route calls, so the hot path
+// dial queue) across layers, destinations and Route calls, so the hot path
 // stops allocating per layer. States for differently-sized networks simply
 // regrow their slices on first use.
 var layerStatePool = sync.Pool{New: func() any { return new(layerState) }}
@@ -188,30 +108,11 @@ func newLayerState(net *graph.Network, d *cdg.Graph, tree *graph.Tree, opts Opti
 	ls.popped = growBools(ls.popped, nn)
 	ls.children = growChannelLists(ls.children, nn)
 	ls.altStack = growChannelLists(ls.altStack, nn)
-	if opts.LegacyCore {
-		ls.csr = nil
+	ls.csr = net.CSRView()
+	if ls.dq == nil || ls.dq.Cap() < nc {
+		ls.dq = dial.New(nc)
 	} else {
-		ls.csr = net.CSRView()
-	}
-	// Queue selection: Nue's balancing weights start at 1 and only ever
-	// grow (updateWeights adds non-negative increments), so the dial
-	// queue's monotonicity precondition — minimum edge weight >= 1 —
-	// holds for every layer. The check is kept explicit so a future
-	// weight regime outside the dial contract falls back to the heap
-	// automatically rather than corrupting extraction order.
-	ls.useDial = !opts.LegacyCore && dial.Serves(1)
-	if ls.useDial {
-		if ls.dq == nil || ls.dq.Cap() < nc {
-			ls.dq = dial.New(nc)
-		} else {
-			ls.dq.Reset()
-		}
-	} else {
-		if ls.heap == nil || ls.heap.Cap() < nc {
-			ls.heap = fibheap.New(nc)
-		} else {
-			ls.heap.Reset()
-		}
+		ls.dq.Reset()
 	}
 	ls.byDistScratch = ls.byDistScratch[:0]
 	if cap(ls.cntScratch) < nn {
@@ -273,7 +174,7 @@ func (ls *layerState) resetDest() {
 	for i := range ls.chDist {
 		ls.chDist[i] = math.Inf(1)
 	}
-	ls.pqReset()
+	ls.dq.Reset()
 }
 
 // routeDest computes the deadlock-free paths from every node toward dest
@@ -289,8 +190,8 @@ func (ls *layerState) routeDest(dest graph.NodeID) (parent []graph.ChannelID, fe
 	ls.nodeDist[dest] = 0
 	// Seed: the out-channels of dest play the role of the fake channel
 	// c_0 (switch) or the unique channel (terminal) of Algorithm 1.
-	for _, c := range ls.outCh(dest) {
-		v := ls.chTo(c)
+	for _, c := range ls.csr.Out(dest) {
+		v := ls.csr.To[c]
 		nd := ls.weight[c]
 		if nd >= ls.nodeDist[v] {
 			continue
@@ -329,12 +230,12 @@ func (ls *layerState) routeDest(dest graph.NodeID) (parent []graph.ChannelID, fe
 // drainHeap runs the main loop of Algorithm 1.
 func (ls *layerState) drainHeap() {
 	for {
-		item, ok := ls.pqExtractMin()
+		item, ok := ls.dq.ExtractMin()
 		if !ok {
 			return
 		}
 		cp := graph.ChannelID(item)
-		v := ls.chTo(cp)
+		v := ls.csr.To[cp]
 		if ls.usedChannel[v] != cp {
 			continue // stale entry; v was re-reached over a better channel
 		}
@@ -363,7 +264,7 @@ func (ls *layerState) relaxFrom(cp graph.ChannelID) {
 // the child re-check that keeps already-routed subtrees consistent when a
 // settled node is improved through a former island (§4.6.3 shortcuts).
 func (ls *layerState) tryAccept(cp graph.ChannelID, e int32, cq graph.ChannelID) bool {
-	v := ls.chTo(cq)
+	v := ls.csr.To[cq]
 	nd := ls.chDist[cp] + ls.weight[cq]
 	if nd >= ls.nodeDist[v] {
 		return false
@@ -399,7 +300,7 @@ func (ls *layerState) recheckChildren(cq graph.ChannelID, v graph.NodeID) bool {
 	valid := kids[:0]
 	ok := true
 	for _, cx := range kids {
-		if ls.usedChannel[ls.chTo(cx)] != cx {
+		if ls.usedChannel[ls.csr.To[cx]] != cx {
 			continue // no longer a tree child
 		}
 		valid = append(valid, cx)
@@ -430,8 +331,8 @@ func (ls *layerState) commit(cq graph.ChannelID, v graph.NodeID, nd float64) {
 	ls.usedChannel[v] = cq
 	ls.nodeDist[v] = nd
 	ls.chDist[cq] = nd
-	ls.pqInsertOrDecrease(int(cq), nd)
-	u := ls.chFrom(cq)
+	ls.dq.InsertOrDecrease(int(cq), nd)
+	u := ls.csr.From[cq]
 	ls.children[u] = append(ls.children[u], cq)
 }
 
@@ -468,8 +369,8 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 		dist float64
 	}
 	var cands []cand
-	for _, c := range ls.inCh(v) {
-		u := ls.chFrom(c)
+	for _, c := range ls.csr.In(v) {
+		u := ls.csr.From[c]
 		if math.IsInf(ls.nodeDist[u], 1) {
 			continue
 		}
@@ -479,7 +380,7 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
 	for _, cd := range cands {
-		u, w := ls.chFrom(cd.c), ls.chFrom(cd.a)
+		u, w := ls.csr.From[cd.c], ls.csr.From[cd.a]
 		reroute := ls.usedChannel[u] != cd.a
 		e := ls.d.EdgeID(cd.a, cd.c)
 		if e < 0 || ls.d.EdgeState(e) == cdg.Blocked {
@@ -507,10 +408,10 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 			ls.altStack[u] = append(ls.altStack[u], ls.usedChannel[u])
 			ls.usedChannel[u] = cd.a
 			ls.nodeDist[u] = ls.chDist[cd.a]
-			if !ls.pqContains(int(cd.a)) {
+			if !ls.dq.Contains(int(cd.a)) {
 				// a may have been skipped as stale; give it a chance to
 				// relax its own successors again.
-				ls.pqInsert(int(cd.a), ls.chDist[cd.a])
+				ls.dq.Insert(int(cd.a), ls.chDist[cd.a])
 			}
 		}
 		ls.commit(cd.c, v, cd.dist)
@@ -533,9 +434,6 @@ func (ls *layerState) updateWeights(dest graph.NodeID, parent []graph.ChannelID)
 	sort.Slice(nodes, func(i, j int) bool { return ls.nodeDist[nodes[i]] > ls.nodeDist[nodes[j]] })
 	ls.byDistScratch = nodes
 
-	if ls.cntScratch == nil {
-		ls.cntScratch = make([]int32, ls.net.NumNodes())
-	}
 	cnt := ls.cntScratch
 	for i := range cnt {
 		cnt[i] = 0
@@ -554,7 +452,7 @@ func (ls *layerState) updateWeights(dest graph.NodeID, parent []graph.ChannelID)
 	for _, n := range nodes {
 		c := parent[n]
 		ls.weight[c] += float64(cnt[n]) * scale
-		cnt[ls.chFrom(c)] += cnt[n]
+		cnt[ls.csr.From[c]] += cnt[n]
 	}
 }
 

@@ -41,20 +41,9 @@ type Options struct {
 	// Shortcuts enables using formerly isolated nodes as shortcuts
 	// (§4.6.3).
 	Shortcuts bool
-	// Sources lists the traffic sources used for the balancing weight
-	// updates; nil means all terminals (or all nodes if the network has
-	// no terminals).
-	Sources []graph.NodeID
 	// NaiveCycleSearch disables the ω-numbering optimization (§4.6.1)
 	// and runs a full acyclicity check per edge use; for ablation only.
 	NaiveCycleSearch bool
-	// LegacyCore routes over the legacy Network-method adjacency with the
-	// Fibonacci heap instead of the flat CSR view with the dial queue.
-	// Output is bit-identical to the default flat path — both queues
-	// implement the same (key, item) extraction order and both adjacency
-	// views iterate identically (DESIGN.md §15) — so this exists for the
-	// equivalence test wall and ablation, not as a feature toggle.
-	LegacyCore bool
 	// Workers bounds the number of OS threads the engine uses: virtual
 	// layers are routed by a pool of at most Workers goroutines, and the
 	// betweenness pass for escape roots shards its sources over the same
@@ -141,7 +130,7 @@ func (n *Nue) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 
 	table := routing.NewTable(net, dests)
 	destLayer := make([]uint8, len(dests))
-	isSource := n.sourceMask(net)
+	isSource := sourceMask(net)
 
 	// Each layer owns its complete CDG, escape tree and weights, and
 	// writes disjoint table columns (the destinations are partitioned),
@@ -345,15 +334,10 @@ func (n *Nue) pickRoot(net *graph.Network, part []graph.NodeID, rng *rand.Rand, 
 	return root
 }
 
-// sourceMask builds the traffic-source indicator for weight updates.
-func (n *Nue) sourceMask(net *graph.Network) []bool {
+// sourceMask builds the traffic-source indicator for weight updates: all
+// terminals, or all nodes if the network has no terminals.
+func sourceMask(net *graph.Network) []bool {
 	mask := make([]bool, net.NumNodes())
-	if n.opts.Sources != nil {
-		for _, s := range n.opts.Sources {
-			mask[s] = true
-		}
-		return mask
-	}
 	if net.NumTerminals() > 0 {
 		for _, t := range net.Terminals() {
 			mask[t] = true
@@ -386,11 +370,11 @@ func (ls *layerState) fillTableFromTree(table *routing.Table, dest graph.NodeID)
 	visited[dest] = true
 	for head := 0; head < len(order); head++ {
 		u := order[head]
-		for _, c := range ls.outCh(u) {
+		for _, c := range ls.csr.Out(u) {
 			if !tree.IsTreeChannel(c) {
 				continue
 			}
-			v := ls.chTo(c)
+			v := ls.csr.To[c]
 			if visited[v] {
 				continue
 			}

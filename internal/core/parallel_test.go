@@ -38,7 +38,7 @@ func hashResult(net *graph.Network, res *routing.Result) uint64 {
 // regression; the goldens pin the exact forwarding tables of the flat
 // routing core, on any worker count. Re-recorded when the (key, item)
 // queue tie-break contract and the aggregated escape weight update
-// landed (DESIGN.md §15) — both deliberately changed tie resolution.
+// landed — both deliberately changed tie resolution.
 // (Recorded on linux/amd64; Go's optional FMA contraction on other
 // architectures could shift a betweenness tie and hence the hash — the
 // cross-worker equality check is the portable invariant.)

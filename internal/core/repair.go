@@ -195,7 +195,7 @@ func (n *Nue) repairAttempt(req RepairRequest, tree *graph.Tree, routable []grap
 		}
 	}
 
-	ls := newLayerState(net, d, tree, n.opts, n.sourceMask(net), &stats.Stats)
+	ls := newLayerState(net, d, tree, n.opts, sourceMask(net), &stats.Stats)
 	defer ls.release()
 	for _, dest := range routable {
 		parent, fellBack := ls.routeDest(dest)

@@ -1,16 +1,15 @@
 // Package dial implements a monotone bucket priority queue (Dial's
 // algorithm) for Dijkstra workloads whose edge weights are at least 1 —
-// the regime of Nue's balanced hop weights, which start at 1 and only
-// grow. Buckets are indexed by floor(key); because every relaxation out
-// of a vertex popped at key k inserts keys >= k+1, the bucket being
-// drained never receives new entries, so sorting each bucket once as the
-// cursor enters it yields EXACTLY the lexicographic (key, item)
-// extraction order — the same documented tie-break the routing core's
-// Fibonacci heap implements (see fibheap's package comment and
-// DESIGN.md §15). The two queues therefore pop identical sequences for
-// any workload within the monotonicity contract, which is what lets the
-// flat routing core swap the O(log n) heap for O(1) bucket operations
-// while staying bit-identical to the legacy path.
+// the regime of Nue's balanced hop weights and of the baselines' unit or
+// DFSSSP weights, which start at 1 and only grow. Buckets are indexed by
+// floor(key); because every relaxation out of a vertex popped at key k
+// inserts keys >= k+1, the bucket being drained never receives new
+// entries, so sorting each bucket once as the cursor enters it yields
+// EXACTLY the lexicographic (key, item) extraction order. That order is
+// the tie-break every routing golden in this repository rests on; it is
+// what a Fibonacci heap with the same tie-break pops (the paper's Alg. 1
+// cites one), at O(1) bucket operations in place of the heap's O(log n)
+// (DESIGN.md §3).
 //
 // Contract (checked where cheap, documented otherwise):
 //   - keys are finite and >= 0;
@@ -50,15 +49,6 @@ type Queue struct {
 	n       int       // live entries
 
 	lastPopped float64 // monotonicity watermark, -Inf when unstarted
-}
-
-// Serves reports whether the dial queue can serve a Dijkstra workload
-// whose smallest edge weight is minWeight: the monotone bucket argument
-// needs every weight >= 1 (so the bucket being drained is never
-// re-entered). Any other regime must keep the Fibonacci heap; the
-// routing core selects automatically per layer.
-func Serves(minWeight float64) bool {
-	return minWeight >= 1 && !math.IsInf(minWeight, 1)
 }
 
 // New returns an empty queue able to hold items in [0, capacity).

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/fibheap"
 )
 
 func mustPop(t *testing.T, q *Queue) int {
@@ -170,34 +168,40 @@ func TestResetReuse(t *testing.T) {
 	}
 }
 
-func TestServes(t *testing.T) {
-	for _, c := range []struct {
-		w  float64
-		ok bool
-	}{
-		{1, true}, {1.5, true}, {42, true},
-		{0.5, false}, {0, false}, {-1, false},
-		{math.Inf(1), false}, {math.NaN(), false},
-	} {
-		if got := Serves(c.w); got != c.ok {
-			t.Errorf("Serves(%v) = %v, want %v", c.w, got, c.ok)
-		}
+// model is the specification the queue is held to: a map from item to
+// key whose minimum under (key, item) order is found by linear scan.
+type model map[int]float64
+
+func (m model) insertOrDecrease(item int, key float64) bool {
+	if old, ok := m[item]; ok && key >= old {
+		return false
 	}
+	m[item] = key
+	return true
 }
 
-// TestPopOrderMatchesFibheap is the seeded property test of the
-// equivalence wall: on random Dijkstra-monotone workloads — inserts and
-// decreases never below the last extracted key while the queue is
-// non-empty, free rewinds when empty, integer and fractional keys — the
-// dial queue and the Fibonacci heap must pop the IDENTICAL sequence
-// under the documented (key, item) tie-break. This is the property the
-// flat routing core's bit-identity rests on.
-func TestPopOrderMatchesFibheap(t *testing.T) {
+func (m model) extractMin() (item int, key float64, ok bool) {
+	for it, k := range m {
+		if !ok || k < key || (k == key && it < item) {
+			item, key, ok = it, k, true
+		}
+	}
+	delete(m, item)
+	return item, key, ok
+}
+
+// TestPopOrderIsLexicographic is the seeded property test of the pop
+// order every routing golden rests on: on random Dijkstra-monotone
+// workloads — inserts and decreases never below the last extracted key
+// while the queue is non-empty, free rewinds when empty, integer and
+// fractional keys — the dial queue must pop the sequence the linear-scan
+// model pops under the documented (key, item) order.
+func TestPopOrderIsLexicographic(t *testing.T) {
 	const capacity = 64
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q := New(capacity)
-		h := fibheap.New(capacity)
+		m := model{}
 
 		// nextKey draws a key legal for the current queue state: any
 		// key when empty, watermark-or-above when draining. Half the
@@ -220,57 +224,49 @@ func TestPopOrderMatchesFibheap(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 4: // insert a fresh item
 				it := rng.Intn(capacity)
-				if q.Contains(it) {
+				_, queued := m[it]
+				if q.Contains(it) != queued {
+					t.Fatalf("seed %d op %d: Contains(%d) = %v, model %v", seed, op, it, !queued, queued)
+				}
+				if queued {
 					continue
 				}
 				k := nextKey()
 				q.Insert(it, k)
-				h.Insert(it, k)
-			case r < 6: // insert-or-decrease a random item
+				m[it] = k
+			case r < 6: // insert-or-decrease a random item, no-ops included
 				it := rng.Intn(capacity)
 				k := nextKey()
-				if q.Contains(it) && k >= q.Key(it) {
-					// Keep the two data structures in lock-step even
-					// for the no-op branch.
-					if q.InsertOrDecrease(it, k) != h.InsertOrDecrease(it, k) {
-						t.Fatalf("seed %d op %d: InsertOrDecrease no-op disagreement", seed, op)
-					}
-					continue
-				}
-				if q.InsertOrDecrease(it, k) != h.InsertOrDecrease(it, k) {
+				if q.InsertOrDecrease(it, k) != m.insertOrDecrease(it, k) {
 					t.Fatalf("seed %d op %d: InsertOrDecrease disagreement", seed, op)
 				}
 			case r < 9: // extract
-				var popKey float64
-				if it, ok := h.Min(); ok {
-					popKey = h.Key(it) // the key about to pop
-				}
 				qi, qok := q.ExtractMin()
-				hi, hok := h.ExtractMin()
-				if qok != hok || qi != hi {
-					t.Fatalf("seed %d op %d: ExtractMin = (%d,%v) dial vs (%d,%v) fibheap",
-						seed, op, qi, qok, hi, hok)
+				mi, mk, mok := m.extractMin()
+				if qok != mok || qi != mi {
+					t.Fatalf("seed %d op %d: ExtractMin = (%d,%v) dial vs (%d,%v) model",
+						seed, op, qi, qok, mi, mok)
 				}
 				if qok {
-					watermark = popKey
+					watermark = mk
 				}
 			default: // occasional full reset
 				if rng.Intn(20) == 0 {
 					q.Reset()
-					h.Reset()
+					m = model{}
 					watermark = math.Inf(-1)
 				}
 			}
-			if q.Len() != h.Len() {
-				t.Fatalf("seed %d op %d: Len %d vs %d", seed, op, q.Len(), h.Len())
+			if q.Len() != len(m) {
+				t.Fatalf("seed %d op %d: Len %d vs %d", seed, op, q.Len(), len(m))
 			}
 		}
 		// Drain both completely and compare the tails.
 		for {
 			qi, qok := q.ExtractMin()
-			hi, hok := h.ExtractMin()
-			if qok != hok || qi != hi {
-				t.Fatalf("seed %d drain: (%d,%v) dial vs (%d,%v) fibheap", seed, qi, qok, hi, hok)
+			mi, _, mok := m.extractMin()
+			if qok != mok || qi != mi {
+				t.Fatalf("seed %d drain: (%d,%v) dial vs (%d,%v) model", seed, qi, qok, mi, mok)
 			}
 			if !qok {
 				break

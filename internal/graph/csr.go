@@ -11,9 +11,10 @@ package graph
 // adjacency mutation (SetChannelFailed, SetHalfFailed, rebuilds), so a
 // CSR obtained from a published snapshot stays valid for that snapshot's
 // lifetime. Iteration order is IDENTICAL to Network.Out/Network.In —
-// OutCh/InCh are verbatim concatenations of the per-node lists — which
-// is what keeps flat-path routing bit-identical to the legacy path (see
-// DESIGN.md §15).
+// OutCh/InCh are verbatim concatenations of the per-node lists — so a
+// consumer reading the view and one reading the Network (the oracle, the
+// baseline engines) see the same adjacency in the same order
+// (TestCSRMatchesNetwork).
 type CSR struct {
 	// OutStart[n]..OutStart[n+1] bounds n's slice of OutCh; same for in.
 	OutStart []int32

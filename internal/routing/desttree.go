@@ -4,7 +4,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/fibheap"
+	"repro/internal/dial"
 	"repro/internal/graph"
 )
 
@@ -24,7 +24,7 @@ func DestTree(net *graph.Network, dest graph.NodeID, weight []float64) (parent [
 		dist[i] = math.Inf(1)
 	}
 	dist[dest] = 0
-	h := fibheap.New(n)
+	h := dial.New(n)
 	h.Insert(int(dest), 0)
 	for {
 		item, ok := h.ExtractMin()

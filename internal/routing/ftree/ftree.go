@@ -15,7 +15,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/fibheap"
+	"repro/internal/dial"
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
@@ -47,7 +47,7 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 	downDist := make([]float64, n)
 	downNext := make([]graph.ChannelID, n)
 	canDeliver := make([]bool, n)
-	h := fibheap.New(n)
+	h := dial.New(n)
 
 	level := func(x graph.NodeID) int {
 		if l, ok := e.Level[x]; ok {

@@ -21,7 +21,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/fibheap"
+	"repro/internal/dial"
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
@@ -52,6 +52,7 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 	}
 	st := &state{
 		net:       net,
+		dests:     dests,
 		forbidden: make(map[int64]bool),
 		parent:    make(map[graph.NodeID][]graph.ChannelID, len(dests)),
 	}
@@ -109,6 +110,7 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 // state carries the cut-and-recompute loop's data.
 type state struct {
 	net       *graph.Network
+	dests     []graph.NodeID
 	forbidden map[int64]bool // prohibited dependencies (c1 -> c2)
 	parent    map[graph.NodeID][]graph.ChannelID
 }
@@ -121,7 +123,7 @@ func depKey(a, b graph.ChannelID) int64 { return int64(a)<<32 | int64(uint32(b))
 // from d over reversed channels), like Nue's Algorithm 1 but with a fixed
 // prohibition set instead of online cycle checks. Destination-based
 // consistency follows from keeping, per node, only the channel of its
-// best accepted path (stale heap entries are skipped).
+// best accepted path (stale queue entries are skipped).
 func (st *state) destTree(d graph.NodeID) ([]graph.ChannelID, bool) {
 	net := st.net
 	n, nc := net.NumNodes(), net.NumChannels()
@@ -136,7 +138,7 @@ func (st *state) destTree(d graph.NodeID) ([]graph.ChannelID, bool) {
 		chDist[i] = math.Inf(1)
 	}
 	nodeDist[d] = 0
-	h := fibheap.New(nc)
+	h := dial.New(nc)
 	for _, c := range net.In(d) { // channels (u, d)
 		u := net.Channel(c).From
 		if 1 < nodeDist[u] {
@@ -194,7 +196,13 @@ type cdgEdge struct {
 
 func (st *state) buildCDG() map[int64]*cdgEdge {
 	edges := make(map[int64]*cdgEdge)
-	for d, parent := range st.parent {
+	// In dests order, not map order: users decides which destination an
+	// impasse error names.
+	for _, d := range st.dests {
+		parent := st.parent[d]
+		if parent == nil {
+			continue // unattached destination, never routed
+		}
 		for n := 0; n < st.net.NumNodes(); n++ {
 			c1 := parent[n]
 			if c1 == graph.NoChannel {

@@ -60,3 +60,22 @@ func TestSmartRoutingEventuallyImpassesOrSolves(t *testing.T) {
 		}
 	}
 }
+
+// TestSmartImpasseErrorIsStable: an impasse names the first destination,
+// in dests order, that the cut left unreachable — the same one on every
+// run, so two runs over one fabric can be compared by their error.
+func TestSmartImpasseErrorIsStable(t *testing.T) {
+	tp := topology.Dragonfly(4, 2, 2, 9)
+	var first string
+	for run := 0; run < 20; run++ {
+		_, err := (smart.Engine{}).Route(tp.Net, tp.Net.Terminals(), 1)
+		if err == nil {
+			t.Fatal("fixture no longer reaches an impasse")
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("run %d: %q, run 0: %q", run, err, first)
+		}
+	}
+}

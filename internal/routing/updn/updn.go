@@ -13,7 +13,7 @@ import (
 	"math"
 
 	"repro/internal/centrality"
-	"repro/internal/fibheap"
+	"repro/internal/dial"
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
@@ -61,7 +61,7 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 	nextDown := make([]graph.ChannelID, n)
 	distAny := make([]float64, n)
 	nextAny := make([]graph.ChannelID, n)
-	h := fibheap.New(n)
+	h := dial.New(n)
 
 	for _, d := range dests {
 		if net.Degree(d) == 0 || level[d] < 0 {

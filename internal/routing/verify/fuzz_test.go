@@ -163,27 +163,5 @@ func FuzzNueProperties(f *testing.F) {
 		if routeHash(tp.Net, res) != routeHash(tp.Net, res2) {
 			t.Fatalf("tables differ between workers=%d and workers=%d", w, opts2.Workers)
 		}
-
-		// Flat-vs-legacy cross-check (PR 8): the CSR + dial-queue + arena
-		// hot path must be bit-identical to the Network-map + Fibonacci-heap
-		// reference — same tables and same final per-layer CDG states — on
-		// every fuzzed instance, not just the curated equivalence wall.
-		optsL := opts
-		optsL.LegacyCore = true
-		resL, err := core.New(optsL).Route(tp.Net, dests, k)
-		if err != nil {
-			t.Fatalf("legacy-core re-route failed: %v", err)
-		}
-		if routeHash(tp.Net, res) != routeHash(tp.Net, resL) {
-			t.Fatalf("flat and legacy cores disagree on the forwarding tables")
-		}
-		if len(res.LayerCDG) != len(resL.LayerCDG) {
-			t.Fatalf("flat and legacy cores used different layer counts")
-		}
-		for l := range res.LayerCDG {
-			if res.LayerCDG[l] != resL.LayerCDG[l] {
-				t.Fatalf("layer %d: flat CDG digest %#x != legacy %#x", l, res.LayerCDG[l], resL.LayerCDG[l])
-			}
-		}
 	})
 }
