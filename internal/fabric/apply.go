@@ -4,8 +4,61 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/routing"
 )
+
+// Gate is the pre-publication hook of a gated epoch transaction. It runs
+// once per candidate epoch, after the repair has been computed and
+// verified and before anything becomes visible: the state is mutated but
+// not re-indexed, the snapshot is built but not stored, OnPublish has not
+// fired. A non-nil error vetoes the epoch exactly like a verifier
+// failure: the event is reverted and nothing is published. The sharded
+// control plane certifies the region seam and commits the epoch to its
+// replicated log here. The gate runs under the manager's event lock and
+// must not call back into the manager.
+type Gate func(c *Candidate) error
+
+// Candidate is the epoch a Gate decides on.
+type Candidate struct {
+	// Event is the reconfiguration being applied (zero for the initial
+	// epoch).
+	Event Event
+	// Old is the epoch being replaced; nil for the initial epoch.
+	Old *Snapshot
+	// Snap is the epoch that will be published when the gate returns nil.
+	Snap *Snapshot
+	// Changed lists the directed channels whose failed state the event
+	// flipped; Repaired the destinations whose table columns may differ
+	// from Old's (nil after a full recompute: all of them).
+	Changed  []graph.ChannelID
+	Repaired []graph.NodeID
+
+	m      *Manager
+	report *EventReport
+}
+
+// FullRecompute discards the candidate's routing and replaces it with a
+// verified (and post-checked) from-scratch routing of the same network —
+// the recovery of a gate that refuted the proposal itself. Not for the
+// initial epoch, which already is one.
+func (c *Candidate) FullRecompute() error {
+	res, err := c.m.run.fullRecompute(c.m.st, c.Snap.Net, c.Changed, c.report)
+	if err != nil {
+		return err
+	}
+	c.Snap.Result, c.Repaired = res, nil
+	return nil
+}
+
+// Bookkeeping returns deep copies of the explicit link-failed and
+// switch-down maps as of the candidate epoch — the part of the state a
+// replicated epoch log must carry for Manager.Restore (it is not
+// derivable from the network alone: a down link under a down switch may
+// or may not have failed on its own).
+func (c *Candidate) Bookkeeping() (linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) {
+	return c.m.st.bookkeeping()
+}
 
 // Apply processes one reconfiguration event: it mutates the manager's
 // network view, repairs the routing incrementally (only destinations
@@ -14,6 +67,15 @@ import (
 // atomically installed. Events are serialized; concurrent Apply calls
 // queue on an internal lock.
 func (m *Manager) Apply(ev Event) (*EventReport, error) {
+	return m.ApplyGated(ev, nil, nil)
+}
+
+// ApplyGated is the epoch transaction, the only one there is: mutate →
+// repair (layer jobs scheduled by exec) → gate → re-index → publish, with
+// the event reverted when the repair or the gate fails. A nil exec is the
+// manager's own worker pool, a nil gate passes everything; Apply is
+// ApplyGated(ev, nil, nil).
+func (m *Manager) ApplyGated(ev Event, exec JobExecutor, gate Gate) (*EventReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
@@ -32,27 +94,42 @@ func (m *Manager) Apply(ev Event) (*EventReport, error) {
 		recordEvent(m.opts.Telemetry, report, nil)
 		return report, nil
 	}
-
-	newNet := m.st.Working().Clone()
-	res, repaired, err := m.run.Retable(m.st, old, newNet, changed, report, PooledJobs(m.opts.workers()))
-	if err != nil {
-		m.st.Revert(ev, changed)
+	abort := func(err error) (*EventReport, error) {
+		m.st.revert(ev, changed)
 		recordEvent(m.opts.Telemetry, report, err)
 		return nil, fmt.Errorf("fabric: %s: %w", ev, err)
 	}
 
+	newNet := m.st.working.Clone()
+	if exec == nil {
+		exec = m.pooledJobs
+	}
+	res, repaired, err := m.run.retable(m.st, old, newNet, changed, report, exec)
+	if err != nil {
+		return abort(err)
+	}
+	snap := &Snapshot{Epoch: old.Epoch + 1, Net: newNet, Result: res}
+	if gate != nil {
+		c := &Candidate{Event: ev, Old: old, Snap: snap, Changed: changed, Repaired: repaired, m: m, report: report}
+		if err := gate(c); err != nil {
+			return abort(err)
+		}
+		res, repaired = snap.Result, c.Repaired
+	}
+
+	// Only an epoch that passed the gate may update the derived indexes
+	// and become visible to readers and agents.
 	if report.FullRecompute {
-		m.st.RebuildIndex(res.Table)
+		m.st.rebuildIndex(res.Table)
 	} else {
 		for _, d := range repaired {
-			m.st.ReindexDest(res.Table, d)
+			m.st.reindexDest(res.Table, d)
 		}
 	}
-	m.st.ReindexCast(res.Cast)
+	m.st.reindexCast(res.Cast)
 	report.Delta = routing.Diff(old.Result.Table, res.Table)
-	report.Epoch = old.Epoch + 1
+	report.Epoch = snap.Epoch
 	report.Latency = time.Since(start)
-	snap := &Snapshot{Epoch: report.Epoch, Net: newNet, Result: res}
 	m.snap.Store(snap)
 	if m.opts.OnPublish != nil {
 		m.opts.OnPublish(snap)
@@ -60,4 +137,10 @@ func (m *Manager) Apply(ev Event) (*EventReport, error) {
 	m.metrics.add(report)
 	recordEvent(m.opts.Telemetry, report, nil)
 	return report, nil
+}
+
+// pooledJobs is the manager's default JobExecutor: a worker pool bounded
+// by Options.Workers.
+func (m *Manager) pooledJobs(jobs []LayerJob, run func(i int)) {
+	runPooled(m.opts.workers(), len(jobs), run)
 }

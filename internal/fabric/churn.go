@@ -23,7 +23,7 @@ func (m *Manager) RandomEvent(rng *rand.Rand, pJoin float64) (Event, bool) {
 // network (see Manager.RandomEvent). The state is not modified. The caller
 // owns serialization.
 func (s *State) RandomEvent(rng *rand.Rand, pJoin float64) (Event, bool) {
-	down := s.DownLinks()
+	down := s.downLinks()
 	if len(down) > 0 && rng.Float64() < pJoin {
 		return Event{Kind: LinkJoin, Link: down[rng.Intn(len(down))]}, true
 	}
@@ -67,7 +67,7 @@ func (m *Manager) RandomSwitchEvent(rng *rand.Rand, pJoin float64) (Event, bool)
 // RandomSwitchEvent draws a switch-churn event against the state's working
 // network (see Manager.RandomSwitchEvent). The state is not modified.
 func (s *State) RandomSwitchEvent(rng *rand.Rand, pJoin float64) (Event, bool) {
-	downSw := s.DownSwitches()
+	downSw := s.downSwitches()
 	if len(downSw) > 0 && rng.Float64() < pJoin {
 		return Event{Kind: SwitchJoin, Node: downSw[rng.Intn(len(downSw))]}, true
 	}

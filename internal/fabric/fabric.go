@@ -113,13 +113,17 @@ type Snapshot struct {
 // View, Epoch) are safe for arbitrary concurrency; Apply serializes
 // reconfigurations internally.
 //
-// Internally the manager is a thin epoch-ownership shell over two
-// separable pieces: a State (mutable topology bookkeeping + inverted
-// indexes) and a Runner (the repair computation). The sharded control
-// plane (internal/shard) composes the same two pieces under a replicated
-// epoch log instead of a process-local atomic pointer; keeping the
-// per-layer repair jobs identical on both paths is what makes sharded
-// and monolithic tables digest-equal.
+// The manager is the only owner of the epoch: the State (mutable
+// topology bookkeeping + inverted indexes), the runner (the repair
+// computation and its escape-root cache), the published snapshot
+// pointer, the lifetime Metrics and the telemetry bundle live here and
+// nowhere else, and ApplyGated is the only code that runs the epoch
+// transaction. The sharded control plane (internal/shard) composes a
+// Manager — literally: it holds one and passes in what is its own, a
+// region-affine JobExecutor and a pre-publication Gate (seam
+// certification + quorum commit) — so sharded and monolithic tables are
+// digest-equal because they come out of the same code, not out of two
+// copies kept alike.
 type Manager struct {
 	opts Options
 
@@ -127,24 +131,36 @@ type Manager struct {
 
 	mu      sync.Mutex // guards everything below; serializes Apply
 	st      *State
-	run     *Runner
+	run     *runner
 	metrics Metrics
 }
 
 // NewManager routes the topology from scratch and starts managing it.
 // The topology is not retained; the manager works on private copies.
 func NewManager(tp *topology.Topology, opts Options) (*Manager, error) {
+	return NewGatedManager(tp, opts, nil)
+}
+
+// NewGatedManager is NewManager with the initial epoch passed through
+// gate (Candidate.Old == nil) before it is stored and OnPublish fires;
+// a gate error aborts construction. A nil gate publishes directly.
+func NewGatedManager(tp *topology.Topology, opts Options, gate Gate) (*Manager, error) {
 	if opts.MaxVCs <= 0 {
 		opts.MaxVCs = 4
 	}
 	m := &Manager{
 		opts: opts,
 		st:   NewState(tp.Net),
-		run:  NewRunner(opts),
+		run:  newRunner(opts),
 	}
-	snap, err := InitialEpoch(m.st, m.run)
+	snap, err := m.initialEpoch()
 	if err != nil {
 		return nil, err
+	}
+	if gate != nil {
+		if err := gate(&Candidate{Snap: snap, m: m}); err != nil {
+			return nil, fmt.Errorf("fabric: initial epoch: %w", err)
+		}
 	}
 	m.snap.Store(snap)
 	if opts.OnPublish != nil {
@@ -153,14 +169,13 @@ func NewManager(tp *topology.Topology, opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// InitialEpoch routes st's network from scratch, verifies/post-checks it
-// per the runner's options, indexes st for it and returns it as epoch 0.
-// Shared by the Manager and the sharded control plane so both publish the
-// same first epoch for the same topology and options.
-func InitialEpoch(st *State, run *Runner) (*Snapshot, error) {
-	opts := run.Options()
-	net := st.Working().Clone()
-	res, err := run.RouteFull(net)
+// initialEpoch routes the state's network from scratch, verifies and
+// post-checks it per the options, indexes the state for it and returns
+// it as epoch 0.
+func (m *Manager) initialEpoch() (*Snapshot, error) {
+	opts := m.opts
+	net := m.st.working.Clone()
+	res, err := m.run.routeFull(net)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: initial routing: %w", err)
 	}
@@ -181,9 +196,26 @@ func InitialEpoch(st *State, run *Runner) (*Snapshot, error) {
 			return nil, fmt.Errorf("fabric: initial routing rejected by post-check: %w", err)
 		}
 	}
-	st.RebuildIndex(res.Table)
-	st.ReindexCast(res.Cast)
+	m.st.rebuildIndex(res.Table)
+	m.st.reindexCast(res.Cast)
 	return &Snapshot{Epoch: 0, Net: net, Result: res}, nil
+}
+
+// Restore rewinds the manager to a committed epoch — what a successor
+// leader does after failover: the state is rebuilt from the epoch's
+// network and the replicated bookkeeping maps (see
+// Candidate.Bookkeeping), re-indexed for the epoch's tables, and the
+// runner is replaced by a fresh one, so escape-root caches start cold.
+// Lifetime metrics carry over; nothing is published (the epoch already
+// was).
+func (m *Manager) Restore(snap *Snapshot, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.st = restoreState(snap.Net, linkFailed, nodeDown)
+	m.st.rebuildIndex(snap.Result.Table)
+	m.st.reindexCast(snap.Result.Cast)
+	m.run = newRunner(m.opts)
+	m.snap.Store(snap)
 }
 
 // destinations returns the fabric's destination set: every terminal, or

@@ -142,11 +142,7 @@ func recordEvent(tm *telemetry.FabricMetrics, r *EventReport, err error) {
 	})
 }
 
-// Add folds one event report into the lifetime aggregates. Exported for
-// control planes outside this package (internal/shard) that reuse
-// EventReport/Metrics for their own epoch accounting.
-func (m *Metrics) Add(r *EventReport) { m.add(r) }
-
+// add folds one event report into the lifetime aggregates.
 func (m *Metrics) add(r *EventReport) {
 	m.Events++
 	if r.NoOp {

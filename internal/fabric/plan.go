@@ -26,9 +26,9 @@ type LayerJob struct {
 	Kept   []graph.NodeID
 }
 
-// PlanJobs groups the affected destinations of one event by virtual
+// planJobs groups the affected destinations of one event by virtual
 // layer, in table destination order (deterministic).
-func PlanJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []LayerJob {
+func planJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []LayerJob {
 	oldRes := old.Result
 	dests := oldRes.Table.Dests()
 	byLayer := make(map[uint8]*LayerJob)
@@ -65,25 +65,11 @@ func PlanJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []LayerJob {
 // Scheduling cannot change the output (jobs are independent and each
 // run(i) is deterministic in the job alone); it only changes where and
 // how concurrently the work happens — which is why sharded and
-// monolithic control planes produce digest-equal tables. The Manager
-// installs a bounded worker pool; the sharded control plane installs
-// region-affine execution that inspects the jobs to route them.
+// monolithic control planes produce digest-equal tables. Manager.Apply
+// uses a bounded worker pool; the sharded control plane passes
+// ApplyGated a region-affine executor that inspects the jobs to route
+// them.
 type JobExecutor func(jobs []LayerJob, run func(i int))
-
-// SequentialJobs runs jobs one by one on the calling goroutine.
-func SequentialJobs(jobs []LayerJob, run func(i int)) {
-	for i := range jobs {
-		run(i)
-	}
-}
-
-// PooledJobs returns an executor running jobs on at most workers
-// goroutines (the Manager's default scheduling).
-func PooledJobs(workers int) JobExecutor {
-	return func(jobs []LayerJob, run func(i int)) {
-		runPooled(workers, len(jobs), run)
-	}
-}
 
 // escapeRoot caches one layer's escape-path root and its spanning tree.
 // While churn stays outside the tree, the root is re-passed as a repair
@@ -94,41 +80,34 @@ type escapeRoot struct {
 	tree *graph.Tree
 }
 
-// Runner is the routing-computation half of a fabric controller: it owns
-// the Nue engine, executes planned repairs (with escape-root reuse), and
+// runner is the routing-computation half of the Manager: it owns the Nue
+// engine, executes planned repairs (with escape-root reuse), and
 // verifies/post-checks candidate results. It holds no epoch state and
-// publishes nothing — Manager and the sharded control plane layer epoch
-// ownership on top. Methods are not safe for concurrent use; the owner
-// serializes events.
-type Runner struct {
+// publishes nothing. Methods are not safe for concurrent use; the
+// Manager serializes events.
+type runner struct {
 	opts  Options
 	nue   *core.Nue
 	roots map[uint8]escapeRoot
 }
 
-// NewRunner builds the computation layer for the given options
-// (OnPublish is ignored — publication is the owner's job).
-func NewRunner(opts Options) *Runner {
-	if opts.MaxVCs <= 0 {
-		opts.MaxVCs = 4
-	}
+// newRunner builds the computation layer for the manager's (defaulted)
+// options.
+func newRunner(opts Options) *runner {
 	nopts := core.DefaultOptions()
 	nopts.Seed = opts.Seed
 	nopts.Workers = opts.Workers
 	nopts.Telemetry = opts.EngineTelemetry
-	return &Runner{
+	return &runner{
 		opts:  opts,
 		nue:   core.New(nopts),
 		roots: make(map[uint8]escapeRoot),
 	}
 }
 
-// Options returns the runner's effective configuration.
-func (r *Runner) Options() Options { return r.opts }
-
-// RouteFull recomputes the whole fabric from scratch on net. The root
+// routeFull recomputes the whole fabric from scratch on net. The root
 // cache is dropped: full routings pick their own roots internally.
-func (r *Runner) RouteFull(net *graph.Network) (*routing.Result, error) {
+func (r *runner) routeFull(net *graph.Network) (*routing.Result, error) {
 	dests := destinations(net)
 	if len(dests) == 0 {
 		return nil, errors.New("fabric: network has no destinations")
@@ -137,11 +116,11 @@ func (r *Runner) RouteFull(net *graph.Network) (*routing.Result, error) {
 	return r.nue.Route(net, dests, r.opts.MaxVCs)
 }
 
-// InvalidateRoots drops cached escape roots the changed channels can no
+// invalidateRoots drops cached escape roots the changed channels can no
 // longer vouch for: every cache entry whose tree contains a newly failed
 // channel, and — conservatively — every entry when a channel was
 // restored (a join can reconnect a component the old tree never spanned).
-func (r *Runner) InvalidateRoots(newNet *graph.Network, changed []graph.ChannelID) {
+func (r *runner) invalidateRoots(newNet *graph.Network, changed []graph.ChannelID) {
 	for _, c := range changed {
 		if !newNet.Channel(c).Failed {
 			clear(r.roots)
@@ -158,13 +137,6 @@ func (r *Runner) InvalidateRoots(newNet *graph.Network, changed []graph.ChannelI
 	}
 }
 
-// RootCached reports whether layer l currently has a reusable escape
-// root (introspection for tests and reports).
-func (r *Runner) RootCached(l uint8) bool {
-	_, ok := r.roots[l]
-	return ok
-}
-
 // jobOutcome collects one layer job's result for report aggregation and
 // root-cache write-back.
 type jobOutcome struct {
@@ -173,12 +145,12 @@ type jobOutcome struct {
 	err     error
 }
 
-// RunJob executes one planned layer job against table (bound to newNet):
+// runJob executes one planned layer job against table (bound to newNet):
 // the incremental repair, widened to the whole layer when infeasible. The
 // cached escape root of the layer, if still valid, is passed as a hint.
 // Safe to call concurrently for distinct jobs of one plan (the root cache
-// is only read here; write-back happens in Retable after the barrier).
-func (r *Runner) RunJob(newNet *graph.Network, table *routing.Table, job LayerJob) jobOutcome {
+// is only read here; write-back happens in retable after the barrier).
+func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job LayerJob) jobOutcome {
 	var out jobOutcome
 	req := core.RepairRequest{
 		Net:    newNet,
@@ -202,52 +174,49 @@ func (r *Runner) RunJob(newNet *graph.Network, table *routing.Table, job LayerJo
 	return out
 }
 
-// Retable computes the post-event routing for newNet: the incremental
+// retable computes the post-event routing for newNet: the incremental
 // per-layer repair (scheduled by exec), falling back to a full recompute
 // when a layer fails or the combined result does not verify. It returns
 // the result and the destinations whose columns changed (nil after a
 // full recompute). This is pure computation — the caller owns mutation,
 // index maintenance, and publication.
-func (r *Runner) Retable(st *State, old *Snapshot, newNet *graph.Network, changed []graph.ChannelID,
+func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, changed []graph.ChannelID,
 	report *EventReport, exec JobExecutor) (*routing.Result, []graph.NodeID, error) {
 
 	if r.opts.FullRecompute {
-		res, err := r.FullRecompute(st, newNet, changed, report)
+		res, err := r.fullRecompute(st, newNet, changed, report)
 		return res, nil, err
 	}
-	if exec == nil {
-		exec = SequentialJobs
-	}
 	oldRes := old.Result
-	r.InvalidateRoots(newNet, changed)
+	r.invalidateRoots(newNet, changed)
 
 	table := oldRes.Table.Clone(newNet)
-	affected := st.AffectedDests(newNet, table, changed)
+	affected := st.affectedDests(newNet, table, changed)
 	if len(affected) == 0 {
 		// Topology changed but no unicast route is impacted (e.g. failing
 		// an unused link): republish the same entries on the new network.
-		// Cast trees may still be hit — FinishResult repairs them.
+		// Cast trees may still be hit — finishResult repairs them.
 		res := resultWith(oldRes, table)
-		if err := r.FinishResult(st, newNet, res, oldRes.Cast, changed, report); err != nil {
+		if err := r.finishResult(st, newNet, res, oldRes.Cast, changed, report); err != nil {
 			return nil, nil, err
 		}
 		return res, nil, nil
 	}
 
-	jobs := PlanJobs(old, affected)
+	jobs := planJobs(old, affected)
 	repairedList := make([]graph.NodeID, 0, len(affected))
 	for _, j := range jobs {
 		repairedList = append(repairedList, j.Repair...)
 	}
 	outs := make([]jobOutcome, len(jobs))
 	exec(jobs, func(i int) {
-		outs[i] = r.RunJob(newNet, table, jobs[i])
+		outs[i] = r.runJob(newNet, table, jobs[i])
 	})
 	for i, j := range jobs {
 		out := outs[i]
 		if out.err != nil {
 			// Last resort: re-route the whole fabric.
-			res, err := r.FullRecompute(st, newNet, changed, report)
+			res, err := r.fullRecompute(st, newNet, changed, report)
 			if err != nil {
 				return nil, nil, fmt.Errorf("layer %d repair failed (%v) and full recompute failed: %w", j.Layer, out.err, err)
 			}
@@ -270,10 +239,10 @@ func (r *Runner) Retable(st *State, old *Snapshot, newNet *graph.Network, change
 	}
 
 	res := resultWith(oldRes, table)
-	if err := r.FinishResult(st, newNet, res, oldRes.Cast, changed, report); err != nil {
+	if err := r.finishResult(st, newNet, res, oldRes.Cast, changed, report); err != nil {
 		// Defense in depth: an invalid incremental transition is replaced
 		// by a verified full recompute.
-		full, ferr := r.FullRecompute(st, newNet, changed, report)
+		full, ferr := r.fullRecompute(st, newNet, changed, report)
 		if ferr != nil {
 			return nil, nil, fmt.Errorf("incremental transition invalid (%v) and full recompute failed: %w", err, ferr)
 		}
@@ -282,16 +251,16 @@ func (r *Runner) Retable(st *State, old *Snapshot, newNet *graph.Network, change
 	return res, repairedList, nil
 }
 
-// FinishResult completes a to-be-published result: the multicast trees
+// finishResult completes a to-be-published result: the multicast trees
 // are repaired against the new routing (kept where their channels are
 // alive and their dependencies re-admit into the new union graph,
 // rebuilt otherwise, starting from the groups the changed channels
 // touch), and the combined configuration is verified / post-checked.
-// With no configured groups it reduces to MaybeVerify.
-func (r *Runner) FinishResult(st *State, newNet *graph.Network, res *routing.Result, oldCast *routing.CastTable,
+// With no configured groups it reduces to maybeVerify.
+func (r *runner) finishResult(st *State, newNet *graph.Network, res *routing.Result, oldCast *routing.CastTable,
 	changed []graph.ChannelID, report *EventReport) error {
 	if len(r.opts.Groups) > 0 {
-		rebuild := st.CastRebuildSet(changed)
+		rebuild := st.castRebuildSet(changed)
 		cast, cs, err := mcast.Rebuild(newNet, res, oldCast, r.opts.Groups, rebuild, mcast.Options{Telemetry: r.opts.McastTelemetry})
 		if err != nil {
 			return fmt.Errorf("cast repair: %w", err)
@@ -302,27 +271,27 @@ func (r *Runner) FinishResult(st *State, newNet *graph.Network, res *routing.Res
 		report.CastRebuilt = cs.TreesBuilt
 		report.CastUBM = cs.UBMMembers
 	}
-	return r.MaybeVerify(newNet, res, report)
+	return r.maybeVerify(newNet, res, report)
 }
 
-// FullRecompute routes the fabric (and its cast trees) from scratch and
+// fullRecompute routes the fabric (and its cast trees) from scratch and
 // verifies if required.
-func (r *Runner) FullRecompute(st *State, newNet *graph.Network, changed []graph.ChannelID, report *EventReport) (*routing.Result, error) {
-	res, err := r.RouteFull(newNet)
+func (r *runner) fullRecompute(st *State, newNet *graph.Network, changed []graph.ChannelID, report *EventReport) (*routing.Result, error) {
+	res, err := r.routeFull(newNet)
 	if err != nil {
 		return nil, err
 	}
 	report.FullRecompute = true
 	report.RepairedDests = report.TotalDests
-	if err := r.FinishResult(st, newNet, res, nil, nil, report); err != nil {
+	if err := r.finishResult(st, newNet, res, nil, nil, report); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// MaybeVerify runs the configured verifier and post-check hook on a
+// maybeVerify runs the configured verifier and post-check hook on a
 // candidate (network, result) pair.
-func (r *Runner) MaybeVerify(net *graph.Network, res *routing.Result, report *EventReport) error {
+func (r *runner) maybeVerify(net *graph.Network, res *routing.Result, report *EventReport) error {
 	if r.opts.Verify {
 		if _, err := verify.Check(net, res, nil); err != nil {
 			return err

@@ -1,20 +1,21 @@
 package fabric
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
 
-// State is the mutable bookkeeping half of a fabric controller: the
-// private working network, the desired link/switch up-down state, and the
+// State is the mutable bookkeeping half of the Manager: the private
+// working network, the desired link/switch up-down state, and the
 // inverted channel->destination / channel->cast-group indexes that make
 // the affected-set computation O(|changed channels|). It carries no epoch
-// ownership — no snapshots, no locks, no publication — so a sharded
-// control plane (internal/shard) can replicate and rebuild it from a
-// committed epoch while the single-process Manager embeds it directly.
-// All methods must run under the owner's event serialization.
+// ownership — no snapshots, no locks, no publication. Outside the
+// Manager it serves as a churn generator's shadow of the fabric
+// (NewState, RandomEvent/RandomSwitchEvent, Mutate). All methods must
+// run under the owner's event serialization.
 type State struct {
 	// working is the controller's private mutable network; published
 	// snapshots carry clones of it.
@@ -63,42 +64,23 @@ func NewState(net *graph.Network) *State {
 	return s
 }
 
-// Working returns the state's private mutable network. Callers must not
-// hand it out; published snapshots take clones.
-func (s *State) Working() *graph.Network { return s.working }
-
-// Bookkeeping returns deep copies of the explicit link-failed and
-// switch-down maps — the part of the state a replicated epoch log must
-// carry (it is not derivable from the network alone: a down link under a
-// down switch may or may not have failed on its own).
-func (s *State) Bookkeeping() (linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) {
-	linkFailed = make(map[graph.ChannelID]bool, len(s.linkFailed))
-	for k, v := range s.linkFailed {
-		linkFailed[k] = v
-	}
-	nodeDown = make(map[graph.NodeID]bool, len(s.nodeDown))
-	for k, v := range s.nodeDown {
-		nodeDown[k] = v
-	}
-	return linkFailed, nodeDown
+// bookkeeping returns deep copies of the explicit link-failed and
+// switch-down maps (see Candidate.Bookkeeping).
+func (s *State) bookkeeping() (linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) {
+	return maps.Clone(s.linkFailed), maps.Clone(s.nodeDown)
 }
 
-// RestoreState rebuilds a State from a committed epoch: the epoch's
+// restoreState rebuilds a State from a committed epoch: the epoch's
 // network (cloned) plus the replicated bookkeeping maps, which REPLACE
 // the explicit-failure inference NewState makes from the network (a link
 // that is down only because its switch is down must not be recorded as
 // explicitly failed, or a later switch join would strand it). The caller
-// must follow with RebuildIndex/ReindexCast for the epoch's tables.
-func RestoreState(net *graph.Network, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) *State {
+// must follow with rebuildIndex/reindexCast for the epoch's tables.
+func restoreState(net *graph.Network, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) *State {
 	s := NewState(net)
-	s.linkFailed = make(map[graph.ChannelID]bool, len(linkFailed))
-	for k, v := range linkFailed {
-		s.linkFailed[k] = v
-	}
-	s.nodeDown = make(map[graph.NodeID]bool, len(nodeDown))
-	for k, v := range nodeDown {
-		s.nodeDown[k] = v
-	}
+	clear(s.linkFailed)
+	maps.Copy(s.linkFailed, linkFailed)
+	maps.Copy(s.nodeDown, nodeDown)
 	return s
 }
 
@@ -138,9 +120,9 @@ func (s *State) Mutate(ev Event) []graph.ChannelID {
 	return changed
 }
 
-// Revert undoes Mutate after a failed reconfiguration so the state stays
+// revert undoes Mutate after a failed reconfiguration so the state stays
 // consistent with the still-published epoch.
-func (s *State) Revert(ev Event, changed []graph.ChannelID) {
+func (s *State) revert(ev Event, changed []graph.ChannelID) {
 	switch ev.Kind {
 	case LinkFail, LinkJoin:
 		link := canonical(s.working, ev.Link)
@@ -154,9 +136,9 @@ func (s *State) Revert(ev Event, changed []graph.ChannelID) {
 	}
 }
 
-// RebuildIndex recomputes the channel->destinations inverted index from a
+// rebuildIndex recomputes the channel->destinations inverted index from a
 // full table.
-func (s *State) RebuildIndex(t *routing.Table) {
+func (s *State) rebuildIndex(t *routing.Table) {
 	s.destsUsing = make(map[graph.ChannelID]map[graph.NodeID]struct{})
 	s.destChans = make(map[graph.NodeID][]graph.ChannelID)
 	t.ForEach(func(sw, dest graph.NodeID, c graph.ChannelID) {
@@ -176,9 +158,9 @@ func (s *State) indexAdd(dest graph.NodeID, c graph.ChannelID) {
 	}
 }
 
-// ReindexCast recomputes the channel->groups index from a published cast
+// reindexCast recomputes the channel->groups index from a published cast
 // table. Nil-safe.
-func (s *State) ReindexCast(cast *routing.CastTable) {
+func (s *State) reindexCast(cast *routing.CastTable) {
 	s.castChans = nil
 	if cast == nil {
 		return
@@ -191,9 +173,9 @@ func (s *State) ReindexCast(cast *routing.CastTable) {
 	}
 }
 
-// ReindexDest refreshes the index entries of one destination after its
+// reindexDest refreshes the index entries of one destination after its
 // column changed.
-func (s *State) ReindexDest(t *routing.Table, dest graph.NodeID) {
+func (s *State) reindexDest(t *routing.Table, dest graph.NodeID) {
 	for _, c := range s.destChans[dest] {
 		delete(s.destsUsing[c], dest)
 	}
@@ -217,13 +199,13 @@ func (s *State) ReindexDest(t *routing.Table, dest graph.NodeID) {
 	}
 }
 
-// AffectedDests computes the destinations an event must re-route on the
+// affectedDests computes the destinations an event must re-route on the
 // post-event network: for failed channels, exactly the ones whose
 // forwarding trees traverse them (the inverted index); for restored
 // channels, the ones with incomplete columns (disconnection healing);
 // plus destinations that just lost their last channel (their stale
 // columns must drop even though no path can be rebuilt).
-func (s *State) AffectedDests(newNet *graph.Network, table *routing.Table, changed []graph.ChannelID) map[graph.NodeID]struct{} {
+func (s *State) affectedDests(newNet *graph.Network, table *routing.Table, changed []graph.ChannelID) map[graph.NodeID]struct{} {
 	affected := make(map[graph.NodeID]struct{})
 	restored := false
 	for _, c := range changed {
@@ -257,9 +239,9 @@ func (s *State) AffectedDests(newNet *graph.Network, table *routing.Table, chang
 	return affected
 }
 
-// CastRebuildSet maps changed channels to the cast groups whose trees
+// castRebuildSet maps changed channels to the cast groups whose trees
 // traverse them.
-func (s *State) CastRebuildSet(changed []graph.ChannelID) map[int]bool {
+func (s *State) castRebuildSet(changed []graph.ChannelID) map[int]bool {
 	rebuild := make(map[int]bool)
 	for _, c := range changed {
 		for _, id := range s.castChans[c] {
@@ -269,9 +251,9 @@ func (s *State) CastRebuildSet(changed []graph.ChannelID) map[int]bool {
 	return rebuild
 }
 
-// DownLinks returns the canonical halves of links currently failed on
+// downLinks returns the canonical halves of links currently failed on
 // their own, sorted (the restorable set for churn generators).
-func (s *State) DownLinks() []graph.ChannelID {
+func (s *State) downLinks() []graph.ChannelID {
 	var down []graph.ChannelID
 	for link, failed := range s.linkFailed {
 		if failed {
@@ -282,8 +264,8 @@ func (s *State) DownLinks() []graph.ChannelID {
 	return down
 }
 
-// DownSwitches returns the currently down switches, sorted.
-func (s *State) DownSwitches() []graph.NodeID {
+// downSwitches returns the currently down switches, sorted.
+func (s *State) downSwitches() []graph.NodeID {
 	var nodes []graph.NodeID
 	for n, down := range s.nodeDown {
 		if down {

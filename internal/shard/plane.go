@@ -3,9 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/graph"
@@ -26,10 +25,13 @@ type Options struct {
 	// Replicas is the epoch-log replication factor (default 1). Quorum is
 	// a strict majority, so 3 replicas survive one crash, 5 survive two.
 	Replicas int
-	// Fabric configures the embedded routing computation — the SAME
-	// options a monolithic fabric.Manager would take. Fabric.OnPublish is
-	// called once per committed epoch (leader publication);
-	// Fabric.Workers is unused (scheduling is region-affine).
+	// Fabric configures the embedded fabric.Manager — the SAME options a
+	// monolithic one would take. Fabric.OnPublish is called once per
+	// committed epoch (leader publication). Fabric.Workers is handed to
+	// the routing engine, so it bounds the initial routing and every
+	// full recompute; it does not bound the incremental layer repairs,
+	// whose scheduling is region-affine (one goroutine per region with
+	// work, plus the coordinator).
 	Fabric fabric.Options
 	// OnReplicate, when non-nil, is called for every ALIVE replica after
 	// an epoch commits — the per-replica distribution seam (hand the
@@ -78,23 +80,25 @@ type Metrics struct {
 }
 
 // Plane is a sharded, replicated fabric control plane. It exposes the
-// same Apply/View/Epoch surface as fabric.Manager, but every published
-// epoch is first committed to a majority of replicas under a leadership
-// term, layer repairs are scheduled region-affine, and cross-region
-// dependency changes are union-certified on the seam before commit.
+// same Apply/View/Epoch surface as fabric.Manager because it holds one:
+// the manager runs the epoch transaction, the plane supplies what is its
+// own — region-affine scheduling of the layer repairs, and a gate that
+// union-certifies cross-region dependency changes on the seam and
+// commits the epoch to a majority of replicas under a leadership term
+// before it may be published.
 type Plane struct {
 	opts    Options
 	regions *Regions
 	cluster *Cluster
-
-	snap atomic.Pointer[fabric.Snapshot]
+	// mgr owns state, runner, snapshot and fabric metrics. It is never
+	// handed out: a plane's epochs only go through its gate, so the
+	// ungated Manager.Apply must stay unreachable.
+	mgr *fabric.Manager
 
 	mu      sync.Mutex // serializes Apply/Failover; guards below
 	leader  int        // current leader replica, -1 when none
 	term    uint64
-	st      *fabric.State
-	run     *fabric.Runner
-	metrics Metrics
+	metrics Metrics // control-plane counters; the embedded fabric.Metrics is the manager's
 
 	// beforeCommit, when non-nil, runs after the repair computation and
 	// before the quorum append — the hook failover tests use to kill the
@@ -106,8 +110,8 @@ type Plane struct {
 	tamper func(*graph.Network, *routing.Result)
 }
 
-// New partitions tp, routes it from scratch, elects replica 0 leader and
-// commits the initial epoch to a quorum.
+// New partitions tp, elects replica 0 leader, routes tp from scratch and
+// commits the initial epoch to a quorum before publishing it.
 func New(tp *topology.Topology, opts Options) (*Plane, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
@@ -119,13 +123,6 @@ func New(tp *topology.Topology, opts Options) (*Plane, error) {
 		opts:    opts,
 		regions: Partition(tp, opts.Shards),
 		cluster: NewCluster(opts.Replicas),
-		leader:  -1,
-	}
-	st := fabric.NewState(tp.Net)
-	run := fabric.NewRunner(opts.Fabric)
-	snap, err := fabric.InitialEpoch(st, run)
-	if err != nil {
-		return nil, err
 	}
 	term, err := p.cluster.TryElect(0)
 	if err != nil {
@@ -133,11 +130,12 @@ func New(tp *topology.Topology, opts Options) (*Plane, error) {
 	}
 	p.leader, p.term = 0, term
 	p.metrics.Elections++
-	if err := p.commit(snap, st, fabric.Event{}); err != nil {
+	fopts := opts.Fabric
+	fopts.OnPublish = p.publish
+	p.mgr, err = fabric.NewGatedManager(tp, fopts, p.commit)
+	if err != nil {
 		return nil, err
 	}
-	p.st, p.run = st, run
-	p.publish(snap)
 	if t := opts.Telemetry; t != nil {
 		t.Elections.Inc()
 		t.Term.Set(int64(term))
@@ -146,17 +144,18 @@ func New(tp *topology.Topology, opts Options) (*Plane, error) {
 	return p, nil
 }
 
-// commit appends the epoch to the replicated log under the current term.
-// Callers hold mu (or run before the plane is shared).
-func (p *Plane) commit(snap *fabric.Snapshot, st *fabric.State, ev fabric.Event) error {
-	linkFailed, nodeDown := st.Bookkeeping()
+// commit appends the candidate epoch to the replicated log under the
+// current term — the last step of the plane's gate, and all of it for
+// the initial epoch. Runs under mu (or before the plane is shared).
+func (p *Plane) commit(c *fabric.Candidate) error {
+	linkFailed, nodeDown := c.Bookkeeping()
 	err := p.cluster.Append(p.leader, p.term, Entry{
-		Epoch:      snap.Epoch,
-		Digest:     snap.Result.Table.Digest(),
-		Snap:       snap,
+		Epoch:      c.Snap.Epoch,
+		Digest:     c.Snap.Result.Table.Digest(),
+		Snap:       c.Snap,
 		LinkFailed: linkFailed,
 		NodeDown:   nodeDown,
-		Event:      ev,
+		Event:      c.Event,
 	})
 	if err != nil {
 		p.leader = -1 // deposed or dead: stop proposing until failover
@@ -174,10 +173,10 @@ func (p *Plane) commit(snap *fabric.Snapshot, st *fabric.State, ev fabric.Event)
 	return nil
 }
 
-// publish installs a committed snapshot for readers and fans it out to
-// the leader publication hook and every alive replica.
+// publish is the manager's OnPublish: by then the snapshot is committed
+// and installed for readers; fan it out to the leader publication hook
+// and every alive replica.
 func (p *Plane) publish(snap *fabric.Snapshot) {
-	p.snap.Store(snap)
 	if p.opts.Fabric.OnPublish != nil {
 		p.opts.Fabric.OnPublish(snap)
 	}
@@ -190,153 +189,130 @@ func (p *Plane) publish(snap *fabric.Snapshot) {
 	}
 }
 
-// Apply processes one churn event through the sharded plane: repair
-// (region-affine scheduling, seam certification), quorum commit, publish.
-// The forwarding tables it publishes are digest-equal to what a
-// monolithic fabric.Manager publishes for the same trace — scheduling
-// and ownership differ, the computation does not.
+// Apply processes one churn event through the sharded plane: the
+// manager's epoch transaction with region-affine job scheduling and the
+// plane's gate (seam certification, quorum commit) in front of
+// publication. The forwarding tables it publishes are digest-equal to
+// what a monolithic fabric.Manager publishes for the same trace —
+// scheduling and ownership differ, the computation is the same code.
 func (p *Plane) Apply(ev fabric.Event) (*Report, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.leader < 0 {
 		return nil, ErrNoLeader
 	}
-	start := time.Now()
-	old := p.snap.Load()
 	rep := &Report{Term: p.term, Leader: p.leader}
-	rep.Event = ev
-	rep.Epoch = old.Epoch
-	rep.TotalDests = len(old.Result.Table.Dests())
-
-	changed := p.st.Mutate(ev)
-	if len(changed) == 0 {
-		rep.NoOp = true
-		rep.Latency = time.Since(start)
-		p.metrics.Add(&rep.EventReport)
+	er, err := p.mgr.ApplyGated(ev, p.regionExec(rep), func(c *fabric.Candidate) error {
+		return p.gate(c, rep)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.EventReport = *er
+	if rep.NoOp {
 		return rep, nil
 	}
-
-	newNet := p.st.Working().Clone()
-	res, repaired, err := p.run.Retable(p.st, old, newNet, changed, &rep.EventReport, p.regionExec(newNet, rep))
-	if err != nil {
-		p.st.Revert(ev, changed)
-		return nil, fmt.Errorf("shard: %s: %w", ev, err)
-	}
-	if p.tamper != nil {
-		p.tamper(newNet, res)
-	}
-
-	// Seam certification: when the DEPENDENCY change crossed a region
-	// boundary — a seam channel flipped, or the repair changed which seam
-	// channels serve a destination — the coordinator certifies the
-	// cross-region old+new CDG union (UPR-style,
-	// oracle.CertifyTransition) before anything may commit. Scheduling
-	// escalation (SeamJobs) is deliberately NOT the trigger: a job runs
-	// on the coordinator merely because its destinations span regions,
-	// which says nothing about the seam's dependency structure, and
-	// certifying every such epoch would put two oracle passes on the
-	// common publish path.
-	//
-	// A refuted union is then attributed. Almost always the new tables
-	// are clean and the cycle only means the per-switch swap cannot run
-	// unsynchronized — the tables stand and the epoch carries a drain
-	// requirement, exactly like the distribution plane's own certifier
-	// decides. But if the PROPOSAL itself is refuted (a cycle in its own
-	// dependency graph — only possible through corruption, the mutation
-	// test's territory), it is vetoed, discarded and recovered by a
-	// from-scratch recompute that must certify. Attribution is staged by
-	// cost: the walkless CertifyDeps screen on every refuted union, the
-	// full walk-based Certify (whose witness the veto carries) only on
-	// structural suspicion. Keeping the union check advisory is what
-	// preserves digest equality with the monolithic manager: widened
-	// layer rebuilds legitimately produce drain-requiring transitions.
-	if p.seamEscalated(newNet, old.Result.Table, res.Table, repaired, changed) {
-		rep.SeamCertified = true
-		p.metrics.SeamCertified++
-		if t := p.opts.Telemetry; t != nil {
-			t.SeamCertified.Inc()
-		}
-		if _, terr := oracle.CertifyTransition(newNet, old.Result, res, oracle.Options{}); terr != nil {
-			veto := false
-			if _, derr := oracle.CertifyDeps(newNet, res, oracle.Options{}); derr != nil {
-				_, cerr := oracle.Certify(newNet, res, oracle.Options{})
-				veto = cerr != nil
-				if veto {
-					rep.SeamVeto = cerr
-					p.metrics.SeamVetoes++
-					if t := p.opts.Telemetry; t != nil {
-						t.SeamVetoes.Inc()
-					}
-					res, err = p.run.FullRecompute(p.st, newNet, changed, &rep.EventReport)
-					if err == nil {
-						_, err = oracle.Certify(newNet, res, oracle.Options{})
-					}
-					if err != nil {
-						p.st.Revert(ev, changed)
-						return nil, fmt.Errorf("shard: %s: seam veto unrecoverable: %w", ev, err)
-					}
-					repaired = nil
-					if _, terr := oracle.CertifyTransition(newNet, old.Result, res, oracle.Options{}); terr != nil {
-						rep.SeamDrain = true
-					}
-				}
-			}
-			if !veto {
-				rep.SeamDrain = true
-			}
-			if rep.SeamDrain {
-				p.metrics.SeamDrains++
-				if t := p.opts.Telemetry; t != nil {
-					t.SeamDrains.Inc()
-				}
-			}
-		}
-	}
-
-	if p.beforeCommit != nil {
-		p.beforeCommit()
-	}
-
-	rep.Delta = routing.Diff(old.Result.Table, res.Table)
-	rep.Epoch = old.Epoch + 1
-	snap := &fabric.Snapshot{Epoch: rep.Epoch, Net: newNet, Result: res}
-	if err := p.commit(snap, p.st, ev); err != nil {
-		// The term lost its quorum (leader killed or partitioned away):
-		// nothing was published; a successor recomputes from the last
-		// committed epoch.
-		p.st.Revert(ev, changed)
-		return nil, fmt.Errorf("shard: %s: %w", ev, err)
-	}
-
-	// Only a committed epoch may update the derived indexes and become
-	// visible to readers and agents.
-	if rep.FullRecompute {
-		p.st.RebuildIndex(res.Table)
-	} else {
-		for _, d := range repaired {
-			p.st.ReindexDest(res.Table, d)
-		}
-	}
-	p.st.ReindexCast(res.Cast)
-	rep.Latency = time.Since(start)
-	p.publish(snap)
-	p.metrics.Add(&rep.EventReport)
 	p.metrics.LocalJobs += rep.LocalJobs
 	p.metrics.SeamJobs += rep.SeamJobs
 	p.recordEpoch(rep)
 	return rep, nil
 }
 
+// gate is the plane's pre-publication gate: tamper hook, seam
+// certification, beforeCommit hook, quorum append. An error leaves the
+// event reverted and nothing published — a lost quorum (leader killed or
+// partitioned away) is recovered by a successor from the last committed
+// epoch.
+func (p *Plane) gate(c *fabric.Candidate, rep *Report) error {
+	if p.tamper != nil {
+		p.tamper(c.Snap.Net, c.Snap.Result)
+	}
+	if err := p.certifySeam(c, rep); err != nil {
+		return err
+	}
+	if p.beforeCommit != nil {
+		p.beforeCommit()
+	}
+	return p.commit(c)
+}
+
+// certifySeam is the coordinator's seam certification: when the
+// DEPENDENCY change crossed a region boundary — a seam channel flipped,
+// or the repair changed which seam channels serve a destination — the
+// cross-region old+new CDG union is certified (UPR-style,
+// oracle.CertifyTransition) before anything may commit. Scheduling
+// escalation (SeamJobs) is deliberately NOT the trigger: a job runs on
+// the coordinator merely because its destinations span regions, which
+// says nothing about the seam's dependency structure, and certifying
+// every such epoch would put two oracle passes on the common publish
+// path.
+//
+// A refuted union is then attributed. Almost always the new tables are
+// clean and the cycle only means the per-switch swap cannot run
+// unsynchronized — the tables stand and the epoch carries a drain
+// requirement, exactly like the distribution plane's own certifier
+// decides. But if the PROPOSAL itself is refuted (a cycle in its own
+// dependency graph — only possible through corruption, the mutation
+// test's territory), it is vetoed, discarded and recovered by a
+// from-scratch recompute that must certify. Attribution is staged by
+// cost: the walkless CertifyDeps screen on every refuted union, the full
+// walk-based Certify (whose witness the veto carries) only on structural
+// suspicion. Keeping the union check advisory is what preserves digest
+// equality with the monolithic manager: widened layer rebuilds
+// legitimately produce drain-requiring transitions.
+func (p *Plane) certifySeam(c *fabric.Candidate, rep *Report) error {
+	net, old := c.Snap.Net, c.Old.Result
+	if !p.seamEscalated(net, old.Table, c.Snap.Result.Table, c.Repaired, c.Changed) {
+		return nil
+	}
+	t := p.opts.Telemetry
+	rep.SeamCertified = true
+	p.metrics.SeamCertified++
+	if t != nil {
+		t.SeamCertified.Inc()
+	}
+	if _, terr := oracle.CertifyTransition(net, old, c.Snap.Result, oracle.Options{}); terr == nil {
+		return nil
+	}
+	rep.SeamDrain = true
+	if _, derr := oracle.CertifyDeps(net, c.Snap.Result, oracle.Options{}); derr != nil {
+		if _, cerr := oracle.Certify(net, c.Snap.Result, oracle.Options{}); cerr != nil {
+			rep.SeamVeto = cerr
+			p.metrics.SeamVetoes++
+			if t != nil {
+				t.SeamVetoes.Inc()
+			}
+			err := c.FullRecompute()
+			if err == nil {
+				_, err = oracle.Certify(net, c.Snap.Result, oracle.Options{})
+			}
+			if err != nil {
+				return fmt.Errorf("seam veto unrecoverable: %w", err)
+			}
+			_, terr := oracle.CertifyTransition(net, old, c.Snap.Result, oracle.Options{})
+			rep.SeamDrain = terr != nil
+		}
+	}
+	if rep.SeamDrain {
+		p.metrics.SeamDrains++
+		if t != nil {
+			t.SeamDrains.Inc()
+		}
+	}
+	return nil
+}
+
 // regionExec schedules layer jobs region-affine: jobs whose repair
 // destinations live in one region run on that region's shard goroutine
 // (sequentially within a shard — each shard is one controller), jobs
 // spanning regions run on the coordinator (the calling goroutine).
-func (p *Plane) regionExec(newNet *graph.Network, rep *Report) fabric.JobExecutor {
+func (p *Plane) regionExec(rep *Report) fabric.JobExecutor {
 	return func(jobs []fabric.LayerJob, run func(i int)) {
 		byRegion := make(map[int][]int)
 		var coord []int
 		for i, j := range jobs {
-			if home := p.regions.HomeRegion(nil, j.Repair, newNet); home >= 0 {
+			// No channels to place, so no network to resolve them in.
+			if home := p.regions.HomeRegion(nil, j.Repair, nil); home >= 0 {
 				byRegion[home] = append(byRegion[home], i)
 			} else {
 				coord = append(coord, i)
@@ -399,10 +375,10 @@ func (p *Plane) seamEscalated(net *graph.Network, oldT, newT *routing.Table, rep
 }
 
 // Failover elects a new leader deterministically — the lowest-numbered
-// alive replica that can assemble a vote quorum — and rebuilds the
-// controller state from the last committed epoch: restored bookkeeping,
-// rebuilt inverted indexes, fresh runner (escape-root caches start
-// cold). Returns the new leader and term.
+// alive replica that can assemble a vote quorum — and restores the
+// manager from the last committed epoch: replicated bookkeeping, rebuilt
+// inverted indexes, fresh runner (escape-root caches start cold).
+// Returns the new leader and term.
 func (p *Plane) Failover() (leader int, term uint64, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -421,11 +397,7 @@ func (p *Plane) Failover() (leader int, term uint64, err error) {
 			return -1, 0, errors.New("shard: no committed epoch to restore from")
 		}
 		p.leader, p.term = id, t
-		p.st = fabric.RestoreState(entry.Snap.Net, entry.LinkFailed, entry.NodeDown)
-		p.st.RebuildIndex(entry.Snap.Result.Table)
-		p.st.ReindexCast(entry.Snap.Result.Cast)
-		p.run = fabric.NewRunner(p.opts.Fabric)
-		p.snap.Store(entry.Snap)
+		p.mgr.Restore(entry.Snap, entry.LinkFailed, entry.NodeDown)
 		p.metrics.Elections++
 		if tm := p.opts.Telemetry; tm != nil {
 			tm.Elections.Inc()
@@ -453,14 +425,19 @@ func (p *Plane) Cluster() *Cluster { return p.cluster }
 func (p *Plane) Regions() *Regions { return p.regions }
 
 // View returns the current committed snapshot.
-func (p *Plane) View() *fabric.Snapshot { return p.snap.Load() }
+func (p *Plane) View() *fabric.Snapshot { return p.mgr.View() }
 
 // Epoch returns the current committed epoch.
-func (p *Plane) Epoch() uint64 { return p.snap.Load().Epoch }
+func (p *Plane) Epoch() uint64 { return p.mgr.Epoch() }
 
-// NextHop mirrors fabric.Manager.NextHop on the committed snapshot.
-func (p *Plane) NextHop(n, d graph.NodeID) graph.ChannelID {
-	return p.snap.Load().Result.Table.Next(n, d)
+// RandomEvent and RandomSwitchEvent draw the next churn event against
+// the plane's live fabric state (see fabric.Manager.RandomEvent).
+func (p *Plane) RandomEvent(rng *rand.Rand, pJoin float64) (fabric.Event, bool) {
+	return p.mgr.RandomEvent(rng, pJoin)
+}
+
+func (p *Plane) RandomSwitchEvent(rng *rand.Rand, pJoin float64) (fabric.Event, bool) {
+	return p.mgr.RandomSwitchEvent(rng, pJoin)
 }
 
 // Leader returns the current leader replica (-1 when none) and term.
@@ -470,11 +447,14 @@ func (p *Plane) Leader() (int, uint64) {
 	return p.leader, p.term
 }
 
-// Metrics returns a copy of the lifetime aggregates.
+// Metrics returns a copy of the lifetime aggregates: the manager's
+// repair metrics and the plane's control-plane counters.
 func (p *Plane) Metrics() Metrics {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.metrics
+	m := p.metrics
+	m.Metrics = p.mgr.Metrics()
+	return m
 }
 
 // SetBeforeCommit installs a hook running between repair computation and

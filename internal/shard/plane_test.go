@@ -441,3 +441,87 @@ func TestSeamVetoMutation(t *testing.T) {
 	}
 	assertCommitted(t, p)
 }
+
+// TestPlaneFabricTelemetryConsistency is the plane-side twin of
+// fabric.TestFabricTelemetryConsistency: a plane handed
+// Fabric.Telemetry must record the fabric_* metrics exactly as a
+// monolithic manager does — there is one epoch transaction, so one place
+// that records it — through a no-op, a dead-leader apply and a failover.
+func TestPlaneFabricTelemetryConsistency(t *testing.T) {
+	reg := telemetry.New()
+	tp := topology.Dragonfly(4, 2, 2, 9)
+	p, err := New(tp, Options{
+		Shards:    4,
+		Replicas:  3,
+		Fabric:    fabric.Options{MaxVCs: 4, Seed: 1, Verify: true, Telemetry: reg.Fabric()},
+		Telemetry: reg.Shard(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := newChurnGen(tp, 7)
+	committed := 0
+	apply := func(ev fabric.Event) *Report {
+		t.Helper()
+		rep, err := p.Apply(ev)
+		if err != nil {
+			t.Fatalf("%s: %v", ev, err)
+		}
+		if !rep.NoOp {
+			committed++
+		}
+		return rep
+	}
+	var last fabric.Event
+	for i := 0; i < 6; i++ {
+		last = gen.next(t, 0)
+		apply(last)
+	}
+	// Failing a link that is already down changes nothing.
+	if rep := apply(last); !rep.NoOp {
+		t.Fatalf("re-applied %s: not a no-op", last)
+	}
+	// One apply under a dead leader: computed, never committed.
+	leader, _ := p.Leader()
+	p.Kill(leader)
+	ev := gen.next(t, 0.3)
+	if _, err := p.Apply(ev); !errors.Is(err, ErrDeposed) {
+		t.Fatalf("apply under a dead leader: err=%v, want ErrDeposed", err)
+	}
+	if _, _, err := p.Failover(); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	p.Revive(leader)
+	apply(ev)
+	for i := 0; i < 4; i++ {
+		apply(gen.next(t, 0.3))
+	}
+
+	mt := p.Metrics()
+	s := reg.Snapshot()
+	if mt.Events != committed+1 {
+		t.Fatalf("Metrics.Events = %d, want %d committed + 1 no-op", mt.Events, committed)
+	}
+	if got := s.Counters["fabric_events_applied_total"] + s.Counters["fabric_events_noop_total"]; got != int64(mt.Events) {
+		t.Errorf("applied+noop = %d, want Metrics.Events = %d", got, mt.Events)
+	}
+	if got := s.Counters["fabric_events_noop_total"]; got != 1 {
+		t.Errorf("fabric_events_noop_total = %d, want 1", got)
+	}
+	if got := s.Counters["fabric_repaired_dests_total"]; got != int64(mt.RepairedDests) {
+		t.Errorf("fabric_repaired_dests_total = %d, want Metrics.RepairedDests = %d", got, mt.RepairedDests)
+	}
+	if got := s.Gauges["fabric_epoch"]; got != int64(p.Epoch()) || p.Epoch() != uint64(committed) {
+		t.Errorf("fabric_epoch = %d, plane epoch %d, want %d", got, p.Epoch(), committed)
+	}
+	if got := s.Counters["fabric_events_failed_total"]; got != 1 {
+		t.Errorf("fabric_events_failed_total = %d, want 1 (the dead-leader apply)", got)
+	}
+	if got := s.Histograms["fabric_epoch_publish_nanos"].Count; got != int64(committed) {
+		t.Errorf("fabric_epoch_publish_nanos count = %d, want %d committed events", got, committed)
+	}
+	// The control-plane counters still agree with the log.
+	if got := s.Counters["shard_epochs_committed_total"]; got != int64(committed+1) {
+		t.Errorf("shard_epochs_committed_total = %d, want %d (initial + events)", got, committed+1)
+	}
+}

@@ -5,12 +5,13 @@
 // union, UPR-style) and a replicated epoch log that keeps repair alive
 // across controller crashes and network partitions.
 //
-// The plane reuses the fabric package's State (topology bookkeeping) and
-// Runner (repair computation) verbatim — sharding only changes WHERE
-// per-layer repair jobs execute and WHO may publish the result, never
-// what is computed. That is the digest-equality contract: on identical
-// churn traces the sharded plane publishes bit-identical forwarding
-// tables to a monolithic fabric.Manager.
+// The plane holds a fabric.Manager and runs every epoch through the
+// manager's one transaction, passing in a job executor and a
+// pre-publication gate — sharding only changes WHERE per-layer repair
+// jobs execute and WHO may publish the result, never what is computed.
+// That is the digest-equality contract: on identical churn traces the
+// sharded plane publishes bit-identical forwarding tables to a
+// monolithic fabric.Manager.
 package shard
 
 import (
