@@ -102,7 +102,7 @@ func (m *Manager) ApplyGated(ev Event, exec JobExecutor, gate Gate) (*EventRepor
 
 	newNet := m.st.working.Clone()
 	if exec == nil {
-		exec = m.pooledJobs
+		exec = m.PooledJobs
 	}
 	res, repaired, err := m.run.retable(m.st, old, newNet, changed, report, exec)
 	if err != nil {
@@ -114,20 +114,13 @@ func (m *Manager) ApplyGated(ev Event, exec JobExecutor, gate Gate) (*EventRepor
 		if err := gate(c); err != nil {
 			return abort(err)
 		}
-		res, repaired = snap.Result, c.Repaired
 	}
 
-	// Only an epoch that passed the gate may update the derived indexes
-	// and become visible to readers and agents.
-	if report.FullRecompute {
-		m.st.rebuildIndex(res.Table)
-	} else {
-		for _, d := range repaired {
-			m.st.reindexDest(res.Table, d)
-		}
-	}
-	m.st.reindexCast(res.Cast)
-	report.Delta = routing.Diff(old.Result.Table, res.Table)
+	// Only an epoch that passed the gate may update the derived index and
+	// become visible to readers and agents. snap.Result, not res: the gate
+	// may have replaced the proposal (Candidate.FullRecompute).
+	m.st.reindexCast(snap.Result.Cast)
+	report.Delta = routing.Diff(old.Result.Table, snap.Result.Table)
 	report.Epoch = snap.Epoch
 	report.Latency = time.Since(start)
 	m.snap.Store(snap)
@@ -139,8 +132,9 @@ func (m *Manager) ApplyGated(ev Event, exec JobExecutor, gate Gate) (*EventRepor
 	return report, nil
 }
 
-// pooledJobs is the manager's default JobExecutor: a worker pool bounded
-// by Options.Workers.
-func (m *Manager) pooledJobs(jobs []LayerJob, run func(i int)) {
+// PooledJobs is the manager's default JobExecutor: a worker pool bounded
+// by Options.Workers. The sharded plane's executor hands it the jobs no
+// region owns.
+func (m *Manager) PooledJobs(jobs []LayerJob, run func(i int)) {
 	runPooled(m.opts.workers(), len(jobs), run)
 }

@@ -29,7 +29,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mcast"
 	"repro/internal/routing"
-	"repro/internal/routing/verify"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -44,22 +43,27 @@ type Options struct {
 	// freedom) on every published transition; failures trigger a full
 	// recompute before the snapshot is published.
 	Verify bool
-	// PostCheck, when non-nil, runs after every routing transition —
-	// the initial routing, every incremental repair and every full
-	// recompute — on the to-be-published (network, result) pair, after
-	// Verify (if enabled). A non-nil error vetoes the snapshot exactly
-	// like a verifier failure: incremental transitions fall back to a
-	// full recompute, and a failing full recompute aborts the event.
-	// Wire the independent oracle here (internal/oracle.Certify) to
-	// certify every epoch without fabric importing the checker.
+	// PostCheck, when non-nil, runs on every routing transition — the
+	// initial routing, every incremental repair and every full
+	// recompute — on the to-be-published (network, result) pair. It runs
+	// alongside Verify (if enabled), possibly on another goroutine than
+	// the caller of Apply, never concurrently with itself, and is joined
+	// before Apply returns; it may therefore see a result Verify is
+	// about to reject, and must not write what it is handed. With one
+	// worker, Verify runs first. A non-nil error vetoes the snapshot
+	// exactly like a verifier failure: incremental transitions fall back
+	// to a full recompute, and a failing full recompute aborts the
+	// event. Wire the independent oracle here (internal/oracle.Certify)
+	// to certify every epoch without fabric importing the checker.
 	PostCheck func(*graph.Network, *routing.Result) error
 	// FullRecompute disables incremental repair: every event re-routes
 	// the entire fabric (the baseline the churn experiment compares
 	// against).
 	FullRecompute bool
-	// Workers bounds the goroutines used for routing and for concurrent
-	// per-layer repairs (0 = GOMAXPROCS). Repair output is identical for
-	// every worker count.
+	// Workers bounds the goroutines used for routing, for concurrent
+	// per-layer repairs and for running Verify beside PostCheck
+	// (0 = GOMAXPROCS). Repair output is identical for every worker
+	// count.
 	Workers int
 	// Telemetry, when non-nil, receives per-event repair counters, the
 	// repair-scope histogram and epoch publish latencies; the bundle's
@@ -114,7 +118,7 @@ type Snapshot struct {
 // reconfigurations internally.
 //
 // The manager is the only owner of the epoch: the State (mutable
-// topology bookkeeping + inverted indexes), the runner (the repair
+// topology bookkeeping + cast index), the runner (the repair
 // computation and its escape-root cache), the published snapshot
 // pointer, the lifetime Metrics and the telemetry bundle live here and
 // nowhere else, and ApplyGated is the only code that runs the epoch
@@ -169,9 +173,9 @@ func NewGatedManager(tp *topology.Topology, opts Options, gate Gate) (*Manager, 
 	return m, nil
 }
 
-// initialEpoch routes the state's network from scratch, verifies and
-// post-checks it per the options, indexes the state for it and returns
-// it as epoch 0.
+// initialEpoch routes the state's network from scratch, certifies it like
+// any later epoch (maybeVerify), indexes the state for it and returns it
+// as epoch 0.
 func (m *Manager) initialEpoch() (*Snapshot, error) {
 	opts := m.opts
 	net := m.st.working.Clone()
@@ -186,17 +190,9 @@ func (m *Manager) initialEpoch() (*Snapshot, error) {
 		}
 		res.Cast = cast
 	}
-	if opts.Verify {
-		if _, err := verify.Check(net, res, nil); err != nil {
-			return nil, fmt.Errorf("fabric: initial routing invalid: %w", err)
-		}
+	if err := m.run.maybeVerify(net, res, new(EventReport)); err != nil {
+		return nil, fmt.Errorf("fabric: initial routing %w", err)
 	}
-	if opts.PostCheck != nil {
-		if err := opts.PostCheck(net, res); err != nil {
-			return nil, fmt.Errorf("fabric: initial routing rejected by post-check: %w", err)
-		}
-	}
-	m.st.rebuildIndex(res.Table)
 	m.st.reindexCast(res.Cast)
 	return &Snapshot{Epoch: 0, Net: net, Result: res}, nil
 }
@@ -204,7 +200,7 @@ func (m *Manager) initialEpoch() (*Snapshot, error) {
 // Restore rewinds the manager to a committed epoch — what a successor
 // leader does after failover: the state is rebuilt from the epoch's
 // network and the replicated bookkeeping maps (see
-// Candidate.Bookkeeping), re-indexed for the epoch's tables, and the
+// Candidate.Bookkeeping), re-indexed for the epoch's cast table, and the
 // runner is replaced by a fresh one, so escape-root caches start cold.
 // Lifetime metrics carry over; nothing is published (the epoch already
 // was).
@@ -212,7 +208,6 @@ func (m *Manager) Restore(snap *Snapshot, linkFailed map[graph.ChannelID]bool, n
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.st = restoreState(snap.Net, linkFailed, nodeDown)
-	m.st.rebuildIndex(snap.Result.Table)
 	m.st.reindexCast(snap.Result.Cast)
 	m.run = newRunner(m.opts)
 	m.snap.Store(snap)

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -129,8 +130,8 @@ func TestSwitchFailAndJoin(t *testing.T) {
 	}
 	snap := m.View()
 	for _, term := range snap.Net.Terminals() {
-		if snap.Net.Degree(term) == 0 && len(m.st.destChans[term]) != 0 {
-			t.Fatalf("disconnected terminal %d still indexed", term)
+		if snap.Net.Degree(term) == 0 && !columnEmpty(snap, term) {
+			t.Fatalf("disconnected terminal %d keeps a stale column", term)
 		}
 	}
 	rep, err = m.Apply(Event{Kind: SwitchJoin, Node: s})
@@ -155,6 +156,96 @@ func TestSwitchFailAndJoin(t *testing.T) {
 	}
 	if _, err := verify.Check(snap.Net, snap.Result, nil); err != nil {
 		t.Fatalf("after rejoin: %v", err)
+	}
+}
+
+// columnEmpty reports whether no switch of the snapshot holds an entry
+// toward d.
+func columnEmpty(snap *Snapshot, d graph.NodeID) bool {
+	for _, sw := range snap.Net.Switches() {
+		if snap.Result.Table.Next(sw, d) != graph.NoChannel {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAffectedDestsMatchesColumnScan holds the row read of affectedDests
+// against the definition it implements, column by column: over a link +
+// switch churn sweep, the affected set of every event equals the
+// destinations whose column forwards over a newly failed channel, plus
+// the cut-off destinations that still have a column, plus — when a
+// channel came back — the connected destinations some live switch has no
+// entry for.
+func TestAffectedDestsMatchesColumnScan(t *testing.T) {
+	for _, tp := range churnTopologies(t)[:2] {
+		tp := tp
+		t.Run(tp.Name, func(t *testing.T) {
+			t.Parallel()
+			m, err := NewManager(tp, Options{MaxVCs: 4, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow := NewState(tp.Net) // yields each event's changed channels
+			rng := rand.New(rand.NewSource(11))
+			nonEmpty := 0
+			for i := 0; i < 40; i++ {
+				var ev Event
+				var ok bool
+				if i%4 == 3 {
+					ev, ok = m.RandomSwitchEvent(rng, 0.4)
+				} else {
+					ev, ok = m.RandomEvent(rng, 0.4)
+				}
+				if !ok {
+					t.Fatalf("event %d: no churn event possible", i)
+				}
+				changed := shadow.Mutate(ev)
+				newNet := shadow.working.Clone()
+				snap := m.View()
+				table := snap.Result.Table.Clone(newNet)
+
+				want := make(map[graph.NodeID]struct{})
+				restored := false
+				for _, c := range changed {
+					if !newNet.Channel(c).Failed {
+						restored = true
+						continue
+					}
+					for _, d := range table.Dests() {
+						if table.DestUsesChannel(d, c) {
+							want[d] = struct{}{}
+						}
+					}
+				}
+				for _, d := range table.Dests() {
+					if newNet.Degree(d) == 0 {
+						if !columnEmpty(snap, d) {
+							want[d] = struct{}{}
+						}
+						continue
+					}
+					for _, sw := range newNet.Switches() {
+						if restored && sw != d && newNet.Degree(sw) > 0 && table.Next(sw, d) == graph.NoChannel {
+							want[d] = struct{}{}
+						}
+					}
+				}
+				got := affectedDests(newNet, table, changed)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("event %d (%s): affected %d destinations, column scan says %d", i, ev, len(got), len(want))
+				}
+				if len(want) > 0 {
+					nonEmpty++
+				}
+				if _, err := m.Apply(ev); err != nil {
+					t.Fatalf("event %d (%s): %v", i, ev, err)
+				}
+			}
+			if nonEmpty < 20 {
+				t.Fatalf("only %d of 40 events affected a destination: the sweep proves little", nonEmpty)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // TestGateAtomicity states the revert contract of the epoch transaction
 // where it lives: a gate that returns an error — before or after it
 // replaced the proposal by a full recompute — leaves no trace of the
-// event (published epoch, tables, down-link set, inverted index, the
+// event (published epoch, tables, down-link set, working network, the
 // next churn draw), publishes nothing, and the same event then commits
 // through a passing gate.
 func TestGateAtomicity(t *testing.T) {
@@ -48,7 +48,7 @@ func TestGateAtomicity(t *testing.T) {
 	}
 	observe := func() observation {
 		snap := m.View()
-		// The index's answer for ev itself, on a probe copy of the network.
+		// What ev itself would affect, on a probe copy of the working network.
 		probe := m.st.working.Clone()
 		link := canonical(probe, ev.Link)
 		probe.SetChannelFailed(link, true)
@@ -58,7 +58,7 @@ func TestGateAtomicity(t *testing.T) {
 			epoch:     snap.Epoch,
 			digest:    snap.Result.Table.Digest(),
 			down:      m.st.downLinks(),
-			affected:  m.st.affectedDests(probe, snap.Result.Table.Clone(probe), changed),
+			affected:  affectedDests(probe, snap.Result.Table.Clone(probe), changed),
 			nextDraw:  next,
 			published: published,
 		}

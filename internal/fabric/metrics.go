@@ -46,6 +46,11 @@ type EventReport struct {
 	// Latency is the wall-clock time of the reconfiguration (repair +
 	// verification + publication).
 	Latency time.Duration
+	// RepairTime is the wall time of the layer-job barrier (zero when no
+	// job ran: nothing affected, or FullRecompute mode); CertifyTime that
+	// of verifier + post-check, summed over the attempts of an event that
+	// fell back to a full recompute. Both are parts of Latency.
+	RepairTime, CertifyTime time.Duration
 	// Verified is true when the transition was checked by the routing
 	// verifier (connectivity + deadlock freedom).
 	Verified bool
@@ -124,6 +129,8 @@ func recordEvent(tm *telemetry.FabricMetrics, r *EventReport, err error) {
 	tm.EntriesAdded.Add(int64(r.Delta.Added))
 	tm.EntriesRemoved.Add(int64(r.Delta.Removed))
 	tm.PublishNanos.Observe(r.Latency.Nanoseconds())
+	tm.RepairNanos.Observe(r.RepairTime.Nanoseconds())
+	tm.CertifyNanos.Observe(r.CertifyTime.Nanoseconds())
 	tm.Epoch.Set(int64(r.Epoch))
 	full := int64(0)
 	if r.FullRecompute {

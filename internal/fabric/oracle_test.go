@@ -9,7 +9,11 @@ package fabric
 import (
 	"errors"
 	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/oracle"
@@ -151,5 +155,121 @@ func TestPostCheckVeto(t *testing.T) {
 	})
 	if !errors.Is(err, veto) {
 		t.Fatalf("NewManager must surface the post-check veto, got %v", err)
+	}
+}
+
+// TestVerifyAndPostCheckOverlap pins the certification sequence every
+// epoch — the initial one included — goes through: the verifier and the
+// post-check both run and both pass before anything is published; with
+// one worker the verifier finishes before the post-check starts, with
+// more the post-check starts while the verifier is still running; the
+// post-check is never re-entered; and of a result both refuse, the
+// verifier's reason is the one reported.
+func TestVerifyAndPostCheckOverlap(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var (
+			mu          sync.Mutex
+			order       []string
+			inPost      atomic.Int32
+			postStarted = make(chan struct{}, 1)
+			errPost     = errors.New("post-check refuses")
+			refuse      bool
+		)
+		note := func(s string) {
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+		}
+		post := func(net *graph.Network, res *routing.Result) error {
+			if inPost.Add(1) != 1 {
+				t.Error("PostCheck re-entered")
+			}
+			defer inPost.Add(-1)
+			note("post+")
+			select {
+			case postStarted <- struct{}{}:
+			default:
+			}
+			defer note("post-")
+			if refuse {
+				return errPost
+			}
+			_, err := oracle.Certify(net, res, oracle.Options{MaxVCs: 2})
+			return err
+		}
+		// NewManager certifies epoch 0 before a test can reach the runner:
+		// the verifier is instrumented from epoch 1 on.
+		m, err := NewManager(topology.Torus3D(3, 3, 2, 1, 1), Options{
+			MaxVCs: 2, Seed: 3, Verify: true, Workers: workers, PostCheck: post,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := strings.Join(order, " "); got != "post+ post-" {
+			t.Fatalf("workers=%d: epoch 0 post-checked as %q, want once", workers, got)
+		}
+		<-postStarted // epoch 0's: from here on every token is consumed by the run that saw it
+		check := m.run.check
+		m.run.check = func(net *graph.Network, res *routing.Result) error {
+			note("verify+")
+			defer note("verify-")
+			if workers > 1 {
+				select {
+				case <-postStarted: // the post-check began while this verifier is still running
+				case <-time.After(10 * time.Second):
+					t.Error("PostCheck did not start beside the verifier")
+				}
+			}
+			return check(net, res)
+		}
+
+		rng := rand.New(rand.NewSource(9))
+		order = order[:0]
+		epochs := 0
+		for i := 0; i < 12; i++ {
+			ev, ok := m.RandomEvent(rng, 0.3)
+			if !ok {
+				break
+			}
+			rep, err := m.Apply(ev)
+			if err != nil {
+				t.Fatalf("workers=%d event %d (%s): %v", workers, i, ev, err)
+			}
+			if rep.NoOp {
+				continue
+			}
+			epochs++
+			if !rep.Verified || !rep.PostChecked || rep.CertifyTime <= 0 {
+				t.Fatalf("workers=%d event %d (%s): verified=%v post-checked=%v in %s",
+					workers, i, ev, rep.Verified, rep.PostChecked, rep.CertifyTime)
+			}
+		}
+		seq := strings.Join(order, " ")
+		if v, p := strings.Count(seq, "verify+"), strings.Count(seq, "post+"); v != p || v < epochs || epochs == 0 {
+			t.Fatalf("workers=%d: %d verifier runs, %d post-checks for %d epochs", workers, v, p, epochs)
+		}
+		if want := strings.Repeat("verify+ verify- post+ post- ", epochs); workers == 1 && seq+" " != want {
+			t.Fatalf("one worker must verify, then post-check:\n got %s\nwant %s", seq, want)
+		}
+
+		// A result both refuse: one entry cut out of a published column.
+		snap := m.View()
+		bad := *snap.Result
+		bad.Table = snap.Result.Table.Clone(nil)
+		dests := bad.Table.Dests()
+		bad.Table.Set(snap.Net.Switches()[0], dests[len(dests)-1], graph.NoChannel)
+		refuse = true
+		order = order[:0]
+		report := new(EventReport)
+		err = m.run.maybeVerify(snap.Net, &bad, report)
+		if err == nil || errors.Is(err, errPost) || !strings.Contains(err.Error(), "invalid") {
+			t.Fatalf("workers=%d: a result both refuse must report the verifier's error, got %v", workers, err)
+		}
+		if seq := strings.Join(order, " "); !strings.Contains(seq, "post-") || !strings.Contains(seq, "verify-") {
+			t.Fatalf("workers=%d: both must run on a refused result, ran %q", workers, seq)
+		}
+		if report.Verified || report.PostChecked {
+			t.Fatalf("workers=%d: refused result flagged verified=%v post-checked=%v", workers, report.Verified, report.PostChecked)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -89,6 +90,8 @@ type runner struct {
 	opts  Options
 	nue   *core.Nue
 	roots map[uint8]escapeRoot
+	// check is verify.Check; a field so tests can observe when it runs.
+	check func(*graph.Network, *routing.Result) error
 }
 
 // newRunner builds the computation layer for the manager's (defaulted)
@@ -102,6 +105,10 @@ func newRunner(opts Options) *runner {
 		opts:  opts,
 		nue:   core.New(nopts),
 		roots: make(map[uint8]escapeRoot),
+		check: func(net *graph.Network, res *routing.Result) error {
+			_, err := verify.Check(net, res, nil)
+			return err
+		},
 	}
 }
 
@@ -191,7 +198,7 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 	r.invalidateRoots(newNet, changed)
 
 	table := oldRes.Table.Clone(newNet)
-	affected := st.affectedDests(newNet, table, changed)
+	affected := affectedDests(newNet, table, changed)
 	if len(affected) == 0 {
 		// Topology changed but no unicast route is impacted (e.g. failing
 		// an unused link): republish the same entries on the new network.
@@ -209,9 +216,11 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 		repairedList = append(repairedList, j.Repair...)
 	}
 	outs := make([]jobOutcome, len(jobs))
+	barrier := time.Now()
 	exec(jobs, func(i int) {
 		outs[i] = r.runJob(newNet, table, jobs[i])
 	})
+	report.RepairTime = time.Since(barrier)
 	for i, j := range jobs {
 		out := outs[i]
 		if out.err != nil {
@@ -244,7 +253,7 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 		// by a verified full recompute.
 		full, ferr := r.fullRecompute(st, newNet, changed, report)
 		if ferr != nil {
-			return nil, nil, fmt.Errorf("incremental transition invalid (%v) and full recompute failed: %w", err, ferr)
+			return nil, nil, fmt.Errorf("incremental transition refused (%v) and full recompute failed: %w", err, ferr)
 		}
 		return full, nil, nil
 	}
@@ -289,21 +298,32 @@ func (r *runner) fullRecompute(st *State, newNet *graph.Network, changed []graph
 	return res, nil
 }
 
-// maybeVerify runs the configured verifier and post-check hook on a
-// candidate (network, result) pair.
+// maybeVerify certifies a candidate (network, result) pair, epoch 0 and
+// every later one alike: the configured verifier and the post-check hook
+// both run, side by side when the pool has two workers (they share
+// nothing but their read-only inputs), and both must pass. The verifier
+// is the first task, so a single worker runs it first, and its error
+// wins when both fail.
 func (r *runner) maybeVerify(net *graph.Network, res *routing.Result, report *EventReport) error {
+	start := time.Now()
+	var verr, perr error
+	var tasks []func()
 	if r.opts.Verify {
-		if _, err := verify.Check(net, res, nil); err != nil {
-			return err
-		}
-		report.Verified = true
+		tasks = append(tasks, func() { verr = r.check(net, res) })
 	}
 	if r.opts.PostCheck != nil {
-		if err := r.opts.PostCheck(net, res); err != nil {
-			return fmt.Errorf("post-check: %w", err)
-		}
-		report.PostChecked = true
+		tasks = append(tasks, func() { perr = r.opts.PostCheck(net, res) })
 	}
+	runPooled(r.opts.workers(), len(tasks), func(i int) { tasks[i]() })
+	report.CertifyTime += time.Since(start)
+	if verr != nil {
+		return fmt.Errorf("invalid: %w", verr)
+	}
+	if perr != nil {
+		return fmt.Errorf("rejected by post-check: %w", perr)
+	}
+	report.Verified = r.opts.Verify
+	report.PostChecked = r.opts.PostCheck != nil
 	return nil
 }
 

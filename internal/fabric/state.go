@@ -10,9 +10,8 @@ import (
 
 // State is the mutable bookkeeping half of the Manager: the private
 // working network, the desired link/switch up-down state, and the
-// inverted channel->destination / channel->cast-group indexes that make
-// the affected-set computation O(|changed channels|). It carries no epoch
-// ownership — no snapshots, no locks, no publication. Outside the
+// channel->cast-group index of the published cast table. It carries no
+// epoch ownership — no snapshots, no locks, no publication. Outside the
 // Manager it serves as a churn generator's shadow of the fabric
 // (NewState, RandomEvent/RandomSwitchEvent, Mutate). All methods must
 // run under the owner's event serialization.
@@ -30,10 +29,6 @@ type State struct {
 	// links lists, per node, the canonical duplex links attached to it
 	// (independent of current failed state).
 	links [][]graph.ChannelID
-	// destsUsing indexes, per directed channel, the destinations whose
-	// forwarding trees traverse it; destChans is the reverse view.
-	destsUsing map[graph.ChannelID]map[graph.NodeID]struct{}
-	destChans  map[graph.NodeID][]graph.ChannelID
 	// castChans indexes, per directed channel, the cast groups whose
 	// trees traverse it.
 	castChans map[graph.ChannelID][]int
@@ -75,7 +70,7 @@ func (s *State) bookkeeping() (linkFailed map[graph.ChannelID]bool, nodeDown map
 // the explicit-failure inference NewState makes from the network (a link
 // that is down only because its switch is down must not be recorded as
 // explicitly failed, or a later switch join would strand it). The caller
-// must follow with rebuildIndex/reindexCast for the epoch's tables.
+// must follow with reindexCast for the epoch's cast table.
 func restoreState(net *graph.Network, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) *State {
 	s := NewState(net)
 	clear(s.linkFailed)
@@ -136,28 +131,6 @@ func (s *State) revert(ev Event, changed []graph.ChannelID) {
 	}
 }
 
-// rebuildIndex recomputes the channel->destinations inverted index from a
-// full table.
-func (s *State) rebuildIndex(t *routing.Table) {
-	s.destsUsing = make(map[graph.ChannelID]map[graph.NodeID]struct{})
-	s.destChans = make(map[graph.NodeID][]graph.ChannelID)
-	t.ForEach(func(sw, dest graph.NodeID, c graph.ChannelID) {
-		s.indexAdd(dest, c)
-	})
-}
-
-func (s *State) indexAdd(dest graph.NodeID, c graph.ChannelID) {
-	set := s.destsUsing[c]
-	if set == nil {
-		set = make(map[graph.NodeID]struct{})
-		s.destsUsing[c] = set
-	}
-	if _, ok := set[dest]; !ok {
-		set[dest] = struct{}{}
-		s.destChans[dest] = append(s.destChans[dest], c)
-	}
-}
-
 // reindexCast recomputes the channel->groups index from a published cast
 // table. Nil-safe.
 func (s *State) reindexCast(cast *routing.CastTable) {
@@ -173,57 +146,39 @@ func (s *State) reindexCast(cast *routing.CastTable) {
 	}
 }
 
-// reindexDest refreshes the index entries of one destination after its
-// column changed.
-func (s *State) reindexDest(t *routing.Table, dest graph.NodeID) {
-	for _, c := range s.destChans[dest] {
-		delete(s.destsUsing[c], dest)
-	}
-	s.destChans[dest] = s.destChans[dest][:0]
-	seen := make(map[graph.ChannelID]struct{})
-	net := s.working
-	for n := 0; n < net.NumNodes(); n++ {
-		v := graph.NodeID(n)
-		if !net.IsSwitch(v) {
-			continue
-		}
-		c := t.Next(v, dest)
-		if c == graph.NoChannel {
-			continue
-		}
-		if _, ok := seen[c]; ok {
-			continue
-		}
-		seen[c] = struct{}{}
-		s.indexAdd(dest, c)
-	}
-}
-
 // affectedDests computes the destinations an event must re-route on the
-// post-event network: for failed channels, exactly the ones whose
-// forwarding trees traverse them (the inverted index); for restored
-// channels, the ones with incomplete columns (disconnection healing);
-// plus destinations that just lost their last channel (their stale
-// columns must drop even though no path can be rebuilt).
-func (s *State) affectedDests(newNet *graph.Network, table *routing.Table, changed []graph.ChannelID) map[graph.NodeID]struct{} {
+// post-event network, reading table, the pre-repair entries: for a failed
+// channel, exactly the destinations forwarded over it — the columns
+// holding it in its tail switch's row, the only row that can (a
+// terminal's single hop has no row and is covered by the degree rule
+// below); for restored channels, the ones with incomplete columns
+// (disconnection healing); plus destinations that just lost their last
+// channel (their stale columns must drop even though no path can be
+// rebuilt).
+func affectedDests(newNet *graph.Network, table *routing.Table, changed []graph.ChannelID) map[graph.NodeID]struct{} {
 	affected := make(map[graph.NodeID]struct{})
+	dests, switches := table.Dests(), newNet.Switches()
 	restored := false
+	var row []graph.ChannelID
 	for _, c := range changed {
-		if newNet.Channel(c).Failed {
-			for d := range s.destsUsing[c] {
-				affected[d] = struct{}{}
-			}
-		} else {
+		ch := newNet.Channel(c)
+		if !ch.Failed {
 			restored = true
+		} else if newNet.IsSwitch(ch.From) {
+			row = table.AppendRow(row[:0], ch.From)
+			for i, next := range row {
+				if next == c {
+					affected[dests[i]] = struct{}{}
+				}
+			}
 		}
 	}
-	dests := table.Dests()
 	if restored {
 		for _, d := range dests {
 			if _, ok := affected[d]; ok || newNet.Degree(d) == 0 {
 				continue
 			}
-			for _, sw := range newNet.Switches() {
+			for _, sw := range switches {
 				if newNet.Degree(sw) > 0 && sw != d && table.Next(sw, d) == graph.NoChannel {
 					affected[d] = struct{}{}
 					break
@@ -232,8 +187,14 @@ func (s *State) affectedDests(newNet *graph.Network, table *routing.Table, chang
 		}
 	}
 	for _, d := range dests {
-		if newNet.Degree(d) == 0 && len(s.destChans[d]) > 0 {
-			affected[d] = struct{}{}
+		if newNet.Degree(d) > 0 {
+			continue
+		}
+		for _, sw := range switches {
+			if table.Next(sw, d) != graph.NoChannel {
+				affected[d] = struct{}{}
+				break
+			}
 		}
 	}
 	return affected

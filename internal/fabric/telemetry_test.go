@@ -27,7 +27,7 @@ func TestFabricTelemetryConsistency(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	const events = 20
-	var repaired, unreachable, latencySum int64
+	var repaired, unreachable, latencySum, repairSum, certifySum int64
 	applied := 0
 	for i := 0; i < events; i++ {
 		ev, ok := m.RandomEvent(rng, 0.3)
@@ -43,6 +43,12 @@ func TestFabricTelemetryConsistency(t *testing.T) {
 			repaired += int64(rep.RepairedDests)
 			unreachable += int64(rep.UnreachableDests)
 			latencySum += rep.Latency.Nanoseconds()
+			repairSum += rep.RepairTime.Nanoseconds()
+			certifySum += rep.CertifyTime.Nanoseconds()
+			if rep.CertifyTime <= 0 || rep.RepairTime+rep.CertifyTime > rep.Latency {
+				t.Errorf("event %d (%s): repair %s + certify %s are not parts of latency %s",
+					i, ev, rep.RepairTime, rep.CertifyTime, rep.Latency)
+			}
 		}
 	}
 
@@ -103,6 +109,13 @@ func TestFabricTelemetryConsistency(t *testing.T) {
 	}
 	if pub.Sum != latencySum {
 		t.Errorf("fabric_epoch_publish_nanos sum = %d, want %d", pub.Sum, latencySum)
+	}
+
+	// The two stage histograms split that latency where the stages run.
+	for name, want := range map[string]int64{"fabric_repair_nanos": repairSum, "fabric_certify_nanos": certifySum} {
+		if h := s.Histograms[name]; h.Count != int64(applied) || h.Sum != want || want == 0 {
+			t.Errorf("%s = %d observations summing to %d, want %d summing to %d (non-zero)", name, h.Count, h.Sum, applied, want)
+		}
 	}
 
 	// The embedded engine telemetry saw the initial full routing.

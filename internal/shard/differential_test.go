@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/graph"
+	"repro/internal/oracle"
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -32,7 +35,9 @@ func diffSeeds(t *testing.T) int {
 // churn trace on the same topology with the same fabric options, and
 // after every single epoch the published forwarding tables must be
 // bit-identical (FNV digest) — sharding changes where layer repairs run
-// and who may publish, never what is computed.
+// and who may publish, never what is computed. Both sides run the
+// verifier and the oracle post-check, and the plane's report must carry
+// both on every epoch it publishes.
 func TestShardedMonolithicDifferential(t *testing.T) {
 	seeds := diffSeeds(t)
 	const events = 6
@@ -48,7 +53,13 @@ func TestShardedMonolithicDifferential(t *testing.T) {
 		default:
 			tp = topology.Dragonfly(3, 2, 2, 5)
 		}
-		opts := fabric.Options{MaxVCs: 1 + seed%4, Seed: int64(seed)}
+		opts := fabric.Options{
+			MaxVCs: 1 + seed%4, Seed: int64(seed), Verify: true,
+			PostCheck: func(net *graph.Network, res *routing.Result) error {
+				_, err := oracle.Certify(net, res, oracle.Options{})
+				return err
+			},
+		}
 		mgr, err := fabric.NewManager(tp, opts)
 		if err != nil {
 			t.Fatalf("seed %d: monolithic: %v", seed, err)
@@ -90,6 +101,10 @@ func TestShardedMonolithicDifferential(t *testing.T) {
 			if rep.SeamVeto != nil {
 				t.Fatalf("seed %d event %d (%s): legitimate repair vetoed: %v",
 					seed, i, ev, rep.SeamVeto)
+			}
+			if !rep.NoOp && !(rep.Verified && rep.PostChecked) {
+				t.Fatalf("seed %d event %d (%s): epoch %d published verified=%v post-checked=%v",
+					seed, i, ev, rep.Epoch, rep.Verified, rep.PostChecked)
 			}
 			check(ev.String())
 			if e, ok := p.Cluster().CommittedAt(rep.Epoch); rep.NoOp == false && (!ok || e.Digest != p.View().Result.Table.Digest()) {

@@ -28,10 +28,11 @@ type Options struct {
 	// Fabric configures the embedded fabric.Manager — the SAME options a
 	// monolithic one would take. Fabric.OnPublish is called once per
 	// committed epoch (leader publication). Fabric.Workers is handed to
-	// the routing engine, so it bounds the initial routing and every
-	// full recompute; it does not bound the incremental layer repairs,
-	// whose scheduling is region-affine (one goroutine per region with
-	// work, plus the coordinator).
+	// the routing engine and sizes the manager's worker pool, so it
+	// bounds the initial routing, every full recompute, the
+	// coordinator's (region-spanning) layer repairs and the overlap of
+	// Verify with PostCheck; region-local layer repairs run beside that
+	// pool, one goroutine per region with work.
 	Fabric fabric.Options
 	// OnReplicate, when non-nil, is called for every ALIVE replica after
 	// an epoch commits — the per-replica distribution seam (hand the
@@ -305,17 +306,21 @@ func (p *Plane) certifySeam(c *fabric.Candidate, rep *Report) error {
 // regionExec schedules layer jobs region-affine: jobs whose repair
 // destinations live in one region run on that region's shard goroutine
 // (sequentially within a shard — each shard is one controller), jobs
-// spanning regions run on the coordinator (the calling goroutine).
+// spanning regions are the coordinator's and run on the manager's
+// bounded worker pool (Fabric.Workers), beside the shards. Jobs own
+// disjoint columns and run(i) is safe for concurrent use, so neither
+// placement nor pool size can change a table entry.
 func (p *Plane) regionExec(rep *Report) fabric.JobExecutor {
 	return func(jobs []fabric.LayerJob, run func(i int)) {
 		byRegion := make(map[int][]int)
 		var coord []int
+		var seam []fabric.LayerJob
 		for i, j := range jobs {
 			// No channels to place, so no network to resolve them in.
 			if home := p.regions.HomeRegion(nil, j.Repair, nil); home >= 0 {
 				byRegion[home] = append(byRegion[home], i)
 			} else {
-				coord = append(coord, i)
+				coord, seam = append(coord, i), append(seam, j)
 			}
 		}
 		rep.LocalJobs += len(jobs) - len(coord)
@@ -334,9 +339,7 @@ func (p *Plane) regionExec(rep *Report) fabric.JobExecutor {
 				}
 			}(idxs)
 		}
-		for _, i := range coord {
-			run(i)
-		}
+		p.mgr.PooledJobs(seam, func(k int) { run(coord[k]) })
 		wg.Wait()
 	}
 }
@@ -377,7 +380,7 @@ func (p *Plane) seamEscalated(net *graph.Network, oldT, newT *routing.Table, rep
 // Failover elects a new leader deterministically — the lowest-numbered
 // alive replica that can assemble a vote quorum — and restores the
 // manager from the last committed epoch: replicated bookkeeping, rebuilt
-// inverted indexes, fresh runner (escape-root caches start cold).
+// cast index, fresh runner (escape-root caches start cold).
 // Returns the new leader and term.
 func (p *Plane) Failover() (leader int, term uint64, err error) {
 	p.mu.Lock()

@@ -525,3 +525,58 @@ func TestPlaneFabricTelemetryConsistency(t *testing.T) {
 		t.Errorf("shard_epochs_committed_total = %d, want %d (initial + events)", got, committed+1)
 	}
 }
+
+// TestPlaneSeamJobsPooledDigestEqual replays one 40-event trace through
+// two torus planes that differ only in Fabric.Workers, 1 and 4, with
+// every layer job on the coordinator: the first plane runs them one
+// after another, the second on a pool of four (goroutines, whatever
+// GOMAXPROCS is, which is what -race needs). Tables must be
+// digest-equal after every event.
+func TestPlaneSeamJobsPooledDigestEqual(t *testing.T) {
+	tp := topology.Torus3D(4, 4, 4, 1, 1)
+	var planes [2]*Plane
+	for i, workers := range []int{1, 4} {
+		p, err := New(tp, Options{
+			Shards: 4,
+			Fabric: fabric.Options{MaxVCs: 4, Seed: 1, Workers: workers},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Four slabs leave about one job in twenty inside a single slab.
+		// Take every node's home away, so that HomeRegion finds none for
+		// any job; which channels are the seam stays as partitioned.
+		for n := range p.regions.Of {
+			p.regions.Of[n] = -1
+		}
+		planes[i] = p
+	}
+	gen := newChurnGen(tp, 21)
+	pooled := 0 // events whose seam jobs could overlap
+	for i := 0; i < 40; i++ {
+		ev := gen.next(t, 0.3)
+		var reps [2]*Report
+		for k, p := range planes {
+			rep, err := p.Apply(ev)
+			if err != nil {
+				t.Fatalf("event %d (%s), plane %d: %v", i, ev, k, err)
+			}
+			reps[k] = rep
+		}
+		if reps[1].LocalJobs != 0 {
+			t.Fatalf("event %d (%s): %d region-local jobs; the test wants every job on the coordinator",
+				i, ev, reps[1].LocalJobs)
+		}
+		if reps[1].SeamJobs > 1 {
+			pooled++
+		}
+		a, b := planes[0].View(), planes[1].View()
+		if a.Epoch != b.Epoch || a.Result.Table.Digest() != b.Result.Table.Digest() {
+			t.Fatalf("event %d (%s): workers 1 published %d:%#x, workers 4 %d:%#x", i, ev,
+				a.Epoch, a.Result.Table.Digest(), b.Epoch, b.Result.Table.Digest())
+		}
+	}
+	if pooled < 20 {
+		t.Fatalf("only %d of 40 events had two or more seam jobs to pool", pooled)
+	}
+}

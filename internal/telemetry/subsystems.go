@@ -83,6 +83,11 @@ type FabricMetrics struct {
 	// PublishNanos is the epoch publish latency distribution (repair +
 	// verification + snapshot installation).
 	PublishNanos *Histogram
+	// RepairNanos is the wall time of the layer-job barrier per event,
+	// CertifyNanos that of verifier + post-check (which overlap, so it
+	// is less than their sum): the two stages of PublishNanos timed
+	// where they run.
+	RepairNanos, CertifyNanos *Histogram
 	// Epoch mirrors the currently published epoch.
 	Epoch *Gauge
 	// Events receives one "fabric_event" entry per applied event.
@@ -110,6 +115,8 @@ func (r *Registry) Fabric() *FabricMetrics {
 		EntriesAdded:     r.Counter("fabric_table_entries_added_total"),
 		EntriesRemoved:   r.Counter("fabric_table_entries_removed_total"),
 		PublishNanos:     r.Histogram("fabric_epoch_publish_nanos"),
+		RepairNanos:      r.Histogram("fabric_repair_nanos"),
+		CertifyNanos:     r.Histogram("fabric_certify_nanos"),
 		Epoch:            r.Gauge("fabric_epoch"),
 		Events:           r.Ring(),
 	}
