@@ -24,8 +24,9 @@ import (
 // out acyclic) and a hard error (malformed beyond walking: failed
 // channels, budget violations, broken UBM legs).
 func walkCast(net *graph.Network, res *routing.Result, cert *Certificate, dg *depGraph) (deferred, hard error) {
-	onPath := make([]int32, net.NumNodes())
-	pairEpoch := int32(0)
+	// UBM legs are single pairs to unrelated members: no memo, every leg
+	// is walked to its end.
+	w := newTableWalker(net, res, cert, dg, false)
 	reach := make([]int32, net.NumNodes())
 	var queue []graph.NodeID
 	keep := func(err error) {
@@ -55,12 +56,11 @@ func walkCast(net *graph.Network, res *routing.Result, cert *Certificate, dg *de
 				return deferred, &CastError{Group: id, Member: m, At: graph.NoNode,
 					Reason: "source listed as its own UBM member"}
 			}
-			pairEpoch++
 			var err error
 			if p := explicitPath(res, g.Source, m); p != nil {
 				_, err = walkExplicit(net, res, g.Source, m, p, dg)
 			} else {
-				_, err = walkTable(net, res, g.Source, m, onPath, pairEpoch, dg)
+				_, err = w.walk(g.Source, m)
 			}
 			if err != nil {
 				return deferred, fmt.Errorf("oracle: cast group %d UBM leg to %d: %w", id, m, err)

@@ -49,6 +49,10 @@ type Certificate struct {
 	// Deps is the number of distinct dependency edges between
 	// (channel, virtual lane) vertices induced by the walked paths.
 	Deps int
+	// Steps is the number of forwarding-table lookups the walks made
+	// (override hops are not table lookups). Per destination it is
+	// bounded by the nodes that reach it plus the pairs owed to it.
+	Steps int
 	// Layers is the effective number of virtual layers (res.VCs clamped
 	// to >= 1).
 	Layers int
@@ -81,7 +85,7 @@ func Certify(net *graph.Network, res *routing.Result, opt Options) (*Certificate
 		sources = defaultSources(net)
 	}
 	dg := newDepGraph(net.NumChannels(), cert.Layers)
-	if err := walkAll(net, res, sources, cert, dg); err != nil {
+	if err := newTableWalker(net, res, cert, dg, true).walkAll(sources); err != nil {
 		return cert, err
 	}
 	cert.Connected = true
@@ -195,17 +199,17 @@ func checkShape(net *graph.Network, res *routing.Result, cert *Certificate) erro
 // pair in the same network component, detecting missing routes and
 // forwarding loops and feeding every consecutive channel pair into the
 // used-dependency graph.
-func walkAll(net *graph.Network, res *routing.Result, sources []graph.NodeID, cert *Certificate, dg *depGraph) error {
-	reach := make([]int32, net.NumNodes())  // BFS epoch marks per destination
-	onPath := make([]int32, net.NumNodes()) // loop-detection epoch marks per pair
+func (w *tableWalker) walkAll(sources []graph.NodeID) error {
+	net, res, cert := w.net, w.res, w.cert
+	reach := make([]int32, net.NumNodes()) // BFS epoch marks per destination
 	var queue []graph.NodeID
 	epoch := int32(0)
-	pairEpoch := int32(0)
 	for _, d := range res.Table.Dests() {
 		if len(net.Out(d)) == 0 {
 			continue // destination disconnected by faults; no path owed
 		}
 		epoch++
+		w.stamp++ // no suffix is shared between destinations
 		// Own breadth-first sweep over REVERSED channels: mark exactly the
 		// nodes that can reach d. On duplex networks this coincides with
 		// d's forward component, but one-way faults (graph.SetHalfFailed)
@@ -226,13 +230,12 @@ func walkAll(net *graph.Network, res *routing.Result, sources []graph.NodeID, ce
 			if s == d || reach[s] != epoch {
 				continue
 			}
-			pairEpoch++
 			var err error
 			var hops int
 			if p := explicitPath(res, s, d); p != nil {
-				hops, err = walkExplicit(net, res, s, d, p, dg)
+				hops, err = walkExplicit(net, res, s, d, p, w.dg)
 			} else {
-				hops, err = walkTable(net, res, s, d, onPath, pairEpoch, dg)
+				hops, err = w.walk(s, d)
 			}
 			if err != nil {
 				return err
@@ -254,17 +257,75 @@ func explicitPath(res *routing.Result, s, d graph.NodeID) []graph.ChannelID {
 	return res.PairPath[routing.PairKey(s, d)]
 }
 
-// walkTable follows the destination-based table from s to d, validating
-// every hop and recording dependencies.
-func walkTable(net *graph.Network, res *routing.Result, s, d graph.NodeID, onPath []int32, epoch int32, dg *depGraph) (int, error) {
+// tableWalker is the oracle's own walker over the destination-based
+// table. Because the table is destination-based, the hops from a node v
+// to a destination d are the same whatever the source, so with the memo
+// on each table entry is validated once per destination instead of once
+// per source: a walk stops at the first settled node, records the one
+// dependency that crosses the junction, and takes the rest of its hop
+// count from depth. The argument that nothing is missed: a node is
+// settled only after a walk through it reached d with every check
+// passed, so everything from a settled node on is validated and in the
+// dependency graph; the nodes a walk steps through are unsettled, so they
+// cannot recur beyond the junction and the per-walk loop marks cover
+// every possible revisit; and a failing walk settles nothing.
+type tableWalker struct {
+	net  *graph.Network
+	res  *routing.Result
+	cert *Certificate // Steps counts the walker's table lookups
+	dg   *depGraph
+
+	// onPath[v] == pair: v is on the walk in progress. pair advances once
+	// per walk and is 64 bits wide so that no pair count can wrap it.
+	onPath []int64
+	pair   int64
+
+	// settled[v] == stamp: the table path from v to the current
+	// destination is validated and recorded for service level sl and is
+	// depth[v] hops long. stamp advances per destination (walkAll) and
+	// whenever sl changes between two sources of one destination. A nil
+	// settled turns the memo off: every walk runs to its destination.
+	settled []int64
+	stamp   int64
+	sl      uint8
+	depth   []int32
+	prefix  []graph.NodeID // nodes stepped through by the walk in progress
+}
+
+func newTableWalker(net *graph.Network, res *routing.Result, cert *Certificate, dg *depGraph, memo bool) *tableWalker {
+	w := &tableWalker{net: net, res: res, cert: cert, dg: dg, onPath: make([]int64, net.NumNodes())}
+	if memo {
+		w.settled = make([]int64, net.NumNodes())
+		w.depth = make([]int32, net.NumNodes())
+	}
+	return w
+}
+
+// walk follows the destination-based table from s towards d, validating
+// every hop it takes and recording dependencies, and returns the hop
+// count of the whole path s -> d.
+func (w *tableWalker) walk(s, d graph.NodeID) (int, error) {
+	net, res, dg := w.net, w.res, w.dg
 	sl := res.Layer(s, d)
+	if sl != w.sl {
+		// Lanes, and so dependencies and budget checks, depend on the
+		// service level: what is settled for one is not for another.
+		w.sl = sl
+		w.stamp++
+	}
+	w.pair++
+	w.prefix = w.prefix[:0]
 	cur := s
 	prev := graph.NoChannel
 	var prevVL uint8
 	hops := 0
-	onPath[cur] = epoch
+	w.onPath[cur] = w.pair
 	for cur != d {
+		if w.settled != nil && w.settled[cur] == w.stamp {
+			break
+		}
 		c := res.Table.Next(cur, d)
+		w.cert.Steps++
 		if c == graph.NoChannel {
 			return hops, &UnreachableError{Src: s, Dst: d, At: cur}
 		}
@@ -282,13 +343,31 @@ func walkTable(net *graph.Network, res *routing.Result, s, d graph.NodeID, onPat
 		if prev != graph.NoChannel {
 			dg.add(prev, prevVL, c, vl)
 		}
+		w.prefix = append(w.prefix, cur)
 		prev, prevVL = c, vl
 		cur = ch.To
 		hops++
-		if onPath[cur] == epoch {
+		if w.onPath[cur] == w.pair {
 			return hops, &LoopError{Src: s, Dst: d, Repeat: cur}
 		}
-		onPath[cur] = epoch
+		w.onPath[cur] = w.pair
+	}
+	if cur != d {
+		// Joined an earlier walk at the settled node cur: its entry and
+		// lane were validated then; only the dependency across the
+		// junction can be new.
+		if prev != graph.NoChannel {
+			c := res.Table.Next(cur, d)
+			w.cert.Steps++
+			dg.add(prev, prevVL, c, res.VL(sl, c))
+		}
+		hops += int(w.depth[cur])
+	}
+	if w.settled != nil {
+		for i, v := range w.prefix {
+			w.settled[v] = w.stamp
+			w.depth[v] = int32(hops - i)
+		}
 	}
 	return hops, nil
 }

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/certtest"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/oracle"
@@ -139,9 +140,26 @@ func FuzzNueProperties(f *testing.F) {
 		// Differential: the independent oracle (disjoint trusted base —
 		// its own walker, dependency graph and cycle search) must agree
 		// with the verifier on every fuzzed routing.
-		if _, oerr := oracle.Certify(tp.Net, res, oracle.Options{MaxVCs: k}); oerr != nil {
+		cert, oerr := oracle.Certify(tp.Net, res, oracle.Options{MaxVCs: k})
+		if oerr != nil {
 			t.Fatalf("kind=%d k=%d workers=%d: verifier passed but oracle refutes: %v", kind%7, k, w, oerr)
 		}
+
+		// Suffix sharing: Check agrees with its full-walk reference count
+		// for count, and so does the oracle, whose memo is separate code.
+		_, ref, _ := sameAsFullWalk(t, certtest.Case{Name: "routed", Net: tp.Net, Res: res})
+		if cert.Pairs != ref.Pairs || cert.MaxHops != ref.MaxHops || cert.Deps != ref.Deps || cert.Steps > ref.Steps {
+			t.Fatalf("kind=%d k=%d workers=%d: oracle certificate %+v, verifier's full walk %+v", kind%7, k, w, *cert, *ref)
+		}
+		// The same on a corrupted table: one entry redirected to a random
+		// channel is a missing turn, a loop, a cycle or nothing at all, and
+		// whichever it is, both walks must report it alike.
+		rng := rand.New(rand.NewSource(seed ^ 0x3c))
+		bad := *res
+		bad.Table = res.Table.Clone(nil)
+		sws := tp.Net.Switches()
+		bad.Table.Set(sws[rng.Intn(len(sws))], dests[rng.Intn(len(dests))], graph.ChannelID(rng.Intn(tp.Net.NumChannels())))
+		sameAsFullWalk(t, certtest.Case{Name: "corrupted", Net: tp.Net, Res: &bad})
 
 		// Destination-based consistency: the layer is a function of the
 		// destination alone and the budget is respected.

@@ -28,6 +28,12 @@ type Report struct {
 	MaxHops int
 	// Deps counts distinct dependency edges over (channel, VL) vertices.
 	Deps int
+	// Steps is the number of forwarding-table lookups made: one per hop
+	// stepped and validated, plus one for each pair whose walk joined an
+	// earlier one (override hops are not table lookups). Per destination
+	// it is bounded by the nodes that reach it plus the pairs owed to it,
+	// not by the sum of the path lengths.
+	Steps int
 	// DeadlockFree is true when the induced dependency graph is acyclic.
 	DeadlockFree bool
 	// CyclicVLs lists the virtual lanes of vertices involved in cycles.
@@ -36,40 +42,39 @@ type Report struct {
 
 // Check runs all verifications for the given sources (nil = all
 // terminals, or all connected nodes if the network has no terminals) and
-// returns an error describing the first violated property. Every owed
-// pair is walked once, by routing.Walk; the walked path feeds the
-// connectivity verdict, MaxHops and the induced dependency graph.
+// returns an error describing the first violated property. The table is
+// destination-based, so per destination every table entry an owed pair
+// uses is stepped and validated once: routing.WalkUntil stops a pair's
+// walk at the first node an earlier source of the same destination and
+// service level already took to the destination, and only the new hops
+// and the dependency across the junction are recorded. No state outlives
+// the call.
 func Check(net *graph.Network, res *routing.Result, sources []graph.NodeID) (*Report, error) {
 	if sources == nil {
 		sources = defaultSources(net)
 	}
 	rep := &Report{}
 	dg := newInducedCDG(net, res)
-	var path []graph.ChannelID
 	for _, d := range res.Table.Dests() {
 		if net.Degree(d) == 0 {
 			continue // destination disconnected by faults
 		}
-		dg.epoch++
-		reach := graph.ReverseBFS(net, d)
+		dg.sweep(d)
 		for _, s := range sources {
-			if s == d || reach.Dist[s] < 0 {
+			if s == d || dg.reach[s] != dg.epoch {
 				continue // cannot reach d (one-way faults); no path required
 			}
-			var err error
-			if path, err = routing.Walk(net, res, s, d, path); err != nil {
-				return rep, fmt.Errorf("verify: %w", err)
+			hops, err := dg.addPair(s, d)
+			if err != nil {
+				return rep, err
 			}
 			rep.Pairs++
-			if len(path) > rep.MaxHops {
-				rep.MaxHops = len(path)
-			}
-			if err := dg.addPath(s, d, path); err != nil {
-				return rep, err
+			if hops > rep.MaxHops {
+				rep.MaxHops = hops
 			}
 		}
 	}
-	rep.Deps = dg.deps
+	rep.Deps, rep.Steps = dg.deps, dg.steps
 	return rep, checkDeadlockFree(dg, rep)
 }
 
@@ -112,19 +117,31 @@ func checkDeadlockFree(dg *inducedCDG, rep *Report) error {
 }
 
 // inducedCDG is the dependency graph over virtual-channel vertices
-// (channel*VCs + vl) induced by the traffic paths handed to addPath.
+// (channel*VCs + vl) induced by the owed pairs handed to addPair, and the
+// per-destination marks that let each pair add only what is new.
 type inducedCDG struct {
-	net  *graph.Network
-	res  *routing.Result
-	vcs  int
-	adj  [][]int32
-	seen []map[int32]bool
-	deps int // distinct dependency edges
-	// visited[sl][node] == epoch: the table suffix from node to the
-	// current destination is already recorded for service level sl (it is
-	// the same for every source). Check advances epoch per destination.
-	visited map[uint8][]int32
-	epoch   int32
+	net       *graph.Network
+	res       *routing.Result
+	vcs       int
+	overrides bool // res has PairPath entries
+	adj       [][]int32
+	deps      int // distinct dependency edges
+	steps     int
+	path      []graph.ChannelID
+
+	// epoch stamps the marks below; sweep advances it per destination, so
+	// nothing is cleared between destinations.
+	epoch int32
+	// reach[v] == epoch: v can reach the current destination.
+	reach []int32
+	queue []graph.NodeID
+	// settled[sl][v] == epoch: the table path from v to the current
+	// destination has been walked to its end, validated and recorded for
+	// service level sl; it is depth[v] hops long (the length does not
+	// depend on sl). A node is marked only after its pair's walk
+	// succeeded. A level's slice is allocated when first used.
+	settled [256][]int32
+	depth   []int32
 }
 
 func newInducedCDG(net *graph.Network, res *routing.Result) *inducedCDG {
@@ -132,59 +149,101 @@ func newInducedCDG(net *graph.Network, res *routing.Result) *inducedCDG {
 	if vcs < 1 {
 		vcs = 1
 	}
-	nv := net.NumChannels() * vcs
 	return &inducedCDG{
 		net: net, res: res, vcs: vcs,
-		adj:     make([][]int32, nv),
-		seen:    make([]map[int32]bool, nv),
-		visited: make(map[uint8][]int32),
+		overrides: len(res.PairPath) > 0,
+		adj:       make([][]int32, net.NumChannels()*vcs),
+		reach:     make([]int32, net.NumNodes()),
+		depth:     make([]int32, net.NumNodes()),
 	}
 }
 
-// addPath records the dependencies of the walked path s -> d. A lane
-// outside the VC budget is an error, never folded onto the last lane.
-func (g *inducedCDG) addPath(s, d graph.NodeID, path []graph.ChannelID) error {
-	sl := g.res.Layer(s, d)
-	_, explicit := g.res.PairPath[routing.PairKey(s, d)]
-	vis := g.visited[sl]
-	if vis == nil && !explicit {
-		vis = make([]int32, g.net.NumNodes())
-		g.visited[sl] = vis
+// sweep starts destination d: a breadth-first sweep over reversed
+// channels marks the nodes that can reach it.
+func (g *inducedCDG) sweep(d graph.NodeID) {
+	g.epoch++
+	g.reach[d] = g.epoch
+	g.queue = append(g.queue[:0], d)
+	for head := 0; head < len(g.queue); head++ {
+		for _, c := range g.net.In(g.queue[head]) {
+			if from := g.net.Channel(c).From; g.reach[from] != g.epoch {
+				g.reach[from] = g.epoch
+				g.queue = append(g.queue, from)
+			}
+		}
 	}
-	var prev int32
+}
+
+// addPair walks the owed pair s -> d, records its dependencies and
+// returns its hop count. A lane outside the VC budget is an error, never
+// folded onto the last lane.
+func (g *inducedCDG) addPair(s, d graph.NodeID) (int, error) {
+	sl := g.res.Layer(s, d)
+	explicit := false
+	if g.overrides {
+		_, explicit = g.res.PairPath[routing.PairKey(s, d)]
+	}
+	var settled []int32 // nil for a source-routed path: it shares no suffix
+	if !explicit {
+		if g.settled[sl] == nil {
+			g.settled[sl] = make([]int32, g.net.NumNodes())
+		}
+		settled = g.settled[sl]
+	}
+	path, err := routing.WalkUntil(g.net, g.res, s, d, g.path, settled, g.epoch)
+	if err != nil {
+		return 0, fmt.Errorf("verify: %w", err)
+	}
+	g.path = path
+	prev := int32(-1)
 	for i, c := range path {
 		vl := g.res.VL(sl, c)
 		if int(vl) >= g.vcs {
-			return fmt.Errorf("verify: path %d -> %d occupies VL %d on channel %d (hop %d), budget is %d VCs", s, d, vl, c, i, g.vcs)
+			return 0, fmt.Errorf("verify: path %d -> %d occupies VL %d on channel %d (hop %d), budget is %d VCs", s, d, vl, c, i, g.vcs)
 		}
 		v := int32(int(c)*g.vcs + int(vl))
 		if i > 0 {
 			g.addDep(prev, v)
 		}
 		prev = v
-		if explicit {
-			continue // a source-routed path shares no suffix
-		}
-		at := g.net.Channel(c).From
-		if i > 0 && vis[at] == g.epoch {
-			break
-		}
-		vis[at] = g.epoch
 	}
-	return nil
+	hops := len(path)
+	if explicit {
+		return hops, nil
+	}
+	g.steps += hops
+	at := s
+	if hops > 0 {
+		at = g.net.Channel(path[hops-1]).To
+	}
+	if at != d {
+		// The walk joined an earlier one at the settled node at: the rest
+		// is on record, except the dependency across the junction.
+		hops += int(g.depth[at])
+		if prev >= 0 {
+			c := g.res.Table.Next(at, d)
+			g.steps++
+			g.addDep(prev, int32(int(c)*g.vcs+int(g.res.VL(sl, c))))
+		}
+	}
+	for i, c := range path {
+		from := g.net.Channel(c).From
+		settled[from] = g.epoch
+		g.depth[from] = int32(hops - i)
+	}
+	return hops, nil
 }
 
+// addDep records a -> b once. The scan is short: a vertex's out-degree is
+// bounded by the radix of its channel's head switch times the lanes.
 func (g *inducedCDG) addDep(a, b int32) {
-	m := g.seen[a]
-	if m == nil {
-		m = make(map[int32]bool)
-		g.seen[a] = m
+	for _, w := range g.adj[a] {
+		if w == b {
+			return
+		}
 	}
-	if !m[b] {
-		m[b] = true
-		g.adj[a] = append(g.adj[a], b)
-		g.deps++
-	}
+	g.adj[a] = append(g.adj[a], b)
+	g.deps++
 }
 
 // cyclicVertices returns the vertices left after Kahn's algorithm, i.e.

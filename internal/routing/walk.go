@@ -76,6 +76,21 @@ func (e *WalkError) Is(target error) bool {
 // sufficient capacity a successful walk allocates nothing. Walk keeps no
 // state and may be called concurrently.
 func Walk(net *graph.Network, res *Result, src, dst graph.NodeID, buf []graph.ChannelID) ([]graph.ChannelID, error) {
+	return WalkUntil(net, res, src, dst, buf, nil, 0)
+}
+
+// WalkUntil is Walk with a stop mask for callers that walk many sources
+// of one destination: a table walk ends at the first node v, src
+// included, with settled[v] == stamp, and the hops up to v are returned.
+// The table is destination-based, so the hops from v on are those of
+// every earlier walk through v; a caller that sets settled[v] = stamp
+// only for nodes of walks that succeeded validates each table entry once
+// per destination instead of once per source. The node a walk ended at is
+// the head of its last hop (src when there is none). A loop among
+// unsettled nodes never meets a settled one and is reported as by Walk.
+// PairPath overrides share no suffix and ignore the mask; a nil mask is
+// Walk.
+func WalkUntil(net *graph.Network, res *Result, src, dst graph.NodeID, buf []graph.ChannelID, settled []int32, stamp int32) ([]graph.ChannelID, error) {
 	buf = buf[:0]
 	if src == dst {
 		return buf, nil
@@ -117,6 +132,9 @@ func Walk(net *graph.Network, res *Result, src, dst graph.NodeID, buf []graph.Ch
 	// count is the loop test; only a walk that trips it pays for finding
 	// the node that repeats.
 	for budget := net.NumNodes(); cur != dst; {
+		if settled != nil && settled[cur] == stamp {
+			break
+		}
 		c := res.Table.Next(cur, dst)
 		if c == graph.NoChannel {
 			return fail(cur, len(buf), WalkNoEntry)

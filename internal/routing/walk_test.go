@@ -125,6 +125,55 @@ func TestWalk(t *testing.T) {
 	}
 }
 
+// TestWalkUntil: with a stop mask the table walk ends at the first node
+// carrying the stamp — the source itself included — and returns the hops
+// up to it; other stamps, a nil mask and PairPath overrides walk in full;
+// a loop among unmarked nodes is reported as Walk reports it.
+func TestWalkUntil(t *testing.T) {
+	const src, dst = graph.NodeID(4), graph.NodeID(6)
+	g, res := treeRing(t)
+	base := mustWalk(t, g, res, src, dst)
+	s1 := g.Channel(base[1]).To
+	settled := make([]int32, g.NumNodes())
+	walk := func(stamp int32) []graph.ChannelID {
+		t.Helper()
+		p, err := routing.WalkUntil(g, res, src, dst, nil, settled, stamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if p := walk(7); len(p) != len(base) {
+		t.Errorf("nothing settled: %d hops, want %d", len(p), len(base))
+	}
+	settled[s1] = 7
+	if p := walk(7); len(p) != 2 || g.Channel(p[1]).To != s1 {
+		t.Errorf("settled node %d: path %v, want the first two hops of %v", s1, p, base)
+	}
+	if p := walk(8); len(p) != len(base) {
+		t.Errorf("stale stamp: %d hops, want %d", len(p), len(base))
+	}
+	settled[src] = 7
+	if p := walk(7); len(p) != 0 {
+		t.Errorf("settled source: path %v, want none", p)
+	}
+	res.PairPath = map[uint64][]graph.ChannelID{routing.PairKey(src, dst): base}
+	if p := walk(7); len(p) != len(base) {
+		t.Errorf("override: %d hops, want all %d", len(p), len(base))
+	}
+	res.PairPath = nil
+
+	settled[src], settled[s1] = 0, 0
+	settled[dst] = 7
+	s0 := g.Channel(base[1]).From
+	res.Table.Set(s1, dst, g.FindChannel(s1, s0))
+	_, err := routing.WalkUntil(g, res, src, dst, nil, settled, 7)
+	var we *routing.WalkError
+	if want := (routing.WalkError{Src: src, Dst: dst, At: s0, Hop: 3, Kind: routing.WalkLoop}); !errors.As(err, &we) || *we != want {
+		t.Errorf("loop short of every settled node: %v, want %+v", err, want)
+	}
+}
+
 // TestWalkAllocatesNothing: with a warm buffer neither a table walk nor an
 // override walk touches the heap.
 func TestWalkAllocatesNothing(t *testing.T) {
