@@ -16,45 +16,63 @@ import (
 // that is an intermediate node of at least one shortest path between two
 // destinations. Runs in O(|dests| * (|N| + |C|)).
 func ConvexSubgraph(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
-	inHull := make([]bool, g.NumNodes())
-	isDest := make([]bool, g.NumNodes())
+	n := g.NumNodes()
+	inHull := make([]bool, n)
+	isDest := make([]bool, n)
 	for _, d := range dests {
 		isDest[d] = true
 		inHull[d] = true
 	}
-	marked := make([]bool, g.NumNodes())
+	// One breadth-first scratch for all destinations: dist is -1 and
+	// marked false outside a sweep, and a sweep resets what it reached.
+	marked := make([]bool, n)
+	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	order := make([]graph.NodeID, 0, n)
 	csr := g.CSRView()
 	for _, d := range dests {
-		res := graph.BFS(g, d)
+		dist[d] = 0
+		order = append(order[:0], d)
+		for head := 0; head < len(order); head++ {
+			u := order[head]
+			for _, c := range csr.Out(u) {
+				if v := csr.To[c]; dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					order = append(order, v)
+				}
+			}
+		}
 		// Backward sweep: a node lies on a shortest path from d to some
 		// destination iff it is a destination itself or a BFS-predecessor
 		// of such a node. Order is reverse BFS (decreasing distance).
-		for i := range marked {
-			marked[i] = false
-		}
-		for i := len(res.Order) - 1; i >= 0; i-- {
-			n := res.Order[i]
-			if !(isDest[n] || marked[n]) {
+		for i := len(order) - 1; i >= 0; i-- {
+			v := order[i]
+			if !(isDest[v] || marked[v]) {
 				continue
 			}
-			inHull[n] = true
-			if res.Dist[n] == 0 {
+			inHull[v] = true
+			if dist[v] == 0 {
 				continue
 			}
 			// Mark all predecessors on shortest paths (neighbors one hop
 			// closer to d).
-			for _, c := range csr.In(n) {
-				p := csr.From[c]
-				if res.Dist[p] == res.Dist[n]-1 {
+			for _, c := range csr.In(v) {
+				if p := csr.From[c]; dist[p] == dist[v]-1 {
 					marked[p] = true
 				}
 			}
 		}
+		for _, v := range order {
+			dist[v] = -1
+			marked[v] = false
+		}
 	}
 	var hull []graph.NodeID
-	for n := 0; n < g.NumNodes(); n++ {
-		if inHull[n] {
-			hull = append(hull, graph.NodeID(n))
+	for v := 0; v < n; v++ {
+		if inHull[v] {
+			hull = append(hull, graph.NodeID(v))
 		}
 	}
 	return hull

@@ -10,9 +10,11 @@ package certtest
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/oracle/stress"
 	"repro/internal/routing"
@@ -21,6 +23,20 @@ import (
 	"repro/internal/routing/lash"
 	"repro/internal/topology"
 )
+
+// Procs are the GOMAXPROCS settings the lane-sharded certifiers are held
+// to: one goroutine, the benchmark host's two, and more than any case has
+// lanes.
+var Procs = []int{1, 2, 8}
+
+// AtProcs runs f under each setting of Procs and restores the old one.
+func AtProcs(f func(p int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range Procs {
+		runtime.GOMAXPROCS(p)
+		f(p)
+	}
+}
 
 // Case is one input a certifier is handed.
 type Case struct {
@@ -156,13 +172,20 @@ func Shapes(t testing.TB) []Case {
 	tor52 := topology.Torus3D(5, 5, 2, 1, 1)
 	add("pairpath-lashtor-partial", tor52.Net, route(lash.TOREngine{}, tor52, 2), nil)
 
-	// No terminals: every switch is source and destination, so most
-	// sources already stand on an earlier source's path.
-	bare := topology.Torus3D(3, 3, 2, 0, 1)
-	add("terminal-less", bare.Net, Nue(t, bare.Net, 5, 2), nil)
+	out = append(out, terminalLess(t), halfFailed())
+	return out
+}
 
-	// One-way faults: a spanning-tree routing on a random network whose
-	// non-tree links lost one direction; reach is no longer symmetric.
+// terminalLess has no terminals: every switch is source and destination,
+// so most sources already stand on an earlier source's path.
+func terminalLess(t testing.TB) Case {
+	bare := topology.Torus3D(3, 3, 2, 0, 1)
+	return Case{Name: "terminal-less", Net: bare.Net, Res: Nue(t, bare.Net, 5, 2)}
+}
+
+// halfFailed is a spanning-tree routing on a random network whose
+// non-tree links lost one direction.
+func halfFailed() Case {
 	rng := rand.New(rand.NewSource(21))
 	oneway := topology.RandomTopology(rng, 14, 24, 1)
 	tree := graph.SpanningTree(oneway.Net, oneway.Net.Switches()[0])
@@ -173,8 +196,128 @@ func Shapes(t testing.TB) []Case {
 			oneway.Net.SetHalfFailed(id, true)
 		}
 	}
-	add("half-failed", oneway.Net, treeRouting(oneway.Net, tree), nil)
-	return out
+	return Case{Name: "half-failed", Net: oneway.Net, Res: treeRouting(oneway.Net, tree)}
+}
+
+// Reach returns sound cases that differ in which nodes can reach which
+// destination, for certifiers that sweep reachability once per class of
+// mutually reachable destinations instead of once per destination:
+// the two above (one class each: the half-failed network keeps its
+// spanning tree duplex); two islands with no link between them, whose
+// terminals alternate in destination order, so consecutive destinations
+// never share a class; and the same islands joined by a link that only
+// carries traffic from the second to the first. There the first
+// destination in order is reached by every node, but the second island's
+// nodes, which all reach it, are themselves reached by their own island
+// only: reaching a destination does not put a node in its class.
+func Reach(t testing.TB) []Case {
+	return []Case{halfFailed(), terminalLess(t), islands("two-components", false), islands("one-way-bridge", true)}
+}
+
+// islands builds two rings of three switches with a terminal each, the
+// terminals numbered alternately, and a link between the rings that is
+// either down or up from the second ring to the first only. Each ring
+// routes along a spanning tree of its own, and the second reaches the
+// first along its tree, which crosses the bridge.
+func islands(name string, bridged bool) Case {
+	b := graph.NewBuilder()
+	var ring [2][3]graph.NodeID
+	for side := range ring {
+		for i := range ring[side] {
+			ring[side][i] = b.AddSwitch("")
+		}
+		for i := range ring[side] {
+			b.AddLink(ring[side][i], ring[side][(i+1)%3])
+		}
+	}
+	bridge := b.AddLink(ring[0][0], ring[1][0])
+	for i := 0; i < 3; i++ {
+		for side := range ring {
+			b.AddLink(b.AddTerminal(""), ring[side][i])
+		}
+	}
+	g := b.MustBuild()
+	if bridged {
+		g.SetHalfFailed(bridge, true)
+	} else {
+		g.SetChannelFailed(bridge, true)
+	}
+	res := treeRouting(g, graph.SpanningTree(g, ring[0][0]), graph.SpanningTree(g, ring[1][0]))
+	// Two lanes, each with destinations on both islands: a tree routing
+	// is deadlock-free however its destinations are spread over lanes.
+	res.VCs = 2
+	res.DestLayer = make([]uint8, len(res.Table.Dests()))
+	for i := range res.DestLayer {
+		res.DestLayer[i] = uint8(i / 2 % 2)
+	}
+	return Case{Name: name, Net: g, Res: res}
+}
+
+// CyclicLanes is an unsound case with nothing wrong on any single path:
+// dimension-order routing without datelines on a torus, its destinations
+// dealt alternately onto two lanes. Every pair walks to its destination
+// and each lane's dependency graph has cycles, so a certifier that
+// builds the lanes on different goroutines must refute it with the
+// lanes, and the witness, a single goroutine finds.
+func CyclicLanes(t testing.TB) Case {
+	torus := topology.Torus3D(4, 4, 2, 1, 1)
+	res, err := dor.Engine{Meta: torus.Torus}.Route(torus.Net, dests(torus.Net), 1)
+	if err != nil {
+		t.Fatalf("cyclic lanes: %v", err)
+	}
+	res.VCs = 2
+	res.DestLayer = make([]uint8, len(res.Table.Dests()))
+	for i := range res.DestLayer {
+		res.DestLayer[i] = uint8(i % 2)
+	}
+	return Case{Name: "cyclic-lanes", Net: torus.Net, Res: res}
+}
+
+// Transition is one epoch change a transition certifier is handed: the
+// network of the new epoch and the routings before and after.
+type Transition struct {
+	Name     string
+	Net      *graph.Network
+	Old, New *routing.Result
+}
+
+// Transitions hands each the epoch changes of the control plane's
+// differential sweep (internal/shard), seeds 0..n-1: the same three
+// topology families, VC budgets 1..4 and six random link events per seed
+// through the fabric manager, every published epoch paired with the one
+// before it. Repairs that keep every layer, repairs that rebuild a layer
+// and unions that must be drained all occur.
+func Transitions(t testing.TB, n int, each func(Transition)) {
+	for seed := 0; seed < n; seed++ {
+		var tp *topology.Topology
+		switch seed % 3 {
+		case 0:
+			sw := 14 + seed%5
+			tp = topology.RandomTopology(rand.New(rand.NewSource(int64(seed))), sw, 3*sw, 1)
+		case 1:
+			tp = topology.Torus3D(3, 3, 2, 1, 1)
+		default:
+			tp = topology.Dragonfly(3, 2, 2, 5)
+		}
+		mgr, err := fabric.NewManager(tp, fabric.Options{MaxVCs: 1 + seed%4, Seed: int64(seed)})
+		if err != nil {
+			t.Fatalf("transitions seed %d: %v", seed, err)
+		}
+		rng := rand.New(rand.NewSource(int64(10_000 + seed)))
+		for i := 0; i < 6; i++ {
+			ev, ok := mgr.RandomEvent(rng, 0.3)
+			if !ok {
+				break
+			}
+			old := mgr.View()
+			if _, err := mgr.Apply(ev); err != nil {
+				t.Fatalf("transitions seed %d event %d (%s): %v", seed, i, ev, err)
+			}
+			if cur := mgr.View(); cur != old {
+				each(Transition{Name: fmt.Sprintf("seed-%d/%s/%s", seed, tp.Name, ev), Net: cur.Net, Old: old.Result, New: cur.Result})
+			}
+		}
+	}
 }
 
 // TwoLanes is the smallest case in which a suffix settled for one lane
@@ -228,13 +371,17 @@ func ReachSum(c Case) int {
 	return n
 }
 
-// treeRouting routes every destination along the spanning tree.
-func treeRouting(net *graph.Network, tree *graph.Tree) *routing.Result {
+// treeRouting routes every destination along a spanning tree: the first
+// of trees that holds both the switch and the destination.
+func treeRouting(net *graph.Network, trees ...*graph.Tree) *routing.Result {
 	tbl := routing.NewTable(net, dests(net))
 	for _, d := range tbl.Dests() {
 		for _, s := range net.Switches() {
-			if p := tree.TreePath(s, d); len(p) > 0 {
-				tbl.Set(s, d, p[0])
+			for _, tree := range trees {
+				if p := tree.TreePath(s, d); len(p) > 0 {
+					tbl.Set(s, d, p[0])
+					break
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -481,48 +482,32 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 	// Prepare fanout: bounded workers push the epoch to every agent and
 	// collect the prepare acks.
 	barrierStart := time.Now()
-	prepared := make([]*agentConn, len(conns))
-	workers := s.opts.Workers
-	if workers > len(conns) {
-		workers = len(conns)
-	}
-	var next int
-	var idxMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idxMu.Lock()
-				i := next
-				next++
-				idxMu.Unlock()
-				if i >= len(conns) {
-					return
-				}
-				if s.pushToAgent(conns[i], target, committed, drain) {
-					prepared[i] = conns[i]
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	prepared := make([]bool, len(conns))
+	s.fanOut(len(conns), func(i int) {
+		prepared[i] = s.pushToAgent(conns[i], target, committed, drain)
+	})
 	tm.BarrierNanos.ObserveSince(barrierStart)
 
 	// The ack barrier: only agents that prepared take part in the
 	// commit; stragglers were quarantined above and re-sync next round.
+	// The commits fan out like the prepares — each is one write and one
+	// awaited ack — and their outcomes are booked in agent-ID order.
 	commitStart := time.Now()
+	commitErrs := make([]error, len(conns))
+	s.fanOut(len(conns), func(i int) {
+		if prepared[i] {
+			commitErrs[i] = s.commitAgent(conns[i], target)
+		}
+	})
 	committedAgents := 0
-	for _, a := range prepared {
-		if a == nil {
-			continue
+	for i, a := range conns {
+		switch {
+		case !prepared[i]:
+		case commitErrs[i] != nil:
+			s.quarantine(a, commitErrs[i])
+		default:
+			committedAgents++
 		}
-		if err := s.commitAgent(a, target); err != nil {
-			s.quarantine(a, err)
-			continue
-		}
-		committedAgents++
 	}
 	tm.CommitNanos.ObserveSince(commitStart)
 
@@ -540,6 +525,23 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 		"drained":   boolInt(drain),
 	})
 	s.logf("distrib: epoch %d committed on %d/%d agents (drain=%v)", target.Seq, committedAgents, len(conns), drain)
+}
+
+// fanOut calls do(i) for every i in [0, n) on at most Options.Workers
+// goroutines and returns when all calls have.
+func (s *Source) fanOut(n int, do func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(s.opts.Workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func boolInt(b bool) int64 {

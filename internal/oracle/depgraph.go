@@ -12,7 +12,6 @@ type depGraph struct {
 	layers int
 	nv     int
 	adj    [][]int32
-	deps   int
 	// vEdges marks dependencies of cast V-type (branch contention
 	// between two outputs of one switch); witness extraction uses it to
 	// annotate cycle edges that do not chain head to tail.
@@ -37,11 +36,14 @@ func (g *depGraph) add(a graph.ChannelID, va uint8, b graph.ChannelID, vb uint8)
 	g.addTyped(a, va, b, vb, false)
 }
 
-// addTyped is add with a cast V-type marker. Dedup is a linear scan of
-// the source's adjacency list: a vertex's out-degree is bounded by the
-// radix of the channel's head switch (times the lane fan-out), so the
-// scan stays short — and it spares the graph a global edge-set map,
-// whose growth dominated dependency-build profiles.
+// addTyped is add with a cast V-type marker. It reads and writes the
+// adjacency list of the source vertex only (V-type markers aside, which
+// only the cast walk sets), so goroutines adding dependencies of
+// different lanes need no lock. Dedup is a linear scan of that list: a
+// vertex's out-degree is bounded by the radix of the channel's head
+// switch (times the lane fan-out), so the scan stays short — and it
+// spares the graph a global edge-set map, whose growth dominated
+// dependency-build profiles.
 func (g *depGraph) addTyped(a graph.ChannelID, va uint8, b graph.ChannelID, vb uint8, vdep bool) {
 	u, v := g.vertex(a, va), g.vertex(b, vb)
 	if vdep {
@@ -56,7 +58,15 @@ func (g *depGraph) addTyped(a graph.ChannelID, va uint8, b graph.ChannelID, vb u
 		}
 	}
 	g.adj[u] = append(g.adj[u], v)
-	g.deps++
+}
+
+// numDeps counts the distinct dependencies recorded.
+func (g *depGraph) numDeps() int {
+	n := 0
+	for _, succ := range g.adj {
+		n += len(succ)
+	}
+	return n
 }
 
 // isV reports whether the edge u -> v was recorded as a V-type

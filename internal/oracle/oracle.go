@@ -85,7 +85,7 @@ func Certify(net *graph.Network, res *routing.Result, opt Options) (*Certificate
 		sources = defaultSources(net)
 	}
 	dg := newDepGraph(net.NumChannels(), cert.Layers)
-	if err := newTableWalker(net, res, cert, dg, true).walkAll(sources); err != nil {
+	if err := walkPairs(net, res, sources, cert, dg); err != nil {
 		return cert, err
 	}
 	cert.Connected = true
@@ -102,7 +102,7 @@ func Certify(net *graph.Network, res *routing.Result, opt Options) (*Certificate
 			return cert, err
 		}
 	}
-	cert.Deps = dg.deps
+	cert.Deps = dg.numDeps()
 	if cycle := dg.findCycle(); cycle != nil {
 		return cert, &CycleError{Witness: dg.witness(net, cycle)}
 	}
@@ -196,38 +196,25 @@ func checkShape(net *graph.Network, res *routing.Result, cert *Certificate) erro
 }
 
 // walkAll follows the routing hop by hop for every (source, destination)
-// pair in the same network component, detecting missing routes and
-// forwarding loops and feeding every consecutive channel pair into the
-// used-dependency graph.
-func (w *tableWalker) walkAll(sources []graph.NodeID) error {
+// pair owed to a destination on lane (allLanes: to any destination),
+// detecting missing routes and forwarding loops and feeding every
+// consecutive channel pair into the used-dependency graph. A routing owes
+// paths only to nodes that can actually get to the destination: on duplex
+// networks that is its component, but one-way faults (graph.SetHalfFailed)
+// break the symmetry, so reach comes from sweeps over REVERSED channels.
+func (w *tableWalker) walkAll(sources []graph.NodeID, reach *reachClasses, lane int) error {
 	net, res, cert := w.net, w.res, w.cert
-	reach := make([]int32, net.NumNodes()) // BFS epoch marks per destination
-	var queue []graph.NodeID
-	epoch := int32(0)
-	for _, d := range res.Table.Dests() {
+	for i, d := range res.Table.Dests() {
+		if lane != allLanes && int(res.DestLayer[i]) != lane {
+			continue
+		}
 		if len(net.Out(d)) == 0 {
 			continue // destination disconnected by faults; no path owed
 		}
-		epoch++
+		reaches := reach.of(d)
 		w.stamp++ // no suffix is shared between destinations
-		// Own breadth-first sweep over REVERSED channels: mark exactly the
-		// nodes that can reach d. On duplex networks this coincides with
-		// d's forward component, but one-way faults (graph.SetHalfFailed)
-		// break that symmetry, and a routing owes paths only to nodes that
-		// can actually get to d.
-		queue = queue[:0]
-		queue = append(queue, d)
-		reach[d] = epoch
-		for head := 0; head < len(queue); head++ {
-			for _, c := range net.In(queue[head]) {
-				if from := net.Channel(c).From; reach[from] != epoch {
-					reach[from] = epoch
-					queue = append(queue, from)
-				}
-			}
-		}
 		for _, s := range sources {
-			if s == d || reach[s] != epoch {
+			if s == d || !reaches[s] {
 				continue
 			}
 			var err error

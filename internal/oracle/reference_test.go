@@ -66,7 +66,7 @@ func ReferenceCertify(net *graph.Network, res *routing.Result, opt Options) (*Ce
 			return cert, err
 		}
 	}
-	cert.Deps = dg.deps
+	cert.Deps = dg.numDeps()
 	if cycle := dg.findCycle(); cycle != nil {
 		return cert, &CycleError{Witness: dg.witness(net, cycle)}
 	}

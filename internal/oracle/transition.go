@@ -72,23 +72,82 @@ func CertifyTransition(net *graph.Network, oldRes, newRes *routing.Result, opt O
 	}
 	cert.Layers = layers
 
-	switches := net.Switches()
 	dg := newDepGraph(net.NumChannels(), layers)
+	u := &union{net: net, oldRes: oldRes, newRes: newRes, switches: net.Switches(), dg: dg}
+	sharded := dg.fillLanes(distinctLanes(oldRes.DestLayer, newRes.DestLayer), func() func(int) error {
+		w := u.walker()
+		return func(lane int) error {
+			_, err := w.addDeps(lane)
+			return err
+		}
+	})
+	if sharded {
+		cert.Dests = len(newDests)
+	} else {
+		var err error
+		if cert.Dests, err = u.walker().addDeps(allLanes); err != nil {
+			return cert, err
+		}
+	}
+	cert.Deps = dg.numDeps()
+	if cycle := dg.findCycle(); cycle != nil {
+		return cert, &CycleError{Witness: dg.witness(net, cycle)}
+	}
+	cert.DeadlockFree = true
+	if opt.MaxVCs > 0 && layers > opt.MaxVCs {
+		return cert, &BudgetError{Used: layers, Budget: opt.MaxVCs}
+	}
+	return cert, nil
+}
+
+// union is what the walkers of one transition certification share: the
+// two epochs and the dependency graph they fill.
+type union struct {
+	net            *graph.Network
+	oldRes, newRes *routing.Result
+	switches       []graph.NodeID
+	dg             *depGraph
+}
+
+// unionWalker adds union dependencies, with a scratch of its own.
+type unionWalker struct {
+	*union
 	// outs[s] holds the union next hops at switch s toward the current
 	// destination: old entry first, new entry second (NoChannel when
 	// unpopulated or identical).
-	outs := make([][2]graph.ChannelID, net.NumNodes())
-	for i, d := range newDests {
+	outs [][2]graph.ChannelID
+}
+
+func (u *union) walker() *unionWalker {
+	return &unionWalker{union: u, outs: make([][2]graph.ChannelID, u.net.NumNodes())}
+}
+
+// addDeps adds the union dependencies of every destination on lane
+// (allLanes: on each lane the destination's traffic can hold), and
+// returns how many destination columns it examined before it stopped. A
+// destination that changes layer belongs to two lanes and is visited for
+// each; only the dependencies of the lane asked for are added.
+func (u *unionWalker) addDeps(lane int) (int, error) {
+	net, oldRes, newRes, dg, outs := u.net, u.oldRes, u.newRes, u.dg, u.outs
+	for i, d := range newRes.Table.Dests() {
 		// Virtual lanes traffic toward d may occupy: its layer in the old
 		// epoch (packets injected before the swap) and in the new one.
 		lanes := laneSet(oldRes, newRes, d, i)
+		mine := lane == allLanes
 		for _, l := range lanes {
-			if int(l) >= layers {
-				return cert, &BudgetError{Used: int(l) + 1, Budget: layers,
+			if int(l) >= dg.layers {
+				return i, &BudgetError{Used: int(l) + 1, Budget: dg.layers,
 					Detail: fmt.Sprintf("destination %d assigned layer %d", d, l)}
 			}
+			mine = mine || int(l) == lane
 		}
-		for _, s := range switches {
+		if !mine {
+			continue
+		}
+		if lane != allLanes {
+			lanes = []uint8{uint8(lane)}
+		}
+		for _, s := range u.switches {
 			a := oldRes.Table.Next(s, d)
 			b := newRes.Table.Next(s, d)
 			if b == a {
@@ -98,7 +157,7 @@ func CertifyTransition(net *graph.Network, oldRes, newRes *routing.Result, opt O
 		}
 		// One dependency per (entry into s, entry out of s) pair, on each
 		// lane the destination's traffic can hold.
-		for _, s := range switches {
+		for _, s := range u.switches {
 			for _, cin := range outs[s] {
 				if cin == graph.NoChannel {
 					continue
@@ -117,17 +176,8 @@ func CertifyTransition(net *graph.Network, oldRes, newRes *routing.Result, opt O
 				}
 			}
 		}
-		cert.Dests++
 	}
-	cert.Deps = dg.deps
-	if cycle := dg.findCycle(); cycle != nil {
-		return cert, &CycleError{Witness: dg.witness(net, cycle)}
-	}
-	cert.DeadlockFree = true
-	if opt.MaxVCs > 0 && layers > opt.MaxVCs {
-		return cert, &BudgetError{Used: layers, Budget: opt.MaxVCs}
-	}
-	return cert, nil
+	return len(newRes.Table.Dests()), nil
 }
 
 // CertifyDeps proves the channel-dependency graph induced by a single

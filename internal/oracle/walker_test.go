@@ -35,10 +35,10 @@ func TestStampsDoNotWrap(t *testing.T) {
 		dg := newDepGraph(net.NumChannels(), 1)
 		w := newTableWalker(net, res, cert, dg, true)
 		w.pair, w.stamp = start, start
-		if err := w.walkAll(defaultSources(net)); err != nil {
+		if err := w.walkAll(defaultSources(net), sweepReach(net, tbl.Dests()), allLanes); err != nil {
 			t.Fatalf("stamps from %d: %v", start, err)
 		}
-		cert.Deps = dg.deps
+		cert.Deps = dg.numDeps()
 		if cert.Pairs != want.Pairs || cert.MaxHops != want.MaxHops || cert.Deps != want.Deps || cert.Steps != want.Steps {
 			t.Errorf("stamps from %d: %+v, want %+v", start, *cert, *want)
 		}

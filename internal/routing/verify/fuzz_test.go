@@ -9,6 +9,7 @@ package verify_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/certtest"
@@ -104,6 +105,11 @@ func FuzzNueProperties(f *testing.F) {
 	f.Add(uint8(7), uint8(40), uint8(1), uint8(0), int64(12), uint8(0), uint8(7), uint8(7))
 
 	f.Fuzz(func(t *testing.T, kind, a, b, c uint8, seed int64, vcs, workers, failPct uint8) {
+		// Both certifiers walk one lane per goroutine only when GOMAXPROCS
+		// lets them; the properties below must hold with that on.
+		if runtime.GOMAXPROCS(0) < 2 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		}
 		tp := fuzzTopology(kind, a, b, c, seed)
 		if failPct%10 > 0 {
 			rng := rand.New(rand.NewSource(seed + 17))
