@@ -7,7 +7,6 @@
 //	nuebench -exp fig10 -phases 0      # Table 1 topologies, full all-to-all
 //	nuebench -exp fig11 -maxdim 10     # routing runtime scaling
 //	nuebench -exp table1               # topology configuration table
-//	nuebench -exp churn                # batched + live fabric-churn soak
 //	nuebench -exp ablation             # engine feature ablation grid
 //	nuebench -exp mcast -mcast-groups 8 -mcast-size 6  # cast-tree routing + replication sim
 //	nuebench -exp frontier             # specialist low-VC engines vs Nue + existence verdicts
@@ -32,7 +31,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1, fig9, fig10, fig11, table1, churn, ablation, mcast, frontier, large, workload, all")
+		exp      = flag.String("exp", "all", "experiment: fig1, fig9, fig10, fig11, table1, ablation, mcast, frontier, large, workload, all")
 		trials   = flag.Int("trials", 5, "fig9: number of random topologies (paper: 1000)")
 		phases   = flag.Int("phases", 16, "fig10: all-to-all shift phases (0 = full, the paper's workload)")
 		maxDim   = flag.Int("maxdim", 6, "fig11: largest torus dimension (paper: 10)")
@@ -102,25 +101,6 @@ func main() {
 				cfg.VCs = *maxVCs
 			}
 			experiments.WriteAblation(w, cfg)
-		case "churn":
-			cfg := experiments.DefaultChurnConfig()
-			cfg.Seed = *seed
-			cfg.Workers = *workers
-			if *maxVCs > 0 {
-				cfg.MaxVCs = *maxVCs
-			}
-			experiments.WriteChurn(w, cfg)
-			fmt.Fprintln(w)
-			lcfg := experiments.DefaultChurnLiveConfig()
-			lcfg.Seed = *seed
-			lcfg.Workers = *workers
-			if *maxVCs > 0 {
-				lcfg.MaxVCs = *maxVCs
-			}
-			if _, err := experiments.WriteChurnLive(w, lcfg); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 		case "mcast":
 			cfg := experiments.DefaultMcastConfig()
 			cfg.Groups = *mcGroups

@@ -249,8 +249,8 @@ func run(cfg config) error {
 	fmt.Fprintf(cfg.out, "# %d events (%d no-ops), %d/%d destination routes recomputed (%.1f%%), %d layer rebuilds, %d full recomputes\n",
 		mt.Events, mt.NoOps, mt.RepairedDests, mt.DestRoutes,
 		100*float64(mt.RepairedDests)/float64(max(1, mt.DestRoutes)), mt.LayerRebuilds, mt.FullRecomputes)
-	fmt.Fprintf(cfg.out, "# table entries: %.1f%% unchanged across events; total repair time %s\n",
-		100*mt.Delta.UnchangedFraction(), mt.RepairTime.Round(time.Millisecond))
+	fmt.Fprintf(cfg.out, "# table entries: %.1f%% unchanged across events; total event latency %s\n",
+		100*mt.Delta.UnchangedFraction(), mt.Latency.Round(time.Millisecond))
 	leader := 0
 	if plane != nil {
 		m := plane.Metrics()

@@ -30,7 +30,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/experiments"
+	"repro/internal/engines"
 	"repro/internal/flowsim"
 	"repro/internal/graph"
 	"repro/internal/telemetry"
@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := experiments.EngineByNameWorkers(*engine, tp, *seed, *workers)
+	eng, err := engines.ByName(*engine, tp, *seed, *workers)
 	if err != nil {
 		fatal(err)
 	}

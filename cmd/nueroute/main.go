@@ -21,7 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
+	"repro/internal/engines"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/routing"
@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	eng, err := experiments.EngineByName(*algo, tp, *seed)
+	eng, err := engines.ByName(*algo, tp, *seed, 0)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -40,10 +40,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
-	"repro/internal/experiments"
+	"repro/internal/engines"
 	"repro/internal/oracle/stress"
-	"repro/internal/routing"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func main() {
 		trials   = flag.Int("trials", 20, "number of seeded trials")
 		seed     = flag.Int64("seed", 1, "first seed; trial i uses seed+i")
 		topo     = flag.String("topo", "", "fix the topology class: random, regular, torus, fattree, kautz, ring, fullmesh, dfgroup, oneway (empty = rotate)")
-		engine   = flag.String("engine", "", "restrict to one engine: nue, updn, lash, dfsssp, minhop, exists, ftree, dor, torus2qos, angara, fullmesh (empty = all)")
+		engine   = flag.String("engine", "", "restrict to one engine: "+strings.Join(engines.DifferentialNames(), ", ")+" (empty = all)")
 		vcs      = flag.Int("vcs", 0, "fix the virtual-channel budget (0 = draw per seed)")
 		decide   = flag.Bool("decide", false, "run the existence decision procedure per trial and classify refutations as ENGINE-BUG vs GENUINELY-UNROUTABLE")
 		churn    = flag.Int("churn", 0, "additionally drive the fabric manager through this many random events per trial")
@@ -65,17 +66,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
 		os.Exit(2)
 	}
-	if *topo != "" && !validClass(stress.Class(*topo)) {
+	if *topo != "" && !slices.Contains(stress.Classes(), stress.Class(*topo)) {
 		fmt.Fprintf(os.Stderr, "unknown -topo %q (valid: %v)\n", *topo, stress.Classes())
 		os.Exit(2)
 	}
-	if *engine != "" && !validEngine(*engine) {
-		fmt.Fprintf(os.Stderr, "unknown -engine %q (valid: %v)\n", *engine, stress.EngineNames())
+	if *engine != "" && !slices.Contains(engines.DifferentialNames(), *engine) {
+		fmt.Fprintf(os.Stderr, "unknown -engine %q (valid: %v)\n", *engine, engines.DifferentialNames())
 		os.Exit(2)
-	}
-
-	stress.NewNue = func(seed int64, workers int) routing.Engine {
-		return experiments.NueEngineWorkers(seed, workers)
 	}
 
 	targeted := *engine != ""
@@ -221,22 +218,4 @@ func printTrial(tr *stress.Trial, verbose bool) {
 			}
 		}
 	}
-}
-
-func validClass(c stress.Class) bool {
-	for _, k := range stress.Classes() {
-		if k == c {
-			return true
-		}
-	}
-	return false
-}
-
-func validEngine(name string) bool {
-	for _, k := range stress.EngineNames() {
-		if k == name {
-			return true
-		}
-	}
-	return false
 }

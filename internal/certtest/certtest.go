@@ -13,7 +13,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engines"
 	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/oracle/stress"
@@ -50,18 +50,11 @@ type Case struct {
 // engine seed and VC budget given.
 func Nue(t testing.TB, net *graph.Network, seed int64, vcs int) *routing.Result {
 	t.Helper()
-	res, err := nueEngine(seed, 1).Route(net, dests(net), vcs)
+	res, err := engines.Nue(seed, 1).Route(net, dests(net), vcs)
 	if err != nil {
 		t.Fatalf("nue: %v", err)
 	}
 	return res
-}
-
-func nueEngine(seed int64, workers int) routing.Engine {
-	opts := core.DefaultOptions()
-	opts.Seed = seed
-	opts.Workers = workers
-	return core.New(opts)
 }
 
 func dests(net *graph.Network) []graph.NodeID {
@@ -111,20 +104,17 @@ func Wall(t testing.TB) []Case {
 // every engine of its roster that accepts them. Sound and unsound
 // routings both occur (plain DOR and MinHop claim nothing).
 func Seeds(t testing.TB, n int64, each func(Case)) {
-	if stress.NewNue == nil {
-		stress.NewNue = nueEngine
-	}
 	for seed := int64(0); seed < n; seed++ {
 		class := stress.ClassFor(seed)
 		rng := rand.New(rand.NewSource(seed))
 		tp := stress.Generate(class, rng)
 		vcs := stress.DefaultVCs(class, rng)
-		for _, spec := range stress.Engines(tp, seed, 1) {
-			res, err := spec.Engine.Route(tp.Net, dests(tp.Net), vcs)
+		for _, eng := range engines.Differential(tp, seed, 1) {
+			res, err := eng.Route(tp.Net, dests(tp.Net), vcs)
 			if err != nil {
 				continue // the engine refuses this instance
 			}
-			each(Case{Name: fmt.Sprintf("seed-%d/%s/%s", seed, tp.Name, spec.Name), Net: tp.Net, Res: res})
+			each(Case{Name: fmt.Sprintf("seed-%d/%s/%s", seed, tp.Name, eng.Name()), Net: tp.Net, Res: res})
 		}
 	}
 }

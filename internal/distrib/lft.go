@@ -96,14 +96,6 @@ func Compile(e Epoch) *CompiledEpoch {
 	return c
 }
 
-// RowIndexOf returns the row of switch sw (-1 if sw owns none).
-func (c *CompiledEpoch) RowIndexOf(sw graph.NodeID) int {
-	if i, ok := c.rowOf[sw]; ok {
-		return i
-	}
-	return -1
-}
-
 // OwnedCRC returns the aggregate checksum an agent owning the given
 // switches (nil = all) must report for this epoch — the reference value
 // of a torn-install check.

@@ -4,7 +4,7 @@
 // statistics, Table 1 (topology configurations), Fig. 10 (throughput on
 // seven topologies) and Fig. 11 (routing runtime scaling). Each experiment
 // returns structured rows and can print itself as an aligned text table;
-// cmd/nuebench and the repository benchmarks are thin wrappers.
+// cmd/nuebench is a thin wrapper.
 package experiments
 
 import (
@@ -14,127 +14,12 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/oracle"
 	"repro/internal/routing"
-	"repro/internal/routing/angara"
-	"repro/internal/routing/dfsssp"
-	"repro/internal/routing/dor"
-	"repro/internal/routing/ftree"
-	"repro/internal/routing/fullmesh"
-	"repro/internal/routing/lash"
-	"repro/internal/routing/minhop"
-	"repro/internal/routing/smart"
-	"repro/internal/routing/updn"
 	"repro/internal/routing/verify"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
-
-// NueEngine builds a Nue engine with the evaluation defaults and the
-// given seed.
-func NueEngine(seed int64) routing.Engine {
-	return NueEngineWorkers(seed, 0)
-}
-
-// NueEngineWorkers is NueEngine with an explicit worker budget
-// (0 = GOMAXPROCS). The routing produced is bit-identical for every
-// worker count, so experiments stay reproducible regardless of the host.
-func NueEngineWorkers(seed int64, workers int) routing.Engine {
-	return NueEngineTelemetry(seed, workers, nil)
-}
-
-// NueEngineTelemetry is NueEngineWorkers with an optional telemetry
-// bundle. Telemetry observes the engine without influencing it: the
-// routing stays bit-identical to the uninstrumented run.
-func NueEngineTelemetry(seed int64, workers int, tm *telemetry.EngineMetrics) routing.Engine {
-	opts := core.DefaultOptions()
-	opts.Seed = seed
-	opts.Workers = workers
-	opts.Telemetry = tm
-	return core.New(opts)
-}
-
-// Baselines returns the OpenSM comparator engines applicable to the
-// topology, in the paper's presentation order. Topology-aware engines
-// (ftree, torus2qos) appear only when their metadata is available.
-func Baselines(tp *topology.Topology) []routing.Engine {
-	engines := []routing.Engine{
-		updn.Engine{},
-		lash.Engine{},
-		dfsssp.Engine{},
-	}
-	if tp.Tree != nil {
-		engines = append(engines, ftree.Engine{Level: tp.Tree.Level})
-	}
-	if tp.Torus != nil {
-		engines = append(engines, dor.Engine{Meta: tp.Torus, Datelines: true})
-	}
-	return engines
-}
-
-// EngineByName resolves an engine name, using topology metadata where
-// required. Valid names: nue, updn, lash, dfsssp, ftree, torus2qos, dor,
-// angara, fullmesh, exists, minhop, sssp.
-func EngineByName(name string, tp *topology.Topology, seed int64) (routing.Engine, error) {
-	return EngineByNameWorkers(name, tp, seed, 0)
-}
-
-// EngineByNameWorkers is EngineByName with an explicit worker budget for
-// the engines that parallelize (currently Nue); the others ignore it.
-func EngineByNameWorkers(name string, tp *topology.Topology, seed int64, workers int) (routing.Engine, error) {
-	switch name {
-	case "nue":
-		return NueEngineWorkers(seed, workers), nil
-	case "updn":
-		return updn.Engine{}, nil
-	case "mupdn":
-		return updn.MultiEngine{}, nil
-	case "lash":
-		return lash.Engine{}, nil
-	case "lashtor":
-		return lash.TOREngine{}, nil
-	case "dfsssp":
-		return dfsssp.Engine{}, nil
-	case "minhop":
-		return minhop.MinHop{}, nil
-	case "smart":
-		return smart.Engine{}, nil
-	case "sssp":
-		return minhop.SSSP{}, nil
-	case "ftree":
-		if tp.Tree == nil {
-			return nil, fmt.Errorf("ftree requires a fat-tree topology")
-		}
-		return ftree.Engine{Level: tp.Tree.Level}, nil
-	case "torus2qos":
-		if tp.Torus == nil {
-			return nil, fmt.Errorf("torus2qos requires a torus topology")
-		}
-		return dor.Engine{Meta: tp.Torus, Datelines: true}, nil
-	case "dor":
-		if tp.Torus == nil {
-			return nil, fmt.Errorf("dor requires a torus topology")
-		}
-		return dor.Engine{Meta: tp.Torus}, nil
-	case "angara":
-		if tp.Torus == nil {
-			return nil, fmt.Errorf("angara requires a torus or mesh topology")
-		}
-		return angara.Engine{Meta: tp.Torus}, nil
-	case "fullmesh":
-		if tp.Mesh == nil {
-			return nil, fmt.Errorf("fullmesh requires a full-mesh fabric")
-		}
-		return fullmesh.Engine{Meta: tp.Mesh}, nil
-	case "exists":
-		return oracle.ExistsEngine{}, nil
-	default:
-		return nil, fmt.Errorf("unknown routing engine %q", name)
-	}
-}
 
 // ThroughputRow is one bar of Fig. 1a / Fig. 10.
 type ThroughputRow struct {
@@ -212,10 +97,6 @@ func PrintThroughput(w io.Writer, title string, rows []ThroughputRow) {
 	}
 	tw.Flush()
 }
-
-// lashEngine and dfssspEngine are tiny indirections for readability.
-func lashEngine() routing.Engine   { return lash.Engine{} }
-func dfssspEngine() routing.Engine { return dfsssp.Engine{} }
 
 // rngFor derives a deterministic per-trial RNG.
 func rngFor(seed int64, trial int) *rand.Rand {

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engines"
 	"repro/internal/metrics"
+	"repro/internal/routing/lash"
 	"repro/internal/routing/verify"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -135,22 +137,16 @@ func TestTable1MatchesPaper(t *testing.T) {
 	}
 }
 
+// TestEngineByName: on the torus every experiment routes, each name of
+// the roster resolves except the two built from metadata a torus lacks
+// (engines.TestRoster covers the other topologies).
 func TestEngineByName(t *testing.T) {
 	tp := topology.Torus3D(3, 3, 1, 1, 1)
-	for _, name := range []string{"nue", "updn", "lash", "dfsssp", "minhop", "sssp", "torus2qos", "dor"} {
-		if _, err := EngineByName(name, tp, 1); err != nil {
-			t.Errorf("EngineByName(%q): %v", name, err)
+	for _, name := range engines.Names() {
+		_, err := engines.ByName(name, tp, 1, 0)
+		if refused := name == "ftree" || name == "fullmesh"; (err != nil) != refused {
+			t.Errorf("ByName(%q) on a torus: %v", name, err)
 		}
-	}
-	if _, err := EngineByName("ftree", tp, 1); err == nil {
-		t.Error("ftree resolved on a torus without tree metadata")
-	}
-	if _, err := EngineByName("bogus", tp, 1); err == nil {
-		t.Error("unknown engine resolved")
-	}
-	ft := topology.KAryNTree(2, 2, 1)
-	if _, err := EngineByName("ftree", ft, 1); err != nil {
-		t.Errorf("ftree on fat tree: %v", err)
 	}
 }
 
@@ -173,39 +169,9 @@ func TestWriteFunctionsProduceTables(t *testing.T) {
 func TestRouteAndSimulateReportsInapplicable(t *testing.T) {
 	// LASH with 1 VC on a 5x5 torus must produce an error row, not panic.
 	tp := topology.Torus3D(5, 5, 1, 1, 1)
-	row := routeAndSimulate(tp, lashEngine(), 1, 4, sim.DefaultConfig())
+	row := routeAndSimulate(tp, lash.Engine{}, 1, 4, sim.DefaultConfig())
 	if row.Err == "" {
 		t.Error("expected inapplicable row for LASH with 1 VC")
-	}
-}
-
-func TestChurnSmallScale(t *testing.T) {
-	cfg := ChurnConfig{
-		Steps: 2, FailuresPerStep: 0.02, MaxVCs: 8,
-		Algorithms: []string{"nue", "updn"},
-		Seed:       4,
-	}
-	rows := Churn(cfg)
-	if len(rows) != 3*2 {
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	for _, r := range rows {
-		if r.Algorithm == "nue" && r.Err != "" {
-			t.Errorf("nue failed at step %d: %s", r.Step, r.Err)
-		}
-		if r.ChangedEntries < 0 || r.ChangedEntries > 1 {
-			t.Errorf("churn fraction out of range: %v", r.ChangedEntries)
-		}
-	}
-	// Some churn must occur once failures land.
-	churned := false
-	for _, r := range rows {
-		if r.Step > 0 && r.Err == "" && r.ChangedEntries > 0 {
-			churned = true
-		}
-	}
-	if !churned {
-		t.Error("no table entry changed across failure events")
 	}
 }
 
@@ -237,10 +203,11 @@ func TestAblationSmallScale(t *testing.T) {
 func TestMetricsDescribeVerifiedPaths(t *testing.T) {
 	tp := topology.Torus3D(5, 5, 1, 2, 1)
 	overrides := 0
-	for _, name := range []string{"nue", "updn", "mupdn", "lash", "lashtor", "dfsssp", "minhop", "smart", "sssp", "torus2qos", "dor", "angara", "exists"} {
-		eng, err := EngineByName(name, tp, 1)
+	for _, name := range engines.Names() {
+		eng, err := engines.ByName(name, tp, 1, 0)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Logf("%s: %v", name, err)
+			continue
 		}
 		res, err := eng.Route(tp.Net, tp.Net.Terminals(), 2)
 		if err != nil {

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/routing"
+	"repro/internal/core"
+	"repro/internal/engines"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -48,22 +49,19 @@ func Fig1(cfg Fig1Config) []ThroughputRow {
 	simCfg := cfg.Sim
 	simCfg.Telemetry = cfg.Telemetry.Sim()
 	var rows []ThroughputRow
-	for _, eng := range Baselines(faulty) {
-		rows = append(rows, runWithVCBudget(faulty, eng, cfg.MaxVCs, cfg.Phases, simCfg))
+	for _, eng := range engines.Baselines(faulty) {
+		rows = append(rows, routeAndSimulate(faulty, eng, cfg.MaxVCs, cfg.Phases, simCfg))
 	}
 	for k := 1; k <= cfg.MaxVCs; k++ {
-		eng := NueEngineTelemetry(cfg.Seed, cfg.Workers, cfg.Telemetry.Engine())
-		row := routeAndSimulate(faulty, eng, k, cfg.Phases, simCfg)
+		opts := core.DefaultOptions()
+		opts.Seed = cfg.Seed
+		opts.Workers = cfg.Workers
+		opts.Telemetry = cfg.Telemetry.Engine()
+		row := routeAndSimulate(faulty, core.New(opts), k, cfg.Phases, simCfg)
 		row.Routing = nueName(k)
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// runWithVCBudget lets an engine use the full budget but reports an error
-// row (like the paper's hatched/missing bars) if it exceeds it.
-func runWithVCBudget(tp *topology.Topology, eng routing.Engine, maxVCs, phases int, cfg sim.Config) ThroughputRow {
-	return routeAndSimulate(tp, eng, maxVCs, phases, cfg)
 }
 
 func nueName(k int) string { return fmt.Sprintf("nue-%dvc", k) }

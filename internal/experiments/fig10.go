@@ -4,6 +4,7 @@ import (
 	"io"
 	"math/rand"
 
+	"repro/internal/engines"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -67,11 +68,11 @@ func Fig10(cfg Fig10Config) []ThroughputRow {
 		if len(want) > 0 && !want[tp.Name] {
 			continue
 		}
-		for _, eng := range Baselines(tp) {
+		for _, eng := range engines.Baselines(tp) {
 			rows = append(rows, routeAndSimulate(tp, eng, cfg.MaxVCs, cfg.Phases, cfg.Sim))
 		}
 		for _, k := range cfg.NueVCs {
-			row := routeAndSimulate(tp, NueEngineWorkers(cfg.Seed, cfg.Workers), k, cfg.Phases, cfg.Sim)
+			row := routeAndSimulate(tp, engines.Nue(cfg.Seed, cfg.Workers), k, cfg.Phases, cfg.Sim)
 			row.Routing = nueName(k)
 			rows = append(rows, row)
 		}

@@ -5,8 +5,11 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/engines"
 	"repro/internal/routing"
+	"repro/internal/routing/dfsssp"
 	"repro/internal/routing/dor"
+	"repro/internal/routing/lash"
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
 )
@@ -62,13 +65,12 @@ func fig11(cfg Fig11Config, onRow func(Fig11Row)) []Fig11Row {
 		tp := topology.Torus3D(dims[0], dims[1], dims[2], cfg.TerminalsPerSwitch, 1)
 		faulty, _ := topology.InjectLinkFailures(tp, rngFor(cfg.Seed, trial), cfg.FailureRate)
 		dests := connectedTerminals(faulty.Net)
-		engines := []routing.Engine{
-			NueEngineWorkers(cfg.Seed, cfg.Workers),
-			dfssspEngine(),
-			lashEngine(),
+		for _, eng := range []routing.Engine{
+			engines.Nue(cfg.Seed, cfg.Workers),
+			dfsssp.Engine{},
+			lash.Engine{},
 			dor.Engine{Meta: faulty.Torus, Datelines: true},
-		}
-		for _, eng := range engines {
+		} {
 			row := Fig11Row{
 				Torus:     fmt.Sprintf("%dx%dx%d", dims[0], dims[1], dims[2]),
 				Switches:  faulty.Net.NumSwitches(),

@@ -5,9 +5,11 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/core"
+	"repro/internal/engines"
 	"repro/internal/metrics"
 	"repro/internal/routing"
+	"repro/internal/routing/dfsssp"
+	"repro/internal/routing/lash"
 	"repro/internal/topology"
 )
 
@@ -111,13 +113,10 @@ func Fig9(cfg Fig9Config) []Fig9Row {
 			}
 		}
 
-		run("lash", lashEngine(), 8)
-		run("dfsssp", dfssspEngine(), 8)
+		run("lash", lash.Engine{}, 8)
+		run("dfsssp", dfsssp.Engine{}, 8)
 		for _, k := range cfg.NueVCs {
-			opts := core.DefaultOptions()
-			opts.Seed = cfg.Seed + int64(trial)
-			opts.Workers = cfg.Workers
-			run(nueName(k), core.New(opts), k)
+			run(nueName(k), engines.Nue(cfg.Seed+int64(trial), cfg.Workers), k)
 		}
 	}
 

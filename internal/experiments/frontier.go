@@ -16,6 +16,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/engines"
 	"repro/internal/oracle"
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
@@ -91,7 +92,7 @@ func Frontier(cfg FrontierConfig) ([]FrontierRow, error) {
 		}
 		for _, name := range []string{tc.specialist, "nue"} {
 			row := FrontierRow{Topology: tc.tp.Name, Routing: name, Routable: dec.Routable, MaxVCs: tc.budget}
-			eng, err := EngineByNameWorkers(name, tc.tp, cfg.Seed, cfg.Workers)
+			eng, err := engines.ByName(name, tc.tp, cfg.Seed, cfg.Workers)
 			if err != nil {
 				row.Err = err.Error()
 				rows = append(rows, row)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/engines"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -80,8 +81,8 @@ type LargeRow struct {
 
 // SampleSwitches returns a deterministic stride sample of at most n
 // switches (all of them when n <= 0 or n >= the switch count). The
-// sample is a pure function of the network, so benchmarks, experiments
-// and the certification tests all route the same destination set.
+// sample is a pure function of the network, so the experiment and the
+// certification tests route the same destination set.
 func SampleSwitches(net *graph.Network, n int) []graph.NodeID {
 	sw := net.Switches()
 	if n <= 0 || n >= len(sw) {
@@ -120,7 +121,7 @@ func large(cfg LargeConfig, onRow func(LargeRow)) []LargeRow {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		res, err := NueEngineWorkers(cfg.Seed, cfg.Workers).Route(tp.Net, dests, cfg.MaxVCs)
+		res, err := engines.Nue(cfg.Seed, cfg.Workers).Route(tp.Net, dests, cfg.MaxVCs)
 		row.Runtime = time.Since(start)
 		runtime.ReadMemStats(&after)
 		row.HeapDelta = int64(after.HeapAlloc) - int64(before.HeapAlloc)

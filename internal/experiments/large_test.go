@@ -4,13 +4,14 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/engines"
 	"repro/internal/oracle"
 	"repro/internal/routing/dor"
 	"repro/internal/topology"
 )
 
 // TestSampleSwitchesDeterministic pins the destination sampler the
-// large tier shares between benchmarks, nuebench and certification: a
+// large tier shares between nuebench and certification: a
 // bounded stride sample, stable across calls, always a subset of the
 // switch set.
 func TestSampleSwitchesDeterministic(t *testing.T) {
@@ -65,7 +66,7 @@ func TestLargeTierCertified(t *testing.T) {
 		t.Run(cl.Name, func(t *testing.T) {
 			tp := cl.Build()
 			dests := SampleSwitches(tp.Net, 256)
-			res, err := NueEngineWorkers(1, 0).Route(tp.Net, dests, 4)
+			res, err := engines.Nue(1, 0).Route(tp.Net, dests, 4)
 			if err != nil {
 				t.Fatalf("route failed: %v", err)
 			}

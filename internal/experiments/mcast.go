@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/engines"
 	"repro/internal/mcast"
 	"repro/internal/oracle"
 	"repro/internal/sim"
@@ -81,7 +82,7 @@ func Mcast(cfg McastConfig) []McastRow {
 func mcastOne(tp *topology.Topology, cfg McastConfig) McastRow {
 	row := McastRow{Topology: tp.Name}
 	net := tp.Net
-	eng := NueEngineWorkers(cfg.Seed, cfg.Workers)
+	eng := engines.Nue(cfg.Seed, cfg.Workers)
 	res, err := eng.Route(net, connectedTerminals(net), cfg.MaxVCs)
 	if err != nil {
 		row.Err = err.Error()

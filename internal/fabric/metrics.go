@@ -91,8 +91,8 @@ type Metrics struct {
 	RootsReused int
 	// Delta accumulates per-event table deltas.
 	Delta routing.TableDelta
-	// RepairTime sums reconfiguration latencies.
-	RepairTime time.Duration
+	// Latency sums EventReport.Latency.
+	Latency time.Duration
 	// CastKept and CastRebuilds sum per-event cast-tree outcomes.
 	CastKept, CastRebuilds int
 }
@@ -167,7 +167,7 @@ func (m *Metrics) add(r *EventReport) {
 	m.Delta.Added += r.Delta.Added
 	m.Delta.Removed += r.Delta.Removed
 	m.Delta.Same += r.Delta.Same
-	m.RepairTime += r.Latency
+	m.Latency += r.Latency
 	m.CastKept += r.CastKept
 	m.CastRebuilds += r.CastRebuilt
 }

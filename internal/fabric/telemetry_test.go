@@ -162,9 +162,9 @@ func TestFabricTelemetryOffIsIdentical(t *testing.T) {
 	}
 	offMetrics, offEpoch := run(nil)
 	onMetrics, onEpoch := run(telemetry.New())
-	// RepairTime is wall clock and varies run to run; everything else is
+	// Latency is wall clock and varies run to run; everything else is
 	// deterministic and must match exactly.
-	offMetrics.RepairTime, onMetrics.RepairTime = 0, 0
+	offMetrics.Latency, onMetrics.Latency = 0, 0
 	if offMetrics != onMetrics {
 		t.Errorf("metrics diverge: off %+v, on %+v", offMetrics, onMetrics)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
+	"repro/internal/engines"
 	"repro/internal/flowsim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -31,7 +31,7 @@ func TestMillionFlowTorus(t *testing.T) {
 	if tp.Net.NumSwitches() != 4096 {
 		t.Fatalf("fixture has %d switches, want 4096", tp.Net.NumSwitches())
 	}
-	eng, err := experiments.EngineByNameWorkers("torus2qos", tp, 1, 0)
+	eng, err := engines.ByName("torus2qos", tp, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

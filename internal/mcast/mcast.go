@@ -75,22 +75,3 @@ func SeededGroups(seed int64, net *graph.Network, n, k int) []Group {
 	}
 	return groups
 }
-
-// GroupsFromMembers wraps raw memberships (e.g. topology.Topology.Groups
-// read from a serialized topology) as groups with IDs 1..len(members).
-func GroupsFromMembers(members [][]graph.NodeID) []Group {
-	groups := make([]Group, 0, len(members))
-	for i, m := range members {
-		groups = append(groups, Group{ID: i + 1, Members: append([]graph.NodeID(nil), m...)})
-	}
-	return groups
-}
-
-// Memberships converts groups back to the raw form topogen serializes.
-func Memberships(groups []Group) [][]graph.NodeID {
-	out := make([][]graph.NodeID, len(groups))
-	for i, g := range groups {
-		out[i] = append([]graph.NodeID(nil), g.Members...)
-	}
-	return out
-}

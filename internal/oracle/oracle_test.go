@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/experiments"
+	"repro/internal/engines"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/routing"
@@ -17,7 +17,7 @@ import (
 )
 
 func nueEngine(seed int64) routing.Engine {
-	return experiments.NueEngineWorkers(seed, 1)
+	return engines.Nue(seed, 1)
 }
 
 // TestCertifyAcceptsSoundRoutings runs engines that claim deadlock

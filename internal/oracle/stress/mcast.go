@@ -3,6 +3,7 @@ package stress
 import (
 	"errors"
 
+	"repro/internal/engines"
 	"repro/internal/graph"
 	"repro/internal/mcast"
 	"repro/internal/oracle"
@@ -44,7 +45,7 @@ func (tr *Trial) runMcast(tp *topology.Topology, vcs int) *McastReport {
 		rep.AdversarialSkipped = true
 		return rep
 	}
-	res, err := NewNue(tr.Config.Seed, tr.Config.Workers).Route(net, dests, vcs)
+	res, err := engines.Nue(tr.Config.Seed, tr.Config.Workers).Route(net, dests, vcs)
 	if err != nil {
 		// Nue's existence guarantee: failing to route is a hard failure
 		// already raised by the differential roster; don't double-report.

@@ -232,10 +232,3 @@ func RandomRegular(rng *rand.Rand, switches, degree, terminals int) *topology.To
 	}
 	return topology.RandomTopology(rng, switches, switches*degree/2, terminals)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

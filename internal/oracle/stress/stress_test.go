@@ -6,18 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/oracle/stress"
-	"repro/internal/routing"
 )
-
-func init() {
-	// The stress package keeps internal/core out of its import graph;
-	// the harness front ends install the Nue constructor.
-	stress.NewNue = func(seed int64, workers int) routing.Engine {
-		return experiments.NueEngineWorkers(seed, workers)
-	}
-}
 
 // TestCrossCheck200Seeds is the corpus cross-check: 200 seeded trials,
 // each generating a topology, routing it with every applicable engine

@@ -6,27 +6,12 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/engines"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/routing"
-	"repro/internal/routing/angara"
-	"repro/internal/routing/dfsssp"
-	"repro/internal/routing/dor"
-	"repro/internal/routing/ftree"
-	"repro/internal/routing/fullmesh"
-	"repro/internal/routing/lash"
-	"repro/internal/routing/minhop"
-	"repro/internal/routing/updn"
 	"repro/internal/routing/verify"
-	"repro/internal/topology"
 )
-
-// NewNue is installed by cmd/nueverify (and the stress tests) to build
-// the Nue engine for a seed and worker budget. It lives behind a
-// function variable so this package's import graph stays free of
-// internal/core — the oracle's trusted-base argument extends to the
-// whole internal/oracle/... subtree.
-var NewNue func(seed int64, workers int) routing.Engine
 
 // Config selects one trial. The zero value of every field means
 // "derive from the seed", so Config{Seed: n} is a full specification
@@ -137,61 +122,6 @@ func (tr *Trial) fail(format string, args ...any) {
 	tr.Failures = append(tr.Failures, fmt.Sprintf("%s\n  replay: %s", msg, tr.Config.Replay()))
 }
 
-// Engines returns the differential-engine roster for a topology:
-// always Nue (via NewNue), Up*/Down*, LASH, DFSSSP, MinHop and the
-// existence-witness engine; plus ftree on fat trees, the DOR variants
-// (plain = the negative baseline, torus2qos = the dateline fix) and
-// Angara on tori, and the VC-free engine on full meshes. Networks with
-// one-way faults break the duplex assumption baked into the
-// destination-based engines, so their roster is just the existence
-// witness (must certify exactly when the procedure says routable) and
-// the MinHop negative baseline.
-func Engines(tp *topology.Topology, seed int64, workers int) []Spec {
-	if NewNue == nil {
-		panic("stress: NewNue is not installed; wire it to the Nue constructor (see cmd/nueverify)")
-	}
-	if !tp.Net.Symmetric() {
-		return []Spec{
-			{Name: "exists", Engine: oracle.ExistsEngine{}},
-			{Name: "minhop", Engine: minhop.MinHop{}},
-		}
-	}
-	specs := []Spec{
-		{Name: "nue", Engine: NewNue(seed, workers)},
-		{Name: "updn", Engine: updn.Engine{}},
-		{Name: "lash", Engine: lash.Engine{}},
-		{Name: "dfsssp", Engine: dfsssp.Engine{}},
-		{Name: "minhop", Engine: minhop.MinHop{}},
-		{Name: "exists", Engine: oracle.ExistsEngine{}},
-	}
-	if tp.Tree != nil {
-		specs = append(specs, Spec{Name: "ftree", Engine: ftree.Engine{Level: tp.Tree.Level}})
-	}
-	if tp.Torus != nil {
-		specs = append(specs,
-			Spec{Name: "dor", Engine: dor.Engine{Meta: tp.Torus}},
-			Spec{Name: "torus2qos", Engine: dor.Engine{Meta: tp.Torus, Datelines: true}},
-			Spec{Name: "angara", Engine: angara.Engine{Meta: tp.Torus}})
-	}
-	if tp.Mesh != nil {
-		specs = append(specs, Spec{Name: "fullmesh", Engine: fullmesh.Engine{Meta: tp.Mesh}})
-	}
-	return specs
-}
-
-// EngineNames lists every engine name any roster can produce, for
-// front-end flag validation.
-func EngineNames() []string {
-	return []string{"nue", "updn", "lash", "dfsssp", "minhop", "exists",
-		"ftree", "dor", "torus2qos", "angara", "fullmesh"}
-}
-
-// Spec names one engine of the differential roster.
-type Spec struct {
-	Name   string
-	Engine routing.Engine
-}
-
 // Run executes one trial: generate the topology, route it with every
 // selected engine, certify each routing with the oracle, cross-check
 // the oracle's verdict against internal/routing/verify, and enforce
@@ -216,12 +146,12 @@ func Run(cfg Config) *Trial {
 		VCs:      vcs,
 	}
 	matched := false
-	for _, spec := range Engines(tp, cfg.Seed, cfg.Workers) {
-		if cfg.Engine != "" && spec.Name != cfg.Engine {
+	for _, eng := range engines.Differential(tp, cfg.Seed, cfg.Workers) {
+		if cfg.Engine != "" && eng.Name() != cfg.Engine {
 			continue
 		}
 		matched = true
-		tr.Outcomes = append(tr.Outcomes, tr.runEngine(tp.Net, spec, vcs))
+		tr.Outcomes = append(tr.Outcomes, tr.runEngine(tp.Net, eng, vcs))
 	}
 	if cfg.Engine != "" && !matched {
 		tr.fail("engine %q is not applicable to topology %s (class %s)", cfg.Engine, tp.Name, class)
@@ -323,16 +253,16 @@ func (tr *Trial) runDecide(net *graph.Network, vcs int) *DecideReport {
 
 // runEngine routes the network with one engine and adjudicates the
 // result: oracle certification, verifier cross-check, claims contract.
-func (tr *Trial) runEngine(net *graph.Network, spec Spec, vcs int) Outcome {
-	out := Outcome{Engine: spec.Name, Claims: routing.ClaimsOf(spec.Engine)}
+func (tr *Trial) runEngine(net *graph.Network, eng routing.Engine, vcs int) Outcome {
+	out := Outcome{Engine: eng.Name(), Claims: routing.ClaimsOf(eng)}
 	dests := destsOf(net)
-	res, err := spec.Engine.Route(net, dests, vcs)
+	res, err := eng.Route(net, dests, vcs)
 	if err != nil {
 		out.RouteErr = err.Error()
 		// Nue's existence guarantee (paper Lemma 3) holds for every
 		// k >= 1 on any connected topology: a routing error is a bug,
 		// not a budget refusal.
-		if spec.Name == "nue" {
+		if out.Engine == "nue" {
 			tr.fail("nue refused to route %s with %d VCs: %v", tr.Topology, vcs, err)
 		}
 		return out
@@ -346,7 +276,7 @@ func (tr *Trial) runEngine(net *graph.Network, spec Spec, vcs int) Outcome {
 	_, verr := verify.Check(net, res, nil)
 	if (oerr == nil) != (verr == nil) {
 		tr.fail("oracle and verify disagree on %s (%s, %d VCs): oracle=%v verify=%v",
-			spec.Name, tr.Topology, vcs, oerr, verr)
+			out.Engine, tr.Topology, vcs, oerr, verr)
 	}
 
 	if oerr != nil {
@@ -355,12 +285,12 @@ func (tr *Trial) runEngine(net *graph.Network, spec Spec, vcs int) Outcome {
 		if errors.As(oerr, &cyc) {
 			out.Witness = formatWitness(cyc.Witness)
 			if werr := oracle.ValidateWitness(net, cyc.Witness); werr != nil {
-				tr.fail("oracle produced an invalid witness against %s: %v", spec.Name, werr)
+				tr.fail("oracle produced an invalid witness against %s: %v", out.Engine, werr)
 			}
 		}
 		if out.Claims.HoldsAt(vcs) {
 			tr.fail("%s claims deadlock freedom with %d VCs on %s but the oracle refutes it: %v",
-				spec.Name, vcs, tr.Topology, oerr)
+				out.Engine, vcs, tr.Topology, oerr)
 		}
 		return out
 	}
@@ -368,7 +298,7 @@ func (tr *Trial) runEngine(net *graph.Network, spec Spec, vcs int) Outcome {
 	// also have stayed inside it.
 	if out.Claims.HoldsAt(vcs) && cert.Layers > vcs {
 		tr.fail("%s certified but used %d virtual layers against a budget of %d on %s",
-			spec.Name, cert.Layers, vcs, tr.Topology)
+			out.Engine, cert.Layers, vcs, tr.Topology)
 	}
 	return out
 }

@@ -55,9 +55,6 @@ func NewTable(net *graph.Network, dests []graph.NodeID) *Table {
 // Dests returns the destination set of the table (do not modify).
 func (t *Table) Dests() []graph.NodeID { return t.dests }
 
-// IsDest reports whether n is a destination of this table.
-func (t *Table) IsDest(n graph.NodeID) bool { return t.destIndex[n] >= 0 }
-
 // Set records the next-hop channel at switch sw toward destination dest.
 func (t *Table) Set(sw, dest graph.NodeID, c graph.ChannelID) {
 	r, d := t.swIndex[sw], t.destIndex[dest]

@@ -26,7 +26,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
+	"repro/internal/engines"
 	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -89,7 +89,7 @@ func RouteNue(net *Network, dests []NodeID, maxVCs int) (*RoutingResult, error) 
 // torus2qos, dor, minhop or sssp. Topology-aware engines require the
 // metadata carried by generated topologies.
 func Route(algo string, tp *Topology, dests []NodeID, maxVCs int) (*RoutingResult, error) {
-	eng, err := experiments.EngineByName(algo, tp, 1)
+	eng, err := engines.ByName(algo, tp, 1, 0)
 	if err != nil {
 		return nil, err
 	}
