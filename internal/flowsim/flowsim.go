@@ -13,19 +13,31 @@
 // finish / flow arrival); Config.Quantum coalesces rate recomputation
 // into windows so steady states with millions of flows stay tractable.
 //
+// What a recompute needs of the link structure is kept, not rebuilt:
+// the number of active flows on each channel follows every admission
+// and finish, and the link -> flows buckets are laid out over all
+// unfinished flows in admission order — the not yet admitted included —
+// and laid out again only once half of those flows have finished. The
+// active flows are always a subsequence of that order, so a bucket
+// read through the "active and unfrozen" byte each flow carries lists
+// its link's flows in active-list order, whatever has finished or
+// arrived since the layout.
+//
 // Determinism contract (same discipline as the PR 2 engine
 // parallelism): results are bit-identical for every Config.Workers
-// value. The sharded passes — path walking, per-link demand
-// aggregation, bucket layout, finish scanning — use only
+// value. The sharded passes — path walking, bucket layout,
+// remaining-byte materialisation, finish scanning — use only
 // partition-invariant reductions (integer sums, float min, offsets
 // computed from per-worker counts over contiguous flow ranges); every
 // floating-point accumulation runs in a fixed single-threaded order.
 package flowsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -40,8 +52,8 @@ import (
 // worker-count-independent run at capacity 1.0 with exact event-by-event
 // recomputation.
 type Config struct {
-	// Workers shards the rate computation (0 = GOMAXPROCS). Results are
-	// bit-identical for every value.
+	// Workers shards the rate computation (0 = GOMAXPROCS; values above
+	// 64 run as 64). Results are bit-identical for every value.
 	Workers int
 	// Capacity is the per-channel bandwidth in bytes per tick
 	// (default 1.0). Every channel — including terminal injection and
@@ -124,6 +136,19 @@ func (e *WalkError) Error() string {
 
 func (e *WalkError) Unwrap() error { return e.Err }
 
+// FlowError reports the first flow that is not a transfer on this
+// network: an endpoint that is not one of its nodes (a trace recorded on
+// another topology) or a negative size.
+type FlowError struct {
+	FlowIndex int
+	Flow      workload.Flow
+	Reason    string
+}
+
+func (e *FlowError) Error() string {
+	return fmt.Sprintf("flowsim: flow %d (%d -> %d, %d bytes): %s", e.FlowIndex, e.Flow.Src, e.Flow.Dst, e.Flow.Bytes, e.Reason)
+}
+
 // WalkFlowPath is routing.Walk under the name the benchmark replays a
 // run's path pass by.
 func WalkFlowPath(net *graph.Network, res *routing.Result, src, dst graph.NodeID, buf []graph.ChannelID) ([]graph.ChannelID, error) {
@@ -136,6 +161,14 @@ const inf = math.MaxFloat64
 // so floating-point residue on a nearly-exhausted link can never freeze
 // a flow at a zero or negative rate (which would never finish).
 const shareFloor = 1e-12
+
+// Per-flow state byte: the one test the freeze loop makes of a bucket
+// entry.
+const (
+	flowIdle     = iota // not admitted yet, or finished
+	flowUnfrozen        // active, no rate yet in this recompute
+	flowFrozen          // active, rate assigned in this recompute
+)
 
 // sim is the run state.
 type sim struct {
@@ -154,24 +187,33 @@ type sim struct {
 	finishAt []float64 // absolute finish tick under current rates; inf before rates assign
 	finished []float64 // finish tick, -1 while unfinished
 	skipped  []bool
+	state    []uint8 // flowIdle, flowUnfrozen or flowFrozen
 
-	order  []int32 // flow indices sorted by (Start, index)
-	active []int32 // admitted, unfinished flows (deterministic order)
+	order  []int32 // flows unfinished at the last layout, sorted by (Start, index)
+	next   int     // order[next:] are not admitted yet
+	active []int32 // admitted, unfinished flows: a subsequence of order[:next]
 
-	// Rate-computation scratch (reused across recomputes).
-	linkN    []int32   // unfrozen-flow count per channel
-	linkR    []float64 // remaining capacity per channel
-	cntW     [][]int32 // per-worker per-channel counts
+	// Link structure kept across recomputes. linkLive follows every
+	// admission and finish. The buckets group the flows of order by
+	// channel, each bucket in order's order; entries of flows that are
+	// idle now are skipped, not removed.
+	linkLive []int32   // active flows per channel
 	bucket   []int32   // flows grouped by channel
 	bktOff   []int64   // per-channel bucket offsets
-	bktPos   [][]int64 // per-worker fill cursors
-	heap     []heapEnt // lazy bottleneck heap
-	frozenAt []int64   // recompute epoch the flow froze in
-	epoch    int64
+	cntW     [][]int32 // layout scratch: per-worker per-channel counts
+	bktPos   [][]int64 // layout scratch: per-worker fill cursors
+
+	// Rate-computation scratch (reused across recomputes).
+	linkN []int32   // unfrozen-flow count per channel
+	linkR []float64 // remaining capacity per channel
+	heap  []heapEnt // lazy bottleneck heap
+	mins  []float64 // per-worker minFinish results
 
 	events     int64
 	recomputes int64
 	maxActive  int
+	layouts    int   // layout calls
+	walks      int64 // routing.Walk calls
 }
 
 type heapEnt struct {
@@ -181,10 +223,15 @@ type heapEnt struct {
 
 // Run simulates the delivery of flows under the routing result and
 // returns throughput, latency-percentile and link-utilization data. A
-// flow whose table walk fails (loop, missing route, malformed entry)
-// aborts the run with a *WalkError.
+// flow that is not a transfer on net (endpoint out of range, negative
+// size) aborts the run with a *FlowError, one whose table walk fails
+// (loop, missing route, malformed entry) with a *WalkError; of several
+// such flows the one with the lowest index is reported.
 func Run(net *graph.Network, res *routing.Result, flows []workload.Flow, cfg Config) (Result, error) {
-	startWall := time.Now()
+	return newSim(net, flows, cfg).run(res)
+}
+
+func newSim(net *graph.Network, flows []workload.Flow, cfg Config) *sim {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1.0
 	}
@@ -195,7 +242,11 @@ func Run(net *graph.Network, res *routing.Result, flows []workload.Flow, cfg Con
 	if w > 64 {
 		w = 64
 	}
-	s := &sim{net: net, flows: flows, cfg: cfg, w: w}
+	return &sim{net: net, flows: flows, cfg: cfg, w: w}
+}
+
+func (s *sim) run(res *routing.Result) (Result, error) {
+	startWall := time.Now()
 	if err := s.walkPaths(res); err != nil {
 		return Result{}, err
 	}
@@ -206,65 +257,97 @@ func Run(net *graph.Network, res *routing.Result, flows []workload.Flow, cfg Con
 	return r, nil
 }
 
-// walkPaths resolves every flow's channel path (two sharded passes:
-// lengths, then a prefix-summed fill). The first failing flow — by flow
-// index, independent of the worker count — aborts the run.
+// walkSample is how many flows a walkPaths worker walks before it sizes
+// its chunk from their mean path length.
+const walkSample = 256
+
+// walkPaths checks every flow and resolves its channel path: one sharded
+// pass that walks each flow once into its worker's chunk and leaves the
+// path length in pathOff, then a prefix sum and the concatenation of the
+// chunks (worker ranges are contiguous and ascending). The first failing
+// flow — by flow index, independent of the worker count — aborts the
+// run.
 func (s *sim) walkPaths(res *routing.Result) error {
 	f := len(s.flows)
+	nodes := graph.NodeID(s.net.NumNodes())
 	s.pathOff = make([]int64, f+1)
 	s.skipped = make([]bool, f)
-	errs := make([]*WalkError, s.w)
-	lens := make([]int32, f)
+	// What one worker made of its range [lo, hi).
+	type part struct {
+		lo     int
+		chunk  []graph.ChannelID // the range's paths, back to back
+		walked int64
+		err    error // the range's first failing flow, at index errAt
+		errAt  int
+	}
+	parts := make([]part, s.w)
 	s.shard(f, func(wk, lo, hi int) {
+		// Filled in locally and stored once: neighbouring workers' parts
+		// share cache lines.
+		pt := part{lo: lo}
+		defer func() { parts[wk] = pt }()
 		var buf []graph.ChannelID
 		for i := lo; i < hi; i++ {
-			if errs[wk] != nil {
+			fl := s.flows[i]
+			switch {
+			case fl.Src < 0 || fl.Src >= nodes || fl.Dst < 0 || fl.Dst >= nodes:
+				pt.errAt, pt.err = i, &FlowError{FlowIndex: i, Flow: fl, Reason: fmt.Sprintf("endpoint outside the network's %d nodes", nodes)}
+				return
+			case fl.Bytes < 0:
+				pt.errAt, pt.err = i, &FlowError{FlowIndex: i, Flow: fl, Reason: "negative size"}
 				return
 			}
-			fl := s.flows[i]
 			if fl.Src == fl.Dst || s.net.Degree(fl.Src) == 0 || s.net.Degree(fl.Dst) == 0 {
 				s.skipped[i] = true
 				continue
 			}
+			if i-lo == walkSample {
+				// An eighth above the sample's mean: a chunk that falls
+				// short regrows by append, at the price of a copy.
+				est := len(pt.chunk) * (hi - i) / walkSample
+				pt.chunk = slices.Grow(pt.chunk, est+est/8)
+			}
 			p, err := routing.Walk(s.net, res, fl.Src, fl.Dst, buf)
+			pt.walked++
 			if err != nil {
-				errs[wk] = &WalkError{FlowIndex: i, Err: err}
+				pt.errAt, pt.err = i, &WalkError{FlowIndex: i, Err: err}
 				return
 			}
 			buf = p
-			lens[i] = int32(len(p))
+			pt.chunk = append(pt.chunk, p...)
+			s.pathOff[i+1] = int64(len(p))
 		}
 	})
 	// Workers stop at their first error; the globally first flow error
 	// is deterministic because ranges are contiguous and ascending.
-	var first *WalkError
-	for _, e := range errs {
-		if e != nil && (first == nil || e.FlowIndex < first.FlowIndex) {
-			first = e
+	var first *part
+	for wk := range parts {
+		if pt := &parts[wk]; pt.err != nil && (first == nil || pt.errAt < first.errAt) {
+			first = pt
 		}
 	}
 	if first != nil {
-		return first
+		return first.err
 	}
-	total := int64(0)
 	for i := 0; i < f; i++ {
-		s.pathOff[i] = total
-		total += int64(lens[i])
+		s.pathOff[i+1] += s.pathOff[i]
 	}
-	s.pathOff[f] = total
-	s.pathChan = make([]graph.ChannelID, total)
-	s.shard(f, func(wk, lo, hi int) {
-		var buf []graph.ChannelID
-		for i := lo; i < hi; i++ {
-			if s.skipped[i] {
-				continue
-			}
-			p, _ := routing.Walk(s.net, res, s.flows[i].Src, s.flows[i].Dst, buf)
-			buf = p
-			copy(s.pathChan[s.pathOff[i]:s.pathOff[i+1]], p)
+	for _, pt := range parts {
+		s.walks += pt.walked
+	}
+	// One worker's chunk is the arena; several chunks are joined.
+	s.pathChan = parts[0].chunk
+	if int64(len(s.pathChan)) < s.pathOff[f] {
+		s.pathChan = make([]graph.ChannelID, s.pathOff[f])
+		for _, pt := range parts {
+			copy(s.pathChan[s.pathOff[pt.lo]:], pt.chunk)
 		}
-	})
+	}
 	return nil
+}
+
+func (s *sim) path(fi int32) []graph.ChannelID {
+	return s.pathChan[s.pathOff[fi]:s.pathOff[fi+1]]
 }
 
 func (s *sim) initState() {
@@ -274,6 +357,7 @@ func (s *sim) initState() {
 	s.rate = make([]float64, f)
 	s.finishAt = make([]float64, f)
 	s.finished = make([]float64, f)
+	s.state = make([]uint8, f)
 	for i := range s.finished {
 		s.finished[i] = -1
 		s.finishAt[i] = inf
@@ -287,9 +371,11 @@ func (s *sim) initState() {
 			s.order = append(s.order, int32(i))
 		}
 	}
-	sort.SliceStable(s.order, func(a, b int) bool {
-		return s.flows[s.order[a]].Start < s.flows[s.order[b]].Start
+	slices.SortStableFunc(s.order, func(a, b int32) int {
+		return cmp.Compare(s.flows[a].Start, s.flows[b].Start)
 	})
+	s.active = make([]int32, 0, len(s.order))
+	s.linkLive = make([]int32, l)
 	s.linkN = make([]int32, l)
 	s.linkR = make([]float64, l)
 	s.cntW = make([][]int32, s.w)
@@ -299,11 +385,7 @@ func (s *sim) initState() {
 		s.bktPos[w] = make([]int64, l)
 	}
 	s.bktOff = make([]int64, l+1)
-	s.bucket = make([]int32, 0)
-	s.frozenAt = make([]int64, f)
-	for i := range s.frozenAt {
-		s.frozenAt[i] = -1
-	}
+	s.mins = make([]float64, s.w)
 }
 
 // shard runs fn over contiguous ranges of [0, n). Range boundaries
@@ -335,45 +417,51 @@ func (s *sim) shard(n int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
+// admit activates the flows that start by upTo.
+func (s *sim) admit(upTo float64) {
+	for s.next < len(s.order) && float64(s.flows[s.order[s.next]].Start) <= upTo {
+		fi := s.order[s.next]
+		s.rem[fi] = float64(s.flows[fi].Bytes)
+		s.rate[fi] = 0
+		s.finishAt[fi] = inf
+		s.state[fi] = flowUnfrozen
+		for _, c := range s.path(fi) {
+			s.linkLive[c]++
+		}
+		s.active = append(s.active, fi)
+		s.next++
+		s.events++
+	}
+}
+
 // loop is the event loop: admit arrivals, recompute max-min rates, and
 // advance to the next window boundary (or exact event time when
 // Quantum is 0), finishing flows as their fluid transfers complete.
 func (s *sim) loop() (timedOut bool) {
 	t := 0.0
-	ai := 0
-	admit := func(upTo float64) {
-		for ai < len(s.order) && float64(s.flows[s.order[ai]].Start) <= upTo {
-			fi := s.order[ai]
-			s.rem[fi] = float64(s.flows[fi].Bytes)
-			s.rate[fi] = 0
-			s.finishAt[fi] = inf
-			s.active = append(s.active, fi)
-			ai++
-			s.events++
-		}
-	}
-	admit(0)
+	s.layout()
+	s.admit(0)
 	if len(s.active) > 0 {
 		s.recompute(t)
 	}
 	for {
 		if len(s.active) == 0 {
-			if ai >= len(s.order) {
+			if s.next >= len(s.order) {
 				return false
 			}
-			t = float64(s.flows[s.order[ai]].Start)
+			t = float64(s.flows[s.order[s.next]].Start)
 			if s.cfg.MaxTicks > 0 && t > s.cfg.MaxTicks {
 				return true
 			}
-			admit(t)
+			s.admit(t)
 			s.recompute(t)
 			continue
 		}
 		boundary := t + float64(s.cfg.Quantum)
 		nf := s.minFinish()
 		na := inf
-		if ai < len(s.order) {
-			na = float64(s.flows[s.order[ai]].Start)
+		if s.next < len(s.order) {
+			na = float64(s.flows[s.order[s.next]].Start)
 		}
 		first := nf
 		if na < first {
@@ -396,13 +484,17 @@ func (s *sim) loop() (timedOut bool) {
 			if s.finishAt[fi] <= boundary {
 				s.finished[fi] = s.finishAt[fi]
 				s.rem[fi] = 0
+				s.state[fi] = flowIdle
+				for _, c := range s.path(fi) {
+					s.linkLive[c]--
+				}
 				s.events++
 			} else {
 				kept = append(kept, fi)
 			}
 		}
 		s.active = kept
-		admit(boundary)
+		s.admit(boundary)
 		t = boundary
 		if len(s.active) > 0 {
 			s.recompute(t)
@@ -413,27 +505,19 @@ func (s *sim) loop() (timedOut bool) {
 // minFinish returns the earliest finish time over active flows (a
 // sharded float-min reduction; exact for any partition).
 func (s *sim) minFinish() float64 {
-	n := len(s.active)
-	mins := make([]float64, s.w)
-	for i := range mins {
-		mins[i] = inf
+	for i := range s.mins {
+		s.mins[i] = inf
 	}
-	s.shard(n, func(wk, lo, hi int) {
+	s.shard(len(s.active), func(wk, lo, hi int) {
 		m := inf
-		for i := lo; i < hi; i++ {
-			if f := s.finishAt[s.active[i]]; f < m {
+		for _, fi := range s.active[lo:hi] {
+			if f := s.finishAt[fi]; f < m {
 				m = f
 			}
 		}
-		mins[wk] = m
+		s.mins[wk] = m
 	})
-	m := inf
-	for _, v := range mins {
-		if v < m {
-			m = v
-		}
-	}
-	return m
+	return slices.Min(s.mins)
 }
 
 // settleAt materializes remaining bytes at the cut time for a timed-out
@@ -454,29 +538,76 @@ func (s *sim) settleAt(t float64) {
 	}
 }
 
-// recompute runs the progressive-filling max-min allocation at time t:
-// materialize remaining bytes, aggregate per-link demand (sharded),
-// group flows by link (sharded fill into a deterministic layout), then
-// freeze bottleneck links in ascending fair-share order via a lazy
-// min-heap. The freeze loop is single-threaded in a fixed order, so
-// every floating-point subtraction happens identically for any worker
-// count.
-func (s *sim) recompute(t float64) {
-	s.recomputes++
-	s.epoch++
-	if len(s.active) > s.maxActive {
-		s.maxActive = len(s.active)
-	}
-	n := len(s.active)
-	// Pass 1 (sharded): materialize rem under the outgoing rates and
-	// count per-link unfrozen flows into per-worker arrays.
+// unfinished counts the flows that are active or still to be admitted.
+func (s *sim) unfinished() int { return len(s.active) + len(s.order) - s.next }
+
+// layout drops the finished flows from order and groups the rest by
+// channel: a sharded count, then a sharded fill at offsets under which
+// every bucket lists its flows in admission order for every worker
+// count — worker ranges are contiguous and ascending, and each worker's
+// cursor starts after the preceding workers' counts. The flows still to
+// be admitted are laid out too, so that an arrival changes no bucket.
+func (s *sim) layout() {
+	s.layouts++
+	// The unfinished flows of order[:next] are active, in order's order.
+	n := copy(s.order, s.active)
+	n += copy(s.order[n:], s.order[s.next:])
+	s.order, s.next = s.order[:n], len(s.active)
 	for w := 0; w < s.w; w++ {
 		clear(s.cntW[w])
 	}
 	s.shard(n, func(wk, lo, hi int) {
 		cnt := s.cntW[wk]
-		for i := lo; i < hi; i++ {
-			fi := s.active[i]
+		for _, fi := range s.order[lo:hi] {
+			for _, c := range s.path(fi) {
+				cnt[c]++
+			}
+		}
+	})
+	total := int64(0)
+	for c := range s.linkLive {
+		s.bktOff[c] = total
+		for w := 0; w < s.w; w++ {
+			s.bktPos[w][c] = total
+			total += int64(s.cntW[w][c])
+		}
+	}
+	s.bktOff[len(s.linkLive)] = total
+	// Layouts only shrink, so the first allocation serves them all.
+	if int64(cap(s.bucket)) < total {
+		s.bucket = make([]int32, total)
+	}
+	s.bucket = s.bucket[:total]
+	s.shard(n, func(wk, lo, hi int) {
+		pos := s.bktPos[wk]
+		for _, fi := range s.order[lo:hi] {
+			for _, c := range s.path(fi) {
+				s.bucket[pos[c]] = fi
+				pos[c]++
+			}
+		}
+	})
+}
+
+// recompute runs the progressive-filling max-min allocation at time t:
+// materialize remaining bytes and mark every active flow unfrozen
+// (sharded), start the per-link counts from linkLive, then freeze
+// bottleneck links in ascending fair-share order via a lazy min-heap.
+// The freeze loop is single-threaded in a fixed order, so every
+// floating-point subtraction happens identically for any worker count.
+func (s *sim) recompute(t float64) {
+	s.recomputes++
+	if len(s.active) > s.maxActive {
+		s.maxActive = len(s.active)
+	}
+	// Dead bucket entries cost the freeze loop a load each: lay the
+	// buckets out afresh once fewer than half their flows are left,
+	// which a run does at most 1 + log2(flows) times.
+	if 2*s.unfinished() < len(s.order) {
+		s.layout()
+	}
+	s.shard(len(s.active), func(_, lo, hi int) {
+		for _, fi := range s.active[lo:hi] {
 			if s.rate[fi] > 0 {
 				rem := (s.finishAt[fi] - t) * s.rate[fi]
 				if rem < 0 {
@@ -484,49 +615,16 @@ func (s *sim) recompute(t float64) {
 				}
 				s.rem[fi] = rem
 			}
-			for _, c := range s.pathChan[s.pathOff[fi]:s.pathOff[fi+1]] {
-				cnt[c]++
-			}
-		}
-	})
-	// Merge counts; lay out bucket offsets: bucket order is active-list
-	// order within each link for every worker count, because worker
-	// ranges are contiguous and ascending and each worker's cursor
-	// starts after the preceding workers' counts.
-	links := s.net.NumChannels()
-	total := int64(0)
-	for c := 0; c < links; c++ {
-		s.bktOff[c] = total
-		sum := int32(0)
-		for w := 0; w < s.w; w++ {
-			s.bktPos[w][c] = total + int64(sum)
-			sum += s.cntW[w][c]
-		}
-		s.linkN[c] = sum
-		total += int64(sum)
-	}
-	s.bktOff[links] = total
-	if int64(cap(s.bucket)) < total {
-		s.bucket = make([]int32, total)
-	}
-	s.bucket = s.bucket[:total]
-	// Pass 2 (sharded): fill the buckets.
-	s.shard(n, func(wk, lo, hi int) {
-		pos := s.bktPos[wk]
-		for i := lo; i < hi; i++ {
-			fi := s.active[i]
-			for _, c := range s.pathChan[s.pathOff[fi]:s.pathOff[fi+1]] {
-				s.bucket[pos[c]] = fi
-				pos[c]++
-			}
+			s.state[fi] = flowUnfrozen
 		}
 	})
 	// Progressive filling (single-threaded, deterministic order).
+	copy(s.linkN, s.linkLive)
 	s.heap = s.heap[:0]
-	for c := 0; c < links; c++ {
-		if s.linkN[c] > 0 {
+	for c, n := range s.linkN {
+		if n > 0 {
 			s.linkR[c] = s.cfg.Capacity
-			s.heapPush(heapEnt{share: s.cfg.Capacity / float64(s.linkN[c]), link: int32(c)})
+			s.heapPush(heapEnt{share: s.cfg.Capacity / float64(n), link: int32(c)})
 		}
 	}
 	for len(s.heap) > 0 {
@@ -550,20 +648,20 @@ func (s *sim) recompute(t float64) {
 		// c is the bottleneck: freeze its unfrozen flows at the fair
 		// share, releasing their demand along their paths.
 		for _, fi := range s.bucket[s.bktOff[c]:s.bktOff[c+1]] {
-			if s.frozenAt[fi] == s.epoch {
+			if s.state[fi] != flowUnfrozen {
 				continue
 			}
-			s.frozenAt[fi] = s.epoch
+			s.state[fi] = flowFrozen
 			s.rate[fi] = share
 			s.finishAt[fi] = t + s.rem[fi]/share
-			for _, m := range s.pathChan[s.pathOff[fi]:s.pathOff[fi+1]] {
+			for _, m := range s.path(fi) {
 				s.linkR[m] -= share
 				s.linkN[m]--
 			}
 		}
 	}
 	if tm := s.cfg.Telemetry; tm != nil {
-		tm.FlowsActive.SetMax(int64(n))
+		tm.FlowsActive.SetMax(int64(len(s.active)))
 	}
 }
 
@@ -628,15 +726,29 @@ func (s *sim) buildResult(timedOut bool) Result {
 	r.LinkBytes = make([]float64, links)
 	r.LinkUtil = make([]float64, links)
 
-	maxTenant := 0
+	// Finished flows per tenant, so that each tenant's completion times
+	// are one slice of one exact allocation.
+	nfin := make([]int, 1)
+	total := 0
 	for i := range s.flows {
-		if tn := int(s.flows[i].Tenant); tn > maxTenant {
-			maxTenant = tn
+		tn := int(s.flows[i].Tenant)
+		for tn >= len(nfin) {
+			nfin = append(nfin, 0)
+		}
+		if s.finished[i] >= 0 {
+			nfin[tn]++
+			total++
 		}
 	}
-	stats := make([]TenantStats, maxTenant+1)
-	fcts := make([][]float64, maxTenant+1)
-	delivered := make([]float64, len(s.flows))
+	stats := make([]TenantStats, len(nfin))
+	fcts := make([][]float64, len(nfin))
+	all := make([]float64, total)
+	for tn, n := range nfin {
+		fcts[tn], all = all[:0:n], all[n:]
+	}
+	// A flow moves every delivered byte across every channel of its
+	// path, so per-link byte totals are exact regardless of the rate
+	// trajectory.
 	for i := range s.flows {
 		tn := int(s.flows[i].Tenant)
 		st := &stats[tn]
@@ -661,23 +773,17 @@ func (s *sim) buildResult(timedOut bool) Result {
 				d = 0
 			}
 		}
-		delivered[i] = d
 		st.DeliveredBytes += int64(d)
 		r.DeliveredBytes += int64(d)
+		if d == 0 {
+			continue
+		}
+		for _, c := range s.path(int32(i)) {
+			r.LinkBytes[c] += d
+		}
 	}
 	if timedOut && s.cfg.MaxTicks > 0 {
 		r.Makespan = s.cfg.MaxTicks
-	}
-	// A flow moves every delivered byte across every channel of its
-	// path, so per-link byte totals are exact regardless of the rate
-	// trajectory.
-	for i := range s.flows {
-		if delivered[i] == 0 {
-			continue
-		}
-		for _, c := range s.pathChan[s.pathOff[i]:s.pathOff[i+1]] {
-			r.LinkBytes[c] += delivered[i]
-		}
 	}
 	if r.Makespan > 0 {
 		r.AggThroughput = float64(r.DeliveredBytes) / r.Makespan

@@ -316,3 +316,44 @@ func TestMaxTicksCut(t *testing.T) {
 		t.Fatal("NaN in timed-out result")
 	}
 }
+
+// TestBadFlowFlagged: a flow that is not a transfer on the network — an
+// endpoint that is not one of its nodes, a negative size — is a typed
+// FlowError naming the first such flow for every worker count, in a
+// batch small enough to run on the caller's goroutine and in one large
+// enough to be sharded. It used to be an index-out-of-range panic, on a
+// worker goroutine for the large batch.
+func TestBadFlowFlagged(t *testing.T) {
+	net, res, good := parkingLot(t)
+	far := graph.NodeID(net.NumNodes())
+	for _, c := range []struct {
+		name string
+		bad  workload.Flow
+	}{
+		{"src past the last node", workload.Flow{Src: 9999, Dst: 0, Bytes: 10}},
+		{"dst is the node count", workload.Flow{Src: good[0].Src, Dst: far, Bytes: 10}},
+		{"negative src", workload.Flow{Src: -1, Dst: good[0].Dst, Bytes: 10}},
+		{"negative size", workload.Flow{Src: good[0].Src, Dst: good[0].Dst, Bytes: -4096}},
+	} {
+		for _, n := range []int{len(good), 6000} {
+			flows := make([]workload.Flow, n)
+			for i := range flows {
+				flows[i] = good[i%len(good)]
+			}
+			// Two offenders, in different workers' ranges of the large
+			// batch: the lower index is the one reported.
+			at := n / 3
+			flows[at], flows[n-1] = c.bad, c.bad
+			for _, w := range []int{1, 8} {
+				_, err := Run(net, res, flows, Config{Workers: w})
+				var fe *FlowError
+				if !errors.As(err, &fe) {
+					t.Fatalf("%s, %d flows, workers=%d: got %v, want *FlowError", c.name, n, w, err)
+				}
+				if fe.FlowIndex != at || fe.Flow != c.bad {
+					t.Fatalf("%s, %d flows, workers=%d: flagged flow %d %+v, want flow %d", c.name, n, w, fe.FlowIndex, fe.Flow, at)
+				}
+			}
+		}
+	}
+}
