@@ -62,9 +62,9 @@ type config struct {
 
 func main() {
 	cfg := config{out: os.Stdout}
-	flag.StringVar(&cfg.topo, "topo", "torus", "topology: torus, mesh, dragonfly, random, ring")
+	flag.StringVar(&cfg.topo, "topo", "torus", "topology: "+strings.Join(topology.Names(), ", "))
 	flag.StringVar(&cfg.dims, "dims", "4x4x4", "torus/mesh dimensions")
-	flag.IntVar(&cfg.terminals, "t", 1, "terminals per switch (torus/mesh/ring)")
+	flag.IntVar(&cfg.terminals, "t", 1, "terminals per switch")
 	flag.IntVar(&cfg.events, "events", 20, "number of random churn events")
 	flag.Float64Var(&cfg.pJoin, "pjoin", 0.3, "probability a random event restores a failed link")
 	flag.IntVar(&cfg.swEvery, "switch-every", 0, "draw a switch event every n events (0 = links only)")
@@ -101,6 +101,9 @@ type controller interface {
 // run is one nuefm invocation: build the controller, drive the churn
 // loop through it, print one line per event and the summary.
 func run(cfg config) error {
+	if cfg.shards < 1 || cfg.replicas < 1 {
+		return fmt.Errorf("-shards and -replicas must be at least 1, have %d and %d", cfg.shards, cfg.replicas)
+	}
 	var reg *telemetry.Registry
 	if cfg.telemAddr != "" {
 		reg = telemetry.New()
@@ -111,7 +114,7 @@ func run(cfg config) error {
 		fmt.Fprintf(cfg.out, "# telemetry: http://%s/metrics (Prometheus), /telemetry.json, /debug/pprof/\n", addr)
 	}
 
-	tp, err := makeTopology(cfg.topo, cfg.dims, cfg.terminals, cfg.seed)
+	tp, err := topology.ByName(cfg.topo, topology.Params{Dims: cfg.dims, Terminals: &cfg.terminals, Seed: cfg.seed})
 	if err != nil {
 		return err
 	}
@@ -294,7 +297,7 @@ func serveReplicas(cfg config, reg *telemetry.Registry) ([]*distrib.Source, erro
 	}
 	var sources []*distrib.Source
 	var addrs []string
-	for r := 0; r < max(1, cfg.replicas); r++ {
+	for r := 0; r < cfg.replicas; r++ {
 		p := port
 		if p != 0 {
 			p += r
@@ -371,28 +374,6 @@ func serveTelemetry(addr string, reg *telemetry.Registry) (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-func makeTopology(name, dims string, t int, seed int64) (*topology.Topology, error) {
-	var dx, dy, dz int
-	if name == "torus" || name == "mesh" {
-		if _, err := fmt.Sscanf(dims, "%dx%dx%d", &dx, &dy, &dz); err != nil {
-			return nil, fmt.Errorf("bad -dims %q (want e.g. 4x4x4): %v", dims, err)
-		}
-	}
-	switch name {
-	case "torus":
-		return topology.Torus3D(dx, dy, dz, t, 1), nil
-	case "mesh":
-		return topology.Mesh3D(dx, dy, dz, t, 1), nil
-	case "dragonfly":
-		return topology.Dragonfly(4, 2, 2, 9), nil
-	case "random":
-		return topology.RandomTopology(rand.New(rand.NewSource(seed)), 30, 90, 2), nil
-	case "ring":
-		return topology.Ring(8, t), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", name)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 // TestRunSmoke drives the whole binary short of flag parsing and
@@ -61,5 +63,37 @@ func TestRunSmoke(t *testing.T) {
 				t.Errorf("control-plane lines with plane=%v:\n%s", plane, got)
 			}
 		})
+	}
+}
+
+// TestRunRefusesBadFlags: run's error is what main prints, alone on
+// stderr, before exit status 1. A topology name or size the roster refuses
+// is the roster's error — the same text nueroute, topogen and nueload
+// print — and a control plane of no shards or no replicas is refused
+// before anything is routed.
+func TestRunRefusesBadFlags(t *testing.T) {
+	rosterErr := func(name string, p topology.Params) string {
+		_, err := topology.ByName(name, p)
+		if err == nil {
+			t.Fatalf("ByName(%q, %+v) succeeds", name, p)
+		}
+		return err.Error()
+	}
+	minus := -1
+	for _, c := range []struct {
+		cfg  config
+		want string
+	}{
+		{config{topo: "tree", shards: 1, replicas: 1}, rosterErr("tree", topology.Params{})},
+		{config{topo: "torus", dims: "4x4x4x4", shards: 1, replicas: 1}, rosterErr("torus", topology.Params{Dims: "4x4x4x4"})},
+		{config{topo: "ring", terminals: -1, shards: 1, replicas: 1}, rosterErr("ring", topology.Params{Terminals: &minus})},
+		{config{topo: "dragonfly", shards: 0, replicas: 3}, "-shards and -replicas must be at least 1, have 0 and 3"},
+		{config{topo: "dragonfly", shards: 4, replicas: -1}, "-shards and -replicas must be at least 1, have 4 and -1"},
+	} {
+		var out bytes.Buffer
+		c.cfg.out = &out
+		if err := run(c.cfg); err == nil || err.Error() != c.want || out.Len() != 0 {
+			t.Errorf("run(%+v) = %v, printed %q; want error %q and no output", c.cfg, err, &out, c.want)
+		}
 	}
 }

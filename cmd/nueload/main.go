@@ -25,9 +25,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/engines"
@@ -40,10 +40,10 @@ import (
 
 func main() {
 	var (
-		topo      = flag.String("topo", "torus", "topology: torus, mesh, dragonfly, random, ring, tree")
+		topo      = flag.String("topo", "torus", "topology: "+strings.Join(topology.Names(), ", "))
 		dims      = flag.String("dims", "4x4x4", "torus/mesh dimensions")
 		terminals = flag.Int("terminals", 2, "terminals per switch")
-		engine    = flag.String("engine", "nue", "routing engine (see nuebench: nue, updn, lash, dfsssp, torus2qos, dor, ...)")
+		engine    = flag.String("engine", "nue", "routing engine: "+strings.Join(engines.Names(), ", "))
 		vcs       = flag.Int("vcs", 4, "virtual channel budget")
 		seed      = flag.Int64("seed", 1, "seed for topology, routing and workload generation")
 		workers   = flag.Int("workers", 0, "routing + flowsim goroutines, 0 = GOMAXPROCS (results identical for every value)")
@@ -78,7 +78,7 @@ func main() {
 		w = f
 	}
 
-	tp, err := makeTopology(*topo, *dims, *terminals, *seed)
+	tp, err := topology.ByName(*topo, topology.Params{Dims: *dims, Terminals: terminals, Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
@@ -184,31 +184,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
-}
-
-func makeTopology(name, dims string, t int, seed int64) (*topology.Topology, error) {
-	var dx, dy, dz int
-	if name == "torus" || name == "mesh" {
-		if _, err := fmt.Sscanf(dims, "%dx%dx%d", &dx, &dy, &dz); err != nil {
-			return nil, fmt.Errorf("bad -dims %q (want e.g. 4x4x4): %v", dims, err)
-		}
-	}
-	switch name {
-	case "torus":
-		return topology.Torus3D(dx, dy, dz, t, 1), nil
-	case "mesh":
-		return topology.Mesh3D(dx, dy, dz, t, 1), nil
-	case "dragonfly":
-		return topology.Dragonfly(4, 2, 2, 9), nil
-	case "random":
-		return topology.RandomTopology(rand.New(rand.NewSource(seed)), 30, 90, t), nil
-	case "ring":
-		return topology.Ring(8, t), nil
-	case "tree":
-		return topology.KAryNTree(4, 2, t), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
-	}
 }
 
 func makeMix(pattern string, skew float64, fanin, offset int, bytes int64) (workload.Mix, error) {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 // TestMain lets the tests run this binary as nueload itself: what they
@@ -50,5 +52,29 @@ func TestReplayMismatchedTrace(t *testing.T) {
 	if !strings.HasPrefix(stderr, "flowsim: flow ") || !strings.Contains(stderr, "outside the network's 8 nodes") ||
 		strings.Count(stderr, "\n") != 1 {
 		t.Fatalf("stderr is not the one-line flow error:\n%s", stderr)
+	}
+}
+
+// TestTopologyErrors: a name the topology roster does not have ("tree" was
+// nueload's own name for the fat tree) or a -dims it cannot read is exit
+// status 1 and the roster's one-line error, the same text nueroute,
+// topogen and nuefm print.
+func TestTopologyErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		name string
+		p    topology.Params
+	}{
+		{[]string{"-topo", "tree"}, "tree", topology.Params{}},
+		{[]string{"-topo", "mesh", "-dims", "4x4x4x4"}, "mesh", topology.Params{Dims: "4x4x4x4"}},
+		{[]string{"-topo", "torus", "-dims", "4x0x4"}, "torus", topology.Params{Dims: "4x0x4"}},
+	} {
+		_, want := topology.ByName(c.name, c.p)
+		stdout, stderr, err := nueload(t, c.args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout != "" || want == nil || stderr != want.Error()+"\n" {
+			t.Errorf("nueload %s: err %v, stdout %q, stderr %q, want exit status 1 and %v",
+				strings.Join(c.args, " "), err, stdout, stderr, want)
+		}
 	}
 }

@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -32,12 +31,12 @@ import (
 func main() {
 	var (
 		topo      = flag.String("topo", "", "topology file (from topogen)")
-		gen       = flag.String("gen", "", "generate instead: torus, mesh, random, fattree, kautz, dragonfly, cascade, tsubame, ring, fullmesh, dfgroup")
-		dims      = flag.String("dims", "4x4x3", "torus dimensions for -gen torus")
-		switches  = flag.Int("switches", 32, "switch count for -gen random/ring")
+		gen       = flag.String("gen", "", "generate instead: "+strings.Join(topology.Names(), ", "))
+		dims      = flag.String("dims", "4x4x3", "torus/mesh dimensions for -gen")
+		switches  = flag.Int("switches", 32, "switch count for -gen random/ring/fullmesh/dfgroup")
 		links     = flag.Int("links", 96, "link count for -gen random")
 		terminals = flag.Int("terminals", 2, "terminals per switch for -gen")
-		algo      = flag.String("algo", "nue", "routing engine: nue, updn, lash, dfsssp, ftree, torus2qos, dor, angara, fullmesh, exists, minhop, sssp")
+		algo      = flag.String("algo", "nue", "routing engine: "+strings.Join(engines.Names(), ", "))
 		vcs       = flag.Int("vcs", 4, "virtual channel budget")
 		seed      = flag.Int64("seed", 1, "random seed")
 		tables    = flag.Bool("tables", false, "dump the forwarding tables")
@@ -45,7 +44,9 @@ func main() {
 	)
 	flag.Parse()
 
-	tp, err := load(*topo, *gen, *dims, *switches, *links, *terminals, *seed)
+	tp, err := load(*topo, *gen, topology.Params{
+		Dims: *dims, Switches: switches, Links: links, Terminals: terminals, Seed: *seed,
+	})
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -87,7 +88,7 @@ func main() {
 	}
 }
 
-func load(topoFile, gen, dims string, switches, links, terminals int, seed int64) (*topology.Topology, error) {
+func load(topoFile, gen string, p topology.Params) (*topology.Topology, error) {
 	switch {
 	case topoFile != "" && gen != "":
 		return nil, fmt.Errorf("use either -topo or -gen, not both")
@@ -99,38 +100,7 @@ func load(topoFile, gen, dims string, switches, links, terminals int, seed int64
 		defer f.Close()
 		return topology.Read(f)
 	case gen != "":
-		rng := rand.New(rand.NewSource(seed))
-		switch gen {
-		case "torus", "mesh":
-			var dx, dy, dz int
-			if _, err := fmt.Sscanf(strings.ToLower(dims), "%dx%dx%d", &dx, &dy, &dz); err != nil {
-				return nil, fmt.Errorf("bad -dims %q: %v", dims, err)
-			}
-			if gen == "mesh" {
-				return topology.Mesh3D(dx, dy, dz, terminals, 1), nil
-			}
-			return topology.Torus3D(dx, dy, dz, terminals, 1), nil
-		case "random":
-			return topology.RandomTopology(rng, switches, links, terminals), nil
-		case "fattree":
-			return topology.KAryNTree(4, 3, terminals), nil
-		case "kautz":
-			return topology.Kautz(3, 2, terminals, 1), nil
-		case "dragonfly":
-			return topology.Dragonfly(12, 6, 6, 15), nil
-		case "cascade":
-			return topology.Cascade2Group(), nil
-		case "tsubame":
-			return topology.TsubameLike(), nil
-		case "ring":
-			return topology.Ring(switches, terminals), nil
-		case "fullmesh":
-			return topology.FullMesh(switches, terminals), nil
-		case "dfgroup":
-			return topology.DragonflyGroup(switches, terminals), nil
-		default:
-			return nil, fmt.Errorf("unknown generator %q", gen)
-		}
+		return topology.ByName(gen, p)
 	default:
 		return nil, fmt.Errorf("need -topo FILE or -gen TYPE")
 	}

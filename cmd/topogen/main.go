@@ -7,7 +7,10 @@
 //	topogen -type torus -dims 4x4x3 -terminals 4 -out torus.topo
 //	topogen -type random -switches 125 -links 1000 -terminals 8 -seed 7
 //	topogen -type fattree -k 10 -levels 3 -terminals 11
-//	topogen -type kautz|dragonfly|cascade|tsubame
+//	topogen -type kautz|dragonfly|dragonfly180|cascade|tsubame
+//
+// -type takes every name of the topology roster (internal/topology); -k
+// and -levels default to the family's own (4-ary 3-tree, Kautz(3,2)).
 //
 // Fault injection: -faillinks 0.01 removes 1% of switch-switch links,
 // -failswitch N disconnects switch N.
@@ -34,14 +37,14 @@ import (
 func main() {
 	var (
 		all       = flag.Bool("all", false, "print the Table 1 statistics for all evaluation topologies")
-		typ       = flag.String("type", "torus", "topology type: torus, random, fattree, kautz, dragonfly, cascade, tsubame, ring")
-		dims      = flag.String("dims", "4x4x3", "torus dimensions")
-		switches  = flag.Int("switches", 125, "random: switch count; ring: ring length")
+		typ       = flag.String("type", "torus", "topology type: "+strings.Join(topology.Names(), ", "))
+		dims      = flag.String("dims", "4x4x3", "torus/mesh dimensions")
+		switches  = flag.Int("switches", 125, "random/fullmesh/dfgroup: switch count; ring: ring length")
 		links     = flag.Int("links", 1000, "random: switch-switch links")
 		terminals = flag.Int("terminals", 4, "terminals per switch (or per leaf for fat trees)")
-		k         = flag.Int("k", 10, "fattree arity / kautz base / dragonfly a")
-		levels    = flag.Int("levels", 3, "fattree levels / kautz word length")
-		redund    = flag.Int("redundancy", 1, "parallel links per connection (torus, kautz)")
+		k         = flag.Int("k", 0, "fattree arity / kautz base (default: the family's)")
+		levels    = flag.Int("levels", 0, "fattree levels / kautz word length (default: the family's)")
+		redund    = flag.Int("redundancy", 1, "parallel links per connection (torus, mesh, kautz)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		failLinks = flag.Float64("faillinks", 0, "fraction of switch-switch links to fail")
 		failSw    = flag.Int("failswitch", -1, "switch ID to disconnect")
@@ -56,49 +59,46 @@ func main() {
 		return
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	var tp *topology.Topology
-	switch *typ {
-	case "torus", "mesh":
-		var dx, dy, dz int
-		if _, err := fmt.Sscanf(strings.ToLower(*dims), "%dx%dx%d", &dx, &dy, &dz); err != nil {
-			fatal("bad -dims %q: %v", *dims, err)
+	p := topology.Params{
+		Dims: *dims, Switches: switches, Links: links, Terminals: terminals, Redundancy: redund, Seed: *seed,
+	}
+	// -k and -levels size two families differently, so neither has a
+	// default of its own: a size is set only when its flag was given.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "k":
+			p.K = k
+		case "levels":
+			p.Levels = levels
 		}
-		if *typ == "mesh" {
-			tp = topology.Mesh3D(dx, dy, dz, *terminals, *redund)
-		} else {
-			tp = topology.Torus3D(dx, dy, dz, *terminals, *redund)
-		}
-	case "random":
-		tp = topology.RandomTopology(rng, *switches, *links, *terminals)
-	case "fattree":
-		tp = topology.KAryNTree(*k, *levels, *terminals)
-	case "kautz":
-		tp = topology.Kautz(*k, *levels, *terminals, *redund)
-	case "dragonfly":
-		tp = topology.Dragonfly(12, 6, 6, 15)
-	case "cascade":
-		tp = topology.Cascade2Group()
-	case "tsubame":
-		tp = topology.TsubameLike()
-	case "ring":
-		tp = topology.Ring(*switches, *terminals)
-	default:
-		fatal("unknown topology type %q", *typ)
+	})
+	tp, err := topology.ByName(*typ, p)
+	if err != nil {
+		fatal("%v", err)
 	}
 
-	if *failSw >= 0 {
+	if *failSw != -1 {
+		if *failSw < 0 || *failSw >= tp.Net.NumNodes() || !tp.Net.IsSwitch(graph.NodeID(*failSw)) {
+			fatal("-failswitch %d names no switch of %s", *failSw, tp.Name)
+		}
 		tp = topology.FailSwitch(tp, graph.NodeID(*failSw))
+	}
+	if *failLinks < 0 || *failLinks >= 1 {
+		fatal("-faillinks %g is not a fraction in [0,1)", *failLinks)
 	}
 	if *failLinks > 0 {
 		var n int
-		tp, n = topology.InjectLinkFailures(tp, rng, *failLinks)
+		tp, n = topology.InjectLinkFailures(tp, rand.New(rand.NewSource(*seed)), *failLinks)
 		fmt.Fprintf(os.Stderr, "failed %d links\n", n)
 	}
 	if *groups > 0 {
 		// Memberships are drawn after fault injection so they only cover
 		// still-connected terminals.
-		for _, g := range mcast.SeededGroups(*seed, tp.Net, *groups, *groupSize) {
+		gs := mcast.SeededGroups(*seed, tp.Net, *groups, *groupSize)
+		if len(gs) == 0 || len(gs[0].Members) < *groupSize {
+			fatal("-group-size %d is more than the connected terminals of %s", *groupSize, tp.Name)
+		}
+		for _, g := range gs {
 			tp.Groups = append(tp.Groups, g.Members)
 		}
 	}

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro"
 )
@@ -31,15 +32,14 @@ func main() {
 	}
 
 	algos := []string{"torus2qos", "updn", "lash", "dfsssp", "nue"}
-	fmt.Printf("%-28s", "stage")
+	row := fmt.Sprintf("%-28s", "stage")
 	for _, a := range algos {
-		fmt.Printf("%-12s", a)
+		row += fmt.Sprintf("%-12s", a)
 	}
-	fmt.Println()
+	fmt.Println(strings.TrimRight(row, " "))
 
 	for i, tp := range stages {
-		name := fmt.Sprintf("stage %d (%s)", i, tp.Name)
-		fmt.Printf("%-28s", name)
+		row := fmt.Sprintf("%-28s", fmt.Sprintf("stage %d (%s)", i, tp.Name))
 		dests := connectedTerminals(tp)
 		for _, a := range algos {
 			res, err := repro.Route(a, tp, dests, vcBudget)
@@ -54,9 +54,9 @@ func main() {
 					status = fmt.Sprintf("ok(%dvc)", res.VCs)
 				}
 			}
-			fmt.Printf("%-12s", status)
+			row += fmt.Sprintf("%-12s", status)
 		}
-		fmt.Println()
+		fmt.Println(strings.TrimRight(row, " "))
 	}
 	fmt.Println("\nNue's applicability never degrades: deadlock freedom is enforced during")
 	fmt.Println("path computation, not repaired afterwards, so the VC budget always suffices.")

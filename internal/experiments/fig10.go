@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"io"
-	"math/rand"
 
 	"repro/internal/engines"
 	"repro/internal/sim"
@@ -21,8 +20,6 @@ type Fig10Config struct {
 	MaxVCs int
 	// NueVCs lists the Nue VC counts (paper: 1..8).
 	NueVCs []int
-	// Topologies filters by name; nil means all seven of Table 1.
-	Topologies []string
 	// Seed drives the random topology and Nue partitioning.
 	Seed int64
 	// Workers bounds Nue's routing goroutines (0 = GOMAXPROCS); the
@@ -41,33 +38,11 @@ func DefaultFig10Config() Fig10Config {
 	}
 }
 
-// Table1Topologies builds the seven evaluation topologies with the
-// configurations of Table 1.
-func Table1Topologies(seed int64) []*topology.Topology {
-	rng := rand.New(rand.NewSource(seed))
-	return []*topology.Topology{
-		topology.RandomTopology(rng, 125, 1000, 8),
-		topology.Torus3D(6, 5, 5, 7, 4),
-		topology.KAryNTree(10, 3, 11),
-		topology.Kautz(5, 3, 7, 2),
-		topology.Dragonfly(12, 6, 6, 15),
-		topology.Cascade2Group(),
-		topology.TsubameLike(),
-	}
-}
-
 // Fig10 reproduces the throughput comparison on the seven Table 1
 // topologies: all applicable OpenSM baselines plus Nue for each VC count.
 func Fig10(cfg Fig10Config) []ThroughputRow {
-	want := map[string]bool{}
-	for _, name := range cfg.Topologies {
-		want[name] = true
-	}
 	var rows []ThroughputRow
-	for _, tp := range Table1Topologies(cfg.Seed) {
-		if len(want) > 0 && !want[tp.Name] {
-			continue
-		}
+	for _, tp := range topology.Table1(cfg.Seed) {
 		for _, eng := range engines.Baselines(tp) {
 			rows = append(rows, routeAndSimulate(tp, eng, cfg.MaxVCs, cfg.Phases, cfg.Sim))
 		}

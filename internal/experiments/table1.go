@@ -10,7 +10,7 @@ import (
 
 // Table1 computes the topology-configuration table of the paper.
 func Table1(seed int64) []topology.Stats {
-	tps := Table1Topologies(seed)
+	tps := topology.Table1(seed)
 	out := make([]topology.Stats, 0, len(tps))
 	for _, tp := range tps {
 		out = append(out, topology.Describe(tp))

@@ -27,13 +27,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engines"
-	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/routing/verify"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -42,10 +40,8 @@ type (
 	// Network is an interconnection network (switches + terminals
 	// connected by duplex channels).
 	Network = graph.Network
-	// NodeID identifies a node; ChannelID a directed channel.
+	// NodeID identifies a node.
 	NodeID = graph.NodeID
-	// ChannelID identifies one directed half of a duplex link.
-	ChannelID = graph.ChannelID
 	// Builder constructs custom networks.
 	Builder = graph.Builder
 	// Topology bundles a network with generator metadata.
@@ -85,9 +81,9 @@ func RouteNue(net *Network, dests []NodeID, maxVCs int) (*RoutingResult, error) 
 	return core.New(core.DefaultOptions()).Route(net, dests, maxVCs)
 }
 
-// Route routes with a named engine: nue, updn, lash, dfsssp, ftree,
-// torus2qos, dor, minhop or sssp. Topology-aware engines require the
-// metadata carried by generated topologies.
+// Route routes with a named engine of the engine roster (`nueroute -h`
+// prints every name). Topology-aware engines require the metadata
+// carried by generated topologies.
 func Route(algo string, tp *Topology, dests []NodeID, maxVCs int) (*RoutingResult, error) {
 	eng, err := engines.ByName(algo, tp, 1, 0)
 	if err != nil {
@@ -133,55 +129,6 @@ func AllToAllShift(terminals []NodeID, phases int) []sim.Message {
 func EdgeForwardingIndex(net *Network, res *RoutingResult) GammaStats {
 	return metrics.EdgeForwardingIndex(net, res, nil)
 }
-
-// Online fabric management (fail-in-place operation under live churn).
-
-type (
-	// FabricManager owns a mutable network view and repairs its
-	// deadlock-free routing incrementally as links and switches fail or
-	// join. Queries are lock-free against epoch-versioned snapshots.
-	FabricManager = fabric.Manager
-	// FabricOptions configures a FabricManager.
-	FabricOptions = fabric.Options
-	// FabricEvent is one topology-churn event.
-	FabricEvent = fabric.Event
-	// FabricSnapshot is one immutable (network, routing) epoch.
-	FabricSnapshot = fabric.Snapshot
-	// FabricEventReport describes what one applied event changed.
-	FabricEventReport = fabric.EventReport
-)
-
-// Churn event kinds accepted by FabricManager.Apply.
-const (
-	LinkFail   = fabric.LinkFail
-	LinkJoin   = fabric.LinkJoin
-	SwitchFail = fabric.SwitchFail
-	SwitchJoin = fabric.SwitchJoin
-)
-
-// NewFabricManager routes the topology and starts managing it online.
-func NewFabricManager(tp *Topology, opts FabricOptions) (*FabricManager, error) {
-	return fabric.NewManager(tp, opts)
-}
-
-// Runtime telemetry (see DESIGN.md §10). A Telemetry registry is handed to
-// the engine, fabric manager and simulator via their options; all hooks
-// are nil-safe, so the zero-cost default is simply not creating one.
-
-type (
-	// Telemetry is a metrics registry: atomic counters, gauges,
-	// histograms and a bounded structured event ring, exposable as a
-	// Prometheus text page or a JSON snapshot.
-	Telemetry = telemetry.Registry
-	// TelemetrySnapshot is a point-in-time export of a registry.
-	TelemetrySnapshot = telemetry.Snapshot
-)
-
-// NewTelemetry returns an empty telemetry registry. Wire it up with
-// NueOptions.Telemetry = t.Engine(), FabricOptions.Telemetry =
-// t.Fabric() (plus EngineTelemetry = t.Engine()) and SimConfig.Telemetry
-// = t.Sim(); read it with t.Snapshot() or t.WritePrometheus(w).
-func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // Topology generators (Table 1 and the worked examples).
 
