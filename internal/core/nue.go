@@ -236,8 +236,10 @@ func (s *Stats) report(tm *telemetry.EngineMetrics) {
 	tm.EdgeUses.Add(int64(s.EdgeUses))
 }
 
-// routeLayer runs lines 3-11 of Algorithm 2 for one virtual layer.
-// bwWorkers is the betweenness worker budget for the escape-root search.
+// routeLayer routes one virtual layer of a cold Route: escape root, a
+// check that its spanning tree reaches every destination, and one
+// algorithm2 pass with the escape paths marked and nothing kept.
+// bwWorkers is the betweenness worker budget for the root search.
 func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []uint8, layerCDG []uint64,
 	layer uint8, part []graph.NodeID, isSource []bool, stats *Stats, rng *rand.Rand, bwWorkers int) error {
 
@@ -261,22 +263,81 @@ func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []u
 		if tree.Dist[d] < 0 {
 			return fmt.Errorf("destination %d unreachable from root %d (network disconnected)", d, root)
 		}
+		destLayer[table.DestIndex(d)] = layer
 	}
-	d := cdg.NewComplete(net)
-	defer d.Release()
-	d.Naive = n.opts.NaiveCycleSearch
-	ep := d.MarkEscapePaths(tree, part)
-	stats.EscapeDeps += ep.Deps
-
-	ls := newLayerState(net, d, tree, n.opts, isSource, stats)
-	defer ls.release()
 	if tm != nil {
 		phaseStart = time.Now()
 	}
-	for _, dest := range part {
-		destLayer[table.DestIndex(dest)] = layer
+	// With the escape paths marked and nothing kept the pass cannot be
+	// refused: every impasse has the tree to fall back to.
+	_, _, err := n.algorithm2(net, table, tree, part, nil, true, isSource, stats, &layerCDG[layer])
+	if tm != nil {
+		dijNanos := time.Since(phaseStart).Nanoseconds()
+		tm.DijkstraNanos.Add(dijNanos)
+		tm.LayerDijkstraNanos.Observe(dijNanos)
+		tm.Events.Emit("engine_layer", map[string]int64{
+			"layer":            int64(layer),
+			"dests":            int64(len(part)),
+			"dijkstra_runs":    int64(stats.DijkstraRuns),
+			"escape_fallbacks": int64(stats.EscapeFallbacks),
+			"betweenness_ns":   bwNanos,
+			"dijkstra_ns":      dijNanos,
+		})
+	}
+	return err
+}
+
+// algorithm2 is the one implementation of Algorithm 2, lines 3-11: a cold
+// layer of Route and every rung of RepairLayer run it, so it is the place
+// for a print when probing the engine. In a fresh complete CDG of net it
+// marks the escape paths of tree toward route (line 4; only with escape),
+// seeds the dependencies of the kept destinations' columns of table, and
+// routes every destination of route in order with Algorithm 1, writing
+// its column and updating the channel weights (lines 5-11).
+//
+// ok is false, with a nil error, when the pass cannot complete as asked:
+// without escape, at the first impasse only the (unmarked) tree could
+// solve; with escape, when a kept column's dependencies close a cycle
+// with the escape paths. The columns of route are then partly written.
+// Counters are added to stats; digest, when non-nil, receives the
+// StateDigest of the final CDG.
+func (n *Nue) algorithm2(net *graph.Network, table *routing.Table, tree *graph.Tree, route, kept []graph.NodeID,
+	escape bool, isSource []bool, stats *Stats, digest *uint64) (seeded cdg.SeedStats, ok bool, err error) {
+
+	d := cdg.NewComplete(net)
+	defer d.Release()
+	d.Naive = n.opts.NaiveCycleSearch
+	if escape {
+		stats.EscapeDeps += d.MarkEscapePaths(tree, route).Deps
+	}
+	for _, k := range kept {
+		if net.Degree(k) == 0 {
+			continue
+		}
+		st, serr := d.SeedRoute(k, func(v graph.NodeID) graph.ChannelID {
+			return table.Next(v, k)
+		})
+		seeded.Channels += st.Channels
+		seeded.Deps += st.Deps
+		if serr != nil {
+			if escape {
+				return seeded, false, nil // conflicts with the escape orientation
+			}
+			// On a fresh CDG the kept routes of one layer cannot conflict
+			// with each other; a refusal means the caller passed columns
+			// that traverse failed channels or are discontinuous.
+			return seeded, false, fmt.Errorf("kept routes unseedable: %w", serr)
+		}
+	}
+
+	ls := newLayerState(net, d, tree, n.opts, isSource, stats)
+	defer ls.release()
+	for _, dest := range route {
 		parent, fellBack := ls.routeDest(dest)
 		if fellBack {
+			if !escape {
+				return seeded, false, nil // needs the escape paths
+			}
 			ls.fillTableFromTree(table, dest)
 			ls.updateWeightsEscape(dest)
 			continue
@@ -295,25 +356,14 @@ func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []u
 	stats.CycleSearches += d.CycleSearches
 	stats.BlockedEdges += d.EdgesBlocked
 	stats.EdgeUses += d.EdgeUses
-	if tm != nil {
-		dijNanos := time.Since(phaseStart).Nanoseconds()
-		tm.DijkstraNanos.Add(dijNanos)
-		tm.LayerDijkstraNanos.Observe(dijNanos)
-		tm.Events.Emit("engine_layer", map[string]int64{
-			"layer":            int64(layer),
-			"dests":            int64(len(part)),
-			"dijkstra_runs":    int64(stats.DijkstraRuns),
-			"escape_fallbacks": int64(stats.EscapeFallbacks),
-			"betweenness_ns":   bwNanos,
-			"dijkstra_ns":      dijNanos,
-		})
-	}
 	if !d.UsedAcyclic() {
 		// Cannot happen if the CDG machinery is correct; guard anyway.
-		return errors.New("internal error: used CDG became cyclic")
+		return seeded, false, errors.New("internal error: used CDG became cyclic")
 	}
-	layerCDG[layer] = d.StateDigest()
-	return nil
+	if digest != nil {
+		*digest = d.StateDigest()
+	}
+	return seeded, true, nil
 }
 
 // pickRoot chooses the escape-path root for a layer.

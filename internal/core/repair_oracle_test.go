@@ -74,21 +74,12 @@ func partitionByUse(net *graph.Network, table *routing.Table, destLayer []uint8)
 	return repair, kept, broken
 }
 
-// repairAll runs RepairLayer for every affected layer, widening to the
-// whole layer on ErrRepairInfeasible exactly like the fabric manager.
+// repairAll runs RepairLayer for every affected layer.
 func repairAll(t *testing.T, eng *Nue, net *graph.Network, table *routing.Table, repair, kept map[uint8][]graph.NodeID) {
 	t.Helper()
 	for l, rep := range repair {
-		_, err := eng.RepairLayer(RepairRequest{Net: net, Table: table, Repair: rep, Kept: kept[l]})
-		if err == nil {
-			continue
-		}
-		if _, werr := eng.RepairLayer(RepairRequest{
-			Net:    net,
-			Table:  table,
-			Repair: append(append([]graph.NodeID(nil), rep...), kept[l]...),
-		}); werr != nil {
-			t.Fatalf("layer %d: repair failed (%v) and widened repair failed too: %v", l, err, werr)
+		if _, err := eng.RepairLayer(RepairRequest{Net: net, Table: table, Repair: rep, Kept: kept[l]}); err != nil {
+			t.Fatalf("layer %d: repair failed: %v", l, err)
 		}
 	}
 }

@@ -12,8 +12,9 @@
 // new configuration stays acyclic throughout the transition (the
 // compatibility condition of UPR, Crespo et al., arXiv:2006.02332). When
 // the seeded dependencies make a repair infeasible (the existence bound
-// of Mendlovic & Matias, arXiv:2503.04583), the manager widens the repair
-// to the layer, and as a last resort to the whole fabric.
+// of Mendlovic & Matias, arXiv:2503.04583), core.RepairLayer widens the
+// repair to the layer, and the manager, as a last resort, to the whole
+// fabric.
 //
 // Readers never block on reconfigurations: forwarding state is published
 // as epoch-versioned immutable snapshots behind an atomic pointer, so

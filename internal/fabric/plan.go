@@ -147,18 +147,17 @@ func (r *runner) invalidateRoots(newNet *graph.Network, changed []graph.ChannelI
 // jobOutcome collects one layer job's result for report aggregation and
 // root-cache write-back.
 type jobOutcome struct {
-	stats   *core.RepairStats
-	rebuilt bool
-	err     error
+	stats *core.RepairStats
+	err   error
 }
 
 // runJob executes one planned layer job against table (bound to newNet):
-// the incremental repair, widened to the whole layer when infeasible. The
-// cached escape root of the layer, if still valid, is passed as a hint.
-// Safe to call concurrently for distinct jobs of one plan (the root cache
-// is only read here; write-back happens in retable after the barrier).
+// one core.RepairLayer call, which widens to the whole layer by itself
+// when the incremental repair is infeasible. The cached escape root of
+// the layer, if still valid, is passed as a hint. Safe to call
+// concurrently for distinct jobs of one plan (the root cache is only read
+// here; write-back happens in retable after the barrier).
 func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job LayerJob) jobOutcome {
-	var out jobOutcome
 	req := core.RepairRequest{
 		Net:    newNet,
 		Table:  table,
@@ -168,17 +167,8 @@ func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job LayerJo
 	if er, ok := r.roots[job.Layer]; ok {
 		req.RootHint, req.HasRootHint = er.root, true
 	}
-	out.stats, out.err = r.nue.RepairLayer(req)
-	if errors.Is(out.err, core.ErrRepairInfeasible) {
-		// The kept routes conflict with the repair's escape paths: widen
-		// to the whole layer, which always succeeds.
-		out.rebuilt = true
-		all := append(append([]graph.NodeID(nil), job.Repair...), job.Kept...)
-		wide := req
-		wide.Repair, wide.Kept = all, nil
-		out.stats, out.err = r.nue.RepairLayer(wide)
-	}
-	return out
+	stats, err := r.nue.RepairLayer(req)
+	return jobOutcome{stats, err}
 }
 
 // retable computes the post-event routing for newNet: the incremental
@@ -237,7 +227,8 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 		if out.stats.RootReused {
 			report.RootsReused++
 		}
-		if out.rebuilt {
+		if out.stats.Rung >= 3 {
+			// Rungs 3 and 4 re-routed the kept destinations as well.
 			report.LayerRebuilds++
 			repairedList = append(repairedList, j.Kept...)
 		}

@@ -64,7 +64,7 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 	if e.Meta.Wrap && maxVCs < 2 {
 		return nil, errors.New("angara: tori need 2 virtual channels for dateline deadlock freedom")
 	}
-	p := &planner{net: net, meta: e.Meta, dimOf: channelDims(net, e.Meta)}
+	p := &planner{net: net, meta: e.Meta, dimOf: e.Meta.ChannelDims(net)}
 	table := routing.NewTable(net, dests)
 	pairLayer := make([][]uint8, net.NumNodes())
 	for i := range pairLayer {
@@ -140,28 +140,6 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 		}
 	}
 	return res, nil
-}
-
-// channelDims precomputes the grid dimension of every channel (-1 for
-// terminal links).
-func channelDims(net *graph.Network, meta *topology.TorusMeta) []int8 {
-	dims := make([]int8, net.NumChannels())
-	for c := 0; c < net.NumChannels(); c++ {
-		dims[c] = -1
-		ch := net.Channel(graph.ChannelID(c))
-		fa, okF := meta.Coord[ch.From]
-		fb, okT := meta.Coord[ch.To]
-		if !okF || !okT {
-			continue
-		}
-		for d := 0; d < 3; d++ {
-			if fa[d] != fb[d] {
-				dims[c] = int8(d)
-				break
-			}
-		}
-	}
-	return dims
 }
 
 // planner computes direction-ordered paths with first/last-step bypass.
@@ -305,7 +283,7 @@ func (p *planner) walkPlan(src, dst [3]int, signs [3]int) ([]graph.ChannelID, ui
 			if src[dim] == dst[dim] || signs[dim] != want {
 				continue
 			}
-			seg, crossed, ok := p.walk(cur, dst[dim], dim, want)
+			seg, crossed, ok := p.meta.Walk(p.net, cur, dst[dim], dim, want)
 			if !ok {
 				return nil, 0, false
 			}
@@ -317,30 +295,6 @@ func (p *planner) walkPlan(src, dst [3]int, signs [3]int) ([]graph.ChannelID, ui
 		}
 	}
 	return path, sl, true
-}
-
-// walk attempts one ring segment, failing on dead switches or missing
-// links. crossed reports a dateline (wrap through 0) traversal.
-func (p *planner) walk(cur [3]int, target, dim, dir int) (seg []graph.ChannelID, crossed, ok bool) {
-	for guard := 0; cur[dim] != target; guard++ {
-		if guard > p.meta.Dims[dim] {
-			return nil, false, false
-		}
-		next := p.step(cur, dim, dir)
-		if next == cur || !p.alive(next) {
-			return nil, false, false
-		}
-		c := p.link(cur, next)
-		if c == graph.NoChannel {
-			return nil, false, false
-		}
-		seg = append(seg, c)
-		if (dir == 1 && next[dim] == 0) || (dir == -1 && cur[dim] == 0) {
-			crossed = true
-		}
-		cur = next
-	}
-	return seg, crossed, true
 }
 
 // crossBit returns the dateline service-level bit a single bypass hop
@@ -358,29 +312,4 @@ func (p *planner) crossBit(c graph.ChannelID) uint8 {
 		return 1 << uint(d)
 	}
 	return 0
-}
-
-// alive reports whether the switch at coordinate c can forward traffic.
-func (p *planner) alive(c [3]int) bool {
-	s := p.meta.SwitchAt[c[0]][c[1]][c[2]]
-	return p.net.Degree(s) > 0
-}
-
-// link returns a live channel between adjacent coordinates, or NoChannel.
-func (p *planner) link(a, b [3]int) graph.ChannelID {
-	sa := p.meta.SwitchAt[a[0]][a[1]][a[2]]
-	sb := p.meta.SwitchAt[b[0]][b[1]][b[2]]
-	return p.net.FindChannel(sa, sb)
-}
-
-// step returns the coordinate one hop from c along dim in direction dir.
-// On meshes, stepping over the boundary stays in place.
-func (p *planner) step(c [3]int, dim, dir int) [3]int {
-	size := p.meta.Dims[dim]
-	next := c[dim] + dir
-	if !p.meta.Wrap && (next < 0 || next >= size) {
-		return c
-	}
-	c[dim] = ((next % size) + size) % size
-	return c
 }

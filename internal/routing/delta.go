@@ -326,12 +326,21 @@ func DecodeDelta(data []byte) (rows, cols int, entries []DeltaEntry, err error) 
 	if r > 1<<24 || c > 1<<24 || count > total {
 		return fail("implausible shape or count")
 	}
+	// The declared shape bounds count only by 2^48 and the CRC is no
+	// secret; every entry takes at least two bytes, so the payload's own
+	// length is the bound that makes the allocation below safe.
+	if count > uint64(len(body))/2 {
+		return fail("more entries declared than the payload holds")
+	}
 	pos := int64(-1)
 	entries = make([]DeltaEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		gap, ok := next()
 		if !ok {
 			return fail("truncated entry position")
+		}
+		if gap >= total {
+			return fail("entry position outside table")
 		}
 		if pos < 0 {
 			pos = int64(gap)

@@ -1,8 +1,11 @@
 package routing
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -258,6 +261,46 @@ func TestDeltaCodecDetectsCorruption(t *testing.T) {
 		if _, _, _, err := DecodeDelta(buf[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
+	}
+}
+
+// sealDelta frames a hand-written delta body the way EncodeDelta does:
+// magic in front, CRC behind. The CRC is no secret, so a hostile sender
+// can do the same.
+func sealDelta(header ...uint64) []byte {
+	buf := append([]byte(nil), deltaMagic[:]...)
+	for _, v := range header {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// TestDecodeDeltaBoundsCountByPayload: a 22-byte payload that declares a
+// 2^24 x 2^24 table and 2^40 entries passes the shape check, and the
+// decoder used to size its result from the declared count — terabytes,
+// a fatal out-of-memory in the agent, which decodes before it checks
+// anything else. The payload's own length bounds what is allocated.
+func TestDecodeDeltaBoundsCountByPayload(t *testing.T) {
+	payload := sealDelta(1<<24, 1<<24, 1<<40)
+	if len(payload) != 22 {
+		t.Fatalf("payload is %d bytes, want 22", len(payload))
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, _, _, err := DecodeDelta(payload); !errors.Is(err, ErrDeltaCorrupt) {
+			t.Fatalf("DecodeDelta = %v, want ErrDeltaCorrupt", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 16*uint64(len(payload)) {
+		t.Errorf("rejecting a %d-byte payload allocated %d bytes", len(payload), perRun)
+	}
+	// A position gap past the table (or past int64) is refused before it
+	// is added up, not turned into a negative row.
+	if _, _, got, err := DecodeDelta(sealDelta(4, 4, 1, 1<<63+5, 1)); !errors.Is(err, ErrDeltaCorrupt) {
+		t.Errorf("overflowing position decoded to %+v, err %v", got, err)
 	}
 }
 

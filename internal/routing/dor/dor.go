@@ -137,7 +137,7 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 		// lane and must not advertise layers it does not occupy.
 		res.PairLayer = pairLayer
 		res.VCs = 2
-		dimOf := channelDims(net, e.Meta)
+		dimOf := e.Meta.ChannelDims(net)
 		res.SLToVL = func(sl uint8, c graph.ChannelID) uint8 {
 			if d := dimOf[c]; d >= 0 {
 				return (sl >> uint(d)) & 1
@@ -156,28 +156,6 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 		res.VCs = 1
 	}
 	return res, nil
-}
-
-// channelDims precomputes the torus dimension of every channel (-1 for
-// terminal links).
-func channelDims(net *graph.Network, meta *topology.TorusMeta) []int8 {
-	dims := make([]int8, net.NumChannels())
-	for c := 0; c < net.NumChannels(); c++ {
-		dims[c] = -1
-		ch := net.Channel(graph.ChannelID(c))
-		fa, okF := meta.Coord[ch.From]
-		fb, okT := meta.Coord[ch.To]
-		if !okF || !okT {
-			continue
-		}
-		for d := 0; d < 3; d++ {
-			if fa[d] != fb[d] {
-				dims[c] = int8(d)
-				break
-			}
-		}
-	}
-	return dims
 }
 
 // planner computes dimension-order paths with fault bypass.
@@ -214,10 +192,10 @@ func (p *planner) checkRing(dim, o1, o2, a, b int) error {
 		c[o1], c[o2] = a, b
 		return c
 	}
-	deadAt := func(i int) bool { return !p.alive(at(i)) }
+	deadAt := func(i int) bool { return !p.meta.Alive(p.net, at(i)) }
 	var broken []int // positions i with unit edge (i, i+1) unusable
 	for i := 0; i < size; i++ {
-		if deadAt(i) || deadAt(i+1) || p.link(at(i), at(i+1)) == graph.NoChannel {
+		if deadAt(i) || deadAt(i+1) || p.meta.Link(p.net, at(i), at(i+1)) == graph.NoChannel {
 			broken = append(broken, i)
 		}
 	}
@@ -233,32 +211,6 @@ func (p *planner) checkRing(dim, o1, o2, a, b int) error {
 		}
 	}
 	return fmt.Errorf("second failure in torus ring dim=%d at (%d,%d): positions %v", dim, a, b, broken)
-}
-
-// alive reports whether the switch at coordinate c can forward traffic.
-func (p *planner) alive(c [3]int) bool {
-	s := p.meta.SwitchAt[c[0]][c[1]][c[2]]
-	return p.net.Degree(s) > 0
-}
-
-// link returns a live channel between adjacent coordinates, or NoChannel.
-func (p *planner) link(a, b [3]int) graph.ChannelID {
-	sa := p.meta.SwitchAt[a[0]][a[1]][a[2]]
-	sb := p.meta.SwitchAt[b[0]][b[1]][b[2]]
-	return p.net.FindChannel(sa, sb)
-}
-
-// step returns the coordinate one hop from c along dim in direction dir.
-// On meshes, stepping over the boundary stays in place (callers detect
-// the lack of progress via the missing link / same coordinate).
-func (p *planner) step(c [3]int, dim, dir int) [3]int {
-	size := p.meta.Dims[dim]
-	next := c[dim] + dir
-	if !p.meta.Wrap && (next < 0 || next >= size) {
-		return c
-	}
-	c[dim] = ((next % size) + size) % size
-	return c
 }
 
 // maxDetours bounds recursive fault bypasses per path.
@@ -305,7 +257,7 @@ func (p *planner) ringSegment(cur [3]int, target, dim int) (seg []graph.ChannelI
 		if target < cur[dim] {
 			dir = -1
 		}
-		return p.walk(cur, target, dim, dir)
+		return p.meta.Walk(p.net, cur, target, dim, dir)
 	}
 	size := p.meta.Dims[dim]
 	fwd := ((target-cur[dim])%size + size) % size // hops in + direction
@@ -315,35 +267,11 @@ func (p *planner) ringSegment(cur [3]int, target, dim int) (seg []graph.ChannelI
 		dirs = []int{-1, 1}
 	}
 	for _, dir := range dirs {
-		if seg, crossed, ok := p.walk(cur, target, dim, dir); ok {
+		if seg, crossed, ok := p.meta.Walk(p.net, cur, target, dim, dir); ok {
 			return seg, crossed, true
 		}
 	}
 	return nil, false, false
-}
-
-// walk attempts the segment in one direction, failing on dead switches or
-// missing links.
-func (p *planner) walk(cur [3]int, target, dim, dir int) (seg []graph.ChannelID, crossed, ok bool) {
-	for guard := 0; cur[dim] != target; guard++ {
-		if guard > p.meta.Dims[dim] {
-			return nil, false, false
-		}
-		next := p.step(cur, dim, dir)
-		if !p.alive(next) {
-			return nil, false, false
-		}
-		c := p.link(cur, next)
-		if c == graph.NoChannel {
-			return nil, false, false
-		}
-		seg = append(seg, c)
-		if (dir == 1 && next[dim] == 0) || (dir == -1 && cur[dim] == 0) {
-			crossed = true // wrapped through the dateline between size-1 and 0
-		}
-		cur = next
-	}
-	return seg, crossed, true
 }
 
 // detour side-steps one hop in a later dimension before re-planning.
@@ -353,11 +281,11 @@ func (p *planner) detour(cur, dst [3]int, dim, depth int) ([]graph.ChannelID, ui
 			continue
 		}
 		for _, dir := range []int{1, -1} {
-			next := p.step(cur, d2, dir)
-			if next == cur || !p.alive(next) {
+			next := p.meta.Step(cur, d2, dir)
+			if next == cur || !p.meta.Alive(p.net, next) {
 				continue
 			}
-			c := p.link(cur, next)
+			c := p.meta.Link(p.net, cur, next)
 			if c == graph.NoChannel {
 				continue
 			}

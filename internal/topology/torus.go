@@ -96,3 +96,76 @@ func grid3D(dx, dy, dz, t, r int, wrap bool) *Topology {
 		Torus: meta,
 	}
 }
+
+// ChannelDims returns the grid dimension of every channel of net (-1 for
+// terminal links).
+func (m *TorusMeta) ChannelDims(net *graph.Network) []int8 {
+	dims := make([]int8, net.NumChannels())
+	for c := 0; c < net.NumChannels(); c++ {
+		dims[c] = -1
+		ch := net.Channel(graph.ChannelID(c))
+		fa, okF := m.Coord[ch.From]
+		fb, okT := m.Coord[ch.To]
+		if !okF || !okT {
+			continue
+		}
+		for d := 0; d < 3; d++ {
+			if fa[d] != fb[d] {
+				dims[c] = int8(d)
+				break
+			}
+		}
+	}
+	return dims
+}
+
+// Alive reports whether the switch at coordinate c can forward traffic
+// on net.
+func (m *TorusMeta) Alive(net *graph.Network, c [3]int) bool {
+	return net.Degree(m.SwitchAt[c[0]][c[1]][c[2]]) > 0
+}
+
+// Link returns a live channel of net between adjacent coordinates, or
+// NoChannel.
+func (m *TorusMeta) Link(net *graph.Network, a, b [3]int) graph.ChannelID {
+	return net.FindChannel(m.SwitchAt[a[0]][a[1]][a[2]], m.SwitchAt[b[0]][b[1]][b[2]])
+}
+
+// Step returns the coordinate one hop from c along dim in direction dir.
+// On meshes, stepping over the boundary stays in place.
+func (m *TorusMeta) Step(c [3]int, dim, dir int) [3]int {
+	size := m.Dims[dim]
+	next := c[dim] + dir
+	if !m.Wrap && (next < 0 || next >= size) {
+		return c
+	}
+	c[dim] = ((next % size) + size) % size
+	return c
+}
+
+// Walk attempts the ring segment from cur to coordinate target along dim
+// in direction dir on net, failing on a dead switch, a missing link or a
+// mesh boundary (an early exit only: Step then stays in place, and no
+// switch has a channel to itself for Link to find). crossed reports a
+// dateline traversal (a wrap between size-1 and 0).
+func (m *TorusMeta) Walk(net *graph.Network, cur [3]int, target, dim, dir int) (seg []graph.ChannelID, crossed, ok bool) {
+	for guard := 0; cur[dim] != target; guard++ {
+		if guard > m.Dims[dim] {
+			return nil, false, false
+		}
+		next := m.Step(cur, dim, dir)
+		if next == cur || !m.Alive(net, next) {
+			return nil, false, false
+		}
+		c := m.Link(net, cur, next)
+		if c == graph.NoChannel {
+			return nil, false, false
+		}
+		seg = append(seg, c)
+		if (dir == 1 && next[dim] == 0) || (dir == -1 && cur[dim] == 0) {
+			crossed = true
+		}
+		cur = next
+	}
+	return seg, crossed, true
+}
