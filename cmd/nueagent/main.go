@@ -76,12 +76,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("# nueagent %s: connecting to %s (%s)\n", *id, strings.Join(addrs, ", "), describe(owned))
-	var dialErr error
-	if len(addrs) > 1 {
-		dialErr = a.DialMulti(ctx, addrs, *reconnect)
-	} else {
-		dialErr = a.DialLoop(ctx, addrs[0], *reconnect)
-	}
+	dialErr := a.DialMulti(ctx, addrs, *reconnect)
 	if dialErr != nil && ctx.Err() == nil {
 		fmt.Fprintf(os.Stderr, "nueagent: %v\n", dialErr)
 		os.Exit(1)

@@ -46,7 +46,7 @@ func main() {
 		engine    = flag.String("engine", "nue", "routing engine: "+strings.Join(engines.Names(), ", "))
 		vcs       = flag.Int("vcs", 4, "virtual channel budget")
 		seed      = flag.Int64("seed", 1, "seed for topology, routing and workload generation")
-		workers   = flag.Int("workers", 0, "routing + flowsim goroutines, 0 = GOMAXPROCS (results identical for every value)")
+		workers   = flag.Int("workers", 0, "routing engine workers, 0 = GOMAXPROCS (results identical for every value)")
 
 		pattern = flag.String("pattern", "uniform", "workload: uniform, hotspot, incast, permutation, shift, mix")
 		skew    = flag.Float64("skew", 1.2, "hotspot: Zipf exponent")
@@ -154,7 +154,6 @@ func main() {
 
 	simStart := time.Now()
 	r, err := flowsim.Run(tp.Net, res, flows, flowsim.Config{
-		Workers:     *workers,
 		Quantum:     *quantum,
 		MaxTicks:    *maxTicks,
 		TenantNames: tenantNames,

@@ -27,9 +27,6 @@ type Options struct {
 	// Switches lists the forwarding rows this agent owns; nil subscribes
 	// to every switch in the fabric.
 	Switches []graph.NodeID
-	// MaxFrame bounds accepted frame payloads (default
-	// distrib.DefaultMaxFrame).
-	MaxFrame int
 	// Logf, when non-nil, receives one line per notable protocol event.
 	Logf func(format string, args ...any)
 }
@@ -45,8 +42,7 @@ type Stats struct {
 	// Drains counts installs that went through the drained (forwarding
 	// paused) path.
 	Drains int
-	// Failovers counts switches to a different publisher address
-	// (DialMulti only).
+	// Failovers counts switches to a different publisher address.
 	Failovers int
 }
 
@@ -83,9 +79,6 @@ type Agent struct {
 
 // New creates an agent.
 func New(opts Options) *Agent {
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = distrib.DefaultMaxFrame
-	}
 	return &Agent{opts: opts}
 }
 
@@ -147,6 +140,13 @@ func (a *Agent) NextHop(sw graph.NodeID, col int) graph.ChannelID {
 // the context is done. The agent's installed state survives across
 // connections, so a reconnect resumes with deltas.
 func (a *Agent) Serve(ctx context.Context, conn net.Conn) error {
+	_, err := a.serve(ctx, conn)
+	return err
+}
+
+// serve is Serve; heard reports whether the source got as far as one
+// valid frame.
+func (a *Agent) serve(ctx context.Context, conn net.Conn) (heard bool, err error) {
 	defer conn.Close()
 	if ctx != nil {
 		done := make(chan struct{})
@@ -166,11 +166,11 @@ func (a *Agent) Serve(ctx context.Context, conn net.Conn) error {
 	a.draining = false
 	a.mu.Unlock()
 	if _, err := distrib.WriteFrame(conn, distrib.Frame{Type: distrib.MsgHello, Payload: distrib.AppendHello(nil, hello)}); err != nil {
-		return err
+		return false, err
 	}
 
 	for {
-		f, err := distrib.ReadFrame(conn, a.opts.MaxFrame)
+		f, err := distrib.ReadFrame(conn, distrib.DefaultMaxFrame)
 		if err != nil {
 			if errors.Is(err, distrib.ErrFrameCorrupt) {
 				// The frame is lost but the stream survives: drop any
@@ -184,10 +184,11 @@ func (a *Agent) Serve(ctx context.Context, conn net.Conn) error {
 				a.nak(conn, f.Epoch, "corrupt frame")
 				continue
 			}
-			return err
+			return heard, err
 		}
+		heard = true
 		if err := a.handle(conn, f); err != nil {
-			return err
+			return heard, err
 		}
 	}
 }
@@ -419,8 +420,10 @@ func (a *Agent) commit(conn net.Conn, epoch uint64) {
 // new connection the agent Hello's its last acked epoch and the new
 // publisher re-syncs it by CRC (a delta when it can serve one, a full
 // checksummed snapshot otherwise), so a mid-epoch publisher crash never
-// leaves a torn table. Rotation is immediate; only a full unreachable
-// sweep of all addresses sleeps for backoff. Returns when ctx is done.
+// leaves a torn table. Rotation is immediate after a publisher that
+// sent something; a full sweep of addrs in which none did — refused
+// dials, or connections dropped before their first frame — sleeps for
+// backoff. Returns when ctx is done.
 func (a *Agent) DialMulti(ctx context.Context, addrs []string, backoff time.Duration) error {
 	if len(addrs) == 0 {
 		return errors.New("agent: no publisher addresses")
@@ -428,12 +431,12 @@ func (a *Agent) DialMulti(ctx context.Context, addrs []string, backoff time.Dura
 	if backoff <= 0 {
 		backoff = time.Second
 	}
-	cur, last, fails := 0, -1, 0
+	cur, last, silent := 0, -1, 0
 	for {
 		idx := cur % len(addrs)
+		heard := false
 		conn, err := net.Dial("tcp", addrs[idx])
 		if err == nil {
-			fails = 0
 			if last >= 0 && last != idx {
 				a.mu.Lock()
 				a.stats.Failovers++
@@ -441,46 +444,22 @@ func (a *Agent) DialMulti(ctx context.Context, addrs []string, backoff time.Dura
 				a.logf("agent %s: failed over to publisher %s", a.opts.ID, addrs[idx])
 			}
 			last = idx
-			err = a.Serve(ctx, conn)
-		} else {
-			fails++
+			heard, err = a.serve(ctx, conn)
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		cur++
 		a.logf("agent %s: publisher %s lost (%v), trying %s", a.opts.ID, addrs[idx], err, addrs[cur%len(addrs)])
-		if fails >= len(addrs) {
-			fails = 0
+		if heard {
+			silent = 0
+		} else if silent++; silent >= len(addrs) {
+			silent = 0
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-time.After(backoff):
 			}
-		}
-	}
-}
-
-// DialLoop connects to addr and serves the protocol, reconnecting with
-// the given backoff until the context is done. Installed state persists
-// across reconnects.
-func (a *Agent) DialLoop(ctx context.Context, addr string, backoff time.Duration) error {
-	if backoff <= 0 {
-		backoff = time.Second
-	}
-	for {
-		conn, err := net.Dial("tcp", addr)
-		if err == nil {
-			err = a.Serve(ctx, conn)
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		a.logf("agent %s: connection lost (%v), retrying in %v", a.opts.ID, err, backoff)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
 		}
 	}
 }

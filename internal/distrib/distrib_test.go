@@ -182,7 +182,7 @@ func TestLoopbackFleetTCPChurn(t *testing.T) {
 	agents := make([]*agent.Agent, fleet)
 	for i := range agents {
 		agents[i] = agent.New(agent.Options{ID: fmt.Sprintf("a%02d", i)})
-		go agents[i].DialLoop(ctx, ln.Addr().String(), 50*time.Millisecond)
+		go agents[i].DialMulti(ctx, []string{ln.Addr().String()}, 50*time.Millisecond)
 	}
 	if !src.WaitConverged(0, 60*time.Second) {
 		t.Fatal("fleet did not converge on the initial epoch")

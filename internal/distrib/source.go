@@ -29,8 +29,6 @@ type Options struct {
 	// Backoff is the base delay between retries, scaled linearly by the
 	// attempt number (default 50ms).
 	Backoff time.Duration
-	// MaxFrame bounds accepted frame payloads (default DefaultMaxFrame).
-	MaxFrame int
 	// Certify, when non-nil, certifies the union of the outgoing and the
 	// incoming epoch before the round commits; an error selects the
 	// drained install path. Nil also selects the drained path (no
@@ -57,9 +55,6 @@ func (o *Options) defaults() {
 	}
 	if o.Backoff <= 0 {
 		o.Backoff = 50 * time.Millisecond
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.Telemetry == nil {
 		// The zero bundle's nil handles are no-ops, so recording sites
@@ -224,7 +219,7 @@ func (s *Source) PrimeCommitted(e Epoch) {
 // or the source closes.
 func (s *Source) AddConn(conn net.Conn) error {
 	conn.SetReadDeadline(time.Now().Add(s.opts.AckTimeout))
-	f, err := ReadFrame(conn, s.opts.MaxFrame)
+	f, err := ReadFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("distrib: reading hello: %w", err)
@@ -288,7 +283,7 @@ func (s *Source) Serve(ln net.Listener) error {
 func (s *Source) readAgent(a *agentConn) {
 	defer s.wg.Done()
 	for {
-		f, err := ReadFrame(a.conn, s.opts.MaxFrame)
+		f, err := ReadFrame(a.conn, DefaultMaxFrame)
 		if err != nil {
 			if errors.Is(err, ErrFrameCorrupt) {
 				continue // reject the frame, keep the stream

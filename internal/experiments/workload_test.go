@@ -46,7 +46,8 @@ func TestWorkloadSmallScale(t *testing.T) {
 }
 
 // TestWorkloadDeterministic: the experiment is a pure function of its
-// config — same seed, same rows, regardless of the worker count.
+// config — same seed, same rows, regardless of the routing engine's
+// worker count.
 func TestWorkloadDeterministic(t *testing.T) {
 	cfg := DefaultWorkloadConfig()
 	cfg.Flows = 300

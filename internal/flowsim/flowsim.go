@@ -23,23 +23,19 @@
 // its link's flows in active-list order, whatever has finished or
 // arrived since the layout.
 //
-// Determinism contract (same discipline as the PR 2 engine
-// parallelism): results are bit-identical for every Config.Workers
-// value. The sharded passes — path walking, bucket layout,
-// remaining-byte materialisation, finish scanning — use only
-// partition-invariant reductions (integer sums, float min, offsets
-// computed from per-worker counts over contiguous flow ranges); every
-// floating-point accumulation runs in a fixed single-threaded order.
+// A run is one goroutine. The freeze loop of a recompute is most of a
+// run and serial by contract — the order of its floating-point
+// subtractions is part of a Result — and fanning the passes around it
+// out over two cores measured 0.99–1.03x for 12 MB more an op (DESIGN
+// §17 has the command).
 package flowsim
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -48,18 +44,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Config tunes a fluid-simulation run. The zero value is usable: one
-// worker-count-independent run at capacity 1.0 with exact event-by-event
-// recomputation.
+// Config tunes a fluid-simulation run. The zero value is usable: exact
+// event-by-event recomputation, no cap on simulated time.
 type Config struct {
-	// Workers shards the rate computation (0 = GOMAXPROCS; values above
-	// 64 run as 64). Results are bit-identical for every value.
+	// Workers is not read: a run is single-threaded whatever it holds.
+	// The field stays only because bench/ still sets it.
 	Workers int
-	// Capacity is the per-channel bandwidth in bytes per tick
-	// (default 1.0). Every channel — including terminal injection and
-	// ejection links, which model NIC serialization — has the same
-	// capacity.
-	Capacity float64
 	// Quantum coalesces rate recomputation: rates recompute at most
 	// once per Quantum ticks, and flows finishing inside a window do so
 	// at the rates frozen at its start (their freed bandwidth
@@ -112,7 +102,7 @@ type Result struct {
 	PerTenant     []TenantStats
 	// LinkBytes[c] is the byte total channel c carried — the
 	// link-utilization heatmap data. LinkUtil[c] normalizes by
-	// Capacity x Makespan.
+	// capacity x Makespan.
 	LinkBytes []float64
 	LinkUtil  []float64
 	// AvgLinkUtilization / MaxLinkUtilization cover the
@@ -157,6 +147,11 @@ func WalkFlowPath(net *graph.Network, res *routing.Result, src, dst graph.NodeID
 
 const inf = math.MaxFloat64
 
+// capacity is the bandwidth of every channel in bytes per tick, terminal
+// injection and ejection links — which model NIC serialization —
+// included.
+const capacity = 1.0
+
 // shareFloor is the smallest admissible fair share: a numeric backstop
 // so floating-point residue on a nearly-exhausted link can never freeze
 // a flow at a zero or negative rate (which would never finish).
@@ -175,7 +170,6 @@ type sim struct {
 	net   *graph.Network
 	flows []workload.Flow
 	cfg   Config
-	w     int // resolved worker count
 
 	// Flattened per-flow paths: path(f) = pathChan[pathOff[f]:pathOff[f+1]].
 	// Skipped flows have empty paths.
@@ -197,17 +191,14 @@ type sim struct {
 	// admission and finish. The buckets group the flows of order by
 	// channel, each bucket in order's order; entries of flows that are
 	// idle now are skipped, not removed.
-	linkLive []int32   // active flows per channel
-	bucket   []int32   // flows grouped by channel
-	bktOff   []int64   // per-channel bucket offsets
-	cntW     [][]int32 // layout scratch: per-worker per-channel counts
-	bktPos   [][]int64 // layout scratch: per-worker fill cursors
+	linkLive []int32 // active flows per channel
+	bucket   []int32 // flows grouped by channel
+	bktOff   []int64 // per-channel bucket offsets; bktOff[c+1] is layout's fill cursor of c
 
 	// Rate-computation scratch (reused across recomputes).
 	linkN []int32   // unfrozen-flow count per channel
 	linkR []float64 // remaining capacity per channel
 	heap  []heapEnt // lazy bottleneck heap
-	mins  []float64 // per-worker minFinish results
 
 	events     int64
 	recomputes int64
@@ -232,17 +223,7 @@ func Run(net *graph.Network, res *routing.Result, flows []workload.Flow, cfg Con
 }
 
 func newSim(net *graph.Network, flows []workload.Flow, cfg Config) *sim {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 1.0
-	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > 64 {
-		w = 64
-	}
-	return &sim{net: net, flows: flows, cfg: cfg, w: w}
+	return &sim{net: net, flows: flows, cfg: cfg}
 }
 
 func (s *sim) run(res *routing.Result) (Result, error) {
@@ -257,91 +238,45 @@ func (s *sim) run(res *routing.Result) (Result, error) {
 	return r, nil
 }
 
-// walkSample is how many flows a walkPaths worker walks before it sizes
-// its chunk from their mean path length.
+// walkSample is how many flows walkPaths walks before it sizes the path
+// arena from their mean path length.
 const walkSample = 256
 
-// walkPaths checks every flow and resolves its channel path: one sharded
-// pass that walks each flow once into its worker's chunk and leaves the
-// path length in pathOff, then a prefix sum and the concatenation of the
-// chunks (worker ranges are contiguous and ascending). The first failing
-// flow — by flow index, independent of the worker count — aborts the
-// run.
+// walkPaths checks every flow and resolves its channel path: one pass
+// that walks each flow once, appends the path to the arena and leaves
+// its end in pathOff. The first failing flow aborts the run.
 func (s *sim) walkPaths(res *routing.Result) error {
 	f := len(s.flows)
 	nodes := graph.NodeID(s.net.NumNodes())
 	s.pathOff = make([]int64, f+1)
 	s.skipped = make([]bool, f)
-	// What one worker made of its range [lo, hi).
-	type part struct {
-		lo     int
-		chunk  []graph.ChannelID // the range's paths, back to back
-		walked int64
-		err    error // the range's first failing flow, at index errAt
-		errAt  int
-	}
-	parts := make([]part, s.w)
-	s.shard(f, func(wk, lo, hi int) {
-		// Filled in locally and stored once: neighbouring workers' parts
-		// share cache lines.
-		pt := part{lo: lo}
-		defer func() { parts[wk] = pt }()
-		var buf []graph.ChannelID
-		for i := lo; i < hi; i++ {
-			fl := s.flows[i]
-			switch {
-			case fl.Src < 0 || fl.Src >= nodes || fl.Dst < 0 || fl.Dst >= nodes:
-				pt.errAt, pt.err = i, &FlowError{FlowIndex: i, Flow: fl, Reason: fmt.Sprintf("endpoint outside the network's %d nodes", nodes)}
-				return
-			case fl.Bytes < 0:
-				pt.errAt, pt.err = i, &FlowError{FlowIndex: i, Flow: fl, Reason: "negative size"}
-				return
-			}
-			if fl.Src == fl.Dst || s.net.Degree(fl.Src) == 0 || s.net.Degree(fl.Dst) == 0 {
-				s.skipped[i] = true
-				continue
-			}
-			if i-lo == walkSample {
-				// An eighth above the sample's mean: a chunk that falls
-				// short regrows by append, at the price of a copy.
-				est := len(pt.chunk) * (hi - i) / walkSample
-				pt.chunk = slices.Grow(pt.chunk, est+est/8)
-			}
-			p, err := routing.Walk(s.net, res, fl.Src, fl.Dst, buf)
-			pt.walked++
-			if err != nil {
-				pt.errAt, pt.err = i, &WalkError{FlowIndex: i, Err: err}
-				return
-			}
-			buf = p
-			pt.chunk = append(pt.chunk, p...)
-			s.pathOff[i+1] = int64(len(p))
+	var buf []graph.ChannelID
+	for i, fl := range s.flows {
+		s.pathOff[i+1] = s.pathOff[i]
+		switch {
+		case fl.Src < 0 || fl.Src >= nodes || fl.Dst < 0 || fl.Dst >= nodes:
+			return &FlowError{FlowIndex: i, Flow: fl, Reason: fmt.Sprintf("endpoint outside the network's %d nodes", nodes)}
+		case fl.Bytes < 0:
+			return &FlowError{FlowIndex: i, Flow: fl, Reason: "negative size"}
 		}
-	})
-	// Workers stop at their first error; the globally first flow error
-	// is deterministic because ranges are contiguous and ascending.
-	var first *part
-	for wk := range parts {
-		if pt := &parts[wk]; pt.err != nil && (first == nil || pt.errAt < first.errAt) {
-			first = pt
+		if fl.Src == fl.Dst || s.net.Degree(fl.Src) == 0 || s.net.Degree(fl.Dst) == 0 {
+			s.skipped[i] = true
+			continue
 		}
-	}
-	if first != nil {
-		return first.err
-	}
-	for i := 0; i < f; i++ {
-		s.pathOff[i+1] += s.pathOff[i]
-	}
-	for _, pt := range parts {
-		s.walks += pt.walked
-	}
-	// One worker's chunk is the arena; several chunks are joined.
-	s.pathChan = parts[0].chunk
-	if int64(len(s.pathChan)) < s.pathOff[f] {
-		s.pathChan = make([]graph.ChannelID, s.pathOff[f])
-		for _, pt := range parts {
-			copy(s.pathChan[s.pathOff[pt.lo]:], pt.chunk)
+		if i == walkSample {
+			// An eighth above the sample's mean: an arena that falls
+			// short regrows by append, at the price of a copy.
+			est := len(s.pathChan) * (f - i) / walkSample
+			s.pathChan = append(make([]graph.ChannelID, 0, len(s.pathChan)+est+est/8), s.pathChan...)
 		}
+		p, err := routing.Walk(s.net, res, fl.Src, fl.Dst, buf)
+		s.walks++
+		if err != nil {
+			return &WalkError{FlowIndex: i, Err: err}
+		}
+		buf = p
+		s.pathChan = append(s.pathChan, p...)
+		s.pathOff[i+1] = int64(len(s.pathChan))
 	}
 	return nil
 }
@@ -378,43 +313,7 @@ func (s *sim) initState() {
 	s.linkLive = make([]int32, l)
 	s.linkN = make([]int32, l)
 	s.linkR = make([]float64, l)
-	s.cntW = make([][]int32, s.w)
-	s.bktPos = make([][]int64, s.w)
-	for w := 0; w < s.w; w++ {
-		s.cntW[w] = make([]int32, l)
-		s.bktPos[w] = make([]int64, l)
-	}
-	s.bktOff = make([]int64, l+1)
-	s.mins = make([]float64, s.w)
-}
-
-// shard runs fn over contiguous ranges of [0, n). Range boundaries
-// depend on the worker count, so fn must only perform
-// partition-invariant work (see the package determinism contract).
-func (s *sim) shard(n int, fn func(worker, lo, hi int)) {
-	w := s.w
-	if n < 2048 || w == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for k := 0; k < w; k++ {
-		lo := k * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			fn(k, lo, hi)
-		}(k, lo, hi)
-	}
-	wg.Wait()
+	s.bktOff = make([]int64, l+2)
 }
 
 // admit activates the flows that start by upTo.
@@ -502,22 +401,15 @@ func (s *sim) loop() (timedOut bool) {
 	}
 }
 
-// minFinish returns the earliest finish time over active flows (a
-// sharded float-min reduction; exact for any partition).
+// minFinish returns the earliest finish time over active flows.
 func (s *sim) minFinish() float64 {
-	for i := range s.mins {
-		s.mins[i] = inf
-	}
-	s.shard(len(s.active), func(wk, lo, hi int) {
-		m := inf
-		for _, fi := range s.active[lo:hi] {
-			if f := s.finishAt[fi]; f < m {
-				m = f
-			}
+	m := inf
+	for _, fi := range s.active {
+		if f := s.finishAt[fi]; f < m {
+			m = f
 		}
-		s.mins[wk] = m
-	})
-	return slices.Min(s.mins)
+	}
+	return m
 }
 
 // settleAt materializes remaining bytes at the cut time for a timed-out
@@ -542,59 +434,48 @@ func (s *sim) settleAt(t float64) {
 func (s *sim) unfinished() int { return len(s.active) + len(s.order) - s.next }
 
 // layout drops the finished flows from order and groups the rest by
-// channel: a sharded count, then a sharded fill at offsets under which
-// every bucket lists its flows in admission order for every worker
-// count — worker ranges are contiguous and ascending, and each worker's
-// cursor starts after the preceding workers' counts. The flows still to
-// be admitted are laid out too, so that an arrival changes no bucket.
+// channel, every bucket in admission order: a count, a prefix sum, a
+// fill. The flows still to be admitted are laid out too, so that an
+// arrival changes no bucket.
 func (s *sim) layout() {
 	s.layouts++
 	// The unfinished flows of order[:next] are active, in order's order.
 	n := copy(s.order, s.active)
 	n += copy(s.order[n:], s.order[s.next:])
 	s.order, s.next = s.order[:n], len(s.active)
-	for w := 0; w < s.w; w++ {
-		clear(s.cntW[w])
-	}
-	s.shard(n, func(wk, lo, hi int) {
-		cnt := s.cntW[wk]
-		for _, fi := range s.order[lo:hi] {
-			for _, c := range s.path(fi) {
-				cnt[c]++
-			}
-		}
-	})
-	total := int64(0)
-	for c := range s.linkLive {
-		s.bktOff[c] = total
-		for w := 0; w < s.w; w++ {
-			s.bktPos[w][c] = total
-			total += int64(s.cntW[w][c])
+	// Channel c is counted two slots up, so that after the prefix sum
+	// off[c+1] is where its bucket starts — and, once it has been c's
+	// fill cursor, where the bucket ends: off[c]:off[c+1] is bucket c.
+	off := s.bktOff
+	clear(off)
+	for _, fi := range s.order {
+		for _, c := range s.path(fi) {
+			off[c+2]++
 		}
 	}
-	s.bktOff[len(s.linkLive)] = total
+	for c := 2; c < len(off); c++ {
+		off[c] += off[c-1]
+	}
+	total := off[len(off)-1]
 	// Layouts only shrink, so the first allocation serves them all.
 	if int64(cap(s.bucket)) < total {
 		s.bucket = make([]int32, total)
 	}
 	s.bucket = s.bucket[:total]
-	s.shard(n, func(wk, lo, hi int) {
-		pos := s.bktPos[wk]
-		for _, fi := range s.order[lo:hi] {
-			for _, c := range s.path(fi) {
-				s.bucket[pos[c]] = fi
-				pos[c]++
-			}
+	for _, fi := range s.order {
+		for _, c := range s.path(fi) {
+			s.bucket[off[c+1]] = fi
+			off[c+1]++
 		}
-	})
+	}
 }
 
 // recompute runs the progressive-filling max-min allocation at time t:
-// materialize remaining bytes and mark every active flow unfrozen
-// (sharded), start the per-link counts from linkLive, then freeze
-// bottleneck links in ascending fair-share order via a lazy min-heap.
-// The freeze loop is single-threaded in a fixed order, so every
-// floating-point subtraction happens identically for any worker count.
+// materialize remaining bytes and mark every active flow unfrozen, start
+// the per-link counts from linkLive, then freeze bottleneck links in
+// ascending fair-share order via a lazy min-heap. A link's remaining
+// capacity is a running floating-point difference, so the order in which
+// flows freeze is part of the Result.
 func (s *sim) recompute(t float64) {
 	s.recomputes++
 	if len(s.active) > s.maxActive {
@@ -606,25 +487,22 @@ func (s *sim) recompute(t float64) {
 	if 2*s.unfinished() < len(s.order) {
 		s.layout()
 	}
-	s.shard(len(s.active), func(_, lo, hi int) {
-		for _, fi := range s.active[lo:hi] {
-			if s.rate[fi] > 0 {
-				rem := (s.finishAt[fi] - t) * s.rate[fi]
-				if rem < 0 {
-					rem = 0
-				}
-				s.rem[fi] = rem
+	for _, fi := range s.active {
+		if s.rate[fi] > 0 {
+			rem := (s.finishAt[fi] - t) * s.rate[fi]
+			if rem < 0 {
+				rem = 0
 			}
-			s.state[fi] = flowUnfrozen
+			s.rem[fi] = rem
 		}
-	})
-	// Progressive filling (single-threaded, deterministic order).
+		s.state[fi] = flowUnfrozen
+	}
 	copy(s.linkN, s.linkLive)
 	s.heap = s.heap[:0]
 	for c, n := range s.linkN {
 		if n > 0 {
-			s.linkR[c] = s.cfg.Capacity
-			s.heapPush(heapEnt{share: s.cfg.Capacity / float64(n), link: int32(c)})
+			s.linkR[c] = capacity
+			s.heapPush(heapEnt{share: capacity / float64(n), link: int32(c)})
 		}
 	}
 	for len(s.heap) > 0 {
@@ -789,7 +667,7 @@ func (s *sim) buildResult(timedOut bool) Result {
 		r.AggThroughput = float64(r.DeliveredBytes) / r.Makespan
 		used, sum, max := 0, 0.0, 0.0
 		for c := 0; c < links; c++ {
-			r.LinkUtil[c] = r.LinkBytes[c] / (s.cfg.Capacity * r.Makespan)
+			r.LinkUtil[c] = r.LinkBytes[c] / (capacity * r.Makespan)
 			ch := s.net.Channel(graph.ChannelID(c))
 			if r.LinkBytes[c] == 0 || !s.net.IsSwitch(ch.From) || !s.net.IsSwitch(ch.To) {
 				continue

@@ -3,7 +3,6 @@ package flowsim
 import (
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -180,36 +179,6 @@ func TestPoissonArrivalsFinish(t *testing.T) {
 	}
 }
 
-// TestWorkerCountBitIdentical: the full Result — rates, finish times,
-// link bytes, percentiles — is bit-identical for every worker count.
-// This is the determinism contract the sharded recompute must honor.
-func TestWorkerCountBitIdentical(t *testing.T) {
-	tp := topology.Torus3D(4, 4, 1, 2, 1)
-	res := bfsTable(tp.Net)
-	mix := workload.Mix{Tenants: []workload.TenantSpec{
-		{Name: "bulk", Weight: 3, Pattern: workload.Uniform{}, Bytes: 1 << 16},
-		{Name: "incast", Weight: 1, Pattern: workload.Incast{Fanin: 4}, Bytes: 4096},
-	}}
-	flows := workload.Generate(tp.Net.Terminals(), mix, 5000, workload.Poisson{MeanGap: 2}, 99)
-	var base Result
-	for i, w := range []int{1, 2, 8} {
-		r, err := Run(tp.Net, res, flows, Config{Workers: w, Quantum: 64, TenantNames: mix.TenantNames()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = r
-			if r.FlowsFinished == 0 {
-				t.Fatal("vacuous fixture: no flows finished")
-			}
-			continue
-		}
-		if !reflect.DeepEqual(base, r) {
-			t.Fatalf("workers=%d result differs from workers=1", w)
-		}
-	}
-}
-
 // TestQuantumCoalescing: a coalesced run recomputes far less often than
 // the exact one, still finishes every flow, and conserves delivered
 // bytes exactly (per-link accounting is trajectory-independent).
@@ -319,10 +288,9 @@ func TestMaxTicksCut(t *testing.T) {
 
 // TestBadFlowFlagged: a flow that is not a transfer on the network — an
 // endpoint that is not one of its nodes, a negative size — is a typed
-// FlowError naming the first such flow for every worker count, in a
-// batch small enough to run on the caller's goroutine and in one large
-// enough to be sharded. It used to be an index-out-of-range panic, on a
-// worker goroutine for the large batch.
+// FlowError naming the first such flow, in a batch that ends before the
+// path arena is sized (walkSample) and in one that ends long after. It
+// used to be an index-out-of-range panic.
 func TestBadFlowFlagged(t *testing.T) {
 	net, res, good := parkingLot(t)
 	far := graph.NodeID(net.NumNodes())
@@ -340,19 +308,16 @@ func TestBadFlowFlagged(t *testing.T) {
 			for i := range flows {
 				flows[i] = good[i%len(good)]
 			}
-			// Two offenders, in different workers' ranges of the large
-			// batch: the lower index is the one reported.
+			// Two offenders: the lower index is the one reported.
 			at := n / 3
 			flows[at], flows[n-1] = c.bad, c.bad
-			for _, w := range []int{1, 8} {
-				_, err := Run(net, res, flows, Config{Workers: w})
-				var fe *FlowError
-				if !errors.As(err, &fe) {
-					t.Fatalf("%s, %d flows, workers=%d: got %v, want *FlowError", c.name, n, w, err)
-				}
-				if fe.FlowIndex != at || fe.Flow != c.bad {
-					t.Fatalf("%s, %d flows, workers=%d: flagged flow %d %+v, want flow %d", c.name, n, w, fe.FlowIndex, fe.Flow, at)
-				}
+			_, err := Run(net, res, flows, Config{})
+			var fe *FlowError
+			if !errors.As(err, &fe) {
+				t.Fatalf("%s, %d flows: got %v, want *FlowError", c.name, n, err)
+			}
+			if fe.FlowIndex != at || fe.Flow != c.bad {
+				t.Fatalf("%s, %d flows: flagged flow %d %+v, want flow %d", c.name, n, fe.FlowIndex, fe.Flow, at)
 			}
 		}
 	}

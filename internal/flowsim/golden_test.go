@@ -61,27 +61,22 @@ func digest(r Result) uint64 {
 	return h.Sum64()
 }
 
-// goldenRun runs one case at each worker count, holds every Result to
-// the digest recorded under name, and returns the last run.
-func goldenRun(t *testing.T, name string, net *graph.Network, res *routing.Result, flows []workload.Flow, cfg Config, workers ...int) (*sim, Result) {
+// goldenRun runs one case and holds its Result to the digest recorded
+// under name.
+func goldenRun(t *testing.T, name string, net *graph.Network, res *routing.Result, flows []workload.Flow, cfg Config) (*sim, Result) {
 	t.Helper()
-	var s *sim
-	var r Result
-	for _, w := range workers {
-		cfg.Workers = w
-		s = newSim(net, flows, cfg)
-		var err error
-		if r, err = s.run(res); err != nil {
-			t.Fatalf("%s workers=%d: %v", name, w, err)
-		}
-		if got := digest(r); got != goldens[name] {
-			t.Fatalf("workers=%d: %q: %#016x, (recorded %#016x)", w, name, got, goldens[name])
-		}
+	s := newSim(net, flows, cfg)
+	r, err := s.run(res)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got := digest(r); got != goldens[name] {
+		t.Fatalf("%q: %#016x, (recorded %#016x)", name, got, goldens[name])
 	}
 	return s, r
 }
 
-// goldenMix is the two-tenant mix of TestWorkerCountBitIdentical.
+// goldenMix is a two-tenant mix: bulk transfers beside small incasts.
 var goldenMix = workload.Mix{Tenants: []workload.TenantSpec{
 	{Name: "bulk", Weight: 3, Pattern: workload.Uniform{}, Bytes: 1 << 16},
 	{Name: "incast", Weight: 1, Pattern: workload.Incast{Fanin: 4}, Bytes: 4096},
@@ -103,14 +98,12 @@ var goldenMixes = []struct {
 	{"mix", goldenMix, 4096, 9_000_000},
 }
 
-// goldenFlows is above shard's 2048-item threshold, so every worker
-// count above one takes the parallel passes.
 const goldenFlows = 3000
 
 // TestRunGoldens pins every Result field of 60 runs — five mixes, a
 // closed batch and open-loop arrivals, exact and coalesced recomputes,
 // uncut and cut mid-run — to digests recorded before the link buckets
-// became state kept across recomputes, at four worker counts each.
+// became state kept across recomputes.
 func TestRunGoldens(t *testing.T) {
 	tp := topology.Torus3D(4, 4, 1, 2, 1)
 	res := bfsTable(tp.Net)
@@ -128,7 +121,7 @@ func TestRunGoldens(t *testing.T) {
 						name += "/cut"
 						cfg.MaxTicks = m.cut
 					}
-					_, r := goldenRun(t, name, tp.Net, res, flows, cfg, 1, 2, 3, 8)
+					_, r := goldenRun(t, name, tp.Net, res, flows, cfg)
 					if cut != r.TimedOut || (cut && (r.FlowsFinished == 0 || r.FlowsUnfinished == 0)) {
 						t.Fatalf("%s: cut does not land mid-run: timedOut=%v finished=%d unfinished=%d",
 							name, r.TimedOut, r.FlowsFinished, r.FlowsUnfinished)

@@ -2,6 +2,7 @@ package flowsim
 
 import (
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"repro/internal/topology"
@@ -21,7 +22,7 @@ func TestLayoutPin(t *testing.T) {
 		tp := topology.Torus3D(8, 8, 8, 1, 1)
 		const n = 100_000
 		flows := workload.Generate(tp.Net.Terminals(), workload.Single(workload.Uniform{}, 4096), n, workload.Closed{}, 20)
-		s, r := goldenRun(t, "pin/closed100k", tp.Net, bfsTable(tp.Net), flows, Config{Quantum: 1 << 16}, 2)
+		s, r := goldenRun(t, "pin/closed100k", tp.Net, bfsTable(tp.Net), flows, Config{Quantum: 1 << 16})
 		if bound := 1 + bits.Len(n-1); s.layouts > bound {
 			t.Errorf("%d layouts of %d flows, want at most %d", s.layouts, n, bound)
 		}
@@ -34,8 +35,7 @@ func TestLayoutPin(t *testing.T) {
 	})
 
 	// Open loop: every layout but the last few groups flows that are
-	// admitted many recomputes later, and from the second layout on a
-	// worker's range can span the active flows and the pending ones.
+	// admitted many recomputes later.
 	for _, c := range []struct {
 		name    string
 		mix     workload.Mix
@@ -50,7 +50,7 @@ func TestLayoutPin(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			flows := workload.Generate(small.Net.Terminals(), c.mix, 6000, workload.Poisson{MeanGap: 512}, 21)
-			s, r := goldenRun(t, c.name, small.Net, smallRes, flows, Config{Quantum: c.quantum}, 1, 2, 3, 8)
+			s, r := goldenRun(t, c.name, small.Net, smallRes, flows, Config{Quantum: c.quantum})
 			if s.layouts < 3 || r.Recomputes < 10*int64(s.layouts) {
 				t.Errorf("%d layouts, %d recomputes: want several layouts, each serving many recomputes", s.layouts, r.Recomputes)
 			}
@@ -63,9 +63,9 @@ func TestLayoutPin(t *testing.T) {
 		m := goldenMixes[0]
 		flows := workload.Generate(small.Net.Terminals(), m.mix, goldenFlows, workload.Poisson{MeanGap: m.gap}, 20)
 		cfg := Config{Quantum: 4096, TenantNames: m.mix.TenantNames()}
-		whole, _ := goldenRun(t, "uniform/poisson/q4096", small.Net, smallRes, flows, cfg, 2)
+		whole, _ := goldenRun(t, "uniform/poisson/q4096", small.Net, smallRes, flows, cfg)
 		cfg.MaxTicks = m.cut
-		part, r := goldenRun(t, "uniform/poisson/q4096/cut", small.Net, smallRes, flows, cfg, 2)
+		part, r := goldenRun(t, "uniform/poisson/q4096/cut", small.Net, smallRes, flows, cfg)
 		if !r.TimedOut || part.layouts < 2 || part.layouts >= whole.layouts {
 			t.Errorf("cut run made %d layouts, whole run %d: want the cut after the second and before the last", part.layouts, whole.layouts)
 		}
@@ -73,4 +73,30 @@ func TestLayoutPin(t *testing.T) {
 			t.Errorf("cut with %d of %d laid-out flows unfinished: want some dead entries, under half", live, laid)
 		}
 	})
+}
+
+// TestPathArenaBuiltOnce: the path pass of a 20k-flow closed batch
+// allocates the path arena once, sized from the first walkSample flows —
+// no more than a quarter above the 4 bytes a path channel takes. Filling
+// one chunk per worker and joining them allocated every path twice.
+func TestPathArenaBuiltOnce(t *testing.T) {
+	tp := topology.Torus3D(4, 4, 2, 1, 1)
+	res := bfsTable(tp.Net)
+	flows := workload.Generate(tp.Net.Terminals(), workload.Single(workload.Uniform{}, 4096), 20_000, workload.Closed{}, 20)
+	s := newSim(tp.Net, flows, Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.walkPaths(res)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	channels := uint64(len(s.pathChan))
+	if channels < 3*uint64(len(flows)) {
+		t.Fatalf("vacuous fixture: %d path channels for %d flows", channels, len(flows))
+	}
+	perFlow := uint64(8*len(s.pathOff) + len(s.skipped))
+	if got := after.TotalAlloc - before.TotalAlloc - perFlow; got > 5*channels {
+		t.Errorf("path pass allocated %d bytes for %d path channels, want at most %d", got, channels, 5*channels)
+	}
 }

@@ -27,10 +27,7 @@ import (
 )
 
 // Engine is the simplified smart routing engine.
-type Engine struct {
-	// MaxIterations bounds the cut-and-recompute loop (0 = default).
-	MaxIterations int
-}
+type Engine struct{}
 
 // Name implements routing.Engine.
 func (Engine) Name() string { return "smart" }
@@ -42,14 +39,11 @@ func (Engine) Claims() routing.Claims { return routing.Claims{DeadlockFree: true
 
 // Route implements routing.Engine. The result uses a single layer; maxVCs
 // only gates the >= 1 sanity check (smart routing predates VCs).
-func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
+func (Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
 	if maxVCs < 1 {
 		return nil, errors.New("smart: need at least one virtual channel")
 	}
-	maxIter := e.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 4 * net.NumChannels()
-	}
+	maxIter := 4 * net.NumChannels()
 	st := &state{
 		net:       net,
 		dests:     dests,
