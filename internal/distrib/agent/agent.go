@@ -56,7 +56,12 @@ type staging struct {
 	switches []graph.NodeID
 	rows     [][]graph.ChannelID
 	got      int
+	// prepared freezes the staging: a table frame after the prepare is
+	// refused, so the rows commit swaps in are the rows that were
+	// checked, and crcs — the row checksums the prepare verified — are
+	// theirs.
 	prepared bool
+	crcs     []uint32
 }
 
 // Agent is one switch agent. Serve drives the protocol on a connection;
@@ -283,7 +288,7 @@ func (a *Agent) cols() int {
 func (a *Agent) stageLFT(conn net.Conn, epoch uint64, sw graph.NodeID, row []graph.ChannelID) {
 	a.mu.Lock()
 	st := a.stage
-	if st == nil || st.epoch != epoch || !st.full {
+	if st == nil || st.epoch != epoch || !st.full || st.prepared {
 		a.mu.Unlock()
 		a.nak(conn, epoch, "lft without matching begin")
 		return
@@ -308,7 +313,7 @@ func (a *Agent) stageDelta(conn net.Conn, epoch uint64, payload []byte) {
 	rows, cols, entries, err := routing.DecodeDelta(payload)
 	a.mu.Lock()
 	st := a.stage
-	if st == nil || st.epoch != epoch || st.full {
+	if st == nil || st.epoch != epoch || st.full || st.prepared {
 		a.mu.Unlock()
 		a.nak(conn, epoch, "delta without matching begin")
 		return
@@ -371,7 +376,7 @@ func (a *Agent) prepare(conn net.Conn, epoch uint64, sums []distrib.RowSum) {
 			return
 		}
 	}
-	st.prepared = true
+	st.prepared, st.crcs = true, crcs
 	if st.flags&distrib.FlagDrain != 0 {
 		a.draining = true
 	}
@@ -392,10 +397,7 @@ func (a *Agent) commit(conn net.Conn, epoch uint64) {
 	}
 	a.switches = st.switches
 	a.rows = st.rows
-	a.crcs = make([]uint32, len(st.rows))
-	for i, row := range st.rows {
-		a.crcs[i] = distrib.RowCRC(row)
-	}
+	a.crcs = st.crcs
 	a.epoch, a.hasEpoch = epoch, true
 	a.stage = nil
 	a.draining = false

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/routing/minhop"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -145,6 +147,37 @@ func TestCompile(t *testing.T) {
 	diff := routing.Diff(snap.Result.Table, snap2.Result.Table)
 	if diff.Changed+diff.Added+diff.Removed == 0 {
 		t.Skip("churn event did not change any table entry")
+	}
+}
+
+// TestCompileIsAView: a compiled epoch stores no table row. On the
+// 8x8x8 torus (512 rows of 512 columns, a 1 MB table) Compile allocates
+// the switch list, one slice header, one CRC and one size per row —
+// 2.77 MB when it copied and pre-encoded every row — and every LFT is
+// the table's own memory.
+func TestCompileIsAView(t *testing.T) {
+	tp := topology.Torus3D(8, 8, 8, 1, 1)
+	res, err := minhop.MinHop{}.Route(tp.Net, tp.Net.Terminals(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := distrib.Epoch{Net: tp.Net, Result: res}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := distrib.Compile(e)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Compile allocated %d bytes in %d mallocs", got, after.Mallocs-before.Mallocs)
+	if got > 64<<10 {
+		t.Errorf("Compile allocated %d bytes beside a %d-entry table, want at most 64 KB", got, c.Rows*c.Cols)
+	}
+	if c.Rows != 512 || c.Cols != 512 {
+		t.Fatalf("compiled %dx%d, want 512x512", c.Rows, c.Cols)
+	}
+	for i, sw := range c.Switches {
+		if row := res.Table.Row(sw); &c.LFTs[i][0] != &row[0] || len(c.LFTs[i]) != len(row) {
+			t.Fatalf("LFT %d (switch %d) is not the table's row", i, sw)
+		}
 	}
 }
 
@@ -420,6 +453,72 @@ func TestCertifiedTransitionNoDrain(t *testing.T) {
 	}
 	if s.Counters["distrib_drain_fallbacks_total"] != 0 {
 		t.Errorf("distrib_drain_fallbacks_total = %d, want 0", s.Counters["distrib_drain_fallbacks_total"])
+	}
+}
+
+// TestAgentlessRoundsCertifyNothing: a source nobody has dialled — every
+// standby publisher of a replicated control plane, every epoch — has no
+// fleet to take through the union of two epochs, so it certifies
+// nothing; it still commits what is published to it, which is the base a
+// fleet that fails over to it resumes from.
+func TestAgentlessRoundsCertifyNothing(t *testing.T) {
+	var calls atomic.Int64
+	src := distrib.NewSource(distrib.Options{
+		Certify: func(n *graph.Network, old, new_ *routing.Result) error {
+			calls.Add(1)
+			return distrib.DefaultCertify(n, old, new_)
+		},
+	})
+	defer src.Close()
+	m := newFleetManager(t, topology.Torus3D(2, 2, 2, 1, 1), src, newEpochRecord())
+	rng := rand.New(rand.NewSource(3))
+	last := m.Epoch()
+	for published := 1; ; published++ {
+		if !src.WaitConverged(last, 30*time.Second) {
+			t.Fatalf("agent-less source did not commit epoch %d", last)
+		}
+		if published == 3 {
+			break
+		}
+		last = churnUntilChange(t, m, rng)
+	}
+	if e, ok := src.FleetEpoch(); !ok || e != last {
+		t.Errorf("fleet epoch = %d/%v, want %d", e, ok, last)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("an agent-less source certified %d transitions, want 0", n)
+	}
+}
+
+// TestNilCertifierCountsDrainFallback: a round drained because no
+// certifier was wired is a drain fallback like one whose union was
+// refuted, and is counted as one.
+func TestNilCertifierCountsDrainFallback(t *testing.T) {
+	reg := telemetry.New()
+	src := distrib.NewSource(distrib.Options{Telemetry: reg.Distrib()})
+	defer src.Close()
+	m := newFleetManager(t, topology.Torus3D(2, 2, 2, 1, 1), src, newEpochRecord())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a := agent.New(agent.Options{ID: "uncertified"})
+	srcSide, agSide := net.Pipe()
+	go a.Serve(ctx, agSide)
+	if err := src.AddConn(srcSide); err != nil {
+		t.Fatal(err)
+	}
+	if !src.WaitConverged(0, 30*time.Second) {
+		t.Fatal("agent did not converge on the initial epoch")
+	}
+	last := churnUntilChange(t, m, rand.New(rand.NewSource(3)))
+	if !src.WaitConverged(last, 30*time.Second) {
+		t.Fatalf("agent did not converge on epoch %d", last)
+	}
+	if got := a.Stats().Drains; got != 1 {
+		t.Errorf("agent drained %d installs, want 1", got)
+	}
+	if got := reg.Snapshot().Counters["distrib_drain_fallbacks_total"]; got != 1 {
+		t.Errorf("distrib_drain_fallbacks_total = %d, want 1", got)
 	}
 }
 

@@ -72,26 +72,40 @@ func TestPublisherFailoverMidEpoch(t *testing.T) {
 		agents[i] = agent.New(agent.Options{ID: fmt.Sprintf("a%d", i)})
 		go agents[i].DialMulti(ctx, addrs, 30*time.Millisecond)
 	}
-	if !primary.WaitConverged(0, 60*time.Second) {
-		t.Fatal("fleet did not converge on the primary")
+	// A source nobody has dialled yet is vacuously converged, so wait on
+	// the agents: the failover below is only one if every agent was
+	// served by the primary first.
+	waitFleet := func(min uint64, what string) {
+		t.Helper()
+		deadline := time.Now().Add(60 * time.Second)
+		for _, a := range agents {
+			for {
+				if ep, _, ok := a.Snapshot(); ok && ep >= min {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("fleet did not reach epoch %d %s", min, what)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
 	}
+	waitFleet(0, "on the primary")
 
 	// Churn on the primary's watch.
 	rng := rand.New(rand.NewSource(21))
 	mid := churnUntilChange(t, m, rng)
-	if !primary.WaitConverged(mid, 60*time.Second) {
-		t.Fatalf("fleet did not converge on epoch %d before failover", mid)
-	}
+	waitFleet(mid, "before failover")
 
 	// Kill the primary mid-epoch: fire a churn burst and cut the primary
 	// while its distribution is (potentially) in flight. Agents must
 	// rotate to the standby and resync from their last acked epoch.
-	last := churn(t, m, rng, 3)
+	churn(t, m, rng, 3)
 	lnP.Close()
 	primary.Close()
-	if last == mid {
-		last = churnUntilChange(t, m, rng)
-	}
+	// One more epoch the primary never saw, so that reaching `last` means
+	// having been served by the standby.
+	last := churnUntilChange(t, m, rng)
 	// A source with no connections is vacuously converged, so poll the
 	// agents themselves: every one must reach `last` via the standby.
 	deadline := time.Now().Add(120 * time.Second)
@@ -130,8 +144,9 @@ func TestPublisherFailoverMidEpoch(t *testing.T) {
 }
 
 // TestStandbyResumesByCRC: a standby publisher that never served the
-// fleet, seeded only with PrimeCommitted(e0), must push the next epoch
-// as a DELTA against the base the agent acked to the dead leader — the
+// fleet, and holds e0 only because it was published to it while it had
+// no agent (an agent-less round commits), must push the next epoch as a
+// DELTA against the base the agent acked to the dead leader — the
 // resume-by-CRC path, no full re-sync.
 func TestStandbyResumesByCRC(t *testing.T) {
 	rec := newEpochRecord()
@@ -166,11 +181,14 @@ func TestStandbyResumesByCRC(t *testing.T) {
 	snap1 := m.View()
 	e1 := distrib.Epoch{Seq: last, Net: snap1.Net, Result: snap1.Result}
 
-	// The standby takes over: primed with the fleet's acked base, it
-	// must serve e1 as a delta.
+	// The standby takes over: e0 reached it the way every epoch reaches
+	// a standby, and it must serve e1 as a delta.
 	srcB := distrib.NewSource(distrib.Options{Certify: distrib.DefaultCertify})
 	defer srcB.Close()
-	srcB.PrimeCommitted(e0)
+	srcB.Publish(e0)
+	if !srcB.WaitConverged(e0.Seq, 30*time.Second) {
+		t.Fatal("the agent-less standby did not commit the epoch published to it")
+	}
 	srcSide2, agSide2 := net.Pipe()
 	go a.Serve(ctx, agSide2)
 	if err := srcB.AddConn(srcSide2); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -18,24 +19,26 @@ type Epoch struct {
 	Result *routing.Result
 }
 
-// CompiledEpoch is an Epoch compiled into per-switch linear forwarding
+// CompiledEpoch is an Epoch seen as per-switch linear forwarding
 // tables: one row of next-hop channels per switch, in ascending switch
-// ID order (which equals the routing table's row order), with per-row
-// CRCs and pre-encoded full-row wire payloads.
+// ID order (which equals the routing table's row order), with what the
+// protocol needs to know about each row without reading it again — its
+// CRC and the size of its full-sync payload. The rows themselves are
+// the epoch's routing.Table: publication is the point after which a
+// table is immutable, so a compiled epoch holds no copy of it.
 type CompiledEpoch struct {
 	Epoch
 	// Rows and Cols are the table shape.
 	Rows, Cols int
 	// Switches[i] is the switch owning row i (ascending IDs).
 	Switches []graph.NodeID
-	// LFTs[i] is row i: the next-hop channel per destination column.
+	// LFTs[i] is row i, the next-hop channel per destination column:
+	// Result.Table.Row(Switches[i]), a view (do not modify).
 	LFTs [][]graph.ChannelID
 	// CRCs[i] is RowCRC(LFTs[i]).
 	CRCs []uint32
-	// fullPayloads[i] is the pre-encoded MsgLFT payload of row i, built
-	// once and shared by every full push.
-	fullPayloads [][]byte
-	rowOf        map[graph.NodeID]int
+	// sizes[i] is len(AppendLFT(nil, Switches[i], LFTs[i])).
+	sizes []int32
 }
 
 // RowCRC is the canonical checksum of one LFT row: CRC-32 (IEEE) over
@@ -43,13 +46,27 @@ type CompiledEpoch struct {
 // the source compute it independently; a staged row is installable only
 // if both sides agree.
 func RowCRC(row []graph.ChannelID) uint32 {
-	var scratch [4]byte
-	sum := uint32(0)
-	for _, ch := range row {
-		binary.LittleEndian.PutUint32(scratch[:], uint32(ch+1))
-		sum = crc32.Update(sum, crc32.IEEETable, scratch[:])
-	}
+	sum, _ := rowSum(0, row)
 	return sum
+}
+
+// rowSum reads switch sw's row once for both of the things a compiled
+// epoch keeps about it: RowCRC(row) and len(AppendLFT(nil, sw, row)).
+func rowSum(sw graph.NodeID, row []graph.ChannelID) (crc uint32, lftBytes int) {
+	var scratch [4]byte
+	lftBytes = uvarintLen(uint64(sw)) + uvarintLen(uint64(len(row)))
+	for _, ch := range row {
+		v := uint32(ch + 1)
+		binary.LittleEndian.PutUint32(scratch[:], v)
+		crc = crc32.Update(crc, crc32.IEEETable, scratch[:])
+		lftBytes += uvarintLen(uint64(v))
+	}
+	return crc, lftBytes
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, v)).
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // FleetCRC aggregates row CRCs into one checksum over a row sequence:
@@ -71,14 +88,13 @@ func Compile(e Epoch) *CompiledEpoch {
 	t := e.Result.Table
 	rows, cols := t.Shape()
 	c := &CompiledEpoch{
-		Epoch:        e,
-		Rows:         rows,
-		Cols:         cols,
-		Switches:     e.Net.Switches(),
-		LFTs:         make([][]graph.ChannelID, 0, rows),
-		CRCs:         make([]uint32, 0, rows),
-		fullPayloads: make([][]byte, 0, rows),
-		rowOf:        make(map[graph.NodeID]int, rows),
+		Epoch:    e,
+		Rows:     rows,
+		Cols:     cols,
+		Switches: e.Net.Switches(),
+		LFTs:     make([][]graph.ChannelID, rows),
+		CRCs:     make([]uint32, rows),
+		sizes:    make([]int32, rows),
 	}
 	if len(c.Switches) != rows {
 		panic(fmt.Sprintf("distrib: %d switches for %d table rows", len(c.Switches), rows))
@@ -87,11 +103,9 @@ func Compile(e Epoch) *CompiledEpoch {
 		if t.RowIndex(sw) != int32(i) {
 			panic(fmt.Sprintf("distrib: switch %d owns row %d, expected %d", sw, t.RowIndex(sw), i))
 		}
-		row := t.AppendRow(make([]graph.ChannelID, 0, cols), sw)
-		c.LFTs = append(c.LFTs, row)
-		c.CRCs = append(c.CRCs, RowCRC(row))
-		c.fullPayloads = append(c.fullPayloads, AppendLFT(nil, sw, row))
-		c.rowOf[sw] = i
+		row := t.Row(sw)
+		crc, size := rowSum(sw, row)
+		c.LFTs[i], c.CRCs[i], c.sizes[i] = row, crc, int32(size)
 	}
 	return c
 }
@@ -104,7 +118,9 @@ func (c *CompiledEpoch) OwnedCRC(owned []graph.NodeID) uint32 {
 }
 
 // ownedRows resolves an ownership list (nil = all switches) to row
-// indices in ascending order, skipping unknown switches.
+// indices in ascending order, skipping unknown switches. The list is
+// what an agent's Hello said; RowIndex answers -1 for any ID that is not
+// a switch of the fabric, whatever its value.
 func (c *CompiledEpoch) ownedRows(owned []graph.NodeID) []int {
 	if owned == nil {
 		rows := make([]int, c.Rows)
@@ -115,8 +131,8 @@ func (c *CompiledEpoch) ownedRows(owned []graph.NodeID) []int {
 	}
 	rows := make([]int, 0, len(owned))
 	for _, sw := range owned {
-		if i, ok := c.rowOf[sw]; ok {
-			rows = append(rows, i)
+		if i := c.Result.Table.RowIndex(sw); i >= 0 {
+			rows = append(rows, int(i))
 		}
 	}
 	return rows
@@ -145,7 +161,7 @@ func (c *CompiledEpoch) fleetCRCFor(rows []int) uint32 {
 func (c *CompiledEpoch) fullSize(rows []int) int {
 	n := 0
 	for _, r := range rows {
-		n += len(c.fullPayloads[r])
+		n += int(c.sizes[r])
 	}
 	return n
 }

@@ -199,21 +199,6 @@ func (s *Source) Publish(e Epoch) {
 	s.cond.Signal()
 }
 
-// PrimeCommitted seeds the source's last-committed epoch without
-// running a distribution round — used when a standby publisher takes
-// over a fleet whose agents already hold epoch e (they acked it to the
-// failed leader), so its first pushes can be deltas against that base
-// instead of full snapshots. Agents whose Hello reports any other epoch
-// still get the full checksummed re-sync.
-func (s *Source) PrimeCommitted(e Epoch) {
-	compiled := Compile(e)
-	s.mu.Lock()
-	if s.committed == nil || compiled.Seq >= s.committed.Seq {
-		s.committed = compiled
-	}
-	s.mu.Unlock()
-}
-
 // AddConn adopts one agent connection: it reads the agent's Hello and
 // registers it with the fleet. The connection is served until it fails
 // or the source closes.
@@ -460,11 +445,15 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 	s.mu.Unlock()
 
 	// Certify the union of the outgoing and incoming epoch; a refuted
-	// (or uncertifiable) union drains the fleet across the swap.
+	// (or uncertifiable) union drains the fleet across the swap. A round
+	// with nobody to swap — a standby publisher's, every epoch — has no
+	// union to certify; an agent that joins later holding another base
+	// than committed drains by sendEpoch's own rule.
 	drain := false
-	if committed != nil && committed.Seq != target.Seq {
+	if len(conns) > 0 && committed != nil && committed.Seq != target.Seq {
 		if s.opts.Certify == nil {
 			drain = true
+			tm.DrainFallbacks.Inc()
 		} else if err := s.opts.Certify(target.Net, committed.Result, target.Result); err != nil {
 			drain = true
 			tm.DrainFallbacks.Inc()
@@ -637,8 +626,13 @@ func (s *Source) sendEpoch(a *agentConn, target, committed *CompiledEpoch, drain
 	if full {
 		flags |= FlagFull
 		begin.Frames = len(rows)
+		// Rows are encoded from the table when a full sync is due, into
+		// one buffer of exactly their summed size.
+		buf := make([]byte, 0, target.fullSize(rows))
 		for _, r := range rows {
-			frames = append(frames, Frame{Type: MsgLFT, Epoch: target.Seq, Payload: target.fullPayloads[r]})
+			start := len(buf)
+			buf = AppendLFT(buf, target.Switches[r], target.LFTs[r])
+			frames = append(frames, Frame{Type: MsgLFT, Epoch: target.Seq, Payload: buf[start:]})
 		}
 		tm.FullSyncs.Inc()
 	} else {

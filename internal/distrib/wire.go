@@ -1,8 +1,9 @@
 // Package distrib is the forwarding-plane distribution subsystem: it
-// compiles each routing epoch the fabric manager publishes into compact
-// per-switch linear forwarding tables (LFTs), delta-encodes them against
-// the previously acknowledged fleet epoch, and pushes them over TCP (or
-// any net.Conn) to a fleet of switch agents with bounded parallel
+// reads each routing epoch the fabric manager publishes as per-switch
+// linear forwarding tables (LFTs: the rows of the published table, which
+// is never written again, plus a checksum per row), delta-encodes them
+// against the previously acknowledged fleet epoch, and pushes them over
+// TCP (or any net.Conn) to a fleet of switch agents with bounded parallel
 // fanout, per-agent timeout/retry/backoff and straggler quarantine.
 //
 // Installs follow the UPR-style two-phase order (Crespo et al.): agents

@@ -2,8 +2,11 @@ package distrib
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -132,5 +135,42 @@ func TestBeginLFTPrepareAckRoundTrip(t *testing.T) {
 	ga, err := ParseAck(AppendAck(nil, a))
 	if err != nil || ga != a {
 		t.Fatalf("ack: got %+v err %v, want %+v", ga, err, a)
+	}
+}
+
+// TestLFTSizeMatchesEncoding: the byte count a compiled epoch keeps per
+// row (rowSum) is the length of the payload AppendLFT writes
+// for it, whatever the uvarint widths: cleared entries (NoChannel
+// encodes as 0), IDs on both sides of every 7-bit boundary, switch IDs
+// and column counts of one to three bytes.
+func TestLFTSizeMatchesEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	edges := []graph.ChannelID{graph.NoChannel, 0, 126, 127, 1<<14 - 2, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1<<28 - 1, 1 << 28, 1<<31 - 2}
+	for trial := 0; trial < 500; trial++ {
+		row := make([]graph.ChannelID, rng.Intn(300))
+		for i := range row {
+			switch rng.Intn(4) {
+			case 0:
+				row[i] = edges[rng.Intn(len(edges))]
+			case 1:
+				row[i] = graph.ChannelID(rng.Intn(1 << 7))
+			case 2:
+				row[i] = graph.ChannelID(1<<14 + rng.Intn(1<<20))
+			default:
+				row[i] = graph.ChannelID(rng.Int31()) - 1
+			}
+		}
+		sw := graph.NodeID(rng.Intn(1 << uint(1+rng.Intn(22))))
+		crc, got := rowSum(sw, row)
+		if want := len(AppendLFT(nil, sw, row)); got != want {
+			t.Fatalf("trial %d: switch %d, %d columns: size %d, AppendLFT wrote %d bytes", trial, sw, len(row), got, want)
+		}
+		var le []byte
+		for _, ch := range row {
+			le = binary.LittleEndian.AppendUint32(le, uint32(ch+1))
+		}
+		if crc != crc32.ChecksumIEEE(le) {
+			t.Fatalf("trial %d: row CRC %#x, want %#x", trial, crc, crc32.ChecksumIEEE(le))
+		}
 	}
 }

@@ -159,14 +159,12 @@ func affectedDests(newNet *graph.Network, table *routing.Table, changed []graph.
 	affected := make(map[graph.NodeID]struct{})
 	dests, switches := table.Dests(), newNet.Switches()
 	restored := false
-	var row []graph.ChannelID
 	for _, c := range changed {
 		ch := newNet.Channel(c)
 		if !ch.Failed {
 			restored = true
 		} else if newNet.IsSwitch(ch.From) {
-			row = table.AppendRow(row[:0], ch.From)
-			for i, next := range row {
+			for i, next := range table.Row(ch.From) {
 				if next == c {
 					affected[dests[i]] = struct{}{}
 				}

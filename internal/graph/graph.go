@@ -320,22 +320,28 @@ func (g *Network) rebuildAdjacency() {
 		g.in[c.To] = append(g.in[c.To], c.ID)
 	}
 	for n := range g.out {
-		ch := g.channels
-		sort.Slice(g.out[n], func(i, j int) bool {
-			a, b := ch[g.out[n][i]], ch[g.out[n][j]]
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			return a.ID < b.ID
-		})
-		sort.Slice(g.in[n], func(i, j int) bool {
-			a, b := ch[g.in[n][i]], ch[g.in[n][j]]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			return a.ID < b.ID
-		})
+		out, in := g.out[n], g.in[n]
+		sort.Slice(out, func(i, j int) bool { return g.outBefore(out[i], out[j]) })
+		sort.Slice(in, func(i, j int) bool { return g.inBefore(in[i], in[j]) })
 	}
+}
+
+// outBefore is the order of Out(n): ascending head node, then channel
+// ID. inBefore is the order of In(n): ascending tail node, then channel
+// ID. rebuildAdjacency sorts by them and the incremental mutators insert
+// by them, which is what keeps a mutated network equal to a rebuilt one.
+func (g *Network) outBefore(a, b ChannelID) bool {
+	if ta, tb := g.channels[a].To, g.channels[b].To; ta != tb {
+		return ta < tb
+	}
+	return a < b
+}
+
+func (g *Network) inBefore(a, b ChannelID) bool {
+	if fa, fb := g.channels[a].From, g.channels[b].From; fa != fb {
+		return fa < fb
+	}
+	return a < b
 }
 
 // Clone returns a deep copy of g. The copy shares nothing with the
@@ -376,36 +382,17 @@ func (g *Network) Clone() *Network {
 // SetChannelFailed marks channel c and its reverse half failed (or
 // restores them) and updates the adjacency lists incrementally — a delta
 // mutation that avoids the O(|C| log |C|) rebuild of WithoutChannels. It
-// reports whether the state actually changed. The receiver must be a
-// private copy (see Clone); published snapshots stay immutable.
+// reports whether the state of c actually changed (a c already in the
+// requested state is a no-op, whatever its reverse half is in). The
+// receiver must be a private copy (see Clone); published snapshots stay
+// immutable.
 func (g *Network) SetChannelFailed(c ChannelID, failed bool) bool {
 	if g.channels[c].Failed == failed {
 		return false
 	}
 	g.invalidateCSR()
-	for _, id := range [2]ChannelID{c, g.channels[c].Reverse} {
-		ch := &g.channels[id]
-		ch.Failed = failed
-		if failed {
-			g.out[ch.From] = removeID(g.out[ch.From], id)
-			g.in[ch.To] = removeID(g.in[ch.To], id)
-		} else {
-			g.out[ch.From] = insertSorted(g.out[ch.From], id, func(a, b ChannelID) bool {
-				ca, cb := g.channels[a], g.channels[b]
-				if ca.To != cb.To {
-					return ca.To < cb.To
-				}
-				return ca.ID < cb.ID
-			})
-			g.in[ch.To] = insertSorted(g.in[ch.To], id, func(a, b ChannelID) bool {
-				ca, cb := g.channels[a], g.channels[b]
-				if ca.From != cb.From {
-					return ca.From < cb.From
-				}
-				return ca.ID < cb.ID
-			})
-		}
-	}
+	g.setHalf(c, failed)
+	g.setHalf(g.channels[c].Reverse, failed)
 	return true
 }
 
@@ -422,28 +409,27 @@ func (g *Network) SetHalfFailed(c ChannelID, failed bool) bool {
 		return false
 	}
 	g.invalidateCSR()
+	g.setHalf(c, failed)
+	return true
+}
+
+// setHalf moves the directed channel c into the given state and out of
+// (or, in adjacency order, into) the lists of its two end nodes; a
+// channel already in that state is left alone. The caller invalidates
+// the CSR view.
+func (g *Network) setHalf(c ChannelID, failed bool) {
 	ch := &g.channels[c]
+	if ch.Failed == failed {
+		return
+	}
 	ch.Failed = failed
 	if failed {
 		g.out[ch.From] = removeID(g.out[ch.From], c)
 		g.in[ch.To] = removeID(g.in[ch.To], c)
 	} else {
-		g.out[ch.From] = insertSorted(g.out[ch.From], c, func(a, b ChannelID) bool {
-			ca, cb := g.channels[a], g.channels[b]
-			if ca.To != cb.To {
-				return ca.To < cb.To
-			}
-			return ca.ID < cb.ID
-		})
-		g.in[ch.To] = insertSorted(g.in[ch.To], c, func(a, b ChannelID) bool {
-			ca, cb := g.channels[a], g.channels[b]
-			if ca.From != cb.From {
-				return ca.From < cb.From
-			}
-			return ca.ID < cb.ID
-		})
+		g.out[ch.From] = insertSorted(g.out[ch.From], c, g.outBefore)
+		g.in[ch.To] = insertSorted(g.in[ch.To], c, g.inBefore)
 	}
-	return true
 }
 
 // Symmetric reports whether every live channel's reverse half is also

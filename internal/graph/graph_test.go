@@ -402,6 +402,15 @@ func TestSetChannelFailedIdempotent(t *testing.T) {
 	if !g.SetChannelFailed(c, false) || g.SetChannelFailed(c, false) {
 		t.Fatal("idempotency broken on restore")
 	}
+	// The reverse half of a half-failed link is already live: restoring
+	// the duplex link must not list it a second time.
+	rev, ring := g.Channel(c).Reverse, buildRing(t, 5)
+	if !g.SetHalfFailed(c, true) || !g.SetChannelFailed(c, false) {
+		t.Fatal("restoring a half-failed link reported no change")
+	}
+	if from, to := g.Channel(rev).From, g.Channel(rev).To; !equalChannels(g.Out(from), ring.Out(from)) || !equalChannels(g.In(to), ring.In(to)) {
+		t.Fatalf("restoring a half-failed link left out[%d] = %v, in[%d] = %v", from, g.Out(from), to, g.In(to))
+	}
 }
 
 func equalChannels(a, b []ChannelID) bool {

@@ -139,21 +139,32 @@ func (t *Table) Shape() (rows, cols int) {
 	return len(t.next) / len(t.dests), len(t.dests)
 }
 
-// RowIndex returns the table row of switch sw (-1 if sw owns no row).
-// Rows are assigned to switches in ascending node-ID order, so row r
-// belongs to the r-th switch of Network.Switches().
-func (t *Table) RowIndex(sw graph.NodeID) int32 { return t.swIndex[sw] }
+// RowIndex returns the table row of switch sw (-1 if sw owns no row,
+// which includes every ID outside the network: distrib asks it about
+// switch IDs read off the wire). Rows are assigned to switches in
+// ascending node-ID order, so row r belongs to the r-th switch of
+// Network.Switches().
+func (t *Table) RowIndex(sw graph.NodeID) int32 {
+	if sw < 0 || int(sw) >= len(t.swIndex) {
+		return -1
+	}
+	return t.swIndex[sw]
+}
 
-// AppendRow appends switch sw's row — one next-hop channel per
-// destination column, NoChannel for unpopulated entries — to dst and
-// returns the extended slice. It panics if sw owns no row.
-func (t *Table) AppendRow(dst []graph.ChannelID, sw graph.NodeID) []graph.ChannelID {
+// Row returns switch sw's row — one next-hop channel per destination
+// column, NoChannel for unpopulated entries — as a view of the table's
+// own storage (do not modify; its capacity is its length, so an append
+// copies instead of running into the next row). The view is as stable as
+// the table: a published table is never written — the fabric manager
+// clones before it repairs. It panics if sw owns no row.
+func (t *Table) Row(sw graph.NodeID) []graph.ChannelID {
 	r := t.swIndex[sw]
 	if r < 0 {
-		panic(fmt.Sprintf("routing: AppendRow on non-switch node %d", sw))
+		panic(fmt.Sprintf("routing: Row of non-switch node %d", sw))
 	}
 	stride := len(t.dests)
-	return append(dst, t.next[int(r)*stride:int(r)*stride+stride]...)
+	lo := int(r) * stride
+	return t.next[lo : lo+stride : lo+stride]
 }
 
 // Diff compares two tables entry by entry. Both must be built over the

@@ -304,14 +304,19 @@ func TestDecodeDeltaBoundsCountByPayload(t *testing.T) {
 	}
 }
 
-func TestAppendRowAndRowIndex(t *testing.T) {
+// TestRowIsView: a row is the table's own entries, capped so that an
+// append cannot reach the next switch's row.
+func TestRowIsView(t *testing.T) {
 	net := deltaNet(t)
 	tbl := lineTable(t, net)
 	_, cols := tbl.Shape()
 	for _, sw := range net.Switches() {
-		row := tbl.AppendRow(nil, sw)
-		if len(row) != cols {
-			t.Fatalf("row of switch %d has %d cols, want %d", sw, len(row), cols)
+		row := tbl.Row(sw)
+		if len(row) != cols || cap(row) != cols {
+			t.Fatalf("row of switch %d has len %d cap %d, want %d and %d", sw, len(row), cap(row), cols, cols)
+		}
+		if &row[0] != &tbl.next[int(tbl.RowIndex(sw))*cols] {
+			t.Fatalf("row of switch %d is a copy, not a view of the table", sw)
 		}
 		for di, d := range tbl.Dests() {
 			if row[di] != tbl.Next(sw, d) {

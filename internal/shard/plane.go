@@ -120,6 +120,11 @@ func New(tp *topology.Topology, opts Options) (*Plane, error) {
 	if opts.Replicas < 1 {
 		opts.Replicas = 1
 	}
+	if opts.Telemetry == nil {
+		// The zero bundle's nil handles are no-ops, so recording sites
+		// need no nil checks.
+		opts.Telemetry = &telemetry.ShardMetrics{}
+	}
 	p := &Plane{
 		opts:    opts,
 		regions: Partition(tp, opts.Shards),
@@ -137,11 +142,9 @@ func New(tp *topology.Topology, opts Options) (*Plane, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t := opts.Telemetry; t != nil {
-		t.Elections.Inc()
-		t.Term.Set(int64(term))
-		t.Leader.Set(0)
-	}
+	opts.Telemetry.Elections.Inc()
+	opts.Telemetry.Term.Set(int64(term))
+	opts.Telemetry.Leader.Set(0)
 	return p, nil
 }
 
@@ -161,16 +164,12 @@ func (p *Plane) commit(c *fabric.Candidate) error {
 	if err != nil {
 		p.leader = -1 // deposed or dead: stop proposing until failover
 		p.metrics.Deposals++
-		if t := p.opts.Telemetry; t != nil {
-			t.Deposed.Inc()
-			t.Leader.Set(-1)
-		}
+		p.opts.Telemetry.Deposed.Inc()
+		p.opts.Telemetry.Leader.Set(-1)
 		return err
 	}
 	p.metrics.EpochsCommitted++
-	if t := p.opts.Telemetry; t != nil {
-		t.EpochsCommitted.Inc()
-	}
+	p.opts.Telemetry.EpochsCommitted.Inc()
 	return nil
 }
 
@@ -269,9 +268,7 @@ func (p *Plane) certifySeam(c *fabric.Candidate, rep *Report) error {
 	t := p.opts.Telemetry
 	rep.SeamCertified = true
 	p.metrics.SeamCertified++
-	if t != nil {
-		t.SeamCertified.Inc()
-	}
+	t.SeamCertified.Inc()
 	if _, terr := oracle.CertifyTransition(net, old, c.Snap.Result, oracle.Options{}); terr == nil {
 		return nil
 	}
@@ -280,9 +277,7 @@ func (p *Plane) certifySeam(c *fabric.Candidate, rep *Report) error {
 		if _, cerr := oracle.Certify(net, c.Snap.Result, oracle.Options{}); cerr != nil {
 			rep.SeamVeto = cerr
 			p.metrics.SeamVetoes++
-			if t != nil {
-				t.SeamVetoes.Inc()
-			}
+			t.SeamVetoes.Inc()
 			err := c.FullRecompute()
 			if err == nil {
 				_, err = oracle.Certify(net, c.Snap.Result, oracle.Options{})
@@ -296,9 +291,7 @@ func (p *Plane) certifySeam(c *fabric.Candidate, rep *Report) error {
 	}
 	if rep.SeamDrain {
 		p.metrics.SeamDrains++
-		if t != nil {
-			t.SeamDrains.Inc()
-		}
+		t.SeamDrains.Inc()
 	}
 	return nil
 }
@@ -325,10 +318,8 @@ func (p *Plane) regionExec(rep *Report) fabric.JobExecutor {
 		}
 		rep.LocalJobs += len(jobs) - len(coord)
 		rep.SeamJobs += len(coord)
-		if t := p.opts.Telemetry; t != nil {
-			t.LocalJobs.Add(int64(len(jobs) - len(coord)))
-			t.SeamJobs.Add(int64(len(coord)))
-		}
+		p.opts.Telemetry.LocalJobs.Add(int64(len(jobs) - len(coord)))
+		p.opts.Telemetry.SeamJobs.Add(int64(len(coord)))
 		var wg sync.WaitGroup
 		for _, idxs := range byRegion {
 			wg.Add(1)
@@ -402,11 +393,9 @@ func (p *Plane) Failover() (leader int, term uint64, err error) {
 		p.leader, p.term = id, t
 		p.mgr.Restore(entry.Snap, entry.LinkFailed, entry.NodeDown)
 		p.metrics.Elections++
-		if tm := p.opts.Telemetry; tm != nil {
-			tm.Elections.Inc()
-			tm.Term.Set(int64(t))
-			tm.Leader.Set(int64(id))
-		}
+		p.opts.Telemetry.Elections.Inc()
+		p.opts.Telemetry.Term.Set(int64(t))
+		p.opts.Telemetry.Leader.Set(int64(id))
 		return id, t, nil
 	}
 	return -1, 0, lastErr
@@ -480,9 +469,6 @@ func (p *Plane) TamperForTest(f func(*graph.Network, *routing.Result)) {
 // recordEpoch emits one committed epoch into the telemetry ring.
 func (p *Plane) recordEpoch(rep *Report) {
 	t := p.opts.Telemetry
-	if t == nil {
-		return
-	}
 	t.Term.Set(int64(rep.Term))
 	t.Leader.Set(int64(rep.Leader))
 	seam := int64(0)

@@ -40,7 +40,7 @@ func TestNilSafety(t *testing.T) {
 	if reg.Counter("x") != nil || reg.Gauge("x") != nil || reg.Histogram("x") != nil || reg.Ring() != nil {
 		t.Error("nil registry handed out non-nil handles")
 	}
-	if reg.Engine() != nil || reg.Fabric() != nil || reg.Sim() != nil {
+	if reg.Engine() != nil || reg.Fabric() != nil || reg.Sim() != nil || reg.Distrib() != nil || reg.Shard() != nil {
 		t.Error("nil registry handed out non-nil bundles")
 	}
 	var sm *SimMetrics

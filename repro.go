@@ -130,41 +130,21 @@ func EdgeForwardingIndex(net *Network, res *RoutingResult) GammaStats {
 	return metrics.EdgeForwardingIndex(net, res, nil)
 }
 
-// Topology generators (Table 1 and the worked examples).
+// Topology generators: the families the examples build. Every family of
+// the evaluation is in internal/topology, and behind the binaries' -topo
+// and -type flags by name; a file written by topogen comes back through
+// ReadTopology.
 
 // Torus3D builds a dx x dy x dz 3D torus with t terminals per switch and
 // r parallel links per connection.
 func Torus3D(dx, dy, dz, t, r int) *Topology { return topology.Torus3D(dx, dy, dz, t, r) }
 
-// Mesh3D builds a 3D mesh (torus without wrap-around).
-func Mesh3D(dx, dy, dz, t, r int) *Topology { return topology.Mesh3D(dx, dy, dz, t, r) }
-
 // Mesh2D builds a 2D mesh of tiles, the typical NoC floor plan.
 func Mesh2D(dx, dy, t int) *Topology { return topology.Mesh2D(dx, dy, t) }
-
-// KAryNTree builds a k-ary n-tree with the given terminals per leaf.
-func KAryNTree(k, n, terminalsPerLeaf int) *Topology {
-	return topology.KAryNTree(k, n, terminalsPerLeaf)
-}
-
-// Kautz builds the Kautz-derived network of Table 1.
-func Kautz(b, k, t, r int) *Topology { return topology.Kautz(b, k, t, r) }
 
 // Dragonfly builds a dragonfly with a switches/group, p terminals/switch,
 // h global ports/switch and g groups.
 func Dragonfly(a, p, h, g int) *Topology { return topology.Dragonfly(a, p, h, g) }
-
-// Cascade2Group builds the Cray Cascade-like two-group network.
-func Cascade2Group() *Topology { return topology.Cascade2Group() }
-
-// TsubameLike builds the Tsubame2.5-like fat tree.
-func TsubameLike() *Topology { return topology.TsubameLike() }
-
-// Ring builds a ring of n switches with t terminals each.
-func Ring(n, t int) *Topology { return topology.Ring(n, t) }
-
-// RingWithShortcut builds the paper's Fig. 2a example network.
-func RingWithShortcut() *Topology { return topology.RingWithShortcut() }
 
 // RandomTopology builds a connected random network (§5.1).
 func RandomTopology(rng *rand.Rand, switches, ssLinks, t int) *Topology {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -124,13 +126,13 @@ func TestFacadeGenerators(t *testing.T) {
 		switches  int
 		terminals int
 	}{
-		{Ring(6, 2), 6, 12},
-		{RingWithShortcut(), 5, 0},
+		{topology.Ring(6, 2), 6, 12},
+		{topology.RingWithShortcut(), 5, 0},
 		{Mesh2D(3, 3, 1), 9, 9},
-		{Mesh3D(2, 2, 2, 1, 1), 8, 8},
-		{Kautz(2, 2, 1, 1), 6, 6},
+		{topology.Mesh3D(2, 2, 2, 1, 1), 8, 8},
+		{topology.Kautz(2, 2, 1, 1), 6, 6},
 		{Dragonfly(3, 1, 1, 4), 12, 12},
-		{KAryNTree(2, 2, 2), 4, 4},
+		{topology.KAryNTree(2, 2, 2), 4, 4},
 	}
 	for _, c := range cases {
 		if c.tp.Net.NumSwitches() != c.switches || c.tp.Net.NumTerminals() != c.terminals {
@@ -138,10 +140,10 @@ func TestFacadeGenerators(t *testing.T) {
 				c.tp.Name, c.tp.Net.NumSwitches(), c.tp.Net.NumTerminals(), c.switches, c.terminals)
 		}
 	}
-	if tp := Cascade2Group(); tp.Net.NumSwitches() != 192 {
+	if tp := topology.Cascade2Group(); tp.Net.NumSwitches() != 192 {
 		t.Errorf("cascade switches = %d", tp.Net.NumSwitches())
 	}
-	if tp := TsubameLike(); tp.Net.NumSwitches() != 243 {
+	if tp := topology.TsubameLike(); tp.Net.NumSwitches() != 243 {
 		t.Errorf("tsubame switches = %d", tp.Net.NumSwitches())
 	}
 }
