@@ -89,7 +89,7 @@ func main() {
 
 // controller is what the churn loop needs of whoever owns the fabric: a
 // monolithic fabric.Manager, or with -shards/-replicas a shard.Plane
-// (region-affine repair scheduling, seam certification, quorum commit).
+// (region-affine repair scheduling, quorum commit).
 // Events are drawn from the live controller, never from a shadow state.
 type controller interface {
 	RandomEvent(rng *rand.Rand, pJoin float64) (fabric.Event, bool)
@@ -179,8 +179,8 @@ func run(cfg config) error {
 			if err != nil {
 				return nil, "", err
 			}
-			return &rep.EventReport, fmt.Sprintf(" | term %d leader %d, %d local + %d seam jobs%s",
-				rep.Term, rep.Leader, rep.LocalJobs, rep.SeamJobs, seamSuffix(rep)), nil
+			return &rep.EventReport, fmt.Sprintf(" | term %d leader %d, %d local + %d seam jobs",
+				rep.Term, rep.Leader, rep.LocalJobs, rep.SeamJobs), nil
 		}
 		metrics = func() fabric.Metrics { return plane.Metrics().Metrics }
 	} else {
@@ -257,8 +257,8 @@ func run(cfg config) error {
 	leader := 0
 	if plane != nil {
 		m := plane.Metrics()
-		fmt.Fprintf(cfg.out, "# control plane: %d epochs committed, %d local + %d seam jobs, %d seam certifications (%d drains, %d vetoes), %d elections, %d deposals\n",
-			m.EpochsCommitted, m.LocalJobs, m.SeamJobs, m.SeamCertified, m.SeamDrains, m.SeamVetoes, m.Elections, m.Deposals)
+		fmt.Fprintf(cfg.out, "# control plane: %d epochs committed, %d local + %d seam jobs, %d elections, %d deposals\n",
+			m.EpochsCommitted, m.LocalJobs, m.SeamJobs, m.Elections, m.Deposals)
 		leader, _ = plane.Leader()
 	}
 	if leader >= 0 && leader < len(sources) {
@@ -328,21 +328,6 @@ func serveReplicas(cfg config, reg *telemetry.Registry) ([]*distrib.Source, erro
 	fmt.Fprintf(cfg.out, "# distributing forwarding tables on %d publishers (connect with: nueagent -connect %s)\n",
 		len(addrs), strings.Join(addrs, ","))
 	return sources, nil
-}
-
-// seamSuffix renders the seam-certification outcome of one epoch.
-func seamSuffix(rep *shard.Report) string {
-	if !rep.SeamCertified {
-		return ""
-	}
-	switch {
-	case rep.SeamVeto != nil:
-		return fmt.Sprintf(", seam VETOED (%v)", rep.SeamVeto)
-	case rep.SeamDrain:
-		return ", seam certified (drain)"
-	default:
-		return ", seam certified"
-	}
 }
 
 // serveTelemetry starts the observability endpoint: Prometheus text

@@ -10,13 +10,14 @@ import (
 
 // Gate is the pre-publication hook of a gated epoch transaction. It runs
 // once per candidate epoch, after the repair has been computed and
-// verified and before anything becomes visible: the state is mutated but
-// not re-indexed, the snapshot is built but not stored, OnPublish has not
-// fired. A non-nil error vetoes the epoch exactly like a verifier
-// failure: the event is reverted and nothing is published. The sharded
-// control plane certifies the region seam and commits the epoch to its
-// replicated log here. The gate runs under the manager's event lock and
-// must not call back into the manager.
+// certified (Verify, PostCheck) and before anything becomes visible: the
+// state is mutated but not re-indexed, the snapshot is built but not
+// stored, OnPublish has not fired. A gate can only veto, never replace:
+// a non-nil error rejects the epoch exactly like a verifier failure —
+// the event is reverted and nothing is published — and nil publishes the
+// candidate as certified. The sharded control plane commits the epoch to
+// its replicated log here. The gate runs under the manager's event lock
+// and must not call back into the manager.
 type Gate func(c *Candidate) error
 
 // Candidate is the epoch a Gate decides on.
@@ -24,31 +25,10 @@ type Candidate struct {
 	// Event is the reconfiguration being applied (zero for the initial
 	// epoch).
 	Event Event
-	// Old is the epoch being replaced; nil for the initial epoch.
-	Old *Snapshot
 	// Snap is the epoch that will be published when the gate returns nil.
 	Snap *Snapshot
-	// Changed lists the directed channels whose failed state the event
-	// flipped; Repaired the destinations whose table columns may differ
-	// from Old's (nil after a full recompute: all of them).
-	Changed  []graph.ChannelID
-	Repaired []graph.NodeID
 
-	m      *Manager
-	report *EventReport
-}
-
-// FullRecompute discards the candidate's routing and replaces it with a
-// verified (and post-checked) from-scratch routing of the same network —
-// the recovery of a gate that refuted the proposal itself. Not for the
-// initial epoch, which already is one.
-func (c *Candidate) FullRecompute() error {
-	res, err := c.m.run.fullRecompute(c.m.st, c.Snap.Net, c.Changed, c.report)
-	if err != nil {
-		return err
-	}
-	c.Snap.Result, c.Repaired = res, nil
-	return nil
+	m *Manager
 }
 
 // Bookkeeping returns deep copies of the explicit link-failed and
@@ -104,23 +84,21 @@ func (m *Manager) ApplyGated(ev Event, exec JobExecutor, gate Gate) (*EventRepor
 	if exec == nil {
 		exec = m.PooledJobs
 	}
-	res, repaired, err := m.run.retable(m.st, old, newNet, changed, report, exec)
+	res, err := m.run.retable(m.st, old, newNet, changed, report, exec)
 	if err != nil {
 		return abort(err)
 	}
 	snap := &Snapshot{Epoch: old.Epoch + 1, Net: newNet, Result: res}
 	if gate != nil {
-		c := &Candidate{Event: ev, Old: old, Snap: snap, Changed: changed, Repaired: repaired, m: m, report: report}
-		if err := gate(c); err != nil {
+		if err := gate(&Candidate{Event: ev, Snap: snap, m: m}); err != nil {
 			return abort(err)
 		}
 	}
 
 	// Only an epoch that passed the gate may update the derived index and
-	// become visible to readers and agents. snap.Result, not res: the gate
-	// may have replaced the proposal (Candidate.FullRecompute).
-	m.st.reindexCast(snap.Result.Cast)
-	report.Delta = routing.Diff(old.Result.Table, snap.Result.Table)
+	// become visible to readers and agents.
+	m.st.reindexCast(res.Cast)
+	report.Delta = routing.Diff(old.Result.Table, res.Table)
 	report.Epoch = snap.Epoch
 	report.Latency = time.Since(start)
 	m.snap.Store(snap)

@@ -125,10 +125,10 @@ type Snapshot struct {
 // nowhere else, and ApplyGated is the only code that runs the epoch
 // transaction. The sharded control plane (internal/shard) composes a
 // Manager — literally: it holds one and passes in what is its own, a
-// region-affine JobExecutor and a pre-publication Gate (seam
-// certification + quorum commit) — so sharded and monolithic tables are
-// digest-equal because they come out of the same code, not out of two
-// copies kept alike.
+// region-affine JobExecutor and a pre-publication Gate (quorum commit,
+// which can veto an epoch but not replace it) — so sharded and
+// monolithic tables are digest-equal because they come out of the same
+// code and the same certification, not out of two copies kept alike.
 type Manager struct {
 	opts Options
 
@@ -147,8 +147,9 @@ func NewManager(tp *topology.Topology, opts Options) (*Manager, error) {
 }
 
 // NewGatedManager is NewManager with the initial epoch passed through
-// gate (Candidate.Old == nil) before it is stored and OnPublish fires;
-// a gate error aborts construction. A nil gate publishes directly.
+// gate (zero Candidate.Event, Snap.Epoch 0) before it is stored and
+// OnPublish fires; a gate error aborts construction. A nil gate
+// publishes directly.
 func NewGatedManager(tp *topology.Topology, opts Options, gate Gate) (*Manager, error) {
 	if opts.MaxVCs <= 0 {
 		opts.MaxVCs = 4

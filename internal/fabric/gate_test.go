@@ -11,11 +11,10 @@ import (
 )
 
 // TestGateAtomicity states the revert contract of the epoch transaction
-// where it lives: a gate that returns an error — before or after it
-// replaced the proposal by a full recompute — leaves no trace of the
+// where it lives: a gate that returns an error leaves no trace of the
 // event (published epoch, tables, down-link set, working network, the
 // next churn draw), publishes nothing, and the same event then commits
-// through a passing gate.
+// through a passing gate — with exactly the tables the gate was shown.
 func TestGateAtomicity(t *testing.T) {
 	published := 0
 	m, err := NewManager(topology.Torus3D(3, 3, 2, 1, 1), Options{
@@ -66,41 +65,35 @@ func TestGateAtomicity(t *testing.T) {
 	before := observe()
 
 	errVeto := errors.New("gate says no")
-	for _, recompute := range []bool{false, true} {
-		calls := 0
-		rep, err := m.ApplyGated(ev, nil, func(c *Candidate) error {
-			calls++
-			if c.Event != ev || c.Old != m.View() || c.Snap.Epoch != before.epoch+1 || len(c.Changed) != 2 {
-				t.Errorf("candidate = %+v", c)
-			}
-			if failed, _ := c.Bookkeeping(); !failed[canonical(c.Snap.Net, ev.Link)] {
-				t.Error("candidate bookkeeping does not carry the event")
-			}
-			if recompute {
-				if err := c.FullRecompute(); err != nil {
-					t.Errorf("FullRecompute: %v", err)
-				}
-				if c.Repaired != nil {
-					t.Error("Repaired survives a full recompute")
-				}
-			}
-			return errVeto
-		})
-		if !errors.Is(err, errVeto) || rep != nil || calls != 1 {
-			t.Fatalf("recompute=%v: rep=%v err=%v after %d gate calls, want the gate's error once", recompute, rep, err, calls)
+	calls := 0
+	rep, err := m.ApplyGated(ev, nil, func(c *Candidate) error {
+		calls++
+		if c.Event != ev || c.Snap.Epoch != before.epoch+1 {
+			t.Errorf("candidate = %+v", c)
 		}
-		if after := observe(); !reflect.DeepEqual(before, after) {
-			t.Fatalf("recompute=%v: vetoed event left a trace:\nbefore %+v\nafter  %+v", recompute, before, after)
+		if failed, _ := c.Bookkeeping(); !failed[canonical(c.Snap.Net, ev.Link)] {
+			t.Error("candidate bookkeeping does not carry the event")
 		}
+		return errVeto
+	})
+	if !errors.Is(err, errVeto) || rep != nil || calls != 1 {
+		t.Fatalf("rep=%v err=%v after %d gate calls, want the gate's error once", rep, err, calls)
+	}
+	if after := observe(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("vetoed event left a trace:\nbefore %+v\nafter  %+v", before, after)
 	}
 
-	rep, err := m.ApplyGated(ev, nil, func(*Candidate) error { return nil })
+	var shown *Snapshot
+	rep, err = m.ApplyGated(ev, nil, func(c *Candidate) error { shown = c.Snap; return nil })
 	if err != nil {
 		t.Fatalf("same event through a passing gate: %v", err)
 	}
 	if rep.Epoch != before.epoch+1 || m.Epoch() != rep.Epoch || published != before.published+1 {
 		t.Fatalf("commit: report epoch %d, manager epoch %d, %d publications; want epoch %d, one publication",
 			rep.Epoch, m.Epoch(), published-before.published, before.epoch+1)
+	}
+	if m.View() != shown {
+		t.Fatal("the published snapshot is not the candidate the gate passed")
 	}
 	if mt := m.Metrics(); mt.Events != 4 {
 		t.Fatalf("Metrics.Events = %d, want 4 (vetoed events are not counted)", mt.Events)
@@ -119,7 +112,7 @@ func TestGatedConstructor(t *testing.T) {
 		published = true
 	}}
 	m, err := NewGatedManager(tp, opts, func(c *Candidate) error {
-		if c.Old != nil || c.Snap.Epoch != 0 || c.Event != (Event{}) {
+		if c.Snap.Epoch != 0 || c.Event != (Event{}) {
 			t.Errorf("initial candidate = %+v", c)
 		}
 		gated = true

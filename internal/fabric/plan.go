@@ -173,16 +173,14 @@ func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job LayerJo
 
 // retable computes the post-event routing for newNet: the incremental
 // per-layer repair (scheduled by exec), falling back to a full recompute
-// when a layer fails or the combined result does not verify. It returns
-// the result and the destinations whose columns changed (nil after a
-// full recompute). This is pure computation — the caller owns mutation,
-// index maintenance, and publication.
+// when a layer fails or the combined result does not verify. This is
+// pure computation — the caller owns mutation, index maintenance, and
+// publication.
 func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, changed []graph.ChannelID,
-	report *EventReport, exec JobExecutor) (*routing.Result, []graph.NodeID, error) {
+	report *EventReport, exec JobExecutor) (*routing.Result, error) {
 
 	if r.opts.FullRecompute {
-		res, err := r.fullRecompute(st, newNet, changed, report)
-		return res, nil, err
+		return r.fullRecompute(st, newNet, report)
 	}
 	oldRes := old.Result
 	r.invalidateRoots(newNet, changed)
@@ -195,16 +193,12 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 		// Cast trees may still be hit — finishResult repairs them.
 		res := resultWith(oldRes, table)
 		if err := r.finishResult(st, newNet, res, oldRes.Cast, changed, report); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res, nil, nil
+		return res, nil
 	}
 
 	jobs := planJobs(old, affected)
-	repairedList := make([]graph.NodeID, 0, len(affected))
-	for _, j := range jobs {
-		repairedList = append(repairedList, j.Repair...)
-	}
 	outs := make([]jobOutcome, len(jobs))
 	barrier := time.Now()
 	exec(jobs, func(i int) {
@@ -215,11 +209,11 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 		out := outs[i]
 		if out.err != nil {
 			// Last resort: re-route the whole fabric.
-			res, err := r.fullRecompute(st, newNet, changed, report)
+			res, err := r.fullRecompute(st, newNet, report)
 			if err != nil {
-				return nil, nil, fmt.Errorf("layer %d repair failed (%v) and full recompute failed: %w", j.Layer, out.err, err)
+				return nil, fmt.Errorf("layer %d repair failed (%v) and full recompute failed: %w", j.Layer, out.err, err)
 			}
-			return res, nil, nil
+			return res, nil
 		}
 		if out.stats.Tree != nil {
 			r.roots[j.Layer] = escapeRoot{root: out.stats.Root, tree: out.stats.Tree}
@@ -230,7 +224,6 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 		if out.stats.Rung >= 3 {
 			// Rungs 3 and 4 re-routed the kept destinations as well.
 			report.LayerRebuilds++
-			repairedList = append(repairedList, j.Kept...)
 		}
 		report.RepairedDests += out.stats.Routed
 		report.UnreachableDests += out.stats.Unreachable
@@ -242,13 +235,13 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 	if err := r.finishResult(st, newNet, res, oldRes.Cast, changed, report); err != nil {
 		// Defense in depth: an invalid incremental transition is replaced
 		// by a verified full recompute.
-		full, ferr := r.fullRecompute(st, newNet, changed, report)
+		full, ferr := r.fullRecompute(st, newNet, report)
 		if ferr != nil {
-			return nil, nil, fmt.Errorf("incremental transition refused (%v) and full recompute failed: %w", err, ferr)
+			return nil, fmt.Errorf("incremental transition refused (%v) and full recompute failed: %w", err, ferr)
 		}
-		return full, nil, nil
+		return full, nil
 	}
-	return res, repairedList, nil
+	return res, nil
 }
 
 // finishResult completes a to-be-published result: the multicast trees
@@ -276,7 +269,7 @@ func (r *runner) finishResult(st *State, newNet *graph.Network, res *routing.Res
 
 // fullRecompute routes the fabric (and its cast trees) from scratch and
 // verifies if required.
-func (r *runner) fullRecompute(st *State, newNet *graph.Network, changed []graph.ChannelID, report *EventReport) (*routing.Result, error) {
+func (r *runner) fullRecompute(st *State, newNet *graph.Network, report *EventReport) (*routing.Result, error) {
 	res, err := r.routeFull(newNet)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ package oracle_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -135,5 +136,99 @@ func TestMutationDropsEntry(t *testing.T) {
 	// Restoration sanity: the unmutated table still certifies.
 	if _, err := oracle.Certify(net, res, oracle.Options{MaxVCs: 1}); err != nil {
 		t.Fatalf("restored table no longer certifies: %v", err)
+	}
+}
+
+// TestMutationDependencyTriangle re-routes three same-layer destinations
+// around a directed switch triangle s0 -> s1 -> s2 -> s0 of one
+// Dragonfly group, so that each destination's walk stays loop-free (the
+// route-level checks pass) while their combined channel dependencies
+// close a cycle — the class of fault only the CDG cycle search refutes.
+// Both certifiers must refute it, and the oracle's witness must validate
+// and touch the injected triangle.
+func TestMutationDependencyTriangle(t *testing.T) {
+	tp := topology.Dragonfly(4, 2, 2, 9)
+	net := tp.Net
+	// One virtual layer puts every destination in the same CDG, so the
+	// triangle's three destinations are guaranteed to share a layer.
+	res, err := nueEngine(1).Route(net, net.Terminals(), 1)
+	if err != nil {
+		t.Fatalf("route: %v", err)
+	}
+	if _, err := oracle.Certify(net, res, oracle.Options{MaxVCs: 1}); err != nil {
+		t.Fatalf("baseline must certify before mutating: %v", err)
+	}
+
+	// Three switches of group g0 (locally all-to-all, named g0-s<i>) and
+	// the terminal attached to each.
+	var ring [3]graph.NodeID
+	k := 0
+	for _, sw := range net.Switches() {
+		if k < len(ring) && strings.HasPrefix(net.Node(sw).Name, "g0-") {
+			ring[k] = sw
+			k++
+		}
+	}
+	if k < len(ring) {
+		t.Fatalf("group g0 has %d switches, want 3", k)
+	}
+	chanTo := func(u, v graph.NodeID) graph.ChannelID {
+		for _, c := range net.Out(u) {
+			if net.Channel(c).To == v {
+				return c
+			}
+		}
+		t.Fatalf("no channel %d -> %d", u, v)
+		return graph.NoChannel
+	}
+	terminalOf := func(sw graph.NodeID) graph.NodeID {
+		for _, c := range net.Out(sw) {
+			if net.IsTerminal(net.Channel(c).To) {
+				return net.Channel(c).To
+			}
+		}
+		t.Fatalf("switch %d has no terminal", sw)
+		return graph.NoNode
+	}
+	// rdst[i] is served over the triangle edge leaving ring[i]: the
+	// destination attached to ring[(i+2)%3].
+	var rdst [3]graph.NodeID
+	for i := range ring {
+		rdst[i] = terminalOf(ring[(i+2)%3])
+	}
+	e01, e12, e20 := chanTo(ring[0], ring[1]), chanTo(ring[1], ring[2]), chanTo(ring[2], ring[0])
+
+	// Each destination takes two triangle hops and exits to its terminal:
+	// loop-free walks, cyclic dependencies.
+	tb := res.Table
+	tb.Set(ring[0], rdst[0], e01) // dst at ring[2]: s0 -> s1 -> s2 -> t
+	tb.Set(ring[1], rdst[0], e12)
+	tb.Set(ring[1], rdst[1], e12) // dst at ring[0]: s1 -> s2 -> s0 -> t
+	tb.Set(ring[2], rdst[1], e20)
+	tb.Set(ring[2], rdst[2], e20) // dst at ring[1]: s2 -> s0 -> s1 -> t
+	tb.Set(ring[0], rdst[2], e01)
+	tb.Set(ring[2], rdst[0], chanTo(ring[2], rdst[0]))
+	tb.Set(ring[0], rdst[1], chanTo(ring[0], rdst[1]))
+	tb.Set(ring[1], rdst[2], chanTo(ring[1], rdst[2]))
+
+	_, oerr := oracle.Certify(net, res, oracle.Options{})
+	var ce *oracle.CycleError
+	if !errors.As(oerr, &ce) {
+		t.Fatalf("oracle: %T (%v), want a dependency-cycle witness", oerr, oerr)
+	}
+	if err := oracle.ValidateWitness(net, ce.Witness); err != nil {
+		t.Fatalf("witness does not validate: %v", err)
+	}
+	onTriangle := false
+	for _, d := range ce.Witness {
+		if d.Channel == e01 || d.Channel == e12 || d.Channel == e20 {
+			onTriangle = true
+		}
+	}
+	if !onTriangle {
+		t.Fatalf("witness %v does not touch the injected triangle", ce.Witness)
+	}
+	if _, verr := verify.Check(net, res, nil); verr == nil {
+		t.Fatal("verify passed the dependency triangle")
 	}
 }

@@ -180,21 +180,6 @@ func (u *unionWalker) addDeps(lane int) (int, error) {
 	return len(newRes.Table.Dests()), nil
 }
 
-// CertifyDeps proves the channel-dependency graph induced by a single
-// destination-based routing acyclic — the degenerate self-transition
-// (old == new), so the union construction collapses to the routing's own
-// dependencies. Unlike Certify it never walks routes: it has no
-// connectivity, path-length or budget verdicts, and misses nothing that
-// matters for deadlock (a forwarding loop shows up as a dependency cycle
-// in its own column). That makes it the cheap structural screen the
-// shard coordinator runs on a refuted transition union before paying for
-// a walk-based Certify: tables the repair engines produced legitimately
-// are built inside an acyclic CDG and always pass; a cycle here means
-// the proposal itself is suspect.
-func CertifyDeps(net *graph.Network, res *routing.Result, opt Options) (*TransitionCertificate, error) {
-	return CertifyTransition(net, res, res, opt)
-}
-
 // checkTransitionShape enforces the destination-based shape contract of
 // CertifyTransition on one endpoint result.
 func checkTransitionShape(net *graph.Network, res *routing.Result, which string) error {

@@ -2,14 +2,10 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 
 	"repro/internal/fabric"
-	"repro/internal/graph"
-	"repro/internal/oracle"
-	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -44,9 +40,8 @@ type Options struct {
 }
 
 // Report describes one sharded Apply: the fabric repair report plus the
-// control-plane view — which term/leader committed it, how the layer
-// jobs were scheduled across regions, and whether the seam had to be
-// certified (and vetoed).
+// control-plane view — which term/leader committed it and how the layer
+// jobs were scheduled across regions.
 type Report struct {
 	fabric.EventReport
 	// Term and Leader identify the committing leadership.
@@ -56,35 +51,31 @@ type Report struct {
 	// SeamJobs those escalated to the coordinator because their
 	// destinations span regions.
 	LocalJobs, SeamJobs int
-	// SeamCertified is true when the coordinator ran the oracle on the
-	// seam. SeamVeto carries the oracle witness when the proposed tables
-	// themselves were refuted (deadlock or owed route) — the plane then
-	// discarded them and recovered via a certified full recompute.
-	// SeamDrain is true when the tables stand but the cross-region old+new
-	// union was refuted, so the per-switch swap must be drained (the flag
-	// the distribution plane's own certifier re-derives); it does not
-	// change what is published, keeping sharded tables digest-equal to the
-	// monolithic manager's.
+
+	// Deprecated: always false. The plane no longer certifies
+	// transitions (the distribution source decides drains, DESIGN §16);
+	// this field and the two below stay only until the benchmark stops
+	// reading them.
 	SeamCertified bool
-	SeamVeto      error
-	SeamDrain     bool
+	// Deprecated: always nil, see SeamCertified.
+	SeamVeto error
+	// Deprecated: always false, see SeamCertified.
+	SeamDrain bool
 }
 
 // Metrics aggregates a plane's lifetime, extending the fabric repair
 // aggregates with control-plane counters.
 type Metrics struct {
 	fabric.Metrics
-	LocalJobs, SeamJobs                   int
-	SeamCertified, SeamVetoes, SeamDrains int
-	EpochsCommitted, Deposals             int
-	Elections                             int
+	LocalJobs, SeamJobs       int
+	EpochsCommitted, Deposals int
+	Elections                 int
 }
 
 // Plane is a sharded, replicated fabric control plane. It exposes the
 // same Apply/View/Epoch surface as fabric.Manager because it holds one:
 // the manager runs the epoch transaction, the plane supplies what is its
 // own — region-affine scheduling of the layer repairs, and a gate that
-// union-certifies cross-region dependency changes on the seam and
 // commits the epoch to a majority of replicas under a leadership term
 // before it may be published.
 type Plane struct {
@@ -105,10 +96,6 @@ type Plane struct {
 	// before the quorum append — the hook failover tests use to kill the
 	// leader deterministically mid-apply.
 	beforeCommit func()
-	// tamper, when non-nil, mutates the candidate result after repair and
-	// before seam certification — the mutation-test hook for proving the
-	// coordinator vetoes cycle-forming seam proposals.
-	tamper func(*graph.Network, *routing.Result)
 }
 
 // New partitions tp, elects replica 0 leader, routes tp from scratch and
@@ -191,10 +178,11 @@ func (p *Plane) publish(snap *fabric.Snapshot) {
 
 // Apply processes one churn event through the sharded plane: the
 // manager's epoch transaction with region-affine job scheduling and the
-// plane's gate (seam certification, quorum commit) in front of
-// publication. The forwarding tables it publishes are digest-equal to
-// what a monolithic fabric.Manager publishes for the same trace —
-// scheduling and ownership differ, the computation is the same code.
+// plane's gate (quorum commit) in front of publication. What commits is
+// exactly what the manager's certification passed, so the forwarding
+// tables it publishes are digest-equal to what a monolithic
+// fabric.Manager publishes for the same trace — scheduling and ownership
+// differ, the computation is the same code.
 func (p *Plane) Apply(ev fabric.Event) (*Report, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -202,9 +190,7 @@ func (p *Plane) Apply(ev fabric.Event) (*Report, error) {
 		return nil, ErrNoLeader
 	}
 	rep := &Report{Term: p.term, Leader: p.leader}
-	er, err := p.mgr.ApplyGated(ev, p.regionExec(rep), func(c *fabric.Candidate) error {
-		return p.gate(c, rep)
-	})
+	er, err := p.mgr.ApplyGated(ev, p.regionExec(rep), p.gate)
 	if err != nil {
 		return nil, err
 	}
@@ -214,86 +200,21 @@ func (p *Plane) Apply(ev fabric.Event) (*Report, error) {
 	}
 	p.metrics.LocalJobs += rep.LocalJobs
 	p.metrics.SeamJobs += rep.SeamJobs
+	p.opts.Telemetry.LocalJobs.Add(int64(rep.LocalJobs))
+	p.opts.Telemetry.SeamJobs.Add(int64(rep.SeamJobs))
 	p.recordEpoch(rep)
 	return rep, nil
 }
 
-// gate is the plane's pre-publication gate: tamper hook, seam
-// certification, beforeCommit hook, quorum append. An error leaves the
-// event reverted and nothing published — a lost quorum (leader killed or
-// partitioned away) is recovered by a successor from the last committed
-// epoch.
-func (p *Plane) gate(c *fabric.Candidate, rep *Report) error {
-	if p.tamper != nil {
-		p.tamper(c.Snap.Net, c.Snap.Result)
-	}
-	if err := p.certifySeam(c, rep); err != nil {
-		return err
-	}
+// gate is the plane's pre-publication gate, a pure veto: beforeCommit
+// hook, quorum append. An error leaves the event reverted and nothing
+// published — a lost quorum (leader killed or partitioned away) is
+// recovered by a successor from the last committed epoch.
+func (p *Plane) gate(c *fabric.Candidate) error {
 	if p.beforeCommit != nil {
 		p.beforeCommit()
 	}
 	return p.commit(c)
-}
-
-// certifySeam is the coordinator's seam certification: when the
-// DEPENDENCY change crossed a region boundary — a seam channel flipped,
-// or the repair changed which seam channels serve a destination — the
-// cross-region old+new CDG union is certified (UPR-style,
-// oracle.CertifyTransition) before anything may commit. Scheduling
-// escalation (SeamJobs) is deliberately NOT the trigger: a job runs on
-// the coordinator merely because its destinations span regions, which
-// says nothing about the seam's dependency structure, and certifying
-// every such epoch would put two oracle passes on the common publish
-// path.
-//
-// A refuted union is then attributed. Almost always the new tables are
-// clean and the cycle only means the per-switch swap cannot run
-// unsynchronized — the tables stand and the epoch carries a drain
-// requirement, exactly like the distribution plane's own certifier
-// decides. But if the PROPOSAL itself is refuted (a cycle in its own
-// dependency graph — only possible through corruption, the mutation
-// test's territory), it is vetoed, discarded and recovered by a
-// from-scratch recompute that must certify. Attribution is staged by
-// cost: the walkless CertifyDeps screen on every refuted union, the full
-// walk-based Certify (whose witness the veto carries) only on structural
-// suspicion. Keeping the union check advisory is what preserves digest
-// equality with the monolithic manager: widened layer rebuilds
-// legitimately produce drain-requiring transitions.
-func (p *Plane) certifySeam(c *fabric.Candidate, rep *Report) error {
-	net, old := c.Snap.Net, c.Old.Result
-	if !p.seamEscalated(net, old.Table, c.Snap.Result.Table, c.Repaired, c.Changed) {
-		return nil
-	}
-	t := p.opts.Telemetry
-	rep.SeamCertified = true
-	p.metrics.SeamCertified++
-	t.SeamCertified.Inc()
-	if _, terr := oracle.CertifyTransition(net, old, c.Snap.Result, oracle.Options{}); terr == nil {
-		return nil
-	}
-	rep.SeamDrain = true
-	if _, derr := oracle.CertifyDeps(net, c.Snap.Result, oracle.Options{}); derr != nil {
-		if _, cerr := oracle.Certify(net, c.Snap.Result, oracle.Options{}); cerr != nil {
-			rep.SeamVeto = cerr
-			p.metrics.SeamVetoes++
-			t.SeamVetoes.Inc()
-			err := c.FullRecompute()
-			if err == nil {
-				_, err = oracle.Certify(net, c.Snap.Result, oracle.Options{})
-			}
-			if err != nil {
-				return fmt.Errorf("seam veto unrecoverable: %w", err)
-			}
-			_, terr := oracle.CertifyTransition(net, old, c.Snap.Result, oracle.Options{})
-			rep.SeamDrain = terr != nil
-		}
-	}
-	if rep.SeamDrain {
-		p.metrics.SeamDrains++
-		t.SeamDrains.Inc()
-	}
-	return nil
 }
 
 // regionExec schedules layer jobs region-affine: jobs whose repair
@@ -309,8 +230,7 @@ func (p *Plane) regionExec(rep *Report) fabric.JobExecutor {
 		var coord []int
 		var seam []fabric.LayerJob
 		for i, j := range jobs {
-			// No channels to place, so no network to resolve them in.
-			if home := p.regions.HomeRegion(nil, j.Repair, nil); home >= 0 {
+			if home := p.regions.HomeRegion(j.Repair); home >= 0 {
 				byRegion[home] = append(byRegion[home], i)
 			} else {
 				coord, seam = append(coord, i), append(seam, j)
@@ -318,8 +238,6 @@ func (p *Plane) regionExec(rep *Report) fabric.JobExecutor {
 		}
 		rep.LocalJobs += len(jobs) - len(coord)
 		rep.SeamJobs += len(coord)
-		p.opts.Telemetry.LocalJobs.Add(int64(len(jobs) - len(coord)))
-		p.opts.Telemetry.SeamJobs.Add(int64(len(coord)))
 		var wg sync.WaitGroup
 		for _, idxs := range byRegion {
 			wg.Add(1)
@@ -333,39 +251,6 @@ func (p *Plane) regionExec(rep *Report) fabric.JobExecutor {
 		p.mgr.PooledJobs(seam, func(k int) { run(coord[k]) })
 		wg.Wait()
 	}
-}
-
-// seamEscalated reports whether the event changed the dependency
-// structure ON the seam: a seam channel itself flipped, or the repair
-// changed a repaired destination's seam occupancy — which seam channels
-// carry it (usage toggled at the channel's tail) or where it continues
-// after crossing (the next hop at a used seam channel's head changed).
-// Entries of non-repaired destinations are untouched by contract, so
-// only the repaired columns are scanned; a full recompute (repaired ==
-// nil) scans every destination.
-func (p *Plane) seamEscalated(net *graph.Network, oldT, newT *routing.Table, repaired []graph.NodeID, changed []graph.ChannelID) bool {
-	for _, c := range changed {
-		if p.regions.Seam(c) {
-			return true
-		}
-	}
-	dests := repaired
-	if dests == nil {
-		dests = newT.Dests()
-	}
-	for _, c := range p.regions.SeamChannels() {
-		ch := net.Channel(c)
-		for _, d := range dests {
-			usedOld := oldT.Next(ch.From, d) == c
-			if usedOld != (newT.Next(ch.From, d) == c) {
-				return true
-			}
-			if usedOld && oldT.Next(ch.To, d) != newT.Next(ch.To, d) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Failover elects a new leader deterministically — the lowest-numbered
@@ -457,36 +342,17 @@ func (p *Plane) SetBeforeCommit(f func()) {
 	p.beforeCommit = f
 }
 
-// TamperForTest installs a result-mutation hook running before seam
-// certification (test-only: prove the coordinator vetoes cycle-forming
-// seam proposals with a concrete oracle witness).
-func (p *Plane) TamperForTest(f func(*graph.Network, *routing.Result)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tamper = f
-}
-
 // recordEpoch emits one committed epoch into the telemetry ring.
 func (p *Plane) recordEpoch(rep *Report) {
 	t := p.opts.Telemetry
 	t.Term.Set(int64(rep.Term))
 	t.Leader.Set(int64(rep.Leader))
-	seam := int64(0)
-	if rep.SeamCertified {
-		seam = 1
-	}
-	drain := int64(0)
-	if rep.SeamDrain {
-		drain = 1
-	}
 	t.Events.Emit("shard_epoch", map[string]int64{
 		"epoch":      int64(rep.Epoch),
 		"term":       int64(rep.Term),
 		"leader":     int64(rep.Leader),
 		"local_jobs": int64(rep.LocalJobs),
 		"seam_jobs":  int64(rep.SeamJobs),
-		"seam_cert":  seam,
-		"seam_drain": drain,
 		"latency_ns": rep.Latency.Nanoseconds(),
 	})
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"go/build"
 	"math/rand"
 	"testing"
 
@@ -101,9 +102,6 @@ func TestPlaneChurnDragonfly(t *testing.T) {
 		if _, err := verify.Check(snap.Net, snap.Result, nil); err != nil {
 			t.Fatalf("event %d: published snapshot invalid: %v", i, err)
 		}
-		if rep.SeamVeto != nil {
-			t.Fatalf("event %d: legitimate repair vetoed: %v", i, rep.SeamVeto)
-		}
 		assertCommitted(t, p)
 	}
 
@@ -116,9 +114,6 @@ func TestPlaneChurnDragonfly(t *testing.T) {
 	}
 	if m.LocalJobs+m.SeamJobs == 0 {
 		t.Fatal("no layer job was ever scheduled")
-	}
-	if m.SeamVetoes != 0 {
-		t.Fatalf("%d seam vetoes on legitimate churn", m.SeamVetoes)
 	}
 	if m.Deposals != 0 || m.Elections != 1 {
 		t.Fatalf("unexpected leadership churn: %d deposals, %d elections", m.Deposals, m.Elections)
@@ -254,192 +249,81 @@ func TestKillLeaderMidRepair(t *testing.T) {
 	}
 }
 
-// chanBetween returns the directed channel u -> v (NoChannel when none).
-func chanBetween(net *graph.Network, u, v graph.NodeID) graph.ChannelID {
-	for _, c := range net.Out(u) {
-		if net.Channel(c).To == v {
-			return c
+// TestRefusedProposalRecovers: only the manager's certification may
+// refuse a proposal, and the plane must recover from it exactly as the
+// monolithic manager does. A 4-shard, 3-replica plane and a manager
+// replay one trace, each with a PostCheck that refuses its first call
+// after construction and runs the oracle after that. The refused
+// incremental repair must be replaced by a full recompute on both sides,
+// the plane's log must commit exactly the published table, and the two
+// must stay digest-equal after every event.
+func TestRefusedProposalRecovers(t *testing.T) {
+	tp := topology.Dragonfly(4, 2, 2, 9)
+	refuseOnce := func(armed *bool) func(*graph.Network, *routing.Result) error {
+		return func(net *graph.Network, res *routing.Result) error {
+			if *armed {
+				*armed = false
+				return errors.New("refused once")
+			}
+			_, err := oracle.Certify(net, res, oracle.Options{})
+			return err
 		}
 	}
-	return graph.NoChannel
+	var mgrArmed, planeArmed bool
+	opts := fabric.Options{MaxVCs: 4, Seed: 1, Verify: true}
+	opts.PostCheck = refuseOnce(&mgrArmed)
+	mgr, err := fabric.NewManager(tp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.PostCheck = refuseOnce(&planeArmed)
+	p, err := New(tp, Options{Shards: 4, Replicas: 3, Fabric: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrArmed, planeArmed = true, true
+
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 6; i++ {
+		ev, ok := mgr.RandomEvent(rng, 0.3)
+		if !ok {
+			t.Fatal("no churn event possible")
+		}
+		mrep, err := mgr.Apply(ev)
+		if err != nil {
+			t.Fatalf("event %d (%s): monolithic: %v", i, ev, err)
+		}
+		rep, err := p.Apply(ev)
+		if err != nil {
+			t.Fatalf("event %d (%s): sharded: %v", i, ev, err)
+		}
+		if i == 0 && !(rep.FullRecompute && mrep.FullRecompute) {
+			t.Fatalf("refused proposal: full recompute plane=%v manager=%v, want both",
+				rep.FullRecompute, mrep.FullRecompute)
+		}
+		if !rep.Verified || !rep.PostChecked {
+			t.Fatalf("event %d: published verified=%v post-checked=%v", i, rep.Verified, rep.PostChecked)
+		}
+		assertCommitted(t, p)
+		if md, pd := mgr.View().Result.Table.Digest(), p.View().Result.Table.Digest(); md != pd {
+			t.Fatalf("event %d (%s): monolithic %#x, sharded %#x", i, ev, md, pd)
+		}
+	}
 }
 
-// TestSeamVetoMutation is the mutation test of the coordinator's seam
-// certification: a tampered repair result carrying a seam-escalated,
-// cycle-forming dependency triangle must be vetoed with a concrete,
-// independently validated oracle witness, and the plane must recover by
-// publishing a certified full recompute instead.
-//
-// The tamper re-routes three same-layer destinations around a directed
-// switch triangle s0 -> s1 -> s2 -> s0 so that each destination's walk
-// stays loop-free (the oracle's route walk passes) while their combined
-// channel dependencies close a cycle — exactly the class of fault the
-// route-level checks cannot see and only the CDG cycle search refutes.
-func TestSeamVetoMutation(t *testing.T) {
-	tp := topology.Dragonfly(4, 2, 2, 9)
-	// One virtual layer puts every destination in the same CDG, so the
-	// dependency triangle below is guaranteed to share a layer.
-	p, err := New(tp, Options{
-		Shards:   4,
-		Replicas: 3,
-		Fabric:   fabric.Options{MaxVCs: 1, Seed: 1, Verify: true},
-	})
+// TestPlaneImportsNoCertifier pins the plane's gate as a pure veto: the
+// package's non-test code does not import the oracle, so the one
+// transition verdict per epoch is the distribution source's.
+func TestPlaneImportsNoCertifier(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := p.View().Net
-
-	// The event: fail a seam (inter-region) link that keeps the fabric
-	// connected, forcing coordinator escalation.
-	var seamLink graph.ChannelID = graph.NoChannel
-	probe := net.Clone()
-	for c := 0; c < net.NumChannels(); c++ {
-		id := graph.ChannelID(c)
-		ch := net.Channel(id)
-		if !p.Regions().Seam(id) || ch.Failed || !net.IsSwitch(ch.From) || !net.IsSwitch(ch.To) {
-			continue
-		}
-		probe.SetChannelFailed(id, true)
-		ok := graph.Connected(probe)
-		probe.SetChannelFailed(id, false)
-		if ok {
-			seamLink = id
-			break
+	for _, imp := range pkg.Imports {
+		if imp == "repro/internal/oracle" {
+			t.Fatalf("internal/shard imports %s: the plane must not certify transitions", imp)
 		}
 	}
-	if seamLink == graph.NoChannel {
-		t.Fatal("no connectivity-preserving seam link found")
-	}
-
-	// The dependency triangle: three switches of one Dragonfly group
-	// (locally all-to-all) away from the failed link, with one terminal
-	// each.
-	failFrom := net.Channel(seamLink).From
-	var ring [3]graph.NodeID
-	var rdst [3]graph.NodeID
-	found := false
-	groups := dragonflyGroups(net, net.Switches())
-	switches := net.Switches()
-	byGroup := make(map[int][]graph.NodeID)
-	for i, sw := range switches {
-		byGroup[groups[i]] = append(byGroup[groups[i]], sw)
-	}
-	avoid := groups[0] // group index of the failed link's origin
-	for i, sw := range switches {
-		if sw == failFrom {
-			avoid = groups[i]
-		}
-	}
-	terminalOf := func(sw graph.NodeID) graph.NodeID {
-		for _, c := range net.Out(sw) {
-			if net.IsTerminal(net.Channel(c).To) {
-				return net.Channel(c).To
-			}
-		}
-		return graph.NoNode
-	}
-	for g, sws := range byGroup {
-		if g == avoid || len(sws) < 3 {
-			continue
-		}
-		ring = [3]graph.NodeID{sws[0], sws[1], sws[2]}
-		// rdst[i] is served over the triangle edge leaving ring[i]: the
-		// destination attached to ring[(i+2)%3].
-		ok := true
-		for i := range ring {
-			if rdst[i] = terminalOf(ring[(i+2)%3]); rdst[i] == graph.NoNode {
-				ok = false
-			}
-		}
-		if ok {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no tamper triangle found")
-	}
-	edge := func(i int) graph.ChannelID {
-		c := chanBetween(net, ring[i], ring[(i+1)%3])
-		if c == graph.NoChannel {
-			t.Fatalf("no channel %d -> %d in a Dragonfly group", ring[i], ring[(i+1)%3])
-		}
-		return c
-	}
-	e01, e12, e20 := edge(0), edge(1), edge(2)
-
-	p.TamperForTest(func(n *graph.Network, res *routing.Result) {
-		// Each destination takes two triangle hops and exits to its
-		// terminal: loop-free walks, cyclic dependencies.
-		set := func(sw, dst graph.NodeID, c graph.ChannelID) {
-			res.Table.Set(sw, dst, c)
-		}
-		set(ring[0], rdst[0], e01) // dst at ring[2]: s0 -> s1 -> s2 -> t
-		set(ring[1], rdst[0], e12)
-		set(ring[1], rdst[1], e12) // dst at ring[0]: s1 -> s2 -> s0 -> t
-		set(ring[2], rdst[1], e20)
-		set(ring[2], rdst[2], e20) // dst at ring[1]: s2 -> s0 -> s1 -> t
-		set(ring[0], rdst[2], e01)
-		set(ring[2], rdst[0], chanBetween(n, ring[2], rdst[0]))
-		set(ring[0], rdst[1], chanBetween(n, ring[0], rdst[1]))
-		set(ring[1], rdst[2], chanBetween(n, ring[1], rdst[2]))
-	})
-
-	rep, err := p.Apply(fabric.Event{Kind: fabric.LinkFail, Link: seamLink})
-	if err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	if !rep.SeamCertified {
-		t.Fatal("seam event was not escalated to the coordinator")
-	}
-	if rep.SeamVeto == nil {
-		t.Fatal("cycle-forming tamper was not vetoed")
-	}
-	var ce *oracle.CycleError
-	if !errors.As(rep.SeamVeto, &ce) {
-		t.Fatalf("veto is %T (%v), want a dependency-cycle witness", rep.SeamVeto, rep.SeamVeto)
-	}
-	snap := p.View()
-	if err := oracle.ValidateWitness(snap.Net, ce.Witness); err != nil {
-		t.Fatalf("veto witness does not validate: %v", err)
-	}
-	onTriangle := false
-	for _, d := range ce.Witness {
-		if d.Channel == e01 || d.Channel == e12 || d.Channel == e20 {
-			onTriangle = true
-		}
-	}
-	if !onTriangle {
-		t.Fatalf("witness %v does not touch the injected triangle", ce.Witness)
-	}
-	if !rep.FullRecompute {
-		t.Fatal("veto recovery did not run a full recompute")
-	}
-
-	// The published epoch is the recovery, certified end to end.
-	if _, err := oracle.Certify(snap.Net, snap.Result, oracle.Options{}); err != nil {
-		t.Fatalf("published epoch refuted by the oracle: %v", err)
-	}
-	if _, err := verify.Check(snap.Net, snap.Result, nil); err != nil {
-		t.Fatalf("published epoch invalid: %v", err)
-	}
-	assertCommitted(t, p)
-	if m := p.Metrics(); m.SeamVetoes != 1 {
-		t.Fatalf("SeamVetoes = %d, want 1", m.SeamVetoes)
-	}
-
-	// Clear the tamper: the plane keeps repairing cleanly.
-	p.TamperForTest(nil)
-	gen := newChurnGen(tp, 3)
-	gen.st.Mutate(fabric.Event{Kind: fabric.LinkFail, Link: seamLink})
-	rep2, err := p.Apply(gen.next(t, 0.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.SeamVeto != nil {
-		t.Fatalf("clean repair vetoed: %v", rep2.SeamVeto)
-	}
-	assertCommitted(t, p)
 }
 
 // TestPlaneFabricTelemetryConsistency is the plane-side twin of
@@ -520,9 +404,16 @@ func TestPlaneFabricTelemetryConsistency(t *testing.T) {
 	if got := s.Histograms["fabric_epoch_publish_nanos"].Count; got != int64(committed) {
 		t.Errorf("fabric_epoch_publish_nanos count = %d, want %d committed events", got, committed)
 	}
-	// The control-plane counters still agree with the log.
+	// The control-plane counters still agree with the log, and count the
+	// jobs of committed epochs only, as Metrics does.
 	if got := s.Counters["shard_epochs_committed_total"]; got != int64(committed+1) {
 		t.Errorf("shard_epochs_committed_total = %d, want %d (initial + events)", got, committed+1)
+	}
+	if got := s.Counters["shard_local_jobs_total"]; got != int64(mt.LocalJobs) {
+		t.Errorf("shard_local_jobs_total = %d, want Metrics.LocalJobs = %d", got, mt.LocalJobs)
+	}
+	if got := s.Counters["shard_seam_jobs_total"]; got != int64(mt.SeamJobs) {
+		t.Errorf("shard_seam_jobs_total = %d, want Metrics.SeamJobs = %d", got, mt.SeamJobs)
 	}
 }
 

@@ -1,17 +1,19 @@
 // Package shard is the sharded, replicated control plane: a fabric
 // partitioned into topology-aware regions, each owned by a controller
 // shard that runs local incremental repairs, with a coordinator that
-// certifies cross-region dependency changes on the seam (the old+new CDG
-// union, UPR-style) and a replicated epoch log that keeps repair alive
-// across controller crashes and network partitions.
+// runs the repairs spanning regions and a replicated epoch log that
+// keeps repair alive across controller crashes and network partitions.
 //
 // The plane holds a fabric.Manager and runs every epoch through the
 // manager's one transaction, passing in a job executor and a
-// pre-publication gate — sharding only changes WHERE per-layer repair
-// jobs execute and WHO may publish the result, never what is computed.
-// That is the digest-equality contract: on identical churn traces the
-// sharded plane publishes bit-identical forwarding tables to a
-// monolithic fabric.Manager.
+// pre-publication gate that only vetoes (quorum commit) — sharding only
+// changes WHERE per-layer repair jobs execute and WHO may publish the
+// result, never what is computed or certified. That is the
+// digest-equality contract: on identical churn traces the sharded plane
+// publishes bit-identical forwarding tables to a monolithic
+// fabric.Manager. Whether the old+new table swap needs a drain is
+// decided once, by the distribution source that performs it
+// (internal/distrib, DESIGN §16).
 package shard
 
 import (
@@ -26,17 +28,14 @@ import (
 // Regions is a partition of a fabric into controller-shard ownership
 // regions. Every node (switch and terminal) belongs to exactly one
 // region; channels whose endpoints live in different regions are seam
-// channels — dependency changes over them are escalated to the
-// coordinator instead of being repaired region-locally.
+// channels.
 type Regions struct {
 	// N is the number of regions.
 	N int
 	// Of maps every node to its region.
 	Of []int
-	// seam marks the directed channels crossing a region boundary;
-	// seamList is the same set as a list, for per-destination scans.
-	seam     []bool
-	seamList []graph.ChannelID
+	// seam marks the directed channels crossing a region boundary.
+	seam []bool
 	// Sizes counts switches per region.
 	Sizes []int
 }
@@ -127,15 +126,10 @@ func Partition(tp *topology.Topology, n int) *Regions {
 		ch := net.Channel(graph.ChannelID(c))
 		if net.IsSwitch(ch.From) && net.IsSwitch(ch.To) && r.Of[ch.From] != r.Of[ch.To] {
 			r.seam[c] = true
-			r.seamList = append(r.seamList, graph.ChannelID(c))
 		}
 	}
 	return r
 }
-
-// SeamChannels returns the directed seam channels (shared slice: do not
-// mutate).
-func (r *Regions) SeamChannels() []graph.ChannelID { return r.seamList }
 
 // Seam reports whether c crosses a region boundary.
 func (r *Regions) Seam(c graph.ChannelID) bool { return r.seam[c] }
@@ -151,27 +145,14 @@ func (r *Regions) SeamCount() int {
 	return n
 }
 
-// HomeRegion returns the single region containing every changed channel
-// and every node of dests, or -1 when they span regions (a seam-crossing
-// dependency change that must escalate to the coordinator).
-func (r *Regions) HomeRegion(changed []graph.ChannelID, dests []graph.NodeID, net *graph.Network) int {
+// HomeRegion returns the single region containing every node of dests,
+// or -1 when they span regions (a job the coordinator runs).
+func (r *Regions) HomeRegion(dests []graph.NodeID) int {
 	home := -1
-	place := func(region int) bool {
-		if home == -1 {
-			home = region
-		}
-		return home == region
-	}
-	for _, c := range changed {
-		if r.seam[c] {
-			return -1
-		}
-		if !place(r.Of[net.Channel(c).From]) {
-			return -1
-		}
-	}
 	for _, d := range dests {
-		if !place(r.Of[d]) {
+		if home == -1 {
+			home = r.Of[d]
+		} else if r.Of[d] != home {
 			return -1
 		}
 	}

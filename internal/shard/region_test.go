@@ -132,8 +132,8 @@ func TestPartitionFallbackAndClamp(t *testing.T) {
 	}
 }
 
-// TestHomeRegion: single-region job sets resolve to that region; any
-// seam crossing or region-spanning destination set escalates (-1).
+// TestHomeRegion: single-region job sets resolve to that region; a
+// region-spanning destination set escalates (-1).
 func TestHomeRegion(t *testing.T) {
 	tp := topology.Dragonfly(4, 2, 2, 9)
 	r := Partition(tp, 4)
@@ -149,7 +149,7 @@ func TestHomeRegion(t *testing.T) {
 	if len(reg0) == 0 {
 		t.Fatal("region 0 has no terminals")
 	}
-	if home := r.HomeRegion(nil, reg0, net); home != 0 {
+	if home := r.HomeRegion(reg0); home != 0 {
 		t.Fatalf("home of region-0 terminals = %d, want 0", home)
 	}
 
@@ -161,30 +161,7 @@ func TestHomeRegion(t *testing.T) {
 			break
 		}
 	}
-	if home := r.HomeRegion(nil, span, net); home != -1 {
+	if home := r.HomeRegion(span); home != -1 {
 		t.Fatalf("home of cross-region destinations = %d, want -1", home)
-	}
-
-	// A seam channel escalates regardless of destinations.
-	for c := 0; c < net.NumChannels(); c++ {
-		if r.Seam(graph.ChannelID(c)) {
-			if home := r.HomeRegion([]graph.ChannelID{graph.ChannelID(c)}, nil, net); home != -1 {
-				t.Fatalf("home of seam channel %d = %d, want -1", c, home)
-			}
-			break
-		}
-	}
-
-	// A non-seam channel resolves to its endpoints' region.
-	for c := 0; c < net.NumChannels(); c++ {
-		id := graph.ChannelID(c)
-		ch := net.Channel(id)
-		if r.Seam(id) || !net.IsSwitch(ch.From) || !net.IsSwitch(ch.To) {
-			continue
-		}
-		if home := r.HomeRegion([]graph.ChannelID{id}, nil, net); home != r.Of[ch.From] {
-			t.Fatalf("home of local channel %d = %d, want %d", id, home, r.Of[ch.From])
-		}
-		break
 	}
 }

@@ -127,9 +127,6 @@ func TestSoakShardFailover(t *testing.T) {
 			}
 			epoch = rep.Epoch
 		}
-		if rep.SeamVeto != nil {
-			t.Fatalf("step %d: legitimate repair vetoed: %v", step, rep.SeamVeto)
-		}
 
 		if step%10 == 0 {
 			snap := p.View()

@@ -362,19 +362,13 @@ func (r *Registry) Workload() *WorkloadMetrics {
 }
 
 // ShardMetrics instruments the sharded, replicated control plane
-// (internal/shard): region-local vs escalated repair scheduling, seam
-// certification, leadership churn and replicated-log outcomes.
+// (internal/shard): region-local vs escalated repair scheduling,
+// leadership churn and replicated-log outcomes.
 type ShardMetrics struct {
-	// LocalJobs counts layer repairs scheduled on their home region's
-	// shard; SeamJobs those escalated to the coordinator because the
-	// dependency change crossed a region boundary.
+	// LocalJobs counts layer repairs of committed epochs scheduled on
+	// their home region's shard; SeamJobs those run by the coordinator
+	// because their destinations span regions.
 	LocalJobs, SeamJobs *Counter
-	// SeamCertified counts cross-region certifications run; SeamVetoes
-	// those where the oracle refuted the proposed tables themselves (the
-	// proposal was discarded and recovered via full recompute); SeamDrains
-	// those where only the old+new union was refuted, so the tables stand
-	// but the swap must be drained.
-	SeamCertified, SeamVetoes, SeamDrains *Counter
 	// EpochsCommitted counts epochs the replicated log accepted with a
 	// quorum; Deposed counts appends/elections lost to a newer term.
 	EpochsCommitted, Deposed *Counter
@@ -395,9 +389,6 @@ func (r *Registry) Shard() *ShardMetrics {
 	return &ShardMetrics{
 		LocalJobs:       r.Counter("shard_local_jobs_total"),
 		SeamJobs:        r.Counter("shard_seam_jobs_total"),
-		SeamCertified:   r.Counter("shard_seam_certified_total"),
-		SeamVetoes:      r.Counter("shard_seam_vetoes_total"),
-		SeamDrains:      r.Counter("shard_seam_drains_total"),
 		EpochsCommitted: r.Counter("shard_epochs_committed_total"),
 		Deposed:         r.Counter("shard_deposed_total"),
 		Elections:       r.Counter("shard_elections_total"),
