@@ -99,6 +99,7 @@ type Graph struct {
 	visited []int32
 	epoch   int32
 	stack   []graph.ChannelID
+	indeg   []int32 // UsedAcyclic's in-degrees; stack is its queue
 
 	// Stats for ablation/benchmarks/telemetry.
 	CycleSearches int // number of depth-first searches performed
@@ -527,7 +528,9 @@ func (g *Graph) raise(v graph.ChannelID, k int32) {
 // routing verifier; O(|C| + |E|).
 func (g *Graph) UsedAcyclic() bool {
 	nc := len(g.chOmega)
-	indeg := make([]int32, nc)
+	g.indeg = grow32(g.indeg, nc)
+	indeg := g.indeg
+	clear(indeg)
 	usedEdges := 0
 	for c := 0; c < nc; c++ {
 		base := g.start[c]
@@ -538,7 +541,7 @@ func (g *Graph) UsedAcyclic() bool {
 			}
 		}
 	}
-	queue := make([]graph.ChannelID, 0, nc)
+	queue := g.stack[:0]
 	for c := 0; c < nc; c++ {
 		if indeg[c] == 0 {
 			queue = append(queue, graph.ChannelID(c))
@@ -559,6 +562,7 @@ func (g *Graph) UsedAcyclic() bool {
 			}
 		}
 	}
+	g.stack = queue[:0]
 	return removed == usedEdges
 }
 

@@ -107,16 +107,55 @@ type brandesScratch struct {
 	partial      []float64 // one shard's centrality contribution
 }
 
+// brandesScratches recycles brandesScratch between BetweennessN calls,
+// predecessor lists included. Like core's layer states it is a
+// mutex-guarded free list rather than a sync.Pool, so what a call
+// allocates does not depend on when the garbage collector last ran; it
+// holds at most as many scratches as were ever in use at once.
+var brandesScratches struct {
+	sync.Mutex
+	free []*brandesScratch
+}
+
+// newBrandesScratch draws a scratch for n nodes from the free list, or
+// makes one. sigma, dist, delta, preds and partial are reset before each
+// use; seenNeighbor is cleared here, with its epoch.
 func newBrandesScratch(n int) *brandesScratch {
-	return &brandesScratch{
-		sigma:        make([]float64, n),
-		dist:         make([]int32, n),
-		delta:        make([]float64, n),
-		order:        make([]graph.NodeID, 0, n),
-		preds:        make([][]graph.NodeID, n),
-		seenNeighbor: make([]int32, n),
-		partial:      make([]float64, n),
+	var sc *brandesScratch
+	brandesScratches.Lock()
+	if k := len(brandesScratches.free); k > 0 {
+		sc = brandesScratches.free[k-1]
+		brandesScratches.free[k-1] = nil
+		brandesScratches.free = brandesScratches.free[:k-1]
 	}
+	brandesScratches.Unlock()
+	if sc == nil {
+		sc = new(brandesScratch)
+	}
+	sc.sigma = grow(sc.sigma, n)
+	sc.dist = grow(sc.dist, n)
+	sc.delta = grow(sc.delta, n)
+	sc.order = grow(sc.order, n)[:0]
+	sc.preds = grow(sc.preds, n)
+	sc.seenNeighbor = grow(sc.seenNeighbor, n)
+	clear(sc.seenNeighbor)
+	sc.epoch = 0
+	sc.partial = grow(sc.partial, n)
+	return sc
+}
+
+// release hands the scratch back to the free list.
+func (sc *brandesScratch) release() {
+	brandesScratches.Lock()
+	brandesScratches.free = append(brandesScratches.free, sc)
+	brandesScratches.Unlock()
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // oneSource runs the single-source phase of Brandes' algorithm from src
@@ -220,6 +259,7 @@ func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 
 	if workers <= 1 {
 		sc := newBrandesScratch(n)
+		defer sc.release()
 		for shard := 0; shard < numShards; shard++ {
 			runShard(sc, shard)
 			commit(sc)
@@ -242,6 +282,7 @@ func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 		go func() {
 			defer wg.Done()
 			sc := newBrandesScratch(n)
+			defer sc.release()
 			for {
 				shard := int(atomic.AddInt64(&next, 1)) - 1
 				if shard >= numShards {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/cdg"
@@ -52,13 +53,20 @@ type layerState struct {
 	// byDistScratch and cntScratch are reused across weight updates;
 	// islandScratch across island scans; orderScratch and seenScratch
 	// across escape-fallback table fills.
-	byDistScratch []graph.NodeID
+	byDistScratch []nodeDist
 	cntScratch    []int32
 	islandScratch []graph.NodeID
 	orderScratch  []graph.NodeID
 	seenScratch   []bool
 
 	stats *Stats
+}
+
+// nodeDist is a node with its Dijkstra distance, the key updateWeights
+// sorts by.
+type nodeDist struct {
+	dist float64
+	node graph.NodeID
 }
 
 // Stats aggregates counters across a Nue run.
@@ -397,7 +405,7 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 			cands = append(cands, cand{a: a, c: c, dist: ls.chDist[a] + ls.weight[c]})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.dist, b.dist) })
 	for _, cd := range cands {
 		u, w := ls.csr.From[cd.c], ls.csr.From[cd.a]
 		reroute := ls.usedChannel[u] != cd.a
@@ -447,10 +455,12 @@ func (ls *layerState) updateWeights(dest graph.NodeID, parent []graph.ChannelID)
 	nodes := ls.byDistScratch[:0]
 	for n := 0; n < ls.net.NumNodes(); n++ {
 		if parent[n] != graph.NoChannel {
-			nodes = append(nodes, graph.NodeID(n))
+			nodes = append(nodes, nodeDist{ls.nodeDist[n], graph.NodeID(n)})
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return ls.nodeDist[nodes[i]] > ls.nodeDist[nodes[j]] })
+	// Farthest first, by the pdqsort sort.Slice runs too: equal
+	// distances land in the order they always did.
+	slices.SortFunc(nodes, func(a, b nodeDist) int { return cmp.Compare(b.dist, a.dist) })
 	ls.byDistScratch = nodes
 
 	cnt := ls.cntScratch
@@ -458,8 +468,8 @@ func (ls *layerState) updateWeights(dest graph.NodeID, parent []graph.ChannelID)
 		cnt[i] = 0
 	}
 	totalSources := 0
-	for _, n := range nodes {
-		if ls.isSource[n] && n != dest {
+	for _, nd := range nodes {
+		if n := nd.node; ls.isSource[n] && n != dest {
 			cnt[n]++
 			totalSources++
 		}
@@ -468,7 +478,8 @@ func (ls *layerState) updateWeights(dest graph.NodeID, parent []graph.ChannelID)
 		return
 	}
 	scale := 1.0 / float64(totalSources)
-	for _, n := range nodes {
+	for _, nd := range nodes {
+		n := nd.node
 		c := parent[n]
 		ls.weight[c] += float64(cnt[n]) * scale
 		cnt[ls.csr.From[c]] += cnt[n]

@@ -35,7 +35,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -165,7 +165,8 @@ const (
 	flowFrozen          // active, rate assigned in this recompute
 )
 
-// sim is the run state.
+// sim is the run state. Only what Run returns is allocated per run;
+// every array below is drawn from runStates and regrown, never shrunk.
 type sim struct {
 	net   *graph.Network
 	flows []workload.Flow
@@ -175,6 +176,7 @@ type sim struct {
 	// Skipped flows have empty paths.
 	pathOff  []int64
 	pathChan []graph.ChannelID
+	walkBuf  []graph.ChannelID // routing.Walk's buffer
 
 	rem      []float64 // bytes remaining (valid at recompute boundaries)
 	rate     []float64
@@ -200,6 +202,12 @@ type sim struct {
 	linkR []float64 // remaining capacity per channel
 	heap  []heapEnt // lazy bottleneck heap
 
+	// buildResult's scratch: finished flows per tenant, and their
+	// completion times, one slice of fct per tenant.
+	tenantFin []int
+	tenantFCT [][]float64
+	fct       []float64
+
 	events     int64
 	recomputes int64
 	maxActive  int
@@ -219,11 +227,59 @@ type heapEnt struct {
 // (loop, missing route, malformed entry) with a *WalkError; of several
 // such flows the one with the lowest index is reported.
 func Run(net *graph.Network, res *routing.Result, flows []workload.Flow, cfg Config) (Result, error) {
-	return newSim(net, flows, cfg).run(res)
+	s := newSim(net, flows, cfg)
+	defer s.release()
+	return s.run(res)
 }
 
+// runStates recycles run states between runs: a run's per-flow and
+// per-channel arrays are scratch of the same shape every time, and a
+// state kept here serves the next run without a new allocation once it
+// is as large. Like cdg's arenas it is a free list, not a pool that
+// garbage collections empty, so what a run allocates does not depend on
+// when the collector last ran. It holds at most as many states as ran at
+// once, each the size of the largest run it served.
+var runStates struct {
+	sync.Mutex
+	free []*sim
+}
+
+// newSim draws a run state from runStates, or makes one.
 func newSim(net *graph.Network, flows []workload.Flow, cfg Config) *sim {
-	return &sim{net: net, flows: flows, cfg: cfg}
+	var s *sim
+	runStates.Lock()
+	if n := len(runStates.free); n > 0 {
+		s = runStates.free[n-1]
+		runStates.free[n-1] = nil
+		runStates.free = runStates.free[:n-1]
+	}
+	runStates.Unlock()
+	if s == nil {
+		s = new(sim)
+	}
+	s.net, s.flows, s.cfg = net, flows, cfg
+	s.next = 0
+	s.events, s.recomputes, s.maxActive, s.layouts, s.walks = 0, 0, 0, 0, 0
+	return s
+}
+
+// release hands the state back to runStates. The network, flows and
+// config are dropped so that a kept state pins nothing of the run.
+func (s *sim) release() {
+	s.net, s.flows, s.cfg = nil, nil, Config{}
+	runStates.Lock()
+	runStates.free = append(runStates.free, s)
+	runStates.Unlock()
+}
+
+// grow returns s resized to n elements, reusing its backing array when
+// the capacity allows. Contents are unspecified; callers overwrite or
+// clear.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (s *sim) run(res *routing.Result) (Result, error) {
@@ -248,9 +304,9 @@ const walkSample = 256
 func (s *sim) walkPaths(res *routing.Result) error {
 	f := len(s.flows)
 	nodes := graph.NodeID(s.net.NumNodes())
-	s.pathOff = make([]int64, f+1)
-	s.skipped = make([]bool, f)
-	var buf []graph.ChannelID
+	s.pathOff = grow(s.pathOff, f+1) // pathOff[0] is never written: always 0
+	s.skipped = grow(s.skipped, f)
+	s.pathChan = s.pathChan[:0]
 	for i, fl := range s.flows {
 		s.pathOff[i+1] = s.pathOff[i]
 		switch {
@@ -259,22 +315,25 @@ func (s *sim) walkPaths(res *routing.Result) error {
 		case fl.Bytes < 0:
 			return &FlowError{FlowIndex: i, Flow: fl, Reason: "negative size"}
 		}
-		if fl.Src == fl.Dst || s.net.Degree(fl.Src) == 0 || s.net.Degree(fl.Dst) == 0 {
-			s.skipped[i] = true
+		s.skipped[i] = fl.Src == fl.Dst || s.net.Degree(fl.Src) == 0 || s.net.Degree(fl.Dst) == 0
+		if s.skipped[i] {
 			continue
 		}
 		if i == walkSample {
 			// An eighth above the sample's mean: an arena that falls
-			// short regrows by append, at the price of a copy.
+			// short regrows by append, at the price of a copy. A kept
+			// arena that holds the mean is used as it is.
 			est := len(s.pathChan) * (f - i) / walkSample
-			s.pathChan = append(make([]graph.ChannelID, 0, len(s.pathChan)+est+est/8), s.pathChan...)
+			if cap(s.pathChan) < len(s.pathChan)+est {
+				s.pathChan = append(make([]graph.ChannelID, 0, len(s.pathChan)+est+est/8), s.pathChan...)
+			}
 		}
-		p, err := routing.Walk(s.net, res, fl.Src, fl.Dst, buf)
+		p, err := routing.Walk(s.net, res, fl.Src, fl.Dst, s.walkBuf)
 		s.walks++
 		if err != nil {
 			return &WalkError{FlowIndex: i, Err: err}
 		}
-		buf = p
+		s.walkBuf = p
 		s.pathChan = append(s.pathChan, p...)
 		s.pathOff[i+1] = int64(len(s.pathChan))
 	}
@@ -288,11 +347,13 @@ func (s *sim) path(fi int32) []graph.ChannelID {
 func (s *sim) initState() {
 	f := len(s.flows)
 	l := s.net.NumChannels()
-	s.rem = make([]float64, f)
-	s.rate = make([]float64, f)
-	s.finishAt = make([]float64, f)
-	s.finished = make([]float64, f)
-	s.state = make([]uint8, f)
+	s.rem = grow(s.rem, f)
+	s.rate = grow(s.rate, f)
+	s.finishAt = grow(s.finishAt, f)
+	s.finished = grow(s.finished, f)
+	s.state = grow(s.state, f)
+	clear(s.rate)
+	clear(s.state)
 	for i := range s.finished {
 		s.finished[i] = -1
 		s.finishAt[i] = inf
@@ -300,7 +361,7 @@ func (s *sim) initState() {
 		// flow's arrival reports zero delivered bytes for it.
 		s.rem[i] = float64(s.flows[i].Bytes)
 	}
-	s.order = make([]int32, 0, f)
+	s.order = grow(s.order, f)[:0]
 	for i := 0; i < f; i++ {
 		if !s.skipped[i] {
 			s.order = append(s.order, int32(i))
@@ -309,11 +370,12 @@ func (s *sim) initState() {
 	slices.SortStableFunc(s.order, func(a, b int32) int {
 		return cmp.Compare(s.flows[a].Start, s.flows[b].Start)
 	})
-	s.active = make([]int32, 0, len(s.order))
-	s.linkLive = make([]int32, l)
-	s.linkN = make([]int32, l)
-	s.linkR = make([]float64, l)
-	s.bktOff = make([]int64, l+2)
+	s.active = grow(s.active, len(s.order))[:0]
+	s.linkLive = grow(s.linkLive, l)
+	clear(s.linkLive)
+	s.linkN = grow(s.linkN, l)
+	s.linkR = grow(s.linkR, l)
+	s.bktOff = grow(s.bktOff, l+2)
 }
 
 // admit activates the flows that start by upTo.
@@ -457,9 +519,11 @@ func (s *sim) layout() {
 		off[c] += off[c-1]
 	}
 	total := off[len(off)-1]
-	// Layouts only shrink, so the first allocation serves them all.
+	// Layouts only shrink, so the first allocation serves them all. It
+	// leaves an eighth to spare, so that runs of about the same size
+	// share one kept array rather than each growing it.
 	if int64(cap(s.bucket)) < total {
-		s.bucket = make([]int32, total)
+		s.bucket = make([]int32, total, total+total/8)
 	}
 	s.bucket = s.bucket[:total]
 	for _, fi := range s.order {
@@ -605,8 +669,8 @@ func (s *sim) buildResult(timedOut bool) Result {
 	r.LinkUtil = make([]float64, links)
 
 	// Finished flows per tenant, so that each tenant's completion times
-	// are one slice of one exact allocation.
-	nfin := make([]int, 1)
+	// are one slice of the state's completion-time scratch.
+	nfin := append(s.tenantFin[:0], 0)
 	total := 0
 	for i := range s.flows {
 		tn := int(s.flows[i].Tenant)
@@ -618,9 +682,11 @@ func (s *sim) buildResult(timedOut bool) Result {
 			total++
 		}
 	}
+	s.tenantFin = nfin
 	stats := make([]TenantStats, len(nfin))
-	fcts := make([][]float64, len(nfin))
-	all := make([]float64, total)
+	s.tenantFCT = grow(s.tenantFCT, len(nfin))
+	s.fct = grow(s.fct, total)
+	fcts, all := s.tenantFCT, s.fct
 	for tn, n := range nfin {
 		fcts[tn], all = all[:0:n], all[n:]
 	}
@@ -698,7 +764,7 @@ func (s *sim) buildResult(timedOut bool) Result {
 		if len(f) == 0 {
 			continue
 		}
-		sort.Float64s(f)
+		slices.Sort(f)
 		sum := 0.0
 		for _, v := range f {
 			sum += v
@@ -708,8 +774,8 @@ func (s *sim) buildResult(timedOut bool) Result {
 		st.FCTP99 = f[(len(f)-1)*99/100]
 		st.FCTMax = f[len(f)-1]
 	}
-	// Drop all-empty tenant rows only at the tail (dense indexing keeps
-	// Flow.Tenant a direct index).
+	// One row per tenant index up to the largest Flow.Tenant, empty rows
+	// included, so that Flow.Tenant indexes PerTenant directly.
 	r.PerTenant = stats
 	return r
 }

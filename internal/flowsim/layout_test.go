@@ -75,28 +75,37 @@ func TestLayoutPin(t *testing.T) {
 	})
 }
 
-// TestPathArenaBuiltOnce: the path pass of a 20k-flow closed batch
-// allocates the path arena once, sized from the first walkSample flows —
-// no more than a quarter above the 4 bytes a path channel takes. Filling
-// one chunk per worker and joining them allocated every path twice.
+// TestPathArenaBuiltOnce: the path pass of a 20k-flow closed batch on a
+// fresh run state allocates the path arena once, sized from the first
+// walkSample flows — no more than a quarter above the 4 bytes a path
+// channel takes — and a second pass of the same flows on the kept state
+// allocates nothing.
 func TestPathArenaBuiltOnce(t *testing.T) {
 	tp := topology.Torus3D(4, 4, 2, 1, 1)
 	res := bfsTable(tp.Net)
 	flows := workload.Generate(tp.Net.Terminals(), workload.Single(workload.Uniform{}, 4096), 20_000, workload.Closed{}, 20)
+	emptyRunStates()
 	s := newSim(tp.Net, flows, Config{})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := s.walkPaths(res)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	pass := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := s.walkPaths(res)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
 	}
+	cold := pass()
 	channels := uint64(len(s.pathChan))
 	if channels < 3*uint64(len(flows)) {
 		t.Fatalf("vacuous fixture: %d path channels for %d flows", channels, len(flows))
 	}
 	perFlow := uint64(8*len(s.pathOff) + len(s.skipped))
-	if got := after.TotalAlloc - before.TotalAlloc - perFlow; got > 5*channels {
-		t.Errorf("path pass allocated %d bytes for %d path channels, want at most %d", got, channels, 5*channels)
+	if got := cold - perFlow; got > 5*channels {
+		t.Errorf("cold path pass allocated %d bytes for %d path channels, want at most %d", got, channels, 5*channels)
+	}
+	if warm := pass(); warm != 0 {
+		t.Errorf("warm path pass allocated %d bytes, want none", warm)
 	}
 }
