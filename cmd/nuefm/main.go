@@ -9,7 +9,7 @@
 //	nuefm -topo random -trace failures.txt              # replay a trace
 //	nuefm -topo torus -events 20 -full                  # full-recompute baseline
 //	nuefm -serve :9411 -events 20 -hold 1m              # distribute LFTs to nueagent fleets
-//	nuefm -shards 4 -replicas 3 -topo dragonfly         # sharded, replicated control plane
+//	nuefm -replicas 3 -topo dragonfly                   # replicated control plane
 //
 // Trace files hold one event per line ("fail-link <from> <to>",
 // "join-link <from> <to>", "fail-switch <id>", "join-switch <id>"; '#'
@@ -55,7 +55,7 @@ type config struct {
 	verify, oracle   bool
 	full             bool
 	telemAddr, serve string
-	shards, replicas int
+	replicas         int
 	interval, hold   time.Duration
 	out              io.Writer
 }
@@ -76,8 +76,7 @@ func main() {
 	flag.BoolVar(&cfg.full, "full", false, "disable incremental repair (full recompute per event)")
 	flag.StringVar(&cfg.telemAddr, "telemetry-addr", "", "serve Prometheus /metrics, /telemetry.json and net/http/pprof on this address (e.g. :9090; empty = off)")
 	flag.StringVar(&cfg.serve, "serve", "", "distribute forwarding tables to nueagent fleets on this address (e.g. :9411; empty = off)")
-	flag.IntVar(&cfg.shards, "shards", 1, "partition the fabric into this many controller regions (shard.Plane when > 1)")
-	flag.IntVar(&cfg.replicas, "replicas", 1, "epoch-log replication factor (quorum commit when > 1; with -serve, one publisher per replica on consecutive ports)")
+	flag.IntVar(&cfg.replicas, "replicas", 1, "epoch-log replication factor (shard.Plane with quorum commit when > 1; with -serve, one publisher per replica on consecutive ports)")
 	flag.DurationVar(&cfg.interval, "event-interval", 0, "pause between churn events (gives scrapers a live view)")
 	flag.DurationVar(&cfg.hold, "hold", 0, "keep running (and serving telemetry) this long after the last event")
 	flag.Parse()
@@ -88,8 +87,8 @@ func main() {
 }
 
 // controller is what the churn loop needs of whoever owns the fabric: a
-// monolithic fabric.Manager, or with -shards/-replicas a shard.Plane
-// (region-affine repair scheduling, quorum commit).
+// monolithic fabric.Manager, or with -replicas a shard.Plane (quorum
+// commit, failover).
 // Events are drawn from the live controller, never from a shadow state.
 type controller interface {
 	RandomEvent(rng *rand.Rand, pJoin float64) (fabric.Event, bool)
@@ -101,8 +100,8 @@ type controller interface {
 // run is one nuefm invocation: build the controller, drive the churn
 // loop through it, print one line per event and the summary.
 func run(cfg config) error {
-	if cfg.shards < 1 || cfg.replicas < 1 {
-		return fmt.Errorf("-shards and -replicas must be at least 1, have %d and %d", cfg.shards, cfg.replicas)
+	if cfg.replicas < 1 {
+		return fmt.Errorf("-replicas must be at least 1, have %d", cfg.replicas)
 	}
 	var reg *telemetry.Registry
 	if cfg.telemAddr != "" {
@@ -162,9 +161,8 @@ func run(cfg config) error {
 		metrics func() fabric.Metrics
 	)
 	start := time.Now()
-	if cfg.shards > 1 || cfg.replicas > 1 {
+	if cfg.replicas > 1 {
 		plane, err = shard.New(tp, shard.Options{
-			Shards:      cfg.shards,
 			Replicas:    cfg.replicas,
 			Fabric:      opts,
 			OnReplicate: publish,
@@ -179,8 +177,7 @@ func run(cfg config) error {
 			if err != nil {
 				return nil, "", err
 			}
-			return &rep.EventReport, fmt.Sprintf(" | term %d leader %d, %d local + %d seam jobs",
-				rep.Term, rep.Leader, rep.LocalJobs, rep.SeamJobs), nil
+			return &rep.EventReport, fmt.Sprintf(" | term %d leader %d", rep.Term, rep.Leader), nil
 		}
 		metrics = func() fabric.Metrics { return plane.Metrics().Metrics }
 	} else {
@@ -200,8 +197,8 @@ func run(cfg config) error {
 		tp.Name, time.Since(start).Round(time.Millisecond), ctl.View().Result.VCs)
 	if plane != nil {
 		leader, term := plane.Leader()
-		fmt.Fprintf(cfg.out, "# control plane: %s; %d replicas (quorum %d), leader %d term %d\n",
-			plane.Regions(), cfg.replicas, plane.Cluster().Size()/2+1, leader, term)
+		fmt.Fprintf(cfg.out, "# control plane: %d replicas (quorum %d), leader %d term %d\n",
+			cfg.replicas, plane.Cluster().Size()/2+1, leader, term)
 	}
 
 	var evs []fabric.Event
@@ -257,8 +254,8 @@ func run(cfg config) error {
 	leader := 0
 	if plane != nil {
 		m := plane.Metrics()
-		fmt.Fprintf(cfg.out, "# control plane: %d epochs committed, %d local + %d seam jobs, %d elections, %d deposals\n",
-			m.EpochsCommitted, m.LocalJobs, m.SeamJobs, m.Elections, m.Deposals)
+		fmt.Fprintf(cfg.out, "# control plane: %d epochs committed, %d elections, %d deposals\n",
+			m.EpochsCommitted, m.Elections, m.Deposals)
 		leader, _ = plane.Leader()
 	}
 	if leader >= 0 && leader < len(sources) {

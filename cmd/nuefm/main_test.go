@@ -11,7 +11,7 @@ import (
 
 // TestRunSmoke drives the whole binary short of flag parsing and
 // listeners: three churn events through the monolithic manager, through
-// a sharded, replicated plane, and through the -full baseline. All share
+// a replicated plane, and through the -full baseline. All share
 // the per-event line and the summary; only the plane prints control-plane
 // lines. Events are drawn from the live controller, so one seed gives the
 // incremental and the -full run the same stream — what makes the two
@@ -19,10 +19,10 @@ import (
 func TestRunSmoke(t *testing.T) {
 	var incremental []string
 	for _, c := range []struct {
-		shards, replicas int
-		full             bool
-	}{{1, 1, false}, {4, 3, false}, {1, 1, true}} {
-		name := fmt.Sprintf("shards=%d,replicas=%d", c.shards, c.replicas)
+		replicas int
+		full     bool
+	}{{1, false}, {3, false}, {1, true}} {
+		name := fmt.Sprintf("replicas=%d", c.replicas)
 		if c.full {
 			name += ",full"
 		}
@@ -31,7 +31,7 @@ func TestRunSmoke(t *testing.T) {
 			err := run(config{
 				topo: "dragonfly", events: 3, pJoin: 0.3, swEvery: 3,
 				vcs: 4, seed: 1, verify: true, oracle: true, full: c.full,
-				shards: c.shards, replicas: c.replicas, out: &out,
+				replicas: c.replicas, out: &out,
 			})
 			if err != nil {
 				t.Fatalf("run: %v\n%s", err, &out)
@@ -47,7 +47,7 @@ func TestRunSmoke(t *testing.T) {
 				events = append(events, ev)
 			}
 			switch {
-			case c.shards == 1 && !c.full:
+			case c.replicas == 1 && !c.full:
 				incremental = events
 			case c.full:
 				if !strings.Contains(got, " — full, ") || strings.Join(events, "\n") != strings.Join(incremental, "\n") {
@@ -57,7 +57,7 @@ func TestRunSmoke(t *testing.T) {
 			if !strings.Contains(got, "# 3 events (0 no-ops)") {
 				t.Errorf("no summary of 3 events:\n%s", got)
 			}
-			plane := c.shards > 1 || c.replicas > 1
+			plane := c.replicas > 1
 			if strings.Contains(got, "# control plane: 4 epochs committed") != plane ||
 				strings.Contains(got, " | term 1 leader 0") != plane {
 				t.Errorf("control-plane lines with plane=%v:\n%s", plane, got)
@@ -69,8 +69,8 @@ func TestRunSmoke(t *testing.T) {
 // TestRunRefusesBadFlags: run's error is what main prints, alone on
 // stderr, before exit status 1. A topology name or size the roster refuses
 // is the roster's error — the same text nueroute, topogen and nueload
-// print — and a control plane of no shards or no replicas is refused
-// before anything is routed.
+// print — and a control plane of no replicas is refused before anything
+// is routed.
 func TestRunRefusesBadFlags(t *testing.T) {
 	rosterErr := func(name string, p topology.Params) string {
 		_, err := topology.ByName(name, p)
@@ -84,11 +84,11 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		cfg  config
 		want string
 	}{
-		{config{topo: "tree", shards: 1, replicas: 1}, rosterErr("tree", topology.Params{})},
-		{config{topo: "torus", dims: "4x4x4x4", shards: 1, replicas: 1}, rosterErr("torus", topology.Params{Dims: "4x4x4x4"})},
-		{config{topo: "ring", terminals: -1, shards: 1, replicas: 1}, rosterErr("ring", topology.Params{Terminals: &minus})},
-		{config{topo: "dragonfly", shards: 0, replicas: 3}, "-shards and -replicas must be at least 1, have 0 and 3"},
-		{config{topo: "dragonfly", shards: 4, replicas: -1}, "-shards and -replicas must be at least 1, have 4 and -1"},
+		{config{topo: "tree", replicas: 1}, rosterErr("tree", topology.Params{})},
+		{config{topo: "torus", dims: "4x4x4x4", replicas: 1}, rosterErr("torus", topology.Params{Dims: "4x4x4x4"})},
+		{config{topo: "ring", terminals: -1, replicas: 1}, rosterErr("ring", topology.Params{Terminals: &minus})},
+		{config{topo: "dragonfly", replicas: 0}, "-replicas must be at least 1, have 0"},
+		{config{topo: "dragonfly", replicas: -1}, "-replicas must be at least 1, have -1"},
 	} {
 		var out bytes.Buffer
 		c.cfg.out = &out

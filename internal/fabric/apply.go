@@ -15,8 +15,8 @@ import (
 // stored, OnPublish has not fired. A gate can only veto, never replace:
 // a non-nil error rejects the epoch exactly like a verifier failure —
 // the event is reverted and nothing is published — and nil publishes the
-// candidate as certified. The sharded control plane commits the epoch to
-// its replicated log here. The gate runs under the manager's event lock
+// candidate as certified. The replicated control plane commits the epoch
+// to its log here. The gate runs under the manager's event lock
 // and must not call back into the manager.
 type Gate func(c *Candidate) error
 
@@ -47,15 +47,14 @@ func (c *Candidate) Bookkeeping() (linkFailed map[graph.ChannelID]bool, nodeDown
 // atomically installed. Events are serialized; concurrent Apply calls
 // queue on an internal lock.
 func (m *Manager) Apply(ev Event) (*EventReport, error) {
-	return m.ApplyGated(ev, nil, nil)
+	return m.ApplyGated(ev, nil)
 }
 
 // ApplyGated is the epoch transaction, the only one there is: mutate →
-// repair (layer jobs scheduled by exec) → gate → re-index → publish, with
-// the event reverted when the repair or the gate fails. A nil exec is the
-// manager's own worker pool, a nil gate passes everything; Apply is
-// ApplyGated(ev, nil, nil).
-func (m *Manager) ApplyGated(ev Event, exec JobExecutor, gate Gate) (*EventReport, error) {
+// repair (layer jobs on the manager's pool of Options.Workers) → gate →
+// re-index → publish, with the event reverted when the repair or the gate
+// fails. A nil gate passes everything; Apply is ApplyGated(ev, nil).
+func (m *Manager) ApplyGated(ev Event, gate Gate) (*EventReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
@@ -81,10 +80,7 @@ func (m *Manager) ApplyGated(ev Event, exec JobExecutor, gate Gate) (*EventRepor
 	}
 
 	newNet := m.st.working.Clone()
-	if exec == nil {
-		exec = m.PooledJobs
-	}
-	res, err := m.run.retable(m.st, old, newNet, changed, report, exec)
+	res, err := m.run.retable(m.st, old, newNet, changed, report)
 	if err != nil {
 		return abort(err)
 	}
@@ -108,11 +104,4 @@ func (m *Manager) ApplyGated(ev Event, exec JobExecutor, gate Gate) (*EventRepor
 	m.metrics.add(report)
 	recordEvent(m.opts.Telemetry, report, nil)
 	return report, nil
-}
-
-// PooledJobs is the manager's default JobExecutor: a worker pool bounded
-// by Options.Workers. The sharded plane's executor hands it the jobs no
-// region owns.
-func (m *Manager) PooledJobs(jobs []LayerJob, run func(i int)) {
-	runPooled(m.opts.workers(), len(jobs), run)
 }

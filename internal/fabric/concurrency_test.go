@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
@@ -155,5 +156,86 @@ func TestSimultaneousChurnAppliers(t *testing.T) {
 	snap := m.View()
 	if _, err := verify.Check(snap.Net, snap.Result, nil); err != nil {
 		t.Fatalf("final snapshot invalid after simultaneous churn: %v", err)
+	}
+}
+
+// TestRunPooledBound pins what Options.Workers means for an epoch: every
+// layer job of an event runs through one runPooled call (retable), and
+// runPooled never has more than min(workers, n) tasks running at once
+// and runs each index exactly once. At Workers: 1 an epoch runs one
+// repair at a time.
+func TestRunPooledBound(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, n := range []int{0, 1, 7} {
+			var running, high atomic.Int32
+			runs := make([]atomic.Int32, n)
+			runPooled(workers, n, func(i int) {
+				now := running.Add(1)
+				for {
+					h := high.Load()
+					if now <= h || high.CompareAndSwap(h, now) {
+						break
+					}
+				}
+				time.Sleep(time.Millisecond) // give the others time to overlap
+				runs[i].Add(1)
+				running.Add(-1)
+			})
+			if limit := int32(min(workers, n)); high.Load() > limit {
+				t.Errorf("workers=%d n=%d: %d tasks ran at once, want at most %d", workers, n, high.Load(), limit)
+			}
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Errorf("workers=%d n=%d: task %d ran %d times, want once", workers, n, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestLayerJobsPooledDigestEqual replays one 40-event trace through two
+// torus managers that differ only in Workers, 1 and 4: the first runs an
+// event's layer jobs one after another, the second on a pool of four
+// (goroutines, whatever GOMAXPROCS is, which is what -race needs). Epochs
+// and table digests must be equal after every event, and at least half
+// the events must plan two or more layer jobs, so the pool had jobs to
+// overlap.
+func TestLayerJobsPooledDigestEqual(t *testing.T) {
+	tp := topology.Torus3D(4, 4, 4, 1, 1)
+	var mgrs [2]*Manager
+	for i, workers := range []int{1, 4} {
+		m, err := NewManager(tp, Options{MaxVCs: 4, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgrs[i] = m
+	}
+	shadow := NewState(tp.Net)
+	rng := rand.New(rand.NewSource(21))
+	pooled := 0 // events with two or more layer jobs
+	for i := 0; i < 40; i++ {
+		ev, ok := shadow.RandomEvent(rng, 0.3)
+		if !ok {
+			t.Fatal("no churn event possible")
+		}
+		old := mgrs[0].View()
+		changed := shadow.Mutate(ev)
+		newNet := shadow.working.Clone()
+		if len(planJobs(old, affectedDests(newNet, old.Result.Table.Clone(newNet), changed))) >= 2 {
+			pooled++
+		}
+		for _, m := range mgrs {
+			if _, err := m.Apply(ev); err != nil {
+				t.Fatalf("event %d (%s), workers=%d: %v", i, ev, m.opts.Workers, err)
+			}
+		}
+		a, b := mgrs[0].View(), mgrs[1].View()
+		if a.Epoch != b.Epoch || a.Result.Table.Digest() != b.Result.Table.Digest() {
+			t.Fatalf("event %d (%s): workers 1 published %d:%#x, workers 4 %d:%#x", i, ev,
+				a.Epoch, a.Result.Table.Digest(), b.Epoch, b.Result.Table.Digest())
+		}
+	}
+	if pooled < 20 {
+		t.Fatalf("only %d of 40 events planned two or more layer jobs", pooled)
 	}
 }

@@ -61,10 +61,10 @@ type Options struct {
 	// the entire fabric (the baseline the churn experiment compares
 	// against).
 	FullRecompute bool
-	// Workers bounds the goroutines used for routing, for concurrent
-	// per-layer repairs and for running Verify beside PostCheck
-	// (0 = GOMAXPROCS). Repair output is identical for every worker
-	// count.
+	// Workers bounds the goroutines used for routing, for an epoch's
+	// per-layer repairs, which all run on one pool of this size, and for
+	// running Verify beside PostCheck (0 = GOMAXPROCS). Repair output is
+	// identical for every worker count.
 	Workers int
 	// Telemetry, when non-nil, receives per-event repair counters, the
 	// repair-scope histogram and epoch publish latencies; the bundle's
@@ -123,12 +123,12 @@ type Snapshot struct {
 // computation and its escape-root cache), the published snapshot
 // pointer, the lifetime Metrics and the telemetry bundle live here and
 // nowhere else, and ApplyGated is the only code that runs the epoch
-// transaction. The sharded control plane (internal/shard) composes a
+// transaction. The replicated control plane (internal/shard) composes a
 // Manager — literally: it holds one and passes in what is its own, a
-// region-affine JobExecutor and a pre-publication Gate (quorum commit,
-// which can veto an epoch but not replace it) — so sharded and
-// monolithic tables are digest-equal because they come out of the same
-// code and the same certification, not out of two copies kept alike.
+// pre-publication Gate (quorum commit, which can veto an epoch but not
+// replace it) — so replicated and monolithic tables are digest-equal
+// because they come out of the same code and the same certification, not
+// out of two copies kept alike.
 type Manager struct {
 	opts Options
 

@@ -66,7 +66,7 @@ func TestGateAtomicity(t *testing.T) {
 
 	errVeto := errors.New("gate says no")
 	calls := 0
-	rep, err := m.ApplyGated(ev, nil, func(c *Candidate) error {
+	rep, err := m.ApplyGated(ev, func(c *Candidate) error {
 		calls++
 		if c.Event != ev || c.Snap.Epoch != before.epoch+1 {
 			t.Errorf("candidate = %+v", c)
@@ -84,7 +84,7 @@ func TestGateAtomicity(t *testing.T) {
 	}
 
 	var shown *Snapshot
-	rep, err = m.ApplyGated(ev, nil, func(c *Candidate) error { shown = c.Snap; return nil })
+	rep, err = m.ApplyGated(ev, func(c *Candidate) error { shown = c.Snap; return nil })
 	if err != nil {
 		t.Fatalf("same event through a passing gate: %v", err)
 	}

@@ -15,24 +15,25 @@ import (
 	"repro/internal/routing/verify"
 )
 
-// LayerJob is one virtual layer's share of an event repair: the
+// layerJob is one virtual layer's share of an event repair: the
 // destinations to re-route and the layer's surviving destinations whose
-// dependencies seed the repair CDG. Jobs of one event own disjoint table
-// columns, so any subset may run concurrently; each job's output depends
-// only on its own inputs, never on scheduling — the property the sharded
-// control plane relies on for digest-equal sharded-vs-monolithic tables.
-type LayerJob struct {
-	Layer  uint8
-	Repair []graph.NodeID
-	Kept   []graph.NodeID
+// dependencies seed the repair CDG. Nue routes each layer inside its own
+// complete CDG, so the jobs of one event own disjoint table columns and
+// any subset may run concurrently; each job's output depends only on its
+// own inputs, never on scheduling, which is why the table is the same at
+// every worker count.
+type layerJob struct {
+	layer  uint8
+	repair []graph.NodeID
+	kept   []graph.NodeID
 }
 
 // planJobs groups the affected destinations of one event by virtual
 // layer, in table destination order (deterministic).
-func planJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []LayerJob {
+func planJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []layerJob {
 	oldRes := old.Result
 	dests := oldRes.Table.Dests()
-	byLayer := make(map[uint8]*LayerJob)
+	byLayer := make(map[uint8]*layerJob)
 	var layers []uint8
 	for i, d := range dests {
 		var l uint8
@@ -41,36 +42,25 @@ func planJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []LayerJob {
 		}
 		j := byLayer[l]
 		if j == nil {
-			j = &LayerJob{Layer: l}
+			j = &layerJob{layer: l}
 			byLayer[l] = j
 			layers = append(layers, l)
 		}
 		if _, ok := affected[d]; ok {
-			j.Repair = append(j.Repair, d)
+			j.repair = append(j.repair, d)
 		} else {
-			j.Kept = append(j.Kept, d)
+			j.kept = append(j.kept, d)
 		}
 	}
 	sort.Slice(layers, func(i, j int) bool { return layers[i] < layers[j] })
-	jobs := make([]LayerJob, 0, len(layers))
+	jobs := make([]layerJob, 0, len(layers))
 	for _, l := range layers {
-		if j := byLayer[l]; len(j.Repair) > 0 {
+		if j := byLayer[l]; len(j.repair) > 0 {
 			jobs = append(jobs, *j)
 		}
 	}
 	return jobs
 }
-
-// JobExecutor schedules the planned layer jobs by calling run(i) for
-// each job index exactly once and returning when all calls finished.
-// Scheduling cannot change the output (jobs are independent and each
-// run(i) is deterministic in the job alone); it only changes where and
-// how concurrently the work happens — which is why sharded and
-// monolithic control planes produce digest-equal tables. Manager.Apply
-// uses a bounded worker pool; the sharded control plane passes
-// ApplyGated a region-affine executor that inspects the jobs to route
-// them.
-type JobExecutor func(jobs []LayerJob, run func(i int))
 
 // escapeRoot caches one layer's escape-path root and its spanning tree.
 // While churn stays outside the tree, the root is re-passed as a repair
@@ -157,14 +147,14 @@ type jobOutcome struct {
 // the layer, if still valid, is passed as a hint. Safe to call
 // concurrently for distinct jobs of one plan (the root cache is only read
 // here; write-back happens in retable after the barrier).
-func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job LayerJob) jobOutcome {
+func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job layerJob) jobOutcome {
 	req := core.RepairRequest{
 		Net:    newNet,
 		Table:  table,
-		Repair: job.Repair,
-		Kept:   job.Kept,
+		Repair: job.repair,
+		Kept:   job.kept,
 	}
-	if er, ok := r.roots[job.Layer]; ok {
+	if er, ok := r.roots[job.layer]; ok {
 		req.RootHint, req.HasRootHint = er.root, true
 	}
 	stats, err := r.nue.RepairLayer(req)
@@ -172,12 +162,12 @@ func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job LayerJo
 }
 
 // retable computes the post-event routing for newNet: the incremental
-// per-layer repair (scheduled by exec), falling back to a full recompute
-// when a layer fails or the combined result does not verify. This is
-// pure computation — the caller owns mutation, index maintenance, and
-// publication.
+// per-layer repair, its layer jobs on a pool of Options.Workers
+// goroutines, falling back to a full recompute when a layer fails or the
+// combined result does not verify. This is pure computation — the caller
+// owns mutation, index maintenance, and publication.
 func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, changed []graph.ChannelID,
-	report *EventReport, exec JobExecutor) (*routing.Result, error) {
+	report *EventReport) (*routing.Result, error) {
 
 	if r.opts.FullRecompute {
 		return r.fullRecompute(st, newNet, report)
@@ -201,7 +191,7 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 	jobs := planJobs(old, affected)
 	outs := make([]jobOutcome, len(jobs))
 	barrier := time.Now()
-	exec(jobs, func(i int) {
+	runPooled(r.opts.workers(), len(jobs), func(i int) {
 		outs[i] = r.runJob(newNet, table, jobs[i])
 	})
 	report.RepairTime = time.Since(barrier)
@@ -211,12 +201,12 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 			// Last resort: re-route the whole fabric.
 			res, err := r.fullRecompute(st, newNet, report)
 			if err != nil {
-				return nil, fmt.Errorf("layer %d repair failed (%v) and full recompute failed: %w", j.Layer, out.err, err)
+				return nil, fmt.Errorf("layer %d repair failed (%v) and full recompute failed: %w", j.layer, out.err, err)
 			}
 			return res, nil
 		}
 		if out.stats.Tree != nil {
-			r.roots[j.Layer] = escapeRoot{root: out.stats.Root, tree: out.stats.Tree}
+			r.roots[j.layer] = escapeRoot{root: out.stats.Root, tree: out.stats.Tree}
 		}
 		if out.stats.RootReused {
 			report.RootsReused++

@@ -104,8 +104,8 @@ func (d TableDelta) UnchangedFraction() float64 {
 
 // Digest returns a deterministic FNV-1a fingerprint of the table's shape,
 // destination set and every next-hop entry. Two tables with equal digests
-// forward identically (up to hash collision); the sharded-vs-monolithic
-// differential tests and the replicated epoch log compare configurations
+// forward identically (up to hash collision); the replicated-vs-monolithic
+// differential test and the replicated epoch log compare configurations
 // by this value instead of shipping full tables.
 func (t *Table) Digest() uint64 {
 	const (

@@ -30,15 +30,15 @@ func diffSeeds(t *testing.T) int {
 	return 200
 }
 
-// TestShardedMonolithicDifferential is the digest-equality sweep: for
-// every seed, a sharded plane and a monolithic manager replay the same
+// TestReplicatedMonolithicDifferential is the digest-equality sweep: for
+// every seed, a replicated plane and a monolithic manager replay the same
 // churn trace on the same topology with the same fabric options, and
 // after every single epoch the published forwarding tables must be
-// bit-identical (FNV digest) — sharding changes where layer repairs run
-// and who may publish, never what is computed. Both sides run the
-// verifier and the oracle post-check, and the plane's report must carry
-// both on every epoch it publishes.
-func TestShardedMonolithicDifferential(t *testing.T) {
+// bit-identical (FNV digest) — the replicated log changes who may
+// publish, never what is computed. Both sides run the verifier and the
+// oracle post-check, and the plane's report must carry both on every
+// epoch it publishes.
+func TestReplicatedMonolithicDifferential(t *testing.T) {
 	seeds := diffSeeds(t)
 	const events = 6
 	for seed := 0; seed < seeds; seed++ {
@@ -65,22 +65,21 @@ func TestShardedMonolithicDifferential(t *testing.T) {
 			t.Fatalf("seed %d: monolithic: %v", seed, err)
 		}
 		p, err := New(tp, Options{
-			Shards:   2 + seed%3,
 			Replicas: 1 + 2*(seed%2),
 			Fabric:   opts,
 		})
 		if err != nil {
-			t.Fatalf("seed %d: sharded: %v", seed, err)
+			t.Fatalf("seed %d: plane: %v", seed, err)
 		}
 		check := func(step string) {
 			ms, ps := mgr.View(), p.View()
 			if ms.Epoch != ps.Epoch {
-				t.Fatalf("seed %d %s: epochs diverged: monolithic %d, sharded %d",
+				t.Fatalf("seed %d %s: epochs diverged: monolithic %d, plane %d",
 					seed, step, ms.Epoch, ps.Epoch)
 			}
 			md, pd := ms.Result.Table.Digest(), ps.Result.Table.Digest()
 			if md != pd {
-				t.Fatalf("seed %d %s: table digests diverged: monolithic %#x, sharded %#x",
+				t.Fatalf("seed %d %s: table digests diverged: monolithic %#x, plane %#x",
 					seed, step, md, pd)
 			}
 		}
@@ -96,7 +95,7 @@ func TestShardedMonolithicDifferential(t *testing.T) {
 			}
 			rep, err := p.Apply(ev)
 			if err != nil {
-				t.Fatalf("seed %d event %d (%s): sharded: %v", seed, i, ev, err)
+				t.Fatalf("seed %d event %d (%s): plane: %v", seed, i, ev, err)
 			}
 			if !rep.NoOp && !(rep.Verified && rep.PostChecked) {
 				t.Fatalf("seed %d event %d (%s): epoch %d published verified=%v post-checked=%v",

@@ -1,3 +1,18 @@
+// Package shard is the replicated fabric control plane: a
+// fabric.Manager whose epochs commit to a replicated log before they are
+// published, and a failover that elects a successor and restores the
+// manager from the last committed epoch, so repair survives controller
+// crashes and network partitions.
+//
+// The plane runs every epoch through the manager's one transaction,
+// passing in a pre-publication gate that only vetoes (quorum commit). It
+// changes WHO may publish an epoch, never what is computed or certified;
+// every layer repair runs on the manager's one pool, so Fabric.Workers
+// bounds it. That is the digest-equality contract: on identical churn
+// traces the plane publishes bit-identical forwarding tables to a
+// monolithic fabric.Manager. Whether the old+new table swap needs a drain
+// is decided once, by the distribution source that performs it
+// (internal/distrib, DESIGN §16).
 package shard
 
 import (
@@ -16,7 +31,9 @@ var ErrNoLeader = errors.New("shard: no leader, run failover")
 
 // Options configures a Plane.
 type Options struct {
-	// Shards is the number of topology-aware regions (default 1).
+	// Deprecated: read by nothing. The plane no longer partitions the
+	// fabric into regions (DESIGN §16); the field stays only until the
+	// benchmark stops setting it.
 	Shards int
 	// Replicas is the epoch-log replication factor (default 1). Quorum is
 	// a strict majority, so 3 replicas survive one crash, 5 survive two.
@@ -25,10 +42,8 @@ type Options struct {
 	// monolithic one would take. Fabric.OnPublish is called once per
 	// committed epoch (leader publication). Fabric.Workers is handed to
 	// the routing engine and sizes the manager's worker pool, so it
-	// bounds the initial routing, every full recompute, the
-	// coordinator's (region-spanning) layer repairs and the overlap of
-	// Verify with PostCheck; region-local layer repairs run beside that
-	// pool, one goroutine per region with work.
+	// bounds the initial routing, every full recompute, every layer
+	// repair and the overlap of Verify with PostCheck.
 	Fabric fabric.Options
 	// OnReplicate, when non-nil, is called for every ALIVE replica after
 	// an epoch commits — the per-replica distribution seam (hand the
@@ -39,19 +54,18 @@ type Options struct {
 	Telemetry *telemetry.ShardMetrics
 }
 
-// Report describes one sharded Apply: the fabric repair report plus the
-// control-plane view — which term/leader committed it and how the layer
-// jobs were scheduled across regions.
+// Report describes one plane Apply: the fabric repair report plus the
+// control-plane view, which term/leader committed it.
 type Report struct {
 	fabric.EventReport
 	// Term and Leader identify the committing leadership.
 	Term   uint64
 	Leader int
-	// LocalJobs counts layer repairs run on their home region's shard;
-	// SeamJobs those escalated to the coordinator because their
-	// destinations span regions.
-	LocalJobs, SeamJobs int
 
+	// Deprecated: always zero. The plane has no regions, so no job is
+	// local or seam (DESIGN §16); these stay only until the benchmark
+	// stops reading them.
+	LocalJobs, SeamJobs int
 	// Deprecated: always false. The plane no longer certifies
 	// transitions (the distribution source decides drains, DESIGN §16);
 	// this field and the two below stay only until the benchmark stops
@@ -67,20 +81,17 @@ type Report struct {
 // aggregates with control-plane counters.
 type Metrics struct {
 	fabric.Metrics
-	LocalJobs, SeamJobs       int
 	EpochsCommitted, Deposals int
 	Elections                 int
 }
 
-// Plane is a sharded, replicated fabric control plane. It exposes the
-// same Apply/View/Epoch surface as fabric.Manager because it holds one:
-// the manager runs the epoch transaction, the plane supplies what is its
-// own — region-affine scheduling of the layer repairs, and a gate that
-// commits the epoch to a majority of replicas under a leadership term
-// before it may be published.
+// Plane is a replicated fabric control plane. It exposes the same
+// Apply/View/Epoch surface as fabric.Manager because it holds one: the
+// manager runs the epoch transaction, the plane supplies what is its own,
+// a gate that commits the epoch to a majority of replicas under a
+// leadership term before it may be published, and failover.
 type Plane struct {
 	opts    Options
-	regions *Regions
 	cluster *Cluster
 	// mgr owns state, runner, snapshot and fabric metrics. It is never
 	// handed out: a plane's epochs only go through its gate, so the
@@ -98,12 +109,9 @@ type Plane struct {
 	beforeCommit func()
 }
 
-// New partitions tp, elects replica 0 leader, routes tp from scratch and
-// commits the initial epoch to a quorum before publishing it.
+// New elects replica 0 leader, routes tp from scratch and commits the
+// initial epoch to a quorum before publishing it.
 func New(tp *topology.Topology, opts Options) (*Plane, error) {
-	if opts.Shards < 1 {
-		opts.Shards = 1
-	}
 	if opts.Replicas < 1 {
 		opts.Replicas = 1
 	}
@@ -112,11 +120,7 @@ func New(tp *topology.Topology, opts Options) (*Plane, error) {
 		// need no nil checks.
 		opts.Telemetry = &telemetry.ShardMetrics{}
 	}
-	p := &Plane{
-		opts:    opts,
-		regions: Partition(tp, opts.Shards),
-		cluster: NewCluster(opts.Replicas),
-	}
+	p := &Plane{opts: opts, cluster: NewCluster(opts.Replicas)}
 	term, err := p.cluster.TryElect(0)
 	if err != nil {
 		return nil, err
@@ -176,32 +180,26 @@ func (p *Plane) publish(snap *fabric.Snapshot) {
 	}
 }
 
-// Apply processes one churn event through the sharded plane: the
-// manager's epoch transaction with region-affine job scheduling and the
-// plane's gate (quorum commit) in front of publication. What commits is
-// exactly what the manager's certification passed, so the forwarding
-// tables it publishes are digest-equal to what a monolithic
-// fabric.Manager publishes for the same trace — scheduling and ownership
-// differ, the computation is the same code.
+// Apply processes one churn event through the plane: the manager's epoch
+// transaction with the plane's gate (quorum commit) in front of
+// publication. What commits is exactly what the manager's certification
+// passed, so the forwarding tables it publishes are digest-equal to what
+// a monolithic fabric.Manager publishes for the same trace — ownership
+// differs, the computation is the same code.
 func (p *Plane) Apply(ev fabric.Event) (*Report, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.leader < 0 {
 		return nil, ErrNoLeader
 	}
-	rep := &Report{Term: p.term, Leader: p.leader}
-	er, err := p.mgr.ApplyGated(ev, p.regionExec(rep), p.gate)
+	er, err := p.mgr.ApplyGated(ev, p.gate)
 	if err != nil {
 		return nil, err
 	}
-	rep.EventReport = *er
+	rep := &Report{EventReport: *er, Term: p.term, Leader: p.leader}
 	if rep.NoOp {
 		return rep, nil
 	}
-	p.metrics.LocalJobs += rep.LocalJobs
-	p.metrics.SeamJobs += rep.SeamJobs
-	p.opts.Telemetry.LocalJobs.Add(int64(rep.LocalJobs))
-	p.opts.Telemetry.SeamJobs.Add(int64(rep.SeamJobs))
 	p.recordEpoch(rep)
 	return rep, nil
 }
@@ -215,42 +213,6 @@ func (p *Plane) gate(c *fabric.Candidate) error {
 		p.beforeCommit()
 	}
 	return p.commit(c)
-}
-
-// regionExec schedules layer jobs region-affine: jobs whose repair
-// destinations live in one region run on that region's shard goroutine
-// (sequentially within a shard — each shard is one controller), jobs
-// spanning regions are the coordinator's and run on the manager's
-// bounded worker pool (Fabric.Workers), beside the shards. Jobs own
-// disjoint columns and run(i) is safe for concurrent use, so neither
-// placement nor pool size can change a table entry.
-func (p *Plane) regionExec(rep *Report) fabric.JobExecutor {
-	return func(jobs []fabric.LayerJob, run func(i int)) {
-		byRegion := make(map[int][]int)
-		var coord []int
-		var seam []fabric.LayerJob
-		for i, j := range jobs {
-			if home := p.regions.HomeRegion(j.Repair); home >= 0 {
-				byRegion[home] = append(byRegion[home], i)
-			} else {
-				coord, seam = append(coord, i), append(seam, j)
-			}
-		}
-		rep.LocalJobs += len(jobs) - len(coord)
-		rep.SeamJobs += len(coord)
-		var wg sync.WaitGroup
-		for _, idxs := range byRegion {
-			wg.Add(1)
-			go func(idxs []int) {
-				defer wg.Done()
-				for _, i := range idxs {
-					run(i)
-				}
-			}(idxs)
-		}
-		p.mgr.PooledJobs(seam, func(k int) { run(coord[k]) })
-		wg.Wait()
-	}
 }
 
 // Failover elects a new leader deterministically — the lowest-numbered
@@ -297,9 +259,6 @@ func (p *Plane) Revive(id int) { p.cluster.Revive(id) }
 
 // Cluster exposes the replicated log for tests and fault injection.
 func (p *Plane) Cluster() *Cluster { return p.cluster }
-
-// Regions exposes the partition.
-func (p *Plane) Regions() *Regions { return p.regions }
 
 // View returns the current committed snapshot.
 func (p *Plane) View() *fabric.Snapshot { return p.mgr.View() }
@@ -351,8 +310,6 @@ func (p *Plane) recordEpoch(rep *Report) {
 		"epoch":      int64(rep.Epoch),
 		"term":       int64(rep.Term),
 		"leader":     int64(rep.Leader),
-		"local_jobs": int64(rep.LocalJobs),
-		"seam_jobs":  int64(rep.SeamJobs),
 		"latency_ns": rep.Latency.Nanoseconds(),
 	})
 }

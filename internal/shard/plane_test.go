@@ -57,15 +57,14 @@ func assertCommitted(t *testing.T, p *Plane) {
 	}
 }
 
-// TestPlaneChurnDragonfly drives link churn through a 4-shard, 3-replica
-// plane on a Dragonfly: every epoch must verify, commit to a quorum
+// TestPlaneChurnDragonfly drives link churn through a 3-replica plane on
+// a Dragonfly: every epoch must verify, commit to a quorum
 // under one term, and be digest-recorded in the replicated log; the
 // telemetry counters must mirror the plane's aggregates.
 func TestPlaneChurnDragonfly(t *testing.T) {
 	reg := telemetry.New()
 	tp := topology.Dragonfly(4, 2, 2, 9)
 	p, err := New(tp, Options{
-		Shards:    4,
 		Replicas:  3,
 		Fabric:    fabric.Options{MaxVCs: 4, Seed: 1, Verify: true},
 		Telemetry: reg.Shard(),
@@ -112,9 +111,6 @@ func TestPlaneChurnDragonfly(t *testing.T) {
 	if m.EpochsCommitted != events+1 {
 		t.Fatalf("epochs committed = %d, want %d (initial + events)", m.EpochsCommitted, events+1)
 	}
-	if m.LocalJobs+m.SeamJobs == 0 {
-		t.Fatal("no layer job was ever scheduled")
-	}
 	if m.Deposals != 0 || m.Elections != 1 {
 		t.Fatalf("unexpected leadership churn: %d deposals, %d elections", m.Deposals, m.Elections)
 	}
@@ -122,9 +118,6 @@ func TestPlaneChurnDragonfly(t *testing.T) {
 	s := reg.Snapshot()
 	if got := s.Counters["shard_epochs_committed_total"]; got != int64(m.EpochsCommitted) {
 		t.Errorf("shard_epochs_committed_total = %d, want %d", got, m.EpochsCommitted)
-	}
-	if got := s.Counters["shard_local_jobs_total"] + s.Counters["shard_seam_jobs_total"]; got != int64(m.LocalJobs+m.SeamJobs) {
-		t.Errorf("job counters = %d, want %d", got, m.LocalJobs+m.SeamJobs)
 	}
 	if s.Gauges["shard_term"] != 1 || s.Gauges["shard_leader"] != 0 {
 		t.Errorf("telemetry leadership = (%d, %d), want (0, 1)",
@@ -140,7 +133,6 @@ func TestPlaneChurnDragonfly(t *testing.T) {
 func TestKillLeaderMidRepair(t *testing.T) {
 	tp := topology.Dragonfly(4, 2, 2, 9)
 	p, err := New(tp, Options{
-		Shards:   4,
 		Replicas: 3,
 		Fabric:   fabric.Options{MaxVCs: 4, Seed: 1, Verify: true},
 	})
@@ -251,7 +243,7 @@ func TestKillLeaderMidRepair(t *testing.T) {
 
 // TestRefusedProposalRecovers: only the manager's certification may
 // refuse a proposal, and the plane must recover from it exactly as the
-// monolithic manager does. A 4-shard, 3-replica plane and a manager
+// monolithic manager does. A 3-replica plane and a manager
 // replay one trace, each with a PostCheck that refuses its first call
 // after construction and runs the oracle after that. The refused
 // incremental repair must be replaced by a full recompute on both sides,
@@ -277,7 +269,7 @@ func TestRefusedProposalRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.PostCheck = refuseOnce(&planeArmed)
-	p, err := New(tp, Options{Shards: 4, Replicas: 3, Fabric: opts})
+	p, err := New(tp, Options{Replicas: 3, Fabric: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +287,7 @@ func TestRefusedProposalRecovers(t *testing.T) {
 		}
 		rep, err := p.Apply(ev)
 		if err != nil {
-			t.Fatalf("event %d (%s): sharded: %v", i, ev, err)
+			t.Fatalf("event %d (%s): plane: %v", i, ev, err)
 		}
 		if i == 0 && !(rep.FullRecompute && mrep.FullRecompute) {
 			t.Fatalf("refused proposal: full recompute plane=%v manager=%v, want both",
@@ -306,7 +298,7 @@ func TestRefusedProposalRecovers(t *testing.T) {
 		}
 		assertCommitted(t, p)
 		if md, pd := mgr.View().Result.Table.Digest(), p.View().Result.Table.Digest(); md != pd {
-			t.Fatalf("event %d (%s): monolithic %#x, sharded %#x", i, ev, md, pd)
+			t.Fatalf("event %d (%s): monolithic %#x, plane %#x", i, ev, md, pd)
 		}
 	}
 }
@@ -335,7 +327,6 @@ func TestPlaneFabricTelemetryConsistency(t *testing.T) {
 	reg := telemetry.New()
 	tp := topology.Dragonfly(4, 2, 2, 9)
 	p, err := New(tp, Options{
-		Shards:    4,
 		Replicas:  3,
 		Fabric:    fabric.Options{MaxVCs: 4, Seed: 1, Verify: true, Telemetry: reg.Fabric()},
 		Telemetry: reg.Shard(),
@@ -404,70 +395,8 @@ func TestPlaneFabricTelemetryConsistency(t *testing.T) {
 	if got := s.Histograms["fabric_epoch_publish_nanos"].Count; got != int64(committed) {
 		t.Errorf("fabric_epoch_publish_nanos count = %d, want %d committed events", got, committed)
 	}
-	// The control-plane counters still agree with the log, and count the
-	// jobs of committed epochs only, as Metrics does.
+	// The control-plane counter still agrees with the log.
 	if got := s.Counters["shard_epochs_committed_total"]; got != int64(committed+1) {
 		t.Errorf("shard_epochs_committed_total = %d, want %d (initial + events)", got, committed+1)
-	}
-	if got := s.Counters["shard_local_jobs_total"]; got != int64(mt.LocalJobs) {
-		t.Errorf("shard_local_jobs_total = %d, want Metrics.LocalJobs = %d", got, mt.LocalJobs)
-	}
-	if got := s.Counters["shard_seam_jobs_total"]; got != int64(mt.SeamJobs) {
-		t.Errorf("shard_seam_jobs_total = %d, want Metrics.SeamJobs = %d", got, mt.SeamJobs)
-	}
-}
-
-// TestPlaneSeamJobsPooledDigestEqual replays one 40-event trace through
-// two torus planes that differ only in Fabric.Workers, 1 and 4, with
-// every layer job on the coordinator: the first plane runs them one
-// after another, the second on a pool of four (goroutines, whatever
-// GOMAXPROCS is, which is what -race needs). Tables must be
-// digest-equal after every event.
-func TestPlaneSeamJobsPooledDigestEqual(t *testing.T) {
-	tp := topology.Torus3D(4, 4, 4, 1, 1)
-	var planes [2]*Plane
-	for i, workers := range []int{1, 4} {
-		p, err := New(tp, Options{
-			Shards: 4,
-			Fabric: fabric.Options{MaxVCs: 4, Seed: 1, Workers: workers},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Four slabs leave about one job in twenty inside a single slab.
-		// Take every node's home away, so that HomeRegion finds none for
-		// any job; which channels are the seam stays as partitioned.
-		for n := range p.regions.Of {
-			p.regions.Of[n] = -1
-		}
-		planes[i] = p
-	}
-	gen := newChurnGen(tp, 21)
-	pooled := 0 // events whose seam jobs could overlap
-	for i := 0; i < 40; i++ {
-		ev := gen.next(t, 0.3)
-		var reps [2]*Report
-		for k, p := range planes {
-			rep, err := p.Apply(ev)
-			if err != nil {
-				t.Fatalf("event %d (%s), plane %d: %v", i, ev, k, err)
-			}
-			reps[k] = rep
-		}
-		if reps[1].LocalJobs != 0 {
-			t.Fatalf("event %d (%s): %d region-local jobs; the test wants every job on the coordinator",
-				i, ev, reps[1].LocalJobs)
-		}
-		if reps[1].SeamJobs > 1 {
-			pooled++
-		}
-		a, b := planes[0].View(), planes[1].View()
-		if a.Epoch != b.Epoch || a.Result.Table.Digest() != b.Result.Table.Digest() {
-			t.Fatalf("event %d (%s): workers 1 published %d:%#x, workers 4 %d:%#x", i, ev,
-				a.Epoch, a.Result.Table.Digest(), b.Epoch, b.Result.Table.Digest())
-		}
-	}
-	if pooled < 20 {
-		t.Fatalf("only %d of 40 events had two or more seam jobs to pool", pooled)
 	}
 }

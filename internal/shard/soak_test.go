@@ -14,8 +14,8 @@ import (
 	"repro/internal/topology"
 )
 
-// TestSoakShardFailover is the failure-injection soak: a 4-shard,
-// 3-replica plane on a Dragonfly absorbs continuous churn while leaders
+// TestSoakShardFailover is the failure-injection soak: a 3-replica plane
+// on a Dragonfly absorbs continuous churn while leaders
 // are killed (between events and mid-apply), followers crashed, and the
 // leader partitioned away — for a bounded wall-clock budget. Invariants
 // held throughout: epochs advance by exactly one per successful apply,
@@ -41,7 +41,6 @@ func TestSoakShardFailover(t *testing.T) {
 
 	tp := topology.Dragonfly(4, 2, 2, 9)
 	p, err := New(tp, Options{
-		Shards:   4,
 		Replicas: 3,
 		Fabric:   fabric.Options{MaxVCs: 4, Seed: 1, Verify: true},
 	})
@@ -176,8 +175,8 @@ func TestSoakShardFailover(t *testing.T) {
 		}
 	}
 	m := p.Metrics()
-	t.Logf("soak: %d steps, %d epochs, %d faults injected, %d failovers, %d local + %d seam jobs, metrics %+v",
-		step, epoch, faults, failovers, m.LocalJobs, m.SeamJobs, m)
+	t.Logf("soak: %d steps, %d epochs, %d faults injected, %d failovers, metrics %+v",
+		step, epoch, faults, failovers, m)
 	if failovers == 0 {
 		t.Error("soak never exercised a failover")
 	}

@@ -361,14 +361,9 @@ func (r *Registry) Workload() *WorkloadMetrics {
 	}
 }
 
-// ShardMetrics instruments the sharded, replicated control plane
-// (internal/shard): region-local vs escalated repair scheduling,
-// leadership churn and replicated-log outcomes.
+// ShardMetrics instruments the replicated control plane
+// (internal/shard): leadership churn and replicated-log outcomes.
 type ShardMetrics struct {
-	// LocalJobs counts layer repairs of committed epochs scheduled on
-	// their home region's shard; SeamJobs those run by the coordinator
-	// because their destinations span regions.
-	LocalJobs, SeamJobs *Counter
 	// EpochsCommitted counts epochs the replicated log accepted with a
 	// quorum; Deposed counts appends/elections lost to a newer term.
 	EpochsCommitted, Deposed *Counter
@@ -380,15 +375,13 @@ type ShardMetrics struct {
 	Events *Ring
 }
 
-// Shard returns the shard-control-plane bundle registered under shard_*
+// Shard returns the replicated-control-plane bundle registered under shard_*
 // names (nil, all-no-op, on a nil registry).
 func (r *Registry) Shard() *ShardMetrics {
 	if r == nil {
 		return nil
 	}
 	return &ShardMetrics{
-		LocalJobs:       r.Counter("shard_local_jobs_total"),
-		SeamJobs:        r.Counter("shard_seam_jobs_total"),
 		EpochsCommitted: r.Counter("shard_epochs_committed_total"),
 		Deposed:         r.Counter("shard_deposed_total"),
 		Elections:       r.Counter("shard_elections_total"),

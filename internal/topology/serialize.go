@@ -48,7 +48,7 @@ func Write(w io.Writer, tp *Topology) error {
 // serialized; topology-aware routings require generator-built topologies.
 func Read(r io.Reader) (*Topology, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	b := graph.NewBuilder()
 	name := "unnamed"
 	var groups [][]graph.NodeID
@@ -102,6 +102,9 @@ func Read(r io.Reader) (*Topology, error) {
 			}
 			if from < 0 || from >= b.NumNodes() || to < 0 || to >= b.NumNodes() {
 				return nil, fmt.Errorf("topology: line %d: link endpoint out of range", lineNo)
+			}
+			if from == to {
+				return nil, fmt.Errorf("topology: line %d: self-link", lineNo)
 			}
 			b.AddLink(graph.NodeID(from), graph.NodeID(to))
 		case "mcastgroup":

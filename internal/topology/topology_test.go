@@ -370,18 +370,25 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"node 0 gateway x\n",                  // unknown kind
 		"node 0 switch a\nlink 0 3\n",         // link out of range
 		"frobnicate\n",                        // unknown directive
-		"node 0 terminal a\nlink 0 0\n",       // self link -> panic guarded? builder panics
+		"node 0 terminal a\nlink 0 0\n",       // self link
 		"node 0 terminal a\nmcastgroup 1\n",   // group without members
 		"node 0 terminal a\nmcastgroup 2 0\n", // non-dense group id
 		"node 0 terminal a\nmcastgroup 1 7\n", // member out of range
 	}
 	for i, in := range cases {
-		func() {
-			defer func() { recover() }() // self-link panics; treat as rejection
-			if _, err := Read(bytes.NewBufferString(in)); err == nil {
-				t.Errorf("case %d: Read accepted malformed input", i)
-			}
-		}()
+		if _, err := Read(bytes.NewBufferString(in)); err == nil {
+			t.Errorf("case %d: Read accepted malformed input", i)
+		}
+	}
+}
+
+// TestReadSelfLink: a link from a node to itself is refused with its line
+// number, like every other malformed line; the builder it used to reach
+// panics on it, which took nueroute -topo down.
+func TestReadSelfLink(t *testing.T) {
+	_, err := Read(bytes.NewBufferString("node 0 switch\nlink 0 0\n"))
+	if err == nil || err.Error() != "topology: line 2: self-link" {
+		t.Fatalf("Read = %v, want topology: line 2: self-link", err)
 	}
 }
 

@@ -80,7 +80,9 @@ func ReadTrace(r io.Reader) ([]Flow, error) {
 	if count > maxFlows {
 		return nil, fmt.Errorf("workload: implausible trace flow count %d", count)
 	}
-	flows := make([]Flow, 0, count)
+	// The header's count is a claim, not a size: presize only what a
+	// modest file could hold and let append grow on records that arrive.
+	flows := make([]Flow, 0, min(count, 1<<16))
 	var rec [traceRecordSize]byte
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/topology"
 )
 
-func testTerminals(t *testing.T) []graph.NodeID {
+func testTerminals(t testing.TB) []graph.NodeID {
 	t.Helper()
 	tp := topology.Ring(8, 2)
 	terms := tp.Net.Terminals()
@@ -238,4 +239,29 @@ func TestEmptyTrace(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("decoded %d flows from an empty trace", len(got))
 	}
+}
+
+// TestTraceCountBomb: a 16-byte file, the magic and a count of 2^31 with
+// no record and no checksum, used to presize 2^31 flows and end the
+// process with a fatal out-of-memory error no recover can catch. It must
+// be refused, and refusing it must cost what a small file costs.
+func TestTraceCountBomb(t *testing.T) {
+	bomb := countBomb()
+	if _, err := ReadTrace(bytes.NewReader(bomb)); err == nil {
+		t.Fatal("a header without records decoded without error")
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ReadTrace(bytes.NewReader(bomb))
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 4<<20 {
+		t.Fatalf("refusing the 16-byte header allocated %d bytes per call", got)
+	}
+}
+
+// countBomb is a trace header declaring 2^31 flows and nothing else.
+func countBomb() []byte {
+	return binary.LittleEndian.AppendUint64(traceMagic[:], 1<<31)
 }
