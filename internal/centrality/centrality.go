@@ -14,23 +14,33 @@ import (
 // ConvexSubgraph returns the node set N^H of the convex subgraph for the
 // destination set dests (Definition 8): all destinations plus every node
 // that is an intermediate node of at least one shortest path between two
-// destinations. Runs in O(|dests| * (|N| + |C|)).
+// destinations, in ascending order. Runs in O(|dests| * (|N| + |C|)) and
+// allocates only the set it returns.
 func ConvexSubgraph(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
+	sc := newScratch()
+	defer sc.release()
+	return append([]graph.NodeID(nil), sc.hull(g, dests)...)
+}
+
+// hull computes ConvexSubgraph(g, dests) into sc.nodes.
+func (sc *scratch) hull(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
 	n := g.NumNodes()
-	inHull := make([]bool, n)
-	isDest := make([]bool, n)
+	inHull, isDest := grow(sc.inHull, n), grow(sc.isDest, n)
+	clear(inHull)
+	clear(isDest)
 	for _, d := range dests {
 		isDest[d] = true
 		inHull[d] = true
 	}
 	// One breadth-first scratch for all destinations: dist is -1 and
 	// marked false outside a sweep, and a sweep resets what it reached.
-	marked := make([]bool, n)
-	dist := make([]int32, n)
+	marked := grow(sc.marked, n)
+	clear(marked)
+	dist := grow(sc.hullDist, n)
 	for i := range dist {
 		dist[i] = -1
 	}
-	order := make([]graph.NodeID, 0, n)
+	order := grow(sc.hullOrder, n)[:0]
 	csr := g.CSRView()
 	for _, d := range dests {
 		dist[d] = 0
@@ -69,12 +79,14 @@ func ConvexSubgraph(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
 			marked[v] = false
 		}
 	}
-	var hull []graph.NodeID
-	for v := 0; v < n; v++ {
-		if inHull[v] {
+	hull := grow(sc.sub.nodes, n)[:0]
+	for v, in := range inHull {
+		if in {
 			hull = append(hull, graph.NodeID(v))
 		}
 	}
+	sc.inHull, sc.isDest, sc.marked, sc.hullDist, sc.hullOrder = inHull, isDest, marked, dist, order
+	sc.sub.nodes = hull
 	return hull
 }
 
@@ -94,61 +106,102 @@ func Betweenness(g *graph.Network, sub []graph.NodeID) []float64 {
 // value of workers.
 const betweennessShard = 64
 
-// brandesScratch is the per-worker single-source state of Brandes'
-// algorithm.
-type brandesScratch struct {
-	sigma        []float64
-	dist         []int32
-	delta        []float64
-	order        []graph.NodeID
-	preds        [][]graph.NodeID
-	seenNeighbor []int32
-	epoch        int32
+// BetweennessN is Betweenness computed by the given number of workers
+// (0 or negative means GOMAXPROCS). The source nodes are sharded into
+// fixed-size blocks; each worker accumulates a block's dependencies into a
+// private buffer and commits the buffers into the result in block order,
+// so the output is bit-identical regardless of workers. With one worker it
+// allocates only the result.
+func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
+	n := g.NumNodes()
+	sc := newScratch()
+	defer sc.release()
+	in := grow(sc.inHull, n)
+	sc.inHull = in
+	for i := range in {
+		in[i] = sub == nil
+	}
+	for _, s := range sub {
+		in[s] = true
+	}
+	nodes := grow(sc.sub.nodes, n)[:0]
+	for v, ok := range in {
+		if ok {
+			nodes = append(nodes, graph.NodeID(v))
+		}
+	}
+	sc.sub.nodes = nodes
+	local := sc.betweenness(g.CSRView(), workers)
+	cb := make([]float64, n)
+	for i, v := range nodes {
+		cb[v] = local[i]
+	}
+	return cb
+}
+
+// scratch is the working memory of one root choice, recycled between
+// calls: the marks and search state of the convex hull over the whole
+// network, the subgraph Brandes runs on, and the single-source state of
+// one worker, all but the hull's sized by the subgraph.
+type scratch struct {
+	inHull, isDest, marked []bool
+	hullDist               []int32
+	hullOrder              []graph.NodeID
+	local                  []int32 // NodeID -> index in sub.nodes, -1 outside
+	seen                   []int32 // per subgraph node, the last row of sub.adj listing it
+	sub                    subgraph
+	cb                     []float64 // centrality per subgraph node
+
+	// One worker's single-source state, in subgraph indices.
+	sigma, delta []float64
+	dist, order  []int32
+	npred, preds []int32   // preds[sub.predOff[v]:][:npred[v]] are v's predecessors
 	partial      []float64 // one shard's centrality contribution
 }
 
-// brandesScratches recycles brandesScratch between BetweennessN calls,
-// predecessor lists included. Like core's layer states it is a
-// mutex-guarded free list rather than a sync.Pool, so what a call
-// allocates does not depend on when the garbage collector last ran; it
-// holds at most as many scratches as were ever in use at once.
-var brandesScratches struct {
-	sync.Mutex
-	free []*brandesScratch
+// subgraph is the subgraph of a network induced by a node set, in local
+// indices: node i is nodes[i], and nodes ascend, so local order is NodeID
+// order. adj[off[i]:off[i+1]] lists node i's out-neighbours inside the
+// set once each, in the order of their first channel in CSR.Out, which is
+// the order a search over the network meets them. predOff[i] is where
+// node i's predecessors start in a worker's preds: room for one per
+// in-neighbour inside the set.
+type subgraph struct {
+	nodes    []graph.NodeID
+	off, adj []int32
+	predOff  []int32
 }
 
-// newBrandesScratch draws a scratch for n nodes from the free list, or
-// makes one. sigma, dist, delta, preds and partial are reset before each
-// use; seenNeighbor is cleared here, with its epoch.
-func newBrandesScratch(n int) *brandesScratch {
-	var sc *brandesScratch
-	brandesScratches.Lock()
-	if k := len(brandesScratches.free); k > 0 {
-		sc = brandesScratches.free[k-1]
-		brandesScratches.free[k-1] = nil
-		brandesScratches.free = brandesScratches.free[:k-1]
+// scratches recycles scratch between calls. Like the CDG arenas and the
+// engine's layer states it is a mutex-guarded free list rather than a
+// sync.Pool, so what a call allocates does not depend on when the garbage
+// collector last ran; it holds at most as many scratches as were ever in
+// use at once.
+var scratches struct {
+	sync.Mutex
+	free []*scratch
+}
+
+func newScratch() *scratch {
+	var sc *scratch
+	scratches.Lock()
+	if k := len(scratches.free); k > 0 {
+		sc = scratches.free[k-1]
+		scratches.free[k-1] = nil
+		scratches.free = scratches.free[:k-1]
 	}
-	brandesScratches.Unlock()
+	scratches.Unlock()
 	if sc == nil {
-		sc = new(brandesScratch)
+		sc = new(scratch)
 	}
-	sc.sigma = grow(sc.sigma, n)
-	sc.dist = grow(sc.dist, n)
-	sc.delta = grow(sc.delta, n)
-	sc.order = grow(sc.order, n)[:0]
-	sc.preds = grow(sc.preds, n)
-	sc.seenNeighbor = grow(sc.seenNeighbor, n)
-	clear(sc.seenNeighbor)
-	sc.epoch = 0
-	sc.partial = grow(sc.partial, n)
 	return sc
 }
 
 // release hands the scratch back to the free list.
-func (sc *brandesScratch) release() {
-	brandesScratches.Lock()
-	brandesScratches.free = append(brandesScratches.free, sc)
-	brandesScratches.Unlock()
+func (sc *scratch) release() {
+	scratches.Lock()
+	scratches.free = append(scratches.free, sc)
+	scratches.Unlock()
 }
 
 func grow[T any](s []T, n int) []T {
@@ -158,111 +211,63 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// oneSource runs the single-source phase of Brandes' algorithm from src
-// and accumulates the dependencies into sc.partial. The adjacency walk
-// runs on the flat CSR view (PR 8); iteration order matches Network.Out,
-// so the shard sums — and the final centralities — are unchanged.
-func (sc *brandesScratch) oneSource(csr *graph.CSR, in []bool, src graph.NodeID) {
-	n := csr.NumNodes()
-	// Single-source shortest path counting (BFS).
-	sc.order = sc.order[:0]
-	for i := 0; i < n; i++ {
-		sc.sigma[i] = 0
-		sc.dist[i] = -1
-		sc.delta[i] = 0
-		sc.preds[i] = sc.preds[i][:0]
+// induce builds sc.sub's adjacency for sc.sub.nodes.
+func (sc *scratch) induce(csr *graph.CSR) *subgraph {
+	sg := &sc.sub
+	n, h := csr.NumNodes(), len(sg.nodes)
+	local := grow(sc.local, n)
+	for i := range local {
+		local[i] = -1
 	}
-	sc.sigma[src] = 1
-	sc.dist[src] = 0
-	sc.order = append(sc.order, src)
-	for head := 0; head < len(sc.order); head++ {
-		u := sc.order[head]
-		sc.epoch++
+	for i, v := range sg.nodes {
+		local[v] = int32(i)
+	}
+	off, predOff, seen := grow(sg.off, h+1), grow(sg.predOff, h+1), grow(sc.seen, h)
+	clear(predOff)
+	for i := range seen {
+		seen[i] = -1
+	}
+	adj := sg.adj[:0]
+	for i, u := range sg.nodes {
+		off[i] = int32(len(adj))
 		for _, c := range csr.Out(u) {
-			v := csr.To[c]
-			if !in[v] || sc.seenNeighbor[v] == sc.epoch {
-				continue // skip parallel channels to the same neighbor
+			j := local[csr.To[c]]
+			if j < 0 || seen[j] == int32(i) {
+				continue // outside, or a parallel channel to the same neighbour
 			}
-			sc.seenNeighbor[v] = sc.epoch
-			if sc.dist[v] < 0 {
-				sc.dist[v] = sc.dist[u] + 1
-				sc.order = append(sc.order, v)
-			}
-			if sc.dist[v] == sc.dist[u]+1 {
-				sc.sigma[v] += sc.sigma[u]
-				sc.preds[v] = append(sc.preds[v], u)
-			}
+			seen[j] = int32(i)
+			adj = append(adj, j)
+			predOff[j+1]++
 		}
 	}
-	// Dependency accumulation in reverse BFS order.
-	for i := len(sc.order) - 1; i > 0; i-- {
-		w := sc.order[i]
-		coeff := (1 + sc.delta[w]) / sc.sigma[w]
-		for _, v := range sc.preds[w] {
-			sc.delta[v] += sc.sigma[v] * coeff
-		}
-		sc.partial[w] += sc.delta[w]
+	off[h] = int32(len(adj))
+	for i := 0; i < h; i++ {
+		predOff[i+1] += predOff[i]
 	}
+	sc.local, sc.seen = local, seen
+	sg.off, sg.adj, sg.predOff = off, adj, predOff
+	return sg
 }
 
-// BetweennessN is Betweenness computed by the given number of workers
-// (0 or negative means GOMAXPROCS). The source nodes are sharded into
-// fixed-size blocks; each worker accumulates a block's dependencies into a
-// private buffer and commits the buffers into the result in block order,
-// so the output is bit-identical regardless of workers.
-func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
-	n := g.NumNodes()
-	in := make([]bool, n)
-	srcs := make([]graph.NodeID, 0, n)
-	if sub == nil {
-		for i := range in {
-			in[i] = true
-		}
-	} else {
-		for _, s := range sub {
-			in[s] = true
-		}
-	}
-	for s := 0; s < n; s++ {
-		if in[s] {
-			srcs = append(srcs, graph.NodeID(s))
-		}
-	}
-	cb := make([]float64, n)
-	csr := g.CSRView()
-	numShards := (len(srcs) + betweennessShard - 1) / betweennessShard
+// betweenness computes the centrality of every node of the subgraph
+// induced by sc.sub.nodes, by local index, into sc.cb.
+func (sc *scratch) betweenness(csr *graph.CSR, workers int) []float64 {
+	sg := sc.induce(csr)
+	h := len(sg.nodes)
+	cb := grow(sc.cb, h)
+	clear(cb)
+	sc.cb = cb
+	numShards := (h + betweennessShard - 1) / betweennessShard
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > numShards {
-		workers = numShards
-	}
-
-	runShard := func(sc *brandesScratch, shard int) {
-		for i := range sc.partial {
-			sc.partial[i] = 0
-		}
-		lo := shard * betweennessShard
-		hi := lo + betweennessShard
-		if hi > len(srcs) {
-			hi = len(srcs)
-		}
-		for _, src := range srcs[lo:hi] {
-			sc.oneSource(csr, in, src)
-		}
-	}
-	commit := func(sc *brandesScratch) {
-		for i, v := range sc.partial {
-			cb[i] += v
-		}
-	}
-
+	workers = min(workers, numShards)
 	if workers <= 1 {
-		sc := newBrandesScratch(n)
-		defer sc.release()
-		for shard := 0; shard < numShards; shard++ {
-			runShard(sc, shard)
-			commit(sc)
+		for s := 0; s < numShards; s++ {
+			sc.shard(sg, s*betweennessShard, min((s+1)*betweennessShard, h))
+			for i, v := range sc.partial {
+				cb[i] += v
+			}
 		}
 		return cb
 	}
@@ -271,29 +276,31 @@ func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 	// sums strictly in shard order (ordered-commit pipeline): the reduction
 	// order is a function of the shard boundaries alone.
 	var (
-		next       int64
+		next       atomic.Int64
 		mu         sync.Mutex
 		nextCommit int
 		wg         sync.WaitGroup
 	)
 	cond := sync.NewCond(&mu)
-	for w := 0; w < workers; w++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newBrandesScratch(n)
-			defer sc.release()
+			w := newScratch()
+			defer w.release()
 			for {
-				shard := int(atomic.AddInt64(&next, 1)) - 1
-				if shard >= numShards {
+				s := int(next.Add(1)) - 1
+				if s >= numShards {
 					return
 				}
-				runShard(sc, shard)
+				w.shard(sg, s*betweennessShard, min((s+1)*betweennessShard, h))
 				mu.Lock()
-				for nextCommit != shard {
+				for nextCommit != s {
 					cond.Wait()
 				}
-				commit(sc)
+				for i, v := range w.partial {
+					cb[i] += v
+				}
 				nextCommit++
 				cond.Broadcast()
 				mu.Unlock()
@@ -302,6 +309,66 @@ func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 	}
 	wg.Wait()
 	return cb
+}
+
+// shard accumulates the dependencies of sources lo..hi-1 of sg into
+// w.partial.
+func (w *scratch) shard(sg *subgraph, lo, hi int) {
+	h := len(sg.nodes)
+	w.sigma, w.delta, w.partial = grow(w.sigma, h), grow(w.delta, h), grow(w.partial, h)
+	w.dist, w.order, w.npred = grow(w.dist, h), grow(w.order, h), grow(w.npred, h)
+	w.preds = grow(w.preds, int(sg.predOff[h]))
+	clear(w.partial)
+	for src := lo; src < hi; src++ {
+		w.oneSource(sg, int32(src))
+	}
+}
+
+// oneSource runs the single-source phase of Brandes' algorithm from src
+// and accumulates the dependencies into w.partial. The search meets
+// neighbours in the network's CSR.Out order and records each node's
+// predecessors in the order it meets them, so every σ and every sum into
+// a δ is formed in the same order as a search over the whole network's
+// channels would form it: the shard sums, and the centralities, are bit
+// for bit those of that search. Predecessors come from the search itself,
+// never from out-neighbours, which differ from in-neighbours where a
+// channel's reverse has failed.
+func (w *scratch) oneSource(sg *subgraph, src int32) {
+	h := len(sg.nodes)
+	// Single-source shortest path counting (BFS).
+	for i := 0; i < h; i++ {
+		w.sigma[i] = 0
+		w.dist[i] = -1
+		w.delta[i] = 0
+		w.npred[i] = 0
+	}
+	w.sigma[src] = 1
+	w.dist[src] = 0
+	order := append(w.order[:0], src)
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		for _, v := range sg.adj[sg.off[u]:sg.off[u+1]] {
+			if w.dist[v] < 0 {
+				w.dist[v] = w.dist[u] + 1
+				order = append(order, v)
+			}
+			if w.dist[v] == w.dist[u]+1 {
+				w.sigma[v] += w.sigma[u]
+				w.preds[sg.predOff[v]+w.npred[v]] = u
+				w.npred[v]++
+			}
+		}
+	}
+	// Dependency accumulation in reverse BFS order.
+	for i := len(order) - 1; i > 0; i-- {
+		x := order[i]
+		coeff := (1 + w.delta[x]) / w.sigma[x]
+		for _, v := range w.preds[sg.predOff[x] : sg.predOff[x]+w.npred[x]] {
+			w.delta[v] += w.sigma[v] * coeff
+		}
+		w.partial[x] += w.delta[x]
+	}
+	w.order = order
 }
 
 // MostCentral returns the node of sub with the highest betweenness
@@ -320,17 +387,18 @@ func MostCentralN(g *graph.Network, sub []graph.NodeID, workers int) graph.NodeI
 	cb := BetweennessN(g, sub, workers)
 	best := sub[0]
 	for _, n := range sub[1:] {
-		if better(g, cb, n, best) {
+		if better(g, cb[n], cb[best], n, best) {
 			best = n
 		}
 	}
 	return best
 }
 
-// better reports whether a should be preferred over b as root.
-func better(g *graph.Network, cb []float64, a, b graph.NodeID) bool {
-	if cb[a] != cb[b] {
-		return cb[a] > cb[b]
+// better reports whether a, of centrality ca, should be preferred over b,
+// of centrality cb, as root.
+func better(g *graph.Network, ca, cb float64, a, b graph.NodeID) bool {
+	if ca != cb {
+		return ca > cb
 	}
 	as, bs := g.IsSwitch(a), g.IsSwitch(b)
 	if as != bs {
@@ -347,8 +415,21 @@ func RootForDestinations(g *graph.Network, dests []graph.NodeID) graph.NodeID {
 }
 
 // RootForDestinationsN is RootForDestinations with a parallel betweenness
-// pass; the root choice is identical for every worker count.
+// pass; the root choice is identical for every worker count. With one
+// worker it allocates nothing once its scratch is warm.
 func RootForDestinationsN(g *graph.Network, dests []graph.NodeID, workers int) graph.NodeID {
-	hull := ConvexSubgraph(g, dests)
-	return MostCentralN(g, hull, workers)
+	sc := newScratch()
+	defer sc.release()
+	hull := sc.hull(g, dests)
+	if len(hull) == 0 {
+		return graph.NoNode
+	}
+	cb := sc.betweenness(g.CSRView(), workers)
+	best := 0
+	for i := 1; i < len(hull); i++ {
+		if better(g, cb[i], cb[best], hull[i], hull[best]) {
+			best = i
+		}
+	}
+	return hull[best]
 }

@@ -51,15 +51,24 @@ type layerState struct {
 	dq *dial.Queue
 
 	// byDistScratch and cntScratch are reused across weight updates;
-	// islandScratch across island scans; orderScratch and seenScratch
-	// across escape-fallback table fills.
+	// islandScratch across island scans; candScratch across backtracking
+	// attempts; orderScratch and seenScratch across escape-fallback table
+	// fills.
 	byDistScratch []nodeDist
 	cntScratch    []int32
 	islandScratch []graph.NodeID
+	candScratch   []cand
 	orderScratch  []graph.NodeID
 	seenScratch   []bool
 
 	stats *Stats
+}
+
+// cand is an alternative way into an island of backtrack: channel c
+// into the island, entered over a, at the distance dist.
+type cand struct {
+	a, c graph.ChannelID
+	dist float64
 }
 
 // nodeDist is a node with its Dijkstra distance, the key updateWeights
@@ -391,11 +400,7 @@ func (ls *layerState) islands(dest graph.NodeID) []graph.NodeID {
 // re-routed over a and v becomes reachable.
 // The cheapest valid alternative wins.
 func (ls *layerState) backtrack(v graph.NodeID) bool {
-	type cand struct {
-		a, c graph.ChannelID
-		dist float64
-	}
-	var cands []cand
+	cands := ls.candScratch[:0]
 	for _, c := range ls.csr.In(v) {
 		u := ls.csr.From[c]
 		if math.IsInf(ls.nodeDist[u], 1) {
@@ -405,6 +410,7 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 			cands = append(cands, cand{a: a, c: c, dist: ls.chDist[a] + ls.weight[c]})
 		}
 	}
+	ls.candScratch = cands
 	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.dist, b.dist) })
 	for _, cd := range cands {
 		u, w := ls.csr.From[cd.c], ls.csr.From[cd.a]

@@ -23,8 +23,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Options configures Nue routing. The zero value is NOT usable; call
-// DefaultOptions.
+// Options configures Nue routing. The zero value names no partitioning
+// strategy, which Route refuses with an error; start from DefaultOptions.
 type Options struct {
 	// Partition selects the destination partitioning strategy (§4.5).
 	Partition partition.Strategy
@@ -123,7 +123,10 @@ func (n *Nue) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 		partStart = time.Now()
 	}
 	rng := rand.New(rand.NewSource(n.opts.Seed))
-	parts := partition.Split(net, routable, maxVCs, n.opts.Partition, rng)
+	parts, err := partition.Split(net, routable, maxVCs, n.opts.Partition, rng)
+	if err != nil {
+		return nil, fmt.Errorf("nue: %w", err)
+	}
 	if tm != nil {
 		tm.PartitionNanos.Add(time.Since(partStart).Nanoseconds())
 	}
@@ -156,9 +159,8 @@ func (n *Nue) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 		bwWorkers = 1
 	}
 	routeOne := func(li int) {
-		lrng := rand.New(rand.NewSource(layerSeeds[li]))
 		layerErrs[li] = n.routeLayer(net, table, destLayer, layerCDG, uint8(li), parts[li],
-			isSource, &layerStats[li], lrng, bwWorkers)
+			isSource, &layerStats[li], layerSeeds[li], bwWorkers)
 	}
 	if workers > 1 {
 		var next int32
@@ -238,17 +240,18 @@ func (s *Stats) report(tm *telemetry.EngineMetrics) {
 
 // routeLayer routes one virtual layer of a cold Route: escape root, a
 // check that its spanning tree reaches every destination, and one
-// algorithm2 pass with the escape paths marked and nothing kept.
-// bwWorkers is the betweenness worker budget for the root search.
+// algorithm2 pass with the escape paths marked and nothing kept. seed is
+// the layer's own, and bwWorkers the betweenness worker budget for the
+// root search.
 func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []uint8, layerCDG []uint64,
-	layer uint8, part []graph.NodeID, isSource []bool, stats *Stats, rng *rand.Rand, bwWorkers int) error {
+	layer uint8, part []graph.NodeID, isSource []bool, stats *Stats, seed int64, bwWorkers int) error {
 
 	tm := n.opts.Telemetry
 	var phaseStart time.Time
 	if tm != nil {
 		phaseStart = time.Now()
 	}
-	root := n.pickRoot(net, part, rng, bwWorkers)
+	root := n.pickRoot(net, part, seed, bwWorkers)
 	var bwNanos int64
 	if tm != nil {
 		bwNanos = time.Since(phaseStart).Nanoseconds()
@@ -366,11 +369,13 @@ func (n *Nue) algorithm2(net *graph.Network, table *routing.Table, tree *graph.T
 	return seeded, true, nil
 }
 
-// pickRoot chooses the escape-path root for a layer.
-func (n *Nue) pickRoot(net *graph.Network, part []graph.NodeID, rng *rand.Rand, bwWorkers int) graph.NodeID {
+// pickRoot chooses the escape-path root for a layer. Only the ablation
+// draws a random number, the first of a source seeded with seed, so only
+// the ablation pays for seeding one.
+func (n *Nue) pickRoot(net *graph.Network, part []graph.NodeID, seed int64, bwWorkers int) graph.NodeID {
 	if !n.opts.CentralRoot {
 		// Ablation: attachment switch of a random destination.
-		d := part[rng.Intn(len(part))]
+		d := part[rand.New(rand.NewSource(seed)).Intn(len(part))]
 		if net.IsTerminal(d) {
 			return net.TerminalSwitch(d)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cdg"
 	"repro/internal/graph"
@@ -154,8 +153,7 @@ func (n *Nue) repairRoot(req RepairRequest) (stats RepairStats, reached []graph.
 	if !stats.RootReused {
 		// Repairs run one per layer (often concurrently, under the fabric
 		// manager), so each keeps its betweenness pass single-threaded.
-		rng := rand.New(rand.NewSource(n.opts.Seed))
-		stats.Root = n.pickRoot(net, routable, rng, 1)
+		stats.Root = n.pickRoot(net, routable, n.opts.Seed, 1)
 		if stats.Root == graph.NoNode {
 			return stats, nil, errors.New("core: no usable escape-path root for repair")
 		}

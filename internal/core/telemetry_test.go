@@ -49,7 +49,10 @@ func TestEngineTelemetryConsistency(t *testing.T) {
 	// partition draw is the engine's first use of its seeded rng) and pin
 	// the per-layer event payloads against it.
 	rng := rand.New(rand.NewSource(seed))
-	parts := partition.Split(tp.Net, dests, vcs, opts.Partition, rng)
+	parts, err := partition.Split(tp.Net, dests, vcs, opts.Partition, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(parts) != res.VCs {
 		t.Fatalf("partition recomputation yields %d layers, engine used %d", len(parts), res.VCs)
 	}

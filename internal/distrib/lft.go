@@ -49,7 +49,7 @@ type CompiledEpoch struct {
 // if both sides agree.
 func RowCRC(row []graph.ChannelID) uint32 {
 	w := getCRCWords()
-	defer crcScratch.Put(w)
+	defer w.release()
 	sum, _ := w.rowSum(0, row)
 	return sum
 }
@@ -71,20 +71,43 @@ func (w *crcWords) rowSum(sw graph.NodeID, row []graph.ChannelID) (crc uint32, l
 // words. It encodes the words into its buffer and hands the buffer to
 // crc32.Update when full, instead of updating once per word; CRC is a
 // streaming function, so the checksum is the same. A buffer handed to
-// crc32.Update escapes to the heap, so the buffers are pooled.
+// crc32.Update escapes to the heap, so the buffers are recycled.
 type crcWords struct {
 	crc uint32
 	n   int
 	buf [512]byte
 }
 
-var crcScratch = sync.Pool{New: func() any { return new(crcWords) }}
+// crcScratch recycles crcWords. Like the engine's scratch (DESIGN §8) it
+// is a mutex-guarded free list, not a sync.Pool, whose hit rate would
+// follow garbage-collection timing; it holds at most as many buffers as
+// were ever in use at once.
+var crcScratch struct {
+	sync.Mutex
+	free []*crcWords
+}
 
-// getCRCWords returns an empty crcWords from the pool.
+// getCRCWords returns an empty crcWords from the free list.
 func getCRCWords() *crcWords {
-	w := crcScratch.Get().(*crcWords)
+	var w *crcWords
+	crcScratch.Lock()
+	if n := len(crcScratch.free); n > 0 {
+		w = crcScratch.free[n-1]
+		crcScratch.free = crcScratch.free[:n-1]
+	}
+	crcScratch.Unlock()
+	if w == nil {
+		w = new(crcWords)
+	}
 	w.crc, w.n = 0, 0
 	return w
+}
+
+// release hands w back to the free list.
+func (w *crcWords) release() {
+	crcScratch.Lock()
+	crcScratch.free = append(crcScratch.free, w)
+	crcScratch.Unlock()
 }
 
 func (w *crcWords) add(v uint32) {
@@ -108,7 +131,7 @@ func uvarintLen(v uint64) int {
 // a single u32 in each ack cross-checks an entire staged table set.
 func FleetCRC(crcs []uint32) uint32 {
 	w := getCRCWords()
-	defer crcScratch.Put(w)
+	defer w.release()
 	for _, c := range crcs {
 		w.add(c)
 	}
@@ -132,7 +155,7 @@ func Compile(e Epoch) *CompiledEpoch {
 		panic(fmt.Sprintf("distrib: %d switches for %d table rows", len(c.Switches), rows))
 	}
 	w := getCRCWords()
-	defer crcScratch.Put(w)
+	defer w.release()
 	for i, sw := range c.Switches {
 		if t.RowIndex(sw) != int32(i) {
 			panic(fmt.Sprintf("distrib: switch %d owns row %d, expected %d", sw, t.RowIndex(sw), i))
@@ -184,7 +207,7 @@ func (c *CompiledEpoch) rowSums(rows []int) []RowSum {
 // fleetCRCFor aggregates the row CRCs of a row set: FleetCRC of them.
 func (c *CompiledEpoch) fleetCRCFor(rows []int) uint32 {
 	w := getCRCWords()
-	defer crcScratch.Put(w)
+	defer w.release()
 	for _, r := range rows {
 		w.add(c.CRCs[r])
 	}

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -162,5 +163,15 @@ func TestFacadeNueOptionsAndTraffic(t *testing.T) {
 	msgs := AllToAllShift(tp.Net.Terminals(), 3)
 	if len(msgs) != 9*3 {
 		t.Errorf("AllToAllShift = %d messages, want 27", len(msgs))
+	}
+}
+
+// TestFacadeZeroNueOptions: NueOptions' zero value names no partitioning
+// strategy, which is an error of Route, not a panic.
+func TestFacadeZeroNueOptions(t *testing.T) {
+	tp := Torus3D(3, 3, 2, 1, 1)
+	res, err := NewNue(NueOptions{Seed: 1}).Route(tp.Net, tp.Net.Terminals(), 2)
+	if err == nil || !strings.Contains(err.Error(), `partition: unknown strategy ""`) {
+		t.Fatalf("Route with zero options: result %v, error %v; want the unknown-strategy error", res, err)
 	}
 }
