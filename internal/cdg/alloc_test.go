@@ -17,7 +17,6 @@ import (
 // bound is a small constant rather than a strict zero.
 func TestArenaReuseAllocsNearZero(t *testing.T) {
 	net := topology.Torus3D(4, 4, 3, 1, 1).Net
-	net.CSRView() // build the adjacency view outside the measured loop
 	NewComplete(net).Release()
 
 	allocs := testing.AllocsPerRun(50, func() {

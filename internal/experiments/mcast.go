@@ -114,7 +114,7 @@ func mcastOne(tp *topology.Topology, cfg McastConfig) McastRow {
 	var msgs []sim.Message
 	for r := 0; r < cfg.Rounds; r++ {
 		for _, g := range groups {
-			msgs = append(msgs, sim.Message{Group: g.ID, Phase: r})
+			msgs = append(msgs, sim.Message{Group: g.ID})
 		}
 	}
 	r, err := sim.Run(net, res, msgs, cfg.Sim)

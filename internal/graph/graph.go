@@ -10,8 +10,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"slices"
 )
 
 // NodeID identifies a node (switch or terminal) in a Network. IDs are dense
@@ -67,27 +66,19 @@ type Channel struct {
 	// duplex link. Every channel has one (links are always duplex).
 	Reverse ChannelID
 	// Failed marks a channel removed by fault injection. Failed channels
-	// are kept in the channel list (so IDs stay stable) but are excluded
-	// from adjacency.
+	// keep their IDs (so IDs stay stable) but are excluded from adjacency.
 	Failed bool
 }
 
 // Network is an immutable interconnection network, Definition 1. Build it
 // with a Builder; routing state (weights, tables) lives outside.
 type Network struct {
-	nodes    []Node
-	channels []Channel
-	// out[n] lists the IDs of non-failed channels (n, .) sorted by
-	// destination then ID; in[n] lists non-failed channels (., n).
-	out [][]ChannelID
-	in  [][]ChannelID
+	nodes []Node
+	// adj is the one adjacency (csr.go).
+	adj CSR
 
 	numSwitches  int
 	numTerminals int
-
-	// csr caches the flat CSR adjacency view (see csr.go); nil until the
-	// first CSRView call, dropped by adjacency mutations.
-	csr atomic.Pointer[CSR]
 }
 
 // NumNodes returns the total number of nodes (switches + terminals).
@@ -101,21 +92,24 @@ func (g *Network) NumTerminals() int { return g.numTerminals }
 
 // NumChannels returns the total number of directed channels, including
 // failed ones (IDs are stable under fault injection).
-func (g *Network) NumChannels() int { return len(g.channels) }
+func (g *Network) NumChannels() int { return g.adj.NumChannels() }
 
 // Node returns the node with the given ID.
 func (g *Network) Node(id NodeID) Node { return g.nodes[id] }
 
 // Channel returns the channel with the given ID.
-func (g *Network) Channel(id ChannelID) Channel { return g.channels[id] }
+func (g *Network) Channel(id ChannelID) Channel {
+	a := &g.adj
+	return Channel{ID: id, From: a.From[id], To: a.To[id], Reverse: a.Rev[id], Failed: a.Failed[id]}
+}
 
-// Out returns the non-failed outgoing channels of n. The returned slice
-// must not be modified.
-func (g *Network) Out(n NodeID) []ChannelID { return g.out[n] }
+// Out returns the non-failed outgoing channels of n, sorted by head node
+// then ID. The returned slice must not be modified.
+func (g *Network) Out(n NodeID) []ChannelID { return g.adj.Out(n) }
 
-// In returns the non-failed incoming channels of n. The returned slice
-// must not be modified.
-func (g *Network) In(n NodeID) []ChannelID { return g.in[n] }
+// In returns the non-failed incoming channels of n, sorted by tail node
+// then ID. The returned slice must not be modified.
+func (g *Network) In(n NodeID) []ChannelID { return g.adj.In(n) }
 
 // IsTerminal reports whether n is a terminal.
 func (g *Network) IsTerminal(n NodeID) bool { return g.nodes[n].Kind == Terminal }
@@ -161,33 +155,31 @@ func (g *Network) TerminalSwitch(t NodeID) NodeID {
 	if !g.IsTerminal(t) {
 		panic(fmt.Sprintf("graph: node %d is not a terminal", t))
 	}
-	out := g.out[t]
+	out := g.Out(t)
 	if len(out) == 0 {
 		panic(fmt.Sprintf("graph: terminal %d has no channel", t))
 	}
-	return g.channels[out[0]].To
+	return g.adj.To[out[0]]
 }
 
 // Degree returns the number of non-failed outgoing channels of n (the
 // radix in use).
-func (g *Network) Degree(n NodeID) int { return len(g.out[n]) }
+func (g *Network) Degree(n NodeID) int { return int(g.adj.outEnd[n] - g.adj.start[n]) }
 
 // MaxDegree returns the maximum out-degree over all nodes (Δ in the paper).
 func (g *Network) MaxDegree() int {
-	max := 0
-	for n := range g.out {
-		if d := len(g.out[n]); d > max {
-			max = d
-		}
+	d := 0
+	for n := range g.nodes {
+		d = max(d, g.Degree(NodeID(n)))
 	}
-	return max
+	return d
 }
 
 // FindChannel returns the ID of some non-failed channel from a to b, or
 // NoChannel if none exists.
 func (g *Network) FindChannel(a, b NodeID) ChannelID {
-	for _, c := range g.out[a] {
-		if g.channels[c].To == b {
+	for _, c := range g.Out(a) {
+		if g.adj.To[c] == b {
 			return c
 		}
 	}
@@ -197,8 +189,8 @@ func (g *Network) FindChannel(a, b NodeID) ChannelID {
 // ChannelsBetween returns all non-failed parallel channels from a to b.
 func (g *Network) ChannelsBetween(a, b NodeID) []ChannelID {
 	var res []ChannelID
-	for _, c := range g.out[a] {
-		if g.channels[c].To == b {
+	for _, c := range g.Out(a) {
+		if g.adj.To[c] == b {
 			res = append(res, c)
 		}
 	}
@@ -208,7 +200,7 @@ func (g *Network) ChannelsBetween(a, b NodeID) []ChannelID {
 // Builder incrementally constructs a Network.
 type Builder struct {
 	nodes    []Node
-	channels []Channel
+	from, to []NodeID
 }
 
 // NewBuilder returns an empty Builder.
@@ -234,12 +226,9 @@ func (b *Builder) AddLink(a, x NodeID) ChannelID {
 	if a == x {
 		panic("graph: self-link not allowed")
 	}
-	fwd := ChannelID(len(b.channels))
-	rev := fwd + 1
-	b.channels = append(b.channels,
-		Channel{ID: fwd, From: a, To: x, Reverse: rev},
-		Channel{ID: rev, From: x, To: a, Reverse: fwd},
-	)
+	fwd := ChannelID(len(b.from))
+	b.from = append(b.from, a, x)
+	b.to = append(b.to, x, a)
 	return fwd
 }
 
@@ -250,16 +239,15 @@ func (b *Builder) NumNodes() int { return len(b.nodes) }
 // exactly one duplex link (Definition 1).
 func (b *Builder) Build() (*Network, error) {
 	g := &Network{
-		nodes:    append([]Node(nil), b.nodes...),
-		channels: append([]Channel(nil), b.channels...),
+		nodes: slices.Clone(b.nodes),
+		adj:   layout(len(b.nodes), slices.Clone(b.from), slices.Clone(b.to)),
 	}
-	g.rebuildAdjacency()
 	for _, n := range g.nodes {
 		switch n.Kind {
 		case Terminal:
-			if len(g.out[n.ID]) != 1 || len(g.in[n.ID]) != 1 {
+			if out, in := len(g.Out(n.ID)), len(g.In(n.ID)); out != 1 || in != 1 {
 				return nil, fmt.Errorf("graph: terminal %d (%s) must have exactly one link, has %d out/%d in",
-					n.ID, n.Name, len(g.out[n.ID]), len(g.in[n.ID]))
+					n.ID, n.Name, out, in)
 			}
 			g.numTerminals++
 		case Switch:
@@ -279,120 +267,34 @@ func (b *Builder) MustBuild() *Network {
 	return g
 }
 
-// rebuildAdjacency recomputes out/in lists from non-failed channels. All
-// per-node lists are carved out of two shared backing arrays (a counting
-// pass sizes them exactly), so a rebuild costs a constant number of
-// allocations instead of two per node. Every list is full-length capped
-// (s[i:j:j]), so a later insertSorted append reallocates that single
-// list instead of clobbering its neighbor.
-func (g *Network) rebuildAdjacency() {
-	g.invalidateCSR()
-	nn := len(g.nodes)
-	outDeg := make([]int32, nn)
-	inDeg := make([]int32, nn)
-	live := 0
-	for i := range g.channels {
-		c := &g.channels[i]
-		if c.Failed {
-			continue
-		}
-		outDeg[c.From]++
-		inDeg[c.To]++
-		live++
-	}
-	outBack := make([]ChannelID, live)
-	inBack := make([]ChannelID, live)
-	g.out = make([][]ChannelID, nn)
-	g.in = make([][]ChannelID, nn)
-	oOff, iOff := 0, 0
-	for n := 0; n < nn; n++ {
-		g.out[n] = outBack[oOff : oOff : oOff+int(outDeg[n])]
-		g.in[n] = inBack[iOff : iOff : iOff+int(inDeg[n])]
-		oOff += int(outDeg[n])
-		iOff += int(inDeg[n])
-	}
-	for i := range g.channels {
-		c := &g.channels[i]
-		if c.Failed {
-			continue
-		}
-		g.out[c.From] = append(g.out[c.From], c.ID)
-		g.in[c.To] = append(g.in[c.To], c.ID)
-	}
-	for n := range g.out {
-		out, in := g.out[n], g.in[n]
-		sort.Slice(out, func(i, j int) bool { return g.outBefore(out[i], out[j]) })
-		sort.Slice(in, func(i, j int) bool { return g.inBefore(in[i], in[j]) })
-	}
-}
-
-// outBefore is the order of Out(n): ascending head node, then channel
-// ID. inBefore is the order of In(n): ascending tail node, then channel
-// ID. rebuildAdjacency sorts by them and the incremental mutators insert
-// by them, which is what keeps a mutated network equal to a rebuilt one.
-func (g *Network) outBefore(a, b ChannelID) bool {
-	if ta, tb := g.channels[a].To, g.channels[b].To; ta != tb {
-		return ta < tb
-	}
-	return a < b
-}
-
-func (g *Network) inBefore(a, b ChannelID) bool {
-	if fa, fb := g.channels[a].From, g.channels[b].From; fa != fb {
-		return fa < fb
-	}
-	return a < b
-}
-
-// Clone returns a deep copy of g. The copy shares nothing with the
-// original, so it may be mutated (SetChannelFailed) while readers keep
-// using g — the basis of the fabric manager's copy-on-write snapshots.
-// All per-node adjacency lists are copied into two shared backing arrays
-// (each carved slice full-length capped so incremental inserts reallocate
-// only the touched list), keeping a clone at a constant number of
-// allocations: the repair path clones per churn event, and O(nodes)
-// little slice headers per event was the dominant clone cost.
+// Clone returns a copy of g that may be mutated (SetChannelFailed) while
+// readers keep using g — the basis of the fabric manager's copy-on-write
+// snapshots. It copies only what a failure or restore writes (OutCh,
+// InCh, Failed and the live ends) and shares the rest — the nodes, the
+// range starts, From, To and Rev — which nothing writes after Build. A
+// clone therefore costs a constant number of allocations: the repair path
+// clones per churn event.
 func (g *Network) Clone() *Network {
-	ng := &Network{
-		nodes:        append([]Node(nil), g.nodes...),
-		channels:     append([]Channel(nil), g.channels...),
-		out:          make([][]ChannelID, len(g.out)),
-		in:           make([][]ChannelID, len(g.in)),
-		numSwitches:  g.numSwitches,
-		numTerminals: g.numTerminals,
-	}
-	outTotal, inTotal := 0, 0
-	for n := range g.out {
-		outTotal += len(g.out[n])
-		inTotal += len(g.in[n])
-	}
-	outBack := make([]ChannelID, 0, outTotal)
-	inBack := make([]ChannelID, 0, inTotal)
-	for n := range g.out {
-		o := len(outBack)
-		outBack = append(outBack, g.out[n]...)
-		ng.out[n] = outBack[o:len(outBack):len(outBack)]
-		i := len(inBack)
-		inBack = append(inBack, g.in[n]...)
-		ng.in[n] = inBack[i:len(inBack):len(inBack)]
-	}
-	return ng
+	ng := *g
+	a := &ng.adj
+	a.OutCh, a.InCh = slices.Clone(a.OutCh), slices.Clone(a.InCh)
+	a.Failed = slices.Clone(a.Failed)
+	a.outEnd, a.inEnd = slices.Clone(a.outEnd), slices.Clone(a.inEnd)
+	return &ng
 }
 
 // SetChannelFailed marks channel c and its reverse half failed (or
-// restores them) and updates the adjacency lists incrementally — a delta
-// mutation that avoids the O(|C| log |C|) rebuild of WithoutChannels. It
-// reports whether the state of c actually changed (a c already in the
+// restores them), moving each across the live end of its nodes' ranges.
+// It reports whether the state of c actually changed (a c already in the
 // requested state is a no-op, whatever its reverse half is in). The
 // receiver must be a private copy (see Clone); published snapshots stay
 // immutable.
 func (g *Network) SetChannelFailed(c ChannelID, failed bool) bool {
-	if g.channels[c].Failed == failed {
+	if g.adj.Failed[c] == failed {
 		return false
 	}
-	g.invalidateCSR()
-	g.setHalf(c, failed)
-	g.setHalf(g.channels[c].Reverse, failed)
+	g.adj.setHalf(c, failed)
+	g.adj.setHalf(g.adj.Rev[c], failed)
 	return true
 }
 
@@ -400,36 +302,16 @@ func (g *Network) SetChannelFailed(c ChannelID, failed bool) bool {
 // it) WITHOUT touching its reverse half — the one-way fault model used
 // by the existence decision procedure's pathological fixtures (directed
 // rings, figure-eights) and the stress generator's "oneway" class. Like
-// SetChannelFailed it updates adjacency incrementally and reports
-// whether the state changed. The receiver must be a private copy (see
-// Clone). Networks with half-failed links are asymmetric: callers that
-// assume duplex reachability (see Symmetric) must not be handed one.
+// SetChannelFailed it reports whether the state changed. The receiver
+// must be a private copy (see Clone). Networks with half-failed links are
+// asymmetric: callers that assume duplex reachability (see Symmetric)
+// must not be handed one.
 func (g *Network) SetHalfFailed(c ChannelID, failed bool) bool {
-	if g.channels[c].Failed == failed {
+	if g.adj.Failed[c] == failed {
 		return false
 	}
-	g.invalidateCSR()
-	g.setHalf(c, failed)
+	g.adj.setHalf(c, failed)
 	return true
-}
-
-// setHalf moves the directed channel c into the given state and out of
-// (or, in adjacency order, into) the lists of its two end nodes; a
-// channel already in that state is left alone. The caller invalidates
-// the CSR view.
-func (g *Network) setHalf(c ChannelID, failed bool) {
-	ch := &g.channels[c]
-	if ch.Failed == failed {
-		return
-	}
-	ch.Failed = failed
-	if failed {
-		g.out[ch.From] = removeID(g.out[ch.From], c)
-		g.in[ch.To] = removeID(g.in[ch.To], c)
-	} else {
-		g.out[ch.From] = insertSorted(g.out[ch.From], c, g.outBefore)
-		g.in[ch.To] = insertSorted(g.in[ch.To], c, g.inBefore)
-	}
 }
 
 // Symmetric reports whether every live channel's reverse half is also
@@ -438,33 +320,12 @@ func (g *Network) setHalf(c ChannelID, failed bool) {
 // and subsystems built on the duplex assumption (Nue, the fabric
 // manager) are not applicable to them.
 func (g *Network) Symmetric() bool {
-	for i := range g.channels {
-		c := &g.channels[i]
-		if !c.Failed && g.channels[c.Reverse].Failed {
+	for c, failed := range g.adj.Failed {
+		if !failed && g.adj.Failed[g.adj.Rev[c]] {
 			return false
 		}
 	}
 	return true
-}
-
-// removeID deletes id from the slice preserving order.
-func removeID(s []ChannelID, id ChannelID) []ChannelID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-// insertSorted inserts id into the slice at the position given by less,
-// preserving the adjacency sort order.
-func insertSorted(s []ChannelID, id ChannelID, less func(a, b ChannelID) bool) []ChannelID {
-	i := sort.Search(len(s), func(i int) bool { return less(id, s[i]) })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
 }
 
 // WithoutChannels returns a copy of g with the given channels (and their
@@ -472,17 +333,11 @@ func insertSorted(s []ChannelID, id ChannelID, less func(a, b ChannelID) bool) [
 // make the copy invalid for Build-level guarantees; callers should check
 // Connected() afterwards.
 func (g *Network) WithoutChannels(failed ...ChannelID) *Network {
-	ng := &Network{
-		nodes:        append([]Node(nil), g.nodes...),
-		channels:     append([]Channel(nil), g.channels...),
-		numSwitches:  g.numSwitches,
-		numTerminals: g.numTerminals,
-	}
+	ng := g.Clone()
 	for _, c := range failed {
-		ng.channels[c].Failed = true
-		ng.channels[ng.channels[c].Reverse].Failed = true
+		ng.adj.setHalf(c, true)
+		ng.adj.setHalf(ng.adj.Rev[c], true)
 	}
-	ng.rebuildAdjacency()
 	return ng
 }
 
@@ -490,22 +345,15 @@ func (g *Network) WithoutChannels(failed ...ChannelID) *Network {
 // nodes marked failed (the nodes remain as isolated stubs so IDs are
 // stable). Used to model switch failures.
 func (g *Network) WithoutNodes(dead ...NodeID) *Network {
-	deadSet := make(map[NodeID]bool, len(dead))
+	ng := g.Clone()
 	for _, n := range dead {
-		deadSet[n] = true
-	}
-	ng := &Network{
-		nodes:        append([]Node(nil), g.nodes...),
-		channels:     append([]Channel(nil), g.channels...),
-		numSwitches:  g.numSwitches,
-		numTerminals: g.numTerminals,
-	}
-	for i := range ng.channels {
-		c := &ng.channels[i]
-		if deadSet[c.From] || deadSet[c.To] {
-			c.Failed = true
+		// Failing the last live channel leaves the ones before it in place.
+		for out := ng.Out(n); len(out) > 0; out = out[:len(out)-1] {
+			ng.adj.setHalf(out[len(out)-1], true)
+		}
+		for in := ng.In(n); len(in) > 0; in = in[:len(in)-1] {
+			ng.adj.setHalf(in[len(in)-1], true)
 		}
 	}
-	ng.rebuildAdjacency()
 	return ng
 }

@@ -116,7 +116,7 @@ func (ws *workspace) kwaySplit(g *graph.Network, dests []graph.NodeID, k int, rn
 	switches := int32(0)
 	for v := range ws.index {
 		ws.index[v] = -1
-		if csr.Switch[v] {
+		if g.IsSwitch(graph.NodeID(v)) {
 			ws.index[v] = switches
 			switches++
 		}

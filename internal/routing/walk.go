@@ -131,6 +131,7 @@ func WalkUntil(net *graph.Network, res *Result, src, dst graph.NodeID, buf []gra
 	// A loop-free walk takes fewer hops than net has nodes, so the hop
 	// count is the loop test; only a walk that trips it pays for finding
 	// the node that repeats.
+	csr := net.CSRView()
 	for budget := net.NumNodes(); cur != dst; {
 		if settled != nil && settled[cur] == stamp {
 			break
@@ -139,20 +140,19 @@ func WalkUntil(net *graph.Network, res *Result, src, dst graph.NodeID, buf []gra
 		if c == graph.NoChannel {
 			return fail(cur, len(buf), WalkNoEntry)
 		}
-		ch := net.Channel(c)
-		if ch.From != cur {
+		if csr.From[c] != cur {
 			return fail(cur, len(buf), WalkWrongNode)
 		}
-		if ch.Failed {
+		if csr.Failed[c] {
 			return fail(cur, len(buf), WalkFailedChannel)
 		}
 		buf = append(buf, c)
-		cur = ch.To
+		cur = csr.To[c]
 		if len(buf) >= budget {
 			seen := make([]bool, net.NumNodes())
 			seen[src] = true
 			for i, b := range buf {
-				to := net.Channel(b).To
+				to := csr.To[b]
 				if seen[to] {
 					return fail(to, i+1, WalkLoop)
 				}

@@ -201,17 +201,18 @@ func (c *Cluster) TryElect(candidate int) (uint64, error) {
 	return term, nil
 }
 
-// committedLen returns the length of the committed prefix (committed
-// epochs are contiguous: prefix-consistent appends make every quorum
-// holder of epoch k hold identical entries below k). Callers hold mu.
+// committedLen returns the length of the committed prefix. Committed
+// epochs are contiguous (prefix-consistent appends make every quorum
+// holder of epoch k hold identical entries below k), so it is one past
+// the highest committed index, found scanning down from the longest log:
+// past an uncommitted tail, not through the whole log. Callers hold mu.
 func (c *Cluster) committedLen() int {
-	n := 0
-	for {
-		if _, ok := c.committedAt(uint64(n)); !ok {
-			return n
+	for idx := c.maxLogLen() - 1; idx >= 0; idx-- {
+		if _, ok := c.committedAt(uint64(idx)); ok {
+			return idx + 1
 		}
-		n++
 	}
+	return 0
 }
 
 // Append proposes e as the next log entry of leader's term and commits
@@ -237,20 +238,23 @@ func (c *Cluster) Append(leader int, term uint64, e Entry) error {
 	if int(e.Epoch) != len(ld.log) {
 		return fmt.Errorf("shard: append epoch %d but leader log has %d entries", e.Epoch, len(ld.log))
 	}
+	// A newer term anywhere the leader can reach deposes it before any
+	// log is written, its own included: an entry left on the followers
+	// checked before the newer term was found could still add up to a
+	// quorum.
+	for _, r := range c.replicas {
+		if r.id != leader && c.reachable(leader, r.id) && r.currentTerm > term {
+			ld.currentTerm = r.currentTerm
+			ld.votedFor = -1
+			return fmt.Errorf("%w: replica %d is at newer term %d", ErrDeposed, r.id, r.currentTerm)
+		}
+	}
 	e.Term = term
 	ld.log = append(ld.log, e)
 	acks := 1
 	for _, r := range c.replicas {
 		if r.id == leader || !c.reachable(leader, r.id) {
 			continue
-		}
-		if r.currentTerm > term {
-			// A newer term exists: step down without committing. The
-			// leader's own uncommitted tail is dropped when a new leader
-			// (possibly itself) is elected.
-			ld.currentTerm = r.currentTerm
-			ld.votedFor = -1
-			return fmt.Errorf("%w: replica %d is at newer term %d", ErrDeposed, r.id, r.currentTerm)
 		}
 		r.currentTerm = term
 		// Truncate everything past the longest prefix shared with the
@@ -282,12 +286,11 @@ func (c *Cluster) Append(leader int, term uint64, e Entry) error {
 func (c *Cluster) Committed() (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for idx := c.maxLogLen() - 1; idx >= 0; idx-- {
-		if e, ok := c.committedAt(uint64(idx)); ok {
-			return e, true
-		}
+	n := c.committedLen()
+	if n == 0 {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return c.committedAt(uint64(n - 1))
 }
 
 // CommittedAt returns the committed entry at one epoch index, if any.

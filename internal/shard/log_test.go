@@ -2,8 +2,8 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -177,106 +177,193 @@ func TestClusterConflictTruncation(t *testing.T) {
 	}
 }
 
+// TestDeposedAppendWritesNoLog: a leader that finds a newer term on a
+// reachable replica is deposed before it writes any log. A follower
+// checked before that replica must not keep the entry, or it adds up to
+// a quorum and the refused epoch commits.
+func TestDeposedAppendWritesNoLog(t *testing.T) {
+	c := NewCluster(3)
+	term, err := c.TryElect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append(0, term, Entry{Epoch: 0, Digest: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Replica 2 loses an election on its own, which still bumps its term.
+	c.Partition([]int{2})
+	if _, err := c.TryElect(2); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("isolated election: err=%v, want ErrNoQuorum", err)
+	}
+	c.Heal()
+	if err := c.Append(0, term, Entry{Epoch: 1, Digest: 2}); !errors.Is(err, ErrDeposed) {
+		t.Fatalf("append under a stale term: err=%v, want ErrDeposed", err)
+	}
+	if e, ok := c.CommittedAt(1); ok {
+		t.Fatalf("the deposed append committed epoch 1: %+v", e)
+	}
+	for id := 0; id < c.Size(); id++ {
+		if n := c.LogLen(id); n != 1 {
+			t.Fatalf("replica %d holds %d entries after the deposed append, want 1", id, n)
+		}
+	}
+}
+
+// BenchmarkTryElectLongLog times one election on a 3-replica cluster
+// whose committed log is long: the winner's truncation must find the
+// committed prefix without walking it.
+func BenchmarkTryElectLongLog(b *testing.B) {
+	for _, entries := range []int{100, 1000, 5000} {
+		b.Run(fmt.Sprint(entries), func(b *testing.B) {
+			c := NewCluster(3)
+			term, err := c.TryElect(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for e := 0; e < entries; e++ {
+				if err := c.Append(0, term, Entry{Epoch: uint64(e), Digest: uint64(e)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.TryElect(i % 3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestSplitBrainAtMostOneTerm is the seeded split-brain battery: five
-// replicas, four concurrent proposers, and a fault injector that
-// partitions, kills, heals and revives on a fixed seed — all under the
-// race detector. The safety property under test: at every epoch index,
-// at most one term ever assembles a commit quorum, no matter how the
-// proposals interleave.
+// replicas, four proposers and a fault injector that partitions, kills,
+// heals and revives. Every Cluster method runs under its mutex, so
+// goroutines would add only interleavings no run can replay; instead one
+// goroutine draws the next step from a seeded rng, for every seed of a
+// fixed list. A proposer's election and each of its appends are separate
+// steps, so other proposers and the injector act in between and a leader
+// may propose under a term that is no longer current. The safety property
+// under test, checked after every step: at every epoch index at most one
+// term assembles a commit quorum, and it stays the one that did. Each
+// seed must also commit something and leave a healed cluster that
+// commits.
 func TestSplitBrainAtMostOneTerm(t *testing.T) {
 	const (
 		replicas  = 5
 		proposers = 4
-		rounds    = 60
+		steps     = 120 // per proposer; the injector takes half as many
 	)
-	c := NewCluster(replicas)
-	var wg sync.WaitGroup
-	for pr := 0; pr < proposers; pr++ {
-		wg.Add(1)
-		go func(pr int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + pr)))
-			for i := 0; i < rounds; i++ {
-				cand := rng.Intn(replicas)
-				term, err := c.TryElect(cand)
-				if err != nil {
-					continue
-				}
-				// Propose a few epochs under the won term; digests encode
-				// the proposer so divergent proposals never collide.
-				for k := 0; k < 3; k++ {
-					epoch := uint64(c.LogLen(cand))
-					digest := uint64(pr)<<32 | uint64(i)<<8 | uint64(k)
-					if err := c.Append(cand, term, Entry{Epoch: epoch, Digest: digest}); err != nil {
-						break
+	for seed := int64(1); seed <= 16; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			c := NewCluster(replicas)
+			rng := rand.New(rand.NewSource(seed))
+			// A proposer elects a random candidate, then proposes up to
+			// three epochs under the won term, one per step; digests encode
+			// the proposer so divergent proposals never collide.
+			type proposer struct {
+				cand     int
+				term     uint64 // 0 while not leading
+				proposed int
+			}
+			props := make([]proposer, proposers)
+			propose := func(pr, step int) {
+				p := &props[pr]
+				if p.term == 0 || p.proposed == 3 {
+					p.cand, p.term, p.proposed = rng.Intn(replicas), 0, 0
+					if term, err := c.TryElect(p.cand); err == nil {
+						p.term = term
 					}
+					return
+				}
+				epoch := uint64(c.LogLen(p.cand))
+				digest := uint64(pr)<<32 | uint64(step)<<8 | uint64(p.proposed)
+				if err := c.Append(p.cand, p.term, Entry{Epoch: epoch, Digest: digest}); err != nil {
+					p.term = 0
+					return
+				}
+				p.proposed++
+			}
+			// An injector step: a seeded partition, crash, revival or heal.
+			inject := func() {
+				switch rng.Intn(4) {
+				case 0:
+					var side []int
+					for id := 0; id < replicas; id++ {
+						if rng.Intn(2) == 0 {
+							side = append(side, id)
+						}
+					}
+					c.Partition(side)
+				case 1:
+					c.Kill(rng.Intn(replicas))
+				case 2:
+					c.Revive(rng.Intn(replicas))
+				case 3:
+					c.Heal()
 				}
 			}
-		}(pr)
-	}
-	// The fault injector: seeded partitions and crashes.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < rounds; i++ {
-			switch rng.Intn(4) {
-			case 0:
-				// Random two-way partition.
-				var side []int
+			// committedAs[e] is the term that first committed epoch e.
+			committedAs := map[int]uint64{}
+			check := func(when string) {
+				t.Helper()
+				maxLen := 0
 				for id := 0; id < replicas; id++ {
-					if rng.Intn(2) == 0 {
-						side = append(side, id)
+					maxLen = max(maxLen, c.LogLen(id))
+				}
+				for e := 0; e < maxLen; e++ {
+					terms := c.CommittedTermsAt(uint64(e))
+					if len(terms) > 1 {
+						t.Fatalf("%s: epoch %d committed under %d terms: %v", when, e, len(terms), terms)
+					}
+					if len(terms) == 1 {
+						if was, ok := committedAs[e]; ok && was != terms[0] {
+							t.Fatalf("%s: epoch %d committed under term %d, later under term %d", when, e, was, terms[0])
+						}
+						committedAs[e] = terms[0]
 					}
 				}
-				c.Partition(side)
-			case 1:
-				c.Kill(rng.Intn(replicas))
-			case 2:
-				c.Revive(rng.Intn(replicas))
-			case 3:
-				c.Heal()
 			}
-		}
-		c.Heal()
-		for id := 0; id < replicas; id++ {
-			c.Revive(id)
-		}
-	}()
-	wg.Wait()
-
-	maxLen := 0
-	for id := 0; id < replicas; id++ {
-		if n := c.LogLen(id); n > maxLen {
-			maxLen = n
-		}
-	}
-	if maxLen == 0 {
-		t.Fatal("no proposal ever landed in any log")
-	}
-	committed := 0
-	for e := 0; e < maxLen; e++ {
-		terms := c.CommittedTermsAt(uint64(e))
-		if len(terms) > 1 {
-			t.Fatalf("epoch %d committed under %d terms: %v", e, len(terms), terms)
-		}
-		committed += len(terms)
-	}
-	if committed == 0 {
-		t.Fatal("no epoch ever committed across the whole battery")
-	}
-	// After healing, the cluster must still be able to make progress.
-	var term uint64
-	var err error
-	for cand := 0; cand < replicas; cand++ {
-		if term, err = c.TryElect(cand); err == nil {
-			if err = c.Append(cand, term, Entry{Epoch: uint64(c.LogLen(cand)), Digest: 424242}); err == nil {
-				break
+			// The next step is drawn among the actors with steps left.
+			left := make([]int, proposers+1) // proposers, then the injector
+			for i := range left {
+				left[i] = steps
 			}
-		}
+			left[proposers] = steps / 2
+			for total := proposers*steps + steps/2; total > 0; total-- {
+				a := rng.Intn(len(left))
+				for left[a] == 0 {
+					a = (a + 1) % len(left)
+				}
+				left[a]--
+				if a == proposers {
+					inject()
+				} else {
+					propose(a, steps-1-left[a])
+				}
+				check(fmt.Sprintf("step %d", proposers*steps+steps/2-total))
+			}
+			if len(committedAs) == 0 {
+				t.Fatal("no epoch ever committed")
+			}
+			// After healing, the cluster must still be able to make progress.
+			// Failed candidacies bump terms, so (like Raft) a candidate may
+			// need another round before its term overtakes every voter's.
+			c.Heal()
+			for id := 0; id < replicas; id++ {
+				c.Revive(id)
+			}
+			var term uint64
+			err := ErrNoQuorum
+			for i := 0; err != nil && i < 3*replicas; i++ {
+				cand := i % replicas
+				if term, err = c.TryElect(cand); err == nil {
+					err = c.Append(cand, term, Entry{Epoch: uint64(c.LogLen(cand)), Digest: 424242})
+				}
+			}
+			if err != nil {
+				t.Fatalf("healed cluster cannot commit: %v", err)
+			}
+			check("after healing")
+		})
 	}
-	if err != nil {
-		t.Fatalf("healed cluster cannot commit: %v", err)
-	}
-	t.Logf("split-brain battery: %d epochs committed, max log %d", committed, maxLen)
 }

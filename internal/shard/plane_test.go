@@ -303,6 +303,45 @@ func TestRefusedProposalRecovers(t *testing.T) {
 	}
 }
 
+// TestDeposedEpochNotRestored: an epoch refused because a replica holds a
+// newer term reverts the event, and a failover must not bring it back.
+// Re-applying the event publishes it as a new epoch, committed with the
+// published digest.
+func TestDeposedEpochNotRestored(t *testing.T) {
+	tp := topology.Torus3D(3, 3, 2, 1, 1)
+	p, err := New(tp, Options{Replicas: 3, Fabric: fabric.Options{MaxVCs: 4, Seed: 1, Verify: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Cluster()
+	c.Partition([]int{2})
+	if _, err := c.TryElect(2); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("isolated election: err=%v, want ErrNoQuorum", err)
+	}
+	c.Heal()
+	ev := newChurnGen(tp, 1).next(t, 0)
+	if _, err := p.Apply(ev); !errors.Is(err, ErrDeposed) {
+		t.Fatalf("apply under a stale term: err=%v, want ErrDeposed", err)
+	}
+	if p.Epoch() != 0 {
+		t.Fatalf("a refused apply published epoch %d", p.Epoch())
+	}
+	if _, _, err := p.Failover(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Epoch() != 0 {
+		t.Fatalf("failover restored epoch %d, which was refused", p.Epoch())
+	}
+	rep, err := p.Apply(ev)
+	if err != nil {
+		t.Fatalf("re-applying the refused event: %v", err)
+	}
+	if rep.NoOp || rep.Epoch != 1 {
+		t.Fatalf("re-applied event: no-op %v, epoch %d, want epoch 1 published", rep.NoOp, rep.Epoch)
+	}
+	assertCommitted(t, p)
+}
+
 // TestPlaneImportsNoCertifier pins the plane's gate as a pure veto: the
 // package's non-test code does not import the oracle, so the one
 // transition verdict per epoch is the distribution source's.

@@ -36,11 +36,6 @@ type Config struct {
 	BufferPackets int
 	// MaxCycles aborts runs that exceed this simulated time (0 = no cap).
 	MaxCycles int64
-	// PhaseBarrier, when true, injects messages phase by phase: phase p+1
-	// starts only after every phase-p message has been delivered
-	// (globally synchronized exchange, like a sequence of blocking
-	// MPI_Sendrecv rounds).
-	PhaseBarrier bool
 	// Telemetry, when non-nil, receives run counters (flits injected and
 	// delivered, stall cycles, per-VC queue-depth high-water marks,
 	// deadlock-detector sweeps). Observation-only; nil records nothing.
@@ -61,9 +56,6 @@ func PaperConfig() Config {
 // Message is one transfer between terminals.
 type Message struct {
 	Src, Dst graph.NodeID
-	// Phase groups messages for barrier-synchronized injection (see
-	// Config.PhaseBarrier); 0-based, ignored without barriers.
-	Phase int
 	// Group, when >= 1, makes this a multicast message of the cast group
 	// with that id (routing.CastTable ids are 1-based): Src and Dst are
 	// ignored, the group's source broadcasts over its cast tree —
@@ -148,8 +140,7 @@ type packet struct {
 	// waitSince is the cycle the packet was appended to an output-wait
 	// queue (stall accounting; meaningful only while waiting).
 	waitSince int64
-	// msg is the message this packet belongs to (latency accounting and
-	// phase barriers).
+	// msg is the message this packet belongs to (latency accounting).
 	msg *msgState
 	// group > 0 marks a cast-tree packet (dst is NoNode); forwarding
 	// follows CastGroup.Outs instead of the unicast table.
@@ -168,7 +159,6 @@ type packet struct {
 // msgState tracks one message's lifecycle.
 type msgState struct {
 	start int64 // first flit entered the network (-1 = not yet)
-	phase int32
 	// tails is the number of tail-packet deliveries still owed before
 	// the message counts as delivered: 1 for unicast, receivers + UBM
 	// legs for a cast message.
@@ -240,12 +230,6 @@ type sim struct {
 	latencySum int64
 	latencyMax int64
 	busyCycles []int64 // per channel
-
-	// Phase barriers: pending[phase] holds packets not yet injected;
-	// phaseLeft[phase] counts undelivered messages of that phase.
-	pending   [][]*packet
-	phaseLeft []int
-	curPhase  int
 }
 
 // Run simulates the delivery of messages under the routing result and
@@ -294,18 +278,9 @@ func Run(net *graph.Network, res *routing.Result, messages []Message, cfg Config
 			inj = route[0]
 		}
 		s.totalMsgs++
-		ms, phase := s.newMsg(m.Phase, 1)
-		s.segment(ms, phase, inj, route, m.Dst, sl, 0)
+		s.segment(&msgState{start: -1, tails: 1}, inj, route, m.Dst, sl, 0)
 	}
 	s.busyCycles = make([]int64, net.NumChannels())
-	if cfg.PhaseBarrier {
-		for ph := range s.pending {
-			if len(s.pending[ph]) > 0 {
-				s.releasePhase(ph)
-				break
-			}
-		}
-	}
 	// Prime all injection channels.
 	for c := range s.outWait {
 		if len(s.outWait[c]) > 0 {
@@ -342,7 +317,7 @@ func Run(net *graph.Network, res *routing.Result, messages []Message, cfg Config
 // counters: inFlight is the flit total of injected packets still inside
 // the network (input buffers, the event queue, plus the optional extra
 // in-transit packet), waiting the flit total of packets never injected
-// (injection wait queues and unreleased barrier phases). It is the
+// (injection wait queues). It is the
 // independent measurement behind the deadlock detector and the
 // injected == delivered + in-flight invariant.
 func (s *sim) sweep(extra *packet) (inFlight, waiting int64) {
@@ -366,11 +341,6 @@ func (s *sim) sweep(extra *packet) (inFlight, waiting int64) {
 			if p.cur == graph.NoChannel {
 				waiting += int64(p.flits)
 			}
-		}
-	}
-	for _, ph := range s.pending {
-		for _, p := range ph {
-			waiting += int64(p.flits)
 		}
 	}
 	return inFlight, waiting
@@ -484,45 +454,9 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// releasePhase moves a barrier phase's packets onto their injection
-// channels.
-func (s *sim) releasePhase(phase int) {
-	if phase >= len(s.pending) {
-		return
-	}
-	var kicked []graph.ChannelID
-	for _, p := range s.pending[phase] {
-		inj := graph.ChannelID(p.hop)
-		p.hop = 0
-		s.outWait[inj] = append(s.outWait[inj], p)
-		kicked = append(kicked, inj)
-	}
-	s.pending[phase] = nil
-	s.curPhase = phase
-	for _, c := range kicked {
-		s.kick(c)
-	}
-}
-
-// newMsg allocates the lifecycle state of one message with the given
-// number of owed tail deliveries, registering its barrier phase.
-func (s *sim) newMsg(msgPhase, tails int) (*msgState, int) {
-	phase := 0
-	if s.cfg.PhaseBarrier && msgPhase > 0 {
-		phase = msgPhase
-	}
-	ms := &msgState{start: -1, phase: int32(phase), tails: int32(tails)}
-	for len(s.phaseLeft) <= phase {
-		s.phaseLeft = append(s.phaseLeft, 0)
-		s.pending = append(s.pending, nil)
-	}
-	s.phaseLeft[phase]++
-	return ms, phase
-}
-
 // segment splits one message (or one cast train / UBM leg of it) into
 // packets and enqueues them on the injection channel.
-func (s *sim) segment(ms *msgState, phase int, inj graph.ChannelID, route []graph.ChannelID, dst graph.NodeID, sl uint8, group int32) {
+func (s *sim) segment(ms *msgState, inj graph.ChannelID, route []graph.ChannelID, dst graph.NodeID, sl uint8, group int32) {
 	remaining := s.cfg.MessageFlits
 	for remaining > 0 {
 		f := s.cfg.PacketFlits
@@ -533,12 +467,7 @@ func (s *sim) segment(ms *msgState, phase int, inj graph.ChannelID, route []grap
 		p := &packet{dst: dst, sl: sl, flits: int32(f), cur: graph.NoChannel,
 			last: remaining == 0, route: route, msg: ms, group: group}
 		s.remainingFlits += int64(f)
-		if s.cfg.PhaseBarrier {
-			s.pending[phase] = append(s.pending[phase], p)
-			p.hop = int32(inj) // reused as injection channel until injected
-		} else {
-			s.outWait[inj] = append(s.outWait[inj], p)
-		}
+		s.outWait[inj] = append(s.outWait[inj], p)
 	}
 }
 
@@ -559,10 +488,10 @@ func (s *sim) injectCast(m Message) {
 		return
 	}
 	s.totalMsgs++
-	ms, phase := s.newMsg(m.Phase, endpoints)
+	ms := &msgState{start: -1, tails: int32(endpoints)}
 	inj := s.net.Out(g.Source)[0]
 	if len(g.Receivers) > 0 {
-		s.segment(ms, phase, inj, nil, graph.NoNode, g.SL, int32(m.Group))
+		s.segment(ms, inj, nil, graph.NoNode, g.SL, int32(m.Group))
 	}
 	for _, u := range g.UBM {
 		var route []graph.ChannelID
@@ -573,7 +502,7 @@ func (s *sim) injectCast(m Message) {
 		if route != nil {
 			leg = route[0]
 		}
-		s.segment(ms, phase, leg, route, u, s.res.Layer(g.Source, u), 0)
+		s.segment(ms, leg, route, u, s.res.Layer(g.Source, u), 0)
 	}
 }
 
@@ -624,19 +553,6 @@ func (s *sim) deliver(p *packet) {
 		s.latencySum += lat
 		if lat > s.latencyMax {
 			s.latencyMax = lat
-		}
-	}
-	if s.cfg.PhaseBarrier && p.msg != nil {
-		ph := int(p.msg.phase)
-		s.phaseLeft[ph]--
-		if s.phaseLeft[ph] == 0 && ph == s.curPhase {
-			// Release the next non-empty phase.
-			for nxt := ph + 1; nxt < len(s.pending); nxt++ {
-				if len(s.pending[nxt]) > 0 {
-					s.releasePhase(nxt)
-					return
-				}
-			}
 		}
 	}
 }

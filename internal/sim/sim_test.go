@@ -300,34 +300,6 @@ func TestMessagesBetweenDisconnectedTerminalsSkipped(t *testing.T) {
 	}
 }
 
-func TestPhaseBarrierDeliversAll(t *testing.T) {
-	tp := topology.Torus3D(3, 3, 1, 2, 1)
-	g := tp.Net
-	res, err := core.New(core.DefaultOptions()).Route(g, g.Terminals(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := AllToAllShift(g.Terminals(), 0)
-	cfg := DefaultConfig()
-	cfg.PhaseBarrier = true
-	r, err := Run(g, res, msgs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Deadlocked || r.DeliveredMessages != r.TotalMessages {
-		t.Fatalf("barrier run incomplete: %+v", r)
-	}
-	// Barriers serialize phases, so the makespan must not beat the
-	// unsynchronized run.
-	free, err := Run(g, res, msgs, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cycles < free.Cycles {
-		t.Errorf("barrier makespan %d < unsynchronized %d", r.Cycles, free.Cycles)
-	}
-}
-
 func TestLatencyAndUtilizationStats(t *testing.T) {
 	g, res := lineFixture(t)
 	terms := g.Terminals()

@@ -21,7 +21,7 @@ func AllToAllShift(terminals []graph.NodeID, phases int) []Message {
 	// simulator.
 	for p := 1; p <= phases; p++ {
 		for i := 0; i < t; i++ {
-			msgs = append(msgs, Message{Src: terminals[i], Dst: terminals[(i+p)%t], Phase: p - 1})
+			msgs = append(msgs, Message{Src: terminals[i], Dst: terminals[(i+p)%t]})
 		}
 	}
 	return msgs

@@ -75,22 +75,29 @@ func InjectLinkFailures(tp *Topology, rng *rand.Rand, fraction float64) (*Topolo
 	rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
+	// Each candidate is probed on one clone: fail both halves, and revert
+	// exactly the halves that flipped if the network fell apart.
 	failed := 0
-	cur := g
+	cur := g.Clone()
 	for _, c := range candidates {
 		if failed >= want {
 			break
 		}
-		next := cur.WithoutChannels(c)
-		if !graph.Connected(next) {
+		rev := cur.Channel(c).Reverse
+		revFlipped := cur.SetHalfFailed(rev, true)
+		cur.SetHalfFailed(c, true)
+		if graph.Connected(cur) {
+			failed++
 			continue
 		}
-		cur = next
-		failed++
+		cur.SetHalfFailed(c, false)
+		if revFlipped {
+			cur.SetHalfFailed(rev, false)
+		}
 	}
 	ntp := *tp
-	ntp.Net = cur
 	if failed > 0 {
+		ntp.Net = cur
 		ntp.Name = fmt.Sprintf("%s-f%d", tp.Name, failed)
 	}
 	return &ntp, failed
