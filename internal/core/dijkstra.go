@@ -50,12 +50,14 @@ type layerState struct {
 	// dial queue's extraction watermark; the queue panics otherwise.
 	dq *dial.Queue
 
-	// byDistScratch and cntScratch are reused across weight updates;
-	// islandScratch across island scans; candScratch across backtracking
-	// attempts; orderScratch and seenScratch across escape-fallback table
-	// fills.
+	// cntScratch, kidsScratch and orderScratch (the leaf peel's stack)
+	// are reused across weight updates, byDistScratch across the
+	// farthest-first ones; islandScratch across island scans; candScratch
+	// across backtracking attempts; orderScratch and seenScratch across
+	// escape-fallback table fills.
 	byDistScratch []nodeDist
 	cntScratch    []int32
+	kidsScratch   []int32
 	islandScratch []graph.NodeID
 	candScratch   []cand
 	orderScratch  []graph.NodeID
@@ -71,8 +73,8 @@ type cand struct {
 	dist float64
 }
 
-// nodeDist is a node with its Dijkstra distance, the key updateWeights
-// sorts by.
+// nodeDist is a node with its Dijkstra distance, the key
+// updateWeightsFarthestFirst sorts by.
 type nodeDist struct {
 	dist float64
 	node graph.NodeID
@@ -148,11 +150,8 @@ func newLayerState(net *graph.Network, d *cdg.Graph, tree *graph.Tree, opts Opti
 		ls.dq.Reset()
 	}
 	ls.byDistScratch = ls.byDistScratch[:0]
-	if cap(ls.cntScratch) < nn {
-		ls.cntScratch = make([]int32, nn)
-	} else {
-		ls.cntScratch = ls.cntScratch[:nn]
-	}
+	ls.cntScratch = growInt32s(ls.cntScratch, nn)
+	ls.kidsScratch = growInt32s(ls.kidsScratch, nn)
 	for c := range ls.weight {
 		ls.weight[c] = 1
 	}
@@ -174,6 +173,13 @@ func (ls *layerState) release() {
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func growInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
 	return s[:n]
 }
@@ -457,7 +463,75 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 // channel's weight (recorded orientation), normalized by the source count
 // like routing.AddPathLoad so balancing pressure stays relative and path
 // stretch bounded.
+//
+// Every tree channel receives exactly one +=, of the integer source count
+// its tail has gathered by then, so every order that visits a node after
+// all its children gives the same bits. The farthest-first order of
+// updateWeightsFarthestFirst is one when each tree edge strictly
+// increases nodeDist away from dest, and peelWeights' leaf peel gives one
+// in O(n) without sorting. A §4.6.2 re-route can raise a node's distance
+// to or above a child's; farthest-first then visits that child after its
+// parent, whose channel never receives the child's count. Such a tree
+// keeps the farthest-first result, so the weights are what they always
+// were.
 func (ls *layerState) updateWeights(dest graph.NodeID, parent []graph.ChannelID) {
+	if !ls.peelWeights(dest, parent) {
+		ls.updateWeightsFarthestFirst(dest, parent)
+	}
+}
+
+// peelWeights is updateWeights on a tree whose every edge increases
+// nodeDist away from dest, visiting each node once its children are done.
+// On any other tree it writes no weight and returns false.
+func (ls *layerState) peelWeights(dest graph.NodeID, parent []graph.ChannelID) bool {
+	cnt, kids, from := ls.cntScratch, ls.kidsScratch, ls.csr.From
+	clear(cnt)
+	clear(kids)
+	totalSources := 0
+	for n, c := range parent {
+		if c == graph.NoChannel {
+			continue
+		}
+		w := from[c]
+		// !(a > b), so that equal distances and NaN take the reference.
+		if w != dest && !(ls.nodeDist[n] > ls.nodeDist[w]) {
+			return false
+		}
+		kids[w]++
+		if ls.isSource[n] && graph.NodeID(n) != dest {
+			cnt[n]++
+			totalSources++
+		}
+	}
+	if totalSources == 0 {
+		return true
+	}
+	scale := 1.0 / float64(totalSources)
+	stack := ls.orderScratch[:0]
+	for n, c := range parent {
+		if c != graph.NoChannel && kids[n] == 0 {
+			stack = append(stack, graph.NodeID(n))
+		}
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		c := parent[n]
+		ls.weight[c] += float64(cnt[n]) * scale
+		w := from[c]
+		cnt[w] += cnt[n]
+		if kids[w]--; kids[w] == 0 && parent[w] != graph.NoChannel {
+			stack = append(stack, w)
+		}
+	}
+	ls.orderScratch = stack
+	return true
+}
+
+// updateWeightsFarthestFirst is updateWeights by a sort: nodes farthest
+// from dest first, each passing its count on to its parent. It is the
+// reference peelWeights reproduces, and the path of the trees it refuses.
+func (ls *layerState) updateWeightsFarthestFirst(dest graph.NodeID, parent []graph.ChannelID) {
 	nodes := ls.byDistScratch[:0]
 	for n := 0; n < ls.net.NumNodes(); n++ {
 		if parent[n] != graph.NoChannel {

@@ -11,6 +11,13 @@
 // cites one), at O(1) bucket operations in place of the heap's O(log n)
 // (DESIGN.md §3).
 //
+// A bucket is sorted without comparisons: an LSD radix sort over the
+// twelve bytes of (the key's IEEE-754 bits, the item), skipping every byte
+// that is the same across the bucket, with an insertion sort below
+// radixCutoff entries. Non-negative floats order like their bit patterns
+// (−0 is folded onto +0 first), and the (key, item) order is total, so
+// any correct sort pops the same sequence.
+//
 // Contract (checked where cheap, documented otherwise):
 //   - keys are finite and >= 0;
 //   - while the queue is non-empty and extraction has begun, every
@@ -25,10 +32,7 @@
 // recorded key no longer matches the item's current key.
 package dial
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 type entry struct {
 	key  float64
@@ -47,6 +51,7 @@ type Queue struct {
 	curIdx  int       // next entry within buckets[cur]
 	dirty   bool      // buckets[cur][curIdx:] needs sorting
 	n       int       // live entries
+	buf     []entry   // the radix sort's second buffer
 
 	lastPopped float64 // monotonicity watermark, -Inf when unstarted
 }
@@ -171,15 +176,7 @@ func (q *Queue) ExtractMin() (int, bool) {
 			continue
 		}
 		if q.dirty {
-			slices.SortFunc(q.buckets[q.cur][q.curIdx:], func(a, b entry) int {
-				if a.key != b.key {
-					if a.key < b.key {
-						return -1
-					}
-					return 1
-				}
-				return int(a.item) - int(b.item)
-			})
+			q.sortEntries(q.buckets[q.cur][q.curIdx:])
 			q.dirty = false
 		}
 		e := q.buckets[q.cur][q.curIdx]
@@ -211,4 +208,90 @@ func (q *Queue) Reset() {
 	q.dirty = false
 	q.n = 0
 	q.lastPopped = math.Inf(-1)
+}
+
+// radixCutoff is the bucket length below which an insertion sort beats
+// the radix sort's histogram pass.
+const radixCutoff = 128
+
+// sortEntries orders s by (key, item). Keys are finite and non-negative.
+func (q *Queue) sortEntries(s []entry) {
+	n := len(s)
+	if n < radixCutoff {
+		insertionSort(s)
+		return
+	}
+	// One pass counts every byte: 0-3 are the item's, 4-11 the key's
+	// bits, least significant first.
+	var hist [12][256]int32
+	for i := range s {
+		it := uint32(s[i].item)
+		k := math.Float64bits(s[i].key + 0)
+		hist[0][byte(it)]++
+		hist[1][byte(it>>8)]++
+		hist[2][byte(it>>16)]++
+		hist[3][byte(it>>24)]++
+		hist[4][byte(k)]++
+		hist[5][byte(k>>8)]++
+		hist[6][byte(k>>16)]++
+		hist[7][byte(k>>24)]++
+		hist[8][byte(k>>32)]++
+		hist[9][byte(k>>40)]++
+		hist[10][byte(k>>48)]++
+		hist[11][byte(k>>56)]++
+	}
+	if cap(q.buf) < n {
+		q.buf = make([]entry, n)
+	}
+	src, dst := s, q.buf[:n]
+	it0, k0 := uint32(s[0].item), math.Float64bits(s[0].key+0)
+	for p := range hist {
+		var first byte
+		if p < 4 {
+			first = byte(it0 >> (8 * p))
+		} else {
+			first = byte(k0 >> (8 * (p - 4)))
+		}
+		h := &hist[p]
+		if int(h[first]) == n {
+			continue // every entry has this byte: the pass would move nothing
+		}
+		var sum int32
+		for d := range h {
+			c := h[d]
+			h[d] = sum
+			sum += c
+		}
+		if p < 4 {
+			shift := 8 * p
+			for _, e := range src {
+				d := byte(uint32(e.item) >> shift)
+				dst[h[d]] = e
+				h[d]++
+			}
+		} else {
+			shift := 8 * (p - 4)
+			for _, e := range src {
+				d := byte(math.Float64bits(e.key+0) >> shift)
+				dst[h[d]] = e
+				h[d]++
+			}
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
+}
+
+// insertionSort orders a short s by (key, item).
+func insertionSort(s []entry) {
+	for i := 1; i < len(s); i++ {
+		e := s[i]
+		j := i
+		for ; j > 0 && (e.key < s[j-1].key || e.key == s[j-1].key && e.item < s[j-1].item); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = e
+	}
 }
