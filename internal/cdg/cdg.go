@@ -22,8 +22,8 @@ package cdg
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/graph"
 )
 
@@ -118,25 +118,8 @@ type Graph struct {
 // complete CDG is by far the largest transient allocation of a routing
 // run (O(|C| + |CDG edges|) across ~10 slices), and fabric repairs
 // rebuild it per attempt. Releasing a Graph back here makes the rebuild
-// allocation-free once the arena has warmed up. It is a free list, not a
-// sync.Pool: a pool is emptied by garbage collections, so whether a build
-// reused an arena or paid for one would depend on when the collector
-// ran, and with several layers routed at once that made what a routing
-// run allocates differ from one run to the next by whole arenas. The
-// list holds at most as many Graphs as were ever in use at once.
-var arenas struct {
-	sync.Mutex
-	free []*Graph
-}
-
-// grow32 resizes s to n elements, reusing its backing array when the
-// capacity allows. Contents are unspecified; callers overwrite or clear.
-func grow32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
+// allocation-free once the arena has warmed up.
+var arenas freelist.List[Graph]
 
 // NewComplete builds the complete CDG of one virtual layer of net,
 // Definition 6. Failed channels get no adjacency (they are unreachable
@@ -145,32 +128,22 @@ func grow32(s []int32, n int) []int32 {
 func NewComplete(net *graph.Network) *Graph {
 	nc := net.NumChannels()
 	csr := net.CSRView()
-	var g *Graph
-	arenas.Lock()
-	if n := len(arenas.free); n > 0 {
-		g = arenas.free[n-1]
-		arenas.free[n-1] = nil
-		arenas.free = arenas.free[:n-1]
-	}
-	arenas.Unlock()
-	if g == nil {
-		g = new(Graph)
-	}
+	g := arenas.Get()
 	g.net = net
-	g.start = grow32(g.start, nc+1)
-	g.chOmega = grow32(g.chOmega, nc)
+	g.start = freelist.Grow(g.start, nc+1)
+	g.chOmega = freelist.Grow(g.chOmega, nc)
 	clear(g.chOmega)
-	g.usedHead = grow32(g.usedHead, nc)
+	g.usedHead = freelist.Grow(g.usedHead, nc)
 	for i := range g.usedHead {
 		g.usedHead[i] = -1
 	}
 	g.usedNext = g.usedNext[:0]
 	g.usedTo = g.usedTo[:0]
-	g.lvl = grow32(g.lvl, nc)
+	g.lvl = freelist.Grow(g.lvl, nc)
 	clear(g.lvl)
 	// visited carries stale epochs from previous uses; epoch strictly
 	// increases across reuse, so stale entries can never match. Only a
-	// grown region needs defined values (grow32's fresh arrays are zero).
+	// grown region needs defined values (Grow's fresh arrays are zero).
 	if cap(g.visited) < nc {
 		g.visited = make([]int32, nc)
 		g.epoch = 0
@@ -217,7 +190,7 @@ func NewComplete(net *graph.Network) *Graph {
 			}
 		}
 	}
-	g.edOmega = grow32(g.edOmega, len(g.succ))
+	g.edOmega = freelist.Grow(g.edOmega, len(g.succ))
 	clear(g.edOmega)
 	return g
 }
@@ -228,9 +201,7 @@ func NewComplete(net *graph.Network) *Graph {
 // skip Release and let the garbage collector take it.
 func (g *Graph) Release() {
 	g.net = nil
-	arenas.Lock()
-	arenas.free = append(arenas.free, g)
-	arenas.Unlock()
+	arenas.Put(g)
 }
 
 // Net returns the underlying network.
@@ -528,7 +499,7 @@ func (g *Graph) raise(v graph.ChannelID, k int32) {
 // routing verifier; O(|C| + |E|).
 func (g *Graph) UsedAcyclic() bool {
 	nc := len(g.chOmega)
-	g.indeg = grow32(g.indeg, nc)
+	g.indeg = freelist.Grow(g.indeg, nc)
 	indeg := g.indeg
 	clear(indeg)
 	usedEdges := 0

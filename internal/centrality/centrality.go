@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/freelist"
 	"repro/internal/graph"
 )
 
@@ -17,15 +18,15 @@ import (
 // destinations, in ascending order. Runs in O(|dests| * (|N| + |C|)) and
 // allocates only the set it returns.
 func ConvexSubgraph(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
-	sc := newScratch()
-	defer sc.release()
+	sc := scratches.Get()
+	defer scratches.Put(sc)
 	return append([]graph.NodeID(nil), sc.hull(g, dests)...)
 }
 
 // hull computes ConvexSubgraph(g, dests) into sc.nodes.
 func (sc *scratch) hull(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
 	n := g.NumNodes()
-	inHull, isDest := grow(sc.inHull, n), grow(sc.isDest, n)
+	inHull, isDest := freelist.Grow(sc.inHull, n), freelist.Grow(sc.isDest, n)
 	clear(inHull)
 	clear(isDest)
 	for _, d := range dests {
@@ -34,13 +35,13 @@ func (sc *scratch) hull(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
 	}
 	// One breadth-first scratch for all destinations: dist is -1 and
 	// marked false outside a sweep, and a sweep resets what it reached.
-	marked := grow(sc.marked, n)
+	marked := freelist.Grow(sc.marked, n)
 	clear(marked)
-	dist := grow(sc.hullDist, n)
+	dist := freelist.Grow(sc.hullDist, n)
 	for i := range dist {
 		dist[i] = -1
 	}
-	order := grow(sc.hullOrder, n)[:0]
+	order := freelist.Grow(sc.hullOrder, n)[:0]
 	csr := g.CSRView()
 	for _, d := range dests {
 		dist[d] = 0
@@ -79,7 +80,7 @@ func (sc *scratch) hull(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
 			marked[v] = false
 		}
 	}
-	hull := grow(sc.sub.nodes, n)[:0]
+	hull := freelist.Grow(sc.sub.nodes, n)[:0]
 	for v, in := range inHull {
 		if in {
 			hull = append(hull, graph.NodeID(v))
@@ -114,9 +115,9 @@ const betweennessShard = 64
 // allocates only the result.
 func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 	n := g.NumNodes()
-	sc := newScratch()
-	defer sc.release()
-	in := grow(sc.inHull, n)
+	sc := scratches.Get()
+	defer scratches.Put(sc)
+	in := freelist.Grow(sc.inHull, n)
 	sc.inHull = in
 	for i := range in {
 		in[i] = sub == nil
@@ -124,7 +125,7 @@ func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 	for _, s := range sub {
 		in[s] = true
 	}
-	nodes := grow(sc.sub.nodes, n)[:0]
+	nodes := freelist.Grow(sc.sub.nodes, n)[:0]
 	for v, ok := range in {
 		if ok {
 			nodes = append(nodes, graph.NodeID(v))
@@ -172,57 +173,21 @@ type subgraph struct {
 	predOff  []int32
 }
 
-// scratches recycles scratch between calls. Like the CDG arenas and the
-// engine's layer states it is a mutex-guarded free list rather than a
-// sync.Pool, so what a call allocates does not depend on when the garbage
-// collector last ran; it holds at most as many scratches as were ever in
-// use at once.
-var scratches struct {
-	sync.Mutex
-	free []*scratch
-}
-
-func newScratch() *scratch {
-	var sc *scratch
-	scratches.Lock()
-	if k := len(scratches.free); k > 0 {
-		sc = scratches.free[k-1]
-		scratches.free[k-1] = nil
-		scratches.free = scratches.free[:k-1]
-	}
-	scratches.Unlock()
-	if sc == nil {
-		sc = new(scratch)
-	}
-	return sc
-}
-
-// release hands the scratch back to the free list.
-func (sc *scratch) release() {
-	scratches.Lock()
-	scratches.free = append(scratches.free, sc)
-	scratches.Unlock()
-}
-
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
+// scratches recycles scratch between calls.
+var scratches freelist.List[scratch]
 
 // induce builds sc.sub's adjacency for sc.sub.nodes.
 func (sc *scratch) induce(csr *graph.CSR) *subgraph {
 	sg := &sc.sub
 	n, h := csr.NumNodes(), len(sg.nodes)
-	local := grow(sc.local, n)
+	local := freelist.Grow(sc.local, n)
 	for i := range local {
 		local[i] = -1
 	}
 	for i, v := range sg.nodes {
 		local[v] = int32(i)
 	}
-	off, predOff, seen := grow(sg.off, h+1), grow(sg.predOff, h+1), grow(sc.seen, h)
+	off, predOff, seen := freelist.Grow(sg.off, h+1), freelist.Grow(sg.predOff, h+1), freelist.Grow(sc.seen, h)
 	clear(predOff)
 	for i := range seen {
 		seen[i] = -1
@@ -254,7 +219,7 @@ func (sc *scratch) induce(csr *graph.CSR) *subgraph {
 func (sc *scratch) betweenness(csr *graph.CSR, workers int) []float64 {
 	sg := sc.induce(csr)
 	h := len(sg.nodes)
-	cb := grow(sc.cb, h)
+	cb := freelist.Grow(sc.cb, h)
 	clear(cb)
 	sc.cb = cb
 	numShards := (h + betweennessShard - 1) / betweennessShard
@@ -286,8 +251,8 @@ func (sc *scratch) betweenness(csr *graph.CSR, workers int) []float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := newScratch()
-			defer w.release()
+			w := scratches.Get()
+			defer scratches.Put(w)
 			for {
 				s := int(next.Add(1)) - 1
 				if s >= numShards {
@@ -315,9 +280,9 @@ func (sc *scratch) betweenness(csr *graph.CSR, workers int) []float64 {
 // w.partial.
 func (w *scratch) shard(sg *subgraph, lo, hi int) {
 	h := len(sg.nodes)
-	w.sigma, w.delta, w.partial = grow(w.sigma, h), grow(w.delta, h), grow(w.partial, h)
-	w.dist, w.order, w.npred = grow(w.dist, h), grow(w.order, h), grow(w.npred, h)
-	w.preds = grow(w.preds, int(sg.predOff[h]))
+	w.sigma, w.delta, w.partial = freelist.Grow(w.sigma, h), freelist.Grow(w.delta, h), freelist.Grow(w.partial, h)
+	w.dist, w.order, w.npred = freelist.Grow(w.dist, h), freelist.Grow(w.order, h), freelist.Grow(w.npred, h)
+	w.preds = freelist.Grow(w.preds, int(sg.predOff[h]))
 	clear(w.partial)
 	for src := lo; src < hi; src++ {
 		w.oneSource(sg, int32(src))
@@ -418,8 +383,8 @@ func RootForDestinations(g *graph.Network, dests []graph.NodeID) graph.NodeID {
 // pass; the root choice is identical for every worker count. With one
 // worker it allocates nothing once its scratch is warm.
 func RootForDestinationsN(g *graph.Network, dests []graph.NodeID, workers int) graph.NodeID {
-	sc := newScratch()
-	defer sc.release()
+	sc := scratches.Get()
+	defer scratches.Put(sc)
 	hull := sc.hull(g, dests)
 	if len(hull) == 0 {
 		return graph.NoNode

@@ -4,10 +4,10 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/cdg"
 	"repro/internal/dial"
+	"repro/internal/freelist"
 	"repro/internal/graph"
 )
 
@@ -108,41 +108,25 @@ type Stats struct {
 // layerStates recycles layerState scratch (per-layer arrays and the dial
 // queue) across layers, destinations and Route calls, so the hot path
 // stops allocating per layer. States for differently-sized networks simply
-// regrow their slices on first use. Like cdg's arenas it is a free list
-// rather than a sync.Pool, so what a Route call allocates does not depend
-// on when the garbage collector last ran; it holds at most as many states
-// as were ever in use at once.
-var layerStates struct {
-	sync.Mutex
-	free []*layerState
-}
+// regrow their slices on first use.
+var layerStates freelist.List[layerState]
 
 func newLayerState(net *graph.Network, d *cdg.Graph, tree *graph.Tree, opts Options, isSource []bool, stats *Stats) *layerState {
 	nn, nc := net.NumNodes(), net.NumChannels()
-	var ls *layerState
-	layerStates.Lock()
-	if n := len(layerStates.free); n > 0 {
-		ls = layerStates.free[n-1]
-		layerStates.free[n-1] = nil
-		layerStates.free = layerStates.free[:n-1]
-	}
-	layerStates.Unlock()
-	if ls == nil {
-		ls = new(layerState)
-	}
+	ls := layerStates.Get()
 	ls.net = net
 	ls.d = d
 	ls.tree = tree
 	ls.opts = opts
 	ls.isSource = isSource
 	ls.stats = stats
-	ls.weight = growFloats(ls.weight, nc)
-	ls.nodeDist = growFloats(ls.nodeDist, nn)
-	ls.chDist = growFloats(ls.chDist, nc)
-	ls.usedChannel = growChannels(ls.usedChannel, nn)
-	ls.popped = growBools(ls.popped, nn)
-	ls.children = growChannelLists(ls.children, nn)
-	ls.altStack = growChannelLists(ls.altStack, nn)
+	ls.weight = freelist.Grow(ls.weight, nc)
+	ls.nodeDist = freelist.Grow(ls.nodeDist, nn)
+	ls.chDist = freelist.Grow(ls.chDist, nc)
+	ls.usedChannel = freelist.Grow(ls.usedChannel, nn)
+	ls.popped = freelist.Grow(ls.popped, nn)
+	ls.children = freelist.Grow(ls.children, nn)
+	ls.altStack = freelist.Grow(ls.altStack, nn)
 	ls.csr = net.CSRView()
 	if ls.dq == nil || ls.dq.Cap() < nc {
 		ls.dq = dial.New(nc)
@@ -150,8 +134,8 @@ func newLayerState(net *graph.Network, d *cdg.Graph, tree *graph.Tree, opts Opti
 		ls.dq.Reset()
 	}
 	ls.byDistScratch = ls.byDistScratch[:0]
-	ls.cntScratch = growInt32s(ls.cntScratch, nn)
-	ls.kidsScratch = growInt32s(ls.kidsScratch, nn)
+	ls.cntScratch = freelist.Grow(ls.cntScratch, nn)
+	ls.kidsScratch = freelist.Grow(ls.kidsScratch, nn)
 	for c := range ls.weight {
 		ls.weight[c] = 1
 	}
@@ -165,44 +149,7 @@ func (ls *layerState) release() {
 	ls.net, ls.d, ls.tree, ls.stats = nil, nil, nil, nil
 	ls.isSource = nil
 	ls.csr = nil
-	layerStates.Lock()
-	layerStates.free = append(layerStates.free, ls)
-	layerStates.Unlock()
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growChannels(s []graph.ChannelID, n int) []graph.ChannelID {
-	if cap(s) < n {
-		return make([]graph.ChannelID, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growChannelLists(s [][]graph.ChannelID, n int) [][]graph.ChannelID {
-	if cap(s) < n {
-		return make([][]graph.ChannelID, n)
-	}
-	return s[:n]
+	layerStates.Put(ls)
 }
 
 func (ls *layerState) resetDest() {
@@ -461,8 +408,8 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 
 // updateWeights adds the load of the paths toward dest to each used
 // channel's weight (recorded orientation), normalized by the source count
-// like routing.AddPathLoad so balancing pressure stays relative and path
-// stretch bounded.
+// like the SSSP baseline's update (minhop's addPathLoad) so balancing
+// pressure stays relative and path stretch bounded.
 //
 // Every tree channel receives exactly one +=, of the integer source count
 // its tail has gathered by then, so every order that visits a node after

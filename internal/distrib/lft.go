@@ -6,8 +6,8 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"slices"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
@@ -49,7 +49,7 @@ type CompiledEpoch struct {
 // if both sides agree.
 func RowCRC(row []graph.ChannelID) uint32 {
 	w := getCRCWords()
-	defer w.release()
+	defer crcScratch.Put(w)
 	sum, _ := w.rowSum(0, row)
 	return sum
 }
@@ -78,36 +78,14 @@ type crcWords struct {
 	buf [512]byte
 }
 
-// crcScratch recycles crcWords. Like the engine's scratch (DESIGN §8) it
-// is a mutex-guarded free list, not a sync.Pool, whose hit rate would
-// follow garbage-collection timing; it holds at most as many buffers as
-// were ever in use at once.
-var crcScratch struct {
-	sync.Mutex
-	free []*crcWords
-}
+// crcScratch recycles crcWords (DESIGN §8).
+var crcScratch freelist.List[crcWords]
 
 // getCRCWords returns an empty crcWords from the free list.
 func getCRCWords() *crcWords {
-	var w *crcWords
-	crcScratch.Lock()
-	if n := len(crcScratch.free); n > 0 {
-		w = crcScratch.free[n-1]
-		crcScratch.free = crcScratch.free[:n-1]
-	}
-	crcScratch.Unlock()
-	if w == nil {
-		w = new(crcWords)
-	}
+	w := crcScratch.Get()
 	w.crc, w.n = 0, 0
 	return w
-}
-
-// release hands w back to the free list.
-func (w *crcWords) release() {
-	crcScratch.Lock()
-	crcScratch.free = append(crcScratch.free, w)
-	crcScratch.Unlock()
 }
 
 func (w *crcWords) add(v uint32) {
@@ -131,7 +109,7 @@ func uvarintLen(v uint64) int {
 // a single u32 in each ack cross-checks an entire staged table set.
 func FleetCRC(crcs []uint32) uint32 {
 	w := getCRCWords()
-	defer w.release()
+	defer crcScratch.Put(w)
 	for _, c := range crcs {
 		w.add(c)
 	}
@@ -155,7 +133,7 @@ func Compile(e Epoch) *CompiledEpoch {
 		panic(fmt.Sprintf("distrib: %d switches for %d table rows", len(c.Switches), rows))
 	}
 	w := getCRCWords()
-	defer w.release()
+	defer crcScratch.Put(w)
 	for i, sw := range c.Switches {
 		if t.RowIndex(sw) != int32(i) {
 			panic(fmt.Sprintf("distrib: switch %d owns row %d, expected %d", sw, t.RowIndex(sw), i))
@@ -207,7 +185,7 @@ func (c *CompiledEpoch) rowSums(rows []int) []RowSum {
 // fleetCRCFor aggregates the row CRCs of a row set: FleetCRC of them.
 func (c *CompiledEpoch) fleetCRCFor(rows []int) uint32 {
 	w := getCRCWords()
-	defer w.release()
+	defer crcScratch.Put(w)
 	for _, r := range rows {
 		w.add(c.CRCs[r])
 	}

@@ -10,7 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/oracle"
+	"repro/internal/oracle/exists"
 	"repro/internal/routing"
 	"repro/internal/routing/angara"
 	"repro/internal/routing/dfsssp"
@@ -61,7 +61,7 @@ var table = []entry{
 	{name: "lash", differential: true, baseline: true, build: fixed(lash.Engine{})},
 	{name: "dfsssp", differential: true, baseline: true, build: fixed(dfsssp.Engine{})},
 	{name: "minhop", differential: true, build: fixed(minhop.MinHop{})},
-	{name: "exists", differential: true, build: fixed(oracle.ExistsEngine{})},
+	{name: "exists", differential: true, build: fixed(exists.Engine{})},
 	{name: "ftree", meta: tree, requires: "a fat-tree topology", differential: true, baseline: true,
 		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine { return ftree.Engine{Level: tp.Tree.Level} }},
 	{name: "dor", meta: torus, requires: "a torus topology", differential: true,
@@ -137,7 +137,7 @@ func Baselines(tp *topology.Topology) []routing.Engine {
 // reverse of table order, pinned by replay strings and case names.
 func Differential(tp *topology.Topology, seed int64, workers int) []routing.Engine {
 	if !tp.Net.Symmetric() {
-		return []routing.Engine{oracle.ExistsEngine{}, minhop.MinHop{}}
+		return []routing.Engine{exists.Engine{}, minhop.MinHop{}}
 	}
 	return applicable(tp, seed, workers, isDifferential)
 }

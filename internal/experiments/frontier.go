@@ -4,10 +4,10 @@ package experiments
 // (fullmesh, angara) against Nue on their claimed domains, at the
 // minimum VC budget each specialist claims — the regime the HOTI'25
 // VC-free scenario and the Angara papers argue about. Each topology
-// also gets an existence verdict from the oracle's decision procedure,
-// so the table shows the three-way split the -decide stress mode
-// adjudicates: what provably exists, what the specialist delivers, and
-// what the general-purpose engine needs to match it.
+// also gets an existence verdict from the decision procedure (package
+// exists), so the table shows the three-way split the -decide stress
+// mode adjudicates: what provably exists, what the specialist delivers,
+// and what the general-purpose engine needs to match it.
 
 import (
 	"fmt"
@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"repro/internal/engines"
-	"repro/internal/oracle"
+	"repro/internal/oracle/exists"
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
 )
@@ -86,7 +86,7 @@ func Frontier(cfg FrontierConfig) ([]FrontierRow, error) {
 		{degTorus, "angara", 2},
 		{meshTp, "angara", 1},
 	} {
-		dec, err := oracle.Decide(tc.tp.Net, oracle.ExistsOptions{})
+		dec, err := exists.Decide(tc.tp.Net, exists.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("frontier: decide %s: %w", tc.tp.Name, err)
 		}

@@ -35,9 +35,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
@@ -235,28 +235,12 @@ func Run(net *graph.Network, res *routing.Result, flows []workload.Flow, cfg Con
 // runStates recycles run states between runs: a run's per-flow and
 // per-channel arrays are scratch of the same shape every time, and a
 // state kept here serves the next run without a new allocation once it
-// is as large. Like cdg's arenas it is a free list, not a pool that
-// garbage collections empty, so what a run allocates does not depend on
-// when the collector last ran. It holds at most as many states as ran at
-// once, each the size of the largest run it served.
-var runStates struct {
-	sync.Mutex
-	free []*sim
-}
+// is as large. A kept state is the size of the largest run it served.
+var runStates freelist.List[sim]
 
 // newSim draws a run state from runStates, or makes one.
 func newSim(net *graph.Network, flows []workload.Flow, cfg Config) *sim {
-	var s *sim
-	runStates.Lock()
-	if n := len(runStates.free); n > 0 {
-		s = runStates.free[n-1]
-		runStates.free[n-1] = nil
-		runStates.free = runStates.free[:n-1]
-	}
-	runStates.Unlock()
-	if s == nil {
-		s = new(sim)
-	}
+	s := runStates.Get()
 	s.net, s.flows, s.cfg = net, flows, cfg
 	s.next = 0
 	s.events, s.recomputes, s.maxActive, s.layouts, s.walks = 0, 0, 0, 0, 0
@@ -267,19 +251,7 @@ func newSim(net *graph.Network, flows []workload.Flow, cfg Config) *sim {
 // config are dropped so that a kept state pins nothing of the run.
 func (s *sim) release() {
 	s.net, s.flows, s.cfg = nil, nil, Config{}
-	runStates.Lock()
-	runStates.free = append(runStates.free, s)
-	runStates.Unlock()
-}
-
-// grow returns s resized to n elements, reusing its backing array when
-// the capacity allows. Contents are unspecified; callers overwrite or
-// clear.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	runStates.Put(s)
 }
 
 func (s *sim) run(res *routing.Result) (Result, error) {
@@ -304,8 +276,8 @@ const walkSample = 256
 func (s *sim) walkPaths(res *routing.Result) error {
 	f := len(s.flows)
 	nodes := graph.NodeID(s.net.NumNodes())
-	s.pathOff = grow(s.pathOff, f+1) // pathOff[0] is never written: always 0
-	s.skipped = grow(s.skipped, f)
+	s.pathOff = freelist.Grow(s.pathOff, f+1) // pathOff[0] is never written: always 0
+	s.skipped = freelist.Grow(s.skipped, f)
 	s.pathChan = s.pathChan[:0]
 	for i, fl := range s.flows {
 		s.pathOff[i+1] = s.pathOff[i]
@@ -347,11 +319,11 @@ func (s *sim) path(fi int32) []graph.ChannelID {
 func (s *sim) initState() {
 	f := len(s.flows)
 	l := s.net.NumChannels()
-	s.rem = grow(s.rem, f)
-	s.rate = grow(s.rate, f)
-	s.finishAt = grow(s.finishAt, f)
-	s.finished = grow(s.finished, f)
-	s.state = grow(s.state, f)
+	s.rem = freelist.Grow(s.rem, f)
+	s.rate = freelist.Grow(s.rate, f)
+	s.finishAt = freelist.Grow(s.finishAt, f)
+	s.finished = freelist.Grow(s.finished, f)
+	s.state = freelist.Grow(s.state, f)
 	clear(s.rate)
 	clear(s.state)
 	for i := range s.finished {
@@ -361,7 +333,7 @@ func (s *sim) initState() {
 		// flow's arrival reports zero delivered bytes for it.
 		s.rem[i] = float64(s.flows[i].Bytes)
 	}
-	s.order = grow(s.order, f)[:0]
+	s.order = freelist.Grow(s.order, f)[:0]
 	for i := 0; i < f; i++ {
 		if !s.skipped[i] {
 			s.order = append(s.order, int32(i))
@@ -370,12 +342,12 @@ func (s *sim) initState() {
 	slices.SortStableFunc(s.order, func(a, b int32) int {
 		return cmp.Compare(s.flows[a].Start, s.flows[b].Start)
 	})
-	s.active = grow(s.active, len(s.order))[:0]
-	s.linkLive = grow(s.linkLive, l)
+	s.active = freelist.Grow(s.active, len(s.order))[:0]
+	s.linkLive = freelist.Grow(s.linkLive, l)
 	clear(s.linkLive)
-	s.linkN = grow(s.linkN, l)
-	s.linkR = grow(s.linkR, l)
-	s.bktOff = grow(s.bktOff, l+2)
+	s.linkN = freelist.Grow(s.linkN, l)
+	s.linkR = freelist.Grow(s.linkR, l)
+	s.bktOff = freelist.Grow(s.bktOff, l+2)
 }
 
 // admit activates the flows that start by upTo.
@@ -684,8 +656,8 @@ func (s *sim) buildResult(timedOut bool) Result {
 	}
 	s.tenantFin = nfin
 	stats := make([]TenantStats, len(nfin))
-	s.tenantFCT = grow(s.tenantFCT, len(nfin))
-	s.fct = grow(s.fct, total)
+	s.tenantFCT = freelist.Grow(s.tenantFCT, len(nfin))
+	s.fct = freelist.Grow(s.fct, total)
 	fcts, all := s.tenantFCT, s.fct
 	for tn, n := range nfin {
 		fcts[tn], all = all[:0:n], all[n:]

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/freelist"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -16,9 +17,7 @@ import (
 // emptyRunStates drops every kept run state, so that the next Run starts
 // from freshly made arrays.
 func emptyRunStates() {
-	runStates.Lock()
-	runStates.free = nil
-	runStates.Unlock()
+	runStates = freelist.List[sim]{}
 }
 
 type reuseCase struct {

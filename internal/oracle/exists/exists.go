@@ -1,6 +1,6 @@
-// Existence decision procedure: does ANY deadlock-free connected
-// routing exist for this (possibly faulty, possibly asymmetric)
-// network on a single virtual lane?
+// Package exists is the existence decision procedure: does ANY
+// deadlock-free connected routing exist for this (possibly faulty,
+// possibly asymmetric) network on a single virtual lane?
 //
 // The criterion is the Mendlovic–Matias necessary-and-sufficient
 // condition: a deadlock-free routing exists if and only if there is a
@@ -25,8 +25,8 @@
 //
 //   - Routable: Decide returns a witness routing (explicit per-pair
 //     paths, one virtual lane) together with the channel order; the
-//     caller can feed the witness straight back into Certify, so a
-//     positive answer never has to be trusted — only re-checked.
+//     caller can feed the witness straight back into oracle.Certify,
+//     so a positive answer never has to be trusted — only re-checked.
 //   - Unroutable: Decide returns a trap — a cycle of FORCED
 //     dependencies. A dependency (c, c') is forced for a required pair
 //     when every walk from the pair's source to its destination uses
@@ -43,7 +43,14 @@
 // the answer. Networks outside all three procedures yield a typed
 // *UndecidedError — the caller learns the procedure's limit instead of
 // a wrong verdict.
-package oracle
+//
+// The procedure lives outside package oracle because no certification
+// runs it: the oracle's trusted base is graph, routing and oracle alone
+// (DESIGN §11). It owes exactly the pairs oracle.Certify owes, by
+// calling oracle.DefaultSources rather than keeping a second source
+// convention. Its errors read "oracle: ...": the procedure is the
+// oracle's adjudicator, and the stress harness prints them verbatim.
+package exists
 
 import (
 	"errors"
@@ -51,13 +58,14 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/routing"
 )
 
-// ExistsOptions configures Decide. Nil Dests or Sources default to the
+// Options configures Decide. Nil Dests or Sources default to the
 // oracle's source convention (connected terminals, else connected
-// nodes), matching what Certify would owe.
-type ExistsOptions struct {
+// nodes), matching what oracle.Certify would owe.
+type Options struct {
 	Dests   []graph.NodeID
 	Sources []graph.NodeID
 }
@@ -82,8 +90,8 @@ type Decision struct {
 	// Set only when Routable.
 	Order []graph.ChannelID
 	// Witness is a complete routing realizing the order (explicit paths
-	// for every owed pair, one virtual lane). Certify accepts it as-is.
-	// Set only when Routable.
+	// for every owed pair, one virtual lane). oracle.Certify accepts it
+	// as-is. Set only when Routable.
 	Witness *routing.Result
 	// Trap is a cycle of forced dependencies proving non-existence:
 	// Trap[i].To == Trap[i+1].From cyclically. Set on refutation unless
@@ -109,14 +117,14 @@ const bruteMaxChannels = 8
 const forcedCheckBudget = 300000
 
 // Decide runs the existence decision procedure.
-func Decide(net *graph.Network, opt ExistsOptions) (*Decision, error) {
+func Decide(net *graph.Network, opt Options) (*Decision, error) {
 	dests := opt.Dests
 	if dests == nil {
-		dests = defaultSources(net)
+		dests = oracle.DefaultSources(net)
 	}
 	sources := opt.Sources
 	if sources == nil {
-		sources = defaultSources(net)
+		sources = oracle.DefaultSources(net)
 	}
 	owed := owedPairs(net, dests, sources)
 	required := requiredSwitchPairs(net, owed)
@@ -221,27 +229,27 @@ func ValidateTrap(net *graph.Network, trap []Forced) error {
 	return nil
 }
 
-// ExistsEngine adapts the decision procedure into a routing.Engine: on
+// Engine adapts the decision procedure into a routing.Engine: on
 // routable networks it returns the witness routing (one lane, explicit
 // paths); on unroutable or undecided networks it refuses. Registering
 // it in a differential roster means every trial the procedure calls
 // routable has an engine whose output the oracle can certify — the
 // procedure's positive answers are themselves under differential test.
-type ExistsEngine struct{}
+type Engine struct{}
 
 // Name implements routing.Engine.
-func (ExistsEngine) Name() string { return "exists" }
+func (Engine) Name() string { return "exists" }
 
 // Claims implements routing.Claimant: the witness is a deadlock-free
 // single-lane routing by construction.
-func (ExistsEngine) Claims() routing.Claims { return routing.Claims{DeadlockFree: true, MinVCs: 1} }
+func (Engine) Claims() routing.Claims { return routing.Claims{DeadlockFree: true, MinVCs: 1} }
 
 // Route implements routing.Engine.
-func (ExistsEngine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
+func (Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
 	if maxVCs < 1 {
 		return nil, errors.New("exists: need at least one virtual channel")
 	}
-	dec, err := Decide(net, ExistsOptions{Dests: dests})
+	dec, err := Decide(net, Options{Dests: dests})
 	if err != nil {
 		return nil, err
 	}
@@ -252,31 +260,18 @@ func (ExistsEngine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) 
 }
 
 // owedPairs lists the (source, destination) pairs a routing owes,
-// mirroring walkAll exactly: destinations with no out channel are
-// skipped, and a source is owed only if it can reach the destination
+// mirroring the oracle's walk exactly: destinations with no out channel
+// are skipped, and a source is owed only if it can reach the destination
 // (reverse reachability).
 func owedPairs(net *graph.Network, dests, sources []graph.NodeID) [][2]graph.NodeID {
 	var owed [][2]graph.NodeID
-	reach := make([]int32, net.NumNodes())
-	var queue []graph.NodeID
-	epoch := int32(0)
 	for _, d := range dests {
 		if len(net.Out(d)) == 0 {
 			continue
 		}
-		epoch++
-		queue = append(queue[:0], d)
-		reach[d] = epoch
-		for head := 0; head < len(queue); head++ {
-			for _, c := range net.In(queue[head]) {
-				if from := net.Channel(c).From; reach[from] != epoch {
-					reach[from] = epoch
-					queue = append(queue, from)
-				}
-			}
-		}
+		reach := graph.ReverseBFS(net, d)
 		for _, s := range sources {
-			if s == d || reach[s] != epoch {
+			if s == d || reach.Dist[s] < 0 {
 				continue
 			}
 			owed = append(owed, [2]graph.NodeID{s, d})

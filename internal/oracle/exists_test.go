@@ -1,11 +1,17 @@
-package oracle
+package oracle_test
 
 import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
+	"repro/internal/oracle/exists"
 	"repro/internal/topology"
 )
+
+// The existence procedure's tests sit beside the oracle rather than in
+// package exists: a routable verdict is only as good as oracle.Certify's
+// acceptance of its witness, which most of them check.
 
 // directedRing returns a ring whose switch-to-switch links are alive in
 // the forward direction only (reverse halves one-way failed): the
@@ -30,12 +36,12 @@ func directedRing(t testing.TB, n, terms int) *topology.Topology {
 
 // certifyWitness runs the decision's witness through the oracle at a
 // one-lane budget.
-func certifyWitness(t *testing.T, tp *topology.Topology, dec *Decision) {
+func certifyWitness(t *testing.T, tp *topology.Topology, dec *exists.Decision) {
 	t.Helper()
 	if dec.Witness == nil {
 		t.Fatal("routable decision without witness")
 	}
-	if _, err := Certify(tp.Net, dec.Witness, Options{MaxVCs: 1}); err != nil {
+	if _, err := oracle.Certify(tp.Net, dec.Witness, oracle.Options{MaxVCs: 1}); err != nil {
 		t.Fatalf("witness failed certification: %v", err)
 	}
 }
@@ -56,7 +62,7 @@ func TestDecideSymmetricFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dec, err := Decide(tc.tp.Net, ExistsOptions{})
+			dec, err := exists.Decide(tc.tp.Net, exists.Options{})
 			if err != nil {
 				t.Fatalf("Decide: %v", err)
 			}
@@ -73,7 +79,7 @@ func TestDecideSymmetricFamilies(t *testing.T) {
 
 func TestDecideDirectedRingUnroutable(t *testing.T) {
 	tp := directedRing(t, 6, 1)
-	dec, err := Decide(tp.Net, ExistsOptions{})
+	dec, err := exists.Decide(tp.Net, exists.Options{})
 	if err != nil {
 		t.Fatalf("Decide: %v", err)
 	}
@@ -83,7 +89,7 @@ func TestDecideDirectedRingUnroutable(t *testing.T) {
 	if dec.Trap == nil {
 		t.Fatal("unroutable verdict without a forced-dependency trap")
 	}
-	if err := ValidateTrap(tp.Net, dec.Trap); err != nil {
+	if err := exists.ValidateTrap(tp.Net, dec.Trap); err != nil {
 		t.Fatalf("trap failed validation: %v", err)
 	}
 	// The trap must be a genuine cycle over the ring's forward channels.
@@ -91,32 +97,32 @@ func TestDecideDirectedRingUnroutable(t *testing.T) {
 		t.Fatalf("trap cycle has %d entries, want >= 3", len(dec.Trap))
 	}
 	// The engine adapter must refuse rather than emit a table.
-	if _, err := (ExistsEngine{}).Route(tp.Net, nil, 1); err == nil {
-		t.Fatal("ExistsEngine routed an unroutable network")
+	if _, err := (exists.Engine{}).Route(tp.Net, nil, 1); err == nil {
+		t.Fatal("exists.Engine routed an unroutable network")
 	}
 }
 
 func TestValidateTrapRejectsForgeries(t *testing.T) {
 	tp := directedRing(t, 6, 1)
-	dec, err := Decide(tp.Net, ExistsOptions{})
+	dec, err := exists.Decide(tp.Net, exists.Options{})
 	if err != nil {
 		t.Fatalf("Decide: %v", err)
 	}
 	if dec.Routable || len(dec.Trap) == 0 {
 		t.Fatal("expected a trap")
 	}
-	broken := append([]Forced(nil), dec.Trap...)
+	broken := append([]exists.Forced(nil), dec.Trap...)
 	broken[0].From, broken[0].To = broken[0].To, broken[0].From
-	if err := ValidateTrap(tp.Net, broken); err == nil {
+	if err := exists.ValidateTrap(tp.Net, broken); err == nil {
 		t.Fatal("ValidateTrap accepted a scrambled trap")
 	}
 	// A symmetric ring forces nothing: the same trap must not validate
 	// against the pristine network.
 	pristine := topology.Ring(6, 1)
-	if err := ValidateTrap(pristine.Net, dec.Trap); err == nil {
+	if err := exists.ValidateTrap(pristine.Net, dec.Trap); err == nil {
 		t.Fatal("ValidateTrap accepted a trap against a routable network")
 	}
-	if err := ValidateTrap(tp.Net, nil); err == nil {
+	if err := exists.ValidateTrap(tp.Net, nil); err == nil {
 		t.Fatal("ValidateTrap accepted an empty trap")
 	}
 }
@@ -139,7 +145,7 @@ func TestDecideOneWayPartial(t *testing.T) {
 	if net.Symmetric() {
 		t.Fatal("expected an asymmetric network")
 	}
-	dec, err := Decide(net, ExistsOptions{})
+	dec, err := exists.Decide(net, exists.Options{})
 	if err != nil {
 		t.Fatalf("Decide: %v", err)
 	}
@@ -172,7 +178,7 @@ func TestDecideTournament(t *testing.T) {
 	for _, c := range fwds {
 		net.SetHalfFailed(net.Channel(c).Reverse, true)
 	}
-	dec, err := Decide(net, ExistsOptions{})
+	dec, err := exists.Decide(net, exists.Options{})
 	if err != nil {
 		t.Fatalf("Decide: %v", err)
 	}
@@ -182,7 +188,7 @@ func TestDecideTournament(t *testing.T) {
 	if !dec.Routable {
 		t.Fatal("routable tournament declared unroutable")
 	}
-	if _, err := Certify(net, dec.Witness, Options{MaxVCs: 1}); err != nil {
+	if _, err := oracle.Certify(net, dec.Witness, oracle.Options{MaxVCs: 1}); err != nil {
 		t.Fatalf("witness failed certification: %v", err)
 	}
 }
@@ -195,21 +201,21 @@ func TestDecideTrivialSameSwitchPairs(t *testing.T) {
 	b.AddLink(t1, s)
 	b.AddLink(t2, s)
 	net := b.MustBuild()
-	dec, err := Decide(net, ExistsOptions{})
+	dec, err := exists.Decide(net, exists.Options{})
 	if err != nil {
 		t.Fatalf("Decide: %v", err)
 	}
 	if !dec.Routable || dec.Pairs != 0 {
 		t.Fatalf("single-switch network: routable=%v pairs=%d", dec.Routable, dec.Pairs)
 	}
-	if _, err := Certify(net, dec.Witness, Options{MaxVCs: 1}); err != nil {
+	if _, err := oracle.Certify(net, dec.Witness, oracle.Options{MaxVCs: 1}); err != nil {
 		t.Fatalf("witness failed certification: %v", err)
 	}
 }
 
 func TestExistsEngineCertifies(t *testing.T) {
 	tp := topology.Torus3D(3, 3, 1, 2, 1)
-	eng := ExistsEngine{}
+	eng := exists.Engine{}
 	if c := eng.Claims(); !c.DeadlockFree || c.MinVCs != 1 {
 		t.Fatalf("unexpected claims: %+v", c)
 	}
@@ -220,7 +226,7 @@ func TestExistsEngineCertifies(t *testing.T) {
 	if res.VCs != 1 {
 		t.Fatalf("witness uses %d VCs, want 1", res.VCs)
 	}
-	if _, err := Certify(tp.Net, res, Options{MaxVCs: 1}); err != nil {
+	if _, err := oracle.Certify(tp.Net, res, oracle.Options{MaxVCs: 1}); err != nil {
 		t.Fatalf("engine output failed certification: %v", err)
 	}
 }
@@ -230,7 +236,7 @@ func BenchmarkDecide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec, err := Decide(tp.Net, ExistsOptions{})
+		dec, err := exists.Decide(tp.Net, exists.Options{})
 		if err != nil || !dec.Routable {
 			b.Fatalf("Decide: routable=%v err=%v", dec != nil && dec.Routable, err)
 		}

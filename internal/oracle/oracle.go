@@ -82,7 +82,7 @@ func Certify(net *graph.Network, res *routing.Result, opt Options) (*Certificate
 	}
 	sources := opt.Sources
 	if sources == nil {
-		sources = defaultSources(net)
+		sources = DefaultSources(net)
 	}
 	dg := newDepGraph(net.NumChannels(), cert.Layers)
 	if err := walkPairs(net, res, sources, cert, dg); err != nil {
@@ -125,9 +125,10 @@ func effectiveLayers(res *routing.Result) int {
 	return res.VCs
 }
 
-// defaultSources re-implements the repository's source convention from
-// scratch: connected terminals, else connected nodes.
-func defaultSources(net *graph.Network) []graph.NodeID {
+// DefaultSources re-implements the repository's source convention from
+// scratch: connected terminals, else connected nodes. These are the
+// sources Certify owes when Options.Sources is nil.
+func DefaultSources(net *graph.Network) []graph.NodeID {
 	var out []graph.NodeID
 	if net.NumTerminals() > 0 {
 		for n := 0; n < net.NumNodes(); n++ {

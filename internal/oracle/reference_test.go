@@ -20,7 +20,7 @@ func ReferenceCertify(net *graph.Network, res *routing.Result, opt Options) (*Ce
 	}
 	sources := opt.Sources
 	if sources == nil {
-		sources = defaultSources(net)
+		sources = DefaultSources(net)
 	}
 	dg := newDepGraph(net.NumChannels(), cert.Layers)
 	for _, d := range res.Table.Dests() {

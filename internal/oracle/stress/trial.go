@@ -9,6 +9,7 @@ import (
 	"repro/internal/engines"
 	"repro/internal/graph"
 	"repro/internal/oracle"
+	"repro/internal/oracle/exists"
 	"repro/internal/routing"
 	"repro/internal/routing/verify"
 )
@@ -42,7 +43,7 @@ type Config struct {
 	// (0 = GOMAXPROCS); the routing is identical for every value.
 	Workers int
 	// Decide additionally runs the existence decision procedure
-	// (oracle.Decide) and classifies the trial: ENGINE-BUG when the
+	// (exists.Decide) and classifies the trial: ENGINE-BUG when the
 	// topology is provably routable but no engine certified (hard
 	// failure with a replay line), UNROUTABLE when no single-lane
 	// routing exists and the budget is one lane.
@@ -199,7 +200,7 @@ type DecideReport struct {
 //	               one lane — hard failure (the procedure is unsound)
 func (tr *Trial) runDecide(net *graph.Network, vcs int) *DecideReport {
 	rep := &DecideReport{}
-	dec, err := oracle.Decide(net, oracle.ExistsOptions{Dests: destsOf(net)})
+	dec, err := exists.Decide(net, exists.Options{Dests: destsOf(net)})
 	if err != nil {
 		rep.Classification = "undecided"
 		tr.fail("existence procedure undecided on %s: %v", tr.Topology, err)
@@ -232,7 +233,7 @@ func (tr *Trial) runDecide(net *graph.Network, vcs int) *DecideReport {
 		return rep
 	}
 	if dec.Trap != nil {
-		if terr := oracle.ValidateTrap(net, dec.Trap); terr != nil {
+		if terr := exists.ValidateTrap(net, dec.Trap); terr != nil {
 			tr.fail("existence trap for %s failed validation: %v", tr.Topology, terr)
 		}
 	}

@@ -35,7 +35,7 @@ func TestStampsDoNotWrap(t *testing.T) {
 		dg := newDepGraph(net.NumChannels(), 1)
 		w := newTableWalker(net, res, cert, dg, true)
 		w.pair, w.stamp = start, start
-		if err := w.walkAll(defaultSources(net), sweepReach(net, tbl.Dests()), allLanes); err != nil {
+		if err := w.walkAll(DefaultSources(net), sweepReach(net, tbl.Dests()), allLanes); err != nil {
 			t.Fatalf("stamps from %d: %v", start, err)
 		}
 		cert.Deps = dg.numDeps()

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/graph"
 )
 
@@ -53,8 +53,8 @@ func Split(g *graph.Network, dests []graph.NodeID, k int, s Strategy, rng *rand.
 	if s == Random {
 		return randomSplit(dests, k, rng), nil
 	}
-	ws := getWorkspace()
-	defer ws.release()
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
 	if s == Clustered {
 		return ws.clusteredSplit(g, dests, k, rng), nil
 	}
@@ -112,7 +112,7 @@ func (ws *workspace) clusteredSplit(g *graph.Network, dests []graph.NodeID, k in
 // partition of their attachment switch and rebalance destination counts.
 func (ws *workspace) kwaySplit(g *graph.Network, dests []graph.NodeID, k int, rng *rand.Rand) [][]graph.NodeID {
 	csr := g.CSRView()
-	ws.index = grow(ws.index, g.NumNodes())
+	ws.index = freelist.Grow(ws.index, g.NumNodes())
 	switches := int32(0)
 	for v := range ws.index {
 		ws.index[v] = -1
@@ -170,46 +170,8 @@ type workspace struct {
 	sets    subsets
 }
 
-// workspaces recycles the scratch of Split calls. Like the CDG arenas
-// and the engine's layer states (DESIGN §8) it is a mutex-guarded free
-// list, not a sync.Pool, so what a Split allocates does not depend on when
-// the garbage collector last ran; it holds at most as many workspaces as
-// were ever in use at once.
-var workspaces struct {
-	sync.Mutex
-	free []*workspace
-}
-
-func getWorkspace() *workspace {
-	var ws *workspace
-	workspaces.Lock()
-	if n := len(workspaces.free); n > 0 {
-		ws = workspaces.free[n-1]
-		workspaces.free[n-1] = nil
-		workspaces.free = workspaces.free[:n-1]
-	}
-	workspaces.Unlock()
-	if ws == nil {
-		ws = new(workspace)
-	}
-	return ws
-}
-
-// release hands the workspace back to the free list.
-func (ws *workspace) release() {
-	workspaces.Lock()
-	workspaces.free = append(workspaces.free, ws)
-	workspaces.Unlock()
-}
-
-// grow resizes s to n elements, reusing its backing array when the
-// capacity allows. Contents are unspecified; callers overwrite or fill.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
+// workspaces recycles the scratch of Split calls.
+var workspaces freelist.List[workspace]
 
 func fill[T any](s []T, v T) []T {
 	for i := range s {
@@ -262,7 +224,7 @@ func (ws *workspace) buildSwitchGraph(csr *graph.CSR, switches int) {
 	}
 	ws.pairs = pairs
 	lv := ws.level(0)
-	lv.vw = fill(grow(lv.vw, switches), 1)
+	lv.vw = fill(freelist.Grow(lv.vw, switches), 1)
 	ws.buildRows(lv, switches)
 }
 
@@ -274,7 +236,7 @@ func (ws *workspace) buildSwitchGraph(csr *graph.CSR, switches int) {
 // are merged.
 func (ws *workspace) buildRows(lv *level, n int) {
 	lv.n = n
-	off := grow(lv.off, n+1)
+	off := freelist.Grow(lv.off, n+1)
 	clear(off)
 	for _, p := range ws.pairs {
 		off[p.a+1]++
@@ -283,8 +245,8 @@ func (ws *workspace) buildRows(lv *level, n int) {
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	edges := grow(lv.edges, int(off[n]))
-	next := grow(ws.cursor, n)
+	edges := freelist.Grow(lv.edges, int(off[n]))
+	next := freelist.Grow(ws.cursor, n)
 	copy(next, off)
 	for _, p := range ws.pairs {
 		edges[next[p.b]] = edge{p.a, p.w}
@@ -317,7 +279,7 @@ func (ws *workspace) buildRows(lv *level, n int) {
 // permute is rng.Perm(n) written into the workspace: math/rand's own loop,
 // so it draws what Perm draws and returns the same permutation.
 func (ws *workspace) permute(n int, rng *rand.Rand) []int32 {
-	m := grow(ws.perm, n)
+	m := freelist.Grow(ws.perm, n)
 	for i := 0; i < n; i++ {
 		j := rng.Intn(i + 1)
 		m[i] = m[j]
@@ -334,9 +296,9 @@ func (ws *workspace) coarsen(i int, rng *rand.Rand) bool {
 	crs := ws.level(i + 1)
 	fine := ws.levels[i]
 	n := fine.n
-	match := fill(grow(ws.match, n), -1)
-	coarseID := grow(crs.fineTo, n)
-	members := grow(ws.members, 2*n)
+	match := fill(freelist.Grow(ws.match, n), -1)
+	coarseID := freelist.Grow(crs.fineTo, n)
+	members := freelist.Grow(ws.members, 2*n)
 	ws.match, crs.fineTo, ws.members = match, coarseID, members
 	nc := int32(0)
 	for _, v := range ws.permute(n, rng) {
@@ -364,7 +326,7 @@ func (ws *workspace) coarsen(i int, rng *rand.Rand) bool {
 	if int(nc) > n*9/10 {
 		return false
 	}
-	crs.vw = grow(crs.vw, int(nc))
+	crs.vw = freelist.Grow(crs.vw, int(nc))
 	clear(crs.vw)
 	for v := 0; v < n; v++ {
 		crs.vw[coarseID[v]] += fine.vw[v]
@@ -400,7 +362,7 @@ func (ws *workspace) partition(k int, rng *rand.Rand) []int32 {
 	// Uncoarsening with refinement.
 	for ; top > 0; top-- {
 		cur, fine := ws.levels[top], ws.levels[top-1]
-		fpart := grow(ws.fpart, fine.n)
+		fpart := freelist.Grow(ws.fpart, fine.n)
 		for v := range fpart {
 			fpart[v] = part[cur.fineTo[v]]
 		}
@@ -415,7 +377,7 @@ func (ws *workspace) partition(k int, rng *rand.Rand) []int32 {
 // vertex weight, into ws.part.
 func (ws *workspace) initialPartition(lv *level, k int, rng *rand.Rand) []int32 {
 	n := lv.n
-	part := fill(grow(ws.part, n), -1)
+	part := fill(freelist.Grow(ws.part, n), -1)
 	ws.part = part
 	totalW := 0
 	for _, w := range lv.vw {
@@ -424,7 +386,7 @@ func (ws *workspace) initialPartition(lv *level, k int, rng *rand.Rand) []int32 
 	target := (totalW + k - 1) / k
 	// Seeds: farthest-point style from a random start.
 	seeds := append(ws.seeds[:0], int32(rng.Intn(n)))
-	distAll := fill(grow(ws.distAll, n), 1<<30)
+	distAll := fill(freelist.Grow(ws.distAll, n), 1<<30)
 	ws.distAll = distAll
 	ws.bfsMin(lv, seeds[0])
 	for len(seeds) < k {
@@ -440,7 +402,7 @@ func (ws *workspace) initialPartition(lv *level, k int, rng *rand.Rand) []int32 
 	ws.seeds = seeds
 	// Round-robin BFS growth until all vertices assigned.
 	queues := ws.queues.reset(k)
-	load := grow(ws.load, k)
+	load := freelist.Grow(ws.load, k)
 	clear(load)
 	ws.load = load
 	for p, s := range seeds {
@@ -495,8 +457,8 @@ func (ws *workspace) initialPartition(lv *level, k int, rng *rand.Rand) []int32 
 
 // bfsMin lowers ws.distAll to the hop distances from s.
 func (ws *workspace) bfsMin(lv *level, s int32) {
-	d := fill(grow(ws.dist, lv.n), -1)
-	q := append(grow(ws.bfs, lv.n)[:0], s)
+	d := fill(freelist.Grow(ws.dist, lv.n), -1)
+	q := append(freelist.Grow(ws.bfs, lv.n)[:0], s)
 	d[s] = 0
 	for h := 0; h < len(q); h++ {
 		u := q[h]
@@ -524,7 +486,7 @@ func (ws *workspace) refine(lv *level, part []int32, k int) {
 		totalW += w
 	}
 	maxLoad := totalW*13/(10*k) + 1
-	load, conn := grow(ws.load, k), grow(ws.conn, k)
+	load, conn := freelist.Grow(ws.load, k), freelist.Grow(ws.conn, k)
 	ws.load, ws.conn = load, conn
 	clear(load)
 	for v := 0; v < lv.n; v++ {
@@ -568,7 +530,7 @@ type fifos struct {
 }
 
 func (q *fifos) reset(k int) *fifos {
-	q.queue, q.head = grow(q.queue, k), grow(q.head, k)
+	q.queue, q.head = freelist.Grow(q.queue, k), freelist.Grow(q.head, k)
 	for p := range q.queue {
 		q.queue[p], q.head[p] = q.queue[p][:0], 0
 	}
@@ -592,7 +554,7 @@ type subsets struct {
 }
 
 func (s *subsets) reset(k int) *subsets {
-	s.set = grow(s.set, k)
+	s.set = freelist.Grow(s.set, k)
 	for p := range s.set {
 		s.set[p] = s.set[p][:0]
 	}

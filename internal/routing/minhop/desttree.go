@@ -1,4 +1,4 @@
-package routing
+package minhop
 
 import (
 	"math"
@@ -8,14 +8,14 @@ import (
 	"repro/internal/graph"
 )
 
-// DestTree computes a shortest-path in-tree toward dest over the network
+// destTree computes a shortest-path in-tree toward dest over the network
 // (traffic orientation): parent[u] is the first channel of u's path toward
 // dest (NoChannel for dest itself and unreachable nodes), dist[u] the
 // weighted distance. weight[c] is the cost of traversing channel c; nil
-// means unit weights. This is the network-level Dijkstra shared by the
-// SSSP, DFSSSP and MinHop baselines (Nue's Algorithm 1 instead searches
-// the complete CDG).
-func DestTree(net *graph.Network, dest graph.NodeID, weight []float64) (parent []graph.ChannelID, dist []float64) {
+// means unit weights. This is the network-level Dijkstra of the SSSP
+// baseline, which DFSSSP shares through Trees (Nue's Algorithm 1 instead
+// searches the complete CDG).
+func destTree(net *graph.Network, dest graph.NodeID, weight []float64) (parent []graph.ChannelID, dist []float64) {
 	n := net.NumNodes()
 	parent = make([]graph.ChannelID, n)
 	dist = make([]float64, n)
@@ -51,15 +51,15 @@ func DestTree(net *graph.Network, dest graph.NodeID, weight []float64) (parent [
 	return parent, dist
 }
 
-// AddPathLoad adds, for every source in mask, load to each channel on its
+// addPathLoad adds, for every source in mask, load to each channel on its
 // in-tree path toward dest, normalized by the source count so one fully
 // shared channel gains weight 1 per destination. The normalization keeps
 // relative balancing pressure (DFSSSP-style) while bounding path stretch:
 // a detour hop costs at least the unit base weight, so only >= 2x load
 // imbalances justify longer routes — matching the near-minimal path
 // lengths OpenSM's DFSSSP exhibits (paper §5.1). parent/dist must come
-// from DestTree.
-func AddPathLoad(net *graph.Network, dest graph.NodeID, parent []graph.ChannelID, dist []float64, isSource []bool, weight []float64) {
+// from destTree.
+func addPathLoad(net *graph.Network, dest graph.NodeID, parent []graph.ChannelID, dist []float64, isSource []bool, weight []float64) {
 	n := net.NumNodes()
 	// Process nodes in decreasing distance so children accumulate into
 	// parents.

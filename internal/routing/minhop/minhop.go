@@ -109,13 +109,13 @@ func Trees(net *graph.Network, dests []graph.NodeID, table *routing.Table, outTr
 		if net.Degree(d) == 0 {
 			continue
 		}
-		parent, dist := routing.DestTree(net, d, weight)
+		parent, dist := destTree(net, d, weight)
 		for _, s := range net.Switches() {
 			if s != d && parent[s] != graph.NoChannel {
 				table.Set(s, d, parent[s])
 			}
 		}
-		routing.AddPathLoad(net, d, parent, dist, isSource, weight)
+		addPathLoad(net, d, parent, dist, isSource, weight)
 		if outTrees != nil {
 			outTrees[d] = parent
 		}
