@@ -14,11 +14,6 @@
 //
 // Fault injection: -faillinks 0.01 removes 1% of switch-switch links,
 // -failswitch N disconnects switch N.
-//
-// Multicast workloads: -groups 16 -group-size 8 emits 16 seeded random
-// group memberships of 8 terminals each as mcastgroup lines alongside
-// the topology (same -seed that drives the generator drives the
-// membership draw).
 package main
 
 import (
@@ -30,7 +25,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/mcast"
 	"repro/internal/topology"
 )
 
@@ -48,8 +42,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		failLinks = flag.Float64("faillinks", 0, "fraction of switch-switch links to fail")
 		failSw    = flag.Int("failswitch", -1, "switch ID to disconnect")
-		groups    = flag.Int("groups", 0, "multicast groups to emit with the topology")
-		groupSize = flag.Int("group-size", 8, "terminals per multicast group")
 		out       = flag.String("out", "", "output file (default stdout)")
 	)
 	flag.Parse()
@@ -91,17 +83,6 @@ func main() {
 		tp, n = topology.InjectLinkFailures(tp, rand.New(rand.NewSource(*seed)), *failLinks)
 		fmt.Fprintf(os.Stderr, "failed %d links\n", n)
 	}
-	if *groups > 0 {
-		// Memberships are drawn after fault injection so they only cover
-		// still-connected terminals.
-		gs := mcast.SeededGroups(*seed, tp.Net, *groups, *groupSize)
-		if len(gs) == 0 || len(gs[0].Members) < *groupSize {
-			fatal("-group-size %d is more than the connected terminals of %s", *groupSize, tp.Name)
-		}
-		for _, g := range gs {
-			tp.Groups = append(tp.Groups, g.Members)
-		}
-	}
 
 	w := os.Stdout
 	if *out != "" {
@@ -116,12 +97,8 @@ func main() {
 		fatal("%v", err)
 	}
 	st := topology.Describe(tp)
-	fmt.Fprintf(os.Stderr, "%s: %d switches, %d terminals, %d switch-switch links",
+	fmt.Fprintf(os.Stderr, "%s: %d switches, %d terminals, %d switch-switch links\n",
 		st.Name, st.Switches, st.Terminals, st.SSLinks)
-	if len(tp.Groups) > 0 {
-		fmt.Fprintf(os.Stderr, ", %d mcast groups", len(tp.Groups))
-	}
-	fmt.Fprintln(os.Stderr)
 }
 
 func fatal(format string, args ...any) {

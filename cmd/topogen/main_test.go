@@ -109,8 +109,6 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-type", "ring", "-switches", "4", "-terminals", "1", "-failswitch", "4"}, "-failswitch 4 names no switch of ring-4\n"},
 		{[]string{"-type", "ring", "-faillinks", "1"}, "-faillinks 1 is not a fraction in [0,1)\n"},
 		{[]string{"-type", "ring", "-faillinks", "-0.1"}, "-faillinks -0.1 is not a fraction in [0,1)\n"},
-		{[]string{"-type", "ring", "-switches", "4", "-terminals", "1", "-groups", "2", "-group-size", "5"},
-			"-group-size 5 is more than the connected terminals of ring-4\n"},
 	} {
 		stdout, stderr, err := topogen(t, c.args...)
 		var exit *exec.ExitError

@@ -91,7 +91,7 @@ func mcastOne(tp *topology.Topology, cfg McastConfig) McastRow {
 
 	groups := mcast.SeededGroups(cfg.Seed, net, cfg.Groups, cfg.GroupSize)
 	start := time.Now()
-	cast, st, err := mcast.Build(net, res, groups, mcast.Options{})
+	cast, st, err := mcast.Build(net, res, groups)
 	row.BuildTime = time.Since(start)
 	if err != nil {
 		row.Err = err.Error()

@@ -11,11 +11,11 @@ import (
 // Gate is the pre-publication hook of a gated epoch transaction. It runs
 // once per candidate epoch, after the repair has been computed and
 // certified (Verify, PostCheck) and before anything becomes visible: the
-// state is mutated but not re-indexed, the snapshot is built but not
-// stored, OnPublish has not fired. A gate can only veto, never replace:
-// a non-nil error rejects the epoch exactly like a verifier failure —
-// the event is reverted and nothing is published — and nil publishes the
-// candidate as certified. The replicated control plane commits the epoch
+// state is mutated, the snapshot is built but not stored, OnPublish has
+// not fired. A gate can only veto, never replace: a non-nil error
+// rejects the epoch exactly like a verifier failure — the event is
+// reverted and nothing is published — and nil publishes the candidate
+// as certified. The replicated control plane commits the epoch
 // to its log here. The gate runs under the manager's event lock
 // and must not call back into the manager.
 type Gate func(c *Candidate) error
@@ -52,8 +52,8 @@ func (m *Manager) Apply(ev Event) (*EventReport, error) {
 
 // ApplyGated is the epoch transaction, the only one there is: mutate →
 // repair (layer jobs on the manager's pool of Options.Workers) → gate →
-// re-index → publish, with the event reverted when the repair or the gate
-// fails. A nil gate passes everything; Apply is ApplyGated(ev, nil).
+// publish, with the event reverted when the repair or the gate fails. A
+// nil gate passes everything; Apply is ApplyGated(ev, nil).
 func (m *Manager) ApplyGated(ev Event, gate Gate) (*EventReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -80,7 +80,7 @@ func (m *Manager) ApplyGated(ev Event, gate Gate) (*EventReport, error) {
 	}
 
 	newNet := m.st.working.Clone()
-	res, err := m.run.retable(m.st, old, newNet, changed, report)
+	res, err := m.run.retable(old, newNet, changed, report)
 	if err != nil {
 		return abort(err)
 	}
@@ -91,9 +91,8 @@ func (m *Manager) ApplyGated(ev Event, gate Gate) (*EventReport, error) {
 		}
 	}
 
-	// Only an epoch that passed the gate may update the derived index and
-	// become visible to readers and agents.
-	m.st.reindexCast(res.Cast)
+	// Only an epoch that passed the gate may become visible to readers
+	// and agents.
 	report.Delta = routing.Diff(old.Result.Table, res.Table)
 	report.Epoch = snap.Epoch
 	report.Latency = time.Since(start)

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/mcast"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -81,16 +80,6 @@ type Options struct {
 	// queue (e.g. distrib.Source.Publish) and return quickly; it must
 	// not call back into Apply.
 	OnPublish func(*Snapshot)
-	// Groups lists the multicast groups the manager maintains: every
-	// published epoch carries a cast table for them, repaired on churn
-	// (trees untouched by an event are kept verbatim when their
-	// dependencies re-admit into the new union graph; the rest are
-	// rebuilt or fall back to UBM legs). With PostCheck wired to the
-	// oracle, each epoch is certified over the unicast+cast union.
-	Groups []mcast.Group
-	// McastTelemetry, when non-nil, receives the mcast_* counters of
-	// every cast build the manager runs.
-	McastTelemetry *telemetry.McastMetrics
 }
 
 // workers resolves Options.Workers to an effective pool size.
@@ -119,9 +108,8 @@ type Snapshot struct {
 // reconfigurations internally.
 //
 // The manager is the only owner of the epoch: the State (mutable
-// topology bookkeeping + cast index), the runner (the repair
-// computation and its escape-root cache), the published snapshot
-// pointer, the lifetime Metrics and the telemetry bundle live here and
+// topology bookkeeping), the runner (the repair computation and its
+// escape-root cache), the published snapshot pointer, the lifetime Metrics and the telemetry bundle live here and
 // nowhere else, and ApplyGated is the only code that runs the epoch
 // transaction. The replicated control plane (internal/shard) composes a
 // Manager — literally: it holds one and passes in what is its own, a
@@ -176,41 +164,29 @@ func NewGatedManager(tp *topology.Topology, opts Options, gate Gate) (*Manager, 
 }
 
 // initialEpoch routes the state's network from scratch, certifies it like
-// any later epoch (maybeVerify), indexes the state for it and returns it
-// as epoch 0.
+// any later epoch (maybeVerify) and returns it as epoch 0.
 func (m *Manager) initialEpoch() (*Snapshot, error) {
-	opts := m.opts
 	net := m.st.working.Clone()
 	res, err := m.run.routeFull(net)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: initial routing: %w", err)
 	}
-	if len(opts.Groups) > 0 {
-		cast, _, err := mcast.Build(net, res, opts.Groups, mcast.Options{Telemetry: opts.McastTelemetry})
-		if err != nil {
-			return nil, fmt.Errorf("fabric: initial cast routing: %w", err)
-		}
-		res.Cast = cast
-	}
 	if err := m.run.maybeVerify(net, res, new(EventReport)); err != nil {
 		return nil, fmt.Errorf("fabric: initial routing %w", err)
 	}
-	m.st.reindexCast(res.Cast)
 	return &Snapshot{Epoch: 0, Net: net, Result: res}, nil
 }
 
 // Restore rewinds the manager to a committed epoch — what a successor
 // leader does after failover: the state is rebuilt from the epoch's
 // network and the replicated bookkeeping maps (see
-// Candidate.Bookkeeping), re-indexed for the epoch's cast table, and the
-// runner is replaced by a fresh one, so escape-root caches start cold.
-// Lifetime metrics carry over; nothing is published (the epoch already
-// was).
+// Candidate.Bookkeeping), and the runner is replaced by a fresh one, so
+// escape-root caches start cold. Lifetime metrics carry over; nothing is
+// published (the epoch already was).
 func (m *Manager) Restore(snap *Snapshot, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.st = restoreState(snap.Net, linkFailed, nodeDown)
-	m.st.reindexCast(snap.Result.Cast)
 	m.run = newRunner(m.opts)
 	m.snap.Store(snap)
 }

@@ -57,11 +57,6 @@ type EventReport struct {
 	// PostChecked is true when the transition passed the configured
 	// PostCheck hook (typically the independent oracle).
 	PostChecked bool
-	// CastGroups counts the multicast groups in the published epoch;
-	// CastKept the trees carried over verbatim from the previous epoch,
-	// CastRebuilt the trees grown from scratch and CastUBM the members
-	// served over unicast-leg fallback. All zero without Options.Groups.
-	CastGroups, CastKept, CastRebuilt, CastUBM int
 }
 
 func (r *EventReport) String() string {
@@ -93,8 +88,6 @@ type Metrics struct {
 	Delta routing.TableDelta
 	// Latency sums EventReport.Latency.
 	Latency time.Duration
-	// CastKept and CastRebuilds sum per-event cast-tree outcomes.
-	CastKept, CastRebuilds int
 }
 
 // record publishes one event's outcome into the telemetry bundle.
@@ -143,9 +136,6 @@ func recordEvent(tm *telemetry.FabricMetrics, r *EventReport, err error) {
 		"layer_rebuilds": int64(r.LayerRebuilds),
 		"full_recompute": full,
 		"latency_ns":     r.Latency.Nanoseconds(),
-		"cast_groups":    int64(r.CastGroups),
-		"cast_kept":      int64(r.CastKept),
-		"cast_rebuilt":   int64(r.CastRebuilt),
 	})
 }
 
@@ -168,6 +158,4 @@ func (m *Metrics) add(r *EventReport) {
 	m.Delta.Removed += r.Delta.Removed
 	m.Delta.Same += r.Delta.Same
 	m.Latency += r.Latency
-	m.CastKept += r.CastKept
-	m.CastRebuilds += r.CastRebuilt
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/mcast"
 	"repro/internal/routing"
 	"repro/internal/routing/verify"
 )
@@ -165,12 +164,12 @@ func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job layerJo
 // per-layer repair, its layer jobs on a pool of Options.Workers
 // goroutines, falling back to a full recompute when a layer fails or the
 // combined result does not verify. This is pure computation — the caller
-// owns mutation, index maintenance, and publication.
-func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, changed []graph.ChannelID,
+// owns mutation and publication.
+func (r *runner) retable(old *Snapshot, newNet *graph.Network, changed []graph.ChannelID,
 	report *EventReport) (*routing.Result, error) {
 
 	if r.opts.FullRecompute {
-		return r.fullRecompute(st, newNet, report)
+		return r.fullRecompute(newNet, report)
 	}
 	oldRes := old.Result
 	r.invalidateRoots(newNet, changed)
@@ -180,9 +179,8 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 	if len(affected) == 0 {
 		// Topology changed but no unicast route is impacted (e.g. failing
 		// an unused link): republish the same entries on the new network.
-		// Cast trees may still be hit — finishResult repairs them.
 		res := resultWith(oldRes, table)
-		if err := r.finishResult(st, newNet, res, oldRes.Cast, changed, report); err != nil {
+		if err := r.maybeVerify(newNet, res, report); err != nil {
 			return nil, err
 		}
 		return res, nil
@@ -199,7 +197,7 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 		out := outs[i]
 		if out.err != nil {
 			// Last resort: re-route the whole fabric.
-			res, err := r.fullRecompute(st, newNet, report)
+			res, err := r.fullRecompute(newNet, report)
 			if err != nil {
 				return nil, fmt.Errorf("layer %d repair failed (%v) and full recompute failed: %w", j.layer, out.err, err)
 			}
@@ -222,10 +220,10 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 	}
 
 	res := resultWith(oldRes, table)
-	if err := r.finishResult(st, newNet, res, oldRes.Cast, changed, report); err != nil {
+	if err := r.maybeVerify(newNet, res, report); err != nil {
 		// Defense in depth: an invalid incremental transition is replaced
 		// by a verified full recompute.
-		full, ferr := r.fullRecompute(st, newNet, report)
+		full, ferr := r.fullRecompute(newNet, report)
 		if ferr != nil {
 			return nil, fmt.Errorf("incremental transition refused (%v) and full recompute failed: %w", err, ferr)
 		}
@@ -234,39 +232,15 @@ func (r *runner) retable(st *State, old *Snapshot, newNet *graph.Network, change
 	return res, nil
 }
 
-// finishResult completes a to-be-published result: the multicast trees
-// are repaired against the new routing (kept where their channels are
-// alive and their dependencies re-admit into the new union graph,
-// rebuilt otherwise, starting from the groups the changed channels
-// touch), and the combined configuration is verified / post-checked.
-// With no configured groups it reduces to maybeVerify.
-func (r *runner) finishResult(st *State, newNet *graph.Network, res *routing.Result, oldCast *routing.CastTable,
-	changed []graph.ChannelID, report *EventReport) error {
-	if len(r.opts.Groups) > 0 {
-		rebuild := st.castRebuildSet(changed)
-		cast, cs, err := mcast.Rebuild(newNet, res, oldCast, r.opts.Groups, rebuild, mcast.Options{Telemetry: r.opts.McastTelemetry})
-		if err != nil {
-			return fmt.Errorf("cast repair: %w", err)
-		}
-		res.Cast = cast
-		report.CastGroups = cs.Groups
-		report.CastKept = cs.Kept
-		report.CastRebuilt = cs.TreesBuilt
-		report.CastUBM = cs.UBMMembers
-	}
-	return r.maybeVerify(newNet, res, report)
-}
-
-// fullRecompute routes the fabric (and its cast trees) from scratch and
-// verifies if required.
-func (r *runner) fullRecompute(st *State, newNet *graph.Network, report *EventReport) (*routing.Result, error) {
+// fullRecompute routes the fabric from scratch and verifies if required.
+func (r *runner) fullRecompute(newNet *graph.Network, report *EventReport) (*routing.Result, error) {
 	res, err := r.routeFull(newNet)
 	if err != nil {
 		return nil, err
 	}
 	report.FullRecompute = true
 	report.RepairedDests = report.TotalDests
-	if err := r.finishResult(st, newNet, res, nil, nil, report); err != nil {
+	if err := r.maybeVerify(newNet, res, report); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -9,9 +9,8 @@ import (
 )
 
 // State is the mutable bookkeeping half of the Manager: the private
-// working network, the desired link/switch up-down state, and the
-// channel->cast-group index of the published cast table. It carries no
-// epoch ownership — no snapshots, no locks, no publication. Outside the
+// working network and the desired link/switch up-down state. It carries
+// no epoch ownership — no snapshots, no locks, no publication. Outside the
 // Manager it serves as a churn generator's shadow of the fabric
 // (NewState, RandomEvent/RandomSwitchEvent, Mutate). All methods must
 // run under the owner's event serialization.
@@ -29,9 +28,6 @@ type State struct {
 	// links lists, per node, the canonical duplex links attached to it
 	// (independent of current failed state).
 	links [][]graph.ChannelID
-	// castChans indexes, per directed channel, the cast groups whose
-	// trees traverse it.
-	castChans map[graph.ChannelID][]int
 }
 
 // NewState adopts a clone of net as the working network. Links already
@@ -69,8 +65,7 @@ func (s *State) bookkeeping() (linkFailed map[graph.ChannelID]bool, nodeDown map
 // network (cloned) plus the replicated bookkeeping maps, which REPLACE
 // the explicit-failure inference NewState makes from the network (a link
 // that is down only because its switch is down must not be recorded as
-// explicitly failed, or a later switch join would strand it). The caller
-// must follow with reindexCast for the epoch's cast table.
+// explicitly failed, or a later switch join would strand it).
 func restoreState(net *graph.Network, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) *State {
 	s := NewState(net)
 	clear(s.linkFailed)
@@ -131,21 +126,6 @@ func (s *State) revert(ev Event, changed []graph.ChannelID) {
 	}
 }
 
-// reindexCast recomputes the channel->groups index from a published cast
-// table. Nil-safe.
-func (s *State) reindexCast(cast *routing.CastTable) {
-	s.castChans = nil
-	if cast == nil {
-		return
-	}
-	s.castChans = make(map[graph.ChannelID][]int)
-	for _, id := range cast.IDs() {
-		for _, c := range cast.Group(id).Channels() {
-			s.castChans[c] = append(s.castChans[c], id)
-		}
-	}
-}
-
 // affectedDests computes the destinations an event must re-route on the
 // post-event network, reading table, the pre-repair entries: for a failed
 // channel, exactly the destinations forwarded over it — the columns
@@ -196,18 +176,6 @@ func affectedDests(newNet *graph.Network, table *routing.Table, changed []graph.
 		}
 	}
 	return affected
-}
-
-// castRebuildSet maps changed channels to the cast groups whose trees
-// traverse them.
-func (s *State) castRebuildSet(changed []graph.ChannelID) map[int]bool {
-	rebuild := make(map[int]bool)
-	for _, c := range changed {
-		for _, id := range s.castChans[c] {
-			rebuild[id] = true
-		}
-	}
-	return rebuild
 }
 
 // downLinks returns the canonical halves of links currently failed on

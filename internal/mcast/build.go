@@ -8,22 +8,12 @@ import (
 	"repro/internal/cdg"
 	"repro/internal/graph"
 	"repro/internal/routing"
-	"repro/internal/telemetry"
 )
 
-// Options tunes tree construction.
-type Options struct {
-	// Telemetry, when non-nil, receives mcast_* counters. Observation
-	// only.
-	Telemetry *telemetry.McastMetrics
-}
-
-// Stats reports what a Build or Rebuild pass did.
+// Stats reports what a Build pass did.
 type Stats struct {
-	// Groups is the number of groups routed; Kept counts groups whose
-	// old tree survived a Rebuild unchanged, TreesBuilt groups grown
-	// from scratch.
-	Groups, Kept, TreesBuilt int
+	// Groups is the number of groups routed.
+	Groups int
 	// Receivers counts members served by trees, UBMMembers members on
 	// unicast-leg fallback, UnroutedMembers members no path reaches.
 	Receivers, UBMMembers, UnroutedMembers int
@@ -47,7 +37,6 @@ type layerState struct {
 type builder struct {
 	net    *graph.Network
 	res    *routing.Result
-	opt    Options
 	layers int
 	// general is true for routings whose dependency structure the
 	// builder cannot reconstruct per layer (pair layers, SL2VL remapping
@@ -60,22 +49,9 @@ type builder struct {
 
 // Build routes the groups over the finished unicast routing and returns
 // the cast table. The result's table must be complete; group members
-// must be terminals. Build is deterministic for a fixed input.
-func Build(net *graph.Network, res *routing.Result, groups []Group, opt Options) (*routing.CastTable, *Stats, error) {
-	return build(net, res, nil, groups, nil, opt)
-}
-
-// Rebuild routes the groups reusing old trees where possible: a group
-// not in the rebuild set keeps its old tree if every tree channel is
-// still alive and every tree dependency can be re-admitted into the new
-// union graph; any group that fails re-admission is rebuilt from
-// scratch (the widening the fabric relies on). rebuild may be nil to
-// keep everything possible.
-func Rebuild(net *graph.Network, res *routing.Result, old *routing.CastTable, groups []Group, rebuild map[int]bool, opt Options) (*routing.CastTable, *Stats, error) {
-	return build(net, res, old, groups, rebuild, opt)
-}
-
-func build(net *graph.Network, res *routing.Result, old *routing.CastTable, groups []Group, rebuild map[int]bool, opt Options) (*routing.CastTable, *Stats, error) {
+// must be terminals. Build is deterministic for a fixed input: groups
+// are grown one after another in ascending ID order.
+func Build(net *graph.Network, res *routing.Result, groups []Group) (*routing.CastTable, *Stats, error) {
 	start := time.Now()
 	if res.Table == nil {
 		return nil, nil, fmt.Errorf("mcast: routing result has no forwarding table")
@@ -83,7 +59,6 @@ func build(net *graph.Network, res *routing.Result, old *routing.CastTable, grou
 	b := &builder{
 		net:     net,
 		res:     res,
-		opt:     opt,
 		layers:  res.VCs,
 		general: res.PairLayer != nil || res.SLToVL != nil || res.PairPath != nil,
 	}
@@ -113,70 +88,17 @@ func build(net *graph.Network, res *routing.Result, old *routing.CastTable, grou
 		}
 	}
 
-	// Pass 1: re-admit kept trees, so their dependencies constrain the
-	// trees grown afterwards (not the other way round — kept trees were
-	// already published and must survive verbatim or not at all).
-	toBuild := make([]Group, 0, len(ordered))
 	for _, g := range ordered {
-		var kept *routing.CastGroup
-		if old != nil && (rebuild == nil || !rebuild[g.ID]) {
-			kept = old.Group(g.ID)
-		}
-		if kept != nil && sameMembers(kept.Members, normalizeMembers(g.Members)) && b.readmit(kept) {
-			table.Add(kept.Clone())
-			b.stats.Kept++
-			b.accountGroup(table.Group(g.ID))
-			continue
-		}
-		toBuild = append(toBuild, g)
-	}
-	// Pass 2: grow the rest from scratch.
-	for _, g := range toBuild {
 		cg := b.buildTree(g)
 		table.Add(cg)
-		b.stats.TreesBuilt++
-		b.accountGroup(cg)
+		b.stats.Receivers += len(cg.Receivers)
+		b.stats.UBMMembers += len(cg.UBM)
+		b.stats.UnroutedMembers += len(cg.Unrouted)
+		b.stats.TreeEdges += cg.TreeEdges()
 	}
 	b.stats.Groups = table.NumGroups()
 	b.stats.BuildNanos = time.Since(start).Nanoseconds()
-	b.report()
 	return table, &b.stats, nil
-}
-
-// accountGroup folds one routed group into the pass stats.
-func (b *builder) accountGroup(cg *routing.CastGroup) {
-	b.stats.Receivers += len(cg.Receivers)
-	b.stats.UBMMembers += len(cg.UBM)
-	b.stats.UnroutedMembers += len(cg.Unrouted)
-	b.stats.TreeEdges += cg.TreeEdges()
-}
-
-func (b *builder) report() {
-	tm := b.opt.Telemetry
-	if tm == nil {
-		return
-	}
-	st := &b.stats
-	tm.Builds.Inc()
-	tm.GroupsRouted.Add(int64(st.Groups))
-	tm.TreeEdges.Add(int64(st.TreeEdges))
-	tm.TDeps.Add(int64(st.TDeps))
-	tm.VDeps.Add(int64(st.VDeps))
-	tm.DepsBlocked.Add(int64(st.DepsBlocked))
-	tm.Retries.Add(int64(st.Retries))
-	tm.UBMMembers.Add(int64(st.UBMMembers))
-	tm.UnroutedMembers.Add(int64(st.UnroutedMembers))
-	tm.BuildNanos.Observe(st.BuildNanos)
-	tm.Events.Emit("mcast_build", map[string]int64{
-		"groups":       int64(st.Groups),
-		"kept":         int64(st.Kept),
-		"built":        int64(st.TreesBuilt),
-		"tree_edges":   int64(st.TreeEdges),
-		"vdeps":        int64(st.VDeps),
-		"ubm_members":  int64(st.UBMMembers),
-		"deps_blocked": int64(st.DepsBlocked),
-		"build_nanos":  st.BuildNanos,
-	})
 }
 
 // layer returns the union-graph state of virtual layer l, seeding it on
@@ -231,18 +153,6 @@ func normalizeMembers(members []graph.NodeID) []graph.NodeID {
 		}
 	}
 	return out[:n]
-}
-
-func sameMembers(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // rev returns the reverse half of channel c.
@@ -470,73 +380,4 @@ func (b *builder) prune(cg *routing.CastGroup, root graph.NodeID) {
 		return keep
 	}
 	walk(root)
-}
-
-// readmit re-commits every dependency of a kept tree into the new union
-// graph; failure means the tree cannot coexist with the repaired unicast
-// routes (or lost a channel) and must be rebuilt.
-func (b *builder) readmit(cg *routing.CastGroup) bool {
-	for _, c := range cg.Channels() {
-		if b.net.Channel(c).Failed {
-			return false
-		}
-	}
-	// UBM legs ride the current table; they must still reach.
-	for _, m := range cg.UBM {
-		if _, err := routing.Walk(b.net, b.res, cg.Source, m, nil); err != nil {
-			return false
-		}
-	}
-	if cg.TreeEdges() == 0 {
-		return true
-	}
-	l := int(cg.SL)
-	if l >= b.layers {
-		return false
-	}
-	ls := b.layer(l)
-	if !ls.ok {
-		return false
-	}
-	// Walk the tree from the root re-running every admission.
-	srcSW := b.net.TerminalSwitch(cg.Source)
-	if b.net.Degree(cg.Source) == 0 {
-		return false
-	}
-	in := map[graph.NodeID]graph.ChannelID{srcSW: b.net.Out(cg.Source)[0]}
-	queue := []graph.NodeID{srcSW}
-	seen := map[graph.NodeID]bool{srcSW: true}
-	visited := 0
-	o := ls.overlay
-	for head := 0; head < len(queue); head++ {
-		sw := queue[head]
-		outs := cg.Outs(sw)
-		visited += len(outs)
-		for idx, c := range outs {
-			// The out-set already exists, so admitOut's insertion logic
-			// does not apply: re-admit the T-type edge and the V-type
-			// edge to the previous sibling directly.
-			if inc := in[sw]; inc != graph.NoChannel {
-				if !o.TryAddDep(cdg.DepT, b.rev(c), b.rev(inc)) {
-					b.stats.DepsBlocked++
-					return false
-				}
-			}
-			if idx > 0 {
-				if !o.TryAddDep(cdg.DepV, b.rev(c), b.rev(outs[idx-1])) {
-					b.stats.DepsBlocked++
-					return false
-				}
-			}
-			to := b.net.Channel(c).To
-			if b.net.IsSwitch(to) && !seen[to] {
-				seen[to] = true
-				in[to] = c
-				queue = append(queue, to)
-			}
-		}
-	}
-	// A kept tree must be a tree: every out-channel reachable from the
-	// root exactly once.
-	return visited == cg.TreeEdges()
 }

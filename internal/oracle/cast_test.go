@@ -30,7 +30,7 @@ func TestCastMutationExtraEdgeClosesCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cast, _, err := mcast.Build(net, res, []mcast.Group{{ID: 1, Members: terms}}, mcast.Options{})
+	cast, _, err := mcast.Build(net, res, []mcast.Group{{ID: 1, Members: terms}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +42,11 @@ func TestCastMutationExtraEdgeClosesCycle(t *testing.T) {
 	// The trunk: the one switch-to-switch channel the tree crosses.
 	g := cast.Group(1)
 	var trunk graph.ChannelID = graph.NoChannel
-	for _, c := range g.Channels() {
-		if net.IsSwitch(net.Channel(c).To) {
-			trunk = c
+	for _, sw := range net.Switches() {
+		for _, c := range g.Outs(sw) {
+			if net.IsSwitch(net.Channel(c).To) {
+				trunk = c
+			}
 		}
 	}
 	if trunk == graph.NoChannel {
@@ -188,7 +190,7 @@ func TestCastStructuralErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func() *routing.CastGroup {
-		cast, _, err := mcast.Build(net, base, []mcast.Group{{ID: 1, Members: terms}}, mcast.Options{})
+		cast, _, err := mcast.Build(net, base, []mcast.Group{{ID: 1, Members: terms}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,12 +62,11 @@ import (
 	"repro/internal/routing"
 )
 
-// Options configures Decide. Nil Dests or Sources default to the
-// oracle's source convention (connected terminals, else connected
-// nodes), matching what oracle.Certify would owe.
+// Options configures Decide. Nil Dests default to the oracle's source
+// convention (connected terminals, else connected nodes); the sources
+// always follow it, matching what oracle.Certify would owe.
 type Options struct {
-	Dests   []graph.NodeID
-	Sources []graph.NodeID
+	Dests []graph.NodeID
 }
 
 // Forced records one forced dependency: every walk from switch Src to
@@ -118,13 +117,10 @@ const forcedCheckBudget = 300000
 
 // Decide runs the existence decision procedure.
 func Decide(net *graph.Network, opt Options) (*Decision, error) {
+	sources := oracle.DefaultSources(net)
 	dests := opt.Dests
 	if dests == nil {
-		dests = oracle.DefaultSources(net)
-	}
-	sources := opt.Sources
-	if sources == nil {
-		sources = oracle.DefaultSources(net)
+		dests = sources
 	}
 	owed := owedPairs(net, dests, sources)
 	required := requiredSwitchPairs(net, owed)

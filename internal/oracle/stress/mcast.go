@@ -58,7 +58,7 @@ func (tr *Trial) runMcast(tp *topology.Topology, vcs int) *McastReport {
 		size = 4
 	}
 	groups := mcast.SeededGroups(tr.Config.Seed, net, tr.Config.McastGroups, size)
-	cast, st, err := mcast.Build(net, res, groups, mcast.Options{})
+	cast, st, err := mcast.Build(net, res, groups)
 	if err != nil {
 		tr.fail("mcast build failed on %s (%d VCs): %v", tr.Topology, vcs, err)
 		return rep

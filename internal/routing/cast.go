@@ -83,30 +83,6 @@ func (g *CastGroup) RemoveOut(sw graph.NodeID, c graph.ChannelID) {
 // not be modified.
 func (g *CastGroup) Outs(sw graph.NodeID) []graph.ChannelID { return g.outs[sw] }
 
-// Switches returns the switches with at least one cast out-channel, in
-// ascending node order (deterministic iteration for serialization and
-// rebuild seeding).
-func (g *CastGroup) Switches() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(g.outs))
-	for sw := range g.outs {
-		out = append(out, sw)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Channels returns every channel the tree occupies, ascending — the
-// fabric's churn index uses this to decide which groups a failed link
-// touches.
-func (g *CastGroup) Channels() []graph.ChannelID {
-	var out []graph.ChannelID
-	for _, sw := range g.Switches() {
-		out = append(out, g.outs[sw]...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // TreeEdges counts the tree's out-channels (branches plus ejections).
 func (g *CastGroup) TreeEdges() int {
 	n := 0
@@ -114,21 +90,6 @@ func (g *CastGroup) TreeEdges() int {
 		n += len(s)
 	}
 	return n
-}
-
-// Clone returns a deep copy (fabric epochs snapshot cast state the same
-// way they snapshot unicast tables).
-func (g *CastGroup) Clone() *CastGroup {
-	cp := *g
-	cp.Members = append([]graph.NodeID(nil), g.Members...)
-	cp.Receivers = append([]graph.NodeID(nil), g.Receivers...)
-	cp.UBM = append([]graph.NodeID(nil), g.UBM...)
-	cp.Unrouted = append([]graph.NodeID(nil), g.Unrouted...)
-	cp.outs = make(map[graph.NodeID][]graph.ChannelID, len(g.outs))
-	for sw, s := range g.outs {
-		cp.outs[sw] = append([]graph.ChannelID(nil), s...)
-	}
-	return &cp
 }
 
 // CastTable holds the routed multicast groups of one epoch, alongside
@@ -165,12 +126,3 @@ func (t *CastTable) IDs() []int { return t.ids }
 
 // NumGroups returns the number of groups.
 func (t *CastTable) NumGroups() int { return len(t.ids) }
-
-// Clone deep-copies the table.
-func (t *CastTable) Clone() *CastTable {
-	cp := NewCastTable()
-	for _, id := range t.ids {
-		cp.Add(t.groups[id].Clone())
-	}
-	return cp
-}

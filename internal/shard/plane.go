@@ -217,8 +217,8 @@ func (p *Plane) gate(c *fabric.Candidate) error {
 
 // Failover elects a new leader deterministically — the lowest-numbered
 // alive replica that can assemble a vote quorum — and restores the
-// manager from the last committed epoch: replicated bookkeeping, rebuilt
-// cast index, fresh runner (escape-root caches start cold).
+// manager from the last committed epoch: replicated bookkeeping and a
+// fresh runner (escape-root caches start cold).
 // Returns the new leader and term.
 func (p *Plane) Failover() (leader int, term uint64, err error) {
 	p.mu.Lock()

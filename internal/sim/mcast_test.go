@@ -38,7 +38,7 @@ func TestCastBroadcastDelivers(t *testing.T) {
 		{ID: 1, Members: terms},                  // broadcast
 		{ID: 2, Members: terms[:len(terms)/2+1]}, // partial group
 	}
-	cast, _, err := mcast.Build(net, res, groups, mcast.Options{})
+	cast, _, err := mcast.Build(net, res, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCastRingNoDeadlockWhenBuilt(t *testing.T) {
 		groups[i] = mcast.Group{ID: i + 1,
 			Members: []graph.NodeID{terms[i], terms[(i+2)%len(terms)]}}
 	}
-	cast, _, err := mcast.Build(net, res, groups, mcast.Options{})
+	cast, _, err := mcast.Build(net, res, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestCastUBMFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := []mcast.Group{{ID: 1, Members: terms}}
-	cast, _, err := mcast.Build(net, res, groups, mcast.Options{})
+	cast, _, err := mcast.Build(net, res, groups)
 	if err != nil {
 		t.Fatal(err)
 	}

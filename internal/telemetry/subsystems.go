@@ -189,50 +189,6 @@ func (r *Registry) Distrib() *DistribMetrics {
 	}
 }
 
-// McastMetrics instruments the multicast subsystem (internal/mcast):
-// cast-tree construction inside the complete CDG and the UBM fallback.
-type McastMetrics struct {
-	// Builds counts tree-construction passes; GroupsRouted the groups
-	// routed across them (a rebuild counts its groups again).
-	Builds, GroupsRouted *Counter
-	// TreeEdges counts committed cast out-channels (branches plus
-	// ejections); TDeps and VDeps the committed tree and
-	// branch-contention dependencies.
-	TreeEdges, TDeps, VDeps *Counter
-	// DepsBlocked counts dependency admissions the union cycle check
-	// refused; Retries member attachment attempts restarted after a
-	// blocked dependency.
-	DepsBlocked, Retries *Counter
-	// UBMMembers counts members served by serialized unicast legs;
-	// UnroutedMembers members unreachable by any path.
-	UBMMembers, UnroutedMembers *Counter
-	// BuildNanos is the per-build wall-time distribution.
-	BuildNanos *Histogram
-	// Events receives one "mcast_build" entry per construction pass.
-	Events *Ring
-}
-
-// Mcast returns the multicast bundle registered under mcast_* names
-// (nil, all-no-op, on a nil registry).
-func (r *Registry) Mcast() *McastMetrics {
-	if r == nil {
-		return nil
-	}
-	return &McastMetrics{
-		Builds:          r.Counter("mcast_builds_total"),
-		GroupsRouted:    r.Counter("mcast_groups_routed_total"),
-		TreeEdges:       r.Counter("mcast_tree_edges_total"),
-		TDeps:           r.Counter("mcast_tdeps_total"),
-		VDeps:           r.Counter("mcast_vdeps_total"),
-		DepsBlocked:     r.Counter("mcast_deps_blocked_total"),
-		Retries:         r.Counter("mcast_attach_retries_total"),
-		UBMMembers:      r.Counter("mcast_ubm_members_total"),
-		UnroutedMembers: r.Counter("mcast_unrouted_members_total"),
-		BuildNanos:      r.Histogram("mcast_build_nanos"),
-		Events:          r.Ring(),
-	}
-}
-
 // MaxTrackedVCs bounds the per-VC gauge vector of the simulator bundle;
 // virtual lanes beyond it fold into the last gauge.
 const MaxTrackedVCs = 16

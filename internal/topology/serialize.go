@@ -14,11 +14,8 @@ import (
 //	topo <name>
 //	node <id> switch|terminal <name>
 //	link <fromID> <toID>
-//	mcastgroup <id> <memberID> <memberID>...
 //
 // Failed channels are omitted, so a round-trip bakes failures in.
-// mcastgroup lines carry the multicast workload alongside the topology
-// (1-based dense group ids, members are terminal node ids).
 func Write(w io.Writer, tp *Topology) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "topo %s\n", tp.Name)
@@ -34,13 +31,6 @@ func Write(w io.Writer, tp *Topology) error {
 		}
 		fmt.Fprintf(bw, "link %d %d\n", c.From, c.To)
 	}
-	for i, members := range tp.Groups {
-		fmt.Fprintf(bw, "mcastgroup %d", i+1)
-		for _, m := range members {
-			fmt.Fprintf(bw, " %d", m)
-		}
-		fmt.Fprintln(bw)
-	}
 	return bw.Flush()
 }
 
@@ -51,7 +41,6 @@ func Read(r io.Reader) (*Topology, error) {
 	sc.Buffer(nil, 1<<20)
 	b := graph.NewBuilder()
 	name := "unnamed"
-	var groups [][]graph.NodeID
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -107,30 +96,6 @@ func Read(r io.Reader) (*Topology, error) {
 				return nil, fmt.Errorf("topology: line %d: self-link", lineNo)
 			}
 			b.AddLink(graph.NodeID(from), graph.NodeID(to))
-		case "mcastgroup":
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("topology: line %d: mcastgroup needs an id and at least one member", lineNo)
-			}
-			var id int
-			if _, err := fmt.Sscanf(fields[1], "%d", &id); err != nil {
-				return nil, fmt.Errorf("topology: line %d: bad group id: %v", lineNo, err)
-			}
-			if id != len(groups)+1 {
-				return nil, fmt.Errorf("topology: line %d: group ids must be dense and 1-based (got %d, want %d)",
-					lineNo, id, len(groups)+1)
-			}
-			members := make([]graph.NodeID, 0, len(fields)-2)
-			for _, f := range fields[2:] {
-				var m int
-				if _, err := fmt.Sscanf(f, "%d", &m); err != nil {
-					return nil, fmt.Errorf("topology: line %d: bad group member: %v", lineNo, err)
-				}
-				if m < 0 || m >= b.NumNodes() {
-					return nil, fmt.Errorf("topology: line %d: group member %d out of range", lineNo, m)
-				}
-				members = append(members, graph.NodeID(m))
-			}
-			groups = append(groups, members)
 		default:
 			return nil, fmt.Errorf("topology: line %d: unknown directive %q", lineNo, fields[0])
 		}
@@ -142,5 +107,5 @@ func Read(r io.Reader) (*Topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Topology{Net: g, Name: name, Groups: groups}, nil
+	return &Topology{Net: g, Name: name}, nil
 }

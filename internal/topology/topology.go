@@ -26,10 +26,6 @@ type Topology struct {
 	// Mesh is non-nil for full-mesh (all-to-all) switch fabrics such as
 	// single Dragonfly groups; required by the VC-free full-mesh router.
 	Mesh *MeshMeta
-	// Groups lists multicast group memberships (terminal IDs) carried
-	// with the topology; group IDs are the 1-based slice positions.
-	// Empty for topologies without a multicast workload.
-	Groups [][]graph.NodeID
 }
 
 // TorusMeta describes switch placement on a 3D torus or mesh grid.

@@ -3,7 +3,6 @@ package topology
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -332,38 +331,6 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTripGroups(t *testing.T) {
-	orig := Ring(4, 2)
-	terms := orig.Net.Terminals()
-	orig.Groups = [][]graph.NodeID{
-		{terms[0], terms[2], terms[5]},
-		{terms[1], terms[3]},
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.Groups, orig.Groups) {
-		t.Errorf("groups = %v, want %v", back.Groups, orig.Groups)
-	}
-	// A second round-trip is byte-identical.
-	var buf2 bytes.Buffer
-	if err := Write(&buf2, back); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() == "" || buf2.String() != func() string {
-		var b bytes.Buffer
-		Write(&b, orig)
-		return b.String()
-	}() {
-		t.Error("group serialization is not stable across round-trips")
-	}
-}
-
 func TestReadRejectsMalformed(t *testing.T) {
 	cases := []string{
 		"node 5 switch x\n",                   // non-dense id
@@ -374,6 +341,8 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"node 0 terminal a\nmcastgroup 1\n",   // group without members
 		"node 0 terminal a\nmcastgroup 2 0\n", // non-dense group id
 		"node 0 terminal a\nmcastgroup 1 7\n", // member out of range
+		// mcastgroup is no directive, even on an otherwise well-formed file.
+		"node 0 switch s\nnode 1 terminal a\nlink 1 0\nmcastgroup 1 1\n",
 	}
 	for i, in := range cases {
 		if _, err := Read(bytes.NewBufferString(in)); err == nil {
