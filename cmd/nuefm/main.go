@@ -76,7 +76,7 @@ func main() {
 	flag.BoolVar(&cfg.full, "full", false, "disable incremental repair (full recompute per event)")
 	flag.StringVar(&cfg.telemAddr, "telemetry-addr", "", "serve Prometheus /metrics, /telemetry.json and net/http/pprof on this address (e.g. :9090; empty = off)")
 	flag.StringVar(&cfg.serve, "serve", "", "distribute forwarding tables to nueagent fleets on this address (e.g. :9411; empty = off)")
-	flag.IntVar(&cfg.replicas, "replicas", 1, "epoch-log replication factor (shard.Plane with quorum commit when > 1; with -serve, one publisher per replica on consecutive ports)")
+	flag.IntVar(&cfg.replicas, "replicas", 1, "epoch-log replication factor of the control plane (quorum commit; with -serve, one publisher per replica on consecutive ports)")
 	flag.DurationVar(&cfg.interval, "event-interval", 0, "pause between churn events (gives scrapers a live view)")
 	flag.DurationVar(&cfg.hold, "hold", 0, "keep running (and serving telemetry) this long after the last event")
 	flag.Parse()
@@ -86,18 +86,7 @@ func main() {
 	}
 }
 
-// controller is what the churn loop needs of whoever owns the fabric: a
-// monolithic fabric.Manager, or with -replicas a shard.Plane (quorum
-// commit, failover).
-// Events are drawn from the live controller, never from a shadow state.
-type controller interface {
-	RandomEvent(rng *rand.Rand, pJoin float64) (fabric.Event, bool)
-	RandomSwitchEvent(rng *rand.Rand, pJoin float64) (fabric.Event, bool)
-	View() *fabric.Snapshot
-	Epoch() uint64
-}
-
-// run is one nuefm invocation: build the controller, drive the churn
+// run is one nuefm invocation: build the control plane, drive the churn
 // loop through it, print one line per event and the summary.
 func run(cfg config) error {
 	if cfg.replicas < 1 {
@@ -132,9 +121,8 @@ func run(cfg config) error {
 		}
 	}
 
-	// Publishers first: the controller publishes (and a plane replicates)
-	// the initial epoch from its constructor, so the sources must exist
-	// before it does.
+	// Publishers first: the plane replicates the initial epoch from its
+	// constructor, so the sources must exist before it does.
 	var sources []*distrib.Source
 	defer func() {
 		for _, s := range sources {
@@ -152,54 +140,21 @@ func run(cfg config) error {
 		}
 	}
 
-	// apply runs one event and returns the fabric report plus, with a
-	// plane, the control-plane suffix of the per-event line.
-	var (
-		ctl     controller
-		plane   *shard.Plane
-		apply   func(fabric.Event) (*fabric.EventReport, string, error)
-		metrics func() fabric.Metrics
-	)
 	start := time.Now()
-	if cfg.replicas > 1 {
-		plane, err = shard.New(tp, shard.Options{
-			Replicas:    cfg.replicas,
-			Fabric:      opts,
-			OnReplicate: publish,
-			Telemetry:   reg.Shard(),
-		})
-		if err != nil {
-			return err
-		}
-		ctl = plane
-		apply = func(ev fabric.Event) (*fabric.EventReport, string, error) {
-			rep, err := plane.Apply(ev)
-			if err != nil {
-				return nil, "", err
-			}
-			return &rep.EventReport, fmt.Sprintf(" | term %d leader %d", rep.Term, rep.Leader), nil
-		}
-		metrics = func() fabric.Metrics { return plane.Metrics().Metrics }
-	} else {
-		opts.OnPublish = func(s *fabric.Snapshot) { publish(0, s) }
-		m, err := fabric.NewManager(tp, opts)
-		if err != nil {
-			return err
-		}
-		ctl = m
-		apply = func(ev fabric.Event) (*fabric.EventReport, string, error) {
-			rep, err := m.Apply(ev)
-			return rep, "", err
-		}
-		metrics = m.Metrics
+	plane, err := shard.New(tp, shard.Options{
+		Replicas:    cfg.replicas,
+		Fabric:      opts,
+		OnReplicate: publish,
+		Telemetry:   reg.Shard(),
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(cfg.out, "# %s: initial routing in %s (%d VCs)\n",
-		tp.Name, time.Since(start).Round(time.Millisecond), ctl.View().Result.VCs)
-	if plane != nil {
-		leader, term := plane.Leader()
-		fmt.Fprintf(cfg.out, "# control plane: %d replicas (quorum %d), leader %d term %d\n",
-			cfg.replicas, plane.Cluster().Size()/2+1, leader, term)
-	}
+		tp.Name, time.Since(start).Round(time.Millisecond), plane.View().Result.VCs)
+	leader, term := plane.Leader()
+	fmt.Fprintf(cfg.out, "# control plane: %d replicas (quorum %d), leader %d term %d\n",
+		cfg.replicas, plane.Cluster().Size()/2+1, leader, term)
 
 	var evs []fabric.Event
 	if cfg.trace != "" {
@@ -207,13 +162,20 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		evs, err = fabric.ParseTrace(f, ctl.View().Net)
+		evs, err = fabric.ParseTrace(f, plane.View().Net)
 		f.Close()
 		if err != nil {
 			return err
 		}
 	}
 
+	// The summary adds up the reports: a no-op counts only as an event
+	// and a no-op, every other report is summed.
+	var (
+		events, noops, repaired, destRoutes, rebuilds, fulls int
+		delta                                                routing.TableDelta
+		latency                                              time.Duration
+	)
 	rng := rand.New(rand.NewSource(cfg.seed + 1))
 	n := cfg.events
 	if cfg.trace != "" {
@@ -226,46 +188,59 @@ func run(cfg config) error {
 		} else {
 			var ok bool
 			if cfg.swEvery > 0 && (i+1)%cfg.swEvery == 0 {
-				ev, ok = ctl.RandomSwitchEvent(rng, cfg.pJoin)
+				ev, ok = plane.RandomSwitchEvent(rng, cfg.pJoin)
 			} else {
-				ev, ok = ctl.RandomEvent(rng, cfg.pJoin)
+				ev, ok = plane.RandomEvent(rng, cfg.pJoin)
 			}
 			if !ok {
 				fmt.Fprintln(cfg.out, "# no further churn event possible")
 				break
 			}
 		}
-		rep, suffix, err := apply(ev)
+		rep, err := plane.Apply(ev)
 		if err != nil {
 			return fmt.Errorf("event %d: %w", i, err)
 		}
-		fmt.Fprintf(cfg.out, "%s%s\n", rep, suffix)
+		fmt.Fprintf(cfg.out, "%s | term %d leader %d\n", rep, rep.Term, rep.Leader)
+		events++
+		if rep.NoOp {
+			noops++
+		} else {
+			repaired += rep.RepairedDests
+			destRoutes += rep.TotalDests
+			rebuilds += rep.LayerRebuilds
+			if rep.FullRecompute {
+				fulls++
+			}
+			delta.Changed += rep.Delta.Changed
+			delta.Added += rep.Delta.Added
+			delta.Removed += rep.Delta.Removed
+			delta.Same += rep.Delta.Same
+			latency += rep.Latency
+		}
 		if cfg.interval > 0 && i < n-1 {
 			time.Sleep(cfg.interval)
 		}
 	}
 
-	mt := metrics()
 	fmt.Fprintf(cfg.out, "# %d events (%d no-ops), %d/%d destination routes recomputed (%.1f%%), %d layer rebuilds, %d full recomputes\n",
-		mt.Events, mt.NoOps, mt.RepairedDests, mt.DestRoutes,
-		100*float64(mt.RepairedDests)/float64(max(1, mt.DestRoutes)), mt.LayerRebuilds, mt.FullRecomputes)
+		events, noops, repaired, destRoutes,
+		100*float64(repaired)/float64(max(1, destRoutes)), rebuilds, fulls)
 	fmt.Fprintf(cfg.out, "# table entries: %.1f%% unchanged across events; total event latency %s\n",
-		100*mt.Delta.UnchangedFraction(), mt.Latency.Round(time.Millisecond))
-	leader := 0
-	if plane != nil {
-		m := plane.Metrics()
-		fmt.Fprintf(cfg.out, "# control plane: %d epochs committed, %d elections, %d deposals\n",
-			m.EpochsCommitted, m.Elections, m.Deposals)
-		leader, _ = plane.Leader()
-	}
+		100*delta.UnchangedFraction(), latency.Round(time.Millisecond))
+	// Epoch 0 is the initial routing; nothing here kills a replica, so
+	// the one election at construction is the only one.
+	leader, term = plane.Leader()
+	fmt.Fprintf(cfg.out, "# control plane: %d epochs committed, leader %d term %d\n",
+		plane.Epoch()+1, leader, term)
 	if leader >= 0 && leader < len(sources) {
 		// Give connected agents a chance to catch up, then report the
 		// fleet state as the leader's publisher sees it.
 		src := sources[leader]
-		src.WaitConverged(ctl.Epoch(), 10*time.Second)
+		src.WaitConverged(plane.Epoch(), 10*time.Second)
 		if e, ok := src.FleetEpoch(); ok {
 			fmt.Fprintf(cfg.out, "# fleet: committed epoch %d (source epoch %d), %d quarantined\n",
-				e, ctl.Epoch(), len(src.Quarantined()))
+				e, plane.Epoch(), len(src.Quarantined()))
 		} else {
 			fmt.Fprintln(cfg.out, "# fleet: no epoch committed")
 		}
@@ -277,10 +252,9 @@ func run(cfg config) error {
 	return nil
 }
 
-// serveReplicas starts one distribution publisher per replica (one, for
-// the monolithic manager), so a nueagent fleet pointed at the full
-// address list (comma-separated -connect) fails over between publishers
-// when one dies. The -serve port seeds consecutive ports (:9411 -> :9411,
+// serveReplicas starts one distribution publisher per replica, so a
+// nueagent fleet pointed at the full address list (comma-separated
+// -connect) fails over between publishers when one dies. The -serve port seeds consecutive ports (:9411 -> :9411,
 // :9412, ...); port 0 asks the kernel for an ephemeral port per replica.
 // On error the publishers already started are closed.
 func serveReplicas(cfg config, reg *telemetry.Registry) ([]*distrib.Source, error) {

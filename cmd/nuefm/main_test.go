@@ -10,10 +10,11 @@ import (
 )
 
 // TestRunSmoke drives the whole binary short of flag parsing and
-// listeners: three churn events through the monolithic manager, through
-// a replicated plane, and through the -full baseline. All share
-// the per-event line and the summary; only the plane prints control-plane
-// lines. Events are drawn from the live controller, so one seed gives the
+// listeners: three churn events through a one-replica plane, a
+// three-replica plane, and the -full baseline. Every replica count runs
+// the same control plane, so all print the per-event line with its
+// ` | term 1 leader 0` suffix, the summary and the control-plane lines.
+// Events are drawn from the live plane, so one seed gives the
 // incremental and the -full run the same stream — what makes the two
 // invocations a like-for-like comparison.
 func TestRunSmoke(t *testing.T) {
@@ -57,10 +58,11 @@ func TestRunSmoke(t *testing.T) {
 			if !strings.Contains(got, "# 3 events (0 no-ops)") {
 				t.Errorf("no summary of 3 events:\n%s", got)
 			}
-			plane := c.replicas > 1
-			if strings.Contains(got, "# control plane: 4 epochs committed") != plane ||
-				strings.Contains(got, " | term 1 leader 0") != plane {
-				t.Errorf("control-plane lines with plane=%v:\n%s", plane, got)
+			head := fmt.Sprintf("# control plane: %d replicas (quorum %d), leader 0 term 1\n", c.replicas, c.replicas/2+1)
+			if !strings.Contains(got, head) ||
+				!strings.Contains(got, "# control plane: 4 epochs committed, leader 0 term 1\n") ||
+				strings.Count(got, " | term 1 leader 0\n") != 3 {
+				t.Errorf("control-plane lines with %d replicas:\n%s", c.replicas, got)
 			}
 		})
 	}

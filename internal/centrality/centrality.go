@@ -340,16 +340,10 @@ func (w *scratch) oneSource(sg *subgraph, src int32) {
 // centrality within the induced subgraph, breaking ties toward switches
 // first and then toward lower IDs. If sub is empty it returns NoNode.
 func MostCentral(g *graph.Network, sub []graph.NodeID) graph.NodeID {
-	return MostCentralN(g, sub, 1)
-}
-
-// MostCentralN is MostCentral with the betweenness computed by the given
-// number of workers; the choice is identical for every worker count.
-func MostCentralN(g *graph.Network, sub []graph.NodeID, workers int) graph.NodeID {
 	if len(sub) == 0 {
 		return graph.NoNode
 	}
-	cb := BetweennessN(g, sub, workers)
+	cb := BetweennessN(g, sub, 1)
 	best := sub[0]
 	for _, n := range sub[1:] {
 		if better(g, cb[n], cb[best], n, best) {
@@ -372,16 +366,12 @@ func better(g *graph.Network, ca, cb float64, a, b graph.NodeID) bool {
 	return a < b
 }
 
-// RootForDestinations computes the escape-path root for a destination set
-// (§4.3): the most central node of the convex subgraph of the
-// destinations. This is the composition Nue uses per virtual layer.
-func RootForDestinations(g *graph.Network, dests []graph.NodeID) graph.NodeID {
-	return RootForDestinationsN(g, dests, 1)
-}
-
-// RootForDestinationsN is RootForDestinations with a parallel betweenness
-// pass; the root choice is identical for every worker count. With one
-// worker it allocates nothing once its scratch is warm.
+// RootForDestinationsN computes the escape-path root for a destination
+// set (§4.3): the most central node of the convex subgraph of the
+// destinations, the composition Nue uses per virtual layer. The
+// betweenness pass runs on the given number of workers; the root choice
+// is identical for every worker count. With one worker it allocates
+// nothing once its scratch is warm.
 func RootForDestinationsN(g *graph.Network, dests []graph.NodeID, workers int) graph.NodeID {
 	sc := scratches.Get()
 	defer scratches.Put(sc)

@@ -131,7 +131,7 @@ func TestRootForDestinationsFig5(t *testing.T) {
 	// root must lie in the convex subgraph {n1,n2,n3,n5} and must not be
 	// the peripheral n4.
 	g := topology.RingWithShortcut().Net
-	root := RootForDestinations(g, []graph.NodeID{0, 1, 2})
+	root := RootForDestinationsN(g, []graph.NodeID{0, 1, 2}, 1)
 	if root == 3 {
 		t.Error("root = n4, which is outside the convex subgraph")
 	}
@@ -147,7 +147,7 @@ func TestRootForDestinationsTorusCenter(t *testing.T) {
 	tp := topology.Torus3D(3, 3, 3, 2, 1)
 	g := tp.Net
 	dests := g.Terminals()[:10]
-	root := RootForDestinations(g, dests)
+	root := RootForDestinationsN(g, dests, 1)
 	if root == graph.NoNode {
 		t.Fatal("no root found")
 	}

@@ -46,7 +46,6 @@ func TestEscapeFallbackStillVerifies(t *testing.T) {
 	tp := topology.Kautz(3, 3, 1, 1) // strongly cyclic, hard at k=1
 	opts := DefaultOptions()
 	opts.Backtracking = false
-	opts.Shortcuts = false
 	res, err := New(opts).Route(tp.Net, tp.Net.Terminals(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +58,33 @@ func TestEscapeFallbackStillVerifies(t *testing.T) {
 		t.Fatal("not deadlock free")
 	}
 	t.Logf("escape fallbacks: %g of %d destinations", res.Stats["escape_fallbacks"], tp.Net.NumTerminals())
+}
+
+// TestNoShortcutsWithoutBacktracking: the §4.6.3 shortcuts need no switch
+// of their own. Without backtracking, nodes settle in non-decreasing
+// distance and every channel weight is at least 1, so a settled node is
+// never offered a shorter distance and no shortcut is ever taken — on
+// the no-backtracking fixtures of the tests above and of the ablation
+// experiment.
+func TestNoShortcutsWithoutBacktracking(t *testing.T) {
+	for _, c := range []struct {
+		tp  *topology.Topology
+		vcs int
+	}{
+		{topology.Kautz(3, 3, 1, 1), 1},
+		{topology.Torus3D(3, 3, 3, 2, 1), 1},
+		{topology.RandomTopology(rand.New(rand.NewSource(0)), 100, 800, 4), 2},
+	} {
+		opts := DefaultOptions()
+		opts.Backtracking = false
+		res, err := New(opts).Route(c.tp.Net, c.tp.Net.Terminals(), c.vcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats["shortcut_takes"]; got != 0 {
+			t.Errorf("%s: %g shortcuts taken without backtracking", c.tp.Name, got)
+		}
+	}
 }
 
 // TestBacktrackingReducesFallbacks: §4.6.2's motivation — with local
@@ -74,7 +100,6 @@ func TestBacktrackingReducesFallbacks(t *testing.T) {
 	}
 	without := DefaultOptions()
 	without.Backtracking = false
-	without.Shortcuts = false
 	withoutRes, err := New(without).Route(tp.Net, dests, 1)
 	if err != nil {
 		t.Fatal(err)

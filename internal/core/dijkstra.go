@@ -255,11 +255,9 @@ func (ls *layerState) relaxFrom(cp graph.ChannelID) {
 func (ls *layerState) tryAccept(cp graph.ChannelID, e int32, cq graph.ChannelID) bool {
 	v := ls.csr.To[cq]
 	nd := ls.chDist[cp] + ls.weight[cq]
+	// Without backtracking this also keeps settled nodes final: they pop
+	// in non-decreasing distance and every weight is at least 1.
 	if nd >= ls.nodeDist[v] {
-		return false
-	}
-	if ls.popped[v] && !ls.opts.Shortcuts {
-		// Without the §4.6.3 optimization, settled nodes are final.
 		return false
 	}
 	if !ls.d.TryUseEdgeByID(e, cp, cq) {

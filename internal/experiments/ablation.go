@@ -50,7 +50,7 @@ func Ablation(cfg AblationConfig) []AblationRow {
 		{"default", func(o *core.Options) {}},
 		{"random-root", func(o *core.Options) { o.CentralRoot = false }},
 		{"random-partition", func(o *core.Options) { o.Partition = partition.Random }},
-		{"no-backtracking", func(o *core.Options) { o.Backtracking = false; o.Shortcuts = false }},
+		{"no-backtracking", func(o *core.Options) { o.Backtracking = false }},
 		{"naive-cycle-search", func(o *core.Options) { o.NaiveCycleSearch = true }},
 	}
 	rows := make([]AblationRow, len(variants))

@@ -22,26 +22,22 @@ import (
 	"repro/internal/topology"
 )
 
+// The frontier's fabrics are laptop-sized.
+const (
+	meshSwitches        = 8       // full-mesh fabrics
+	gridX, gridY, gridZ = 4, 4, 2 // torus and mesh grids
+	failFraction        = 0.08    // degrades one instance of each family
+)
+
 // FrontierConfig parameterizes the frontier comparison.
 type FrontierConfig struct {
-	// MeshSwitches sizes the full-mesh fabrics.
-	MeshSwitches int
-	// TorusDims sizes the torus and mesh grids.
-	TorusDims [3]int
-	// FailFraction degrades one instance of each family.
-	FailFraction float64
-	Seed         int64
-	Workers      int
+	Seed    int64
+	Workers int
 }
 
-// DefaultFrontierConfig returns laptop-sized parameters.
+// DefaultFrontierConfig returns the default seed.
 func DefaultFrontierConfig() FrontierConfig {
-	return FrontierConfig{
-		MeshSwitches: 8,
-		TorusDims:    [3]int{4, 4, 2},
-		FailFraction: 0.08,
-		Seed:         1,
-	}
+	return FrontierConfig{Seed: 1}
 }
 
 // FrontierRow is one (topology, engine) cell of the comparison.
@@ -65,13 +61,12 @@ type FrontierRow struct {
 // Nue at the specialist's claimed budget.
 func Frontier(cfg FrontierConfig) ([]FrontierRow, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	d := cfg.TorusDims
-	fullmeshTp := topology.FullMesh(cfg.MeshSwitches, 1)
-	dfgroupTp := topology.DragonflyGroup(cfg.MeshSwitches, 1)
-	degMesh, _ := topology.InjectLinkFailures(topology.FullMesh(cfg.MeshSwitches, 1), rng, cfg.FailFraction)
-	torusTp := topology.Torus3D(d[0], d[1], d[2], 1, 1)
-	degTorus, _ := topology.InjectLinkFailures(topology.Torus3D(d[0], d[1], d[2], 1, 1), rng, cfg.FailFraction)
-	meshTp := topology.Mesh3D(d[0], d[1], d[2], 1, 1)
+	fullmeshTp := topology.FullMesh(meshSwitches, 1)
+	dfgroupTp := topology.DragonflyGroup(meshSwitches, 1)
+	degMesh, _ := topology.InjectLinkFailures(topology.FullMesh(meshSwitches, 1), rng, failFraction)
+	torusTp := topology.Torus3D(gridX, gridY, gridZ, 1, 1)
+	degTorus, _ := topology.InjectLinkFailures(topology.Torus3D(gridX, gridY, gridZ, 1, 1), rng, failFraction)
+	meshTp := topology.Mesh3D(gridX, gridY, gridZ, 1, 1)
 
 	var rows []FrontierRow
 	for _, tc := range []struct {

@@ -69,7 +69,6 @@ func (m *Manager) ApplyGated(ev Event, gate Gate) (*EventReport, error) {
 	if len(changed) == 0 {
 		report.NoOp = true
 		report.Latency = time.Since(start)
-		m.metrics.add(report)
 		recordEvent(m.opts.Telemetry, report, nil)
 		return report, nil
 	}
@@ -100,7 +99,6 @@ func (m *Manager) ApplyGated(ev Event, gate Gate) (*EventReport, error) {
 	if m.opts.OnPublish != nil {
 		m.opts.OnPublish(snap)
 	}
-	m.metrics.add(report)
 	recordEvent(m.opts.Telemetry, report, nil)
 	return report, nil
 }

@@ -109,9 +109,11 @@ type Snapshot struct {
 //
 // The manager is the only owner of the epoch: the State (mutable
 // topology bookkeeping), the runner (the repair computation and its
-// escape-root cache), the published snapshot pointer, the lifetime Metrics and the telemetry bundle live here and
-// nowhere else, and ApplyGated is the only code that runs the epoch
-// transaction. The replicated control plane (internal/shard) composes a
+// escape-root cache), the published snapshot pointer and the telemetry
+// bundle live here and nowhere else, and ApplyGated is the only code
+// that runs the epoch transaction. Each epoch's record is the
+// EventReport it returns; the telemetry counters are sums of those
+// reports. The replicated control plane (internal/shard) composes a
 // Manager — literally: it holds one and passes in what is its own, a
 // pre-publication Gate (quorum commit, which can veto an epoch but not
 // replace it) — so replicated and monolithic tables are digest-equal
@@ -122,10 +124,9 @@ type Manager struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	mu      sync.Mutex // guards everything below; serializes Apply
-	st      *State
-	run     *runner
-	metrics Metrics
+	mu  sync.Mutex // guards everything below; serializes Apply
+	st  *State
+	run *runner
 }
 
 // NewManager routes the topology from scratch and starts managing it.
@@ -181,8 +182,8 @@ func (m *Manager) initialEpoch() (*Snapshot, error) {
 // leader does after failover: the state is rebuilt from the epoch's
 // network and the replicated bookkeeping maps (see
 // Candidate.Bookkeeping), and the runner is replaced by a fresh one, so
-// escape-root caches start cold. Lifetime metrics carry over; nothing is
-// published (the epoch already was).
+// escape-root caches start cold. Nothing is published (the epoch
+// already was).
 func (m *Manager) Restore(snap *Snapshot, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -218,11 +219,4 @@ func (m *Manager) NextHop(n, d graph.NodeID) graph.ChannelID {
 func (m *Manager) Path(src, dst graph.NodeID) ([]graph.ChannelID, error) {
 	snap := m.snap.Load()
 	return routing.Walk(snap.Net, snap.Result, src, dst, nil)
-}
-
-// Metrics returns a copy of the lifetime aggregate metrics.
-func (m *Manager) Metrics() Metrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.metrics
 }

@@ -72,30 +72,12 @@ func (r *EventReport) String() string {
 		r.Delta.UnchangedFraction()*100, r.Latency.Round(time.Microsecond))
 }
 
-// Metrics aggregates EventReports over a manager's lifetime.
-type Metrics struct {
-	// Events counts Apply calls; NoOps those that changed nothing.
-	Events, NoOps int
-	// RepairedDests sums repaired destinations; DestRoutes sums
-	// TotalDests, so RepairedDests/DestRoutes is the fraction of path
-	// computations an equivalent full-recompute manager would have done.
-	RepairedDests, DestRoutes int
-	// LayerRebuilds and FullRecomputes count repair fallbacks.
-	LayerRebuilds, FullRecomputes int
-	// RootsReused counts layer repairs served from the escape-root cache.
-	RootsReused int
-	// Delta accumulates per-event table deltas.
-	Delta routing.TableDelta
-	// Latency sums EventReport.Latency.
-	Latency time.Duration
-}
-
-// record publishes one event's outcome into the telemetry bundle.
-// Counter semantics mirror Metrics.add exactly, so the lifetime
-// aggregates and the scrapeable counters can be cross-checked (the
-// telemetry-consistency tests pin fabric_events_applied_total +
-// fabric_events_noop_total == Metrics.Events and
-// fabric_repaired_dests_total == Metrics.RepairedDests). Nil-safe.
+// recordEvent publishes one event's outcome into the telemetry bundle.
+// The report is the epoch's record; the counters are sums of the
+// reports (a no-op counts only in fabric_events_noop_total, a failed
+// event only in fabric_events_failed_total), so they can be cross-checked
+// against the reports a caller received (the telemetry-consistency
+// tests). Nil-safe.
 func recordEvent(tm *telemetry.FabricMetrics, r *EventReport, err error) {
 	if tm == nil {
 		return
@@ -137,25 +119,4 @@ func recordEvent(tm *telemetry.FabricMetrics, r *EventReport, err error) {
 		"full_recompute": full,
 		"latency_ns":     r.Latency.Nanoseconds(),
 	})
-}
-
-// add folds one event report into the lifetime aggregates.
-func (m *Metrics) add(r *EventReport) {
-	m.Events++
-	if r.NoOp {
-		m.NoOps++
-		return
-	}
-	m.RepairedDests += r.RepairedDests
-	m.DestRoutes += r.TotalDests
-	m.LayerRebuilds += r.LayerRebuilds
-	m.RootsReused += r.RootsReused
-	if r.FullRecompute {
-		m.FullRecomputes++
-	}
-	m.Delta.Changed += r.Delta.Changed
-	m.Delta.Added += r.Delta.Added
-	m.Delta.Removed += r.Delta.Removed
-	m.Delta.Same += r.Delta.Same
-	m.Latency += r.Latency
 }

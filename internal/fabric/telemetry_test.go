@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -10,8 +11,8 @@ import (
 
 // TestFabricTelemetryConsistency drives random churn through an
 // instrumented manager and cross-checks the scrapeable counters against
-// the manager's own lifetime Metrics and the per-event reports — the
-// telemetry must agree with the source-of-truth accounting it mirrors.
+// sums of the per-event reports — the telemetry must agree with the
+// records it adds up.
 func TestFabricTelemetryConsistency(t *testing.T) {
 	reg := telemetry.New()
 	m, err := NewManager(topology.Torus3D(4, 4, 4, 1, 1), Options{
@@ -27,8 +28,8 @@ func TestFabricTelemetryConsistency(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	const events = 20
-	var repaired, unreachable, latencySum, repairSum, certifySum int64
-	applied := 0
+	var repaired, unreachable, rebuilds, fulls, changed, latencySum, repairSum, certifySum int64
+	applied, noops := 0, 0
 	for i := 0; i < events; i++ {
 		ev, ok := m.RandomEvent(rng, 0.3)
 		if !ok {
@@ -38,10 +39,17 @@ func TestFabricTelemetryConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("event %d (%s): %v", i, ev, err)
 		}
-		if !rep.NoOp {
+		if rep.NoOp {
+			noops++
+		} else {
 			applied++
 			repaired += int64(rep.RepairedDests)
 			unreachable += int64(rep.UnreachableDests)
+			rebuilds += int64(rep.LayerRebuilds)
+			if rep.FullRecompute {
+				fulls++
+			}
+			changed += int64(rep.Delta.Changed)
 			latencySum += rep.Latency.Nanoseconds()
 			repairSum += rep.RepairTime.Nanoseconds()
 			certifySum += rep.CertifyTime.Nanoseconds()
@@ -52,33 +60,25 @@ func TestFabricTelemetryConsistency(t *testing.T) {
 		}
 	}
 
-	mt := m.Metrics()
 	s := reg.Snapshot()
 
-	// The applied + no-op counters partition Metrics.Events.
-	if got := s.Counters["fabric_events_applied_total"] + s.Counters["fabric_events_noop_total"]; got != int64(mt.Events) {
-		t.Errorf("applied+noop = %d, want Metrics.Events = %d", got, mt.Events)
+	// The applied and no-op counters partition the events.
+	for name, want := range map[string]int64{
+		"fabric_events_applied_total":        int64(applied),
+		"fabric_events_noop_total":           int64(noops),
+		"fabric_events_failed_total":         0,
+		"fabric_repaired_dests_total":        repaired,
+		"fabric_unreachable_dests_total":     unreachable,
+		"fabric_layer_rebuilds_total":        rebuilds,
+		"fabric_full_recomputes_total":       fulls,
+		"fabric_table_entries_changed_total": changed,
+	} {
+		if got := s.Counters[name]; got != want {
+			t.Errorf("%s = %d, want per-report sum %d", name, got, want)
+		}
 	}
-	if got := s.Counters["fabric_events_applied_total"]; got != int64(applied) {
-		t.Errorf("fabric_events_applied_total = %d, want %d", got, applied)
-	}
-	if got := s.Counters["fabric_repaired_dests_total"]; got != int64(mt.RepairedDests) {
-		t.Errorf("fabric_repaired_dests_total = %d, want Metrics.RepairedDests = %d", got, mt.RepairedDests)
-	}
-	if got := s.Counters["fabric_repaired_dests_total"]; got != repaired {
-		t.Errorf("fabric_repaired_dests_total = %d, want per-report sum %d", got, repaired)
-	}
-	if got := s.Counters["fabric_unreachable_dests_total"]; got != unreachable {
-		t.Errorf("fabric_unreachable_dests_total = %d, want %d", got, unreachable)
-	}
-	if got := s.Counters["fabric_layer_rebuilds_total"]; got != int64(mt.LayerRebuilds) {
-		t.Errorf("fabric_layer_rebuilds_total = %d, want %d", got, mt.LayerRebuilds)
-	}
-	if got := s.Counters["fabric_full_recomputes_total"]; got != int64(mt.FullRecomputes) {
-		t.Errorf("fabric_full_recomputes_total = %d, want %d", got, mt.FullRecomputes)
-	}
-	if got := s.Counters["fabric_table_entries_changed_total"]; got != int64(mt.Delta.Changed) {
-		t.Errorf("fabric_table_entries_changed_total = %d, want %d", got, mt.Delta.Changed)
+	if applied+noops != events {
+		t.Errorf("%d applied + %d no-op reports, want %d events", applied, noops, events)
 	}
 
 	// The epoch gauge mirrors the published snapshot version, which
@@ -135,10 +135,10 @@ func TestFabricTelemetryConsistency(t *testing.T) {
 }
 
 // TestFabricTelemetryOffIsIdentical: an uninstrumented manager must
-// behave identically (same epochs, same repair metrics) — the nil bundle
+// behave identically (same epochs, same reports) — the nil bundle
 // records nothing and changes nothing.
 func TestFabricTelemetryOffIsIdentical(t *testing.T) {
-	run := func(reg *telemetry.Registry) (Metrics, uint64) {
+	run := func(reg *telemetry.Registry) ([]EventReport, uint64) {
 		m, err := NewManager(topology.Torus3D(4, 4, 4, 1, 1), Options{
 			MaxVCs:          4,
 			Seed:            1,
@@ -149,24 +149,29 @@ func TestFabricTelemetryOffIsIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(3))
+		var reports []EventReport
 		for i := 0; i < 12; i++ {
 			ev, ok := m.RandomEvent(rng, 0.3)
 			if !ok {
 				t.Fatalf("event %d: no churn event possible", i)
 			}
-			if _, err := m.Apply(ev); err != nil {
+			rep, err := m.Apply(ev)
+			if err != nil {
 				t.Fatalf("event %d: %v", i, err)
 			}
+			// The times are wall clock and vary run to run; everything
+			// else is deterministic and must match exactly.
+			rep.Latency, rep.RepairTime, rep.CertifyTime = 0, 0, 0
+			reports = append(reports, *rep)
 		}
-		return m.Metrics(), m.Epoch()
+		return reports, m.Epoch()
 	}
-	offMetrics, offEpoch := run(nil)
-	onMetrics, onEpoch := run(telemetry.New())
-	// Latency is wall clock and varies run to run; everything else is
-	// deterministic and must match exactly.
-	offMetrics.Latency, onMetrics.Latency = 0, 0
-	if offMetrics != onMetrics {
-		t.Errorf("metrics diverge: off %+v, on %+v", offMetrics, onMetrics)
+	offReports, offEpoch := run(nil)
+	onReports, onEpoch := run(telemetry.New())
+	for i := range offReports {
+		if !reflect.DeepEqual(offReports[i], onReports[i]) {
+			t.Errorf("event %d reports diverge: off %+v, on %+v", i, offReports[i], onReports[i])
+		}
 	}
 	if offEpoch != onEpoch {
 		t.Errorf("epochs diverge: off %d, on %d", offEpoch, onEpoch)

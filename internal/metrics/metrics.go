@@ -29,8 +29,8 @@ type PathStats struct {
 }
 
 // EdgeForwardingIndex computes γ over the inter-switch channels for
-// traffic from sources (nil = connected terminals) to the table's
-// destinations.
+// traffic from sources (nil = connected terminals, or connected nodes
+// when the network has none) to the table's destinations.
 func EdgeForwardingIndex(net *graph.Network, res *routing.Result, sources []graph.NodeID) Gamma {
 	counts := channelLoads(net, res, sources)
 	var g Gamma
@@ -102,7 +102,7 @@ func channelLoads(net *graph.Network, res *routing.Result, sources []graph.NodeI
 // reused between calls.
 func forEachPath(net *graph.Network, res *routing.Result, sources []graph.NodeID, fn func(p []graph.ChannelID)) {
 	if sources == nil {
-		sources = connectedTerminals(net)
+		sources = defaultSources(net)
 	}
 	var buf []graph.ChannelID
 	for _, d := range res.Table.Dests() {
@@ -121,11 +121,15 @@ func forEachPath(net *graph.Network, res *routing.Result, sources []graph.NodeID
 	}
 }
 
-func connectedTerminals(net *graph.Network) []graph.NodeID {
+// defaultSources is the repository's source convention: connected
+// terminals, or connected nodes when the network has no terminals.
+func defaultSources(net *graph.Network) []graph.NodeID {
 	var out []graph.NodeID
-	for _, t := range net.Terminals() {
-		if net.Degree(t) > 0 {
-			out = append(out, t)
+	all := net.NumTerminals() == 0
+	for n := 0; n < net.NumNodes(); n++ {
+		id := graph.NodeID(n)
+		if (all || net.IsTerminal(id)) && net.Degree(id) > 0 {
+			out = append(out, id)
 		}
 	}
 	return out

@@ -111,3 +111,20 @@ func TestPathLengthsUnreachable(t *testing.T) {
 		t.Errorf("Max = %d, want 4", st.Max)
 	}
 }
+
+// TestTerminalFreeFabric: with no terminals, the default sources are the
+// connected switches, as in verify and oracle — a switch-routed ring has
+// paths and loaded channels, not an empty metric suite.
+func TestTerminalFreeFabric(t *testing.T) {
+	g := topology.Ring(6, 0).Net
+	res, err := core.New(core.DefaultOptions()).Route(g, g.Switches(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := PathLengths(g, res, nil); st.Max != 4 {
+		t.Errorf("PathLengths.Max = %d, want 4", st.Max)
+	}
+	if gamma := EdgeForwardingIndex(g, res, nil); gamma.Max <= 0 {
+		t.Errorf("EdgeForwardingIndex.Max = %d, want > 0", gamma.Max)
+	}
+}

@@ -1,7 +1,6 @@
 // Package partition provides the destination-partitioning strategies of
 // Nue routing (§4.5): a simplified multilevel k-way partitioner in the
-// spirit of Karypis/Kumar, a random partitioner, and partial clustering
-// (terminals follow their switch). Partitions split a destination set into
+// spirit of Karypis/Kumar and a random partitioner. Partitions split a destination set into
 // k disjoint, balanced, non-empty subsets; each subset becomes the
 // destination set of one virtual layer.
 package partition
@@ -10,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/freelist"
 	"repro/internal/graph"
@@ -25,18 +23,15 @@ const (
 	MultilevelKWay Strategy = "kway"
 	// Random assigns destinations to subsets uniformly at random.
 	Random Strategy = "random"
-	// Clustered keeps all terminals of one switch in the same subset.
-	Clustered Strategy = "cluster"
 )
 
 // Split partitions dests into k subsets using the given strategy. Every
 // subset is non-empty provided k <= len(dests); subset sizes differ by at
-// most one for Random and MultilevelKWay (Clustered balances at switch
-// granularity). The rng drives tie-breaking and must be non-nil. A k below
-// 1, an empty dests and an unknown strategy are errors.
+// most one. The rng drives tie-breaking and must be non-nil. A k below 1,
+// an empty dests and an unknown strategy are errors.
 func Split(g *graph.Network, dests []graph.NodeID, k int, s Strategy, rng *rand.Rand) ([][]graph.NodeID, error) {
 	switch s {
-	case Random, Clustered, MultilevelKWay:
+	case Random, MultilevelKWay:
 	default:
 		return nil, fmt.Errorf("partition: unknown strategy %q", s)
 	}
@@ -55,9 +50,6 @@ func Split(g *graph.Network, dests []graph.NodeID, k int, s Strategy, rng *rand.
 	}
 	ws := workspaces.Get()
 	defer workspaces.Put(ws)
-	if s == Clustered {
-		return ws.clusteredSplit(g, dests, k, rng), nil
-	}
 	return ws.kwaySplit(g, dests, k, rng), nil
 }
 
@@ -68,41 +60,6 @@ func randomSplit(dests []graph.NodeID, k int, rng *rand.Rand) [][]graph.NodeID {
 		parts[i%k] = append(parts[i%k], dests[p])
 	}
 	return parts
-}
-
-// clusteredSplit groups destinations by attachment switch (terminals) or
-// by themselves (switch destinations), then deals whole groups round-robin
-// into the least-loaded subset.
-func (ws *workspace) clusteredSplit(g *graph.Network, dests []graph.NodeID, k int, rng *rand.Rand) [][]graph.NodeID {
-	groups := make(map[graph.NodeID][]graph.NodeID)
-	for _, d := range dests {
-		key := d
-		if g.IsTerminal(d) && g.Degree(d) > 0 {
-			key = g.TerminalSwitch(d)
-		}
-		groups[key] = append(groups[key], d)
-	}
-	keys := make([]graph.NodeID, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	sets := ws.sets.reset(k)
-	for _, key := range keys {
-		// Least-loaded subset gets the next group.
-		best := 0
-		for i := 1; i < k; i++ {
-			if len(sets.set[i]) < len(sets.set[best]) {
-				best = i
-			}
-		}
-		for _, d := range groups[key] {
-			sets.push(best, d)
-		}
-	}
-	sets.fixEmpty()
-	return sets.parts()
 }
 
 // kwaySplit implements a simplified multilevel k-way partitioning of the

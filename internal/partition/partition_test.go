@@ -124,7 +124,7 @@ func TestSplitMatchesReference(t *testing.T) {
 	for _, f := range splitFabrics() {
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
-			for _, s := range []Strategy{MultilevelKWay, Random, Clustered} {
+			for _, s := range []Strategy{MultilevelKWay, Random} {
 				for _, k := range []int{2, 3, 4, 8} {
 					for seed := int64(1); seed <= 50; seed++ {
 						set := int(seed) % len(f.dests)
@@ -163,7 +163,7 @@ func TestSplitAllocs(t *testing.T) {
 	}
 }
 
-func checkPartition(t *testing.T, dests []graph.NodeID, parts [][]graph.NodeID, k int, balanced bool) {
+func checkPartition(t *testing.T, dests []graph.NodeID, parts [][]graph.NodeID, k int) {
 	t.Helper()
 	if len(parts) != k {
 		t.Fatalf("got %d parts, want %d", len(parts), k)
@@ -188,19 +188,17 @@ func checkPartition(t *testing.T, dests []graph.NodeID, parts [][]graph.NodeID, 
 			t.Errorf("destination %d missing from partition", d)
 		}
 	}
-	if balanced {
-		min, max := len(dests), 0
-		for _, p := range parts {
-			if len(p) < min {
-				min = len(p)
-			}
-			if len(p) > max {
-				max = len(p)
-			}
+	min, max := len(dests), 0
+	for _, p := range parts {
+		if len(p) < min {
+			min = len(p)
 		}
-		if max-min > 1 {
-			t.Errorf("imbalanced partition: min %d, max %d", min, max)
+		if len(p) > max {
+			max = len(p)
 		}
+	}
+	if max-min > 1 {
+		t.Errorf("imbalanced partition: min %d, max %d", min, max)
 	}
 }
 
@@ -209,11 +207,11 @@ func TestSplitStrategies(t *testing.T) {
 	g := tp.Net
 	dests := g.Terminals()
 	for _, k := range []int{1, 2, 3, 8} {
-		for _, s := range []Strategy{Random, Clustered, MultilevelKWay} {
+		for _, s := range []Strategy{Random, MultilevelKWay} {
 			t.Run(string(s), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(5))
 				parts := mustSplit(t, g, dests, k, s, rng)
-				checkPartition(t, dests, parts, k, s != Clustered)
+				checkPartition(t, dests, parts, k)
 			})
 		}
 	}
@@ -235,31 +233,7 @@ func TestSplitKLargerThanDests(t *testing.T) {
 	if len(parts) != 3 {
 		t.Fatalf("k clamped to %d, want 3", len(parts))
 	}
-	checkPartition(t, dests, parts, 3, true)
-}
-
-func TestClusteredKeepsSwitchTerminalsTogether(t *testing.T) {
-	tp := topology.Ring(8, 4)
-	g := tp.Net
-	dests := g.Terminals()
-	parts := mustSplit(t, g, dests, 4, Clustered, rand.New(rand.NewSource(2)))
-	partOf := make(map[graph.NodeID]int)
-	for i, p := range parts {
-		for _, n := range p {
-			partOf[n] = i
-		}
-	}
-	bySwitch := make(map[graph.NodeID]int)
-	for _, d := range dests {
-		sw := g.TerminalSwitch(d)
-		if p, ok := bySwitch[sw]; ok {
-			if p != partOf[d] {
-				t.Errorf("terminals of switch %d split across parts %d and %d", sw, p, partOf[d])
-			}
-		} else {
-			bySwitch[sw] = partOf[d]
-		}
-	}
+	checkPartition(t, dests, parts, 3)
 }
 
 func TestKWayLocality(t *testing.T) {

@@ -14,8 +14,7 @@ import (
 
 // referenceSplit partitions dests into k subsets using the given strategy. Every
 // subset is non-empty provided k <= len(dests); subset sizes differ by at
-// most one for Random and MultilevelKWay (Clustered balances at switch
-// granularity). The rng drives tie-breaking and must be non-nil.
+// most one. The rng drives tie-breaking and must be non-nil.
 func referenceSplit(g *graph.Network, dests []graph.NodeID, k int, s Strategy, rng *rand.Rand) [][]graph.NodeID {
 	if k < 1 {
 		panic("partition: k must be >= 1")
@@ -29,8 +28,6 @@ func referenceSplit(g *graph.Network, dests []graph.NodeID, k int, s Strategy, r
 	switch s {
 	case Random:
 		return refRandomSplit(dests, k, rng)
-	case Clustered:
-		return refClusteredSplit(g, dests, k, rng)
 	case MultilevelKWay:
 		return refKwaySplit(g, dests, k, rng)
 	default:
@@ -45,38 +42,6 @@ func refRandomSplit(dests []graph.NodeID, k int, rng *rand.Rand) [][]graph.NodeI
 		parts[i%k] = append(parts[i%k], dests[p])
 	}
 	return parts
-}
-
-// refClusteredSplit groups destinations by attachment switch (terminals) or
-// by themselves (switch destinations), then deals whole groups round-robin
-// into the least-loaded subset.
-func refClusteredSplit(g *graph.Network, dests []graph.NodeID, k int, rng *rand.Rand) [][]graph.NodeID {
-	groups := make(map[graph.NodeID][]graph.NodeID)
-	for _, d := range dests {
-		key := d
-		if g.IsTerminal(d) && g.Degree(d) > 0 {
-			key = g.TerminalSwitch(d)
-		}
-		groups[key] = append(groups[key], d)
-	}
-	keys := make([]graph.NodeID, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	parts := make([][]graph.NodeID, k)
-	for _, key := range keys {
-		// Least-loaded subset gets the next group.
-		best := 0
-		for i := 1; i < k; i++ {
-			if len(parts[i]) < len(parts[best]) {
-				best = i
-			}
-		}
-		parts[best] = append(parts[best], groups[key]...)
-	}
-	return refFixEmpty(parts)
 }
 
 // refKwaySplit implements a simplified multilevel k-way partitioning of the

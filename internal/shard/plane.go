@@ -77,14 +77,6 @@ type Report struct {
 	SeamDrain bool
 }
 
-// Metrics aggregates a plane's lifetime, extending the fabric repair
-// aggregates with control-plane counters.
-type Metrics struct {
-	fabric.Metrics
-	EpochsCommitted, Deposals int
-	Elections                 int
-}
-
 // Plane is a replicated fabric control plane. It exposes the same
 // Apply/View/Epoch surface as fabric.Manager because it holds one: the
 // manager runs the epoch transaction, the plane supplies what is its own,
@@ -93,15 +85,14 @@ type Metrics struct {
 type Plane struct {
 	opts    Options
 	cluster *Cluster
-	// mgr owns state, runner, snapshot and fabric metrics. It is never
+	// mgr owns state, runner, snapshot and fabric telemetry. It is never
 	// handed out: a plane's epochs only go through its gate, so the
 	// ungated Manager.Apply must stay unreachable.
 	mgr *fabric.Manager
 
-	mu      sync.Mutex // serializes Apply/Failover; guards below
-	leader  int        // current leader replica, -1 when none
-	term    uint64
-	metrics Metrics // control-plane counters; the embedded fabric.Metrics is the manager's
+	mu     sync.Mutex // serializes Apply/Failover; guards below
+	leader int        // current leader replica, -1 when none
+	term   uint64
 
 	// beforeCommit, when non-nil, runs after the repair computation and
 	// before the quorum append — the hook failover tests use to kill the
@@ -126,7 +117,6 @@ func New(tp *topology.Topology, opts Options) (*Plane, error) {
 		return nil, err
 	}
 	p.leader, p.term = 0, term
-	p.metrics.Elections++
 	fopts := opts.Fabric
 	fopts.OnPublish = p.publish
 	p.mgr, err = fabric.NewGatedManager(tp, fopts, p.commit)
@@ -154,12 +144,10 @@ func (p *Plane) commit(c *fabric.Candidate) error {
 	})
 	if err != nil {
 		p.leader = -1 // deposed or dead: stop proposing until failover
-		p.metrics.Deposals++
 		p.opts.Telemetry.Deposed.Inc()
 		p.opts.Telemetry.Leader.Set(-1)
 		return err
 	}
-	p.metrics.EpochsCommitted++
 	p.opts.Telemetry.EpochsCommitted.Inc()
 	return nil
 }
@@ -239,7 +227,6 @@ func (p *Plane) Failover() (leader int, term uint64, err error) {
 		}
 		p.leader, p.term = id, t
 		p.mgr.Restore(entry.Snap, entry.LinkFailed, entry.NodeDown)
-		p.metrics.Elections++
 		p.opts.Telemetry.Elections.Inc()
 		p.opts.Telemetry.Term.Set(int64(t))
 		p.opts.Telemetry.Leader.Set(int64(id))
@@ -281,16 +268,6 @@ func (p *Plane) Leader() (int, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.leader, p.term
-}
-
-// Metrics returns a copy of the lifetime aggregates: the manager's
-// repair metrics and the plane's control-plane counters.
-func (p *Plane) Metrics() Metrics {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m := p.metrics
-	m.Metrics = p.mgr.Metrics()
-	return m
 }
 
 // SetBeforeCommit installs a hook running between repair computation and

@@ -60,13 +60,13 @@ func assertCommitted(t *testing.T, p *Plane) {
 // TestPlaneChurnDragonfly drives link churn through a 3-replica plane on
 // a Dragonfly: every epoch must verify, commit to a quorum
 // under one term, and be digest-recorded in the replicated log; the
-// telemetry counters must mirror the plane's aggregates.
+// telemetry counters must count those epochs and one election.
 func TestPlaneChurnDragonfly(t *testing.T) {
 	reg := telemetry.New()
 	tp := topology.Dragonfly(4, 2, 2, 9)
 	p, err := New(tp, Options{
 		Replicas:  3,
-		Fabric:    fabric.Options{MaxVCs: 4, Seed: 1, Verify: true},
+		Fabric:    fabric.Options{MaxVCs: 4, Seed: 1, Verify: true, Telemetry: reg.Fabric()},
 		Telemetry: reg.Shard(),
 	})
 	if err != nil {
@@ -104,20 +104,17 @@ func TestPlaneChurnDragonfly(t *testing.T) {
 		assertCommitted(t, p)
 	}
 
-	m := p.Metrics()
-	if m.Events != events {
-		t.Fatalf("metrics counted %d events, want %d", m.Events, events)
-	}
-	if m.EpochsCommitted != events+1 {
-		t.Fatalf("epochs committed = %d, want %d (initial + events)", m.EpochsCommitted, events+1)
-	}
-	if m.Deposals != 0 || m.Elections != 1 {
-		t.Fatalf("unexpected leadership churn: %d deposals, %d elections", m.Deposals, m.Elections)
-	}
-
 	s := reg.Snapshot()
-	if got := s.Counters["shard_epochs_committed_total"]; got != int64(m.EpochsCommitted) {
-		t.Errorf("shard_epochs_committed_total = %d, want %d", got, m.EpochsCommitted)
+	for name, want := range map[string]int64{
+		"fabric_events_applied_total":  events,
+		"fabric_events_noop_total":     0,
+		"shard_epochs_committed_total": events + 1, // initial + events
+		"shard_deposed_total":          0,
+		"shard_elections_total":        1,
+	} {
+		if got := s.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 	if s.Gauges["shard_term"] != 1 || s.Gauges["shard_leader"] != 0 {
 		t.Errorf("telemetry leadership = (%d, %d), want (0, 1)",
@@ -131,10 +128,12 @@ func TestPlaneChurnDragonfly(t *testing.T) {
 // until failover, and the re-proposed event must commit cleanly under
 // the successor's term — with zero uncertified epochs throughout.
 func TestKillLeaderMidRepair(t *testing.T) {
+	reg := telemetry.New()
 	tp := topology.Dragonfly(4, 2, 2, 9)
 	p, err := New(tp, Options{
-		Replicas: 3,
-		Fabric:   fabric.Options{MaxVCs: 4, Seed: 1, Verify: true},
+		Replicas:  3,
+		Fabric:    fabric.Options{MaxVCs: 4, Seed: 1, Verify: true},
+		Telemetry: reg.Shard(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,9 +234,9 @@ func TestKillLeaderMidRepair(t *testing.T) {
 			t.Fatalf("epoch %d committed under terms %v, want exactly one", e, terms)
 		}
 	}
-	m := p.Metrics()
-	if m.Deposals == 0 || m.Elections < 3 {
-		t.Fatalf("metrics missed the leadership churn: %+v", m)
+	s := reg.Snapshot()
+	if d, e := s.Counters["shard_deposed_total"], s.Counters["shard_elections_total"]; d == 0 || e < 3 {
+		t.Fatalf("telemetry missed the leadership churn: %d deposals, %d elections", d, e)
 	}
 }
 
@@ -374,15 +373,17 @@ func TestPlaneFabricTelemetryConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := newChurnGen(tp, 7)
-	committed := 0
+	var reports, committed, repaired int
 	apply := func(ev fabric.Event) *Report {
 		t.Helper()
 		rep, err := p.Apply(ev)
 		if err != nil {
 			t.Fatalf("%s: %v", ev, err)
 		}
+		reports++
 		if !rep.NoOp {
 			committed++
+			repaired += rep.RepairedDests
 		}
 		return rep
 	}
@@ -411,19 +412,18 @@ func TestPlaneFabricTelemetryConsistency(t *testing.T) {
 		apply(gen.next(t, 0.3))
 	}
 
-	mt := p.Metrics()
 	s := reg.Snapshot()
-	if mt.Events != committed+1 {
-		t.Fatalf("Metrics.Events = %d, want %d committed + 1 no-op", mt.Events, committed)
+	if reports != committed+1 {
+		t.Fatalf("%d reports, want %d committed + 1 no-op", reports, committed)
 	}
-	if got := s.Counters["fabric_events_applied_total"] + s.Counters["fabric_events_noop_total"]; got != int64(mt.Events) {
-		t.Errorf("applied+noop = %d, want Metrics.Events = %d", got, mt.Events)
+	if got := s.Counters["fabric_events_applied_total"] + s.Counters["fabric_events_noop_total"]; got != int64(reports) {
+		t.Errorf("applied+noop = %d, want %d reports", got, reports)
 	}
 	if got := s.Counters["fabric_events_noop_total"]; got != 1 {
 		t.Errorf("fabric_events_noop_total = %d, want 1", got)
 	}
-	if got := s.Counters["fabric_repaired_dests_total"]; got != int64(mt.RepairedDests) {
-		t.Errorf("fabric_repaired_dests_total = %d, want Metrics.RepairedDests = %d", got, mt.RepairedDests)
+	if got := s.Counters["fabric_repaired_dests_total"]; got != int64(repaired) {
+		t.Errorf("fabric_repaired_dests_total = %d, want per-report sum %d", got, repaired)
 	}
 	if got := s.Gauges["fabric_epoch"]; got != int64(p.Epoch()) || p.Epoch() != uint64(committed) {
 		t.Errorf("fabric_epoch = %d, plane epoch %d, want %d", got, p.Epoch(), committed)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/routing/verify"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -39,10 +40,12 @@ func TestSoakShardFailover(t *testing.T) {
 		budget = time.Duration(secs) * time.Second
 	}
 
+	reg := telemetry.New()
 	tp := topology.Dragonfly(4, 2, 2, 9)
 	p, err := New(tp, Options{
-		Replicas: 3,
-		Fabric:   fabric.Options{MaxVCs: 4, Seed: 1, Verify: true},
+		Replicas:  3,
+		Fabric:    fabric.Options{MaxVCs: 4, Seed: 1, Verify: true},
+		Telemetry: reg.Shard(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +177,15 @@ func TestSoakShardFailover(t *testing.T) {
 			t.Fatalf("epoch %d committed under terms %v, want exactly one", e, terms)
 		}
 	}
-	m := p.Metrics()
-	t.Logf("soak: %d steps, %d epochs, %d faults injected, %d failovers, metrics %+v",
-		step, epoch, faults, failovers, m)
+	c := reg.Snapshot().Counters
+	t.Logf("soak: %d steps, %d epochs, %d faults injected, %d failovers; %d epochs committed, %d elections, %d deposals",
+		step, epoch, faults, failovers,
+		c["shard_epochs_committed_total"], c["shard_elections_total"], c["shard_deposed_total"])
 	if failovers == 0 {
 		t.Error("soak never exercised a failover")
+	}
+	if c["shard_epochs_committed_total"] != int64(epoch)+1 || c["shard_elections_total"] != int64(failovers)+1 {
+		t.Errorf("telemetry counted %d commits and %d elections, want %d (initial + epochs) and %d (initial + failovers)",
+			c["shard_epochs_committed_total"], c["shard_elections_total"], epoch+1, failovers+1)
 	}
 }
