@@ -67,7 +67,7 @@ var table = []struct {
 	}},
 	{"fig9", true, func(w io.Writer, c common) { // edge forwarding index box-plot data
 		cfg := experiments.DefaultFig9Config()
-		cfg.Seed, cfg.Workers, cfg.Trials = c.seed, c.workers, *trials
+		cfg.Seed, cfg.Workers, cfg.MaxVCs, cfg.Trials = c.seed, c.workers, c.budget(cfg.MaxVCs), *trials
 		experiments.WriteFig9(w, cfg)
 	}},
 	{"fig10", true, func(w io.Writer, c common) { // Table 1 topologies, all-to-all throughput

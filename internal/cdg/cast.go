@@ -34,7 +34,7 @@ func (k DepKind) String() string {
 // the layer's multicast trees. TryAddDep admits an edge only when the
 // UNION of the used unicast edges and the overlay edges stays acyclic.
 //
-// Once an overlay carries edges, the underlying Graph's own TryUseEdge
+// Once an overlay carries edges, the underlying Graph's own TryUseEdgeByID
 // is no longer a sound admission check (its cycle search cannot see the
 // overlay), so all further dependency additions on the layer must go
 // through the overlay. Like Graph, an Overlay is not safe for
@@ -46,7 +46,7 @@ type Overlay struct {
 	seen map[uint64]DepKind
 
 	// DFS scratch (separate from g's: the union search must not disturb
-	// the Graph's epoch bookkeeping mid-TryUseEdge).
+	// the Graph's epoch bookkeeping mid-TryUseEdgeByID).
 	visited []int32
 	epoch   int32
 	stack   []graph.ChannelID
@@ -68,17 +68,8 @@ func NewOverlay(g *Graph) *Overlay {
 	}
 }
 
-// Graph returns the wrapped complete CDG.
-func (o *Overlay) Graph() *Graph { return o.g }
-
 func depKey(cp, cq graph.ChannelID) uint64 {
 	return uint64(uint32(cp))<<32 | uint64(uint32(cq))
-}
-
-// Has reports whether the overlay already carries the edge (cp, cq).
-func (o *Overlay) Has(cp, cq graph.ChannelID) bool {
-	_, ok := o.seen[depKey(cp, cq)]
-	return ok
 }
 
 // TryAddDep admits the cast dependency (cp, cq) of the given kind into

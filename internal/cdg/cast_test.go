@@ -18,7 +18,7 @@ func TestOverlayUnionSeesUsedEdges(t *testing.T) {
 	c12 := g.FindChannel(1, 2)
 	c20 := g.FindChannel(2, 0)
 	d.SeedChannel(c01)
-	if !d.TryUseEdge(c01, c12) {
+	if !tryUse(d, c01, c12) {
 		t.Fatal("unicast edge (c01,c12) rejected on empty CDG")
 	}
 	o := NewOverlay(d)
@@ -56,8 +56,9 @@ func TestOverlayVDeps(t *testing.T) {
 	if o.VDeps != 1 {
 		t.Errorf("VDeps = %d, want 1", o.VDeps)
 	}
-	if !o.Has(c10, c12) {
-		t.Error("committed V-dep not found by Has")
+	// A committed edge is re-admitted without a search.
+	if searches := o.CycleSearches; !o.TryAddDep(DepV, c10, c12) || o.CycleSearches != searches || o.VDeps != 1 {
+		t.Error("committed V-dep not recognised on re-admission")
 	}
 	// The mirror-image wait would be an immediate 2-cycle.
 	if o.TryAddDep(DepV, c12, c10) {

@@ -105,7 +105,7 @@ type Graph struct {
 	CycleSearches int // number of depth-first searches performed
 	EdgesBlocked  int // edges transitioned to blocked
 	Merges        int // subgraph unions
-	EdgeUses      int // TryUseEdge attempts (conditions (a)-(d) evaluated)
+	EdgeUses      int // TryUseEdgeByID attempts (conditions (a)-(d) evaluated)
 
 	// Naive disables the ω-numbering optimization of §4.6.1: every edge
 	// use runs a full acyclicity check instead of the condition (a)-(d)
@@ -204,9 +204,6 @@ func (g *Graph) Release() {
 	arenas.Put(g)
 }
 
-// Net returns the underlying network.
-func (g *Graph) Net() *graph.Network { return g.net }
-
 // NumEdges returns the number of edges of the complete CDG.
 func (g *Graph) NumEdges() int { return len(g.succ) }
 
@@ -283,15 +280,6 @@ func (g *Graph) union(a, b int32) int32 {
 	return ra
 }
 
-// SameGroup reports whether two used channels belong to the same acyclic
-// used subgraph.
-func (g *Graph) SameGroup(a, b graph.ChannelID) bool {
-	if g.chOmega[a] == omegaUnused || g.chOmega[b] == omegaUnused {
-		return false
-	}
-	return g.find(g.chOmega[a]) == g.find(g.chOmega[b])
-}
-
 // markEdgeUsed records (cp, cq) in the used-edge adjacency. Must be
 // called exactly once per edge transitioning into the used state, at
 // every site that writes a positive edOmega.
@@ -311,20 +299,11 @@ func (g *Graph) SeedChannel(c graph.ChannelID) int32 {
 	return g.find(g.chOmega[c])
 }
 
-// TryUseEdge implements Algorithm 3 for the edge (cp, cq): it reports
-// whether the edge can be used without closing a cycle in the used
-// subgraph of the complete CDG, marking it used on success and blocked on
-// failure. cp must already be used (Algorithm 1 only expands settled
-// channels).
-func (g *Graph) TryUseEdge(cp, cq graph.ChannelID) bool {
-	e := g.EdgeID(cp, cq)
-	if e < 0 {
-		panic(fmt.Sprintf("cdg: no edge (%d,%d) in complete CDG", cp, cq))
-	}
-	return g.TryUseEdgeByID(e, cp, cq)
-}
-
-// TryUseEdgeByID is TryUseEdge with a precomputed edge ID.
+// TryUseEdgeByID implements Algorithm 3 for the edge e = (cp, cq) (see
+// EdgeID): it reports whether the edge can be used without closing a
+// cycle in the used subgraph of the complete CDG, marking it used on
+// success and blocked on failure. cp must already be used (Algorithm 1
+// only expands settled channels).
 func (g *Graph) TryUseEdgeByID(e int32, cp, cq graph.ChannelID) bool {
 	g.EdgeUses++
 	switch w := g.edOmega[e]; {
@@ -340,7 +319,7 @@ func (g *Graph) TryUseEdgeByID(e int32, cp, cq graph.ChannelID) bool {
 	}
 	gp := g.chOmega[cp]
 	if gp == omegaUnused {
-		panic("cdg: TryUseEdge from unused channel")
+		panic("cdg: TryUseEdgeByID from unused channel")
 	}
 	gp = g.find(gp)
 	gq := g.chOmega[cq]
@@ -381,7 +360,7 @@ func (g *Graph) TryUseEdgeByID(e int32, cp, cq graph.ChannelID) bool {
 func (g *Graph) tryUseEdgeNaive(e int32, cp, cq graph.ChannelID) bool {
 	gp := g.chOmega[cp]
 	if gp == omegaUnused {
-		panic("cdg: TryUseEdge from unused channel")
+		panic("cdg: TryUseEdgeByID from unused channel")
 	}
 	gp = g.find(gp)
 	prevQ := g.chOmega[cq]
@@ -571,37 +550,4 @@ func (g *Graph) StateDigest() uint64 {
 		}
 	}
 	return h
-}
-
-// UsedChannels returns the number of channels in the used state.
-func (g *Graph) UsedChannels() int {
-	n := 0
-	for _, w := range g.chOmega {
-		if w >= 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// UsedEdges returns the number of edges in the used state.
-func (g *Graph) UsedEdges() int {
-	n := 0
-	for _, w := range g.edOmega {
-		if w >= 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// BlockedEdges returns the number of edges in the blocked state.
-func (g *Graph) BlockedEdges() int {
-	n := 0
-	for _, w := range g.edOmega {
-		if w == omegaBlocked {
-			n++
-		}
-	}
-	return n
 }

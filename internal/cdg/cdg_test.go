@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -65,13 +66,21 @@ func TestNoUTurnOverParallelChannels(t *testing.T) {
 	b.AddLink(c, e)
 	g := b.MustBuild()
 	d := NewComplete(g)
-	for _, cab := range g.ChannelsBetween(a, c) {
+	for _, cab := range g.Out(a) {
+		if g.Channel(cab).To != c {
+			continue
+		}
 		for _, cq := range d.Succ(cab) {
 			if g.Channel(cq).To == a {
 				t.Errorf("u-turn via parallel channel: (%d -> %d)", cab, cq)
 			}
 		}
 	}
+}
+
+// tryUse runs Algorithm 3 on the edge (cp, cq) of the complete CDG.
+func tryUse(d *Graph, cp, cq graph.ChannelID) bool {
+	return d.TryUseEdgeByID(d.EdgeID(cp, cq), cp, cq)
 }
 
 func TestTryUseEdgeDetectsThreeCycle(t *testing.T) {
@@ -84,13 +93,13 @@ func TestTryUseEdgeDetectsThreeCycle(t *testing.T) {
 	c12 := g.FindChannel(1, 2)
 	c20 := g.FindChannel(2, 0)
 	d.SeedChannel(c01)
-	if !d.TryUseEdge(c01, c12) {
+	if !tryUse(d, c01, c12) {
 		t.Fatal("edge (c01,c12) rejected on empty CDG")
 	}
-	if !d.TryUseEdge(c12, c20) {
+	if !tryUse(d, c12, c20) {
 		t.Fatal("edge (c12,c20) rejected")
 	}
-	if d.TryUseEdge(c20, c01) {
+	if tryUse(d, c20, c01) {
 		t.Fatal("closing dependency cycle was allowed")
 	}
 	if got := d.EdgeState(d.EdgeID(c20, c01)); got != Blocked {
@@ -101,7 +110,7 @@ func TestTryUseEdgeDetectsThreeCycle(t *testing.T) {
 	}
 	// Condition (a): retry is rejected without a new search.
 	searches := d.CycleSearches
-	if d.TryUseEdge(c20, c01) {
+	if tryUse(d, c20, c01) {
 		t.Error("blocked edge accepted on retry")
 	}
 	if d.CycleSearches != searches {
@@ -116,11 +125,11 @@ func TestConditionBSkipsSearch(t *testing.T) {
 	c01 := g.FindChannel(0, 1)
 	c12 := g.FindChannel(1, 2)
 	d.SeedChannel(c01)
-	if !d.TryUseEdge(c01, c12) {
+	if !tryUse(d, c01, c12) {
 		t.Fatal("first use rejected")
 	}
 	searches := d.CycleSearches
-	if !d.TryUseEdge(c01, c12) {
+	if !tryUse(d, c01, c12) {
 		t.Fatal("second use of used edge rejected")
 	}
 	if d.CycleSearches != searches {
@@ -138,25 +147,26 @@ func TestConditionCMergesGroups(t *testing.T) {
 	c45 := g.FindChannel(4, 5)
 	d.SeedChannel(c01)
 	d.SeedChannel(c34)
-	if d.SameGroup(c01, c34) {
+	// SeedChannel of a used channel returns its group.
+	if d.SeedChannel(c01) == d.SeedChannel(c34) {
 		t.Fatal("fresh seeds share a group")
 	}
-	if !d.TryUseEdge(c01, c12) || !d.TryUseEdge(c34, c45) {
+	if !tryUse(d, c01, c12) || !tryUse(d, c34, c45) {
 		t.Fatal("disjoint subgraph edges rejected")
 	}
 	searches := d.CycleSearches
 	// Connect the two disjoint subgraphs: c23 joins them.
 	c23 := g.FindChannel(2, 3)
-	if !d.TryUseEdge(c12, c23) {
+	if !tryUse(d, c12, c23) {
 		t.Fatal("extension rejected")
 	}
-	if !d.TryUseEdge(c23, c34) {
+	if !tryUse(d, c23, c34) {
 		t.Fatal("merging edge rejected")
 	}
 	if d.CycleSearches != searches {
 		t.Error("merging disjoint subgraphs ran a cycle search (condition (c) violated)")
 	}
-	if !d.SameGroup(c01, c45) {
+	if d.SeedChannel(c01) != d.SeedChannel(c45) {
 		t.Error("groups not merged")
 	}
 }
@@ -173,24 +183,24 @@ func TestConditionDNeedsSearch(t *testing.T) {
 	c34 := g.FindChannel(2, 3)
 	c45 := g.FindChannel(3, 4)
 	d.SeedChannel(c12)
-	if d.SameGroup(c12, c23) {
+	if d.SeedChannel(c12) == d.SeedChannel(c23) {
 		t.Fatal("fresh seed already merged with escape paths")
 	}
 	// Condition (c): c23 is part of the escape subgraph, c12 is not.
 	searches := d.CycleSearches
-	if !d.TryUseEdge(c12, c23) {
+	if !tryUse(d, c12, c23) {
 		t.Fatal("(c12,c23) rejected")
 	}
 	if d.CycleSearches != searches {
 		t.Error("condition (c) case ran a search")
 	}
-	if !d.TryUseEdge(c23, c34) {
+	if !tryUse(d, c23, c34) {
 		t.Fatal("(c23,c34) rejected")
 	}
 	// Condition (d): (c34,c45) stays within the merged subgraph; the paper
 	// walks the DFS and finds no cycle.
 	searches = d.CycleSearches
-	if !d.TryUseEdge(c34, c45) {
+	if !tryUse(d, c34, c45) {
 		t.Fatal("(c34,c45) rejected; paper's example allows it")
 	}
 	if d.CycleSearches != searches+1 {
@@ -202,17 +212,13 @@ func TestConditionDNeedsSearch(t *testing.T) {
 }
 
 // fig4Tree builds the spanning tree of Fig. 4: all links except n1-n2 and
-// n3-n4, rooted at n5 (IDs: n1..n5 = 0..4).
-func fig4Tree(g *graph.Network) *graph.Tree {
-	parent := make([]graph.ChannelID, g.NumNodes())
-	for i := range parent {
-		parent[i] = graph.NoChannel
-	}
-	parent[0] = g.FindChannel(4, 0) // n1 under n5
-	parent[3] = g.FindChannel(4, 3) // n4 under n5
-	parent[2] = g.FindChannel(4, 2) // n3 under n5 (shortcut link)
-	parent[1] = g.FindChannel(2, 1) // n2 under n3
-	return graph.TreeFromParents(g, 4, parent)
+// n3-n4, rooted at n5 (IDs: n1..n5 = 0..4). Those four links are a tree,
+// so it is the BFS tree of g without the other two.
+func fig4Tree(g *graph.Network) *bfs.Tree {
+	cut := g.Clone()
+	cut.SetChannelFailed(g.FindChannel(0, 1), true)
+	cut.SetChannelFailed(g.FindChannel(2, 3), true)
+	return bfs.SpanningTree(cut, 4)
 }
 
 func TestEscapePathsFig4AllDestinations(t *testing.T) {
@@ -247,10 +253,10 @@ func TestEscapePathsFig5RootChoice(t *testing.T) {
 	dests := []graph.NodeID{0, 1, 2} // n1, n2, n3
 
 	d5 := NewComplete(g)
-	ep5 := d5.MarkEscapePaths(graph.SpanningTree(g, 4), dests)
+	ep5 := d5.MarkEscapePaths(bfs.SpanningTree(g, 4), dests)
 
 	d2 := NewComplete(g)
-	ep2 := d2.MarkEscapePaths(graph.SpanningTree(g, 1), dests)
+	ep2 := d2.MarkEscapePaths(bfs.SpanningTree(g, 1), dests)
 
 	if ep2.Deps != 4 {
 		t.Errorf("root n2: deps = %d, want 4", ep2.Deps)
@@ -268,18 +274,18 @@ func TestEscapePathsFig5RootChoice(t *testing.T) {
 
 func TestEscapeNextHop(t *testing.T) {
 	g := fig2Net()
-	tree := graph.SpanningTree(g, 4)
+	tree := bfs.SpanningTree(g, 4)
 	// From n1 (0) toward n3 (2): tree path n1 -> n5 -> n3.
-	c := EscapeNextHop(tree, 0, 2)
-	if c == graph.NoChannel || g.Channel(c).From != 0 || g.Channel(c).To != 4 {
-		t.Errorf("EscapeNextHop(0->2) = %v, want channel n1->n5", c)
+	p := tree.TreePath(0, 2)
+	if len(p) == 0 || g.Channel(p[0]).From != 0 || g.Channel(p[0]).To != 4 {
+		t.Errorf("escape path 0->2 = %v, want its first channel n1->n5", p)
 	}
-	if EscapeNextHop(tree, 2, 2) != graph.NoChannel {
-		t.Error("EscapeNextHop to self should be NoChannel")
+	if p := tree.TreePath(2, 2); len(p) != 0 {
+		t.Errorf("escape path to self = %v, want empty", p)
 	}
 }
 
-// TestQuickUsedSubgraphAlwaysAcyclic drives random TryUseEdge sequences on
+// TestQuickUsedSubgraphAlwaysAcyclic drives random tryUse sequences on
 // random networks and checks the central invariant: the used subgraph of
 // the complete CDG never becomes cyclic (Lemma 2's mechanism).
 func TestQuickUsedSubgraphAlwaysAcyclic(t *testing.T) {
@@ -292,7 +298,7 @@ func TestQuickUsedSubgraphAlwaysAcyclic(t *testing.T) {
 		// Optionally mark escape paths first.
 		if rng.Intn(2) == 0 {
 			root := graph.NodeID(rng.Intn(g.NumNodes()))
-			d.MarkEscapePaths(graph.SpanningTree(g, root), g.Terminals())
+			d.MarkEscapePaths(bfs.SpanningTree(g, root), g.Terminals())
 		}
 		for step := 0; step < 300; step++ {
 			cp := graph.ChannelID(rng.Intn(g.NumChannels()))
@@ -302,7 +308,7 @@ func TestQuickUsedSubgraphAlwaysAcyclic(t *testing.T) {
 			}
 			cq := succ[rng.Intn(len(succ))]
 			d.SeedChannel(cp)
-			d.TryUseEdge(cp, cq)
+			tryUse(d, cp, cq)
 			if step%50 == 0 && !d.UsedAcyclic() {
 				return false
 			}
@@ -321,14 +327,28 @@ func TestStatsCounting(t *testing.T) {
 	c01 := g.FindChannel(0, 1)
 	c12 := g.FindChannel(1, 2)
 	d.SeedChannel(c01)
-	d.TryUseEdge(c01, c12)
-	if d.UsedChannels() != 2 {
-		t.Errorf("UsedChannels = %d, want 2", d.UsedChannels())
+	tryUse(d, c01, c12)
+	usedChannels, usedEdges, blockedEdges := 0, 0, 0
+	for c := 0; c < g.NumChannels(); c++ {
+		if d.ChannelState(graph.ChannelID(c)) == Used {
+			usedChannels++
+		}
 	}
-	if d.UsedEdges() != 1 {
-		t.Errorf("UsedEdges = %d, want 1", d.UsedEdges())
+	for e := 0; e < d.NumEdges(); e++ {
+		switch d.EdgeState(int32(e)) {
+		case Used:
+			usedEdges++
+		case Blocked:
+			blockedEdges++
+		}
 	}
-	if d.BlockedEdges() != 0 {
-		t.Errorf("BlockedEdges = %d, want 0", d.BlockedEdges())
+	if usedChannels != 2 {
+		t.Errorf("used channels = %d, want 2", usedChannels)
+	}
+	if usedEdges != 1 {
+		t.Errorf("used edges = %d, want 1", usedEdges)
+	}
+	if blockedEdges != 0 {
+		t.Errorf("blocked edges = %d, want 0", blockedEdges)
 	}
 }

@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"repro/internal/bfs"
 	"repro/internal/graph"
 )
 
@@ -8,7 +9,7 @@ import (
 // 7) inside its complete CDG.
 type EscapePaths struct {
 	// Tree is the spanning tree the escape paths derive from.
-	Tree *graph.Tree
+	Tree *bfs.Tree
 	// Group is the ω identifier of the escape-path subgraph.
 	Group int32
 	// Channels counts tree channels marked used, Deps counts channel
@@ -29,7 +30,7 @@ type EscapePaths struct {
 // tree link {x,y}; a tree channel (x,y) is escape-used under the same
 // condition. This is the channel-reversal image of the traffic-oriented
 // escape paths "all nodes -> destinations" of Definition 7.
-func (g *Graph) MarkEscapePaths(tree *graph.Tree, dests []graph.NodeID) *EscapePaths {
+func (g *Graph) MarkEscapePaths(tree *bfs.Tree, dests []graph.NodeID) *EscapePaths {
 	net := g.net
 	isDest := make([]bool, net.NumNodes())
 	total := 0
@@ -103,19 +104,4 @@ func (g *Graph) MarkEscapePaths(tree *graph.Tree, dests []graph.NodeID) *EscapeP
 		}
 	}
 	return ep
-}
-
-// EscapeNextHop returns, for the escape paths of the given tree in
-// *traffic* orientation, the first channel of the tree path from node n
-// toward destination d (NoChannel if n == d). Used when Nue falls back to
-// the escape paths for a destination.
-func EscapeNextHop(tree *graph.Tree, n, d graph.NodeID) graph.ChannelID {
-	if n == d {
-		return graph.NoChannel
-	}
-	p := tree.TreePath(n, d)
-	if len(p) == 0 {
-		return graph.NoChannel
-	}
-	return p[0]
 }

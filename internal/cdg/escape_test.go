@@ -3,6 +3,7 @@ package cdg
 import (
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -20,14 +21,16 @@ func TestEscapePathsDegradedTorus(t *testing.T) {
 	if a == graph.NoChannel || b == graph.NoChannel {
 		t.Fatal("expected torus links missing")
 	}
-	net := full.WithoutChannels(a, full.Channel(a).Reverse, b, full.Channel(b).Reverse)
-	if !graph.Connected(net) {
+	net := full.Clone()
+	net.SetChannelFailed(a, true)
+	net.SetChannelFailed(b, true)
+	if !bfs.Connected(net) {
 		t.Fatal("degraded torus must stay connected for this test")
 	}
 
 	dests := net.Terminals()
 	root := net.TerminalSwitch(dests[0])
-	tree := graph.SpanningTree(net, root)
+	tree := bfs.SpanningTree(net, root)
 	d := NewComplete(net)
 	ep := d.MarkEscapePaths(tree, dests)
 
@@ -49,10 +52,11 @@ func TestEscapePathsDegradedTorus(t *testing.T) {
 				if hop > net.NumNodes() {
 					t.Fatalf("escape path %d -> %d does not terminate", n, dest)
 				}
-				c := EscapeNextHop(tree, at, dest)
-				if c == graph.NoChannel {
+				p := tree.TreePath(at, dest)
+				if len(p) == 0 {
 					t.Fatalf("no escape hop at node %d toward %d", at, dest)
 				}
+				c := p[0]
 				ch := net.Channel(c)
 				if ch.Failed {
 					t.Fatalf("escape path %d -> %d crosses failed channel %v", n, dest, c)
@@ -79,8 +83,10 @@ func TestEscapePathsAvoidFailedTreeChannels(t *testing.T) {
 	full := tp.Net
 	a := full.FindChannel(tp.Torus.SwitchAt[0][0][0], tp.Torus.SwitchAt[0][1][0])
 	b := full.FindChannel(tp.Torus.SwitchAt[2][0][0], tp.Torus.SwitchAt[2][1][0])
-	net := full.WithoutChannels(a, full.Channel(a).Reverse, b, full.Channel(b).Reverse)
-	tree := graph.SpanningTree(net, net.Switches()[0])
+	net := full.Clone()
+	net.SetChannelFailed(a, true)
+	net.SetChannelFailed(b, true)
+	tree := bfs.SpanningTree(net, net.Switches()[0])
 	d := NewComplete(net)
 	d.MarkEscapePaths(tree, net.Terminals())
 	for _, c := range []graph.ChannelID{a, net.Channel(a).Reverse, b, net.Channel(b).Reverse} {

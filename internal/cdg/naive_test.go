@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -27,8 +28,8 @@ func TestQuickNaiveMatchesOmega(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			root := graph.NodeID(rng.Intn(g.NumNodes()))
 			dests := []graph.NodeID{graph.NodeID(rng.Intn(g.NumNodes()))}
-			fast.MarkEscapePaths(graph.SpanningTree(g, root), dests)
-			slow.MarkEscapePaths(graph.SpanningTree(g, root), dests)
+			fast.MarkEscapePaths(bfs.SpanningTree(g, root), dests)
+			slow.MarkEscapePaths(bfs.SpanningTree(g, root), dests)
 		}
 		for step := 0; step < 200; step++ {
 			cp := graph.ChannelID(rng.Intn(g.NumChannels()))
@@ -39,8 +40,8 @@ func TestQuickNaiveMatchesOmega(t *testing.T) {
 			cq := succ[rng.Intn(len(succ))]
 			fast.SeedChannel(cp)
 			slow.SeedChannel(cp)
-			a := fast.TryUseEdge(cp, cq)
-			b := slow.TryUseEdge(cp, cq)
+			a := tryUse(fast, cp, cq)
+			b := tryUse(slow, cp, cq)
 			if a != b {
 				t.Logf("seed %d step %d: omega=%v naive=%v for edge (%d,%d)", seed, step, a, b, cp, cq)
 				return false
@@ -62,10 +63,10 @@ func TestNaiveBlocksThreeCycle(t *testing.T) {
 	c12 := g.FindChannel(1, 2)
 	c20 := g.FindChannel(2, 0)
 	d.SeedChannel(c01)
-	if !d.TryUseEdge(c01, c12) || !d.TryUseEdge(c12, c20) {
+	if !tryUse(d, c01, c12) || !tryUse(d, c12, c20) {
 		t.Fatal("naive mode rejected acyclic edges")
 	}
-	if d.TryUseEdge(c20, c01) {
+	if tryUse(d, c20, c01) {
 		t.Fatal("naive mode allowed a dependency cycle")
 	}
 	if !d.UsedAcyclic() {

@@ -3,12 +3,13 @@ package cdg
 import (
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
 // treeNext returns the next-hop function of tree-path routing toward dest.
-func treeNext(tree *graph.Tree, dest graph.NodeID) func(graph.NodeID) graph.ChannelID {
+func treeNext(tree *bfs.Tree, dest graph.NodeID) func(graph.NodeID) graph.ChannelID {
 	return func(n graph.NodeID) graph.ChannelID {
 		if n == dest || tree.Dist[n] < 0 {
 			return graph.NoChannel
@@ -26,7 +27,7 @@ func treeNext(tree *graph.Tree, dest graph.NodeID) func(graph.NodeID) graph.Chan
 func TestSeedRouteAcyclicRouting(t *testing.T) {
 	tp := topology.Torus3D(3, 3, 2, 1, 1)
 	net := tp.Net
-	tree := graph.SpanningTree(net, net.Switches()[0])
+	tree := bfs.SpanningTree(net, net.Switches()[0])
 	d := NewComplete(net)
 	chans, deps := 0, 0
 	for _, dest := range net.Terminals() {
@@ -88,7 +89,8 @@ func TestSeedRouteRejectsFailedChannel(t *testing.T) {
 	net := tp.Net
 	sw := net.Switches()
 	stale := net.FindChannel(sw[1], sw[2])
-	failed := net.WithoutChannels(stale)
+	failed := net.Clone()
+	failed.SetChannelFailed(stale, true)
 	d := NewComplete(failed)
 	next := func(n graph.NodeID) graph.ChannelID {
 		if n == sw[1] {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -177,7 +178,7 @@ func naiveBetweenness(g *graph.Network) []float64 {
 	cb := make([]float64, n)
 	// sigma[s][t] and sigmaThrough[s][t][v] via BFS DAG DP.
 	for s := 0; s < n; s++ {
-		res := graph.BFS(g, graph.NodeID(s))
+		res := bfs.Forward(g, graph.NodeID(s))
 		sigma := make([]float64, n)
 		sigma[s] = 1
 		for _, u := range res.Order[1:] {
@@ -196,7 +197,7 @@ func naiveBetweenness(g *graph.Network) []float64 {
 			if tt == s || res.Dist[tt] < 0 {
 				continue
 			}
-			rt := graph.BFS(g, graph.NodeID(tt))
+			rt := bfs.Forward(g, graph.NodeID(tt))
 			sigmaT := make([]float64, n)
 			sigmaT[tt] = 1
 			for _, u := range rt.Order[1:] {

@@ -4,13 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/centrality"
 	"repro/internal/certtest"
 	"repro/internal/graph"
 )
 
 // referenceConvexSubgraph is Definition 8 computed the way ConvexSubgraph
-// did before it kept one scratch per call: a fresh graph.BFS per
+// did before it kept one scratch per call: a fresh bfs.Forward per
 // destination.
 func referenceConvexSubgraph(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
 	inHull := make([]bool, g.NumNodes())
@@ -20,7 +21,7 @@ func referenceConvexSubgraph(g *graph.Network, dests []graph.NodeID) []graph.Nod
 		inHull[d] = true
 	}
 	for _, d := range dests {
-		res := graph.BFS(g, d)
+		res := bfs.Forward(g, d)
 		marked := make([]bool, g.NumNodes())
 		for i := len(res.Order) - 1; i >= 0; i-- {
 			n := res.Order[i]

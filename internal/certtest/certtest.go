@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/engines"
 	"repro/internal/fabric"
 	"repro/internal/graph"
@@ -178,7 +179,7 @@ func terminalLess(t testing.TB) Case {
 func halfFailed() Case {
 	rng := rand.New(rand.NewSource(21))
 	oneway := topology.RandomTopology(rng, 14, 24, 1)
-	tree := graph.SpanningTree(oneway.Net, oneway.Net.Switches()[0])
+	tree := bfs.SpanningTree(oneway.Net, oneway.Net.Switches()[0])
 	for c := 0; c < oneway.Net.NumChannels(); c += 2 {
 		id := graph.ChannelID(c)
 		ch := oneway.Net.Channel(id)
@@ -232,7 +233,7 @@ func islands(name string, bridged bool) Case {
 	} else {
 		g.SetChannelFailed(bridge, true)
 	}
-	res := treeRouting(g, graph.SpanningTree(g, ring[0][0]), graph.SpanningTree(g, ring[1][0]))
+	res := treeRouting(g, bfs.SpanningTree(g, ring[0][0]), bfs.SpanningTree(g, ring[1][0]))
 	// Two lanes, each with destinations on both islands: a tree routing
 	// is deadlock-free however its destinations are spread over lanes.
 	res.VCs = 2
@@ -356,14 +357,14 @@ func BoundInstances(t testing.TB) []Case {
 func ReachSum(c Case) int {
 	n := 0
 	for _, d := range c.Res.Table.Dests() {
-		n += len(graph.ReverseBFS(c.Net, d).Order)
+		n += len(bfs.Reverse(c.Net, d).Order)
 	}
 	return n
 }
 
 // treeRouting routes every destination along a spanning tree: the first
 // of trees that holds both the switch and the destination.
-func treeRouting(net *graph.Network, trees ...*graph.Tree) *routing.Result {
+func treeRouting(net *graph.Network, trees ...*bfs.Tree) *routing.Result {
 	tbl := routing.NewTable(net, dests(net))
 	for _, d := range tbl.Dests() {
 		for _, s := range net.Switches() {

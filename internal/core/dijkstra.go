@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/bfs"
 	"repro/internal/cdg"
 	"repro/internal/dial"
 	"repro/internal/freelist"
@@ -17,7 +18,7 @@ import (
 type layerState struct {
 	net  *graph.Network
 	d    *cdg.Graph
-	tree *graph.Tree
+	tree *bfs.Tree
 	opts Options
 
 	// csr is the flat adjacency view of net the hot path walks.
@@ -99,7 +100,7 @@ type Stats struct {
 	// ShortcutTakes counts settled nodes improved through a former
 	// island (§4.6.3); BlockedSkips counts blocked complete-CDG edges
 	// skipped during relaxation; EdgeUses aggregates the CDG's
-	// TryUseEdge attempts.
+	// TryUseEdgeByID attempts.
 	ShortcutTakes int
 	BlockedSkips  int
 	EdgeUses      int
@@ -111,7 +112,7 @@ type Stats struct {
 // regrow their slices on first use.
 var layerStates freelist.List[layerState]
 
-func newLayerState(net *graph.Network, d *cdg.Graph, tree *graph.Tree, opts Options, isSource []bool, stats *Stats) *layerState {
+func newLayerState(net *graph.Network, d *cdg.Graph, tree *bfs.Tree, opts Options, isSource []bool, stats *Stats) *layerState {
 	nn, nc := net.NumNodes(), net.NumChannels()
 	ls := layerStates.Get()
 	ls.net = net

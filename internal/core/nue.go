@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bfs"
 	"repro/internal/cdg"
 	"repro/internal/centrality"
 	"repro/internal/graph"
@@ -258,7 +259,7 @@ func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []u
 	if root == graph.NoNode {
 		return errors.New("no usable escape-path root")
 	}
-	tree := graph.SpanningTree(net, root)
+	tree := bfs.SpanningTree(net, root)
 	for _, d := range part {
 		if tree.Dist[d] < 0 {
 			return fmt.Errorf("destination %d unreachable from root %d (network disconnected)", d, root)
@@ -301,7 +302,7 @@ func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []u
 // with the escape paths. The columns of route are then partly written.
 // Counters are added to stats; digest, when non-nil, receives the
 // StateDigest of the final CDG.
-func (n *Nue) algorithm2(net *graph.Network, table *routing.Table, tree *graph.Tree, route, kept []graph.NodeID,
+func (n *Nue) algorithm2(net *graph.Network, table *routing.Table, tree *bfs.Tree, route, kept []graph.NodeID,
 	escape bool, isSource []bool, stats *Stats, digest *uint64) (seeded cdg.SeedStats, ok bool, err error) {
 
 	d := cdg.NewComplete(net)

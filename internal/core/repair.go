@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bfs"
 	"repro/internal/cdg"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -51,7 +52,7 @@ type RepairStats struct {
 	// tree over the post-event network. Callers cache the pair and pass
 	// Root back as RootHint while churn stays outside the tree.
 	Root graph.NodeID
-	Tree *graph.Tree
+	Tree *bfs.Tree
 	// RootReused reports that RootHint was accepted, skipping the
 	// betweenness pass.
 	RootReused bool
@@ -141,7 +142,7 @@ func (n *Nue) repairRoot(req RepairRequest) (stats RepairStats, reached []graph.
 		// spanning tree still reaches every repairable destination, which
 		// holds whenever churn since the caching stayed outside the old
 		// escape tree. Costs one BFS instead of a Brandes betweenness pass.
-		stats.Root, stats.Tree = req.RootHint, graph.SpanningTree(net, req.RootHint)
+		stats.Root, stats.Tree = req.RootHint, bfs.SpanningTree(net, req.RootHint)
 		stats.RootReused = true
 		for _, d := range routable {
 			if stats.Tree.Dist[d] < 0 {
@@ -157,7 +158,7 @@ func (n *Nue) repairRoot(req RepairRequest) (stats RepairStats, reached []graph.
 		if stats.Root == graph.NoNode {
 			return stats, nil, errors.New("core: no usable escape-path root for repair")
 		}
-		stats.Tree = graph.SpanningTree(net, stats.Root)
+		stats.Tree = bfs.SpanningTree(net, stats.Root)
 	}
 	reached = routable[:0]
 	for _, d := range routable {

@@ -48,7 +48,7 @@ func newRepairHintFixture(t testing.TB) *repairHintFixture {
 	for i, d := range table.Dests() {
 		uses := false
 		for _, c := range failedCh {
-			if table.DestUsesChannel(d, c) {
+			if table.Next(net.Channel(c).From, d) == c {
 				uses = true
 				break
 			}
@@ -66,7 +66,7 @@ func newRepairHintFixture(t testing.TB) *repairHintFixture {
 		}
 		uses := false
 		for _, c := range failedCh {
-			if table.DestUsesChannel(d, c) {
+			if table.Next(net.Channel(c).From, d) == c {
 				uses = true
 				break
 			}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -147,7 +148,9 @@ func TestRepairLadderCensus(t *testing.T) {
 				if !net.IsSwitch(ch.From) || !net.IsSwitch(ch.To) {
 					continue
 				}
-				if faulty = net.WithoutChannels(ch.ID); !graph.Connected(faulty) {
+				faulty = net.Clone()
+				faulty.SetChannelFailed(ch.ID, true)
+				if !bfs.Connected(faulty) {
 					faulty = nil
 				}
 			}

@@ -57,7 +57,7 @@ func partitionByUse(net *graph.Network, table *routing.Table, destLayer []uint8)
 			if uses {
 				break
 			}
-			uses = table.DestUsesChannel(d, c)
+			uses = table.Next(net.Channel(c).From, d) == c
 		}
 		var l uint8
 		if destLayer != nil {

@@ -46,7 +46,7 @@ func TestRepairLayerAfterLinkFailure(t *testing.T) {
 	for i, d := range table.Dests() {
 		uses := false
 		for _, c := range failedCh {
-			if table.DestUsesChannel(d, c) {
+			if table.Next(net.Channel(c).From, d) == c {
 				uses = true
 				break
 			}

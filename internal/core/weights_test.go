@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/cdg"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -59,7 +60,7 @@ func weightUpdatesAgree(t *testing.T, net *graph.Network, dests []graph.NodeID, 
 	}
 	isSource := sourceMask(net)
 	for li, part := range parts {
-		tree := graph.SpanningTree(net, n.pickRoot(net, part, seeds[li], 1))
+		tree := bfs.SpanningTree(net, n.pickRoot(net, part, seeds[li], 1))
 		d := cdg.NewComplete(net)
 		d.MarkEscapePaths(tree, part)
 		var stats Stats

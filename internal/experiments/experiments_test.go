@@ -68,7 +68,7 @@ func TestFig1SmallScale(t *testing.T) {
 func TestFig9SmallScale(t *testing.T) {
 	cfg := Fig9Config{
 		Trials: 2, Switches: 30, SSLinks: 120, TerminalsPerSwitch: 3,
-		NueVCs: []int{1, 4},
+		MaxVCs: 4,
 	}
 	rows := Fig9(cfg)
 	byName := map[string]Fig9Row{}
@@ -94,9 +94,28 @@ func TestFig9SmallScale(t *testing.T) {
 	}
 }
 
+// TestFig9VCBudget: the VC budget bounds every engine of Fig. 9, Nue's
+// sweep included (nuebench -vcs sets it).
+func TestFig9VCBudget(t *testing.T) {
+	cfg := Fig9Config{
+		Trials: 2, Switches: 30, SSLinks: 120, TerminalsPerSwitch: 3,
+		MaxVCs: 2,
+	}
+	var names []string
+	for _, r := range Fig9(cfg) {
+		names = append(names, r.Routing)
+		if r.Failures < cfg.Trials && r.VCsUsed > float64(cfg.MaxVCs) {
+			t.Errorf("%s used %.1f VCs on average, budget %d", r.Routing, r.VCsUsed, cfg.MaxVCs)
+		}
+	}
+	if got, want := strings.Join(names, " "), "lash dfsssp nue-1vc nue-2vc"; got != want {
+		t.Errorf("rows %q, want %q", got, want)
+	}
+}
+
 func TestFig11SmallScale(t *testing.T) {
 	cfg := Fig11Config{MinDim: 2, MaxDim: 3, TerminalsPerSwitch: 2, FailureRate: 0.02, MaxVCs: 8, Verify: true}
-	rows := Fig11(cfg)
+	rows := fig11(cfg, nil)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}

@@ -16,8 +16,6 @@ type Fig1Config struct {
 	// Phases limits the all-to-all shift phases (0 = full all-to-all, the
 	// paper's workload).
 	Phases int
-	// Sim is the flit-level simulator configuration.
-	Sim sim.Config
 	// MaxVCs is the VC budget (the paper's network supports 4).
 	MaxVCs int
 	// Seed drives Nue partitioning.
@@ -34,7 +32,7 @@ type Fig1Config struct {
 // DefaultFig1Config mirrors the paper: 4x4x3 torus, 4 terminals/switch,
 // one failed switch, QDR InfiniBand, 2 KiB messages, at most 4 VCs.
 func DefaultFig1Config() Fig1Config {
-	return Fig1Config{Phases: 0, Sim: sim.PaperConfig(), MaxVCs: 4}
+	return Fig1Config{Phases: 0, MaxVCs: 4}
 }
 
 // Fig1 reproduces Fig. 1a (simulated all-to-all throughput on the faulty
@@ -46,7 +44,7 @@ func Fig1(cfg Fig1Config) []ThroughputRow {
 	faulty := topology.FailSwitch(tp, tp.Torus.SwitchAt[1][2][0])
 	faulty.Name = "4x4x3-torus-1sw"
 
-	simCfg := cfg.Sim
+	simCfg := sim.PaperConfig()
 	simCfg.Telemetry = cfg.Telemetry.Sim()
 	var rows []ThroughputRow
 	for _, eng := range engines.Baselines(faulty) {

@@ -14,12 +14,9 @@ type Fig10Config struct {
 	// paper's full all-to-all; the default samples shift distances to
 	// stay laptop-sized — relative throughput is preserved).
 	Phases int
-	// Sim is the simulator configuration.
-	Sim sim.Config
-	// MaxVCs is the VC budget (paper: 8).
+	// MaxVCs is the VC budget of the baselines, and Nue runs at every
+	// VC count from 1 to it (paper: 8).
 	MaxVCs int
-	// NueVCs lists the Nue VC counts (paper: 1..8).
-	NueVCs []int
 	// Seed drives the random topology and Nue partitioning.
 	Seed int64
 	// Workers bounds Nue's routing goroutines (0 = GOMAXPROCS); the
@@ -30,24 +27,21 @@ type Fig10Config struct {
 // DefaultFig10Config returns a reduced-phase configuration (use Phases=0
 // for the paper's full all-to-all).
 func DefaultFig10Config() Fig10Config {
-	return Fig10Config{
-		Phases: 16,
-		Sim:    sim.PaperConfig(),
-		MaxVCs: 8,
-		NueVCs: []int{1, 2, 3, 4, 5, 6, 7, 8},
-	}
+	return Fig10Config{Phases: 16, MaxVCs: 8}
 }
 
 // Fig10 reproduces the throughput comparison on the seven Table 1
-// topologies: all applicable OpenSM baselines plus Nue for each VC count.
+// topologies: all applicable OpenSM baselines under the VC budget plus
+// Nue for every VC count from 1 to the budget.
 func Fig10(cfg Fig10Config) []ThroughputRow {
+	simCfg := sim.PaperConfig()
 	var rows []ThroughputRow
 	for _, tp := range topology.Table1(cfg.Seed) {
 		for _, eng := range engines.Baselines(tp) {
-			rows = append(rows, routeAndSimulate(tp, eng, cfg.MaxVCs, cfg.Phases, cfg.Sim))
+			rows = append(rows, routeAndSimulate(tp, eng, cfg.MaxVCs, cfg.Phases, simCfg))
 		}
-		for _, k := range cfg.NueVCs {
-			row := routeAndSimulate(tp, engines.Nue(cfg.Seed, cfg.Workers), k, cfg.Phases, cfg.Sim)
+		for k := 1; k <= cfg.MaxVCs; k++ {
+			row := routeAndSimulate(tp, engines.Nue(cfg.Seed, cfg.Workers), k, cfg.Phases, simCfg)
 			row.Routing = nueName(k)
 			rows = append(rows, row)
 		}

@@ -53,11 +53,9 @@ type Fig11Row struct {
 	Err string
 }
 
-// Fig11 measures forwarding-table computation time for Nue, DFSSSP, LASH
-// and Torus-2QoS on growing 3D tori with 1% random link failures.
-func Fig11(cfg Fig11Config) []Fig11Row { return fig11(cfg, nil) }
-
-// fig11 optionally reports each row as it completes (long sweeps stream).
+// fig11 measures forwarding-table computation time for Nue, DFSSSP, LASH
+// and Torus-2QoS on growing 3D tori with 1% random link failures,
+// optionally reporting each row as it completes (long sweeps stream).
 func fig11(cfg Fig11Config, onRow func(Fig11Row)) []Fig11Row {
 	var rows []Fig11Row
 	sizes := toriSizes(cfg.MinDim, cfg.MaxDim)

@@ -21,8 +21,9 @@ type Fig9Config struct {
 	// Switches, SSLinks, TerminalsPerSwitch describe the random
 	// topologies (paper: 125, 1000, 8).
 	Switches, SSLinks, TerminalsPerSwitch int
-	// NueVCs lists the Nue VC counts to evaluate (paper: 1..8).
-	NueVCs []int
+	// MaxVCs is the VC budget of LASH and DFSSSP, and Nue runs at every
+	// VC count from 1 to it (paper: 8).
+	MaxVCs int
 	// Seed drives topology generation and partitioning.
 	Seed int64
 	// Workers bounds Nue's routing goroutines (0 = GOMAXPROCS); the
@@ -38,7 +39,7 @@ func DefaultFig9Config() Fig9Config {
 		Switches:           125,
 		SSLinks:            1000,
 		TerminalsPerSwitch: 8,
-		NueVCs:             []int{1, 2, 3, 4, 5, 6, 7, 8},
+		MaxVCs:             8,
 	}
 }
 
@@ -62,8 +63,9 @@ type Fig9Row struct {
 	Failures int
 }
 
-// Fig9 reproduces the edge-forwarding-index comparison: LASH, DFSSSP and
-// Nue with 1..8 VCs on random topologies.
+// Fig9 reproduces the edge-forwarding-index comparison on random
+// topologies: LASH and DFSSSP under the VC budget, and Nue at every VC
+// count from 1 to it.
 func Fig9(cfg Fig9Config) []Fig9Row {
 	type acc struct {
 		Fig9Row
@@ -71,7 +73,7 @@ func Fig9(cfg Fig9Config) []Fig9Row {
 	}
 	accs := map[string]*acc{}
 	order := []string{"lash", "dfsssp"}
-	for _, k := range cfg.NueVCs {
+	for k := 1; k <= cfg.MaxVCs; k++ {
 		order = append(order, nueName(k))
 	}
 	get := func(name string) *acc {
@@ -113,9 +115,9 @@ func Fig9(cfg Fig9Config) []Fig9Row {
 			}
 		}
 
-		run("lash", lash.Engine{}, 8)
-		run("dfsssp", dfsssp.Engine{}, 8)
-		for _, k := range cfg.NueVCs {
+		run("lash", lash.Engine{}, cfg.MaxVCs)
+		run("dfsssp", dfsssp.Engine{}, cfg.MaxVCs)
+		for k := 1; k <= cfg.MaxVCs; k++ {
 			run(nueName(k), engines.Nue(cfg.Seed+int64(trial), cfg.Workers), k)
 		}
 	}

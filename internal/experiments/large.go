@@ -41,8 +41,6 @@ func LargeClasses() []LargeClass {
 
 // LargeConfig parameterizes the large-scale routing sweep.
 type LargeConfig struct {
-	// Classes defaults to LargeClasses when nil.
-	Classes []LargeClass
 	// MaxVCs is the virtual-channel budget (default 4, the Fig. 1
 	// budget; large networks routinely need 3-4 layers).
 	MaxVCs int
@@ -96,20 +94,15 @@ func SampleSwitches(net *graph.Network, n int) []graph.NodeID {
 	return out
 }
 
-// Large routes every class of the tier with Nue and reports runtime,
-// memory and CDG-search statistics per class.
-func Large(cfg LargeConfig) []LargeRow { return large(cfg, nil) }
-
+// large routes every class of the tier with Nue and reports runtime,
+// memory and CDG-search statistics per class, handing each row to onRow
+// as it completes.
 func large(cfg LargeConfig, onRow func(LargeRow)) []LargeRow {
-	classes := cfg.Classes
-	if classes == nil {
-		classes = LargeClasses()
-	}
 	if cfg.MaxVCs <= 0 {
 		cfg.MaxVCs = 4
 	}
 	var rows []LargeRow
-	for _, cl := range classes {
+	for _, cl := range LargeClasses() {
 		tp := cl.Build()
 		dests := SampleSwitches(tp.Net, cfg.DestSample)
 		row := LargeRow{

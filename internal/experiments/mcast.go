@@ -23,25 +23,22 @@ type McastConfig struct {
 	// Groups is the number of random groups; GroupSize the members per
 	// group (clamped to the terminal count).
 	Groups, GroupSize int
-	// Rounds is the number of broadcast rounds each group performs.
-	Rounds int
 	// MaxVCs is the VC budget for the underlying unicast routing.
 	MaxVCs int
 	Seed   int64
 	// Workers bounds Nue's routing goroutines (0 = GOMAXPROCS).
 	Workers int
-	// Sim configures the flit simulator.
-	Sim sim.Config
 }
+
+// mcastRounds is the number of broadcast rounds each group performs.
+const mcastRounds = 2
 
 // DefaultMcastConfig routes 8 groups of 6 on laptop-sized topologies.
 func DefaultMcastConfig() McastConfig {
 	return McastConfig{
 		Groups:    8,
 		GroupSize: 6,
-		Rounds:    2,
 		MaxVCs:    4,
-		Sim:       sim.DefaultConfig(),
 	}
 }
 
@@ -112,12 +109,12 @@ func mcastOne(tp *topology.Topology, cfg McastConfig) McastRow {
 	row.CastEdges = cert.CastEdges
 
 	var msgs []sim.Message
-	for r := 0; r < cfg.Rounds; r++ {
+	for r := 0; r < mcastRounds; r++ {
 		for _, g := range groups {
 			msgs = append(msgs, sim.Message{Group: g.ID})
 		}
 	}
-	r, err := sim.Run(net, res, msgs, cfg.Sim)
+	r, err := sim.Run(net, res, msgs, sim.DefaultConfig())
 	if err != nil {
 		row.Err = err.Error()
 		return row
@@ -135,7 +132,7 @@ func mcastOne(tp *topology.Topology, cfg McastConfig) McastRow {
 func WriteMcast(w io.Writer, cfg McastConfig) []McastRow {
 	rows := Mcast(cfg)
 	fmt.Fprintf(w, "## Multicast cast-tree routing — %d groups of %d, %d broadcast rounds\n",
-		cfg.Groups, cfg.GroupSize, cfg.Rounds)
+		cfg.Groups, cfg.GroupSize, mcastRounds)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "topology\tgroups\treceivers\tubm\tunrouted\ttree-edges\tcast-deps\tbuild-time\tthroughput(flits/cycle)\treplicated-flits\tnote")
 	for _, r := range rows {

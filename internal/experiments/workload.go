@@ -25,10 +25,6 @@ type WorkloadConfig struct {
 	// MeanGap is the Poisson mean inter-arrival gap in ticks
 	// (0 = closed batch, everything arrives at tick 0).
 	MeanGap float64
-	// Bytes is the per-flow transfer size for single-pattern workloads.
-	Bytes int64
-	// Quantum coalesces flowsim rate recomputation (0 = exact).
-	Quantum int64
 	// MaxVCs is the routing VC budget.
 	MaxVCs int
 	Seed   int64
@@ -45,8 +41,6 @@ func DefaultWorkloadConfig() WorkloadConfig {
 	return WorkloadConfig{
 		Flows:   20_000,
 		MeanGap: 4,
-		Bytes:   64 << 10,
-		Quantum: 1 << 16,
 		MaxVCs:  4,
 	}
 }
@@ -72,15 +66,23 @@ type WorkloadRow struct {
 	Err                      string
 }
 
+const (
+	// flowBytes is the per-flow transfer size of the single-pattern
+	// workloads and of the mix's bulk tenant.
+	flowBytes = 64 << 10
+	// quantum coalesces flowsim rate recomputation.
+	quantum = 1 << 16
+)
+
 // workloadCells returns the named workload mixes of the experiment.
-func workloadCells(bytes int64) []workload.Mix {
+func workloadCells() []workload.Mix {
 	return []workload.Mix{
-		workload.Single(workload.Uniform{}, bytes),
-		workload.Single(workload.Hotspot{Skew: 1.2}, bytes),
-		workload.Single(workload.Incast{Fanin: 8}, bytes),
-		workload.Single(workload.Shift{}, bytes),
+		workload.Single(workload.Uniform{}, flowBytes),
+		workload.Single(workload.Hotspot{Skew: 1.2}, flowBytes),
+		workload.Single(workload.Incast{Fanin: 8}, flowBytes),
+		workload.Single(workload.Shift{}, flowBytes),
 		{Tenants: []workload.TenantSpec{
-			{Name: "bulk", Weight: 3, Pattern: workload.Uniform{}, Bytes: bytes},
+			{Name: "bulk", Weight: 3, Pattern: workload.Uniform{}, Bytes: flowBytes},
 			{Name: "rpc", Weight: 1, Pattern: workload.Incast{Fanin: 4}, Bytes: 4096},
 		}},
 	}
@@ -102,7 +104,7 @@ func Workload(cfg WorkloadConfig) []WorkloadRow {
 	}
 	var rows []WorkloadRow
 	for _, tp := range tops {
-		for _, mix := range workloadCells(cfg.Bytes) {
+		for _, mix := range workloadCells() {
 			rows = append(rows, workloadOne(tp, mix, cfg)...)
 		}
 	}
@@ -131,7 +133,7 @@ func workloadOne(tp *topology.Topology, mix workload.Mix, cfg WorkloadConfig) []
 		wm.FlowsGenerated.Add(int64(len(flows)))
 	}
 	r, err := flowsim.Run(tp.Net, res, flows, flowsim.Config{
-		Quantum:     cfg.Quantum,
+		Quantum:     quantum,
 		TenantNames: mix.TenantNames(),
 		Telemetry:   wm,
 	})
@@ -167,7 +169,7 @@ func workloadOne(tp *topology.Topology, mix workload.Mix, cfg WorkloadConfig) []
 func WriteWorkload(w io.Writer, cfg WorkloadConfig) []WorkloadRow {
 	rows := Workload(cfg)
 	fmt.Fprintf(w, "## Trace-driven workloads on Nue tables (fluid fast path) — %d flows/cell, mean gap %.1f, quantum %d\n",
-		cfg.Flows, cfg.MeanGap, cfg.Quantum)
+		cfg.Flows, cfg.MeanGap, quantum)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "topology\tworkload\ttenant\tflows\tfinished\tmakespan(ticks)\tthroughput(B/tick)\tfct-p50\tfct-p99\tlink-util avg/max\tnote")
 	for _, r := range rows {

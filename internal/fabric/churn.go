@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 )
 
@@ -43,7 +44,7 @@ func (s *State) RandomEvent(rng *rand.Rand, pJoin float64) (Event, bool) {
 	for _, c := range alive {
 		// Probe on the working copy and revert: Apply will redo the flip.
 		s.working.SetChannelFailed(c, true)
-		ok := graph.Connected(s.working)
+		ok := bfs.Connected(s.working)
 		s.working.SetChannelFailed(c, false)
 		if ok {
 			return Event{Kind: LinkFail, Link: c}, true
@@ -87,7 +88,7 @@ func (s *State) RandomSwitchEvent(rng *rand.Rand, pJoin float64) (Event, bool) {
 				flipped = append(flipped, link)
 			}
 		}
-		ok := graph.Connected(s.working)
+		ok := bfs.Connected(s.working)
 		for _, link := range flipped {
 			s.working.SetChannelFailed(link, false)
 		}
@@ -101,12 +102,8 @@ func (s *State) RandomSwitchEvent(rng *rand.Rand, pJoin float64) (Event, bool) {
 	return Event{}, false
 }
 
-// sortChannels and sortNodes keep map-iteration randomness out of the
-// event draw so runs are reproducible per seed.
+// sortChannels keeps map-iteration randomness out of the event draw so
+// runs are reproducible per seed.
 func sortChannels(s []graph.ChannelID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func sortNodes(s []graph.NodeID) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

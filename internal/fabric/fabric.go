@@ -17,8 +17,10 @@
 // fabric.
 //
 // Readers never block on reconfigurations: forwarding state is published
-// as epoch-versioned immutable snapshots behind an atomic pointer, so
-// NextHop/Path see a consistent (network, table) pair at all times.
+// as epoch-versioned immutable snapshots behind an atomic pointer, and
+// View is the reader API: the Snapshot it returns is a consistent
+// (network, table) pair that stays valid for as long as the reader holds
+// it (walk it with routing.Walk).
 package fabric
 
 import (
@@ -208,15 +210,3 @@ func (m *Manager) View() *Snapshot { return m.snap.Load() }
 
 // Epoch returns the current configuration version.
 func (m *Manager) Epoch() uint64 { return m.snap.Load().Epoch }
-
-// NextHop returns the forwarding channel at node n toward destination d
-// in the current epoch (graph.NoChannel when none).
-func (m *Manager) NextHop(n, d graph.NodeID) graph.ChannelID {
-	return m.snap.Load().Result.Table.Next(n, d)
-}
-
-// Path walks the current epoch's tables from src to dst.
-func (m *Manager) Path(src, dst graph.NodeID) ([]graph.ChannelID, error) {
-	snap := m.snap.Load()
-	return routing.Walk(snap.Net, snap.Result, src, dst, nil)
-}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
 )
@@ -154,7 +155,7 @@ func TestSwitchFailAndJoin(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if _, err := m.Path(a, b); err != nil {
+			if _, err := routing.Walk(snap.Net, snap.Result, a, b, nil); err != nil {
 				t.Fatalf("path %d -> %d after rejoin: %v", a, b, err)
 			}
 		}
@@ -218,8 +219,10 @@ func TestAffectedDestsMatchesColumnScan(t *testing.T) {
 						continue
 					}
 					for _, d := range table.Dests() {
-						if table.DestUsesChannel(d, c) {
-							want[d] = struct{}{}
+						for _, sw := range newNet.Switches() {
+							if table.Next(sw, d) == c {
+								want[d] = struct{}{}
+							}
 						}
 					}
 				}

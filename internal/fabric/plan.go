@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -67,7 +68,7 @@ func planJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []layerJob {
 // scratch on every event (the dominant repair cost on large fabrics).
 type escapeRoot struct {
 	root graph.NodeID
-	tree *graph.Tree
+	tree *bfs.Tree
 }
 
 // runner is the routing-computation half of the Manager: it owns the Nue

@@ -122,10 +122,12 @@ func TestCSRMatchesNetwork(t *testing.T) {
 	}
 }
 
-// TestWithoutOnHalfFailedLink checks the derived networks on a link that
-// already has one half failed: WithoutChannels fails both halves whichever
-// half it is named by, WithoutNodes fails every channel touching the node,
-// and neither touches the network it is called on.
+// TestWithoutOnHalfFailedLink checks the networks derived on a link that
+// already has one half failed: failing the link on a clone by its live
+// half fails both halves and by its failed half changes nothing (that
+// half is already in the requested state), WithoutNodes fails every
+// channel touching the node, and neither touches the network it is
+// called on.
 func TestWithoutOnHalfFailedLink(t *testing.T) {
 	g := topology.Torus3D(3, 3, 2, 1, 1).Net.Clone()
 	sw := g.Switches()[0]
@@ -146,9 +148,10 @@ func TestWithoutOnHalfFailedLink(t *testing.T) {
 		adjacencyLaidOut(t, ng, when)
 	}
 	for _, named := range []graph.ChannelID{c, rev} {
-		ng := g.WithoutChannels(named)
-		wantFailed(ng, func(ch graph.Channel) bool { return ch.ID == c || ch.ID == rev },
-			fmt.Sprintf("WithoutChannels(%d)", named))
+		ng := g.Clone()
+		ng.SetChannelFailed(named, true)
+		wantFailed(ng, func(ch graph.Channel) bool { return named == rev && (ch.ID == c || ch.ID == rev) },
+			fmt.Sprintf("SetChannelFailed(%d)", named))
 	}
 	for _, n := range []graph.NodeID{sw, far} {
 		ng := g.WithoutNodes(n)

@@ -166,15 +166,6 @@ func (g *Network) TerminalSwitch(t NodeID) NodeID {
 // radix in use).
 func (g *Network) Degree(n NodeID) int { return int(g.adj.outEnd[n] - g.adj.start[n]) }
 
-// MaxDegree returns the maximum out-degree over all nodes (Δ in the paper).
-func (g *Network) MaxDegree() int {
-	d := 0
-	for n := range g.nodes {
-		d = max(d, g.Degree(NodeID(n)))
-	}
-	return d
-}
-
 // FindChannel returns the ID of some non-failed channel from a to b, or
 // NoChannel if none exists.
 func (g *Network) FindChannel(a, b NodeID) ChannelID {
@@ -184,17 +175,6 @@ func (g *Network) FindChannel(a, b NodeID) ChannelID {
 		}
 	}
 	return NoChannel
-}
-
-// ChannelsBetween returns all non-failed parallel channels from a to b.
-func (g *Network) ChannelsBetween(a, b NodeID) []ChannelID {
-	var res []ChannelID
-	for _, c := range g.Out(a) {
-		if g.adj.To[c] == b {
-			res = append(res, c)
-		}
-	}
-	return res
 }
 
 // Builder incrementally constructs a Network.
@@ -326,19 +306,6 @@ func (g *Network) Symmetric() bool {
 		}
 	}
 	return true
-}
-
-// WithoutChannels returns a copy of g with the given channels (and their
-// reverse halves) marked failed. Terminals that would become disconnected
-// make the copy invalid for Build-level guarantees; callers should check
-// Connected() afterwards.
-func (g *Network) WithoutChannels(failed ...ChannelID) *Network {
-	ng := g.Clone()
-	for _, c := range failed {
-		ng.adj.setHalf(c, true)
-		ng.adj.setHalf(ng.adj.Rev[c], true)
-	}
-	return ng
 }
 
 // WithoutNodes returns a copy of g with all channels touching the given

@@ -3,6 +3,7 @@ package metrics
 import (
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -75,7 +76,7 @@ func TestGammaBalancedVsUnbalanced(t *testing.T) {
 	}
 	gammaNue := EdgeForwardingIndex(g, nue, nil)
 
-	tree := graph.SpanningTree(g, 0)
+	tree := bfs.SpanningTree(g, 0)
 	tbl := routing.NewTable(g, dests)
 	for _, d := range dests {
 		for _, s := range g.Switches() {

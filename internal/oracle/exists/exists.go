@@ -57,6 +57,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/routing"
@@ -265,7 +266,7 @@ func owedPairs(net *graph.Network, dests, sources []graph.NodeID) [][2]graph.Nod
 		if len(net.Out(d)) == 0 {
 			continue
 		}
-		reach := graph.ReverseBFS(net, d)
+		reach := bfs.Reverse(net, d)
 		for _, s := range sources {
 			if s == d || reach.Dist[s] < 0 {
 				continue

@@ -3,6 +3,7 @@ package oracle_test
 import (
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/oracle/exists"
@@ -132,7 +133,7 @@ func TestDecideOneWayPartial(t *testing.T) {
 	// but the intact duplex tree keeps it provably routable.
 	tp := topology.FullMesh(6, 2)
 	net := tp.Net
-	tree := graph.SpanningTree(net, net.Switches()[0])
+	tree := bfs.SpanningTree(net, net.Switches()[0])
 	for c := 0; c < net.NumChannels(); c += 2 {
 		fwd := net.Channel(graph.ChannelID(c))
 		if !net.IsSwitch(fwd.From) || !net.IsSwitch(fwd.To) {

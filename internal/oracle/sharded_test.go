@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/certtest"
-	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/routing"
 )
@@ -233,7 +233,7 @@ func TestReachClasses(t *testing.T) {
 			if len(c.Net.Out(d)) == 0 {
 				continue
 			}
-			own := graph.ReverseBFS(c.Net, d)
+			own := bfs.Reverse(c.Net, d)
 			for v, in := range of(d) {
 				if in != (own.Dist[v] >= 0) {
 					t.Errorf("%s: node %d reaches destination %d: class says %v, its own sweep %v", c.Name, v, d, in, own.Dist[v] >= 0)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -150,7 +151,7 @@ func generateOneWay(rng *rand.Rand) *topology.Topology {
 	links := sw - 1 + rng.Intn(min(sw, maxExtra)+1)
 	tp := topology.RandomTopology(rng, sw, links, 1)
 	net := tp.Net
-	tree := graph.SpanningTree(net, net.Switches()[0])
+	tree := bfs.SpanningTree(net, net.Switches()[0])
 	dropped := 0
 	for c := 0; c < net.NumChannels(); c += 2 {
 		id := graph.ChannelID(c)
@@ -226,7 +227,7 @@ func RandomRegular(rng *rand.Rand, switches, degree, terminals int) *topology.To
 			}
 		}
 		net := b.MustBuild()
-		if graph.Connected(net) {
+		if bfs.Connected(net) {
 			return &topology.Topology{Net: net, Name: fmt.Sprintf("regular-%d-%d", switches, degree)}
 		}
 	}

@@ -20,9 +20,14 @@ const (
 
 // TestTrustedBase pins what a certification trusts (DESIGN §11): the
 // non-test import closure of each certifier holds no package of this
-// module but graph, routing and the certifier itself. The standard
-// library is outside the count. It logs each closure's non-test lines.
+// module but graph, routing and the certifier itself, and no more
+// non-test lines than its bound. The standard library is outside the
+// count. It logs each closure's non-test lines.
 func TestTrustedBase(t *testing.T) {
+	bound := map[string]int{
+		module + "/internal/oracle":         3100,
+		module + "/internal/routing/verify": 2100,
+	}
 	for _, certifier := range []string{module + "/internal/oracle", module + "/internal/routing/verify"} {
 		allowed := map[string]bool{
 			certifier:                    true,
@@ -47,6 +52,9 @@ func TestTrustedBase(t *testing.T) {
 			counts = append(counts, fmt.Sprintf("%s %d", strings.TrimPrefix(p, module+"/internal/"), n))
 		}
 		t.Logf("%s: %d non-test lines (%s)", certifier, total, strings.Join(counts, ", "))
+		if total > bound[certifier] {
+			t.Errorf("%s's closure has %d non-test lines, more than its bound of %d", certifier, total, bound[certifier])
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/graph"
+	"repro/internal/bfs"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -18,7 +18,7 @@ import (
 // stamps are 64 bits wide: the certificate is the one counted from zero.
 func TestStampsDoNotWrap(t *testing.T) {
 	net := topology.Ring(6, 2).Net
-	tree := graph.SpanningTree(net, 0)
+	tree := bfs.SpanningTree(net, 0)
 	tbl := routing.NewTable(net, net.Terminals())
 	for _, d := range tbl.Dests() {
 		for _, s := range net.Switches() {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/topology"
 )
@@ -75,7 +76,7 @@ func strideSamples(terms []graph.NodeID, n int) [][]graph.NodeID {
 func halfFailedRandom(seed int64) *graph.Network {
 	rng := rand.New(rand.NewSource(seed))
 	net := topology.RandomTopology(rng, 24, 48, 1).Net
-	tree := graph.SpanningTree(net, net.Switches()[0])
+	tree := bfs.SpanningTree(net, net.Switches()[0])
 	for c := 0; c < net.NumChannels(); c += 2 {
 		id := graph.ChannelID(c)
 		ch := net.Channel(id)

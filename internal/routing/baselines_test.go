@@ -203,7 +203,9 @@ func TestTorus2QoSDoubleRingFailureFails(t *testing.T) {
 	b := tp.Torus.SwitchAt[1][0][0]
 	c := tp.Torus.SwitchAt[2][0][0]
 	d := tp.Torus.SwitchAt[3][0][0]
-	broken := g.WithoutChannels(g.FindChannel(a, b), g.FindChannel(c, d))
+	broken := g.Clone()
+	broken.SetChannelFailed(g.FindChannel(a, b), true)
+	broken.SetChannelFailed(g.FindChannel(c, d), true)
 	ntp := &topology.Topology{Net: broken, Name: "torus-2cut", Torus: tp.Torus}
 	if _, err := (dor.Engine{Meta: ntp.Torus, Datelines: true}).Route(ntp.Net, ntp.Net.Terminals(), 2); err == nil {
 		t.Error("torus2qos should fail with two failures in one ring")

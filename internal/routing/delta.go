@@ -43,42 +43,6 @@ func (t *Table) ClearDest(dest graph.NodeID) {
 	}
 }
 
-// DestUsesChannel reports whether any entry of dest's column forwards
-// over channel c.
-func (t *Table) DestUsesChannel(dest graph.NodeID, c graph.ChannelID) bool {
-	d := t.destIndex[dest]
-	if d < 0 {
-		return false
-	}
-	stride := len(t.dests)
-	for i := int(d); i < len(t.next); i += stride {
-		if t.next[i] == c {
-			return true
-		}
-	}
-	return false
-}
-
-// ForEach calls fn for every non-empty (switch, destination, next hop)
-// entry of the table.
-func (t *Table) ForEach(fn func(sw, dest graph.NodeID, c graph.ChannelID)) {
-	sws := make([]graph.NodeID, 0, len(t.swIndex))
-	for n, r := range t.swIndex {
-		if r >= 0 {
-			sws = append(sws, graph.NodeID(n))
-		}
-	}
-	stride := len(t.dests)
-	for _, sw := range sws {
-		row := int(t.swIndex[sw]) * stride
-		for di, d := range t.dests {
-			if c := t.next[row+di]; c != graph.NoChannel {
-				fn(sw, d, c)
-			}
-		}
-	}
-}
-
 // TableDelta summarizes how two forwarding tables over the same
 // destination set differ — the re-cabling cost of a reconfiguration in an
 // operational fail-in-place network.
@@ -238,19 +202,6 @@ func EntryDiff(old, new_ *Table) ([]DeltaEntry, TableDelta) {
 		entries = append(entries, DeltaEntry{Row: int32(i / cols), Col: int32(i % cols), Next: b})
 	}
 	return entries, delta
-}
-
-// ApplyDelta applies entry changes to the table in place. Entries must
-// lie within the table's shape (it panics otherwise); DecodeDelta output
-// for a matching shape always does.
-func (t *Table) ApplyDelta(entries []DeltaEntry) {
-	rows, cols := t.Shape()
-	for _, e := range entries {
-		if int(e.Row) >= rows || int(e.Col) >= cols || e.Row < 0 || e.Col < 0 {
-			panic(fmt.Sprintf("routing: ApplyDelta entry (%d,%d) outside %dx%d table", e.Row, e.Col, rows, cols))
-		}
-		t.next[int(e.Row)*cols+int(e.Col)] = e.Next
-	}
 }
 
 // Binary delta wire format (versioned, self-checking):

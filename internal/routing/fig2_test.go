@@ -3,6 +3,7 @@ package routing_test
 import (
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/routing/verify"
@@ -24,7 +25,7 @@ func TestFig2CounterClockwiseCDGHasDeadlock(t *testing.T) {
 	// that prefers the counter-clockwise ring direction reproduces this.
 	ccwNext := func(s, d graph.NodeID) graph.ChannelID {
 		// Hop distances from d.
-		dist := graph.BFS(g, d).Dist
+		dist := bfs.Forward(g, d).Dist
 		// Candidate neighbors one step closer, preferring counter-
 		// clockwise (s -> s-1 mod 5), then the shortcut, then clockwise.
 		prefs := []graph.NodeID{(s + 4) % 5}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
@@ -70,7 +71,7 @@ func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routin
 		destsBySwitch[att] = append(destsBySwitch[att], d)
 	}
 	for dstSw, ds := range destsBySwitch {
-		res := graph.BFS(net, dstSw)
+		res := bfs.Forward(net, dstSw)
 		for _, s := range net.Switches() {
 			if res.Dist[s] < 0 {
 				continue

@@ -11,6 +11,7 @@ package minhop
 import (
 	"errors"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
@@ -39,7 +40,7 @@ func (MinHop) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 		if net.Degree(d) == 0 {
 			continue
 		}
-		res := graph.BFS(net, d) // hop distances from d (duplex symmetric)
+		res := bfs.Forward(net, d) // hop distances from d (duplex symmetric)
 		for _, s := range net.Switches() {
 			if s == d || res.Dist[s] < 0 {
 				continue

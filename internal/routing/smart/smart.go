@@ -21,6 +21,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/bfs"
 	"repro/internal/dial"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -171,7 +172,7 @@ func (st *state) destTree(d graph.NodeID) ([]graph.ChannelID, bool) {
 		}
 	}
 	// Completeness: every connected node must be reached.
-	reach := graph.BFS(net, d)
+	reach := bfs.Forward(net, d)
 	for i := 0; i < n; i++ {
 		if reach.Dist[i] > 0 && used[i] == graph.NoChannel {
 			return nil, false

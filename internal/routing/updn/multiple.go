@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bfs"
 	"repro/internal/centrality"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -152,7 +153,7 @@ func pickRoots(net *graph.Network, k int) []graph.NodeID {
 		cand = cand[:2*k]
 	}
 	roots := []graph.NodeID{cand[0]}
-	distTo := graph.BFS(net, cand[0]).Dist
+	distTo := bfs.Forward(net, cand[0]).Dist
 	minDist := append([]int32(nil), distTo...)
 	for len(roots) < k {
 		best, bestD := graph.NoNode, int32(-1)
@@ -165,7 +166,7 @@ func pickRoots(net *graph.Network, k int) []graph.NodeID {
 			break
 		}
 		roots = append(roots, best)
-		d2 := graph.BFS(net, best).Dist
+		d2 := bfs.Forward(net, best).Dist
 		for i := range minDist {
 			if d2[i] >= 0 && (minDist[i] < 0 || d2[i] < minDist[i]) {
 				minDist[i] = d2[i]

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/bfs"
 	"repro/internal/centrality"
 	"repro/internal/dial"
 	"repro/internal/graph"
@@ -43,7 +44,7 @@ func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*ro
 	if root == graph.NoNode {
 		return nil, errors.New("updn: no usable root switch")
 	}
-	level := graph.BFS(net, root).Dist
+	level := bfs.Forward(net, root).Dist
 
 	// up reports whether traversing c moves toward the root.
 	up := func(c graph.ChannelID) bool {

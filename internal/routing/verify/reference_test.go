@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
@@ -11,7 +12,7 @@ import (
 // walks every owed pair from its source to its destination with
 // routing.Walk, shares nothing between pairs or destinations, and feeds
 // every hop of every path to the dependency graph. Its Steps is therefore
-// the sum of the path lengths. Reach comes from graph.ReverseBFS and
+// the sum of the path lengths. Reach comes from bfs.Reverse and
 // dependencies are deduplicated through a map before they reach the
 // graph, so of Check's own code only the graph and its cycle search are
 // reused. It lives in a test file: production
@@ -31,7 +32,7 @@ func ReferenceCheck(net *graph.Network, res *routing.Result, sources []graph.Nod
 		if net.Degree(d) == 0 {
 			continue
 		}
-		reach := graph.ReverseBFS(net, d)
+		reach := bfs.Reverse(net, d)
 		for _, s := range sources {
 			if s == d || reach.Dist[s] < 0 {
 				continue

@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/certtest"
-	"repro/internal/graph"
 	"repro/internal/routing/verify"
 )
 
@@ -135,7 +135,7 @@ func TestReachClasses(t *testing.T) {
 			if c.Net.Degree(d) == 0 {
 				continue
 			}
-			own := graph.ReverseBFS(c.Net, d)
+			own := bfs.Reverse(c.Net, d)
 			set := of(d)
 			key := make([]byte, len(set))
 			for v := range set {

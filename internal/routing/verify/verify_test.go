@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/oracle"
@@ -85,7 +86,7 @@ func TestVerifierAcceptsTreeRouting(t *testing.T) {
 	// Routing along a spanning tree is always deadlock-free.
 	tp := topology.Torus3D(3, 3, 1, 2, 1)
 	g := tp.Net
-	tree := graph.SpanningTree(g, 0)
+	tree := bfs.SpanningTree(g, 0)
 	dests := g.Terminals()
 	tbl := routing.NewTable(g, dests)
 	for _, d := range dests {
@@ -179,7 +180,7 @@ func TestVerifierChecksPairPathOverrides(t *testing.T) {
 	dests := g.Terminals()
 	tbl := routing.NewTable(g, dests)
 	// Valid destination-based tables (tree routing via switch 0).
-	tree := graph.SpanningTree(g, 0)
+	tree := bfs.SpanningTree(g, 0)
 	for _, d := range dests {
 		for _, s := range g.Switches() {
 			if p := tree.TreePath(s, d); len(p) > 0 {
@@ -208,7 +209,7 @@ func TestVerifierRejectsRevisitingOverride(t *testing.T) {
 	g := tp.Net
 	dests := g.Terminals()
 	tbl := routing.NewTable(g, dests)
-	tree := graph.SpanningTree(g, 0)
+	tree := bfs.SpanningTree(g, 0)
 	for _, d := range dests {
 		for _, s := range g.Switches() {
 			if p := tree.TreePath(s, d); len(p) > 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/flowsim"
 	"repro/internal/graph"
 	"repro/internal/oracle"
@@ -19,7 +20,7 @@ import (
 func treeRing(t *testing.T) (*graph.Network, *routing.Result) {
 	t.Helper()
 	g := topology.Ring(4, 1).Net
-	tree := graph.SpanningTree(g, 0)
+	tree := bfs.SpanningTree(g, 0)
 	tbl := routing.NewTable(g, g.Terminals())
 	for _, d := range g.Terminals() {
 		for _, s := range g.Switches() {

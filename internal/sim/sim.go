@@ -358,8 +358,6 @@ func (s *sim) detectDeadlock() bool {
 	return inFlight+waiting > 0
 }
 
-func (s *sim) remainingFlitsTotal() int64 { return s.remainingFlits }
-
 func (s *sim) result(deadlocked, timedOut bool) Result {
 	r := Result{
 		Cycles:            s.now,

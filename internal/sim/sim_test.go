@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -125,7 +126,7 @@ func TestNueThroughputBeatsTreeRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := graph.SpanningTree(g, 0)
+	tree := bfs.SpanningTree(g, 0)
 	tbl := routing.NewTable(g, dests)
 	for _, d := range dests {
 		for _, s := range g.Switches() {

@@ -29,7 +29,7 @@ type EngineMetrics struct {
 	EscapeFallbacks, IslandsResolved, ShortcutTakes *Counter
 	// BlockedEncounters counts blocked complete-CDG edges skipped during
 	// relaxation; CycleSearches and EdgesBlocked aggregate the CDG cycle
-	// detector; EdgeUses counts TryUseEdge attempts.
+	// detector; EdgeUses counts TryUseEdgeByID attempts.
 	BlockedEncounters, CycleSearches, EdgesBlocked, EdgeUses *Counter
 	// Events receives one "engine_layer" event per routed layer with its
 	// size and phase timings.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 )
 
@@ -86,7 +87,7 @@ func InjectLinkFailures(tp *Topology, rng *rand.Rand, fraction float64) (*Topolo
 		rev := cur.Channel(c).Reverse
 		revFlipped := cur.SetHalfFailed(rev, true)
 		cur.SetHalfFailed(c, true)
-		if graph.Connected(cur) {
+		if bfs.Connected(cur) {
 			failed++
 			continue
 		}
