@@ -250,8 +250,9 @@ func islands(name string, bridged bool) Case {
 // and each lane's dependency graph has cycles, so a certifier that
 // builds the lanes on different goroutines must refute it with the
 // lanes, and the witness, a single goroutine finds.
-func CyclicLanes(t testing.TB) Case {
-	torus := topology.Torus3D(4, 4, 2, 1, 1)
+func CyclicLanes(t testing.TB) Case { return cyclicLanes(t, topology.Torus3D(4, 4, 2, 1, 1)) }
+
+func cyclicLanes(t testing.TB, torus *topology.Topology) Case {
 	res, err := dor.Engine{Meta: torus.Torus}.Route(torus.Net, dests(torus.Net), 1)
 	if err != nil {
 		t.Fatalf("cyclic lanes: %v", err)
@@ -348,6 +349,34 @@ func BoundInstances(t testing.TB) []Case {
 	var out []Case
 	for _, tp := range []*topology.Topology{topology.Torus3D(8, 8, 8, 1, 1), topology.Dragonfly(4, 2, 2, 9)} {
 		out = append(out, Case{Name: tp.Name, Net: tp.Net, Res: Nue(t, tp.Net, 1, 4)})
+	}
+	return out
+}
+
+// ColdShapes are the fabrics of the benchmark's cold workloads, as
+// internal/core's benchmark builds them: the 8x8x8 torus routed toward
+// all 512 terminals, and the 16x16x16 torus routed toward 32 terminals
+// picked by a stride walk from the first, both by Nue at seed 1 on four
+// VCs.
+func ColdShapes(t testing.TB) []Case {
+	var out []Case
+	for _, s := range []struct {
+		name         string
+		dims, sample int
+	}{{"torus512", 8, 0}, {"torus4k-32", 16, 32}} {
+		net := topology.Torus3D(s.dims, s.dims, s.dims, 1, 1).Net
+		dests := net.Terminals()
+		if s.sample > 0 {
+			for i := range s.sample {
+				dests[i] = dests[i*(len(dests)/s.sample)]
+			}
+			dests = dests[:s.sample]
+		}
+		res, err := engines.Nue(1, 1).Route(net, dests, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		out = append(out, Case{Name: s.name, Net: net, Res: res})
 	}
 	return out
 }
@@ -482,6 +511,26 @@ func Planted(t testing.TB) []Case {
 		out = append(out, Case{Name: site.name + "/lane-at-budget", Net: net, Res: &res})
 	}
 	return out
+}
+
+// Mixed is the sequence a certifier that keeps its scratch from call to
+// call is run through, so that each call meets arrays an unlike call
+// left: a sound Nue routing of the 6x6x4 torus on four lanes; a cyclic
+// routing of the same torus on two (CyclicLanes' kind), whose walks meet
+// the marks the first left on nodes of the same numbers; an unreachable
+// pair, a forwarding loop and a lane at the VC budget (from Planted, on
+// a smaller torus); the two islands joined one way and then apart, where
+// the same nodes reach fewer destinations than in the call before; a
+// small sound routing with per-pair layers; and the first case again.
+func Mixed(t testing.TB) []Case {
+	tp := topology.Torus3D(6, 6, 4, 1, 1)
+	large := Case{Name: "large", Net: tp.Net, Res: Nue(t, tp.Net, 1, 4)}
+	planted := map[string]Case{}
+	for _, c := range Planted(t) {
+		planted[c.Name] = c
+	}
+	return []Case{large, cyclicLanes(t, tp), planted["shared-suffix/dropped-entry"], planted["shared-suffix/two-cycle"],
+		planted["shared-suffix/lane-at-budget"], islands("one-way-bridge", true), islands("two-components", false), TwoLanes(), large}
 }
 
 // plantSite picks the destination for Planted: one whose last source in

@@ -68,6 +68,10 @@ func DefaultOptions() Options {
 	}
 }
 
+// maxLayers is the most layers a route uses: 256, the width of
+// routing.Result's DestLayer entries and of a virtual lane.
+const maxLayers = 256
+
 // Nue is the routing engine. It implements routing.Engine.
 type Nue struct {
 	opts Options
@@ -95,7 +99,9 @@ func (n *Nue) Claims() routing.Claims { return routing.Claims{DeadlockFree: true
 
 // Route computes deadlock-free destination-based forwarding tables toward
 // dests using at most maxVCs virtual layers. Nue always succeeds on
-// connected networks for any maxVCs >= 1 (Lemma 3).
+// connected networks for any maxVCs >= 1 (Lemma 3). A budget above
+// maxLayers is capped there: a destination's layer is a DestLayer byte
+// and a virtual lane.
 func (n *Nue) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
 	if maxVCs < 1 {
 		return nil, errors.New("nue: need at least one virtual channel")
@@ -121,7 +127,7 @@ func (n *Nue) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 		partStart = time.Now()
 	}
 	rng := rand.New(rand.NewSource(n.opts.Seed))
-	parts, err := partition.Split(net, routable, maxVCs, n.opts.Partition, rng)
+	parts, err := partition.Split(net, routable, min(maxVCs, maxLayers), n.opts.Partition, rng)
 	if err != nil {
 		return nil, fmt.Errorf("nue: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/partition"
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
@@ -207,5 +208,27 @@ func TestQuickNueAlwaysDeadlockFree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNueCapsLayersAtLaneWidth: a budget above 256 VCs is capped at 256
+// layers. Layer indices are bytes (DestLayer, the virtual lane), so a
+// 257th layer would wrap onto layer 0 and share its dependency graph
+// with a layer routed apart from it. All 512 terminals of the 8x8x8
+// torus at 300 VCs give more than 256 parts without the cap.
+func TestNueCapsLayersAtLaneWidth(t *testing.T) {
+	net := topology.Torus3D(8, 8, 8, 1, 1).Net
+	res, err := New(DefaultOptions()).Route(net, net.Terminals(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VCs > 256 {
+		t.Errorf("Nue used %d VCs, more than the 256 a lane can name", res.VCs)
+	}
+	if _, err := verify.Check(net, res, nil); err != nil {
+		t.Errorf("verify: %v", err)
+	}
+	if _, err := oracle.Certify(net, res, oracle.Options{MaxVCs: 300}); err != nil {
+		t.Errorf("oracle: %v", err)
 	}
 }

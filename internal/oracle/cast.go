@@ -26,7 +26,7 @@ import (
 func walkCast(net *graph.Network, res *routing.Result, cert *Certificate, dg *depGraph) (deferred, hard error) {
 	// UBM legs are single pairs to unrelated members: no memo, every leg
 	// is walked to its end.
-	w := newTableWalker(net, res, cert, dg, false)
+	w := &tableWalker{net: net, res: res, cert: cert, dg: dg, onPath: make([]int64, net.NumNodes())}
 	reach := make([]int32, net.NumNodes())
 	var queue []graph.NodeID
 	keep := func(err error) {
@@ -86,11 +86,8 @@ func walkCast(net *graph.Network, res *routing.Result, cert *Certificate, dg *de
 // sweepComponent marks src's component in reach with 1 (resetting the
 // scratch each call).
 func sweepComponent(net *graph.Network, src graph.NodeID, reach []int32, queue *[]graph.NodeID) {
-	for i := range reach {
-		reach[i] = 0
-	}
-	q := (*queue)[:0]
-	q = append(q, src)
+	clear(reach)
+	q := append((*queue)[:0], src)
 	reach[src] = 1
 	for head := 0; head < len(q); head++ {
 		for _, c := range net.Out(q[head]) {

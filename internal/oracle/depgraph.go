@@ -7,23 +7,21 @@ import "repro/internal/graph"
 // a walked path. It is rebuilt from the finished routing alone — no
 // engine-side CDG state is consulted.
 //
-// The graph is flat: it holds no heap object per vertex. Each lane keeps
+// The graph is flat, with no heap object per vertex. Each lane keeps
 // three arrays (depLane): slot, one int32 per channel, names the node of
 // the channel's vertex on that lane; nodes holds one entry per vertex a
 // dependency leaves, with the heads of its first four dependencies in
-// the order they were first recorded; deps holds the rest, chained per
-// node in that order. A vertex no dependency leaves has no node (it
-// cannot lie on a cycle), a lane nothing is recorded on has no slot
-// array, and nodes and deps grow by fixed blocks that are never copied,
-// so the memory of a graph follows the dependencies it records, not
-// channels × lanes × radix. The Tarjan search keeps its marks in the
-// nodes and its stacks in the graph.
+// recording order; deps holds the rest, chained per node in that order.
+// A vertex no dependency leaves has no node (it cannot lie on a cycle),
+// and nodes and deps grow by fixed blocks that are never copied, so a
+// graph's memory follows the dependencies it records. The Tarjan search
+// keeps its marks in the nodes and its stacks in the graph.
 //
-// A graph lives for one call. The lanes' sequential fallback empties it
-// with reset and fills it again, and nothing the first fill left is read
-// before it is written: reset clears exactly the slots the nodes name and
-// drops the V-type set, and a node's Tarjan marks are zeroed when the
-// node is created.
+// A graph is kept from call to call. Each call, and the lanes' sequential
+// fallback, empties it with reset and fills it again, and nothing an
+// earlier fill left is read before it is written: reset clears exactly
+// the slots the nodes name and the V-type set, and a node's Tarjan marks
+// are zeroed when the node is created.
 type depGraph struct {
 	layers   int
 	channels int
@@ -93,12 +91,10 @@ type depEdge struct {
 	next int32 // the source vertex's next dependency, -1 at the end
 }
 
-// blocks is an append-only array kept in fixed-size blocks. Growing it
-// allocates one block and copies nothing; a slice grown by append copies
-// itself at every step, which at Go's growth rate for large slices
-// allocates four times its final size on the way. A block is 64
-// entries, so a small graph stays small. Entries do not move, and the
-// blocks of a reset array are reused.
+// blocks is an append-only array kept in blocks of 64 entries. Growing
+// it allocates one block and copies nothing, where a large slice grown by
+// append allocates four times its final size on the way. Entries do not
+// move, and the blocks of a reset array are reused.
 type blocks[T any] struct {
 	b [][]T
 	n int32
@@ -127,23 +123,28 @@ func (s *blocks[T]) push(v T) int32 {
 
 func (s *blocks[T]) reset() { s.b, s.n = s.b[:0], 0 }
 
-// newDepGraph returns an empty graph over channels × layers vertices. A
-// lane's slot array is allocated at its first dependency.
-func newDepGraph(channels, layers int) *depGraph {
-	return &depGraph{channels: channels, layers: layers, lanes: make([]depLane, layers)}
-}
-
-// reset empties g and keeps its arrays.
-func (g *depGraph) reset() {
-	for i := range g.lanes {
-		ln := &g.lanes[i]
+// reset empties g, keeps its arrays and makes it a graph over channels ×
+// layers vertices. A lane's slot array is allocated at its first
+// dependency, and dropped here if it has the wrong length; one kept is
+// zero again, as reset clears the slots its nodes name.
+func (g *depGraph) reset(channels, layers int) {
+	all := g.lanes[:cap(g.lanes)]
+	for i := range all {
+		ln := &all[i]
 		for k := int32(0); k < ln.nodes.n; k++ {
 			ln.slot[ln.nodes.at(k).c] = 0
 		}
 		ln.nodes.reset()
 		ln.deps.reset()
+		if len(ln.slot) != channels {
+			ln.slot = nil
+		}
 	}
-	g.vEdges = nil
+	if layers > len(all) {
+		all = append(all, make([]depLane, layers-len(all))...)
+	}
+	g.lanes, g.channels, g.layers = all[:layers], channels, layers
+	clear(g.vEdges)
 }
 
 func (g *depGraph) vertex(c graph.ChannelID, vl uint8) int32 {

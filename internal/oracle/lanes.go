@@ -10,24 +10,19 @@ import (
 )
 
 // This file is how a certifier call uses more than one core and how it
-// learns, once per call, which nodes owe a destination a path. Both are
-// the oracle's own code: internal/routing/verify solves the same two
-// problems separately, and neither imports the other.
+// learns, once per call, which nodes owe a destination a path
+// (internal/routing/verify solves both separately).
 //
-// Lanes. When the lane of a packet is a function of its destination alone
-// (DestLayer or a single layer, no per-pair layers, no SL2VL mapping, no
-// source-routed overrides — the shape the fabric publishes and the only
-// one CertifyTransition accepts), every dependency the destination
-// induces joins two vertices (channel, l) of its own lane l. The lanes
-// are then handed out one at a time to up to GOMAXPROCS goroutines that
-// all append to the ONE dependency graph: a goroutine only touches the
-// arrays of the lane it holds, so there is nothing to lock and nothing to
-// merge, each successor chain is filled in the order a single goroutine
-// would have filled it, and the cycle search that follows sees the same
-// graph whatever the goroutine count. Lane goroutines report success
-// only: if one meets a violation the graph is emptied and the call runs
-// again on one goroutine, so every error, witness and partial count is
-// the sequential one.
+// Lanes. When a packet's lane is a function of its destination alone
+// (DestLayer or one layer; no PairLayer, SLToVL or PairPath — the shape
+// the fabric publishes), every dependency of a destination joins two
+// vertices of its lane. Up to GOMAXPROCS goroutines then take one lane
+// at a time and append to the ONE dependency graph, each touching only
+// the arrays of its lane: nothing to lock or merge, every successor
+// chain in single-goroutine order, the same graph for the cycle search
+// whatever the goroutine count. If a goroutine meets a violation the
+// graph is emptied and the call runs again on one goroutine, so every
+// error, witness and partial count is the sequential one.
 
 // allLanes makes a walk take every destination, whatever its lane.
 const allLanes = -1
@@ -88,7 +83,7 @@ func (g *depGraph) fillLanes(lanes []uint8, newWalk func() func(lane int) error)
 	}
 	wg.Wait()
 	if failed.Load() {
-		g.reset()
+		g.reset(g.channels, g.layers)
 		return false
 	}
 	return true
@@ -105,20 +100,19 @@ type laneWalker struct {
 	_      [64]byte
 }
 
-// walkPairs walks every owed pair of res into dg and counts into cert,
+// walkPairs walks every owed pair of res into s.dg and counts into cert,
 // one lane per goroutine when the shape allows it.
-func walkPairs(net *graph.Network, res *routing.Result, sources []graph.NodeID, cert *Certificate, dg *depGraph) error {
-	reach := sweepReach(net, res.Table.Dests())
+func (s *certifyScratch) walkPairs(net *graph.Network, res *routing.Result, sources []graph.NodeID, cert *Certificate) error {
+	s.reach.sweep(net, res.Table.Dests())
 	if res.PairLayer == nil && res.SLToVL == nil && res.PairPath == nil {
-		var walkers []*laneWalker
-		ok := dg.fillLanes(distinctLanes(res.DestLayer), func() func(int) error {
-			w := &laneWalker{}
-			w.tableWalker = *newTableWalker(net, res, &w.counts, dg, true)
-			walkers = append(walkers, w)
-			return func(lane int) error { return w.walkAll(sources, reach, lane) }
+		n := 0
+		ok := s.dg.fillLanes(distinctLanes(res.DestLayer), func() func(int) error {
+			w := s.walker(n, net, res, nil)
+			n++
+			return func(lane int) error { return w.walkAll(sources, &s.reach, lane) }
 		})
 		if ok {
-			for _, w := range walkers {
+			for _, w := range s.walkers[:n] {
 				cert.Pairs += w.counts.Pairs
 				cert.Steps += w.counts.Steps
 				cert.MaxHops = max(cert.MaxHops, w.counts.MaxHops)
@@ -126,7 +120,7 @@ func walkPairs(net *graph.Network, res *routing.Result, sources []graph.NodeID, 
 			return nil
 		}
 	}
-	return newTableWalker(net, res, cert, dg, true).walkAll(sources, reach, allLanes)
+	return s.walker(0, net, res, cert).walkAll(sources, &s.reach, allLanes)
 }
 
 // reachClasses holds, for every connected destination of one call, the
@@ -139,58 +133,70 @@ func walkPairs(net *graph.Network, res *routing.Result, sources []graph.NodeID, 
 type reachClasses struct {
 	label   []int32  // label[v] > 0: the class of v
 	reached [][]bool // reached[label[v]-1][u]: u can reach v
+
+	forward     []bool // sweep scratch
+	back, queue []graph.NodeID
 }
 
 // of returns the nodes that can reach the connected destination d.
 func (r *reachClasses) of(d graph.NodeID) []bool { return r.reached[r.label[d]-1] }
 
-// sweepReach finds the classes of the connected destinations: for the
-// first destination met of each class one breadth-first sweep over
-// reversed channels (who reaches it) and one over forward channels (whom
-// it reaches); the nodes in BOTH sets form its class. A node in the
-// reverse set alone must not be labelled — it reaches d, but d need not
-// reach it, and then fewer nodes may reach it than reach d.
-func sweepReach(net *graph.Network, dests []graph.NodeID) *reachClasses {
+// sweep finds the classes of the connected destinations, reusing r's
+// arrays: for the first destination met of each class one breadth-first
+// sweep over reversed channels (who reaches it) and one over forward
+// channels (whom it reaches); the nodes in BOTH sets form its class. A
+// node in the reverse set alone must not be labelled — it reaches d, but
+// d need not reach it, and then fewer nodes may reach it than reach d.
+func (r *reachClasses) sweep(net *graph.Network, dests []graph.NodeID) {
 	view := net.CSRView()
 	n := view.NumNodes()
-	r := &reachClasses{label: make([]int32, n)}
-	forward := make([]bool, n)
-	var back, queue []graph.NodeID
+	if len(r.label) != n {
+		r.label, r.forward = make([]int32, n), make([]bool, n)
+	}
+	clear(r.label)
+	clear(r.forward)
+	r.reached = r.reached[:0]
 	for _, d := range dests {
 		if r.label[d] != 0 || len(net.Out(d)) == 0 {
 			continue
 		}
-		reaches := make([]bool, n)
+		var reaches []bool
+		if k := len(r.reached); k < cap(r.reached) {
+			reaches = r.reached[:k+1][k]
+		}
+		if len(reaches) != n {
+			reaches = make([]bool, n)
+		}
+		clear(reaches)
 		reaches[d] = true
-		back = append(back[:0], d)
-		for head := 0; head < len(back); head++ {
-			for _, c := range view.In(back[head]) {
+		r.back = append(r.back[:0], d)
+		for head := 0; head < len(r.back); head++ {
+			for _, c := range view.In(r.back[head]) {
 				if from := view.From[c]; !reaches[from] {
 					reaches[from] = true
-					back = append(back, from)
+					r.back = append(r.back, from)
 				}
 			}
 		}
-		forward[d] = true
-		queue = append(queue[:0], d)
-		for head := 0; head < len(queue); head++ {
-			for _, c := range view.Out(queue[head]) {
-				if to := view.To[c]; !forward[to] {
-					forward[to] = true
-					queue = append(queue, to)
+		r.forward[d] = true
+		r.queue = append(r.queue[:0], d)
+		for head := 0; head < len(r.queue); head++ {
+			for _, c := range view.Out(r.queue[head]) {
+				if to := view.To[c]; !r.forward[to] {
+					r.forward[to] = true
+					r.queue = append(r.queue, to)
 				}
 			}
 		}
 		r.reached = append(r.reached, reaches)
 		class := int32(len(r.reached))
-		for _, v := range back {
-			if forward[v] {
+		for _, v := range r.back {
+			if r.forward[v] {
 				r.label[v] = class
 			}
 		}
-		for _, v := range queue {
-			forward[v] = false
+		for _, v := range r.queue {
+			r.forward[v] = false
 		}
 	}
-	return r
 }

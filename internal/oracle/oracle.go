@@ -5,22 +5,18 @@
 // virtual layer, and validity of the virtual-channel budget and layer
 // assignment.
 //
-// Unlike internal/routing/verify, which shares no goal but does share an
-// ecosystem with the code under test, this package is built to be a
-// *disjoint* trusted base: it imports only the graph and routing data
-// types (internal/graph, internal/routing) and re-derives everything
-// else from scratch — its own breadth-first component search, its own
-// hop-by-hop table walker, its own dependency-graph construction and its
-// own Tarjan SCC cycle search. It deliberately does NOT import
-// internal/cdg, internal/core or internal/centrality, so a bug shared
-// between the Nue engine and its CDG machinery cannot also blind the
-// checker. On refutation it returns a concrete, replayable witness: the
-// exact dependency cycle, or the exact (source, destination) pair left
-// unreachable.
+// Unlike internal/routing/verify, this package is a *disjoint* trusted
+// base: it imports only the data types under judgment (internal/graph,
+// internal/routing) and re-derives everything else — reach sweeps, table
+// walker, dependency graph, Tarjan cycle search — so a bug shared
+// between the engine and its CDG machinery cannot also blind it. On
+// refutation it returns a concrete, replayable witness: the exact
+// dependency cycle, or the exact pair left unreachable.
 package oracle
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -28,10 +24,8 @@ import (
 
 // Options configures a certification run.
 type Options struct {
-	// Sources lists the traffic sources to walk. nil selects every
-	// connected terminal, or every connected node when the network has
-	// no terminals (the same convention the rest of the repository
-	// uses, re-implemented here so the two layers stay comparable).
+	// Sources lists the traffic sources to walk; nil selects
+	// DefaultSources(net).
 	Sources []graph.NodeID
 	// MaxVCs, when positive, is the external virtual-channel budget the
 	// result must respect (res.VCs <= MaxVCs). Zero skips the external
@@ -53,14 +47,11 @@ type Certificate struct {
 	// (override hops are not table lookups). Per destination it is
 	// bounded by the nodes that reach it plus the pairs owed to it.
 	Steps int
-	// Layers is the effective number of virtual layers (res.VCs clamped
-	// to >= 1).
+	// Layers is the effective number of virtual layers (res.VCs, >= 1).
 	Layers int
-	// Connected is true once every same-component pair walked to its
-	// destination.
+	// Connected is true once every owed pair walked to its destination.
 	Connected bool
-	// DeadlockFree is true once the used-dependency graph was proven
-	// acyclic.
+	// DeadlockFree is true once the used-dependency graph is acyclic.
 	DeadlockFree bool
 	// CastGroups, CastReceivers and CastUBM count the walked multicast
 	// groups, their tree-served receivers and their UBM legs; CastEdges
@@ -75,25 +66,37 @@ type Certificate struct {
 // certificate, or the first violation found. Violations are typed:
 // *CycleError (with the witness dependency cycle), *UnreachableError,
 // *LoopError, *PathError, *ShapeError and *BudgetError.
+//
+// No state a verdict reads outlives the call. Its scratch (dependency
+// graph, Tarjan stacks, walkers, reach sweep, default sources) is kept
+// for the next call, which sizes and clears every array before reading
+// it (walker marks are stamps that only grow); nothing returned aliases
+// it, and a call made while another holds it allocates its own.
 func Certify(net *graph.Network, res *routing.Result, opt Options) (*Certificate, error) {
 	cert := &Certificate{Layers: effectiveLayers(res)}
 	if err := checkShape(net, res, cert); err != nil {
 		return cert, err
 	}
+	s := certifyKept.Swap(nil)
+	if s == nil {
+		s = new(certifyScratch)
+	}
+	defer s.release()
 	sources := opt.Sources
 	if sources == nil {
-		sources = DefaultSources(net)
+		s.sources = appendSources(s.sources[:0], net)
+		sources = s.sources
 	}
-	dg := newDepGraph(net.NumChannels(), cert.Layers)
-	if err := walkPairs(net, res, sources, cert, dg); err != nil {
+	dg := &s.dg
+	dg.reset(net.NumChannels(), cert.Layers)
+	if err := s.walkPairs(net, res, sources, cert); err != nil {
 		return cert, err
 	}
 	cert.Connected = true
-	// Cast trees contribute their T- and V-type dependencies to the same
-	// graph, so the Tarjan pass below decides deadlock freedom over the
-	// unicast+cast UNION. Structural tree violations are deferred behind
-	// the cycle search: a cyclic cast graph is refuted with a concrete
-	// witness, not a shape complaint.
+	// Cast trees add their T- and V-type dependencies to the same graph,
+	// so the Tarjan pass decides over the unicast+cast UNION. Structural
+	// tree violations wait behind it: a cyclic cast graph is refuted with
+	// a witness, not a shape complaint.
 	var castIssue error
 	if res.Cast != nil {
 		var err error
@@ -118,33 +121,56 @@ func Certify(net *graph.Network, res *routing.Result, opt Options) (*Certificate
 
 // effectiveLayers clamps res.VCs the way the whole repository treats it:
 // zero or negative means a single layer.
-func effectiveLayers(res *routing.Result) int {
-	if res.VCs < 1 {
-		return 1
-	}
-	return res.VCs
-}
+func effectiveLayers(res *routing.Result) int { return max(res.VCs, 1) }
 
 // DefaultSources re-implements the repository's source convention from
 // scratch: connected terminals, else connected nodes. These are the
 // sources Certify owes when Options.Sources is nil.
-func DefaultSources(net *graph.Network) []graph.NodeID {
-	var out []graph.NodeID
-	if net.NumTerminals() > 0 {
-		for n := 0; n < net.NumNodes(); n++ {
-			id := graph.NodeID(n)
-			if net.IsTerminal(id) && len(net.Out(id)) > 0 {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
+func DefaultSources(net *graph.Network) []graph.NodeID { return appendSources(nil, net) }
+
+// appendSources appends DefaultSources(net) to out.
+func appendSources(out []graph.NodeID, net *graph.Network) []graph.NodeID {
+	terms := net.NumTerminals() > 0
 	for n := 0; n < net.NumNodes(); n++ {
-		if id := graph.NodeID(n); len(net.Out(id)) > 0 {
+		if id := graph.NodeID(n); (!terms || net.IsTerminal(id)) && len(net.Out(id)) > 0 {
 			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// certifyScratch is what a Certify call keeps for the next one: the
+// dependency graph, the reach sweep, the walkers and the default sources.
+type certifyScratch struct {
+	dg      depGraph
+	reach   reachClasses
+	walkers []*laneWalker
+	sources []graph.NodeID
+}
+
+// certifyKept is the scratch of the last Certify call, for the next one.
+var certifyKept atomic.Pointer[certifyScratch]
+
+// walker returns the i-th walker over res, counting into cert (nil: into
+// its own counts, zeroed).
+func (s *certifyScratch) walker(i int, net *graph.Network, res *routing.Result, cert *Certificate) *laneWalker {
+	if i == len(s.walkers) {
+		s.walkers = append(s.walkers, new(laneWalker))
+	}
+	w := s.walkers[i]
+	if w.counts = (Certificate{}); cert == nil {
+		cert = &w.counts
+	}
+	w.reset(net, res, cert, &s.dg)
+	return w
+}
+
+// release drops what the call was handed and keeps the rest.
+func (s *certifyScratch) release() {
+	for _, w := range s.walkers {
+		w.reset(nil, nil, nil, nil)
+	}
+	certifyKept.Store(s)
 }
 
 // checkShape validates the structural invariants of the layer
@@ -280,13 +306,15 @@ type tableWalker struct {
 	prefix  []graph.NodeID // nodes stepped through by the walk in progress
 }
 
-func newTableWalker(net *graph.Network, res *routing.Result, cert *Certificate, dg *depGraph, memo bool) *tableWalker {
-	w := &tableWalker{net: net, res: res, cert: cert, dg: dg, onPath: make([]int64, net.NumNodes())}
-	if memo {
-		w.settled = make([]int64, net.NumNodes())
-		w.depth = make([]int32, net.NumNodes())
+// reset points w at a call (net nil: at none) and sizes its arrays. The
+// stamps only grow, so no mark an earlier call left equals one this call
+// writes.
+func (w *tableWalker) reset(net *graph.Network, res *routing.Result, cert *Certificate, dg *depGraph) {
+	w.net, w.res, w.cert, w.dg = net, res, cert, dg
+	if net != nil && len(w.onPath) != net.NumNodes() {
+		n := net.NumNodes()
+		w.onPath, w.settled, w.depth = make([]int64, n), make([]int64, n), make([]int32, n)
 	}
-	return w
 }
 
 // walk follows the destination-based table from s towards d, validating

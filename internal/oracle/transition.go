@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -29,26 +30,22 @@ type TransitionCertificate struct {
 // commit switches one at a time (UPR, Crespo et al.).
 //
 // During such a transition each switch forwards toward destination d
-// with either its old or its new entry, so a transitional path toward d
-// lives in the union of the two forwarding trees of d, and the channel
-// dependencies any mixture can exercise are exactly: for every union
-// entry e entering switch s, every union entry leaving s toward d. This
-// function builds that union dependency graph from first principles —
-// per destination, on every virtual lane traffic toward d may occupy in
-// either epoch — and runs the oracle's own cycle search over it. An
-// acyclic union certifies all 2^|switches| intermediate states at once;
-// a cycle yields a concrete *CycleError witness (which does NOT mean
-// either endpoint routing is unsafe — only that an unsynchronized swap
-// between them is).
-//
-// The check is deliberately conservative: entries over channels that
-// have failed since the old epoch still contribute dependencies (in-
-// flight packets may occupy them), and in-channel/out-channel pairs are
-// combined without proving a mixture reaches them.
+// with its old or its new entry, so the dependencies any mixture can
+// exercise are: for every union entry entering switch s, every union
+// entry leaving s toward d, on every lane d's traffic holds in either
+// epoch. An acyclic union of them certifies all 2^|switches|
+// intermediate states at once; a cycle yields a *CycleError witness
+// (which does NOT mean either endpoint is unsafe — only an
+// unsynchronized swap between them). The check is conservative: entries
+// over channels failed since the old epoch still count (in-flight
+// packets may hold them), and entry pairs are combined without proving
+// a mixture reaches them.
 //
 // Both results must be destination-based over the same destination set
-// (single-layer or DestLayer, no SLToVL / PairLayer / PairPath — the
-// shapes the fabric manager publishes); anything else is a *ShapeError.
+// (one layer or DestLayer; no SLToVL, PairLayer or PairPath);
+// anything else is a *ShapeError. The call's scratch (dependency graph,
+// Tarjan stacks, walkers, switch list) is kept as Certify's is, and
+// no state a verdict reads outlives the call.
 func CertifyTransition(net *graph.Network, oldRes, newRes *routing.Result, opt Options) (*TransitionCertificate, error) {
 	cert := &TransitionCertificate{}
 	if err := checkTransitionShape(net, oldRes, "old"); err != nil {
@@ -66,16 +63,27 @@ func CertifyTransition(net *graph.Network, oldRes, newRes *routing.Result, opt O
 			return cert, &ShapeError{Reason: fmt.Sprintf("destination column %d differs: node %d vs %d", i, oldDests[i], newDests[i])}
 		}
 	}
-	layers := effectiveLayers(oldRes)
-	if l := effectiveLayers(newRes); l > layers {
-		layers = l
-	}
+	layers := max(effectiveLayers(oldRes), effectiveLayers(newRes))
 	cert.Layers = layers
 
-	dg := newDepGraph(net.NumChannels(), layers)
-	u := &union{net: net, oldRes: oldRes, newRes: newRes, switches: net.Switches(), dg: dg}
+	s := transitionKept.Swap(nil)
+	if s == nil {
+		s = new(transitionScratch)
+	}
+	defer s.release()
+	dg := &s.dg
+	dg.reset(net.NumChannels(), layers)
+	s.switches = s.switches[:0]
+	for n := 0; n < net.NumNodes(); n++ {
+		if net.IsSwitch(graph.NodeID(n)) {
+			s.switches = append(s.switches, graph.NodeID(n))
+		}
+	}
+	u := &union{net: net, oldRes: oldRes, newRes: newRes, switches: s.switches, dg: dg}
+	n := 0
 	sharded := dg.fillLanes(distinctLanes(oldRes.DestLayer, newRes.DestLayer), func() func(int) error {
-		w := u.walker()
+		w := s.walker(n, u)
+		n++
 		return func(lane int) error {
 			_, err := w.addDeps(lane)
 			return err
@@ -85,7 +93,7 @@ func CertifyTransition(net *graph.Network, oldRes, newRes *routing.Result, opt O
 		cert.Dests = len(newDests)
 	} else {
 		var err error
-		if cert.Dests, err = u.walker().addDeps(allLanes); err != nil {
+		if cert.Dests, err = s.walker(0, u).addDeps(allLanes); err != nil {
 			return cert, err
 		}
 	}
@@ -118,8 +126,37 @@ type unionWalker struct {
 	outs [][2]graph.ChannelID
 }
 
-func (u *union) walker() *unionWalker {
-	return &unionWalker{union: u, outs: make([][2]graph.ChannelID, u.net.NumNodes())}
+// transitionScratch is what a CertifyTransition call keeps for the next
+// one: the dependency graph, the switch list and the walkers.
+type transitionScratch struct {
+	dg       depGraph
+	switches []graph.NodeID
+	walkers  []*unionWalker
+}
+
+// transitionKept is the scratch of the last CertifyTransition call.
+var transitionKept atomic.Pointer[transitionScratch]
+
+// walker returns the i-th walker, on u. Its outs need no clearing:
+// addDeps writes every switch's entry of a destination before it reads
+// one.
+func (s *transitionScratch) walker(i int, u *union) *unionWalker {
+	if i == len(s.walkers) {
+		s.walkers = append(s.walkers, new(unionWalker))
+	}
+	w := s.walkers[i]
+	if w.union = u; len(w.outs) != u.net.NumNodes() {
+		w.outs = make([][2]graph.ChannelID, u.net.NumNodes())
+	}
+	return w
+}
+
+// release drops what the call was handed and keeps the rest.
+func (s *transitionScratch) release() {
+	for _, w := range s.walkers {
+		w.union = nil
+	}
+	transitionKept.Store(s)
 }
 
 // addDeps adds the union dependencies of every destination on lane

@@ -33,7 +33,8 @@ func TestStampsDoNotWrap(t *testing.T) {
 	for _, start := range []int64{math.MaxInt32 - 3, math.MaxUint32 - 3} {
 		cert := &Certificate{Layers: 1}
 		dg := newDepGraph(net.NumChannels(), 1)
-		w := newTableWalker(net, res, cert, dg, true)
+		w := &tableWalker{}
+		w.reset(net, res, cert, dg)
 		w.pair, w.stamp = start, start
 		if err := w.walkAll(DefaultSources(net), sweepReach(net, tbl.Dests()), allLanes); err != nil {
 			t.Fatalf("stamps from %d: %v", start, err)

@@ -10,6 +10,11 @@ var DestLanes = destLanes
 // nodes that reach a connected destination, and the number of classes
 // (reverse sweeps) it took.
 func SweepReach(net *graph.Network, dests []graph.NodeID) (of func(graph.NodeID) []bool, classes int) {
-	r := sweepReach(net, dests)
+	r := &reachClasses{}
+	r.sweep(net, dests)
 	return r.of, len(r.sets)
 }
+
+// DropScratch drops the scratch Check keeps, so that the next call starts
+// from a zero one.
+func DropScratch() { kept.Store(nil) }

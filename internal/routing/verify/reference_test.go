@@ -19,14 +19,15 @@ import (
 // code has one certifier.
 func ReferenceCheck(net *graph.Network, res *routing.Result, sources []graph.NodeID) (*Report, error) {
 	if sources == nil {
-		sources = defaultSources(net)
+		sources = appendSources(nil, net)
 	}
 	vcs := res.VCs
 	if vcs < 1 {
 		vcs = 1
 	}
 	rep := &Report{}
-	dg := newDepGraph(net.NumChannels(), vcs)
+	dg := &depGraph{}
+	dg.reset(net.NumChannels(), vcs)
 	seen := make(map[[2]int32]bool)
 	for _, d := range res.Table.Dests() {
 		if net.Degree(d) == 0 {

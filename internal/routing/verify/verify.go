@@ -58,27 +58,37 @@ type Report struct {
 // one meets a violation the graph is emptied and the call runs again on
 // one goroutine, so the error, the counts that come with it and "first
 // violation in (destination, source) order" are always the sequential
-// ones. Report and error are the same for every GOMAXPROCS. No state
-// outlives the call.
+// ones. Report and error are the same for every GOMAXPROCS.
+//
+// No state a verdict reads outlives the call. Its scratch (dependency
+// graph, Kahn's queue, walkers, reach sweep, default sources) is kept
+// for the next call, which sizes and clears every array before reading
+// it (walker marks are stamps that only grow); nothing returned aliases
+// it, and a call made while another holds it allocates its own.
 func Check(net *graph.Network, res *routing.Result, sources []graph.NodeID) (*Report, error) {
-	if sources == nil {
-		sources = defaultSources(net)
+	call := kept.Swap(nil)
+	if call == nil {
+		call = new(checkCall)
 	}
-	call := newCheckCall(net, res, sources)
+	defer call.release()
+	call.reset(net, res, sources)
 	lanes := destLanes(res)
 	if workers := min(runtime.GOMAXPROCS(0), len(lanes)); workers > 1 {
 		if rep := call.walkSharded(lanes, workers); rep != nil {
-			return rep, checkDeadlockFree(call.deps, rep)
+			return rep, checkDeadlockFree(&call.deps, rep)
 		}
-		call.deps.reset()
+		call.deps.reset(call.deps.channels, call.deps.vcs)
 	}
-	w := call.newWalker()
+	w := call.walker(0)
 	if err := w.walk(allLanes); err != nil {
 		return &Report{Pairs: w.Pairs, MaxHops: w.MaxHops}, err
 	}
-	rep := w.Report // a copy: the walker's marks end with the call
-	return &rep, checkDeadlockFree(call.deps, &rep)
+	rep := w.Report // a copy: the walker is kept for the next call
+	return &rep, checkDeadlockFree(&call.deps, &rep)
 }
+
+// kept is the scratch of the last Check call, for the next one.
+var kept atomic.Pointer[checkCall]
 
 // destLanes returns the distinct virtual lanes of a result whose lane is
 // a function of the destination alone: DestLayer set, no per-pair
@@ -101,21 +111,14 @@ func destLanes(res *routing.Result) []uint8 {
 	return lanes
 }
 
-func defaultSources(net *graph.Network) []graph.NodeID {
-	if net.NumTerminals() > 0 {
-		// Keep only connected terminals (fault injection may orphan some).
-		var out []graph.NodeID
-		for _, t := range net.Terminals() {
-			if net.Degree(t) > 0 {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	var out []graph.NodeID
+// appendSources appends the default sources to out: the connected
+// terminals, or every connected node if the network has none (fault
+// injection may orphan some).
+func appendSources(out []graph.NodeID, net *graph.Network) []graph.NodeID {
+	terms := net.NumTerminals() > 0
 	for n := 0; n < net.NumNodes(); n++ {
-		if net.Degree(graph.NodeID(n)) > 0 {
-			out = append(out, graph.NodeID(n))
+		if id := graph.NodeID(n); (!terms || net.IsTerminal(id)) && net.Degree(id) > 0 {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -132,28 +135,36 @@ func checkDeadlockFree(dg *depGraph, rep *Report) error {
 }
 
 // checkCall is one Check call: its inputs, which every walker reads, and
-// the dependency graph the walkers fill.
+// the dependency graph the walkers fill. Between calls it is the kept
+// scratch, its inputs dropped.
 type checkCall struct {
 	net       *graph.Network
 	res       *routing.Result
 	sources   []graph.NodeID
 	vcs       int
 	overrides bool // res has PairPath entries
-	reach     *reachClasses
-	deps      *depGraph
+	reach     reachClasses
+	deps      depGraph
+	walkers   []*laneWalker
+	own       []graph.NodeID // the default sources
 }
 
-func newCheckCall(net *graph.Network, res *routing.Result, sources []graph.NodeID) *checkCall {
-	vcs := res.VCs
-	if vcs < 1 {
-		vcs = 1
+func (call *checkCall) reset(net *graph.Network, res *routing.Result, sources []graph.NodeID) {
+	if sources == nil {
+		call.own = appendSources(call.own[:0], net)
+		sources = call.own
 	}
-	return &checkCall{
-		net: net, res: res, sources: sources, vcs: vcs,
-		overrides: len(res.PairPath) > 0,
-		reach:     sweepReach(net, res.Table.Dests()),
-		deps:      newDepGraph(net.NumChannels(), vcs),
-	}
+	call.net, call.res, call.sources = net, res, sources
+	call.vcs = max(res.VCs, 1)
+	call.overrides = len(res.PairPath) > 0
+	call.reach.sweep(net, res.Table.Dests())
+	call.deps.reset(net.NumChannels(), call.vcs)
+}
+
+// release drops the call's inputs and keeps the rest for the next call.
+func (call *checkCall) release() {
+	call.net, call.res, call.sources = nil, nil, nil
+	kept.Store(call)
 }
 
 // reachClasses answers "which nodes can reach destination d" for every
@@ -167,26 +178,39 @@ type reachClasses struct {
 	// reached from, the first destination swept for it.
 	class []int32
 	// sets[class[v]-1][u]: u can reach v.
-	sets [][]bool
+	sets  [][]bool
+	queue []graph.NodeID
 }
 
-func sweepReach(net *graph.Network, dests []graph.NodeID) *reachClasses {
+// sweep finds the classes of dests, reusing r's arrays.
+func (r *reachClasses) sweep(net *graph.Network, dests []graph.NodeID) {
 	csr := net.CSRView()
-	r := &reachClasses{class: make([]int32, csr.NumNodes())}
-	var queue []graph.NodeID
+	n := csr.NumNodes()
+	if len(r.class) != n {
+		r.class = make([]int32, n)
+	}
+	clear(r.class)
+	r.sets = r.sets[:0]
 	for _, d := range dests {
 		if r.class[d] != 0 || net.Degree(d) == 0 {
 			continue
 		}
 		// Breadth-first over reversed channels: the nodes that reach d.
-		set := make([]bool, csr.NumNodes())
+		var set []bool
+		if k := len(r.sets); k < cap(r.sets) {
+			set = r.sets[:k+1][k]
+		}
+		if len(set) != n {
+			set = make([]bool, n)
+		}
+		clear(set)
 		set[d] = true
-		queue = append(queue[:0], d)
-		for head := 0; head < len(queue); head++ {
-			for _, c := range csr.In(queue[head]) {
+		r.queue = append(r.queue[:0], d)
+		for head := 0; head < len(r.queue); head++ {
+			for _, c := range csr.In(r.queue[head]) {
 				if from := csr.From[c]; !set[from] {
 					set[from] = true
-					queue = append(queue, from)
+					r.queue = append(r.queue, from)
 				}
 			}
 		}
@@ -196,17 +220,16 @@ func sweepReach(net *graph.Network, dests []graph.NodeID) *reachClasses {
 		// may be reached by fewer nodes than d is.
 		k := int32(len(r.sets))
 		r.class[d] = k
-		queue = append(queue[:0], d)
-		for head := 0; head < len(queue); head++ {
-			for _, c := range csr.Out(queue[head]) {
+		r.queue = append(r.queue[:0], d)
+		for head := 0; head < len(r.queue); head++ {
+			for _, c := range csr.Out(r.queue[head]) {
 				if to := csr.To[c]; set[to] && r.class[to] == 0 {
 					r.class[to] = k
-					queue = append(queue, to)
+					r.queue = append(r.queue, to)
 				}
 			}
 		}
 	}
-	return r
 }
 
 // of returns the nodes that can reach the connected destination d.
@@ -239,8 +262,26 @@ type laneWalker struct {
 	_ [64]byte
 }
 
-func (call *checkCall) newWalker() *laneWalker {
-	return &laneWalker{checkCall: call, depth: make([]int32, call.net.NumNodes())}
+// walker returns the call's i-th walker with its counts zeroed and its
+// arrays sized. Its stamp keeps growing from call to call, so no mark an
+// earlier call left equals one this call writes; only when the stamp
+// could wrap are the marks cleared.
+func (call *checkCall) walker(i int) *laneWalker {
+	if i == len(call.walkers) {
+		call.walkers = append(call.walkers, new(laneWalker))
+	}
+	w, n := call.walkers[i], call.net.NumNodes()
+	w.checkCall, w.Report = call, Report{}
+	if len(w.depth) != n {
+		w.depth = make([]int32, n)
+	}
+	if int64(w.epoch)+int64(len(call.res.Table.Dests())) >= 1<<31-1 {
+		for _, s := range w.settled {
+			clear(s)
+		}
+		w.epoch = 0
+	}
+	return w
 }
 
 // walkSharded walks every lane, each on one of workers goroutines that
@@ -249,13 +290,11 @@ func (call *checkCall) newWalker() *laneWalker {
 // walker would have left it, successor order included. It returns the
 // summed report, or nil if any walker met a violation.
 func (call *checkCall) walkSharded(lanes []uint8, workers int) *Report {
-	walkers := make([]*laneWalker, workers)
 	var next atomic.Int32
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for i := range walkers {
-		w := call.newWalker()
-		walkers[i] = w
+	for i := 0; i < workers; i++ {
+		w := call.walker(i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -275,7 +314,7 @@ func (call *checkCall) walkSharded(lanes []uint8, workers int) *Report {
 		return nil
 	}
 	rep := &Report{}
-	for _, w := range walkers {
+	for _, w := range call.walkers[:workers] {
 		rep.Pairs += w.Pairs
 		rep.Deps += w.Deps
 		rep.Steps += w.Steps
@@ -323,7 +362,7 @@ func (w *laneWalker) addPair(s, d graph.NodeID) (int, error) {
 	}
 	var settled []int32 // nil for a source-routed path: it shares no suffix
 	if !explicit {
-		if w.settled[sl] == nil {
+		if len(w.settled[sl]) != w.net.NumNodes() {
 			w.settled[sl] = make([]int32, w.net.NumNodes())
 		}
 		settled = w.settled[sl]
@@ -390,10 +429,11 @@ func (w *laneWalker) addDep(a graph.ChannelID, la uint8, b graph.ChannelID, lb u
 // follows the dependencies it records. Kahn's pass keeps its counts in
 // the nodes and its queue in the graph.
 //
-// A graph lives for one call. walkSharded's sequential fallback empties it
-// with reset and fills it again, and nothing the first fill left is read
-// before it is written: reset clears exactly the slots the nodes name, and
-// Kahn's pass recounts every in-degree before it reads one.
+// A graph is kept from call to call. Each call, and walkSharded's
+// sequential fallback, empties it with reset and fills it again, and
+// nothing an earlier fill left is read before it is written: reset clears
+// exactly the slots the nodes name, and Kahn's pass recounts every
+// in-degree before it reads one.
 type depGraph struct {
 	vcs      int
 	channels int
@@ -490,22 +530,27 @@ func (s *blocks[T]) push(v T) int32 {
 
 func (s *blocks[T]) reset() { s.b, s.n = s.b[:0], 0 }
 
-// newDepGraph returns an empty graph over channels × vcs vertices. A
-// lane's slot array is allocated at its first dependency.
-func newDepGraph(channels, vcs int) *depGraph {
-	return &depGraph{channels: channels, vcs: vcs, lanes: make([]depLane, vcs)}
-}
-
-// reset empties g and keeps its arrays.
-func (g *depGraph) reset() {
-	for i := range g.lanes {
-		ln := &g.lanes[i]
+// reset empties g, keeps its arrays and makes it a graph over channels ×
+// vcs vertices. A lane's slot array is allocated at its first
+// dependency, and dropped here if it has the wrong length; one kept is
+// zero again, as reset clears the slots its nodes name.
+func (g *depGraph) reset(channels, vcs int) {
+	all := g.lanes[:cap(g.lanes)]
+	for i := range all {
+		ln := &all[i]
 		for k := int32(0); k < ln.nodes.n; k++ {
 			ln.slot[ln.nodes.at(k).c] = 0
 		}
 		ln.nodes.reset()
 		ln.deps.reset()
+		if len(ln.slot) != channels {
+			ln.slot = nil
+		}
 	}
+	if vcs > len(all) {
+		all = append(all, make([]depLane, vcs-len(all))...)
+	}
+	g.lanes, g.channels, g.vcs = all[:vcs], channels, vcs
 }
 
 // node returns the node of vertex (c, l), or nil if no dependency leaves
