@@ -58,6 +58,7 @@ import (
 	"sort"
 
 	"repro/internal/bfs"
+	"repro/internal/cdg"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/routing"
@@ -840,29 +841,35 @@ func lineReach(net *graph.Network, u, v graph.NodeID, skipFrom, skipTo graph.Cha
 
 // findTrap searches for a cycle of forced dependencies over the
 // required pairs; nil means no refutation found (NOT a routability
-// proof). Bounded by forcedCheckBudget.
+// proof). Bounded by forcedCheckBudget. The forced dependencies form an
+// induced CDG whose users are the indices of the required pairs that
+// force them (the first pair found); its first cycle, searched over
+// ascending successors, is the trap, in the order FindCycle returns it.
+// A terminal has one link, so no switch-to-switch walk passes through
+// one and the reach cones may be plain breadth-first searches.
 func findTrap(net *graph.Network, required [][2]graph.NodeID) []Forced {
-	type trans struct{ a, b graph.ChannelID }
-	forcedBy := make(map[trans][2]graph.NodeID)
+	var forced cdg.Induced
+	forced.Reset(net.NumChannels())
 	checks := 0
-	for _, p := range required {
+	for pi, p := range required {
 		u, v := p[0], p[1]
-		fwd := forwardNodeReach(net, u)
-		rev := reverseNodeReach(net, v)
+		fwd := bfs.Forward(net, u).Dist
+		rev := bfs.Reverse(net, v).Dist
 		for _, a := range liveSwitchChannels(net) {
 			ca := net.Channel(a)
 			// A forced transition must lie on some u -> v walk; prune
 			// channels outside the reach cones (sound: pruned transitions
 			// cannot be forced).
-			if !fwd[ca.From] || !rev[ca.To] {
+			if fwd[ca.From] < 0 || rev[ca.To] < 0 {
 				continue
 			}
 			for _, b := range net.Out(ca.To) {
 				cb := net.Channel(b)
-				if !net.IsSwitch(cb.To) || !rev[cb.To] {
+				if !net.IsSwitch(cb.To) || rev[cb.To] < 0 {
 					continue
 				}
-				if _, done := forcedBy[trans{a, b}]; done {
+				d := forced.Dep(a, b)
+				if d.Count > 0 {
 					continue
 				}
 				checks++
@@ -870,99 +877,23 @@ func findTrap(net *graph.Network, required [][2]graph.NodeID) []Forced {
 					return nil
 				}
 				if !lineReach(net, u, v, a, b, true) {
-					forcedBy[trans{a, b}] = p
+					d.Count = 1
+					d.Users = append(d.Users, int32(pi))
 				}
 			}
 		}
 	}
-	if len(forcedBy) == 0 {
-		return nil
-	}
-	// Cycle search over the forced-dependency graph (channels as nodes).
-	adj := make(map[graph.ChannelID][]graph.ChannelID)
-	for t := range forcedBy {
-		adj[t.a] = append(adj[t.a], t.b)
-	}
-	for _, l := range adj {
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	}
-	var starts []graph.ChannelID
-	for c := range adj {
-		starts = append(starts, c)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	state := make(map[graph.ChannelID]int) // 0 unseen, 1 on path, 2 done
-	var path []graph.ChannelID
-	var cycle []graph.ChannelID
-	var dfs func(c graph.ChannelID) bool
-	dfs = func(c graph.ChannelID) bool {
-		state[c] = 1
-		path = append(path, c)
-		for _, nxt := range adj[c] {
-			switch state[nxt] {
-			case 0:
-				if dfs(nxt) {
-					return true
-				}
-			case 1:
-				for i, pc := range path {
-					if pc == nxt {
-						cycle = append([]graph.ChannelID(nil), path[i:]...)
-						return true
-					}
-				}
-			}
-		}
-		path = path[:len(path)-1]
-		state[c] = 2
-		return false
-	}
-	for _, s := range starts {
-		if state[s] == 0 && dfs(s) {
-			break
-		}
-	}
+	forced.SortSuccessors()
+	cycle := forced.FindCycle()
 	if cycle == nil {
 		return nil
 	}
 	trap := make([]Forced, 0, len(cycle))
-	for i := range cycle {
-		a, b := cycle[i], cycle[(i+1)%len(cycle)]
-		p := forcedBy[trans{a, b}]
-		trap = append(trap, Forced{From: a, To: b, Src: p[0], Dst: p[1]})
+	for _, e := range cycle {
+		p := required[forced.Dep(e[0], e[1]).Users[0]]
+		trap = append(trap, Forced{From: e[0], To: e[1], Src: p[0], Dst: p[1]})
 	}
 	return trap
-}
-
-// forwardNodeReach marks switches reachable from u over live switch
-// channels.
-func forwardNodeReach(net *graph.Network, u graph.NodeID) map[graph.NodeID]bool {
-	seen := map[graph.NodeID]bool{u: true}
-	queue := []graph.NodeID{u}
-	for head := 0; head < len(queue); head++ {
-		for _, c := range net.Out(queue[head]) {
-			if to := net.Channel(c).To; net.IsSwitch(to) && !seen[to] {
-				seen[to] = true
-				queue = append(queue, to)
-			}
-		}
-	}
-	return seen
-}
-
-// reverseNodeReach marks switches that reach v over live switch channels.
-func reverseNodeReach(net *graph.Network, v graph.NodeID) map[graph.NodeID]bool {
-	seen := map[graph.NodeID]bool{v: true}
-	queue := []graph.NodeID{v}
-	for head := 0; head < len(queue); head++ {
-		for _, c := range net.In(queue[head]) {
-			if from := net.Channel(c).From; net.IsSwitch(from) && !seen[from] {
-				seen[from] = true
-				queue = append(queue, from)
-			}
-		}
-	}
-	return seen
 }
 
 // buildWitness assembles the routable verdict's routing: explicit

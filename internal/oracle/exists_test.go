@@ -1,12 +1,16 @@
 package oracle_test
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/oracle/exists"
+	"repro/internal/oracle/stress"
 	"repro/internal/topology"
 )
 
@@ -240,6 +244,95 @@ func BenchmarkDecide(b *testing.B) {
 		dec, err := exists.Decide(tp.Net, exists.Options{})
 		if err != nil || !dec.Routable {
 			b.Fatalf("Decide: routable=%v err=%v", dec != nil && dec.Routable, err)
+		}
+	}
+}
+
+// directedFigureEight returns two directed rings 0->1->2->3->0 and
+// 0->4->5->6->0 of switches sharing switch 0, one terminal each, with the
+// links added in a shuffled order.
+func directedFigureEight() *graph.Network {
+	b := graph.NewBuilder()
+	sw := make([]graph.NodeID, 7)
+	for i := range sw {
+		sw[i] = b.AddSwitch(fmt.Sprintf("sw%d", i))
+	}
+	var fwd []graph.ChannelID
+	for _, l := range [][2]int{{6, 0}, {3, 0}, {0, 4}, {0, 1}, {5, 6}, {4, 5}, {2, 3}, {1, 2}} {
+		fwd = append(fwd, b.AddLink(sw[l[0]], sw[l[1]]))
+	}
+	for i, s := range sw {
+		b.AddLink(s, b.AddTerminal(fmt.Sprintf("t%d", i)))
+	}
+	net := b.MustBuild()
+	for _, c := range fwd {
+		net.SetHalfFailed(net.Channel(c).Reverse, true)
+	}
+	return net
+}
+
+// trapString spells a trap out entry by entry, From>To@Src-Dst.
+func trapString(trap []exists.Forced) string {
+	parts := make([]string, len(trap))
+	for i, f := range trap {
+		parts[i] = fmt.Sprintf("%d>%d@%d-%d", f.From, f.To, f.Src, f.Dst)
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestDecideTrapGoldens pins the exact trap Decide returns, entry order
+// included, for the 6-ring, a directed figure-eight and the first ten
+// one-way stress seeds it refutes. The traps were recorded at commit d073fab, before the forced
+// dependencies moved onto cdg.Induced; which cycle the search closes
+// first, and which required pair each entry names, is part of the
+// contract.
+func TestDecideTrapGoldens(t *testing.T) {
+	dec, err := exists.Decide(directedRing(t, 6, 1).Net, exists.Options{})
+	if err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if got, want := trapString(dec.Trap), "0>2@0-2 2>4@0-3 4>6@0-4 6>8@0-5 8>10@1-0 10>0@2-1"; got != want {
+		t.Errorf("6-ring trap %q, want golden %q", got, want)
+	}
+	// Two directed 4-rings through switch 0, links added out of ring
+	// order: the trap runs through both rings, and channel IDs do not
+	// increase along it.
+	dec, err = exists.Decide(directedFigureEight(), exists.Options{})
+	if err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if got, want := trapString(dec.Trap), "0>6@4-1 6>14@0-2 14>12@0-3 12>2@1-0 2>4@1-4 4>10@0-5 10>8@0-6 8>0@4-0"; got != want {
+		t.Errorf("figure-eight trap %q, want golden %q", got, want)
+	}
+	golden := map[int64]string{
+		0:  "0>2@0-2 2>4@0-3 4>6@1-0 6>0@2-1",                                                 // oneway-ring-4
+		2:  "0>2@0-2 2>4@0-3 4>6@1-0 6>0@2-1",                                                 // oneway-ring-4
+		3:  "0>2@0-2 2>4@0-3 4>6@0-4 6>8@0-5 8>10@0-6 10>12@0-7 12>14@0-8 14>16@1-0 16>0@2-1", // oneway-ring-9
+		5:  "0>2@0-2 2>4@0-3 4>6@0-4 6>8@0-5 8>10@0-6 10>12@0-7 12>14@1-0 14>0@2-1",           // oneway-ring-8
+		6:  "0>2@0-2 2>4@0-3 4>6@0-4 6>8@0-5 8>10@0-6 10>12@0-7 12>14@0-8 14>16@1-0 16>0@2-1", // oneway-ring-9
+		7:  "0>2@0-2 2>4@0-3 4>6@1-0 6>0@2-1",                                                 // oneway-ring-4
+		8:  "0>2@0-2 2>4@0-3 4>6@1-0 6>0@2-1",                                                 // oneway-ring-4
+		10: "0>2@0-2 2>4@0-3 4>6@0-4 6>8@0-5 8>10@0-6 10>12@0-7 12>14@1-0 14>0@2-1",           // oneway-ring-8
+		11: "0>2@0-2 2>4@0-3 4>6@0-4 6>8@0-5 8>10@0-6 10>12@0-7 12>14@0-8 14>16@1-0 16>0@2-1", // oneway-ring-9
+		13: "0>2@0-2 2>4@0-3 4>6@0-4 6>8@0-5 8>10@0-6 10>12@1-0 12>0@2-1",                     // oneway-ring-7
+	}
+	found := 0
+	for seed := int64(0); found < len(golden); seed++ {
+		tp := stress.Generate(stress.ClassOneWay, rand.New(rand.NewSource(seed)))
+		dec, err := exists.Decide(tp.Net, exists.Options{})
+		if err != nil {
+			t.Fatalf("seed %d (%s): Decide: %v", seed, tp.Name, err)
+		}
+		want, refuted := golden[seed]
+		if (dec.Trap != nil) != refuted {
+			t.Fatalf("seed %d (%s): trap %v, want a trap only on the golden seeds", seed, tp.Name, dec.Trap)
+		}
+		if !refuted {
+			continue
+		}
+		found++
+		if got := trapString(dec.Trap); got != want {
+			t.Errorf("seed %d (%s): trap %q, want golden %q", seed, tp.Name, got, want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/cdg"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/routing/minhop"
@@ -53,31 +54,32 @@ func (Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 		return nil, fmt.Errorf("dfsssp: %w", err)
 	}
 
-	// Deadlock-removal phase: per layer, maintain dependency-edge counts
-	// incrementally while cycles are broken by moving the paths of the
-	// weakest cycle edge to the next layer.
+	// Deadlock-removal phase: per layer, keep the induced CDG's path
+	// counts while cycles are broken by moving the paths of the weakest
+	// cycle dependency to the next layer.
 	moved := 0
+	var induced cdg.Induced
 	for layer := 0; ; layer++ {
-		lc := newLayerCounts(net, pairs, uint8(layer))
-		if lc.pairsInLayer == 0 {
+		if !induce(&induced, net, pairs, uint8(layer)) {
 			break
 		}
 		for {
-			cyc := lc.findCycle()
+			cyc := induced.FindCycle()
 			if cyc == nil {
 				break
 			}
 			if layer+1 >= maxVCs {
 				return nil, fmt.Errorf("dfsssp: cyclic dependencies remain in layer %d; required VCs exceed the limit of %d", layer, maxVCs)
 			}
-			weak := lc.weakestEdge(cyc)
-			for _, pi := range weak.paths {
+			for _, pi := range weakest(&induced, cyc).Users {
 				p := &pairs[pi]
 				if p.layer != uint8(layer) {
 					continue
 				}
 				p.layer = uint8(layer + 1)
-				lc.removePath(p.path)
+				for j := 0; j+1 < len(p.path); j++ {
+					induced.Dep(p.path[j], p.path[j+1]).Count--
+				}
 				moved++
 			}
 		}
@@ -151,123 +153,40 @@ func collectPairs(net *graph.Network, table *routing.Table, sources, dests []gra
 	return pairs, nil
 }
 
-// layerCounts tracks one layer's induced CDG: per-channel successor
-// lists with live path counts and an edge -> paths index, so cycles can
-// be found and broken without rescanning every path.
-type layerCounts struct {
-	adj          [][]succEdge
-	pairsInLayer int
-}
-
-// succEdge is one dependency (a fixed channel -> to) with the number of
-// live layer paths over it and the indices of all paths that ever used it.
-type succEdge struct {
-	to    graph.ChannelID
-	count int32
-	paths []int32
-}
-
-func newLayerCounts(net *graph.Network, pairs []pair, layer uint8) *layerCounts {
-	lc := &layerCounts{adj: make([][]succEdge, net.NumChannels())}
+// induce resets g to the CDG the layer's paths induce, each dependency
+// listing the indices of the paths over it, and reports whether the layer
+// holds any path.
+func induce(g *cdg.Induced, net *graph.Network, pairs []pair, layer uint8) bool {
+	g.Reset(net.NumChannels())
+	held := false
 	for i := range pairs {
 		p := &pairs[i]
 		if p.layer != layer {
 			continue
 		}
-		lc.pairsInLayer++
+		held = true
 		for j := 0; j+1 < len(p.path); j++ {
-			a, b := p.path[j], p.path[j+1]
-			e := lc.edge(a, b)
-			e.count++
-			e.paths = append(e.paths, int32(i))
+			d := g.Dep(p.path[j], p.path[j+1])
+			d.Count++
+			d.Users = append(d.Users, int32(i))
 		}
 	}
-	return lc
+	return held
 }
 
-// edge returns (creating if needed) the successor entry for (a, b).
-func (lc *layerCounts) edge(a, b graph.ChannelID) *succEdge {
-	for i := range lc.adj[a] {
-		if lc.adj[a][i].to == b {
-			return &lc.adj[a][i]
+// weakest returns the cycle dependency with the fewest live paths. The
+// scan order breaks ties and is part of the tables: the path into the
+// closing dependency back to the cycle's head, then the closing one.
+func weakest(g *cdg.Induced, cyc [][2]graph.ChannelID) *cdg.Dependency {
+	var best *cdg.Dependency
+	pick := func(e [2]graph.ChannelID) {
+		if d := g.Dep(e[0], e[1]); best == nil || d.Count < best.Count {
+			best = d
 		}
 	}
-	lc.adj[a] = append(lc.adj[a], succEdge{to: b})
-	return &lc.adj[a][len(lc.adj[a])-1]
-}
-
-// removePath decrements the edge counts of a path that left the layer.
-func (lc *layerCounts) removePath(path []graph.ChannelID) {
-	for j := 0; j+1 < len(path); j++ {
-		lc.edge(path[j], path[j+1]).count--
+	for k := len(cyc) - 2; k >= 0; k-- {
+		pick(cyc[k])
 	}
-}
-
-// weakestEdge returns the cycle edge with the fewest remaining paths.
-func (lc *layerCounts) weakestEdge(cyc [][2]graph.ChannelID) *succEdge {
-	best := lc.edge(cyc[0][0], cyc[0][1])
-	for _, e := range cyc[1:] {
-		if cand := lc.edge(e[0], e[1]); cand.count < best.count {
-			best = cand
-		}
-	}
+	pick(cyc[len(cyc)-1])
 	return best
-}
-
-// findCycle returns one dependency cycle of the remaining (count > 0)
-// edges as consecutive channel pairs, or nil if the layer is acyclic.
-func (lc *layerCounts) findCycle() [][2]graph.ChannelID {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	nc := len(lc.adj)
-	color := make([]int8, nc)
-	parent := make([]graph.ChannelID, nc)
-	type frame struct {
-		c  graph.ChannelID
-		ix int
-	}
-	var stack []frame
-	for root := 0; root < nc; root++ {
-		if color[root] != white || len(lc.adj[root]) == 0 {
-			continue
-		}
-		stack = stack[:0]
-		stack = append(stack, frame{graph.ChannelID(root), 0})
-		color[root] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			succ := lc.adj[f.c]
-			if f.ix >= len(succ) {
-				color[f.c] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			e := &succ[f.ix]
-			f.ix++
-			if e.count <= 0 {
-				continue // all paths over this dependency left the layer
-			}
-			next := e.to
-			switch color[next] {
-			case white:
-				color[next] = gray
-				parent[next] = f.c
-				stack = append(stack, frame{next, 0})
-			case gray:
-				// Back edge f.c -> next closes a cycle.
-				var cyc [][2]graph.ChannelID
-				cur := f.c
-				for cur != next {
-					cyc = append(cyc, [2]graph.ChannelID{parent[cur], cur})
-					cur = parent[cur]
-				}
-				cyc = append(cyc, [2]graph.ChannelID{f.c, next})
-				return cyc
-			}
-		}
-	}
-	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/bfs"
+	"repro/internal/cdg"
 	"repro/internal/graph"
 	"repro/internal/routing"
 )
@@ -96,7 +97,7 @@ func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routin
 	}
 
 	// Phase 2: assign each (srcSwitch, dstSwitch) pair to a layer.
-	layers := make([]*layerCDG, 0, maxVCs)
+	layers := make([]*cdg.Induced, 0, maxVCs)
 	switches := net.Switches()
 	// Longest paths first: classic LASH ordering improves packing.
 	var pairs []swPair
@@ -133,7 +134,7 @@ func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routin
 	for _, p := range pairs {
 		placed := false
 		for li, l := range layers {
-			if l.tryAddPath(p.path) {
+			if tryAddPath(l, p.path) {
 				pairLayerSw[[2]graph.NodeID{p.src, p.dst}] = uint8(li)
 				placed = true
 				break
@@ -144,8 +145,9 @@ func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routin
 				failed = append(failed, p)
 				continue
 			}
-			l := newLayerCDG(net.NumChannels())
-			if !l.tryAddPath(p.path) {
+			l := new(cdg.Induced)
+			l.Reset(net.NumChannels())
+			if !tryAddPath(l, p.path) {
 				return nil, nil, nil, fmt.Errorf("lash: internal error: path cyclic in empty layer")
 			}
 			layers = append(layers, l)
@@ -209,81 +211,27 @@ func switchPath(net *graph.Network, table *routing.Table, s, dstSw, rep graph.No
 	return path, nil
 }
 
-// layerCDG tracks one layer's used channel dependencies and supports
-// atomic path insertion with rollback.
-type layerCDG struct {
-	adj  map[graph.ChannelID][]graph.ChannelID
-	has  map[int64]bool
-	mark map[graph.ChannelID]int32
-	ep   int32
-}
-
-func newLayerCDG(numChannels int) *layerCDG {
-	return &layerCDG{
-		adj:  make(map[graph.ChannelID][]graph.ChannelID),
-		has:  make(map[int64]bool),
-		mark: make(map[graph.ChannelID]int32),
-	}
-}
-
-func key(a, b graph.ChannelID) int64 { return int64(a)<<32 | int64(uint32(b)) }
-
-// tryAddPath inserts the path's dependencies if the layer stays acyclic;
-// on failure the layer is left unchanged.
-func (l *layerCDG) tryAddPath(path []graph.ChannelID) bool {
-	var added [][2]graph.ChannelID
-	ok := true
+// tryAddPath adds the path's dependencies to the layer's CDG if it stays
+// acyclic; a dependency is present while its Count is positive. On
+// failure the layer is left unchanged: the counts the path raised are
+// zeroed again.
+func tryAddPath(l *cdg.Induced, path []graph.ChannelID) bool {
+	var raised []int // steps j whose dependency (path[j], path[j+1]) this path added
 	for j := 0; j+1 < len(path); j++ {
 		a, b := path[j], path[j+1]
-		if l.has[key(a, b)] {
+		d := l.Dep(a, b)
+		if d.Count > 0 {
 			continue
 		}
 		// Adding a->b closes a cycle iff a is reachable from b.
-		if l.reaches(b, a) {
-			ok = false
-			break
-		}
-		l.has[key(a, b)] = true
-		l.adj[a] = append(l.adj[a], b)
-		added = append(added, [2]graph.ChannelID{a, b})
-	}
-	if ok {
-		return true
-	}
-	// Roll back.
-	for _, e := range added {
-		delete(l.has, key(e[0], e[1]))
-		succ := l.adj[e[0]]
-		for i, b := range succ {
-			if b == e[1] {
-				l.adj[e[0]] = append(succ[:i], succ[i+1:]...)
-				break
+		if l.Reaches(b, a) {
+			for _, k := range raised {
+				l.Dep(path[k], path[k+1]).Count = 0
 			}
+			return false
 		}
+		d.Count = 1
+		raised = append(raised, j)
 	}
-	return false
-}
-
-// reaches reports whether target is reachable from src in the layer CDG.
-func (l *layerCDG) reaches(src, target graph.ChannelID) bool {
-	if src == target {
-		return true
-	}
-	l.ep++
-	stack := []graph.ChannelID{src}
-	l.mark[src] = l.ep
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nxt := range l.adj[c] {
-			if nxt == target {
-				return true
-			}
-			if l.mark[nxt] != l.ep {
-				l.mark[nxt] = l.ep
-				stack = append(stack, nxt)
-			}
-		}
-	}
-	return false
+	return true
 }

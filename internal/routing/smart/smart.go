@@ -19,9 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/bfs"
+	"repro/internal/cdg"
 	"repro/internal/dial"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -72,9 +72,10 @@ func (Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 		}
 		// Cut the cycle edge used by the fewest destinations and
 		// recompute every destination that depended on it.
-		cut, users := st.weakestEdge(cyc)
-		st.forbidden[cut] = true
-		for _, d := range users {
+		cut := st.weakestEdge(cyc)
+		st.forbidden[depKey(cut.From, cut.To)] = true
+		for _, di := range cut.Users {
+			d := dests[di]
 			p, ok := st.destTree(d)
 			if !ok {
 				// The impasse Cherkasova et al. report: the prohibitions
@@ -108,6 +109,7 @@ type state struct {
 	dests     []graph.NodeID
 	forbidden map[int64]bool // prohibited dependencies (c1 -> c2)
 	parent    map[graph.NodeID][]graph.ChannelID
+	cdg       cdg.Induced // the CDG the current trees induce
 }
 
 func depKey(a, b graph.ChannelID) int64 { return int64(a)<<32 | int64(uint32(b)) }
@@ -181,19 +183,15 @@ func (st *state) destTree(d graph.NodeID) ([]graph.ChannelID, bool) {
 	return used, true
 }
 
-// findCycle builds the CDG induced by the current trees and returns nil
-// if acyclic, else one cycle's dependency keys with the destinations
-// using each.
-type cdgEdge struct {
-	a, b  graph.ChannelID
-	users []graph.NodeID
-}
-
-func (st *state) buildCDG() map[int64]*cdgEdge {
-	edges := make(map[int64]*cdgEdge)
-	// In dests order, not map order: users decides which destination an
-	// impasse error names.
-	for _, d := range st.dests {
+// findCycle rebuilds the CDG the current trees induce, each dependency
+// listing the indices (in dests order) of the destinations using it, and
+// returns one of its cycles, or nil if it is acyclic. The dependencies
+// are added in dests order, so which destination an impasse error names
+// does not depend on map order, and the search visits successors in
+// ascending order, so neither do the cut sequence and the verdict.
+func (st *state) findCycle() [][2]graph.ChannelID {
+	st.cdg.Reset(st.net.NumChannels())
+	for di, d := range st.dests {
 		parent := st.parent[d]
 		if parent == nil {
 			continue // unattached destination, never routed
@@ -211,91 +209,24 @@ func (st *state) buildCDG() map[int64]*cdgEdge {
 			if c2 == graph.NoChannel {
 				continue
 			}
-			k := depKey(c1, c2)
-			e := edges[k]
-			if e == nil {
-				e = &cdgEdge{a: c1, b: c2}
-				edges[k] = e
-			}
-			if len(e.users) == 0 || e.users[len(e.users)-1] != d {
-				e.users = append(e.users, d)
-			}
+			dep := st.cdg.Dep(c1, c2)
+			dep.Count++
+			dep.Users = append(dep.Users, int32(di))
 		}
 	}
-	return edges
+	st.cdg.SortSuccessors()
+	return st.cdg.FindCycle()
 }
 
-func (st *state) findCycle() []*cdgEdge {
-	edges := st.buildCDG()
-	// Deterministic order: map iteration would make the cut sequence —
-	// and thus success vs. impasse — vary between runs.
-	keys := make([]int64, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	adj := make(map[graph.ChannelID][]*cdgEdge)
-	var roots []graph.ChannelID
-	for _, k := range keys {
-		e := edges[k]
-		if len(adj[e.a]) == 0 {
-			roots = append(roots, e.a)
-		}
-		adj[e.a] = append(adj[e.a], e)
-	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[graph.ChannelID]int8)
-	parentE := make(map[graph.ChannelID]*cdgEdge)
-	type frame struct {
-		c  graph.ChannelID
-		ix int
-	}
-	for _, root := range roots {
-		if color[root] != white {
-			continue
-		}
-		stack := []frame{{root, 0}}
-		color[root] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			succ := adj[f.c]
-			if f.ix >= len(succ) {
-				color[f.c] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			e := succ[f.ix]
-			f.ix++
-			switch color[e.b] {
-			case white:
-				color[e.b] = gray
-				parentE[e.b] = e
-				stack = append(stack, frame{e.b, 0})
-			case gray:
-				cyc := []*cdgEdge{e}
-				for cur := e.a; cur != e.b; {
-					pe := parentE[cur]
-					cyc = append(cyc, pe)
-					cur = pe.a
-				}
-				return cyc
-			}
+// weakestEdge picks the cycle edge with the fewest using destinations,
+// scanning from the closing edge back to the cycle's head: the scan order
+// breaks ties and is part of the tables.
+func (st *state) weakestEdge(cyc [][2]graph.ChannelID) *cdg.Dependency {
+	var best *cdg.Dependency
+	for k := len(cyc) - 1; k >= 0; k-- {
+		if d := st.cdg.Dep(cyc[k][0], cyc[k][1]); best == nil || len(d.Users) < len(best.Users) {
+			best = d
 		}
 	}
-	return nil
-}
-
-// weakestEdge picks the cycle edge with the fewest using destinations.
-func (st *state) weakestEdge(cyc []*cdgEdge) (int64, []graph.NodeID) {
-	best := cyc[0]
-	for _, e := range cyc[1:] {
-		if len(e.users) < len(best.users) {
-			best = e
-		}
-	}
-	return depKey(best.a, best.b), best.users
+	return best
 }
