@@ -27,8 +27,6 @@ var (
 	phases   = flag.Int("phases", 16, "fig10: all-to-all shift phases (0 = full, the paper's workload)")
 	maxDim   = flag.Int("maxdim", 6, "fig11: largest torus dimension (paper: 10)")
 	verify   = flag.Bool("verify", false, "fig11: verify deadlock freedom of every result (slow)")
-	mcGroups = flag.Int("mcast-groups", 8, "mcast: number of seeded random multicast groups")
-	mcSize   = flag.Int("mcast-size", 6, "mcast: members per multicast group")
 	lgSample = flag.Int("large-sample", 512, "large: max sampled destinations per class (0 = every switch)")
 	wlFlows  = flag.Int("wl-flows", 20_000, "workload: flows per (topology, workload) cell")
 	wlGap    = flag.Float64("wl-gap", 4, "workload: Poisson mean inter-arrival gap in ticks (0 = closed batch)")
@@ -85,12 +83,6 @@ var table = []struct {
 		cfg := experiments.DefaultAblationConfig()
 		cfg.Seed, cfg.VCs, cfg.Trials = c.seed, c.budget(cfg.VCs), *trials
 		experiments.WriteAblation(w, cfg)
-	}},
-	{"mcast", false, func(w io.Writer, c common) { // cast-tree routing + replication sim
-		cfg := experiments.DefaultMcastConfig()
-		cfg.Seed, cfg.Workers, cfg.MaxVCs = c.seed, c.workers, c.budget(cfg.MaxVCs)
-		cfg.Groups, cfg.GroupSize = *mcGroups, *mcSize
-		experiments.WriteMcast(w, cfg)
 	}},
 	{"frontier", false, func(w io.Writer, c common) { // specialist low-VC engines vs Nue + existence verdicts
 		cfg := experiments.DefaultFrontierConfig()

@@ -26,8 +26,6 @@
 //	nueverify -trials 100                       # differential sweep, all classes
 //	nueverify -trials 100 -decide               # + existence frontier adjudication
 //	nueverify -trials 20 -topo torus -churn 25  # + fabric churn under the oracle
-//	nueverify -trials 20 -mcast-groups 6        # + cast trees certified over the union,
-//	                                            #   with a cyclic-table negative control
 //	nueverify -seed 42 -trials 1                # replay one trial exactly
 //	nueverify -topo ring -vcs 1 -engine dor     # targeted refutation (exit 1, witness printed)
 //
@@ -49,17 +47,15 @@ import (
 
 func main() {
 	var (
-		trials   = flag.Int("trials", 20, "number of seeded trials")
-		seed     = flag.Int64("seed", 1, "first seed; trial i uses seed+i")
-		topo     = flag.String("topo", "", "fix the topology class: random, regular, torus, fattree, kautz, ring, fullmesh, dfgroup, oneway (empty = rotate)")
-		engine   = flag.String("engine", "", "restrict to one engine: "+strings.Join(engines.DifferentialNames(), ", ")+" (empty = all)")
-		vcs      = flag.Int("vcs", 0, "fix the virtual-channel budget (0 = draw per seed)")
-		decide   = flag.Bool("decide", false, "run the existence decision procedure per trial and classify refutations as ENGINE-BUG vs GENUINELY-UNROUTABLE")
-		churn    = flag.Int("churn", 0, "additionally drive the fabric manager through this many random events per trial")
-		mcGroups = flag.Int("mcast-groups", 0, "additionally route this many seeded multicast groups per trial and adjudicate the cast union (plus a cyclic-table negative control)")
-		mcSize   = flag.Int("mcast-size", 0, "members per multicast group (0 = 4)")
-		workers  = flag.Int("workers", 0, "worker budget for Nue and the fabric manager (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "print every engine outcome, not just refutations")
+		trials  = flag.Int("trials", 20, "number of seeded trials")
+		seed    = flag.Int64("seed", 1, "first seed; trial i uses seed+i")
+		topo    = flag.String("topo", "", "fix the topology class: random, regular, torus, fattree, kautz, ring, fullmesh, dfgroup, oneway (empty = rotate)")
+		engine  = flag.String("engine", "", "restrict to one engine: "+strings.Join(engines.DifferentialNames(), ", ")+" (empty = all)")
+		vcs     = flag.Int("vcs", 0, "fix the virtual-channel budget (0 = draw per seed)")
+		decide  = flag.Bool("decide", false, "run the existence decision procedure per trial and classify refutations as ENGINE-BUG vs GENUINELY-UNROUTABLE")
+		churn   = flag.Int("churn", 0, "additionally drive the fabric manager through this many random events per trial")
+		workers = flag.Int("workers", 0, "worker budget for Nue and the fabric manager (0 = GOMAXPROCS)")
+		verbose = flag.Bool("v", false, "print every engine outcome, not just refutations")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -87,15 +83,13 @@ func main() {
 	decisions := map[string]int{}
 	for i := 0; i < *trials; i++ {
 		cfg := stress.Config{
-			Seed:        *seed + int64(i),
-			Class:       stress.Class(*topo),
-			VCs:         *vcs,
-			Engine:      *engine,
-			Decide:      *decide,
-			Churn:       *churn,
-			McastGroups: *mcGroups,
-			McastSize:   *mcSize,
-			Workers:     *workers,
+			Seed:    *seed + int64(i),
+			Class:   stress.Class(*topo),
+			VCs:     *vcs,
+			Engine:  *engine,
+			Decide:  *decide,
+			Churn:   *churn,
+			Workers: *workers,
 		}
 		tr := stress.Run(cfg)
 		trialsRun++
@@ -191,15 +185,6 @@ func printTrial(tr *stress.Trial, verbose bool) {
 	}
 	if tr.Churn != nil {
 		fmt.Printf(" churn:%d/%d", tr.Churn.Certified, tr.Churn.Events)
-	}
-	if tr.Mcast != nil {
-		adv := "adv:refuted"
-		if tr.Mcast.AdversarialSkipped {
-			adv = "adv:skipped"
-		} else if !tr.Mcast.AdversarialRefuted {
-			adv = "adv:PASSED-CYCLIC"
-		}
-		fmt.Printf(" mcast:%dg/%de/%s", tr.Mcast.Groups, tr.Mcast.TreeEdges, adv)
 	}
 	fmt.Println()
 	if verbose {

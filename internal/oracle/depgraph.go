@@ -20,16 +20,12 @@ import "repro/internal/graph"
 // A graph is kept from call to call. Each call, and the lanes' sequential
 // fallback, empties it with reset and fills it again, and nothing an
 // earlier fill left is read before it is written: reset clears exactly
-// the slots the nodes name and the V-type set, and a node's Tarjan marks
-// are zeroed when the node is created.
+// the slots the nodes name, and a node's Tarjan marks are zeroed when the
+// node is created.
 type depGraph struct {
 	layers   int
 	channels int
 	lanes    []depLane
-	// vEdges marks dependencies of cast V-type (branch contention
-	// between two outputs of one switch); witness extraction uses it to
-	// annotate cycle edges that do not chain head to tail.
-	vEdges map[uint64]struct{}
 
 	stack  []laneNode // Tarjan scratch
 	frames []tarjanFrame
@@ -144,7 +140,6 @@ func (g *depGraph) reset(channels, layers int) {
 		all = append(all, make([]depLane, layers-len(all))...)
 	}
 	g.lanes, g.channels, g.layers = all[:layers], channels, layers
-	clear(g.vEdges)
 }
 
 func (g *depGraph) vertex(c graph.ChannelID, vl uint8) int32 {
@@ -167,25 +162,13 @@ func (g *depGraph) nodeOf(v int32) (*depNode, uint8) {
 	return g.node(v/int32(g.layers), l), l
 }
 
-// add records the dependency (a@va) -> (b@vb), deduplicated.
+// add records the dependency (a@va) -> (b@vb), deduplicated. It writes
+// lane va's arrays only, so goroutines adding dependencies of different
+// lanes need no lock. Dedup is a scan of the source vertex's chain: its
+// length is bounded by the radix of the channel's head switch (times the
+// lane fan-out), so the scan stays short — and it spares the graph a
+// global edge-set map, whose growth dominated dependency-build profiles.
 func (g *depGraph) add(a graph.ChannelID, va uint8, b graph.ChannelID, vb uint8) {
-	g.addTyped(a, va, b, vb, false)
-}
-
-// addTyped is add with a cast V-type marker. It writes lane va's arrays
-// only (V-type markers aside, which only the cast walk sets), so
-// goroutines adding dependencies of different lanes need no lock. Dedup
-// is a scan of the source vertex's chain: its length is bounded by the
-// radix of the channel's head switch (times the lane fan-out), so the
-// scan stays short — and it spares the graph a global edge-set map, whose
-// growth dominated dependency-build profiles.
-func (g *depGraph) addTyped(a graph.ChannelID, va uint8, b graph.ChannelID, vb uint8, vdep bool) {
-	if vdep {
-		if g.vEdges == nil {
-			g.vEdges = make(map[uint64]struct{})
-		}
-		g.vEdges[uint64(uint32(g.vertex(a, va)))<<32|uint64(uint32(g.vertex(b, vb)))] = struct{}{}
-	}
 	ln := &g.lanes[va]
 	if len(ln.slot) == 0 {
 		ln.slot = make([]int32, g.channels)
@@ -230,13 +213,6 @@ func (g *depGraph) numDeps() int {
 		}
 	}
 	return n
-}
-
-// isV reports whether the edge u -> v was recorded as a V-type
-// dependency.
-func (g *depGraph) isV(u, v int32) bool {
-	_, ok := g.vEdges[uint64(uint32(u))<<32|uint64(uint32(v))]
-	return ok
 }
 
 // laneNode is a node with its lane: a vertex.
@@ -396,8 +372,7 @@ func (g *depGraph) cycleWithin(comp []int32) []int32 {
 	}
 }
 
-// witness converts a vertex cycle into channel-level form, marking the
-// edges that are cast V-type dependencies.
+// witness converts a vertex cycle into channel-level form.
 func (g *depGraph) witness(net *graph.Network, cycle []int32) []Dep {
 	out := make([]Dep, len(cycle))
 	for i, v := range cycle {
@@ -408,7 +383,6 @@ func (g *depGraph) witness(net *graph.Network, cycle []int32) []Dep {
 			From:    ch.From,
 			To:      ch.To,
 			VL:      uint8(int(v) % g.layers),
-			V:       g.isV(v, cycle[(i+1)%len(cycle)]),
 		}
 	}
 	return out

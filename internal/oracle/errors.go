@@ -13,17 +13,9 @@ type Dep struct {
 	Channel  graph.ChannelID
 	From, To graph.NodeID
 	VL       uint8
-	// V marks the outgoing witness edge (to the next vertex, wrapping)
-	// as a cast V-type dependency: both channels leave the same switch —
-	// the holder of this branch output waits on its sibling — so the
-	// chain rule for the edge is shared origin, not head-to-tail.
-	V bool
 }
 
 func (d Dep) String() string {
-	if d.V {
-		return fmt.Sprintf("ch%d(%d->%d)@vl%d[V]", d.Channel, d.From, d.To, d.VL)
-	}
 	return fmt.Sprintf("ch%d(%d->%d)@vl%d", d.Channel, d.From, d.To, d.VL)
 }
 
@@ -107,36 +99,10 @@ func (e *BudgetError) Error() string {
 	return msg
 }
 
-// CastError reports a structurally broken cast tree: a member owed
-// delivery but never reached, a delivery to a non-member, or a tree
-// graph that revisits a switch. Deadlock refutation takes precedence —
-// when the combined dependency graph is cyclic, Certify returns the
-// *CycleError witness rather than the structural complaint, so a
-// deliberately-cyclic cast tree is always refuted with a concrete
-// cycle.
-type CastError struct {
-	Group  int
-	Member graph.NodeID // NoNode when the issue is not member-specific
-	At     graph.NodeID // node the issue was observed at (NoNode if n/a)
-	Reason string
-}
-
-func (e *CastError) Error() string {
-	msg := fmt.Sprintf("oracle: cast group %d: %s", e.Group, e.Reason)
-	if e.Member != graph.NoNode {
-		msg += fmt.Sprintf(" (member %d)", e.Member)
-	}
-	if e.At != graph.NoNode {
-		msg += fmt.Sprintf(" (at node %d)", e.At)
-	}
-	return msg
-}
-
 // ValidateWitness checks a witness cycle for internal consistency
 // against the network alone: consecutive channels must chain head to
-// tail — or, across a V-type edge, share their origin switch — (the
-// wrap included) and no channel may be failed. Tests use this to reject
-// a checker that fabricates witnesses.
+// tail (the wrap included) and no channel may be failed. Tests use this
+// to reject a checker that fabricates witnesses.
 func ValidateWitness(net *graph.Network, w []Dep) error {
 	if len(w) < 2 {
 		return fmt.Errorf("oracle: witness cycle too short (%d vertices)", len(w))
@@ -151,13 +117,6 @@ func ValidateWitness(net *graph.Network, w []Dep) error {
 		}
 		next := w[(i+1)%len(w)]
 		nextFrom := net.Channel(next.Channel).From
-		if d.V {
-			if ch.From != nextFrom {
-				return fmt.Errorf("oracle: witness V-edge does not share a switch at vertex %d: channel %d leaves %d, next leaves %d",
-					i, d.Channel, ch.From, nextFrom)
-			}
-			continue
-		}
 		if ch.To != nextFrom {
 			return fmt.Errorf("oracle: witness does not chain at vertex %d: channel %d ends at %d, next starts at %d",
 				i, d.Channel, ch.To, nextFrom)

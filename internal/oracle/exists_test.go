@@ -271,6 +271,31 @@ func directedFigureEight() *graph.Network {
 	return net
 }
 
+// directedTheta is two directed 4-rings that share their first link,
+// 0 -> 1. Switch 1 is entered only over that link and leaves over 1 -> 2
+// and 1 -> 4, so both transitions out of channel 0 are forced and either
+// ring closes a trap. The link to 4 is added first: its channel has the
+// lower ID, while the switch's adjacency lists the nearer switch 2 first.
+func directedTheta() *graph.Network {
+	b := graph.NewBuilder()
+	sw := make([]graph.NodeID, 6)
+	for i := range sw {
+		sw[i] = b.AddSwitch(fmt.Sprintf("sw%d", i))
+	}
+	var fwd []graph.ChannelID
+	for _, l := range [][2]int{{0, 1}, {1, 4}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 0}} {
+		fwd = append(fwd, b.AddLink(sw[l[0]], sw[l[1]]))
+	}
+	for i, s := range sw {
+		b.AddLink(s, b.AddTerminal(fmt.Sprintf("t%d", i)))
+	}
+	net := b.MustBuild()
+	for _, c := range fwd {
+		net.SetHalfFailed(net.Channel(c).Reverse, true)
+	}
+	return net
+}
+
 // trapString spells a trap out entry by entry, From>To@Src-Dst.
 func trapString(trap []exists.Forced) string {
 	parts := make([]string, len(trap))
@@ -281,10 +306,12 @@ func trapString(trap []exists.Forced) string {
 }
 
 // TestDecideTrapGoldens pins the exact trap Decide returns, entry order
-// included, for the 6-ring, a directed figure-eight and the first ten
-// one-way stress seeds it refutes. The traps were recorded at commit d073fab, before the forced
-// dependencies moved onto cdg.Induced; which cycle the search closes
-// first, and which required pair each entry names, is part of the
+// included, for the 6-ring, a directed figure-eight, a directed theta
+// and the first ten one-way stress seeds it refutes. The traps were
+// recorded at commit d073fab, before the forced dependencies moved onto
+// cdg.Induced, except the theta's, the one fixture whose trap tells the
+// sorted successor order from insertion order; which cycle the search
+// closes first, and which required pair each entry names, is part of the
 // contract.
 func TestDecideTrapGoldens(t *testing.T) {
 	dec, err := exists.Decide(directedRing(t, 6, 1).Net, exists.Options{})
@@ -303,6 +330,16 @@ func TestDecideTrapGoldens(t *testing.T) {
 	}
 	if got, want := trapString(dec.Trap), "0>6@4-1 6>14@0-2 14>12@0-3 12>2@1-0 2>4@1-4 4>10@0-5 10>8@0-6 8>0@4-0"; got != want {
 		t.Errorf("figure-eight trap %q, want golden %q", got, want)
+	}
+	// The theta's first trap depends on the order successors are
+	// searched in: ascending channel IDs close the ring through switch 4,
+	// the adjacency's order the ring through switch 2. Decide sorts.
+	dec, err = exists.Decide(directedTheta(), exists.Options{})
+	if err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if got, want := trapString(dec.Trap), "0>2@0-4 2>10@0-5 10>12@4-0 12>0@4-1"; got != want {
+		t.Errorf("theta trap %q, want golden %q", got, want)
 	}
 	golden := map[int64]string{
 		0:  "0>2@0-2 2>4@0-3 4>6@1-0 6>0@2-1",                                                 // oneway-ring-4

@@ -53,13 +53,6 @@ type Certificate struct {
 	Connected bool
 	// DeadlockFree is true once the used-dependency graph is acyclic.
 	DeadlockFree bool
-	// CastGroups, CastReceivers and CastUBM count the walked multicast
-	// groups, their tree-served receivers and their UBM legs; CastEdges
-	// counts traversed cast out-channels and CastVDeps the V-type
-	// branch-contention dependencies added to the union graph. All zero
-	// when the result carries no cast table.
-	CastGroups, CastReceivers, CastUBM int
-	CastEdges, CastVDeps               int
 }
 
 // Certify checks a finished routing from first principles and returns a
@@ -93,26 +86,11 @@ func Certify(net *graph.Network, res *routing.Result, opt Options) (*Certificate
 		return cert, err
 	}
 	cert.Connected = true
-	// Cast trees add their T- and V-type dependencies to the same graph,
-	// so the Tarjan pass decides over the unicast+cast UNION. Structural
-	// tree violations wait behind it: a cyclic cast graph is refuted with
-	// a witness, not a shape complaint.
-	var castIssue error
-	if res.Cast != nil {
-		var err error
-		castIssue, err = walkCast(net, res, cert, dg)
-		if err != nil {
-			return cert, err
-		}
-	}
 	cert.Deps = dg.numDeps()
 	if cycle := dg.findCycle(); cycle != nil {
 		return cert, &CycleError{Witness: dg.witness(net, cycle)}
 	}
 	cert.DeadlockFree = true
-	if castIssue != nil {
-		return cert, castIssue
-	}
 	if opt.MaxVCs > 0 && cert.Layers > opt.MaxVCs {
 		return cert, &BudgetError{Used: cert.Layers, Budget: opt.MaxVCs}
 	}

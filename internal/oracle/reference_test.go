@@ -59,21 +59,11 @@ func ReferenceCertify(net *graph.Network, res *routing.Result, opt Options) (*Ce
 		}
 	}
 	cert.Connected = true
-	var castIssue error
-	if res.Cast != nil {
-		var err error
-		if castIssue, err = walkCast(net, res, cert, dg); err != nil {
-			return cert, err
-		}
-	}
 	cert.Deps = dg.numDeps()
 	if cycle := dg.findCycle(); cycle != nil {
 		return cert, &CycleError{Witness: dg.witness(net, cycle)}
 	}
 	cert.DeadlockFree = true
-	if castIssue != nil {
-		return cert, castIssue
-	}
 	if opt.MaxVCs > 0 && cert.Layers > opt.MaxVCs {
 		return cert, &BudgetError{Used: cert.Layers, Budget: opt.MaxVCs}
 	}

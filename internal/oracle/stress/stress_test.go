@@ -132,52 +132,6 @@ func TestChurnTrial(t *testing.T) {
 	}
 }
 
-// TestMcastTrial runs the multicast sub-trial across every topology
-// class: seeded groups built as cast trees must certify over the
-// unicast+cast union, and wherever the topology offers a switch cycle,
-// the rotated deliberately-cyclic cast table must be refuted with a
-// validated witness. At least one class must exercise the adversarial
-// branch, or the negative control is vacuous.
-func TestMcastTrial(t *testing.T) {
-	refuted := 0
-	for s := int64(0); s < int64(len(stress.Classes())); s++ {
-		if stress.ClassFor(s) == stress.ClassOneWay {
-			// Asymmetric networks have no Nue in their roster and skip the
-			// multicast sub-trial entirely.
-			continue
-		}
-		tr := stress.Run(stress.Config{Seed: s, Engine: "nue", McastGroups: 4, McastSize: 4, Workers: 1})
-		if tr.Failed() {
-			t.Fatalf("seed %d (%s): %s", s, tr.Topology, strings.Join(tr.Failures, "\n"))
-		}
-		if tr.Mcast == nil {
-			t.Fatalf("seed %d: multicast sub-trial did not run", s)
-		}
-		if tr.Mcast.Groups != 4 {
-			t.Errorf("seed %d (%s): routed %d groups, want 4", s, tr.Topology, tr.Mcast.Groups)
-		}
-		if tr.Mcast.AdversarialRefuted {
-			refuted++
-			if tr.Mcast.Witness == "" {
-				t.Errorf("seed %d (%s): adversarial refutation carries no witness", s, tr.Topology)
-			}
-		}
-	}
-	if refuted == 0 {
-		t.Fatal("no class exercised the cyclic-cast negative control")
-	}
-}
-
-// TestMcastReplayString pins the replay flags of the multicast
-// sub-trial.
-func TestMcastReplayString(t *testing.T) {
-	cfg := stress.Config{Seed: 5, McastGroups: 6, McastSize: 3}
-	want := "go run ./cmd/nueverify -trials 1 -seed 5 -mcast-groups 6 -mcast-size 3"
-	if got := cfg.Replay(); got != want {
-		t.Fatalf("replay = %q, want %q", got, want)
-	}
-}
-
 // TestDecideReplayString pins the -decide replay flag.
 func TestDecideReplayString(t *testing.T) {
 	cfg := stress.Config{Seed: 5, Decide: true}

@@ -31,14 +31,6 @@ type Config struct {
 	// manager through that many random events with the oracle installed
 	// as the post-check hook.
 	Churn int
-	// McastGroups, when positive, additionally routes that many seeded
-	// random multicast groups (McastSize members each) as cast trees
-	// inside Nue's CDG, certifies the unicast+cast union, and requires
-	// the oracle to refute a deliberately-cyclic cast table built from
-	// rotated path-trees over a switch cycle of the same topology.
-	McastGroups int
-	// McastSize is the members per group (0 defaults to 4).
-	McastSize int
 	// Workers bounds Nue's and the fabric manager's parallelism
 	// (0 = GOMAXPROCS); the routing is identical for every value.
 	Workers int
@@ -66,12 +58,6 @@ func (cfg Config) Replay() string {
 	}
 	if cfg.Churn != 0 {
 		fmt.Fprintf(&b, " -churn %d", cfg.Churn)
-	}
-	if cfg.McastGroups != 0 {
-		fmt.Fprintf(&b, " -mcast-groups %d", cfg.McastGroups)
-		if cfg.McastSize != 0 {
-			fmt.Fprintf(&b, " -mcast-size %d", cfg.McastSize)
-		}
 	}
 	if cfg.Decide {
 		b.WriteString(" -decide")
@@ -106,7 +92,6 @@ type Trial struct {
 	VCs      int
 	Outcomes []Outcome
 	Churn    *ChurnReport
-	Mcast    *McastReport
 	Decide   *DecideReport
 	// Failures are the hard violations: a claiming engine refuted, an
 	// oracle/verify verdict disagreement, an invalid witness, a Nue
@@ -160,13 +145,10 @@ func Run(cfg Config) *Trial {
 	if cfg.Decide {
 		tr.Decide = tr.runDecide(tp.Net, vcs)
 	}
-	// Churn and multicast drive Nue-based machinery, which is only in
-	// the roster of symmetric networks.
+	// Churn drives Nue-based machinery, which is only in the roster of
+	// symmetric networks.
 	if cfg.Churn > 0 && tp.Net.Symmetric() {
 		tr.Churn = tr.runChurn(tp, vcs, rng)
-	}
-	if cfg.McastGroups > 0 && tp.Net.Symmetric() {
-		tr.Mcast = tr.runMcast(tp, vcs)
 	}
 	return tr
 }

@@ -129,11 +129,6 @@ type Result struct {
 	// this; such routings are inapplicable to InfiniBand but valid for
 	// source-routed technologies. Key via PairKey.
 	PairPath map[uint64][]graph.ChannelID
-	// Cast, if non-nil, holds the routed multicast groups of this epoch.
-	// Certification (internal/oracle) covers the union of the unicast
-	// dependencies and the cast-tree dependencies (including V-type
-	// branch-contention edges) when Cast is present.
-	Cast *CastTable
 	// LayerCDG, if non-nil, holds one digest per virtual layer over the
 	// final per-channel/per-edge states of the layer's complete channel
 	// dependency graph (cdg.StateDigest). Engines that route on the CDG

@@ -157,9 +157,9 @@ func TestSoakShardFailover(t *testing.T) {
 			if r.Deadlocked {
 				t.Fatalf("step %d: simulation deadlocked on published tables", step)
 			}
-			if r.InjectedFlits+r.ReplicatedFlits != r.DeliveredFlits+r.InFlightFlits {
-				t.Fatalf("step %d: flit conservation violated: injected %d + replicated %d != delivered %d + in-flight %d",
-					step, r.InjectedFlits, r.ReplicatedFlits, r.DeliveredFlits, r.InFlightFlits)
+			if r.InjectedFlits != r.DeliveredFlits+r.InFlightFlits {
+				t.Fatalf("step %d: flit conservation violated: injected %d != delivered %d + in-flight %d",
+					step, r.InjectedFlits, r.DeliveredFlits, r.InFlightFlits)
 			}
 		}
 	}

@@ -56,15 +56,22 @@ func PaperConfig() Config {
 // Message is one transfer between terminals.
 type Message struct {
 	Src, Dst graph.NodeID
-	// Group, when >= 1, makes this a multicast message of the cast group
-	// with that id (routing.CastTable ids are 1-based): Src and Dst are
-	// ignored, the group's source broadcasts over its cast tree —
-	// replicating flits at branch switches — plus one serialized unicast
-	// leg per UBM member. The message counts as delivered when every
-	// tree receiver and every UBM member got the tail packet. Zero (the
-	// zero value) means plain unicast.
-	Group int
 }
+
+// WalkError reports the first message whose path routing.Walk refused:
+// the table has no route for it, loops, or takes a failed channel. The
+// run is refused before it starts, so a mis-routed table is flagged,
+// never silently simulated. Err is the *routing.WalkError.
+type WalkError struct {
+	MessageIndex int
+	Err          error
+}
+
+func (e *WalkError) Error() string {
+	return fmt.Sprintf("sim: message %d: %v", e.MessageIndex, e.Err)
+}
+
+func (e *WalkError) Unwrap() error { return e.Err }
 
 // Result summarizes a simulation run.
 type Result struct {
@@ -91,14 +98,10 @@ type Result struct {
 	// over the switch-to-switch channels that carried traffic.
 	AvgLinkUtilization, MaxLinkUtilization float64
 	// InjectedFlits counts payload flits whose packet entered the
-	// network (first transmission on an injection channel);
-	// ReplicatedFlits the extra flit copies created at cast-tree branch
-	// switches (a k-way branch adds (k-1) copies of the packet). The
-	// conservation invariant InjectedFlits + ReplicatedFlits ==
-	// DeliveredFlits + InFlightFlits holds on every exit path
-	// (ReplicatedFlits is 0 for pure-unicast runs).
-	InjectedFlits   int64
-	ReplicatedFlits int64
+	// network (first transmission on an injection channel). The
+	// conservation invariant InjectedFlits == DeliveredFlits +
+	// InFlightFlits holds on every exit path.
+	InjectedFlits int64
 	// InFlightFlits is the number of injected-but-undelivered flits at
 	// the end of the run, measured by an independent sweep of the
 	// buffers and the event queue (0 after a fully delivered run).
@@ -142,27 +145,11 @@ type packet struct {
 	waitSince int64
 	// msg is the message this packet belongs to (latency accounting).
 	msg *msgState
-	// group > 0 marks a cast-tree packet (dst is NoNode); forwarding
-	// follows CastGroup.Outs instead of the unicast table.
-	group int32
-	// outs and acquired are the branch-replication state while the
-	// packet sits at a branch switch's buffer head: the switch's cast
-	// out-channels (ascending ChannelID — the reservation order the
-	// certified V-type dependencies assume) and how many of them are
-	// already reserved. The packet holds its reservations and its input
-	// buffer slot while waiting for the next output — the hold-and-wait
-	// the V-type dependency edges model.
-	outs     []graph.ChannelID
-	acquired int32
 }
 
 // msgState tracks one message's lifecycle.
 type msgState struct {
 	start int64 // first flit entered the network (-1 = not yet)
-	// tails is the number of tail-packet deliveries still owed before
-	// the message counts as delivered: 1 for unicast, receivers + UBM
-	// legs for a cast message.
-	tails int32
 }
 
 // event kinds.
@@ -203,19 +190,13 @@ type sim struct {
 	bufCount  [][]int32     // [channel][vl] occupied packets (reserved at start)
 	bufQueue  [][][]*packet // [channel][vl] FIFO of fully arrived packets
 	outWait   [][]*packet   // per channel: FIFO of packets requesting it
-	// reservedBy[c] is the replicating cast packet currently holding
-	// idle channel c while it acquires its remaining branch outputs;
-	// nobody else may start on a reserved channel.
-	reservedBy []*packet
 
 	events eventQueue
 	now    int64
 
-	delivered      int64
-	deliveredMsgs  int
-	totalMsgs      int
-	remainingFlits int64
-	replicated     int64
+	delivered     int64
+	deliveredMsgs int
+	totalMsgs     int
 
 	// Telemetry accounting (always maintained; plain integer updates on
 	// paths that already touch the same cache lines).
@@ -233,7 +214,9 @@ type sim struct {
 }
 
 // Run simulates the delivery of messages under the routing result and
-// returns throughput and deadlock information.
+// returns throughput and deadlock information. Each message's path is
+// walked once with routing.Walk before the run; a message it refuses
+// aborts the run with a *WalkError.
 func Run(net *graph.Network, res *routing.Result, messages []Message, cfg Config) (Result, error) {
 	if cfg.PacketFlits < 1 || cfg.MessageFlits < 1 || cfg.BufferPackets < 1 {
 		return Result{}, fmt.Errorf("sim: invalid config %+v", cfg)
@@ -256,29 +239,27 @@ func Run(net *graph.Network, res *routing.Result, messages []Message, cfg Config
 		s.bufCount[c] = make([]int32, vcs)
 		s.bufQueue[c] = make([][]*packet, vcs)
 	}
-	s.reservedBy = make([]*packet, net.NumChannels())
 	s.vlHWM = make([]int64, vcs)
 	// Segment messages into packets and enqueue them on their injection
 	// channels in order (terminals serialize their own sends naturally).
-	for _, m := range messages {
-		if m.Group > 0 {
-			s.injectCast(m)
-			continue
-		}
+	var path []graph.ChannelID
+	for i, m := range messages {
 		if m.Src == m.Dst || net.Degree(m.Src) == 0 || net.Degree(m.Dst) == 0 {
 			continue
 		}
-		inj := net.Out(m.Src)[0]
-		sl := s.res.Layer(m.Src, m.Dst)
+		// A walked path ends at m.Dst and enters no other terminal (a
+		// terminal has one link), so the packets below always find their
+		// next hop and eject only at their destination.
+		var err error
+		if path, err = routing.Walk(net, res, m.Src, m.Dst, path); err != nil {
+			return Result{}, &WalkError{MessageIndex: i, Err: err}
+		}
 		var route []graph.ChannelID
 		if res.PairPath != nil {
 			route = res.PairPath[routing.PairKey(m.Src, m.Dst)]
 		}
-		if route != nil {
-			inj = route[0]
-		}
 		s.totalMsgs++
-		s.segment(&msgState{start: -1, tails: 1}, inj, route, m.Dst, sl, 0)
+		s.segment(&msgState{start: -1}, path[0], route, m.Dst, s.res.Layer(m.Src, m.Dst))
 	}
 	s.busyCycles = make([]int64, net.NumChannels())
 	// Prime all injection channels.
@@ -367,7 +348,6 @@ func (s *sim) result(deadlocked, timedOut bool) Result {
 		Deadlocked:        deadlocked,
 		TimedOut:          timedOut,
 		InjectedFlits:     s.injectedFlits,
-		ReplicatedFlits:   s.replicated,
 		InFlightFlits:     s.lastInFlight,
 		StallCycles:       s.stallCycles,
 		CreditStalls:      s.creditStalls,
@@ -411,7 +391,6 @@ func (s *sim) reportTelemetry(r *Result) {
 	}
 	tm.Runs.Inc()
 	tm.FlitsInjected.Add(r.InjectedFlits)
-	tm.FlitsReplicated.Add(r.ReplicatedFlits)
 	tm.FlitsDelivered.Add(r.DeliveredFlits)
 	tm.FlitsInFlight.Set(r.InFlightFlits)
 	tm.MessagesDelivered.Add(int64(r.DeliveredMessages))
@@ -452,9 +431,9 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// segment splits one message (or one cast train / UBM leg of it) into
-// packets and enqueues them on the injection channel.
-func (s *sim) segment(ms *msgState, inj graph.ChannelID, route []graph.ChannelID, dst graph.NodeID, sl uint8, group int32) {
+// segment splits one message into packets and enqueues them on the
+// injection channel.
+func (s *sim) segment(ms *msgState, inj graph.ChannelID, route []graph.ChannelID, dst graph.NodeID, sl uint8) {
 	remaining := s.cfg.MessageFlits
 	for remaining > 0 {
 		f := s.cfg.PacketFlits
@@ -463,57 +442,15 @@ func (s *sim) segment(ms *msgState, inj graph.ChannelID, route []graph.ChannelID
 		}
 		remaining -= f
 		p := &packet{dst: dst, sl: sl, flits: int32(f), cur: graph.NoChannel,
-			last: remaining == 0, route: route, msg: ms, group: group}
-		s.remainingFlits += int64(f)
+			last: remaining == 0, route: route, msg: ms}
 		s.outWait[inj] = append(s.outWait[inj], p)
 	}
 }
 
-// injectCast enqueues one multicast message: a cast train over the
-// group's tree (when it serves receivers) plus one unicast leg per UBM
-// member. All trains share the source's injection channel FIFO, so the
-// UBM legs are serialized exactly as the fallback's name promises.
-func (s *sim) injectCast(m Message) {
-	if s.res.Cast == nil {
-		return
-	}
-	g := s.res.Cast.Group(m.Group)
-	if g == nil || g.Source == graph.NoNode || s.net.Degree(g.Source) == 0 {
-		return
-	}
-	endpoints := len(g.Receivers) + len(g.UBM)
-	if endpoints == 0 {
-		return
-	}
-	s.totalMsgs++
-	ms := &msgState{start: -1, tails: int32(endpoints)}
-	inj := s.net.Out(g.Source)[0]
-	if len(g.Receivers) > 0 {
-		s.segment(ms, inj, nil, graph.NoNode, g.SL, int32(m.Group))
-	}
-	for _, u := range g.UBM {
-		var route []graph.ChannelID
-		if s.res.PairPath != nil {
-			route = s.res.PairPath[routing.PairKey(g.Source, u)]
-		}
-		leg := inj
-		if route != nil {
-			leg = route[0]
-		}
-		s.segment(ms, leg, route, u, s.res.Layer(g.Source, u), 0)
-	}
-}
-
-// nextChannel returns the packet's next hop from node u, or NoChannel at
-// the destination.
+// nextChannel returns the packet's next hop from node u, short of its
+// destination.
 func (s *sim) nextChannel(p *packet, u graph.NodeID) graph.ChannelID {
-	if u == p.dst {
-		return graph.NoChannel
-	}
 	if p.route != nil {
-		if int(p.hop) >= len(p.route) {
-			return graph.NoChannel
-		}
 		return p.route[p.hop]
 	}
 	return s.res.Table.Next(u, p.dst)
@@ -529,24 +466,14 @@ func (s *sim) vlOn(p *packet, c graph.ChannelID) uint8 {
 }
 
 // deliver accounts a packet's arrival at its destination. A message is
-// complete when its last owed tail delivery lands (one for unicast; one
-// per tree receiver and UBM leg for a cast message).
+// complete when its tail packet lands.
 func (s *sim) deliver(p *packet) {
 	s.delivered += int64(p.flits)
 	if !p.last {
 		return
 	}
-	if p.msg != nil {
-		p.msg.tails--
-		if p.msg.tails != 0 {
-			// More endpoints owed — or a mis-routed cast graph delivering
-			// surplus copies (tails < 0), which must not re-complete the
-			// message.
-			return
-		}
-	}
 	s.deliveredMsgs++
-	if p.msg != nil && p.msg.start >= 0 {
+	if p.msg.start >= 0 {
 		lat := s.now - p.msg.start
 		s.latencySum += lat
 		if lat > s.latencyMax {
@@ -555,12 +482,10 @@ func (s *sim) deliver(p *packet) {
 	}
 }
 
-// kick retries the waiters of channel c: if c is idle (and not reserved
-// by a replicating cast packet), the first request with downstream
-// credit starts transmitting — or, for a cast packet mid-replication,
-// reserves the channel and continues acquiring its remaining outputs.
+// kick retries the waiters of channel c: if c is idle, the first request
+// with downstream credit starts transmitting.
 func (s *sim) kick(c graph.ChannelID) {
-	if s.busyUntil[c] > s.now || s.reservedBy[c] != nil {
+	if s.busyUntil[c] > s.now {
 		return
 	}
 	// Note: startOn can reenter and append new waiters to s.outWait[c]
@@ -568,16 +493,6 @@ func (s *sim) kick(c graph.ChannelID) {
 	// must be re-read on every iteration and for the removal.
 	for i := 0; i < len(s.outWait[c]); i++ {
 		p := s.outWait[c][i]
-		if p.group > 0 && p.cur != graph.NoChannel {
-			// Cast packet at a branch switch waiting for output c.
-			if !s.castGrant(p, c) {
-				continue // no credit yet; let other waiters try
-			}
-			s.stallCycles += s.now - p.waitSince
-			s.outWait[c] = append(s.outWait[c][:i], s.outWait[c][i+1:]...)
-			s.castAcquire(p)
-			return // c is now reserved (or transmitting) for p
-		}
 		if s.startOn(p, c) {
 			// In-network packets accumulate stall cycles for the whole
 			// time they sat in the wait queue (injection queuing at the
@@ -611,7 +526,7 @@ func (s *sim) startOn(p *packet, c graph.ChannelID) bool {
 	dur := int64(p.flits)
 	s.busyUntil[c] = s.now + dur
 	s.busyCycles[c] += dur
-	if p.msg != nil && p.msg.start < 0 {
+	if p.msg.start < 0 {
 		p.msg.start = s.now // first flit of the message enters the network
 	}
 	heap.Push(&s.events, event{time: s.now + dur, kind: evChanFree, ch: c})
@@ -633,118 +548,21 @@ func (s *sim) startOn(p *packet, c graph.ChannelID) bool {
 }
 
 // request routes packet p (fully buffered at the head of its queue) to
-// its next channel, starting immediately when possible.
+// its next channel, starting immediately when possible. Run walked the
+// packet's path, so the hop exists.
 func (s *sim) request(p *packet) {
-	u := s.net.Channel(p.cur).To
-	if p.group > 0 {
-		s.castRequest(p, u)
-		return
-	}
-	c := s.nextChannel(p, u)
-	if c == graph.NoChannel {
-		panic(fmt.Sprintf("sim: no route at node %d toward %d", u, p.dst))
-	}
-	if s.busyUntil[c] <= s.now && s.reservedBy[c] == nil && s.startOn(p, c) {
+	c := s.nextChannel(p, s.net.Channel(p.cur).To)
+	if s.busyUntil[c] <= s.now && s.startOn(p, c) {
 		return
 	}
 	p.waitSince = s.now
 	s.outWait[c] = append(s.outWait[c], p)
 }
 
-// castRequest begins the branch replication of cast packet p at switch
-// u: look up the group's out-channels and start acquiring them in
-// ascending ChannelID order.
-func (s *sim) castRequest(p *packet, u graph.NodeID) {
-	g := s.res.Cast.Group(int(p.group))
-	if g == nil {
-		panic(fmt.Sprintf("sim: cast packet of unknown group %d", p.group))
-	}
-	outs := g.Outs(u)
-	if len(outs) == 0 {
-		// A mis-built tree with a dead end: the packet stays buffered
-		// forever and the deadlock detector reports the wedge.
-		return
-	}
-	p.outs = outs
-	p.acquired = 0
-	s.castAcquire(p)
-}
-
-// castAcquire reserves p's branch outputs one by one in ascending
-// ChannelID order. The packet holds everything it already reserved (and
-// its input buffer slot) while waiting for the next output — the
-// hold-and-wait behavior the certified V-type dependencies model. Once
-// every output is reserved the packet fires on all of them in lockstep.
-func (s *sim) castAcquire(p *packet) {
-	for int(p.acquired) < len(p.outs) {
-		c := p.outs[p.acquired]
-		if s.busyUntil[c] > s.now || s.reservedBy[c] != nil || !s.castGrant(p, c) {
-			p.waitSince = s.now
-			s.outWait[c] = append(s.outWait[c], p)
-			return
-		}
-	}
-	s.castFire(p)
-}
-
-// castGrant tries to reserve idle output c for cast packet p (the output
-// it is currently acquiring): downstream credit permitting, the channel
-// is held — unavailable to everyone else — until the packet fires. The
-// caller has checked that c is idle and unreserved.
-func (s *sim) castGrant(p *packet, c graph.ChannelID) bool {
-	vl := s.vlOn(p, c)
-	if s.net.IsSwitch(s.net.Channel(c).To) {
-		if s.bufCount[c][vl] >= int32(s.cfg.BufferPackets) {
-			s.creditStalls++
-			return false
-		}
-		s.bufCount[c][vl]++ // reserve the downstream slot now
-	}
-	s.reservedBy[c] = p
-	p.acquired++
-	return true
-}
-
-// castFire transmits cast packet p on all its reserved branch outputs
-// simultaneously, one independent copy per branch, and releases the
-// input buffer slot (virtual cut-through at the branch: the single
-// buffered copy drains into k outputs at once).
-func (s *sim) castFire(p *packet) {
-	dur := int64(p.flits)
-	if p.msg != nil && p.msg.start < 0 {
-		p.msg.start = s.now
-	}
-	for _, c := range p.outs {
-		s.reservedBy[c] = nil
-		s.busyUntil[c] = s.now + dur
-		s.busyCycles[c] += dur
-		cp := &packet{dst: p.dst, sl: p.sl, flits: p.flits, cur: graph.NoChannel,
-			last: p.last, msg: p.msg, group: p.group}
-		heap.Push(&s.events, event{time: s.now + dur, kind: evChanFree, ch: c})
-		heap.Push(&s.events, event{time: s.now + dur, kind: evArrival, ch: c, pkt: cp})
-	}
-	s.replicated += int64(len(p.outs)-1) * int64(p.flits)
-	p.outs = nil
-	// Pop the packet from its buffer head and free the slot: the clones
-	// carry cur == NoChannel, so no arrival will release it again.
-	q := s.bufQueue[p.cur][p.curVL]
-	if len(q) == 0 || q[0] != p {
-		panic("sim: replicating packet is not at its buffer head")
-	}
-	s.bufQueue[p.cur][p.curVL] = q[1:]
-	s.bufCount[p.cur][p.curVL]--
-	s.kick(p.cur)
-	if len(q) > 1 {
-		s.request(q[1])
-	}
-}
-
 // arrive completes a packet's transfer over channel c.
 func (s *sim) arrive(p *packet, c graph.ChannelID) {
 	// Release the upstream slot the packet occupied before this hop.
 	if p.cur != graph.NoChannel {
-		from := s.net.Channel(p.cur).To
-		_ = from
 		s.bufCount[p.cur][p.curVL]--
 		s.kick(p.cur)
 	}
@@ -753,16 +571,8 @@ func (s *sim) arrive(p *packet, c graph.ChannelID) {
 	}
 	to := s.net.Channel(c).To
 	vl := s.vlOn(p, c)
-	if s.net.IsTerminal(to) {
-		if p.group == 0 && to != p.dst {
-			panic(fmt.Sprintf("sim: packet for %d delivered to terminal %d", p.dst, to))
-		}
-		// Ejection: terminals absorb at link rate. A cast ejection
-		// delivers to whatever receiver the tree put there.
-		s.deliver(p)
-		return
-	}
-	if p.group == 0 && to == p.dst {
+	if to == p.dst {
+		// Ejection: terminals absorb at link rate.
 		s.deliver(p)
 		return
 	}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bfs"
@@ -298,6 +300,33 @@ func TestMessagesBetweenDisconnectedTerminalsSkipped(t *testing.T) {
 	}
 	if r.Deadlocked {
 		t.Error("deadlock flagged on fault-filtered traffic")
+	}
+}
+
+// TestUnroutedMessageRefused: a result routed toward a sample of the
+// destinations has no route to the others. A run that offers traffic to
+// one of them is refused up front with a *WalkError naming the message,
+// instead of stranding the packet at the switch where the table ends.
+func TestUnroutedMessageRefused(t *testing.T) {
+	tp := topology.Torus3D(3, 3, 2, 1, 1)
+	terms := tp.Net.Terminals()
+	res, err := core.New(core.DefaultOptions()).Route(tp.Net, terms[:4], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := AllToAllShift(terms, 2)
+	_, err = Run(tp.Net, res, msgs, PaperConfig())
+	var we *WalkError
+	if !errors.As(err, &we) || !errors.Is(err, routing.ErrNoRoute) {
+		t.Fatalf("Run = %v, want a *WalkError for a missing route", err)
+	}
+	if m := msgs[we.MessageIndex]; slices.Contains(terms[:4], m.Dst) {
+		t.Errorf("message %d (%d -> %d) goes to a routed destination", we.MessageIndex, m.Src, m.Dst)
+	}
+	// Traffic among the routed destinations alone still runs.
+	r, err := Run(tp.Net, res, AllToAllShift(terms[:4], 0), PaperConfig())
+	if err != nil || r.Deadlocked || r.DeliveredMessages != r.TotalMessages {
+		t.Fatalf("routed traffic: %+v, %v", r, err)
 	}
 }
 

@@ -206,11 +206,6 @@ type SimMetrics struct {
 	// is the invariant the consistency tests pin).
 	FlitsInjected, FlitsDelivered *Counter
 	FlitsInFlight                 *Gauge
-	// FlitsReplicated counts the extra flit copies created at cast-tree
-	// branch switches (a k-way replication of an f-flit packet adds
-	// (k-1)*f); the multicast conservation invariant is injected +
-	// replicated == delivered + in-flight.
-	FlitsReplicated *Counter
 	// MessagesDelivered counts fully delivered messages.
 	MessagesDelivered *Counter
 	// StallCycles accumulates cycles in-network packets spent waiting
@@ -240,7 +235,6 @@ func (r *Registry) Sim() *SimMetrics {
 		Timeouts:          r.Counter("sim_timeouts_total"),
 		FlitsInjected:     r.Counter("sim_flits_injected_total"),
 		FlitsDelivered:    r.Counter("sim_flits_delivered_total"),
-		FlitsReplicated:   r.Counter("sim_flits_replicated_total"),
 		FlitsInFlight:     r.Gauge("sim_flits_in_flight"),
 		MessagesDelivered: r.Counter("sim_messages_delivered_total"),
 		StallCycles:       r.Counter("sim_stall_cycles_total"),
