@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/oracle/exists"
 	"repro/internal/routing"
-	"repro/internal/routing/angara"
 	"repro/internal/routing/dfsssp"
 	"repro/internal/routing/dor"
 	"repro/internal/routing/ftree"
@@ -71,7 +70,7 @@ var table = []entry{
 			return dor.Engine{Meta: tp.Torus, Datelines: true}
 		}},
 	{name: "angara", meta: torus, requires: "a torus or mesh topology", differential: true,
-		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine { return angara.Engine{Meta: tp.Torus} }},
+		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine { return dor.Angara{Meta: tp.Torus} }},
 	{name: "fullmesh", meta: mesh, requires: "a full-mesh fabric", differential: true,
 		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine { return fullmesh.Engine{Meta: tp.Mesh} }},
 	{name: "mupdn", build: fixed(updn.MultiEngine{})},

@@ -17,7 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/routing"
-	"repro/internal/routing/angara"
+	"repro/internal/routing/dor"
 	"repro/internal/routing/fullmesh"
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
@@ -77,7 +77,7 @@ func sweepSwaps(t *testing.T, net *graph.Network, res *routing.Result, maxVCs in
 func TestMutationAngaraTurnViolation(t *testing.T) {
 	tp := topology.Mesh3D(3, 3, 1, 1, 1)
 	net := tp.Net
-	res, err := (angara.Engine{Meta: tp.Torus}).Route(net, net.Terminals(), 1)
+	res, err := (dor.Angara{Meta: tp.Torus}).Route(net, net.Terminals(), 1)
 	if err != nil {
 		t.Fatalf("route: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestMutationAngaraTurnViolation(t *testing.T) {
 func TestMutationAngaraDateline(t *testing.T) {
 	tp := topology.Torus3D(4, 4, 1, 1, 1)
 	net := tp.Net
-	res, err := (angara.Engine{Meta: tp.Torus}).Route(net, net.Terminals(), 2)
+	res, err := (dor.Angara{Meta: tp.Torus}).Route(net, net.Terminals(), 2)
 	if err != nil {
 		t.Fatalf("route: %v", err)
 	}

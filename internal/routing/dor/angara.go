@@ -1,6 +1,19 @@
-// Package angara implements the optimized graph-based torus routing of
-// the Angara interconnect (Mukosey, Semenov, Simonov): direction-ordered
-// routing with first-step/last-step fault bypass.
+package dor
+
+import (
+	"errors"
+	"math/bits"
+	"sort"
+
+	"repro/internal/graph"
+	"repro/internal/routing"
+	"repro/internal/topology"
+)
+
+// Angara routes 3D tori and meshes by the optimized graph-based torus
+// routing of the Angara interconnect (Mukosey, Semenov, Simonov):
+// direction-ordered routing with first-step/last-step fault bypass. Meta
+// must describe the grid.
 //
 // Where classic dimension-order walks dimensions x, y, z regardless of
 // ring direction, Angara orders by *direction class*: a path first takes
@@ -20,33 +33,17 @@
 // direction-flipped paths can violate the class order, so whenever any
 // pair used one the engine re-verifies the whole table and refuses
 // rather than return an unsafe result.
-package angara
-
-import (
-	"errors"
-	"fmt"
-	"math/bits"
-	"sort"
-
-	"repro/internal/graph"
-	"repro/internal/routing"
-	"repro/internal/routing/verify"
-	"repro/internal/topology"
-)
-
-// Engine routes 3D tori and meshes in the Angara style. Meta must
-// describe the grid.
-type Engine struct {
+type Angara struct {
 	Meta *topology.TorusMeta
 }
 
 // Name implements routing.Engine.
-func (Engine) Name() string { return "angara" }
+func (Angara) Name() string { return "angara" }
 
 // Claims implements routing.Claimant: direction-ordered routing is
 // deadlock-free with one lane on meshes and with the 2-lane dateline
 // budget on tori.
-func (e Engine) Claims() routing.Claims {
+func (e Angara) Claims() routing.Claims {
 	if e.Meta != nil && !e.Meta.Wrap {
 		return routing.Claims{DeadlockFree: true, MinVCs: 1}
 	}
@@ -54,109 +51,27 @@ func (e Engine) Claims() routing.Claims {
 }
 
 // Route implements routing.Engine.
-func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
-	if e.Meta == nil {
-		return nil, errors.New("angara: torus metadata required (not a torus/mesh)")
-	}
-	if maxVCs < 1 {
-		return nil, errors.New("angara: need at least one virtual channel")
-	}
-	if e.Meta.Wrap && maxVCs < 2 {
-		return nil, errors.New("angara: tori need 2 virtual channels for dateline deadlock freedom")
-	}
-	p := &planner{net: net, meta: e.Meta, dimOf: e.Meta.ChannelDims(net)}
-	table := routing.NewTable(net, dests)
-	pairLayer := make([][]uint8, net.NumNodes())
-	for i := range pairLayer {
-		pairLayer[i] = make([]uint8, len(dests))
-	}
-	irregular := 0
-	for _, d := range dests {
-		if net.Degree(d) == 0 {
-			continue
-		}
-		dstSw := d
-		if net.IsTerminal(d) {
-			dstSw = net.TerminalSwitch(d)
-		}
-		dc, ok := e.Meta.Coord[dstSw]
-		if !ok {
-			return nil, fmt.Errorf("angara: destination switch %d has no torus coordinate", dstSw)
-		}
-		for _, s := range net.Switches() {
-			if net.Degree(s) == 0 {
-				continue
+func (e Angara) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
+	return drive(net, dests, maxVCs, grid{meta: e.Meta, name: "angara", prefix: "angara", shape: "torus/mesh",
+		order: "direction-ordered", stat: "irregular", lanes: e.Meta != nil && e.Meta.Wrap,
+		unsafe: "angara: faults defeat direction-ordered routing",
+		admit: func(p *planner, maxVCs int) error {
+			if p.meta.Wrap && maxVCs < 2 {
+				return errors.New("angara: tori need 2 virtual channels for dateline deadlock freedom")
 			}
-			sc, ok := e.Meta.Coord[s]
-			if !ok {
-				return nil, fmt.Errorf("angara: switch %d has no torus coordinate", s)
-			}
-			if s == dstSw {
-				if net.IsTerminal(d) {
-					table.Set(s, d, net.FindChannel(s, d))
-				}
-				continue
-			}
-			path, sl, irr, err := p.route(s, dstSw, sc, dc)
-			if err != nil {
-				return nil, fmt.Errorf("angara: no direction-ordered path %v -> %v: %w", sc, dc, err)
-			}
-			if irr {
-				irregular++
-			}
-			table.Set(s, d, path[0])
-			di := table.DestIndex(d)
-			pairLayer[s][di] = sl
-			for _, c := range net.Out(s) {
-				if t := net.Channel(c).To; net.IsTerminal(t) {
-					pairLayer[t][di] = sl
-				}
-			}
-		}
-	}
-	res := &routing.Result{
-		Algorithm: "angara",
-		Table:     table,
-		Stats:     map[string]float64{"irregular": float64(irregular)},
-	}
-	if e.Meta.Wrap {
-		res.PairLayer = pairLayer
-		res.VCs = 2
-		dimOf := p.dimOf
-		res.SLToVL = func(sl uint8, c graph.ChannelID) uint8 {
-			if d := dimOf[c]; d >= 0 {
-				return (sl >> uint(d)) & 1
-			}
-			return 0
-		}
-	} else {
-		res.VCs = 1
-	}
-	if irregular > 0 {
-		// Bypassed or direction-flipped paths may break the class order;
-		// return the table only if it still proves deadlock-free.
-		if _, err := verify.Check(net, res, nil); err != nil {
-			return nil, fmt.Errorf("angara: faults defeat direction-ordered routing: %w", err)
-		}
-	}
-	return res, nil
+			return nil
+		},
+		plan: (*planner).route})
 }
 
-// planner computes direction-ordered paths with first/last-step bypass.
-type planner struct {
-	net   *graph.Network
-	meta  *topology.TorusMeta
-	dimOf []int8
-}
-
-// route plans the path from switch sSw (coordinate sc) to switch dSw
-// (coordinate dc). irregular reports that the path is not the default
-// shortest direction-ordered one (flipped ring direction or bypass hop)
-// and therefore needs whole-table re-verification.
-func (p *planner) route(sSw, dSw graph.NodeID, sc, dc [3]int) (path []graph.ChannelID, sl uint8, irregular bool, err error) {
+// route is Angara's planner: the path from switch sSw (coordinate sc) to
+// switch dSw (coordinate dc). irregular is 1 when the path is not the
+// default shortest direction-ordered one (flipped ring direction or
+// bypass hop) and therefore needs whole-table re-verification.
+func (p *planner) route(sSw, dSw graph.NodeID, sc, dc [3]int) (path []graph.ChannelID, sl uint8, irregular int, err error) {
 	for i, signs := range p.signCombos(sc, dc) {
 		if path, sl, ok := p.walkPlan(sc, dc, signs); ok {
-			return path, sl, i > 0, nil
+			return path, sl, min(i, 1), nil
 		}
 	}
 	// First-step bypass: leave the source switch through any live port,
@@ -169,7 +84,7 @@ func (p *planner) route(sSw, dSw graph.NodeID, sc, dc [3]int) (path []graph.Chan
 		}
 		for _, signs := range p.signCombos(nc, dc) {
 			if rest, rsl, ok := p.walkPlan(nc, dc, signs); ok {
-				return append([]graph.ChannelID{c}, rest...), rsl | p.crossBit(c), true, nil
+				return append([]graph.ChannelID{c}, rest...), rsl | p.crossBit(c), 1, nil
 			}
 		}
 	}
@@ -183,7 +98,7 @@ func (p *planner) route(sSw, dSw graph.NodeID, sc, dc [3]int) (path []graph.Chan
 		}
 		for _, signs := range p.signCombos(sc, mc) {
 			if head, hsl, ok := p.walkPlan(sc, mc, signs); ok {
-				return append(head, c), hsl | p.crossBit(c), true, nil
+				return append(head, c), hsl | p.crossBit(c), 1, nil
 			}
 		}
 	}
@@ -204,12 +119,12 @@ func (p *planner) route(sSw, dSw graph.NodeID, sc, dc [3]int) (path []graph.Chan
 				if mid, msl, ok := p.walkPlan(nc, mc, signs); ok {
 					path := append([]graph.ChannelID{c1}, mid...)
 					path = append(path, c2)
-					return path, msl | p.crossBit(c1) | p.crossBit(c2), true, nil
+					return path, msl | p.crossBit(c1) | p.crossBit(c2), 1, nil
 				}
 			}
 		}
 	}
-	return nil, 0, false, errors.New("no path within first/last-step bypass budget")
+	return nil, 0, 0, errors.New("no path within first/last-step bypass budget")
 }
 
 // bypassCoord returns the grid coordinate of a candidate bypass switch,

@@ -1,4 +1,4 @@
-package angara_test
+package dor_test
 
 import (
 	"math/rand"
@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/oracle"
-	"repro/internal/routing/angara"
+	"repro/internal/routing/dor"
 	"repro/internal/topology"
 )
 
@@ -25,7 +25,7 @@ func TestCertifies50Seeds(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			tp, failed = topology.InjectLinkFailures(tp, rng, 0.10)
 		}
-		eng := angara.Engine{Meta: tp.Torus}
+		eng := dor.Angara{Meta: tp.Torus}
 		res, err := eng.Route(tp.Net, tp.Net.Terminals(), 2)
 		if err != nil {
 			if failed == 0 {
@@ -64,7 +64,7 @@ func TestMeshSingleLane(t *testing.T) {
 		topology.Mesh3D(2, 3, 2, 1, 1),
 		topology.Mesh2D(4, 3, 1),
 	} {
-		eng := angara.Engine{Meta: tp.Torus}
+		eng := dor.Angara{Meta: tp.Torus}
 		if c := eng.Claims(); !c.DeadlockFree || c.MinVCs != 1 {
 			t.Fatalf("%s: mesh claims = %+v, want deadlock-free at 1 VC", tp.Name, c)
 		}
@@ -93,7 +93,7 @@ func TestBypassRoutesAroundFault(t *testing.T) {
 	if !net.SetChannelFailed(net.FindChannel(a, b), true) {
 		t.Fatal("could not fail the (0,0,0)-(1,0,0) link")
 	}
-	res, err := angara.Engine{Meta: tp.Torus}.Route(net, net.Terminals(), 2)
+	res, err := dor.Angara{Meta: tp.Torus}.Route(net, net.Terminals(), 2)
 	if err != nil {
 		t.Fatalf("Route: %v", err)
 	}
@@ -108,16 +108,16 @@ func TestBypassRoutesAroundFault(t *testing.T) {
 // TestRefusals pins the input-validation errors and the torus claim.
 func TestRefusals(t *testing.T) {
 	tp := topology.Torus3D(3, 3, 1, 1, 1)
-	if c := (angara.Engine{Meta: tp.Torus}).Claims(); !c.DeadlockFree || c.MinVCs != 2 {
+	if c := (dor.Angara{Meta: tp.Torus}).Claims(); !c.DeadlockFree || c.MinVCs != 2 {
 		t.Fatalf("torus claims = %+v, want deadlock-free at 2 VCs", c)
 	}
-	if _, err := (angara.Engine{}).Route(tp.Net, tp.Net.Terminals(), 2); err == nil {
+	if _, err := (dor.Angara{}).Route(tp.Net, tp.Net.Terminals(), 2); err == nil {
 		t.Fatal("routed without torus metadata")
 	}
-	if _, err := (angara.Engine{Meta: tp.Torus}).Route(tp.Net, tp.Net.Terminals(), 1); err == nil {
+	if _, err := (dor.Angara{Meta: tp.Torus}).Route(tp.Net, tp.Net.Terminals(), 1); err == nil {
 		t.Fatal("routed a wrapped torus on one lane")
 	}
-	if _, err := (angara.Engine{Meta: tp.Torus}).Route(tp.Net, tp.Net.Terminals(), 0); err == nil {
+	if _, err := (dor.Angara{Meta: tp.Torus}).Route(tp.Net, tp.Net.Terminals(), 0); err == nil {
 		t.Fatal("routed with a zero virtual-channel budget")
 	}
 }
@@ -128,7 +128,7 @@ func TestRefusals(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tp, _ := topology.InjectLinkFailures(topology.Torus3D(3, 3, 2, 1, 1), rng, 0.10)
-	eng := angara.Engine{Meta: tp.Torus}
+	eng := dor.Angara{Meta: tp.Torus}
 	a, errA := eng.Route(tp.Net, tp.Net.Terminals(), 2)
 	b, errB := eng.Route(tp.Net, tp.Net.Terminals(), 2)
 	if (errA == nil) != (errB == nil) {

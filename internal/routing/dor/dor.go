@@ -1,21 +1,29 @@
-// Package dor implements dimension-order routing on 3D tori, in two
-// flavors:
+// Package dor implements the grid engines, dimension- and direction-ordered
+// routing on 3D tori and meshes:
 //
-//   - DOR: plain dimension-order with shortest ring direction on a single
-//     virtual layer. On tori this deadlocks (ring cycles); it exists as
-//     the classic negative baseline.
-//   - Torus2QoS: DOR plus dateline virtual-lane assignment in the spirit
-//     of OpenSM's Torus-2QoS: a path that crosses the dateline of
-//     dimension i sets bit i of its service level, and the SL2VL mapping
-//     selects VL = that bit on every channel of dimension i. Because
-//     shortest ring segments never span more than half a ring, each
-//     (direction, VL) ring subgraph of the CDG stays acyclic, giving
+//   - DOR (Engine): plain dimension-order with shortest ring direction on a
+//     single virtual layer. On tori this deadlocks (ring cycles); it exists
+//     as the classic negative baseline.
+//   - Torus2QoS (Engine with Datelines): DOR plus dateline virtual-lane
+//     assignment in the spirit of OpenSM's Torus-2QoS: a path that crosses
+//     the dateline of dimension i sets bit i of its service level, and the
+//     SL2VL mapping selects VL = that bit on every channel of dimension i.
+//     Because shortest ring segments never span more than half a ring,
+//     each (direction, VL) ring subgraph of the CDG stays acyclic, giving
 //     deadlock freedom with 2 VLs.
+//   - Angara: the direction-ordered routing of the Angara interconnect
+//     (angara.go).
 //
-// Fault handling approximates the production code: a ring with one failure
-// is routed the surviving way; a dead "turn" switch is bypassed with a
-// one-hop detour in the next dimension. Detours can break strict dimension
-// order, so the engine re-verifies itself and fails (like Torus-2QoS on a
+// One route driver serves all three. It checks the arguments, plans every
+// (switch, destination) pair, records the first hop and the path's service
+// level, sets up the dateline lanes, and re-verifies a table whose paths
+// left the engine's order. Each engine brings only its planner: which
+// path one switch takes to another, and how many times that path strayed.
+//
+// DOR's fault handling approximates the production code: a ring with one
+// failure is routed the surviving way; a dead "turn" switch is bypassed
+// with a one-hop detour in the next dimension. Detours can break strict
+// dimension order, so Torus-2QoS fails (like the real one on a
 // doubly-broken ring) rather than return unsafe tables.
 package dor
 
@@ -28,6 +36,131 @@ import (
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
 )
+
+// grid is what an engine hands the route driver.
+type grid struct {
+	meta   *topology.TorusMeta
+	name   string // Result.Algorithm; prefixes the no-path refusal
+	prefix string // prefixes the argument and coordinate errors
+	shape  string // what meta must describe
+	order  string // the planner's path order, for the no-path refusal
+	stat   string // Stats key summing the planner's irregular counts
+	// lanes routes on the two dateline lanes: per-pair service levels,
+	// SLToVL and 2 VCs. Otherwise everything forwards on one lane.
+	lanes bool
+	// unsafe prefixes the self-check's refusal; "" returns irregular
+	// tables unchecked (plain DOR, deadlock-prone by design).
+	unsafe string
+	admit  func(p *planner, maxVCs int) error // optional
+	// plan returns the path from switch s to switch d (coordinates sc,
+	// dc), its service level, and how many times it left the engine's
+	// order (0 for a regular path).
+	plan func(p *planner, s, d graph.NodeID, sc, dc [3]int) ([]graph.ChannelID, uint8, int, error)
+}
+
+// planner is the state every engine's planner reads: the fabric, its grid,
+// and the dimension of each channel.
+type planner struct {
+	net   *graph.Network
+	meta  *topology.TorusMeta
+	dimOf []int8
+}
+
+// drive is the route driver of every engine in the package.
+func drive(net *graph.Network, dests []graph.NodeID, maxVCs int, g grid) (*routing.Result, error) {
+	if g.meta == nil {
+		return nil, fmt.Errorf("%s: torus metadata required (not a %s)", g.prefix, g.shape)
+	}
+	if maxVCs < 1 {
+		return nil, fmt.Errorf("%s: need at least one virtual channel", g.prefix)
+	}
+	p := &planner{net: net, meta: g.meta, dimOf: g.meta.ChannelDims(net)}
+	if g.admit != nil {
+		if err := g.admit(p, maxVCs); err != nil {
+			return nil, err
+		}
+	}
+	table := routing.NewTable(net, dests)
+	var pairLayer [][]uint8
+	if g.lanes {
+		pairLayer = make([][]uint8, net.NumNodes())
+		for i := range pairLayer {
+			pairLayer[i] = make([]uint8, len(dests))
+		}
+	}
+	irregular := 0
+	for _, d := range dests {
+		if net.Degree(d) == 0 {
+			continue
+		}
+		dstSw := d
+		if net.IsTerminal(d) {
+			dstSw = net.TerminalSwitch(d)
+		}
+		dc, ok := g.meta.Coord[dstSw]
+		if !ok {
+			return nil, fmt.Errorf("%s: destination switch %d has no torus coordinate", g.prefix, dstSw)
+		}
+		for _, s := range net.Switches() {
+			if net.Degree(s) == 0 {
+				continue
+			}
+			sc, ok := g.meta.Coord[s]
+			if !ok {
+				return nil, fmt.Errorf("%s: switch %d has no torus coordinate", g.prefix, s)
+			}
+			if s == dstSw {
+				if net.IsTerminal(d) {
+					table.Set(s, d, net.FindChannel(s, d))
+				}
+				continue
+			}
+			path, sl, irr, err := g.plan(p, s, dstSw, sc, dc)
+			if err != nil {
+				return nil, fmt.Errorf("%s: no %s path %v -> %v: %w", g.name, g.order, sc, dc, err)
+			}
+			irregular += irr
+			table.Set(s, d, path[0])
+			if pairLayer == nil {
+				continue
+			}
+			// The service level is a property of the whole path; record it
+			// for the switch pair and for the switch's attached terminals.
+			di := table.DestIndex(d)
+			pairLayer[s][di] = sl
+			for _, c := range net.Out(s) {
+				if t := net.Channel(c).To; net.IsTerminal(t) {
+					pairLayer[t][di] = sl
+				}
+			}
+		}
+	}
+	res := &routing.Result{
+		Algorithm: g.name,
+		Table:     table,
+		VCs:       1,
+		Stats:     map[string]float64{g.stat: float64(irregular)},
+	}
+	if g.lanes {
+		res.PairLayer = pairLayer
+		res.VCs = 2
+		dimOf := p.dimOf
+		res.SLToVL = func(sl uint8, c graph.ChannelID) uint8 {
+			if d := dimOf[c]; d >= 0 {
+				return (sl >> uint(d)) & 1
+			}
+			return 0 // terminal channels
+		}
+	}
+	if irregular > 0 && g.unsafe != "" {
+		// An irregular path may break the order the deadlock freedom rests
+		// on; return the table only if it still proves deadlock-free.
+		if _, err := verify.Check(net, res, nil); err != nil {
+			return nil, fmt.Errorf("%s: %w", g.unsafe, err)
+		}
+	}
+	return res, nil
+}
 
 // Engine routes 3D tori by dimension order. Meta must describe the torus;
 // Datelines selects the deadlock-free Torus-2QoS mode.
@@ -54,114 +187,34 @@ func (e Engine) Claims() routing.Claims {
 	return routing.Claims{}
 }
 
-// Route implements routing.Engine.
+// Route implements routing.Engine. The per-pair service levels are
+// meaningful only under the dateline SL2VL mapping, so plain DOR forwards
+// everything on one lane and does not advertise layers it does not occupy.
 func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
-	if e.Meta == nil {
-		return nil, errors.New("dor: torus metadata required (not a torus)")
-	}
-	if maxVCs < 1 {
-		return nil, errors.New("dor: need at least one virtual channel")
-	}
-	if e.Datelines && !e.Meta.Wrap {
-		return nil, errors.New("torus2qos: meshes have no datelines; use plain dor (deadlock-free on meshes)")
-	}
-	if e.Datelines && maxVCs < 2 {
-		return nil, errors.New("torus2qos: needs 2 virtual channels for dateline deadlock freedom")
-	}
-	p := &planner{net: net, meta: e.Meta}
+	g := grid{meta: e.Meta, name: e.Name(), prefix: "dor", shape: "torus",
+		order: "fault-free dimension-order", stat: "detours", plan: (*planner).dimensionOrder}
 	if e.Datelines {
-		// Torus-2QoS survives one failure per torus ring (a dead switch
-		// counts once for the rings through it) but fails on a second
-		// independent failure in the same ring — reproduce that limit.
-		if err := p.checkRingFailures(); err != nil {
-			return nil, fmt.Errorf("torus2qos: %w", err)
-		}
+		g.lanes, g.unsafe, g.admit = true, "torus2qos: faults defeat dateline routing", admitDatelines
 	}
-	table := routing.NewTable(net, dests)
-	pairLayer := make([][]uint8, net.NumNodes())
-	for i := range pairLayer {
-		pairLayer[i] = make([]uint8, len(dests))
-	}
-	detours := 0
-	for _, d := range dests {
-		if net.Degree(d) == 0 {
-			continue
-		}
-		dstSw := d
-		if net.IsTerminal(d) {
-			dstSw = net.TerminalSwitch(d)
-		}
-		dc, ok := e.Meta.Coord[dstSw]
-		if !ok {
-			return nil, fmt.Errorf("dor: destination switch %d has no torus coordinate", dstSw)
-		}
-		for _, s := range net.Switches() {
-			if net.Degree(s) == 0 {
-				continue
-			}
-			sc, ok := e.Meta.Coord[s]
-			if !ok {
-				return nil, fmt.Errorf("dor: switch %d has no torus coordinate", s)
-			}
-			if s == dstSw {
-				if net.IsTerminal(d) {
-					table.Set(s, d, net.FindChannel(s, d))
-				}
-				continue
-			}
-			path, sl, det, err := p.plan(sc, dc, 0)
-			if err != nil {
-				return nil, fmt.Errorf("%s: no fault-free dimension-order path %v -> %v: %w", e.Name(), sc, dc, err)
-			}
-			detours += det
-			table.Set(s, d, path[0])
-			// The service level is a property of the whole path; record it
-			// for the switch's attached terminals and for the switch pair.
-			di := table.DestIndex(d)
-			pairLayer[s][di] = sl
-			for _, c := range net.Out(s) {
-				if t := net.Channel(c).To; net.IsTerminal(t) {
-					pairLayer[t][di] = sl
-				}
-			}
-		}
-	}
-	res := &routing.Result{
-		Algorithm: e.Name(),
-		Table:     table,
-		Stats:     map[string]float64{"detours": float64(detours)},
-	}
-	if e.Datelines {
-		// The per-pair service levels are meaningful only under the
-		// dateline SL2VL mapping; plain DOR forwards everything on one
-		// lane and must not advertise layers it does not occupy.
-		res.PairLayer = pairLayer
-		res.VCs = 2
-		dimOf := e.Meta.ChannelDims(net)
-		res.SLToVL = func(sl uint8, c graph.ChannelID) uint8 {
-			if d := dimOf[c]; d >= 0 {
-				return (sl >> uint(d)) & 1
-			}
-			return 0 // terminal channels
-		}
-		if detours > 0 {
-			// Detoured tables may violate strict dimension order; return
-			// them only if they still verify deadlock-free (mirroring
-			// Torus-2QoS's limited fault tolerance).
-			if _, err := verify.Check(net, res, nil); err != nil {
-				return nil, fmt.Errorf("torus2qos: faults defeat dateline routing: %w", err)
-			}
-		}
-	} else {
-		res.VCs = 1
-	}
-	return res, nil
+	return drive(net, dests, maxVCs, g)
 }
 
-// planner computes dimension-order paths with fault bypass.
-type planner struct {
-	net  *graph.Network
-	meta *topology.TorusMeta
+// admitDatelines refuses what Torus-2QoS cannot route before any path is
+// planned.
+func admitDatelines(p *planner, maxVCs int) error {
+	if !p.meta.Wrap {
+		return errors.New("torus2qos: meshes have no datelines; use plain dor (deadlock-free on meshes)")
+	}
+	if maxVCs < 2 {
+		return errors.New("torus2qos: needs 2 virtual channels for dateline deadlock freedom")
+	}
+	// Torus-2QoS survives one failure per torus ring (a dead switch counts
+	// once for the rings through it) but fails on a second independent
+	// failure in the same ring — reproduce that limit.
+	if err := p.checkRingFailures(); err != nil {
+		return fmt.Errorf("torus2qos: %w", err)
+	}
+	return nil
 }
 
 // checkRingFailures scans every torus ring and fails when a ring has two
@@ -215,6 +268,12 @@ func (p *planner) checkRing(dim, o1, o2, a, b int) error {
 
 // maxDetours bounds recursive fault bypasses per path.
 const maxDetours = 4
+
+// dimensionOrder is DOR's planner; its irregular count is the number of
+// detours the path took.
+func (p *planner) dimensionOrder(_, _ graph.NodeID, sc, dc [3]int) ([]graph.ChannelID, uint8, int, error) {
+	return p.plan(sc, dc, 0)
+}
 
 // plan returns the dimension-order path from src to dst coordinates, the
 // service level (dateline-crossing bits), and the number of detours used.

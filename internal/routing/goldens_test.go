@@ -2,14 +2,18 @@ package routing_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/routing/dfsssp"
+	"repro/internal/routing/dor"
 	"repro/internal/routing/ftree"
 	"repro/internal/routing/lash"
 	"repro/internal/routing/minhop"
@@ -66,6 +70,18 @@ func hashLayers(res *routing.Result) uint64 {
 		put(int64(len(res.PairPath[k])))
 		for _, c := range res.PairPath[k] {
 			put(int64(c))
+		}
+	}
+	return h.Sum64()
+}
+
+// hashVLs folds the lane every service level 0..7 takes on every channel,
+// which neither digest above sees (res.VL reads SLToVL).
+func hashVLs(net *graph.Network, res *routing.Result) uint64 {
+	h := fnv.New64a()
+	for sl := 0; sl < 8; sl++ {
+		for c := 0; c < net.NumChannels(); c++ {
+			h.Write([]byte{res.VL(uint8(sl), graph.ChannelID(c))})
 		}
 	}
 	return h.Sum64()
@@ -204,6 +220,119 @@ func TestBaselineTableGoldens(t *testing.T) {
 				}
 				if got := hashLayers(res); got != want {
 					t.Errorf("layer digest %#016x, want golden %#016x", got, want)
+				}
+			})
+		}
+	}
+	// The grid engines (dor, torus2qos, angara) get their own rows: each
+	// pins the table, PairLayer and lane digests and the Stats map, or the
+	// exact refusal. A key is an engine name, with "@vcs" when the budget
+	// is not 8. The link-degraded fabrics fail 3% of the links with the
+	// seed in their name; mesh-4x4x1-1sw is TestMeshDORWithFaultDetours'
+	// fabric. torus-4x3x2-links11 is where an Angara bypass hop runs along
+	// the 2-ring, so its layer digest moves if crossBit sets the dateline
+	// bit for the hop 0 -> 1 there. These were recorded at commit d5b6c26,
+	// when Angara was its own package with its own route driver.
+	linkFailed := func(tp *topology.Topology, seed int64) *topology.Topology {
+		out, _ := topology.InjectLinkFailures(tp, rand.New(rand.NewSource(seed)), 0.03)
+		return out
+	}
+	switchFailed := func(tp *topology.Topology, x, y, z int) *topology.Topology {
+		return topology.FailSwitch(tp, tp.Torus.SwitchAt[x][y][z])
+	}
+	type gridGolden struct {
+		tables, layers, vls uint64
+		stats               string // fmt.Sprint(res.Stats)
+		refusal             string // the error, when the engine refuses
+	}
+	grids := []struct {
+		name string
+		tp   *topology.Topology
+		want map[string]gridGolden
+	}{
+		{"fig1-torus-4x4x3-1sw", switchFailed(topology.Torus3D(4, 4, 3, 4, 1), 1, 2, 0), map[string]gridGolden{
+			"dor":       {0xa3557112798a3e4c, 0xcbf29ce484222325, 0xf35b8cf55e000ba5, "map[detours:252]", ""},
+			"torus2qos": {0x1a566f0b7b3b80df, 0x7044f2c5befc04a5, 0x826ea2895238fba5, "map[detours:252]", ""},
+			"angara":    {refusal: "angara: faults defeat direction-ordered routing: verify: cyclic channel dependency graph on VLs [0 1] (deadlock possible)"}}},
+		{"torus-4x4x3-links135", linkFailed(topology.Torus3D(4, 4, 3, 1, 1), 135), map[string]gridGolden{
+			"dor":       {0x5ca01183d050b1c3, 0xcbf29ce484222325, 0xb474ee88226a7125, "map[detours:96]", ""},
+			"torus2qos": {refusal: "torus2qos: second failure in torus ring dim=1 at (2,2): positions [1 3]"},
+			"angara":    {0x993edbc9f4ef9d8e, 0x66114532ef0a48a5, 0x58906033291247a5, "map[irregular:191]", ""},
+			"angara@1":  {refusal: "angara: tori need 2 virtual channels for dateline deadlock freedom"}}},
+		{"mesh-4x4x3", topology.Mesh3D(4, 4, 3, 1, 1), map[string]gridGolden{
+			"dor":       {0x18528ef11c93a93c, 0xcbf29ce484222325, 0xbcf0054924b318e5, "map[detours:0]", ""},
+			"dor@1":     {0x18528ef11c93a93c, 0xcbf29ce484222325, 0xbcf0054924b318e5, "map[detours:0]", ""},
+			"torus2qos": {refusal: "torus2qos: meshes have no datelines; use plain dor (deadlock-free on meshes)"},
+			"angara":    {0x3a9150f50ceed32c, 0xcbf29ce484222325, 0xbcf0054924b318e5, "map[irregular:0]", ""},
+			"angara@1":  {0x3a9150f50ceed32c, 0xcbf29ce484222325, 0xbcf0054924b318e5, "map[irregular:0]", ""}}},
+		{"mesh-4x4x3-1sw", switchFailed(topology.Mesh3D(4, 4, 3, 1, 1), 1, 1, 0), map[string]gridGolden{
+			"dor":       {0x31e85f7228103c90, 0xcbf29ce484222325, 0xbcf0054924b318e5, "map[detours:168]", ""},
+			"torus2qos": {refusal: "torus2qos: meshes have no datelines; use plain dor (deadlock-free on meshes)"},
+			"angara":    {refusal: "angara: faults defeat direction-ordered routing: verify: cyclic channel dependency graph on VLs [0] (deadlock possible)"}}},
+		{"mesh-4x4x1-1sw", switchFailed(topology.Mesh3D(4, 4, 1, 1, 1), 1, 1, 0), map[string]gridGolden{
+			"dor":       {refusal: "dor: no fault-free dimension-order path [0 2 0] -> [1 0 0]: no detour around fault"},
+			"torus2qos": {refusal: "torus2qos: meshes have no datelines; use plain dor (deadlock-free on meshes)"},
+			"angara":    {refusal: "angara: faults defeat direction-ordered routing: verify: cyclic channel dependency graph on VLs [0] (deadlock possible)"}}},
+		{"torus-2x4x3", topology.Torus3D(2, 4, 3, 1, 1), map[string]gridGolden{
+			"dor":         {0x562229db4ed33c34, 0xcbf29ce484222325, 0x7f6205288cc76345, "map[detours:0]", ""},
+			"dor@0":       {refusal: "dor: need at least one virtual channel"},
+			"torus2qos":   {0xde59be4acbd362d7, 0x58bbb176ec4d8125, 0x1a3e23e071f6b805, "map[detours:0]", ""},
+			"torus2qos@1": {refusal: "torus2qos: needs 2 virtual channels for dateline deadlock freedom"},
+			"angara":      {0xa673defb20a79c7f, 0x58bbb176ec4d8125, 0x1a3e23e071f6b805, "map[irregular:0]", ""},
+			"angara@0":    {refusal: "angara: need at least one virtual channel"},
+			"angara@1":    {refusal: "angara: tori need 2 virtual channels for dateline deadlock freedom"}}},
+		{"torus-2x4x3-links1", linkFailed(topology.Torus3D(2, 4, 3, 1, 1), 1), map[string]gridGolden{
+			"dor":       {0xa1af860c712ca4b4, 0xcbf29ce484222325, 0x7f6205288cc76345, "map[detours:24]", ""},
+			"torus2qos": {0x607ad9ebe060e897, 0xbc373d655ef8ca25, 0x1a3e23e071f6b805, "map[detours:24]", ""},
+			"angara":    {0x59919270a16e08bb, 0x36ac150ed4999725, 0x1a3e23e071f6b805, "map[irregular:48]", ""}}},
+		{"torus-2x4x3-links26", linkFailed(topology.Torus3D(2, 4, 3, 1, 1), 26), map[string]gridGolden{
+			"dor":       {0xa40f45954b6362b4, 0xcbf29ce484222325, 0x7f6205288cc76345, "map[detours:48]", ""},
+			"torus2qos": {refusal: "torus2qos: faults defeat dateline routing: verify: cyclic channel dependency graph on VLs [0 1] (deadlock possible)"},
+			"angara":    {0x79c96927b0d08b7f, 0x07d15bebe6f89725, 0x1a3e23e071f6b805, "map[irregular:48]", ""}}},
+		{"torus-4x3x2-links11", linkFailed(topology.Torus3D(4, 3, 2, 1, 1), 11), map[string]gridGolden{
+			"dor":       {refusal: "dor: no fault-free dimension-order path [0 0 1] -> [0 1 0]: no detour around fault"},
+			"torus2qos": {refusal: "torus2qos: no fault-free dimension-order path [0 0 1] -> [0 1 0]: no detour around fault"},
+			"angara":    {0x6ef9d5a36902681e, 0xe19ca8119ec53465, 0x7b551435c2796205, "map[irregular:40]", ""}}},
+		{"torus-4x4x2-1sw", switchFailed(topology.Torus3D(4, 4, 2, 1, 1), 1, 1, 0), map[string]gridGolden{
+			"dor":       {0x759262dfb810faac, 0xcbf29ce484222325, 0x19cff996a9e7b0a5, "map[detours:36]", ""},
+			"torus2qos": {0x3880a59c3381f64f, 0x87455f98842e20a5, 0x0f9144e50845c1a5, "map[detours:36]", ""},
+			"angara":    {refusal: "angara: faults defeat direction-ordered routing: verify: cyclic channel dependency graph on VLs [0 1] (deadlock possible)"}}},
+		{"fattree-4ary3", topology.KAryNTree(4, 3, 4), map[string]gridGolden{
+			"dor":       {refusal: "dor: torus metadata required (not a torus)"},
+			"torus2qos": {refusal: "dor: torus metadata required (not a torus)"},
+			"angara":    {refusal: "angara: torus metadata required (not a torus/mesh)"}}},
+	}
+	for _, g := range grids {
+		byName := map[string]routing.Engine{"dor": dor.Engine{Meta: g.tp.Torus},
+			"torus2qos": dor.Engine{Meta: g.tp.Torus, Datelines: true}, "angara": dor.Angara{Meta: g.tp.Torus}}
+		for key, want := range g.want {
+			name, budget, found := strings.Cut(key, "@")
+			vcs := 8
+			if found {
+				vcs, _ = strconv.Atoi(budget)
+			}
+			t.Run(g.name+"/"+key, func(t *testing.T) {
+				res, err := byName[name].Route(g.tp.Net, g.tp.Net.Terminals(), vcs)
+				if want.refusal != "" {
+					if err == nil || err.Error() != want.refusal {
+						t.Fatalf("refusal %v, want golden %q", err, want.refusal)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := hashTables(g.tp.Net, res); got != want.tables {
+					t.Errorf("table digest %#016x, want golden %#016x", got, want.tables)
+				}
+				if got := hashLayers(res); got != want.layers {
+					t.Errorf("layer digest %#016x, want golden %#016x", got, want.layers)
+				}
+				if got := hashVLs(g.tp.Net, res); got != want.vls {
+					t.Errorf("lane digest %#016x, want golden %#016x", got, want.vls)
+				}
+				if got := fmt.Sprint(res.Stats); got != want.stats {
+					t.Errorf("stats %s, want golden %s", got, want.stats)
 				}
 			})
 		}

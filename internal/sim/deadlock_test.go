@@ -283,3 +283,28 @@ func itoa(v int) string {
 	}
 	return string(b[i:])
 }
+
+// TestSwitchDestinationReleasesBuffer routes a terminal-free ring toward
+// its switches: a packet that ends at a switch is absorbed there and must
+// not hold an input-buffer slot, or BufferPackets packets to one switch
+// wedge a deadlock-free routing.
+func TestSwitchDestinationReleasesBuffer(t *testing.T) {
+	tp := topology.Ring(4, 0)
+	sw := tp.Net.Switches()
+	res, err := core.New(core.DefaultOptions()).Route(tp.Net, sw, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := make([]Message, 4)
+	for i := range msgs {
+		msgs[i] = Message{Src: sw[0], Dst: sw[1]}
+	}
+	r, err := Run(tp.Net, res, msgs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Deadlocked || r.TimedOut || r.DeliveredMessages != len(msgs) {
+		t.Fatalf("delivered %d/%d messages (deadlocked %v, timed out %v)",
+			r.DeliveredMessages, len(msgs), r.Deadlocked, r.TimedOut)
+	}
+}

@@ -511,7 +511,9 @@ func (s *sim) kick(c graph.ChannelID) {
 func (s *sim) startOn(p *packet, c graph.ChannelID) bool {
 	to := s.net.Channel(c).To
 	vl := s.vlOn(p, c)
-	if s.net.IsSwitch(to) {
+	// A destination absorbs at link rate (see arrive), so only a switch
+	// the packet passes through lends it an input-buffer slot.
+	if s.net.IsSwitch(to) && to != p.dst {
 		if s.bufCount[c][vl] >= int32(s.cfg.BufferPackets) {
 			s.creditStalls++
 			return false
@@ -572,7 +574,7 @@ func (s *sim) arrive(p *packet, c graph.ChannelID) {
 	to := s.net.Channel(c).To
 	vl := s.vlOn(p, c)
 	if to == p.dst {
-		// Ejection: terminals absorb at link rate.
+		// Ejection: the destination absorbs at link rate.
 		s.deliver(p)
 		return
 	}
