@@ -53,7 +53,8 @@ type Stats struct {
 // A delta stages copy-on-write: rows starts as the installed row set,
 // each row aliasing the installed one, and a row is copied the first time
 // an entry writes it (copied), so the installed rows are never written
-// and a delta copies only the rows it touches. The prepare re-sums every
+// and a delta copies only the rows it touches. The copy goes into a row
+// from the agent's spare list when it holds one. The prepare re-sums every
 // staged row, aliased or copied, so an installed row that changed in
 // memory since its own prepare is caught there as before.
 type staging struct {
@@ -91,6 +92,13 @@ type Agent struct {
 	stage    *staging
 	// entries is the delta decoder's buffer, reused from push to push.
 	entries []routing.DeltaEntry
+	// spare keeps rows no one reads any more for stageDelta to copy
+	// into: the installed rows a committed delta replaced and the rows an
+	// abandoned delta staging copied. A staging copies each row at most
+	// once, into a spare row while there is one, so the spare rows and
+	// the staging's copies together never outnumber the installed rows;
+	// a full sync, which may change the shape, empties the list.
+	spare [][]graph.ChannelID
 }
 
 // New creates an agent.
@@ -178,22 +186,26 @@ func (a *Agent) serve(ctx context.Context, conn net.Conn) (heard bool, err error
 
 	a.mu.Lock()
 	hello := distrib.Hello{ID: a.opts.ID, Switches: a.opts.Switches, Acked: a.epoch, HasAcked: a.hasEpoch}
-	a.stage = nil
+	a.dropStage()
 	a.draining = false
 	a.mu.Unlock()
 	if _, err := distrib.WriteFrame(conn, distrib.Frame{Type: distrib.MsgHello, Payload: distrib.AppendHello(nil, hello)}); err != nil {
 		return false, err
 	}
 
+	// One frame buffer per connection: a payload is read before the
+	// next frame overwrites it, and what the agent keeps of it is a copy.
+	var buf []byte
 	for {
-		f, err := distrib.ReadFrame(conn, distrib.DefaultMaxFrame)
+		var f distrib.Frame
+		f, buf, err = distrib.ReadFrame(conn, distrib.DefaultMaxFrame, buf)
 		if err != nil {
 			if errors.Is(err, distrib.ErrFrameCorrupt) {
 				// The frame is lost but the stream survives: drop any
 				// staged push (it can no longer complete) and NAK so the
 				// source re-syncs us from a full snapshot.
 				a.mu.Lock()
-				a.stage = nil
+				a.dropStage()
 				a.draining = false
 				a.stats.CorruptFrames++
 				a.mu.Unlock()
@@ -213,7 +225,7 @@ func (a *Agent) serve(ctx context.Context, conn net.Conn) (heard bool, err error
 func (a *Agent) nak(conn net.Conn, epoch uint64, reason string) {
 	a.mu.Lock()
 	a.stats.Naks++
-	a.stage = nil
+	a.dropStage()
 	a.draining = false
 	a.mu.Unlock()
 	a.logf("agent %s: nak epoch %d: %s", a.opts.ID, epoch, reason)
@@ -287,8 +299,40 @@ func (a *Agent) begin(conn net.Conn, f distrib.Frame, b distrib.Begin) {
 		st.rows = slices.Clone(a.rows)
 		st.copied = make([]bool, len(a.rows))
 	}
+	a.dropStage()
 	a.stage = st
 	a.mu.Unlock()
+}
+
+// dropStage abandons the staged push, if any, and keeps the rows a delta
+// staging copied (mu held).
+func (a *Agent) dropStage() {
+	if st := a.stage; st != nil {
+		a.keepCopied(st.copied, st.rows)
+	}
+	a.stage = nil
+}
+
+// keepCopied puts rows[i] on the spare list for every copied[i]: rows a
+// delta staging copied, or the installed rows they replaced (mu held).
+func (a *Agent) keepCopied(copied []bool, rows [][]graph.ChannelID) {
+	for i, own := range copied {
+		if own {
+			a.spare = append(a.spare, rows[i])
+		}
+	}
+}
+
+// copyRow returns a copy of row, made in a spare row when one is kept
+// (mu held).
+func (a *Agent) copyRow(row []graph.ChannelID) []graph.ChannelID {
+	var dst []graph.ChannelID
+	if n := len(a.spare); n > 0 {
+		dst = a.spare[n-1][:0]
+		a.spare[n-1] = nil
+		a.spare = a.spare[:n-1]
+	}
+	return append(dst, row...)
 }
 
 // cols returns the installed column count (mu held).
@@ -350,7 +394,7 @@ func (a *Agent) stageDelta(conn net.Conn, epoch uint64, payload []byte) {
 			return
 		}
 		if !st.copied[e.Row] {
-			st.rows[e.Row] = slices.Clone(st.rows[e.Row])
+			st.rows[e.Row] = a.copyRow(st.rows[e.Row])
 			st.copied[e.Row] = true
 		}
 		st.rows[e.Row][e.Col] = e.Next
@@ -414,6 +458,13 @@ func (a *Agent) commit(conn net.Conn, epoch uint64) {
 		a.nak(conn, epoch, "commit without prepared epoch")
 		return
 	}
+	if st.full {
+		// Every row is replaced, perhaps by rows of another shape: the
+		// spare rows go with the old ones.
+		clear(a.spare)
+		a.spare = a.spare[:0]
+	}
+	a.keepCopied(st.copied, a.rows)
 	a.switches = st.switches
 	a.rows = st.rows
 	a.crcs = st.crcs

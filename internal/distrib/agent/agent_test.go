@@ -41,7 +41,7 @@ func TestCommitInstallsVerifiedCRCs(t *testing.T) {
 	defer srcSide.Close()
 	go a.Serve(context.Background(), agSide)
 	srcSide.SetDeadline(time.Now().Add(30 * time.Second))
-	if f, err := distrib.ReadFrame(srcSide, 0); err != nil || f.Type != distrib.MsgHello {
+	if f, _, err := distrib.ReadFrame(srcSide, 0, nil); err != nil || f.Type != distrib.MsgHello {
 		t.Fatalf("hello: %v %v", f.Type, err)
 	}
 	send := func(f distrib.Frame) {
@@ -53,7 +53,7 @@ func TestCommitInstallsVerifiedCRCs(t *testing.T) {
 	sendAcked := func(f distrib.Frame) distrib.Ack {
 		t.Helper()
 		send(f)
-		r, err := distrib.ReadFrame(srcSide, 0)
+		r, _, err := distrib.ReadFrame(srcSide, 0, nil)
 		if err != nil || r.Type != distrib.MsgAck || r.Epoch != f.Epoch {
 			t.Fatalf("ack of %v: %v epoch %d, %v", f.Type, r.Type, r.Epoch, err)
 		}
@@ -154,7 +154,7 @@ func pipeAgent(t *testing.T, a *Agent) net.Conn {
 	t.Cleanup(func() { srcSide.Close() })
 	go a.Serve(context.Background(), agSide)
 	srcSide.SetDeadline(time.Now().Add(30 * time.Second))
-	if f, err := distrib.ReadFrame(srcSide, 0); err != nil || f.Type != distrib.MsgHello {
+	if f, _, err := distrib.ReadFrame(srcSide, 0, nil); err != nil || f.Type != distrib.MsgHello {
 		t.Fatalf("hello: %v %v", f.Type, err)
 	}
 	return srcSide
@@ -169,7 +169,7 @@ func exchange(t *testing.T, conn net.Conn, frames ...distrib.Frame) distrib.Ack 
 			t.Fatal(err)
 		}
 	}
-	r, err := distrib.ReadFrame(conn, 0)
+	r, _, err := distrib.ReadFrame(conn, 0, nil)
 	if err != nil || r.Type != distrib.MsgAck {
 		t.Fatalf("ack: %v, %v", r.Type, err)
 	}
@@ -275,5 +275,131 @@ func TestPrepareResumsUntouchedRows(t *testing.T) {
 	}
 	if got := a.NextHop(c.Switches[0], 0); got != c.LFTs[0][0] {
 		t.Fatalf("the refused delta wrote the installed row: NextHop = %d, want %d", got, c.LFTs[0][0])
+	}
+}
+
+// TestAbandonedStagingsLeaveInstalledRows: once a delta has committed,
+// the rows a delta stages are the ones it replaced, recycled, and the
+// rows of a staging that never commits go back to the spare list. None
+// of that reaches the installed table: after a delta superseded by a new
+// begin, a NAK'd delta and a corrupt frame, the agent reports the
+// installed epoch's checksums and forwards by its entries, and a delta
+// that copies every row into recycled ones installs exactly its epoch.
+// The spare list never holds more rows than the agent owns.
+func TestAbandonedStagingsLeaveInstalledRows(t *testing.T) {
+	c1 := compiled(t, 1)
+	all := make([]int, c1.Rows)
+	for i := range all {
+		all[i] = i
+	}
+	// epochWith is base with every entry of the given rows moved by bump.
+	epochWith := func(base *distrib.CompiledEpoch, seq uint64, rows []int, bump graph.ChannelID) *distrib.CompiledEpoch {
+		next := base.Result.Table.Clone(nil)
+		for _, r := range rows {
+			for col, d := range next.Dests() {
+				next.Set(base.Switches[r], d, base.LFTs[r][col]+bump)
+			}
+		}
+		return distrib.Compile(distrib.Epoch{Seq: seq, Net: base.Net, Result: &routing.Result{Table: next, VCs: 1}})
+	}
+	begin := func(base, c *distrib.CompiledEpoch) distrib.Frame {
+		return distrib.Frame{Type: distrib.MsgBegin, Epoch: c.Seq,
+			Payload: distrib.AppendBegin(nil, distrib.Begin{Base: base.Seq, HasBase: true, Rows: c.Rows, Cols: c.Cols, Frames: 1})}
+	}
+	delta := func(base, c *distrib.CompiledEpoch) distrib.Frame {
+		var entries []routing.DeltaEntry
+		for r := range c.LFTs {
+			for col, next := range c.LFTs[r] {
+				if next != base.LFTs[r][col] {
+					entries = append(entries, routing.DeltaEntry{Row: int32(r), Col: int32(col), Next: next})
+				}
+			}
+		}
+		return distrib.Frame{Type: distrib.MsgDelta, Epoch: c.Seq, Payload: routing.EncodeDelta(nil, c.Rows, c.Cols, entries)}
+	}
+	prepare := func(c, sumsOf *distrib.CompiledEpoch) distrib.Frame {
+		var sums []distrib.RowSum
+		for i := range sumsOf.LFTs {
+			sums = append(sums, distrib.RowSum{Switch: sumsOf.Switches[i], CRC: sumsOf.CRCs[i]})
+		}
+		return distrib.Frame{Type: distrib.MsgPrepare, Epoch: c.Seq, Payload: distrib.AppendPrepare(nil, sums)}
+	}
+	a := New(Options{ID: "t"})
+	conn := pipeAgent(t, a)
+	commit := func(c *distrib.CompiledEpoch, frames ...distrib.Frame) {
+		t.Helper()
+		if ack := exchange(t, conn, frames...); ack.Phase != distrib.AckPrepared {
+			t.Fatalf("epoch %d prepare: %+v", c.Seq, ack)
+		}
+		if ack := exchange(t, conn, distrib.Frame{Type: distrib.MsgCommit, Epoch: c.Seq}); ack.Phase != distrib.AckCommitted {
+			t.Fatalf("epoch %d commit: %+v", c.Seq, ack)
+		}
+	}
+	installed := func(c *distrib.CompiledEpoch, after string) {
+		t.Helper()
+		if ep, crc, ok := a.Snapshot(); !ok || ep != c.Seq || crc != c.OwnedCRC(nil) {
+			t.Fatalf("after %s: snapshot (%d, %#x, %v), want (%d, %#x, true)", after, ep, crc, ok, c.Seq, c.OwnedCRC(nil))
+		}
+		for r, sw := range c.Switches {
+			for col, want := range c.LFTs[r] {
+				if got := a.NextHop(sw, col); got != want {
+					t.Fatalf("after %s: NextHop(%d, %d) = %d, want %d", after, sw, col, got, want)
+				}
+			}
+		}
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if len(a.spare) > len(a.rows) {
+			t.Fatalf("after %s: %d spare rows for %d owned", after, len(a.spare), len(a.rows))
+		}
+	}
+
+	commit(c1, fullPush(c1)...)
+	installed(c1, "the full sync")
+	c2 := epochWith(c1, 2, []int{0, 1, 2}, 1)
+	commit(c2, begin(c1, c2), delta(c1, c2), prepare(c2, c2))
+	installed(c2, "the first delta")
+	if a.mu.Lock(); len(a.spare) != 3 {
+		t.Fatalf("%d spare rows after a delta replaced 3, want 3", len(a.spare))
+	}
+	a.mu.Unlock()
+
+	// A delta that copies every row is superseded by a new begin, whose
+	// push prepares but never commits.
+	c3, c4 := epochWith(c2, 3, all, 7), epochWith(c2, 4, []int{5}, 3)
+	if ack := exchange(t, conn, begin(c2, c3), delta(c2, c3), begin(c2, c4), delta(c2, c4), prepare(c4, c4)); ack.Phase != distrib.AckPrepared {
+		t.Fatalf("the superseding push: %+v", ack)
+	}
+	installed(c2, "a superseded delta")
+
+	// A delta whose prepare does not match what it staged is NAK'd.
+	c5 := epochWith(c2, 5, all, 9)
+	if ack := exchange(t, conn, begin(c2, c5), delta(c2, c5), prepare(c5, c2)); ack.Phase != distrib.AckNak {
+		t.Fatalf("a prepare over mismatched rows: %+v, want a NAK", ack)
+	}
+	installed(c2, "a NAK'd delta")
+
+	// A corrupt frame drops the staged delta.
+	c6 := epochWith(c2, 6, all, 11)
+	corrupt := distrib.AppendFrame(nil, prepare(c6, c6))
+	corrupt[len(corrupt)-1] ^= 1
+	for _, f := range []distrib.Frame{begin(c2, c6), delta(c2, c6)} {
+		if _, err := distrib.WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(corrupt); err != nil {
+		t.Fatal(err)
+	}
+	if ack := exchange(t, conn); ack.Phase != distrib.AckNak || ack.Reason != "corrupt frame" {
+		t.Fatalf("a corrupt frame: %+v, want a NAK", ack)
+	}
+	installed(c2, "a corrupt frame")
+
+	c7 := epochWith(c2, 7, all, 5)
+	commit(c7, begin(c2, c7), delta(c2, c7), prepare(c7, c7))
+	installed(c7, "a delta into recycled rows")
+	if st := a.Stats(); st.DeltaInstalls != 2 || st.Naks != 2 || st.CorruptFrames != 1 {
+		t.Fatalf("stats %+v, want 2 delta installs, 2 NAKs and 1 corrupt frame", st)
 	}
 }

@@ -102,7 +102,7 @@ func serveFrames(c *distrib.CompiledEpoch, frames [][]byte) (sent int, alloc uin
 	read := make(chan struct{})
 	go func() {
 		for {
-			if _, err := distrib.ReadFrame(srcSide, 0); err != nil {
+			if _, _, err := distrib.ReadFrame(srcSide, 0, nil); err != nil {
 				close(read)
 				return
 			}

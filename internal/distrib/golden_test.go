@@ -36,7 +36,7 @@ func fullPushDigest(t *testing.T, src *distrib.Source, owned []graph.NodeID) (su
 	r := io.TeeReader(agSide, h)
 	for {
 		agSide.SetReadDeadline(time.Now().Add(30 * time.Second))
-		f, err := distrib.ReadFrame(r, 0)
+		f, _, err := distrib.ReadFrame(r, 0, nil)
 		if err != nil {
 			t.Fatalf("frame %d of the full push: %v", frames, err)
 		}

@@ -221,7 +221,7 @@ func (s *Source) Publish(e Epoch) {
 // or the source closes.
 func (s *Source) AddConn(conn net.Conn) error {
 	conn.SetReadDeadline(time.Now().Add(s.opts.AckTimeout))
-	f, err := ReadFrame(conn, DefaultMaxFrame)
+	f, read, err := ReadFrame(conn, DefaultMaxFrame, nil)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("distrib: reading hello: %w", err)
@@ -261,7 +261,7 @@ func (s *Source) AddConn(conn net.Conn) error {
 	s.mu.Unlock()
 	s.opts.Telemetry.AgentsConnected.Set(int64(n))
 	s.wg.Add(1)
-	go s.readAgent(a)
+	go s.readAgent(a, read)
 	s.cond.Signal()
 	return nil
 }
@@ -281,11 +281,14 @@ func (s *Source) Serve(ln net.Listener) error {
 }
 
 // readAgent is the per-connection reader: it delivers acks and retires
-// the connection on stream failure.
-func (s *Source) readAgent(a *agentConn) {
+// the connection on stream failure. It reads every frame into buf, the
+// buffer the connection's Hello was read into.
+func (s *Source) readAgent(a *agentConn, buf []byte) {
 	defer s.wg.Done()
 	for {
-		f, err := ReadFrame(a.conn, DefaultMaxFrame)
+		var f Frame
+		var err error
+		f, buf, err = ReadFrame(a.conn, DefaultMaxFrame, buf)
 		if err != nil {
 			if errors.Is(err, ErrFrameCorrupt) {
 				continue // reject the frame, keep the stream

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -114,42 +115,46 @@ func WriteFrame(w io.Writer, f Frame) (int, error) {
 	return w.Write(AppendFrame(nil, f))
 }
 
-// ReadFrame reads and validates one frame. max bounds the accepted
-// payload length (<= 0 selects DefaultMaxFrame). A checksum failure
-// returns ErrFrameCorrupt with the stream positioned at the next frame;
-// a framing failure returns ErrFraming.
-func ReadFrame(r io.Reader, max int) (Frame, error) {
+// ReadFrame reads and validates one frame into buf, which it grows as
+// needed and returns for the next call: a reader keeps one buffer per
+// connection, so a warm read allocates nothing. The frame's payload is
+// a view of that buffer, valid until the next read into it; the Parse
+// functions copy what they keep. max bounds the accepted payload length
+// (<= 0 selects DefaultMaxFrame). A checksum failure returns
+// ErrFrameCorrupt with the stream positioned at the next frame; a
+// framing failure returns ErrFraming.
+func ReadFrame(r io.Reader, max int, buf []byte) (Frame, []byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	// The header is read into buf too: a local array handed to the
+	// reader would escape, one allocation per frame.
+	buf = slices.Grow(buf[:0], headerSize)[:headerSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, err
 	}
-	if binary.BigEndian.Uint16(hdr[:2]) != frameMagic {
-		return Frame{}, fmt.Errorf("%w: bad magic %#x", ErrFraming, hdr[:2])
+	if binary.BigEndian.Uint16(buf[:2]) != frameMagic {
+		return Frame{}, buf, fmt.Errorf("%w: bad magic %#x", ErrFraming, buf[:2])
 	}
-	n := binary.BigEndian.Uint32(hdr[12:16])
+	n := binary.BigEndian.Uint32(buf[12:16])
 	if int64(n) > int64(max) {
-		return Frame{}, fmt.Errorf("%w: payload of %d bytes exceeds limit %d", ErrFraming, n, max)
+		return Frame{}, buf, fmt.Errorf("%w: payload of %d bytes exceeds limit %d", ErrFraming, n, max)
 	}
-	body := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, err
+	end := headerSize + int(n)
+	buf = slices.Grow(buf, int(n)+4)[:end+4]
+	if _, err := io.ReadFull(r, buf[headerSize:]); err != nil {
+		return Frame{}, buf, err
 	}
-	payload, tail := body[:n], body[n:]
-	sum := crc32.ChecksumIEEE(hdr[:])
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
 	f := Frame{
-		Type:    MsgType(hdr[2]),
-		Flags:   hdr[3],
-		Epoch:   binary.BigEndian.Uint64(hdr[4:12]),
-		Payload: payload,
+		Type:    MsgType(buf[2]),
+		Flags:   buf[3],
+		Epoch:   binary.BigEndian.Uint64(buf[4:12]),
+		Payload: buf[headerSize:end:end],
 	}
-	if sum != binary.BigEndian.Uint32(tail) {
-		return f, fmt.Errorf("%w: checksum mismatch on %v frame", ErrFrameCorrupt, f.Type)
+	if crc32.ChecksumIEEE(buf[:end]) != binary.BigEndian.Uint32(buf[end:]) {
+		return f, buf, fmt.Errorf("%w: checksum mismatch on %v frame", ErrFrameCorrupt, f.Type)
 	}
-	return f, nil
+	return f, buf, nil
 }
 
 func (t MsgType) String() string {

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -27,7 +28,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for i, want := range frames {
-		got, err := ReadFrame(&buf, 0)
+		got, _, err := ReadFrame(&buf, 0, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -38,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: payload mismatch", i)
 		}
 	}
-	if _, err := ReadFrame(&buf, 0); err != io.EOF {
+	if _, _, err := ReadFrame(&buf, 0, nil); err != io.EOF {
 		t.Fatalf("trailing read = %v, want EOF", err)
 	}
 }
@@ -52,13 +53,63 @@ func TestFrameCorruptionRecoverable(t *testing.T) {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x40
 		r := bytes.NewReader(mut)
-		if _, err := ReadFrame(r, 0); !errors.Is(err, ErrFrameCorrupt) {
+		if _, _, err := ReadFrame(r, 0, nil); !errors.Is(err, ErrFrameCorrupt) {
 			t.Fatalf("flip at %d: err = %v, want ErrFrameCorrupt", off, err)
 		}
-		f, err := ReadFrame(r, 0)
+		f, _, err := ReadFrame(r, 0, nil)
 		if err != nil || f.Type != MsgCommit {
 			t.Fatalf("flip at %d: stream not positioned at next frame: %v %v", off, f.Type, err)
 		}
+	}
+}
+
+// TestReadFrameReusesBuffer: frames read through one buffer share its
+// memory, so a payload is valid until the next read, and a warm read
+// allocates nothing. The row ParseLFT returned from frame n is a copy
+// and survives frame n+1; a corrupt frame read into the same buffer is
+// still ErrFrameCorrupt, and the stream goes on.
+func TestReadFrameReusesBuffer(t *testing.T) {
+	rowA := []graph.ChannelID{3, graph.NoChannel, 7, 1}
+	rowB := []graph.ChannelID{9, 9, 2, graph.NoChannel}
+	raw := AppendFrame(nil, Frame{Type: MsgLFT, Epoch: 1, Payload: AppendLFT(nil, 4, rowA)})
+	raw = AppendFrame(raw, Frame{Type: MsgLFT, Epoch: 1, Payload: AppendLFT(nil, 5, rowB)})
+	raw = AppendFrame(raw, Frame{Type: MsgLFT, Epoch: 2, Payload: AppendLFT(nil, 6, rowA)})
+	raw[len(raw)-5] ^= 1 // the last payload byte of the third frame
+	raw = AppendFrame(raw, Frame{Type: MsgCommit, Epoch: 2})
+	r := bytes.NewReader(raw)
+
+	f, buf, err := ReadFrame(r, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, got, err := ParseLFT(f.Payload)
+	if err != nil || sw != 4 {
+		t.Fatalf("frame 1: switch %d, %v", sw, err)
+	}
+	f2, buf2, err := ReadFrame(r, 0, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &buf2[0] != &buf[0] || &f2.Payload[0] != &f.Payload[0] {
+		t.Fatal("the second read did not reuse the buffer of the first")
+	}
+	if !slices.Equal(got, rowA) {
+		t.Fatalf("frame 1's row reads %v after frame 2 was read, want %v", got, rowA)
+	}
+	if sw, row, err := ParseLFT(f2.Payload); err != nil || sw != 5 || !slices.Equal(row, rowB) {
+		t.Fatalf("frame 2: switch %d, row %v, %v", sw, row, err)
+	}
+	if _, buf, err = ReadFrame(r, 0, buf2); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("frame 3: err = %v, want ErrFrameCorrupt", err)
+	}
+	if f, _, err := ReadFrame(r, 0, buf); err != nil || f.Type != MsgCommit {
+		t.Fatalf("frame 4 after the corrupt one: %v, %v", f.Type, err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(raw)
+		_, buf, _ = ReadFrame(r, 0, buf)
+	}); n != 0 {
+		t.Fatalf("a warm read: %v allocs, want 0", n)
 	}
 }
 
@@ -66,12 +117,12 @@ func TestFrameFramingErrors(t *testing.T) {
 	raw := AppendFrame(nil, Frame{Type: MsgAck, Payload: []byte{1}})
 	bad := append([]byte(nil), raw...)
 	bad[0] = 0xFF // magic
-	if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrFraming) {
+	if _, _, err := ReadFrame(bytes.NewReader(bad), 0, nil); !errors.Is(err, ErrFraming) {
 		t.Fatalf("bad magic: err = %v, want ErrFraming", err)
 	}
 	big := append([]byte(nil), raw...)
 	big[12] = 0xFF // length high byte: declares ~4 GiB
-	if _, err := ReadFrame(bytes.NewReader(big), 1<<20); !errors.Is(err, ErrFraming) {
+	if _, _, err := ReadFrame(bytes.NewReader(big), 1<<20, nil); !errors.Is(err, ErrFraming) {
 		t.Fatalf("oversize: err = %v, want ErrFraming", err)
 	}
 }

@@ -3,6 +3,7 @@ package fabric
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -280,6 +281,80 @@ func TestNoOpEvents(t *testing.T) {
 	}
 	if !rep.NoOp {
 		t.Fatal("joining an alive switch must be a no-op")
+	}
+}
+
+// TestNoRouteEpochSharesTable: on the 8x8x8 torus a link restore that
+// moves no route publishes a table that shares its predecessor's
+// entries (the rows are the same memory) and allocates less than 64 KB,
+// where a copy of the 512x512 table alone is 1 MB. A later failure
+// repairs a clone, so neither earlier snapshot's table moves.
+func TestNoRouteEpochSharesTable(t *testing.T) {
+	tp := topology.Torus3D(8, 8, 8, 1, 1)
+	m, err := NewManager(tp, Options{MaxVCs: 4, Seed: 1, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sws := tp.Net.Switches()
+	// switchLink returns sw's first link to another switch; the routing
+	// uses every such link of the healthy torus.
+	switchLink := func(sw graph.NodeID) graph.ChannelID {
+		for _, c := range tp.Net.Out(sw) {
+			if tp.Net.IsSwitch(tp.Net.Channel(c).To) {
+				return c
+			}
+		}
+		t.Fatalf("switch %d has no switch link", sw)
+		return graph.NoChannel
+	}
+	apply := func(ev Event) (*Snapshot, *EventReport) {
+		t.Helper()
+		rep, err := m.Apply(ev)
+		if err != nil {
+			t.Fatalf("%s: %v", ev, err)
+		}
+		return m.View(), rep
+	}
+	// A flap of another link warms the certifier's and the engine's
+	// scratch.
+	warm := switchLink(sws[len(sws)/2])
+	apply(Event{Kind: LinkFail, Link: warm})
+	apply(Event{Kind: LinkJoin, Link: warm})
+	link := switchLink(sws[0])
+	failed, rep := apply(Event{Kind: LinkFail, Link: link})
+	if rep.RepairedDests == 0 {
+		t.Fatalf("failing ch%d moved no route", link)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	restored, rep := apply(Event{Kind: LinkJoin, Link: link})
+	runtime.ReadMemStats(&after)
+	if rep.RepairedDests != 0 || rep.Delta.Changed+rep.Delta.Added+rep.Delta.Removed != 0 {
+		t.Fatalf("the restore moved routes (%d repaired, delta %+v): it must move none", rep.RepairedDests, rep.Delta)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a restore that moves no route allocated %d bytes", bytes)
+	if bytes >= 64<<10 {
+		t.Errorf("a restore that moves no route allocated %d bytes, want less than 64 KB", bytes)
+	}
+	old, cur := failed.Result.Table, restored.Result.Table
+	for _, sw := range sws {
+		if &cur.Row(sw)[0] != &old.Row(sw)[0] {
+			t.Fatalf("switch %d's row was copied: an epoch that moves no route must share its predecessor's entries", sw)
+		}
+	}
+
+	digests := []uint64{old.Digest(), cur.Digest()}
+	later, rep := apply(Event{Kind: LinkFail, Link: switchLink(sws[len(sws)-1])})
+	if rep.RepairedDests == 0 || later.Result.Table.Digest() == digests[1] {
+		t.Fatal("the later failure moved no route: it must repair a clone")
+	}
+	for i, tb := range []*routing.Table{old, cur} {
+		if d := tb.Digest(); d != digests[i] {
+			t.Errorf("snapshot %d's table digest moved from %#x to %#x after a later repair", i, digests[i], d)
+		}
 	}
 }
 

@@ -175,18 +175,23 @@ func (r *runner) retable(old *Snapshot, newNet *graph.Network, changed []graph.C
 	oldRes := old.Result
 	r.invalidateRoots(newNet, changed)
 
-	table := oldRes.Table.Clone(newNet)
-	affected := affectedDests(newNet, table, changed)
+	// The published table is read only: the ID spaces of the two
+	// networks are shared, so its rows answer for newNet too.
+	affected := affectedDests(newNet, oldRes.Table, changed)
 	if len(affected) == 0 {
 		// Topology changed but no unicast route is impacted (e.g. failing
-		// an unused link): republish the same entries on the new network.
-		res := resultWith(oldRes, table)
+		// an unused link): republish the same entries on the new network,
+		// shared, not copied.
+		res := resultWith(oldRes, oldRes.Table.Rebind(newNet))
 		if err := r.maybeVerify(newNet, res, report); err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
 
+	// The layer jobs write disjoint columns of one eager clone; a lazy
+	// copy would race on its first write.
+	table := oldRes.Table.Clone(newNet)
 	jobs := planJobs(old, affected)
 	outs := make([]jobOutcome, len(jobs))
 	barrier := time.Now()

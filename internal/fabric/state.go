@@ -127,7 +127,8 @@ func (s *State) revert(ev Event, changed []graph.ChannelID) {
 }
 
 // affectedDests computes the destinations an event must re-route on the
-// post-event network, reading table, the pre-repair entries: for a failed
+// post-event network, reading table, the published pre-event entries
+// (bound to the old network, whose ID spaces newNet shares): for a failed
 // channel, exactly the destinations forwarded over it — the columns
 // holding it in its tail switch's row, the only row that can (a
 // terminal's single hop has no row and is covered by the degree rule

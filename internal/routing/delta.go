@@ -11,22 +11,30 @@ import (
 	"repro/internal/graph"
 )
 
-// Clone returns a deep copy of the table rebound to net, which must share
-// g's node and channel ID space (fault injection and delta mutation both
-// preserve IDs). Pass nil to keep the current network. The fabric manager
-// clones the published table, repairs columns in place, and publishes the
-// copy — readers of the original are never disturbed.
-func (t *Table) Clone(net *graph.Network) *Table {
+// Rebind returns a table header bound to net that shares t's entries:
+// no entry is copied. net must share t's node and channel ID space
+// (fault injection and delta mutation both preserve IDs); pass nil to
+// keep the current network. A published table is immutable, so a
+// rebound one is as stable as the original: the fabric manager
+// republishes an epoch that moves no route this way.
+func (t *Table) Rebind(net *graph.Network) *Table {
 	if net == nil {
 		net = t.net
 	}
-	return &Table{
-		net:       net,
-		dests:     t.dests, // immutable after NewTable
-		destIndex: t.destIndex,
-		swIndex:   t.swIndex,
-		next:      append([]graph.ChannelID(nil), t.next...),
-	}
+	u := *t // dests, destIndex and swIndex are immutable after NewTable
+	u.net = net
+	return &u
+}
+
+// Clone returns a deep copy of the table rebound to net (see Rebind):
+// the one way to get a table that may be written. Whoever repairs a
+// table clones it first; the fabric manager clones the published table,
+// repairs columns in place, and publishes the copy, so readers of the
+// original are never disturbed.
+func (t *Table) Clone(net *graph.Network) *Table {
+	u := t.Rebind(net)
+	u.next = slices.Clone(t.next)
+	return u
 }
 
 // ClearDest resets every entry of dest's column to NoChannel, detaching

@@ -15,6 +15,10 @@ import (
 // Table is a destination-based forwarding table: one next-hop channel per
 // (switch, destination) pair. Terminals need no rows — their single
 // channel is the implicit next hop.
+//
+// A published table is immutable: Row hands out views of its entries,
+// and Rebind shares them with a header bound to another network. Whoever
+// repairs a table clones it first and writes only the clone.
 type Table struct {
 	net       *graph.Network
 	dests     []graph.NodeID
