@@ -1,10 +1,11 @@
 // Package agent implements the switch-side endpoint of the distrib
 // protocol: a simulated switch agent that owns a subset of the fabric's
-// forwarding rows, stages pushed epochs (full snapshots or deltas),
-// validates them against the source's per-row checksums, and swaps them
-// in atomically on commit. A frame or delta that fails its checksum is
-// NAKed — the agent never installs a partial or torn table; the source
-// answers a NAK with a full snapshot re-sync.
+// forwarding rows, stages pushed epochs (deltas on its installed epoch,
+// or full snapshots: deltas from an empty table), validates them against
+// the source's per-row checksums, and swaps them in atomically on
+// commit. A frame or delta that fails its checksum is NAKed — the agent
+// never installs a partial or torn table; the source answers a NAK with a
+// full snapshot re-sync.
 package agent
 
 import (
@@ -50,21 +51,25 @@ type Stats struct {
 // staging is an epoch push being assembled; it becomes installable only
 // after MsgPrepare validates every staged row.
 //
-// A delta stages copy-on-write: rows starts as the installed row set,
-// each row aliasing the installed one, and a row is copied the first time
-// an entry writes it (copied), so the installed rows are never written
-// and a delta copies only the rows it touches. The copy goes into a row
-// from the agent's spare list when it holds one. The prepare re-sums every
-// staged row, aliased or copied, so an installed row that changed in
-// memory since its own prepare is caught there as before.
+// A push without a base (a full sync) appends its entries to next in
+// position order, so the staging grows with the entries received; the
+// prepare cuts next into rows, one per switch its checksums name.
+//
+// A delta on a base stages copy-on-write: rows starts as the installed
+// row set, each row aliasing the installed one, and a row is copied the
+// first time an entry writes it (copied), so the installed rows are never
+// written and a delta copies only the rows it touches. The copy goes
+// into a row from the agent's spare list when it holds one. The prepare
+// re-sums every staged row, aliased or copied, so an installed row that
+// changed in memory since its own prepare is caught there as before.
 type staging struct {
 	epoch    uint64
 	flags    uint8
 	begin    distrib.Begin
-	full     bool
 	switches []graph.NodeID
 	rows     [][]graph.ChannelID
-	copied   []bool // delta only: rows[i] is the staging's own
+	copied   []bool            // base only: rows[i] is the staging's own
+	next     []graph.ChannelID // no base: the entries so far, row-major
 	got      int
 	// prepared freezes the staging: a table frame after the prepare is
 	// refused, so the rows commit swaps in are the rows that were
@@ -90,7 +95,7 @@ type Agent struct {
 	draining bool
 	stats    Stats
 	stage    *staging
-	// entries is the delta decoder's buffer, reused from push to push.
+	// entries is the delta decoder's buffer, reused from frame to frame.
 	entries []routing.DeltaEntry
 	// spare keeps rows no one reads any more for stageDelta to copy
 	// into: the installed rows a committed delta replaced and the rows an
@@ -198,7 +203,7 @@ func (a *Agent) serve(ctx context.Context, conn net.Conn) (heard bool, err error
 	var buf []byte
 	for {
 		var f distrib.Frame
-		f, buf, err = distrib.ReadFrame(conn, distrib.DefaultMaxFrame, buf)
+		f, buf, err = distrib.ReadFrame(conn, buf)
 		if err != nil {
 			if errors.Is(err, distrib.ErrFrameCorrupt) {
 				// The frame is lost but the stream survives: drop any
@@ -246,13 +251,6 @@ func (a *Agent) handle(conn net.Conn, f distrib.Frame) error {
 			return nil
 		}
 		a.begin(conn, f, b)
-	case distrib.MsgLFT:
-		sw, row, err := distrib.ParseLFT(f.Payload)
-		if err != nil {
-			a.nak(conn, f.Epoch, fmt.Sprintf("bad lft: %v", err))
-			return nil
-		}
-		a.stageLFT(conn, f.Epoch, sw, row)
 	case distrib.MsgDelta:
 		a.stageDelta(conn, f.Epoch, f.Payload)
 	case distrib.MsgPrepare:
@@ -272,20 +270,11 @@ func (a *Agent) handle(conn net.Conn, f distrib.Frame) error {
 // source retries by restarting the push).
 func (a *Agent) begin(conn net.Conn, f distrib.Frame, b distrib.Begin) {
 	a.mu.Lock()
-	full := f.Flags&distrib.FlagFull != 0
-	st := &staging{epoch: f.Epoch, flags: f.Flags, begin: b, full: full}
-	if full {
-		// The rows arrive one MsgLFT at a time. They are presized to no
-		// more than the push announces and this agent owns, never to what
-		// a Begin alone declares; an agent that subscribes to every switch
-		// grows them as they arrive.
-		n := min(b.Rows, b.Frames, len(a.opts.Switches))
-		st.rows = make([][]graph.ChannelID, 0, n)
-		st.switches = make([]graph.NodeID, 0, n)
-	} else {
+	st := &staging{epoch: f.Epoch, flags: f.Flags, begin: b}
+	if b.HasBase {
 		// A delta transforms the installed epoch; the base must be
 		// exactly what this agent holds.
-		if !a.hasEpoch || a.epoch != b.Base || !b.HasBase {
+		if !a.hasEpoch || a.epoch != b.Base {
 			a.mu.Unlock()
 			a.nak(conn, f.Epoch, fmt.Sprintf("stale delta base %d (installed %d/%v)", b.Base, a.epoch, a.hasEpoch))
 			return
@@ -343,36 +332,12 @@ func (a *Agent) cols() int {
 	return len(a.rows[0])
 }
 
-func (a *Agent) stageLFT(conn net.Conn, epoch uint64, sw graph.NodeID, row []graph.ChannelID) {
-	a.mu.Lock()
-	st := a.stage
-	if st == nil || st.epoch != epoch || !st.full || st.prepared {
-		a.mu.Unlock()
-		a.nak(conn, epoch, "lft without matching begin")
-		return
-	}
-	if len(st.rows) >= st.begin.Rows || len(row) != st.begin.Cols {
-		a.mu.Unlock()
-		a.nak(conn, epoch, "lft outside declared shape")
-		return
-	}
-	if n := len(st.switches); n > 0 && st.switches[n-1] >= sw {
-		a.mu.Unlock()
-		a.nak(conn, epoch, "lft rows not in ascending switch order")
-		return
-	}
-	st.switches = append(st.switches, sw)
-	st.rows = append(st.rows, row)
-	st.got++
-	a.mu.Unlock()
-}
-
 func (a *Agent) stageDelta(conn net.Conn, epoch uint64, payload []byte) {
 	a.mu.Lock()
 	rows, cols, entries, err := routing.AppendDecodeDelta(a.entries[:0], payload)
 	a.entries = entries
 	st := a.stage
-	if st == nil || st.epoch != epoch || st.full || st.prepared {
+	if st == nil || st.epoch != epoch || st.prepared {
 		a.mu.Unlock()
 		a.nak(conn, epoch, "delta without matching begin")
 		return
@@ -385,6 +350,22 @@ func (a *Agent) stageDelta(conn net.Conn, epoch uint64, payload []byte) {
 	if rows != st.begin.Rows || cols != st.begin.Cols {
 		a.mu.Unlock()
 		a.nak(conn, epoch, "delta shape mismatch")
+		return
+	}
+	if !st.begin.HasBase {
+		// Each entry continues where the last one stopped, so the staging
+		// grows by what this frame carried.
+		st.next = slices.Grow(st.next, len(entries))
+		for _, e := range entries {
+			if int64(e.Row)*int64(cols)+int64(e.Col) != int64(len(st.next)) {
+				a.mu.Unlock()
+				a.nak(conn, epoch, fmt.Sprintf("full sync skips to entry (%d,%d) after %d entries", e.Row, e.Col, len(st.next)))
+				return
+			}
+			st.next = append(st.next, e.Next)
+		}
+		st.got++
+		a.mu.Unlock()
 		return
 	}
 	for _, e := range entries {
@@ -414,16 +395,29 @@ func (a *Agent) prepare(conn net.Conn, epoch uint64, sums []distrib.RowSum) {
 		a.nak(conn, epoch, "prepare without matching begin")
 		return
 	}
-	if st.got != st.begin.Frames || len(st.rows) != st.begin.Rows {
+	rows, cols := st.begin.Rows, st.begin.Cols
+	if st.got != st.begin.Frames || (!st.begin.HasBase && int64(len(st.next)) != int64(rows)*int64(cols)) {
 		a.mu.Unlock()
-		a.nak(conn, epoch, fmt.Sprintf("incomplete push: %d/%d frames, %d/%d rows",
-			st.got, st.begin.Frames, len(st.rows), st.begin.Rows))
+		a.nak(conn, epoch, fmt.Sprintf("incomplete push: %d/%d frames", st.got, st.begin.Frames))
 		return
 	}
-	if len(sums) != len(st.rows) {
+	if len(sums) != rows {
 		a.mu.Unlock()
 		a.nak(conn, epoch, "prepare row count mismatch")
 		return
+	}
+	if !st.begin.HasBase {
+		// A full sync's switches are the ones its checksums name.
+		st.switches = make([]graph.NodeID, rows)
+		st.rows = make([][]graph.ChannelID, rows)
+		for i, s := range sums {
+			if i > 0 && s.Switch <= sums[i-1].Switch {
+				a.mu.Unlock()
+				a.nak(conn, epoch, "prepare switches not in ascending order")
+				return
+			}
+			st.switches[i], st.rows[i] = s.Switch, st.next[i*cols:(i+1)*cols:(i+1)*cols]
+		}
 	}
 	crcs := make([]uint32, len(st.rows))
 	for i, row := range st.rows {
@@ -458,7 +452,7 @@ func (a *Agent) commit(conn net.Conn, epoch uint64) {
 		a.nak(conn, epoch, "commit without prepared epoch")
 		return
 	}
-	if st.full {
+	if !st.begin.HasBase {
 		// Every row is replaced, perhaps by rows of another shape: the
 		// spare rows go with the old ones.
 		clear(a.spare)
@@ -472,7 +466,7 @@ func (a *Agent) commit(conn net.Conn, epoch uint64) {
 	a.stage = nil
 	a.draining = false
 	a.stats.Commits++
-	if st.full {
+	if !st.begin.HasBase {
 		a.stats.FullSyncs++
 	} else {
 		a.stats.DeltaInstalls++

@@ -41,7 +41,7 @@ func TestCommitInstallsVerifiedCRCs(t *testing.T) {
 	defer srcSide.Close()
 	go a.Serve(context.Background(), agSide)
 	srcSide.SetDeadline(time.Now().Add(30 * time.Second))
-	if f, _, err := distrib.ReadFrame(srcSide, 0, nil); err != nil || f.Type != distrib.MsgHello {
+	if f, _, err := distrib.ReadFrame(srcSide, nil); err != nil || f.Type != distrib.MsgHello {
 		t.Fatalf("hello: %v %v", f.Type, err)
 	}
 	send := func(f distrib.Frame) {
@@ -53,7 +53,7 @@ func TestCommitInstallsVerifiedCRCs(t *testing.T) {
 	sendAcked := func(f distrib.Frame) distrib.Ack {
 		t.Helper()
 		send(f)
-		r, _, err := distrib.ReadFrame(srcSide, 0, nil)
+		r, _, err := distrib.ReadFrame(srcSide, nil)
 		if err != nil || r.Type != distrib.MsgAck || r.Epoch != f.Epoch {
 			t.Fatalf("ack of %v: %v epoch %d, %v", f.Type, r.Type, r.Epoch, err)
 		}
@@ -65,13 +65,12 @@ func TestCommitInstallsVerifiedCRCs(t *testing.T) {
 	}
 
 	// Epoch 4, a full push.
-	send(distrib.Frame{Type: distrib.MsgBegin, Flags: distrib.FlagFull, Epoch: 4,
-		Payload: distrib.AppendBegin(nil, distrib.Begin{Rows: len(rows), Cols: c.Cols, Frames: len(rows)})})
-	for _, r := range rows {
-		send(distrib.Frame{Type: distrib.MsgLFT, Epoch: 4, Payload: distrib.AppendLFT(nil, c.Switches[r], c.LFTs[r])})
+	full := fullSync(c, rows)
+	for _, f := range full[:len(full)-1] {
+		send(f)
 	}
 	prepare := distrib.AppendPrepare(nil, sums)
-	if got := sendAcked(distrib.Frame{Type: distrib.MsgPrepare, Epoch: 4, Payload: prepare}); got.Phase != distrib.AckPrepared || got.FleetCRC != want {
+	if got := sendAcked(full[len(full)-1]); got.Phase != distrib.AckPrepared || got.FleetCRC != want {
 		t.Fatalf("prepare ack %+v, want prepared with fleet CRC %#x", got, want)
 	}
 	if got := sendAcked(distrib.Frame{Type: distrib.MsgCommit, Epoch: 4}); got.Phase != distrib.AckCommitted || got.FleetCRC != want {
@@ -154,7 +153,7 @@ func pipeAgent(t *testing.T, a *Agent) net.Conn {
 	t.Cleanup(func() { srcSide.Close() })
 	go a.Serve(context.Background(), agSide)
 	srcSide.SetDeadline(time.Now().Add(30 * time.Second))
-	if f, _, err := distrib.ReadFrame(srcSide, 0, nil); err != nil || f.Type != distrib.MsgHello {
+	if f, _, err := distrib.ReadFrame(srcSide, nil); err != nil || f.Type != distrib.MsgHello {
 		t.Fatalf("hello: %v %v", f.Type, err)
 	}
 	return srcSide
@@ -169,7 +168,7 @@ func exchange(t *testing.T, conn net.Conn, frames ...distrib.Frame) distrib.Ack 
 			t.Fatal(err)
 		}
 	}
-	r, _, err := distrib.ReadFrame(conn, 0, nil)
+	r, _, err := distrib.ReadFrame(conn, nil)
 	if err != nil || r.Type != distrib.MsgAck {
 		t.Fatalf("ack: %v, %v", r.Type, err)
 	}
@@ -183,14 +182,54 @@ func exchange(t *testing.T, conn net.Conn, frames ...distrib.Frame) distrib.Ack 
 // fullPush is the frames of a full sync of every row of c, the prepare
 // included.
 func fullPush(c *distrib.CompiledEpoch) []distrib.Frame {
-	frames := []distrib.Frame{{Type: distrib.MsgBegin, Flags: distrib.FlagFull, Epoch: c.Seq,
-		Payload: distrib.AppendBegin(nil, distrib.Begin{Rows: c.Rows, Cols: c.Cols, Frames: c.Rows})}}
-	var sums []distrib.RowSum
-	for i, row := range c.LFTs {
-		frames = append(frames, distrib.Frame{Type: distrib.MsgLFT, Epoch: c.Seq, Payload: distrib.AppendLFT(nil, c.Switches[i], row)})
-		sums = append(sums, distrib.RowSum{Switch: c.Switches[i], CRC: c.CRCs[i]})
+	rows := make([]int, c.Rows)
+	for i := range rows {
+		rows[i] = i
 	}
-	return append(frames, distrib.Frame{Type: distrib.MsgPrepare, Epoch: c.Seq, Payload: distrib.AppendPrepare(nil, sums)})
+	return fullSync(c, rows)
+}
+
+// fullSync is the frames of a full sync of the given rows of c: a push
+// without a base whose one MsgDelta carries every entry of the rows.
+func fullSync(c *distrib.CompiledEpoch, rows []int) []distrib.Frame {
+	var entries []routing.DeltaEntry
+	var sums []distrib.RowSum
+	for local, r := range rows {
+		for col, next := range c.LFTs[r] {
+			entries = append(entries, routing.DeltaEntry{Row: int32(local), Col: int32(col), Next: next})
+		}
+		sums = append(sums, distrib.RowSum{Switch: c.Switches[r], CRC: c.CRCs[r]})
+	}
+	return []distrib.Frame{
+		{Type: distrib.MsgBegin, Epoch: c.Seq, Payload: distrib.AppendBegin(nil, distrib.Begin{Rows: len(rows), Cols: c.Cols, Frames: 1})},
+		{Type: distrib.MsgDelta, Epoch: c.Seq, Payload: routing.EncodeDelta(nil, len(rows), c.Cols, entries)},
+		{Type: distrib.MsgPrepare, Epoch: c.Seq, Payload: distrib.AppendPrepare(nil, sums)},
+	}
+}
+
+// hugePush is a full sync that declares the largest shape a Begin may,
+// 2^24 x 2^24, sends three entries and prepares.
+func hugePush() []distrib.Frame {
+	huge := distrib.Begin{Rows: 1 << 24, Cols: 1 << 24, Frames: 1}
+	three := []routing.DeltaEntry{{Row: 0, Col: 0, Next: 1}, {Row: 0, Col: 1, Next: 2}, {Row: 0, Col: 2, Next: 3}}
+	return []distrib.Frame{
+		{Type: distrib.MsgBegin, Epoch: 1, Payload: distrib.AppendBegin(nil, huge)},
+		{Type: distrib.MsgDelta, Epoch: 1, Payload: routing.EncodeDelta(nil, huge.Rows, huge.Cols, three)},
+		{Type: distrib.MsgPrepare, Epoch: 1, Payload: distrib.AppendPrepare(nil, []distrib.RowSum{{Switch: 0}})},
+	}
+}
+
+// skipPush is fullPush(c) with the second entry left out of its MsgDelta,
+// so the third entry's position skips one.
+func skipPush(t testing.TB, c *distrib.CompiledEpoch) []distrib.Frame {
+	t.Helper()
+	frames := fullPush(c)
+	_, _, entries, err := routing.DecodeDelta(frames[1].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames[1].Payload = routing.EncodeDelta(nil, c.Rows, c.Cols, append(entries[:1:1], entries[2:]...))
+	return frames
 }
 
 // compiled returns a min-hop epoch of a small torus, compiled.
@@ -213,7 +252,7 @@ func TestOversizedBeginNaks(t *testing.T) {
 	c := compiled(t, 2)
 	a := New(Options{ID: "t"})
 	conn := pipeAgent(t, a)
-	begin := distrib.Frame{Type: distrib.MsgBegin, Flags: distrib.FlagFull, Epoch: 1,
+	begin := distrib.Frame{Type: distrib.MsgBegin, Epoch: 1,
 		Payload: distrib.AppendBegin(nil, distrib.Begin{Rows: 1 << 40, Cols: 1, Frames: 1})}
 	if n := len(distrib.AppendFrame(nil, begin)); n != 29 {
 		t.Fatalf("the begin frame is %d bytes, want 29", n)
@@ -401,5 +440,48 @@ func TestAbandonedStagingsLeaveInstalledRows(t *testing.T) {
 	installed(c7, "a delta into recycled rows")
 	if st := a.Stats(); st.DeltaInstalls != 2 || st.Naks != 2 || st.CorruptFrames != 1 {
 		t.Fatalf("stats %+v, want 2 delta installs, 2 NAKs and 1 corrupt frame", st)
+	}
+}
+
+// TestFullSyncFrameRules: a push without a base appends entries, each
+// continuing where the last one stopped, and prepares only once it has
+// every entry of the shape its Begin declared, over switches in strictly
+// ascending order. A push that breaks a rule is NAKed and installs
+// nothing; a valid full sync on the same connection then installs.
+func TestFullSyncFrameRules(t *testing.T) {
+	c := compiled(t, 1)
+	a := New(Options{ID: "t"})
+	conn := pipeAgent(t, a)
+
+	if ack := exchange(t, conn, hugePush()...); ack.Phase != distrib.AckNak || ack.Reason != "incomplete push: 1/1 frames" {
+		t.Fatalf("three entries of a 2^48-entry push prepared: %+v, want an incomplete-push NAK", ack)
+	}
+	if ack := exchange(t, conn, skipPush(t, c)[:2]...); ack.Phase != distrib.AckNak || ack.Reason != "full sync skips to entry (0,2) after 1 entries" {
+		t.Fatalf("a full sync that skips an entry: %+v, want a NAK", ack)
+	}
+
+	// Every entry, but switches out of order in the prepare.
+	swapped := fullPush(c)
+	sums, err := distrib.ParsePrepare(swapped[2].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums[0], sums[1] = sums[1], sums[0]
+	swapped[2].Payload = distrib.AppendPrepare(nil, sums)
+	if ack := exchange(t, conn, swapped...); ack.Phase != distrib.AckNak || ack.Reason != "prepare switches not in ascending order" {
+		t.Fatalf("a prepare over unordered switches: %+v, want a NAK", ack)
+	}
+	if _, _, ok := a.Snapshot(); ok {
+		t.Fatal("a refused full sync installed")
+	}
+
+	if ack := exchange(t, conn, fullPush(c)...); ack.Phase != distrib.AckPrepared || ack.FleetCRC != c.OwnedCRC(nil) {
+		t.Fatalf("a valid full sync: %+v, want prepared with fleet CRC %#x", ack, c.OwnedCRC(nil))
+	}
+	if ack := exchange(t, conn, distrib.Frame{Type: distrib.MsgCommit, Epoch: c.Seq}); ack.Phase != distrib.AckCommitted {
+		t.Fatalf("commit: %+v", ack)
+	}
+	if st := a.Stats(); st.FullSyncs != 1 || st.Naks != 3 {
+		t.Fatalf("stats %+v, want one full sync and three NAKs", st)
 	}
 }

@@ -31,14 +31,11 @@ func FuzzAgentFrames(f *testing.F) {
 		}
 		return b
 	}
-	// The 29-byte Begin that used to end the agent with an out-of-memory
-	// fatal error.
-	f.Add(seal(distrib.Frame{Type: distrib.MsgBegin, Flags: distrib.FlagFull, Epoch: 1,
-		Payload: distrib.AppendBegin(nil, distrib.Begin{Rows: 1 << 40, Cols: 1, Frames: 1})}))
-	// The largest shape a Begin may declare: the agent presizes to what it
-	// owns, not to that.
-	f.Add(seal(distrib.Frame{Type: distrib.MsgBegin, Flags: distrib.FlagFull, Epoch: 1,
-		Payload: distrib.AppendBegin(nil, distrib.Begin{Rows: 1 << 24, Cols: 1 << 24, Frames: 1 << 24})}))
+	// A full sync of 2^24 x 2^24 entries that sends three: the agent grows
+	// by the entries it got, not by the shape, and NAKs the incomplete
+	// push. Then one whose entry positions skip one.
+	f.Add(seal(hugePush()...))
+	f.Add(seal(skipPush(f, c)...))
 	full := append(fullPush(c), distrib.Frame{Type: distrib.MsgCommit, Epoch: 1})
 	f.Add(seal(full...))
 	var sums []distrib.RowSum
@@ -102,7 +99,7 @@ func serveFrames(c *distrib.CompiledEpoch, frames [][]byte) (sent int, alloc uin
 	read := make(chan struct{})
 	go func() {
 		for {
-			if _, _, err := distrib.ReadFrame(srcSide, 0, nil); err != nil {
+			if _, _, err := distrib.ReadFrame(srcSide, nil); err != nil {
 				close(read)
 				return
 			}

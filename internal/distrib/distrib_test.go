@@ -630,18 +630,26 @@ func TestStragglerQuarantine(t *testing.T) {
 }
 
 // corruptOnce corrupts one byte of the first MsgDelta frame written
-// through it — the in-flight mutation of the issue's mutation test.
+// through it once armed — a full sync's entries travel in MsgDelta
+// frames too, so it is armed after the initial sync.
 type corruptOnce struct {
 	net.Conn
-	mu   sync.Mutex
-	done bool
+	mu    sync.Mutex
+	armed bool
+	done  bool
+}
+
+func (c *corruptOnce) arm() {
+	c.mu.Lock()
+	c.armed = true
+	c.mu.Unlock()
 }
 
 func (c *corruptOnce) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	// WriteFrame emits exactly one frame per Write; the type byte sits at
 	// offset 2 of the 16-byte header.
-	if !c.done && len(b) > 18 && b[2] == byte(distrib.MsgDelta) {
+	if c.armed && !c.done && len(b) > 18 && b[2] == byte(distrib.MsgDelta) {
 		c.done = true
 		b = append([]byte(nil), b...)
 		b[17] ^= 0x01 // a payload byte
@@ -686,6 +694,7 @@ func TestCorruptDeltaResync(t *testing.T) {
 	}
 
 	// The next epoch goes out as a delta; the wrapper corrupts it.
+	wrapped.arm()
 	rng := rand.New(rand.NewSource(41))
 	last := churn(t, m, rng, 1)
 	if last == 0 {
@@ -802,4 +811,104 @@ func perRound(runs int, f func()) (bytes, mallocs uint64) {
 	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 	sort.Slice(m, func(i, j int) bool { return m[i] < m[j] })
 	return b[runs/2], m[runs/2]
+}
+
+// TestRepeatedSwitchOwnsOneRow: an agent whose Hello names a switch
+// twice owns that switch's row once, and installs it. The source used to
+// send the row twice, the agent refused the push as out of order, and
+// the agent stayed quarantined with nothing installed while the fleet
+// counted as converged.
+func TestRepeatedSwitchOwnsOneRow(t *testing.T) {
+	rec := newEpochRecord()
+	src := distrib.NewSource(distrib.Options{Certify: distrib.DefaultCertify, Backoff: time.Millisecond})
+	defer src.Close()
+	m := newFleetManager(t, topology.Torus3D(3, 3, 2, 1, 1), src, rec)
+	s1 := m.View().Net.Switches()[1]
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a := agent.New(agent.Options{ID: "twice", Switches: []graph.NodeID{s1, s1}})
+	srcSide, agSide := net.Pipe()
+	go a.Serve(ctx, agSide)
+	if err := src.AddConn(srcSide); err != nil {
+		t.Fatal(err)
+	}
+	installed := func(ep uint64) {
+		t.Helper()
+		if !src.WaitConverged(ep, 30*time.Second) {
+			t.Fatalf("epoch %d did not converge", ep)
+		}
+		got, crc, ok := a.Snapshot()
+		want, _ := rec.crc(ep, []graph.NodeID{s1})
+		if !ok || got != ep || crc != want {
+			t.Fatalf("agent holds (%d, %#x, %v), want (%d, %#x, true); quarantined: %v", got, crc, ok, ep, want, src.Quarantined())
+		}
+	}
+	installed(0)
+	installed(churnUntilChange(t, m, rand.New(rand.NewSource(3))))
+	if st := a.Stats(); st.FullSyncs != 1 || st.DeltaInstalls != 1 || st.Naks != 0 {
+		t.Errorf("stats %+v, want one full sync, one delta install and no NAK", st)
+	}
+}
+
+// deltaCounter counts the MsgDelta frames written through it (one frame
+// per Write, its type at offset 2 of the header).
+type deltaCounter struct {
+	net.Conn
+	frames atomic.Int64
+}
+
+func (c *deltaCounter) Write(b []byte) (int, error) {
+	if len(b) > 2 && b[2] == byte(distrib.MsgDelta) {
+		c.frames.Add(1)
+	}
+	return c.Conn.Write(b)
+}
+
+// TestPushesSpanFrames: a push of more than 2^20 entries is cut into
+// MsgDelta frames of at most 2^20 each, a full sync and a delta alike,
+// and the agent installs both exactly. The table is synthetic: a
+// 1025-switch ring's 1025x1025 entries (2^20 + 2,049), every one of which
+// the second epoch changes.
+func TestPushesSpanFrames(t *testing.T) {
+	tp := topology.Ring(1025, 1)
+	epoch := func(seq uint64, bump graph.ChannelID) *distrib.CompiledEpoch {
+		tbl := routing.NewTable(tp.Net, tp.Net.Terminals())
+		for r, sw := range tp.Net.Switches() {
+			for col, d := range tbl.Dests() {
+				tbl.Set(sw, d, graph.ChannelID((r+col)%7)+bump)
+			}
+		}
+		e := distrib.Epoch{Seq: seq, Net: tp.Net, Result: &routing.Result{Table: tbl, VCs: 1}}
+		return distrib.Compile(e)
+	}
+	src := distrib.NewSource(distrib.Options{AckTimeout: time.Minute})
+	defer src.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a := agent.New(agent.Options{ID: "big"})
+	srcSide, agSide := net.Pipe()
+	go a.Serve(ctx, agSide)
+	counted := &deltaCounter{Conn: srcSide}
+	if err := src.AddConn(counted); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []*distrib.CompiledEpoch{epoch(1, 0), epoch(2, 1)} {
+		if entries := c.Rows * c.Cols; entries <= 1<<20 {
+			t.Fatalf("%d entries fit one frame", entries)
+		}
+		src.Publish(c.Epoch)
+		if !src.WaitConverged(c.Seq, time.Minute) {
+			t.Fatalf("epoch %d did not converge", c.Seq)
+		}
+		if ep, crc, ok := a.Snapshot(); !ok || ep != c.Seq || crc != c.OwnedCRC(nil) {
+			t.Fatalf("agent holds (%d, %#x, %v), want (%d, %#x, true)", ep, crc, ok, c.Seq, c.OwnedCRC(nil))
+		}
+		if got, want := counted.frames.Load(), int64(2*(i+1)); got != want {
+			t.Fatalf("after epoch %d: %d MsgDelta frames, want %d", c.Seq, got, want)
+		}
+	}
+	if st := a.Stats(); st.FullSyncs != 1 || st.DeltaInstalls != 1 {
+		t.Errorf("stats %+v, want one full sync and one delta install", st)
+	}
 }

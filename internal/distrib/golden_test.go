@@ -20,7 +20,8 @@ import (
 // fullPushDigest connects a raw agent owning the given switches (nil =
 // all) that never acked anything, so the source answers with a full
 // snapshot, and returns FNV-64a over every byte of that push — begin,
-// one MsgLFT per owned row, prepare — with the frame count.
+// the MsgDelta of every entry of the owned rows, prepare — with the frame
+// count.
 func fullPushDigest(t *testing.T, src *distrib.Source, owned []graph.NodeID) (sum uint64, frames int) {
 	t.Helper()
 	srcSide, agSide := net.Pipe()
@@ -36,7 +37,7 @@ func fullPushDigest(t *testing.T, src *distrib.Source, owned []graph.NodeID) (su
 	r := io.TeeReader(agSide, h)
 	for {
 		agSide.SetReadDeadline(time.Now().Add(30 * time.Second))
-		f, _, err := distrib.ReadFrame(r, 0, nil)
+		f, _, err := distrib.ReadFrame(r, nil)
 		if err != nil {
 			t.Fatalf("frame %d of the full push: %v", frames, err)
 		}
@@ -47,12 +48,11 @@ func fullPushDigest(t *testing.T, src *distrib.Source, owned []graph.NodeID) (su
 	}
 }
 
-// TestFullSyncWireGolden pins every byte a full push writes. The
-// constants were recorded while a compiled epoch still stored each row
-// pre-encoded; a source that encodes rows from the table at push time
-// must write the same frames. The owned list of the second push names a
-// terminal, a node beyond the fabric and a negative ID, all of which own
-// no row and are skipped.
+// TestFullSyncWireGolden pins every byte a full push writes: the delta
+// from an empty table, one MsgDelta between begin and prepare. The owned
+// list of the second push names a terminal, a node beyond the fabric and
+// a negative ID, all of which own no row and are skipped, and one switch
+// twice, which owns one row.
 func TestFullSyncWireGolden(t *testing.T) {
 	m, err := fabric.NewManager(topology.Torus3D(3, 3, 2, 1, 1), fabric.Options{MaxVCs: 4, Seed: 1})
 	if err != nil {
@@ -73,8 +73,8 @@ func TestFullSyncWireGolden(t *testing.T) {
 		sum    uint64
 		frames int
 	}{
-		{"all", nil, 0x46ce6542908ef885, len(sws) + 2},
-		{"owned", []graph.NodeID{sws[5], terminal, sws[0], graph.NodeID(snap.Net.NumNodes() + 3), -2, sws[11]}, 0xd05249a4d358c2d0, 3 + 2},
+		{"all", nil, 0xc4bd0f7e0c446d7c, 3},
+		{"owned", []graph.NodeID{sws[5], terminal, sws[0], graph.NodeID(snap.Net.NumNodes() + 3), sws[5], -2, sws[11]}, 0x9ef553674c79b4f2, 3},
 	} {
 		// The push is never acked; Close waits out one ack timeout.
 		src := distrib.NewSource(distrib.Options{AckTimeout: 500 * time.Millisecond})
@@ -91,10 +91,13 @@ func TestFullSyncWireGolden(t *testing.T) {
 }
 
 // TestDeltaPermilleGolden pins the delta-compression samples of a fixed
-// six-event trace: their denominator is the full-snapshot size of the
-// pushed rows, which the source takes from per-row byte counts instead
-// of stored payloads. Two agents (one owning everything, one a shard)
-// converge after every event, so each event is one delta push per agent.
+// six-event trace: their denominator is the entry bytes of a full push of
+// the pushed rows, which the source takes from per-row byte counts
+// instead of encoding one. Two agents (one owning everything, one a
+// shard) converge after every event, so each event is one delta push per
+// agent. The bytes of the two initial full syncs and of the twelve delta
+// pushes are pinned apart: the deltas wrote 1,845 bytes when a full sync
+// still sent one frame per row, and write the same now.
 func TestDeltaPermilleGolden(t *testing.T) {
 	reg := telemetry.New()
 	rec := newEpochRecord()
@@ -115,6 +118,10 @@ func TestDeltaPermilleGolden(t *testing.T) {
 	if !src.WaitConverged(0, 30*time.Second) {
 		t.Fatal("fleet did not converge on the initial epoch")
 	}
+	initial := reg.Snapshot().Counters["distrib_bytes_sent_total"]
+	if initial != 1014 {
+		t.Errorf("the two initial full syncs wrote %d bytes, want 1014", initial)
+	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 6; i++ {
 		ep := churnUntilChange(t, m, rng)
@@ -124,11 +131,11 @@ func TestDeltaPermilleGolden(t *testing.T) {
 	}
 	s := reg.Snapshot()
 	pm := s.Histograms["distrib_delta_permille"]
-	if pm.Count != 12 || pm.Sum != 2898 {
-		t.Errorf("distrib_delta_permille: %d samples summing to %d, want 12 and 2898", pm.Count, pm.Sum)
+	if pm.Count != 12 || pm.Sum != 1606 {
+		t.Errorf("distrib_delta_permille: %d samples summing to %d, want 12 and 1606", pm.Count, pm.Sum)
 	}
-	if got := s.Counters["distrib_bytes_sent_total"]; got != 2880 {
-		t.Errorf("distrib_bytes_sent_total = %d, want 2880", got)
+	if got := s.Counters["distrib_bytes_sent_total"] - initial; got != 1845 {
+		t.Errorf("the twelve delta pushes wrote %d bytes, want 1845", got)
 	}
 	if got := s.Counters["distrib_full_syncs_total"]; got != 2 {
 		t.Errorf("distrib_full_syncs_total = %d, want 2 (the two initial syncs)", got)

@@ -25,7 +25,7 @@ type Epoch struct {
 // tables: one row of next-hop channels per switch, in ascending switch
 // ID order (which equals the routing table's row order), with what the
 // protocol needs to know about each row without reading it again — its
-// CRC and the size of its full-sync payload. The rows themselves are
+// CRC and its share of a full push. The rows themselves are
 // the epoch's routing.Table: publication is the point after which a
 // table is immutable, so a compiled epoch holds no copy of it.
 type CompiledEpoch struct {
@@ -39,7 +39,9 @@ type CompiledEpoch struct {
 	LFTs [][]graph.ChannelID
 	// CRCs[i] is RowCRC(LFTs[i]).
 	CRCs []uint32
-	// sizes[i] is len(AppendLFT(nil, Switches[i], LFTs[i])).
+	// sizes[i] is row i's share of a full push's MsgDelta payload: one
+	// position byte per column (each entry follows the one before it)
+	// plus the uvarint of next+1 of each.
 	sizes []int32
 }
 
@@ -50,21 +52,21 @@ type CompiledEpoch struct {
 func RowCRC(row []graph.ChannelID) uint32 {
 	w := getCRCWords()
 	defer crcScratch.Put(w)
-	sum, _ := w.rowSum(0, row)
+	sum, _ := w.rowSum(row)
 	return sum
 }
 
-// rowSum reads switch sw's row once for both of the things a compiled
-// epoch keeps about it: RowCRC(row) and len(AppendLFT(nil, sw, row)).
-func (w *crcWords) rowSum(sw graph.NodeID, row []graph.ChannelID) (crc uint32, lftBytes int) {
+// rowSum reads a row once for both of the things a compiled epoch keeps
+// about it: RowCRC(row) and its share of a full push (sizes).
+func (w *crcWords) rowSum(row []graph.ChannelID) (crc uint32, fullBytes int) {
 	w.crc, w.n = 0, 0
-	lftBytes = uvarintLen(uint64(sw)) + uvarintLen(uint64(len(row)))
+	fullBytes = len(row)
 	for _, ch := range row {
 		v := uint32(ch + 1)
 		w.add(v)
-		lftBytes += uvarintLen(uint64(v))
+		fullBytes += uvarintLen(uint64(v))
 	}
-	return w.sum32(), lftBytes
+	return w.sum32(), fullBytes
 }
 
 // crcWords computes CRC-32 (IEEE) over a sequence of little-endian uint32
@@ -139,7 +141,7 @@ func Compile(e Epoch) *CompiledEpoch {
 			panic(fmt.Sprintf("distrib: switch %d owns row %d, expected %d", sw, t.RowIndex(sw), i))
 		}
 		row := t.Row(sw)
-		crc, size := w.rowSum(sw, row)
+		crc, size := w.rowSum(row)
 		c.LFTs[i], c.CRCs[i], c.sizes[i] = row, crc, int32(size)
 	}
 	return c
@@ -192,7 +194,7 @@ func (c *CompiledEpoch) fleetCRCFor(rows []int) uint32 {
 	return w.sum32()
 }
 
-// fullSize returns the summed MsgLFT payload size of a row set — the
+// fullSize returns the entry bytes of a full push of a row set — the
 // denominator of the delta-compression ratio.
 func (c *CompiledEpoch) fullSize(rows []int) int {
 	n := 0
@@ -205,27 +207,28 @@ func (c *CompiledEpoch) fullSize(rows []int) int {
 // deltaEntries appends to dst the local-row-space delta from base for
 // the given row set: entries transforming base's rows into c's, with Row
 // rewritten to the position within the set (the agent's local row
-// index). It counts the entries first, so dst grows at most once, to
-// exactly their number. base must share the epoch shape; callers guard
-// that.
+// index). A nil base is the empty table, so the delta is every entry of
+// the rows, NoChannel included. It counts the entries first, so dst grows
+// at most once, to exactly their number. base must share the epoch shape;
+// callers guard that.
 func (c *CompiledEpoch) deltaEntries(dst []routing.DeltaEntry, base *CompiledEpoch, rows []int) []routing.DeltaEntry {
-	n := 0
-	for _, r := range rows {
-		oldRow, newRow := base.LFTs[r], c.LFTs[r]
-		for col := range newRow {
-			if oldRow[col] != newRow[col] {
-				n++
+	n := len(rows) * c.Cols
+	if base != nil {
+		n = 0
+		for _, r := range rows {
+			oldRow, newRow := base.LFTs[r], c.LFTs[r]
+			for col := range newRow {
+				if oldRow[col] != newRow[col] {
+					n++
+				}
 			}
 		}
 	}
 	dst = slices.Grow(dst, n)
 	for local, r := range rows {
-		oldRow, newRow := base.LFTs[r], c.LFTs[r]
-		for col := range newRow {
-			if oldRow[col] != newRow[col] {
-				dst = append(dst, routing.DeltaEntry{
-					Row: int32(local), Col: int32(col), Next: newRow[col],
-				})
+		for col, next := range c.LFTs[r] {
+			if base == nil || base.LFTs[r][col] != next {
+				dst = append(dst, routing.DeltaEntry{Row: int32(local), Col: int32(col), Next: next})
 			}
 		}
 	}

@@ -72,6 +72,11 @@ func DefaultCertify(n *graph.Network, old, new_ *routing.Result) error {
 	return err
 }
 
+// frameEntries caps the entries of one MsgDelta frame. An entry takes at
+// most 12 bytes (a 7-byte position gap and a 5-byte next hop), so a frame
+// stays under DefaultMaxFrame whatever the IDs.
+const frameEntries = 1 << 20
+
 // errNak is returned by a push when the agent rejected it; the next
 // attempt falls back to a full snapshot.
 var errNak = errors.New("distrib: agent nak")
@@ -92,11 +97,12 @@ type agentConn struct {
 	acks  chan ackMsg
 
 	// A push is built in buffers kept from round to round: the delta's
-	// entries, the table payload (a delta, or a full sync's MsgLFT
-	// payloads back to back) and the frame being written. Only the round
-	// worker holding the agent touches them.
+	// entries, its MsgDelta payloads back to back, where each payload
+	// ends (cuts), and the frame being written. Only the round worker
+	// holding the agent touches them.
 	entries []routing.DeltaEntry
 	payload []byte
+	cuts    []int
 	frame   []byte
 
 	mu          sync.Mutex
@@ -106,9 +112,6 @@ type agentConn struct {
 	quarantined bool
 	closed      bool
 }
-
-// ID returns the agent's self-reported identity.
-func (a *agentConn) ID() string { return a.id }
 
 func (a *agentConn) close() {
 	a.mu.Lock()
@@ -175,7 +178,6 @@ type Source struct {
 	target    *CompiledEpoch // latest compiled epoch to distribute
 	committed *CompiledEpoch // last fleet-committed epoch
 	wake      bool           // re-run a round (new agent) without a new epoch
-	round     uint64         // completed rounds, for Wait helpers
 	closed    bool
 
 	wg sync.WaitGroup
@@ -221,7 +223,7 @@ func (s *Source) Publish(e Epoch) {
 // or the source closes.
 func (s *Source) AddConn(conn net.Conn) error {
 	conn.SetReadDeadline(time.Now().Add(s.opts.AckTimeout))
-	f, read, err := ReadFrame(conn, DefaultMaxFrame, nil)
+	f, read, err := ReadFrame(conn, nil)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("distrib: reading hello: %w", err)
@@ -236,15 +238,12 @@ func (s *Source) AddConn(conn net.Conn) error {
 		return fmt.Errorf("distrib: bad hello: %w", err)
 	}
 	conn.SetReadDeadline(time.Time{})
-	owned := h.Switches
-	if owned != nil {
-		owned = append([]graph.NodeID(nil), owned...)
-		sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })
-	}
+	// The list is the Hello's own; a switch it names twice owns one row.
+	slices.Sort(h.Switches)
 	a := &agentConn{
 		conn:     conn,
 		id:       h.ID,
-		owned:    owned,
+		owned:    slices.Compact(h.Switches),
 		acks:     make(chan ackMsg, 4),
 		acked:    h.Acked,
 		hasAcked: h.HasAcked,
@@ -288,7 +287,7 @@ func (s *Source) readAgent(a *agentConn, buf []byte) {
 	for {
 		var f Frame
 		var err error
-		f, buf, err = ReadFrame(a.conn, DefaultMaxFrame, buf)
+		f, buf, err = ReadFrame(a.conn, buf)
 		if err != nil {
 			if errors.Is(err, ErrFrameCorrupt) {
 				continue // reject the frame, keep the stream
@@ -517,7 +516,6 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 
 	s.mu.Lock()
 	s.committed = target
-	s.round++
 	s.mu.Unlock()
 	s.updateQuarantineGauge()
 	tm.EpochsCommitted.Inc()
@@ -640,34 +638,30 @@ func (s *Source) sendEpoch(a *agentConn, target, committed *CompiledEpoch, drain
 	// was not certified (stale base, or a refuted round) must drain.
 	drainAgent := agentHasAcked && (drain || committed == nil || agentAcked != committed.Seq)
 
+	// Every push is a delta: from the committed epoch, or from an empty
+	// table (a full sync), cut into MsgDelta frames of at most
+	// frameEntries entries each.
 	begin := Begin{Rows: len(rows), Cols: target.Cols}
-	var flags uint8
-	var frames []Frame
+	var base *CompiledEpoch
 	if full {
-		flags |= FlagFull
-		begin.Frames = len(rows)
-		// Rows are encoded from the table when a full sync is due, into
-		// the payload buffer grown to exactly their summed size.
-		buf := slices.Grow(a.payload[:0], target.fullSize(rows))
-		for _, r := range rows {
-			start := len(buf)
-			buf = AppendLFT(buf, target.Switches[r], target.LFTs[r])
-			frames = append(frames, Frame{Type: MsgLFT, Epoch: target.Seq, Payload: buf[start:]})
-		}
-		a.payload = buf
 		tm.FullSyncs.Inc()
 	} else {
+		base = committed
 		begin.Base, begin.HasBase = committed.Seq, true
-		begin.Frames = 1
-		a.entries = target.deltaEntries(a.entries[:0], committed, rows)
-		a.payload = routing.EncodeDelta(a.payload[:0], len(rows), target.Cols, a.entries)
-		frames = append(frames, Frame{Type: MsgDelta, Epoch: target.Seq, Payload: a.payload})
-		if fullSize := target.fullSize(rows); fullSize > 0 {
-			tm.DeltaPermille.Observe(int64(len(a.payload)) * 1000 / int64(fullSize))
-		}
 	}
+	a.entries = target.deltaEntries(a.entries[:0], base, rows)
+	a.payload, a.cuts = a.payload[:0], a.cuts[:0]
+	for lo := 0; lo == 0 || lo < len(a.entries); lo += frameEntries {
+		a.payload = routing.EncodeDelta(a.payload, len(rows), target.Cols, a.entries[lo:min(lo+frameEntries, len(a.entries))])
+		a.cuts = append(a.cuts, len(a.payload))
+	}
+	begin.Frames = len(a.cuts)
+	if fullSize := target.fullSize(rows); base != nil && fullSize > 0 {
+		tm.DeltaPermille.Observe(int64(len(a.payload)) * 1000 / int64(fullSize))
+	}
+	var flags uint8
 	if drainAgent {
-		flags |= FlagDrain
+		flags = FlagDrain
 	}
 
 	a.drainAcks()
@@ -681,15 +675,17 @@ func (s *Source) sendEpoch(a *agentConn, target, committed *CompiledEpoch, drain
 	if err := write(Frame{Type: MsgBegin, Flags: flags, Epoch: target.Seq, Payload: AppendBegin(nil, begin)}); err != nil {
 		return err
 	}
-	for _, f := range frames {
-		if err := write(f); err != nil {
+	start := 0
+	for _, end := range a.cuts {
+		if err := write(Frame{Type: MsgDelta, Epoch: target.Seq, Payload: a.payload[start:end]}); err != nil {
 			return err
 		}
+		start = end
 	}
 	if err := write(Frame{Type: MsgPrepare, Flags: flags, Epoch: target.Seq, Payload: AppendPrepare(nil, target.rowSums(rows))}); err != nil {
 		return err
 	}
-	tm.FramesSent.Add(int64(len(frames) + 2))
+	tm.FramesSent.Add(int64(len(a.cuts) + 2))
 	tm.BytesSent.Add(int64(sent))
 	tm.EpochBytes.Observe(int64(sent))
 

@@ -37,10 +37,10 @@ const (
 	MsgHello MsgType = 1 + iota
 	// MsgBegin opens one epoch push (source -> agent).
 	MsgBegin
-	// MsgLFT carries one switch's full linear forwarding table.
-	MsgLFT
-	// MsgDelta carries a delta-encoded batch of LFT entries (the
-	// routing.EncodeDelta payload over the agent's local row space).
+	_ // 3 is retired; the other types keep their numbers on the wire
+	// MsgDelta carries a batch of LFT entries, the routing.EncodeDelta
+	// payload over the agent's local row space: the only frame that
+	// carries table entries. A full sync is the delta from an empty table.
 	MsgDelta
 	// MsgPrepare closes an epoch push with the authoritative per-row
 	// checksums; the agent validates its staged tables and acks.
@@ -52,14 +52,10 @@ const (
 	MsgAck
 )
 
-// Frame flags.
-const (
-	// FlagFull marks a MsgBegin push as a full snapshot (no base epoch).
-	FlagFull uint8 = 1 << iota
-	// FlagDrain marks a MsgBegin push as a drained transition: the agent
-	// pauses forwarding from its prepare-ack until commit.
-	FlagDrain
-)
+// FlagDrain marks a MsgBegin push as a drained transition: the agent
+// pauses forwarding from its prepare-ack until commit. (Bit 0 is
+// retired: Begin.HasBase says whether a push is a full sync.)
+const FlagDrain uint8 = 1 << 1
 
 // Ack phases.
 const (
@@ -75,9 +71,10 @@ const frameMagic = 0x4E46 // "NF"
 // magic u16 | type u8 | flags u8 | epoch u64 | payload length u32.
 const headerSize = 16
 
-// DefaultMaxFrame bounds accepted frame payloads (64 MiB — far above
-// any realistic LFT batch; a header declaring more is treated as lost
-// framing, not as an allocation request).
+// DefaultMaxFrame bounds accepted frame payloads (64 MiB: a MsgDelta of
+// the source's at most 2^20 entries takes at most 12 MiB; a header
+// declaring more is treated as lost framing, not as an allocation
+// request).
 const DefaultMaxFrame = 1 << 26
 
 // ErrFrameCorrupt reports a frame whose checksum failed while the
@@ -119,14 +116,11 @@ func WriteFrame(w io.Writer, f Frame) (int, error) {
 // needed and returns for the next call: a reader keeps one buffer per
 // connection, so a warm read allocates nothing. The frame's payload is
 // a view of that buffer, valid until the next read into it; the Parse
-// functions copy what they keep. max bounds the accepted payload length
-// (<= 0 selects DefaultMaxFrame). A checksum failure returns
-// ErrFrameCorrupt with the stream positioned at the next frame; a
-// framing failure returns ErrFraming.
-func ReadFrame(r io.Reader, max int, buf []byte) (Frame, []byte, error) {
-	if max <= 0 {
-		max = DefaultMaxFrame
-	}
+// functions copy what they keep. A payload longer than DefaultMaxFrame is
+// refused at the header. A checksum failure returns ErrFrameCorrupt with
+// the stream positioned at the next frame; a framing failure returns
+// ErrFraming.
+func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	// The header is read into buf too: a local array handed to the
 	// reader would escape, one allocation per frame.
 	buf = slices.Grow(buf[:0], headerSize)[:headerSize]
@@ -137,8 +131,8 @@ func ReadFrame(r io.Reader, max int, buf []byte) (Frame, []byte, error) {
 		return Frame{}, buf, fmt.Errorf("%w: bad magic %#x", ErrFraming, buf[:2])
 	}
 	n := binary.BigEndian.Uint32(buf[12:16])
-	if int64(n) > int64(max) {
-		return Frame{}, buf, fmt.Errorf("%w: payload of %d bytes exceeds limit %d", ErrFraming, n, max)
+	if n > DefaultMaxFrame {
+		return Frame{}, buf, fmt.Errorf("%w: payload of %d bytes exceeds limit %d", ErrFraming, n, DefaultMaxFrame)
 	}
 	end := headerSize + int(n)
 	buf = slices.Grow(buf, int(n)+4)[:end+4]
@@ -163,8 +157,6 @@ func (t MsgType) String() string {
 		return "hello"
 	case MsgBegin:
 		return "begin"
-	case MsgLFT:
-		return "lft"
 	case MsgDelta:
 		return "delta"
 	case MsgPrepare:
@@ -276,8 +268,10 @@ func ParseHello(p []byte) (Hello, error) {
 
 // Begin is the decoded MsgBegin payload: the shape of the push that
 // follows. Rows/Cols describe the agent's local row space (its owned
-// switches in ascending ID order); Frames is the number of MsgLFT/
-// MsgDelta frames before MsgPrepare.
+// switches in ascending ID order); Frames is the number of MsgDelta
+// frames before MsgPrepare. A push with a base is a delta on the epoch
+// Base; one without is a full sync, the delta from an empty table that
+// carries every entry of the rows.
 type Begin struct {
 	Base    uint64
 	HasBase bool
@@ -320,31 +314,6 @@ func ParseBegin(p []byte) (Begin, error) {
 	}
 	b.Rows, b.Cols, b.Frames = int(shape[0]), int(shape[1]), int(shape[2])
 	return b, c.done()
-}
-
-// AppendLFT encodes a MsgLFT payload: one switch's full row.
-func AppendLFT(buf []byte, sw graph.NodeID, row []graph.ChannelID) []byte {
-	buf = binary.AppendUvarint(buf, uint64(sw))
-	buf = binary.AppendUvarint(buf, uint64(len(row)))
-	for _, ch := range row {
-		buf = binary.AppendUvarint(buf, uint64(uint32(ch+1)))
-	}
-	return buf
-}
-
-// ParseLFT decodes a MsgLFT payload.
-func ParseLFT(p []byte) (sw graph.NodeID, row []graph.ChannelID, err error) {
-	c := &cursor{p: p}
-	sw = graph.NodeID(c.uvarint())
-	n := c.uvarint()
-	if c.err == nil && n > uint64(len(c.p)) {
-		return sw, nil, errors.New("distrib: LFT declares more columns than payload holds")
-	}
-	row = make([]graph.ChannelID, 0, n)
-	for i := uint64(0); i < n && c.err == nil; i++ {
-		row = append(row, graph.ChannelID(int32(uint32(c.uvarint()))-1))
-	}
-	return sw, row, c.done()
 }
 
 // RowSum is one (switch, row checksum) pair of a MsgPrepare payload.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/routing/minhop"
 	"repro/internal/topology"
 )
@@ -18,7 +19,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: MsgHello, Payload: []byte("payload")},
-		{Type: MsgBegin, Flags: FlagFull | FlagDrain, Epoch: 1<<63 + 7, Payload: nil},
+		{Type: MsgBegin, Flags: FlagDrain, Epoch: 1<<63 + 7, Payload: nil},
 		{Type: MsgCommit, Epoch: 3, Payload: make([]byte, 1000)},
 	}
 	var buf bytes.Buffer
@@ -28,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for i, want := range frames {
-		got, _, err := ReadFrame(&buf, 0, nil)
+		got, _, err := ReadFrame(&buf, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -39,7 +40,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: payload mismatch", i)
 		}
 	}
-	if _, _, err := ReadFrame(&buf, 0, nil); err != io.EOF {
+	if _, _, err := ReadFrame(&buf, nil); err != io.EOF {
 		t.Fatalf("trailing read = %v, want EOF", err)
 	}
 }
@@ -53,10 +54,10 @@ func TestFrameCorruptionRecoverable(t *testing.T) {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x40
 		r := bytes.NewReader(mut)
-		if _, _, err := ReadFrame(r, 0, nil); !errors.Is(err, ErrFrameCorrupt) {
+		if _, _, err := ReadFrame(r, nil); !errors.Is(err, ErrFrameCorrupt) {
 			t.Fatalf("flip at %d: err = %v, want ErrFrameCorrupt", off, err)
 		}
-		f, _, err := ReadFrame(r, 0, nil)
+		f, _, err := ReadFrame(r, nil)
 		if err != nil || f.Type != MsgCommit {
 			t.Fatalf("flip at %d: stream not positioned at next frame: %v %v", off, f.Type, err)
 		}
@@ -65,49 +66,49 @@ func TestFrameCorruptionRecoverable(t *testing.T) {
 
 // TestReadFrameReusesBuffer: frames read through one buffer share its
 // memory, so a payload is valid until the next read, and a warm read
-// allocates nothing. The row ParseLFT returned from frame n is a copy
-// and survives frame n+1; a corrupt frame read into the same buffer is
-// still ErrFrameCorrupt, and the stream goes on.
+// allocates nothing. The entries DecodeDelta returned from frame n are a
+// copy and survive frame n+1; a corrupt frame read into the same buffer
+// is still ErrFrameCorrupt, and the stream goes on.
 func TestReadFrameReusesBuffer(t *testing.T) {
-	rowA := []graph.ChannelID{3, graph.NoChannel, 7, 1}
-	rowB := []graph.ChannelID{9, 9, 2, graph.NoChannel}
-	raw := AppendFrame(nil, Frame{Type: MsgLFT, Epoch: 1, Payload: AppendLFT(nil, 4, rowA)})
-	raw = AppendFrame(raw, Frame{Type: MsgLFT, Epoch: 1, Payload: AppendLFT(nil, 5, rowB)})
-	raw = AppendFrame(raw, Frame{Type: MsgLFT, Epoch: 2, Payload: AppendLFT(nil, 6, rowA)})
+	deltaA := []routing.DeltaEntry{{Row: 0, Col: 0, Next: 3}, {Row: 0, Col: 1, Next: graph.NoChannel}, {Row: 1, Col: 3, Next: 7}}
+	deltaB := []routing.DeltaEntry{{Row: 0, Col: 2, Next: 9}, {Row: 1, Col: 0, Next: 2}}
+	raw := AppendFrame(nil, Frame{Type: MsgDelta, Epoch: 1, Payload: routing.EncodeDelta(nil, 2, 4, deltaA)})
+	raw = AppendFrame(raw, Frame{Type: MsgDelta, Epoch: 1, Payload: routing.EncodeDelta(nil, 2, 4, deltaB)})
+	raw = AppendFrame(raw, Frame{Type: MsgDelta, Epoch: 2, Payload: routing.EncodeDelta(nil, 2, 4, deltaA)})
 	raw[len(raw)-5] ^= 1 // the last payload byte of the third frame
 	raw = AppendFrame(raw, Frame{Type: MsgCommit, Epoch: 2})
 	r := bytes.NewReader(raw)
 
-	f, buf, err := ReadFrame(r, 0, nil)
+	f, buf, err := ReadFrame(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, got, err := ParseLFT(f.Payload)
-	if err != nil || sw != 4 {
-		t.Fatalf("frame 1: switch %d, %v", sw, err)
+	_, _, got, err := routing.DecodeDelta(f.Payload)
+	if err != nil {
+		t.Fatalf("frame 1: %v", err)
 	}
-	f2, buf2, err := ReadFrame(r, 0, buf)
+	f2, buf2, err := ReadFrame(r, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &buf2[0] != &buf[0] || &f2.Payload[0] != &f.Payload[0] {
 		t.Fatal("the second read did not reuse the buffer of the first")
 	}
-	if !slices.Equal(got, rowA) {
-		t.Fatalf("frame 1's row reads %v after frame 2 was read, want %v", got, rowA)
+	if !slices.Equal(got, deltaA) {
+		t.Fatalf("frame 1's entries read %v after frame 2 was read, want %v", got, deltaA)
 	}
-	if sw, row, err := ParseLFT(f2.Payload); err != nil || sw != 5 || !slices.Equal(row, rowB) {
-		t.Fatalf("frame 2: switch %d, row %v, %v", sw, row, err)
+	if _, _, entries, err := routing.DecodeDelta(f2.Payload); err != nil || !slices.Equal(entries, deltaB) {
+		t.Fatalf("frame 2: entries %v, %v", entries, err)
 	}
-	if _, buf, err = ReadFrame(r, 0, buf2); !errors.Is(err, ErrFrameCorrupt) {
+	if _, buf, err = ReadFrame(r, buf2); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("frame 3: err = %v, want ErrFrameCorrupt", err)
 	}
-	if f, _, err := ReadFrame(r, 0, buf); err != nil || f.Type != MsgCommit {
+	if f, _, err := ReadFrame(r, buf); err != nil || f.Type != MsgCommit {
 		t.Fatalf("frame 4 after the corrupt one: %v, %v", f.Type, err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		r.Reset(raw)
-		_, buf, _ = ReadFrame(r, 0, buf)
+		_, buf, _ = ReadFrame(r, buf)
 	}); n != 0 {
 		t.Fatalf("a warm read: %v allocs, want 0", n)
 	}
@@ -117,13 +118,19 @@ func TestFrameFramingErrors(t *testing.T) {
 	raw := AppendFrame(nil, Frame{Type: MsgAck, Payload: []byte{1}})
 	bad := append([]byte(nil), raw...)
 	bad[0] = 0xFF // magic
-	if _, _, err := ReadFrame(bytes.NewReader(bad), 0, nil); !errors.Is(err, ErrFraming) {
+	if _, _, err := ReadFrame(bytes.NewReader(bad), nil); !errors.Is(err, ErrFraming) {
 		t.Fatalf("bad magic: err = %v, want ErrFraming", err)
 	}
-	big := append([]byte(nil), raw...)
-	big[12] = 0xFF // length high byte: declares ~4 GiB
-	if _, _, err := ReadFrame(bytes.NewReader(big), 1<<20, nil); !errors.Is(err, ErrFraming) {
+	// A header declaring one byte over the limit is refused before the
+	// buffer grows for its payload.
+	big := append([]byte(nil), raw[:headerSize]...)
+	binary.BigEndian.PutUint32(big[12:16], DefaultMaxFrame+1)
+	_, buf, err := ReadFrame(bytes.NewReader(big), nil)
+	if !errors.Is(err, ErrFraming) {
 		t.Fatalf("oversize: err = %v, want ErrFraming", err)
+	}
+	if cap(buf) > 64 {
+		t.Fatalf("an oversize header grew the buffer to %d bytes", cap(buf))
 	}
 }
 
@@ -156,7 +163,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBeginLFTPrepareAckRoundTrip(t *testing.T) {
+func TestBeginPrepareAckRoundTrip(t *testing.T) {
 	b := Begin{Base: 41, HasBase: true, Rows: 7, Cols: 9, Frames: 3}
 	gb, err := ParseBegin(AppendBegin(nil, b))
 	if err != nil || gb != b {
@@ -165,17 +172,6 @@ func TestBeginLFTPrepareAckRoundTrip(t *testing.T) {
 	gb, err = ParseBegin(AppendBegin(nil, Begin{Rows: 1}))
 	if err != nil || gb.HasBase {
 		t.Fatalf("baseless begin: %+v %v", gb, err)
-	}
-
-	row := []graph.ChannelID{5, graph.NoChannel, 0, 1 << 20}
-	sw, grow, err := ParseLFT(AppendLFT(nil, 12, row))
-	if err != nil || sw != 12 || len(grow) != len(row) {
-		t.Fatalf("lft: sw %d rows %v err %v", sw, grow, err)
-	}
-	for i := range row {
-		if grow[i] != row[i] {
-			t.Fatalf("lft col %d: %d, want %d", i, grow[i], row[i])
-		}
 	}
 
 	sums := []RowSum{{Switch: 1, CRC: 0xdeadbeef}, {Switch: 2, CRC: 0}}
@@ -191,12 +187,13 @@ func TestBeginLFTPrepareAckRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLFTSizeMatchesEncoding: the byte count a compiled epoch keeps per
-// row (rowSum) is the length of the payload AppendLFT writes
-// for it, whatever the uvarint widths: cleared entries (NoChannel
-// encodes as 0), IDs on both sides of every 7-bit boundary, switch IDs
-// and column counts of one to three bytes.
-func TestLFTSizeMatchesEncoding(t *testing.T) {
+// TestRowSizeMatchesFullPush: the byte count a compiled epoch keeps per
+// row (rowSum) is what the row's entries take in the MsgDelta payload of
+// a full push, whatever the uvarint widths: cleared entries (NoChannel
+// encodes as 0), IDs on both sides of every 7-bit boundary, and column
+// counts of one to three bytes. The payload is the row's entries between
+// a header and a CRC.
+func TestRowSizeMatchesFullPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	edges := []graph.ChannelID{graph.NoChannel, 0, 126, 127, 1<<14 - 2, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1<<28 - 1, 1 << 28, 1<<31 - 2}
 	for trial := 0; trial < 500; trial++ {
@@ -213,10 +210,13 @@ func TestLFTSizeMatchesEncoding(t *testing.T) {
 				row[i] = graph.ChannelID(rng.Int31()) - 1
 			}
 		}
-		sw := graph.NodeID(rng.Intn(1 << uint(1+rng.Intn(22))))
-		crc, got := getCRCWords().rowSum(sw, row)
-		if want := len(AppendLFT(nil, sw, row)); got != want {
-			t.Fatalf("trial %d: switch %d, %d columns: size %d, AppendLFT wrote %d bytes", trial, sw, len(row), got, want)
+		c := &CompiledEpoch{Cols: len(row), LFTs: [][]graph.ChannelID{row}}
+		entries := c.deltaEntries(nil, nil, []int{0})
+		payload := routing.EncodeDelta(nil, 1, len(row), entries)
+		frame := 4 + 1 + 2*len(binary.AppendUvarint(nil, uint64(len(row)))) + 4 // magic, rows, cols, count, CRC
+		crc, got := getCRCWords().rowSum(row)
+		if want := len(payload) - frame; got != want {
+			t.Fatalf("trial %d: %d columns: size %d, the full push's entries take %d bytes", trial, len(row), got, want)
 		}
 		var le []byte
 		for _, ch := range row {
