@@ -4,12 +4,11 @@
 package centrality
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/freelist"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // ConvexSubgraph returns the node set N^H of the convex subgraph for the
@@ -108,11 +107,11 @@ func Betweenness(g *graph.Network, sub []graph.NodeID) []float64 {
 const betweennessShard = 64
 
 // BetweennessN is Betweenness computed by the given number of workers
-// (0 or negative means GOMAXPROCS). The source nodes are sharded into
-// fixed-size blocks; each worker accumulates a block's dependencies into a
-// private buffer and commits the buffers into the result in block order,
-// so the output is bit-identical regardless of workers. With one worker it
-// allocates only the result.
+// (0 or negative means GOMAXPROCS, as par.Workers resolves it). The source
+// nodes are sharded into fixed-size blocks; par.For runs the blocks, each
+// accumulating its dependencies into a private buffer, and the buffers are
+// committed into the result in block order, so the output is bit-identical
+// regardless of workers. With one worker it allocates only the result.
 func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 	n := g.NumNodes()
 	sc := scratches.Get()
@@ -223,10 +222,7 @@ func (sc *scratch) betweenness(csr *graph.CSR, workers int) []float64 {
 	clear(cb)
 	sc.cb = cb
 	numShards := (h + betweennessShard - 1) / betweennessShard
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, numShards)
+	workers = min(par.Workers(workers), numShards)
 	if workers <= 1 {
 		for s := 0; s < numShards; s++ {
 			sc.shard(sg, s*betweennessShard, min((s+1)*betweennessShard, h))
@@ -237,42 +233,29 @@ func (sc *scratch) betweenness(csr *graph.CSR, workers int) []float64 {
 		return cb
 	}
 
-	// Workers claim shards from an atomic counter and commit their partial
-	// sums strictly in shard order (ordered-commit pipeline): the reduction
-	// order is a function of the shard boundaries alone.
-	var (
-		next       atomic.Int64
-		mu         sync.Mutex
-		nextCommit int
-		wg         sync.WaitGroup
-	)
+	// Each shard runs on its own scratch and commits its partial sums
+	// strictly in shard order (ordered-commit pipeline): the reduction
+	// order is a function of the shard boundaries alone. par.For claims
+	// shards in ascending order, so the shard a commit waits for is
+	// always running.
+	var mu sync.Mutex
+	nextCommit := 0
 	cond := sync.NewCond(&mu)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := scratches.Get()
-			defer scratches.Put(w)
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= numShards {
-					return
-				}
-				w.shard(sg, s*betweennessShard, min((s+1)*betweennessShard, h))
-				mu.Lock()
-				for nextCommit != s {
-					cond.Wait()
-				}
-				for i, v := range w.partial {
-					cb[i] += v
-				}
-				nextCommit++
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(workers, numShards, func(s int) {
+		w := scratches.Get()
+		defer scratches.Put(w)
+		w.shard(sg, s*betweennessShard, min((s+1)*betweennessShard, h))
+		mu.Lock()
+		for nextCommit != s {
+			cond.Wait()
+		}
+		for i, v := range w.partial {
+			cb[i] += v
+		}
+		nextCommit++
+		cond.Broadcast()
+		mu.Unlock()
+	})
 	return cb
 }
 

@@ -10,15 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bfs"
 	"repro/internal/cdg"
 	"repro/internal/centrality"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
@@ -44,13 +42,13 @@ type Options struct {
 	// and runs a full acyclicity check per edge use; for ablation only.
 	NaiveCycleSearch bool
 	// Workers bounds the number of OS threads the engine uses: virtual
-	// layers are routed by a pool of at most Workers goroutines, and the
+	// layers are routed by par.For on at most Workers goroutines, and the
 	// betweenness pass for escape roots shards its sources over the same
-	// budget. 0 means GOMAXPROCS; 1 is the sequential engine. Layers are
-	// fully independent — each owns its complete CDG, spanning tree and
-	// channel weights, and writes disjoint table columns — and the
-	// betweenness reduction order is fixed, so the result is bit-identical
-	// for every worker count.
+	// budget. 0 means GOMAXPROCS (par.Workers); 1 is the sequential
+	// engine. Layers are fully independent — each owns its complete CDG,
+	// spanning tree and channel weights, and writes disjoint table
+	// columns — and the betweenness reduction order is fixed, so the
+	// result is bit-identical for every worker count.
 	Workers int
 	// Telemetry, when non-nil, receives runtime counters and per-layer
 	// phase timings. Telemetry is observation-only: routing output is
@@ -79,14 +77,6 @@ type Nue struct {
 
 // New returns a Nue engine with the given options.
 func New(opts Options) *Nue { return &Nue{opts: opts} }
-
-// workers resolves Options.Workers to an effective pool size.
-func (n *Nue) workers() int {
-	if n.opts.Workers > 0 {
-		return n.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Name implements routing.Engine.
 func (n *Nue) Name() string { return "nue" }
@@ -151,43 +141,15 @@ func (n *Nue) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 	for li := range parts {
 		layerSeeds[li] = rng.Int63()
 	}
-	// The pool budget is split between layer-level parallelism and the
+	// The worker budget is split between layer-level parallelism and the
 	// per-layer betweenness sharding: with fewer layers than workers the
 	// leftover workers speed up each layer's root search instead.
-	workers := n.workers()
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	bwWorkers := n.workers() / len(parts)
-	if bwWorkers < 1 {
-		bwWorkers = 1
-	}
-	routeOne := func(li int) {
+	workers := par.Workers(n.opts.Workers)
+	bwWorkers := max(1, workers/len(parts))
+	par.For(workers, len(parts), func(li int) {
 		layerErrs[li] = n.routeLayer(net, table, destLayer, layerCDG, uint8(li), parts[li],
 			isSource, &layerStats[li], layerSeeds[li], bwWorkers)
-	}
-	if workers > 1 {
-		var next int32
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					li := int(atomic.AddInt32(&next, 1)) - 1
-					if li >= len(parts) {
-						return
-					}
-					routeOne(li)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for li := range parts {
-			routeOne(li)
-		}
-	}
+	})
 	stats := &Stats{}
 	for li := range parts {
 		if layerErrs[li] != nil {

@@ -7,11 +7,11 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/oracle"
+	"repro/internal/par"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 )
@@ -482,11 +482,11 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 		}
 	}
 
-	// Prepare fanout: bounded workers push the epoch to every agent and
-	// collect the prepare acks.
+	// Prepare fanout: par.For on at most Options.Workers goroutines
+	// pushes the epoch to every agent and collects the prepare acks.
 	barrierStart := time.Now()
 	prepared := make([]bool, len(conns))
-	s.fanOut(len(conns), func(i int) {
+	par.For(s.opts.Workers, len(conns), func(i int) {
 		prepared[i] = s.pushToAgent(conns[i], target, committed, drain)
 	})
 	tm.BarrierNanos.ObserveSince(barrierStart)
@@ -497,7 +497,7 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 	// awaited ack — and their outcomes are booked in agent-ID order.
 	commitStart := time.Now()
 	commitErrs := make([]error, len(conns))
-	s.fanOut(len(conns), func(i int) {
+	par.For(s.opts.Workers, len(conns), func(i int) {
 		if prepared[i] {
 			commitErrs[i] = s.commitAgent(conns[i], target)
 		}
@@ -527,23 +527,6 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 		"drained":   boolInt(drain),
 	})
 	s.logf("distrib: epoch %d committed on %d/%d agents (drain=%v)", target.Seq, committedAgents, len(conns), drain)
-}
-
-// fanOut calls do(i) for every i in [0, n) on at most Options.Workers
-// goroutines and returns when all calls have.
-func (s *Source) fanOut(n int, do func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(s.opts.Workers, n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				do(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func boolInt(b bool) int64 {

@@ -210,6 +210,18 @@ func (c *cursor) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
+// node reads a switch ID as the Append functions write one,
+// uint64(graph.NodeID), so a negative ID (which no switch has) arrives
+// sign-extended. A value no int32 extends to, anything above
+// math.MaxInt32 among them, would wrap to another switch: it is refused.
+func (c *cursor) node() graph.NodeID {
+	v := int64(c.uvarint())
+	if v != int64(int32(v)) && c.err == nil {
+		c.err = fmt.Errorf("switch ID %d out of range", uint64(v))
+	}
+	return graph.NodeID(v)
+}
+
 func (c *cursor) done() error {
 	if c.err != nil {
 		return c.err
@@ -261,7 +273,7 @@ func ParseHello(p []byte) (Hello, error) {
 		return h, errors.New("distrib: hello declares more switches than payload holds")
 	}
 	for i := uint64(0); i < n && c.err == nil; i++ {
-		h.Switches = append(h.Switches, graph.NodeID(c.uvarint()))
+		h.Switches = append(h.Switches, c.node())
 	}
 	return h, c.done()
 }
@@ -342,7 +354,7 @@ func ParsePrepare(p []byte) ([]RowSum, error) {
 	}
 	sums := make([]RowSum, 0, n)
 	for i := uint64(0); i < n && c.err == nil; i++ {
-		sums = append(sums, RowSum{Switch: graph.NodeID(c.uvarint()), CRC: c.u32()})
+		sums = append(sums, RowSum{Switch: c.node(), CRC: c.u32()})
 	}
 	return sums, c.done()
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -161,6 +162,14 @@ func TestHelloRoundTrip(t *testing.T) {
 	if _, err := ParseHello([]byte{200, 200, 200}); err == nil {
 		t.Fatal("truncated hello parsed")
 	}
+	// A switch ID past int32 would wrap to another switch (2^32+3 to 3).
+	for _, id := range []uint64{1 << 31, 1<<32 + 3} {
+		p := AppendHello(nil, Hello{ID: "a", Switches: []graph.NodeID{1}})
+		p = binary.AppendUvarint(p[:len(p)-1], id)
+		if h, err := ParseHello(p); err == nil {
+			t.Fatalf("hello naming switch %d parsed as %v", id, h.Switches)
+		}
+	}
 }
 
 func TestBeginPrepareAckRoundTrip(t *testing.T) {
@@ -178,6 +187,19 @@ func TestBeginPrepareAckRoundTrip(t *testing.T) {
 	gs, err := ParsePrepare(AppendPrepare(nil, sums))
 	if err != nil || len(gs) != 2 || gs[0] != sums[0] || gs[1] != sums[1] {
 		t.Fatalf("prepare: %v %v", gs, err)
+	}
+	// The largest switch ID an int32 holds parses; one past it would wrap
+	// to a negative switch.
+	for id, ok := range map[uint64]bool{math.MaxInt32: true, 1 << 31: false, 1<<32 + 1: false} {
+		p := binary.AppendUvarint(binary.AppendUvarint(nil, 1), id)
+		p = binary.LittleEndian.AppendUint32(p, 7)
+		gs, err := ParsePrepare(p)
+		if ok && (err != nil || gs[0].Switch != math.MaxInt32) {
+			t.Fatalf("prepare naming switch %d: %v %v", id, gs, err)
+		}
+		if !ok && err == nil {
+			t.Fatalf("prepare naming switch %d parsed as %v", id, gs)
+		}
 	}
 
 	a := Ack{Phase: AckNak, FleetCRC: 77, Reason: "row 3 checksum mismatch"}

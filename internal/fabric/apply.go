@@ -51,7 +51,7 @@ func (m *Manager) Apply(ev Event) (*EventReport, error) {
 }
 
 // ApplyGated is the epoch transaction, the only one there is: mutate →
-// repair (layer jobs on the manager's pool of Options.Workers) → gate →
+// repair (layer jobs through par.For on Options.Workers) → gate →
 // publish, with the event reverted when the repair or the gate fails. A
 // nil gate passes everything; Apply is ApplyGated(ev, nil).
 func (m *Manager) ApplyGated(ev Event, gate Gate) (*EventReport, error) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/routing/verify"
 	"repro/internal/topology"
@@ -157,40 +156,6 @@ func TestSimultaneousChurnAppliers(t *testing.T) {
 	snap := m.View()
 	if _, err := verify.Check(snap.Net, snap.Result, nil); err != nil {
 		t.Fatalf("final snapshot invalid after simultaneous churn: %v", err)
-	}
-}
-
-// TestRunPooledBound pins what Options.Workers means for an epoch: every
-// layer job of an event runs through one runPooled call (retable), and
-// runPooled never has more than min(workers, n) tasks running at once
-// and runs each index exactly once. At Workers: 1 an epoch runs one
-// repair at a time.
-func TestRunPooledBound(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		for _, n := range []int{0, 1, 7} {
-			var running, high atomic.Int32
-			runs := make([]atomic.Int32, n)
-			runPooled(workers, n, func(i int) {
-				now := running.Add(1)
-				for {
-					h := high.Load()
-					if now <= h || high.CompareAndSwap(h, now) {
-						break
-					}
-				}
-				time.Sleep(time.Millisecond) // give the others time to overlap
-				runs[i].Add(1)
-				running.Add(-1)
-			})
-			if limit := int32(min(workers, n)); high.Load() > limit {
-				t.Errorf("workers=%d n=%d: %d tasks ran at once, want at most %d", workers, n, high.Load(), limit)
-			}
-			for i := range runs {
-				if got := runs[i].Load(); got != 1 {
-					t.Errorf("workers=%d n=%d: task %d ran %d times, want once", workers, n, i, got)
-				}
-			}
-		}
 	}
 }
 

@@ -78,7 +78,8 @@ func WriteTrace(w io.Writer, net *graph.Network, events []Event) error {
 
 // ParseTrace reads the WriteTrace format, resolving links against net
 // (ignoring the current failed state, so a trace can re-fail a link it
-// earlier brought down).
+// earlier brought down). Every node ID must name a node of net, and a
+// switch event's a switch.
 func ParseTrace(r io.Reader, net *graph.Network) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(r)
@@ -108,12 +109,12 @@ func ParseTrace(r io.Reader, net *graph.Network) ([]Event, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("trace line %d: want %q <from> <to>", line, fields[0])
 			}
-			a, err1 := strconv.Atoi(fields[1])
-			b, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
+			a, ok1 := traceNode(net, fields[1])
+			b, ok2 := traceNode(net, fields[2])
+			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("trace line %d: bad node IDs", line)
 			}
-			c := findLink(net, graph.NodeID(a), graph.NodeID(b))
+			c := findLink(net, a, b)
 			if c == graph.NoChannel {
 				return nil, fmt.Errorf("trace line %d: no link %d-%d in topology", line, a, b)
 			}
@@ -122,17 +123,24 @@ func ParseTrace(r io.Reader, net *graph.Network) ([]Event, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("trace line %d: want %q <node>", line, fields[0])
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 || n >= net.NumNodes() {
-				return nil, fmt.Errorf("trace line %d: bad node ID %q", line, fields[1])
+			n, ok := traceNode(net, fields[1])
+			if !ok || !net.IsSwitch(n) {
+				return nil, fmt.Errorf("trace line %d: bad switch ID %q", line, fields[1])
 			}
-			events = append(events, Event{Kind: kind, Node: graph.NodeID(n)})
+			events = append(events, Event{Kind: kind, Node: n})
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return events, nil
+}
+
+// traceNode parses a trace's node ID, which must name one of net's
+// nodes: a larger value would wrap to another node.
+func traceNode(net *graph.Network, s string) (graph.NodeID, bool) {
+	n, err := strconv.Atoi(s)
+	return graph.NodeID(n), err == nil && n >= 0 && n < net.NumNodes()
 }
 
 // findLink locates a directed channel a -> b regardless of failed state.

@@ -25,7 +25,6 @@ package fabric
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -63,9 +62,10 @@ type Options struct {
 	// against).
 	FullRecompute bool
 	// Workers bounds the goroutines used for routing, for an epoch's
-	// per-layer repairs, which all run on one pool of this size, and for
-	// running Verify beside PostCheck (0 = GOMAXPROCS). Repair output is
-	// identical for every worker count.
+	// per-layer repairs, which all run through one par.For of this size,
+	// and for running Verify beside PostCheck (0 = GOMAXPROCS, as
+	// par.Workers resolves it). Repair output is identical for every
+	// worker count.
 	Workers int
 	// Telemetry, when non-nil, receives per-event repair counters, the
 	// repair-scope histogram and epoch publish latencies; the bundle's
@@ -82,14 +82,6 @@ type Options struct {
 	// queue (e.g. distrib.Source.Publish) and return quickly; it must
 	// not call back into Apply.
 	OnPublish func(*Snapshot)
-}
-
-// workers resolves Options.Workers to an effective pool size.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Snapshot is one immutable epoch of the fabric: a network view and the

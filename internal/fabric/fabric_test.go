@@ -424,6 +424,13 @@ func TestTraceRoundTrip(t *testing.T) {
 	if _, err := ParseTrace(strings.NewReader("fail-link 0 0\n"), net); err == nil {
 		t.Fatal("nonexistent link accepted")
 	}
+	// 2^32 would wrap to node 0 (and so to the link 0->3); node 9 is a
+	// terminal, and a switch event names a switch.
+	for _, line := range []string{"fail-link 4294967296 3", "fail-link 3 -1", "fail-switch 9", "join-switch 9", "fail-switch 4294967296"} {
+		if got, err := ParseTrace(strings.NewReader(line+"\n"), net); err == nil {
+			t.Errorf("%q accepted as %+v", line, got)
+		}
+	}
 }
 
 // TestEpochMonotonic: epochs advance by exactly one per effective event.

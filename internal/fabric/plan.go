@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/routing"
 	"repro/internal/routing/verify"
 )
@@ -162,7 +161,7 @@ func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job layerJo
 }
 
 // retable computes the post-event routing for newNet: the incremental
-// per-layer repair, its layer jobs on a pool of Options.Workers
+// per-layer repair, its layer jobs run by par.For on Options.Workers
 // goroutines, falling back to a full recompute when a layer fails or the
 // combined result does not verify. This is pure computation — the caller
 // owns mutation and publication.
@@ -195,7 +194,7 @@ func (r *runner) retable(old *Snapshot, newNet *graph.Network, changed []graph.C
 	jobs := planJobs(old, affected)
 	outs := make([]jobOutcome, len(jobs))
 	barrier := time.Now()
-	runPooled(r.opts.workers(), len(jobs), func(i int) {
+	par.For(par.Workers(r.opts.Workers), len(jobs), func(i int) {
 		outs[i] = r.runJob(newNet, table, jobs[i])
 	})
 	report.RepairTime = time.Since(barrier)
@@ -254,10 +253,10 @@ func (r *runner) fullRecompute(newNet *graph.Network, report *EventReport) (*rou
 
 // maybeVerify certifies a candidate (network, result) pair, epoch 0 and
 // every later one alike: the configured verifier and the post-check hook
-// both run, side by side when the pool has two workers (they share
-// nothing but their read-only inputs), and both must pass. The verifier
-// is the first task, so a single worker runs it first, and its error
-// wins when both fail.
+// both run through par.For, side by side when Workers allows two (they
+// share nothing but their read-only inputs), and both must pass. The
+// verifier is the first task, so a single worker runs it first, and its
+// error wins when both fail.
 func (r *runner) maybeVerify(net *graph.Network, res *routing.Result, report *EventReport) error {
 	start := time.Now()
 	var verr, perr error
@@ -268,7 +267,7 @@ func (r *runner) maybeVerify(net *graph.Network, res *routing.Result, report *Ev
 	if r.opts.PostCheck != nil {
 		tasks = append(tasks, func() { perr = r.opts.PostCheck(net, res) })
 	}
-	runPooled(r.opts.workers(), len(tasks), func(i int) { tasks[i]() })
+	par.For(par.Workers(r.opts.Workers), len(tasks), func(i int) { tasks[i]() })
 	report.CertifyTime += time.Since(start)
 	if verr != nil {
 		return fmt.Errorf("invalid: %w", verr)
@@ -290,33 +289,4 @@ func resultWith(old *routing.Result, table *routing.Table) *routing.Result {
 		VCs:       old.VCs,
 		DestLayer: old.DestLayer,
 	}
-}
-
-// runPooled runs n independent tasks on at most workers goroutines.
-func runPooled(workers, n int, run func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	var next int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt32(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/routing"
 )
 
@@ -102,7 +103,7 @@ func channelLoads(net *graph.Network, res *routing.Result, sources []graph.NodeI
 // reused between calls.
 func forEachPath(net *graph.Network, res *routing.Result, sources []graph.NodeID, fn func(p []graph.ChannelID)) {
 	if sources == nil {
-		sources = defaultSources(net)
+		sources = oracle.DefaultSources(net)
 	}
 	var buf []graph.ChannelID
 	for _, d := range res.Table.Dests() {
@@ -119,18 +120,4 @@ func forEachPath(net *graph.Network, res *routing.Result, sources []graph.NodeID
 			}
 		}
 	}
-}
-
-// defaultSources is the repository's source convention: connected
-// terminals, or connected nodes when the network has no terminals.
-func defaultSources(net *graph.Network) []graph.NodeID {
-	var out []graph.NodeID
-	all := net.NumTerminals() == 0
-	for n := 0; n < net.NumNodes(); n++ {
-		id := graph.NodeID(n)
-		if (all || net.IsTerminal(id)) && net.Degree(id) > 0 {
-			out = append(out, id)
-		}
-	}
-	return out
 }
