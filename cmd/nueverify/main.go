@@ -50,7 +50,7 @@ func main() {
 		trials  = flag.Int("trials", 20, "number of seeded trials")
 		seed    = flag.Int64("seed", 1, "first seed; trial i uses seed+i")
 		topo    = flag.String("topo", "", "fix the topology class: random, regular, torus, fattree, kautz, ring, fullmesh, dfgroup, oneway (empty = rotate)")
-		engine  = flag.String("engine", "", "restrict to one engine: "+strings.Join(engines.DifferentialNames(), ", ")+" (empty = all)")
+		engine  = flag.String("engine", "", "restrict to one engine: "+strings.Join(engines.Names(), ", ")+" (empty = all)")
 		vcs     = flag.Int("vcs", 0, "fix the virtual-channel budget (0 = draw per seed)")
 		decide  = flag.Bool("decide", false, "run the existence decision procedure per trial and classify refutations as ENGINE-BUG vs GENUINELY-UNROUTABLE")
 		churn   = flag.Int("churn", 0, "additionally drive the fabric manager through this many random events per trial")
@@ -66,8 +66,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -topo %q (valid: %v)\n", *topo, stress.Classes())
 		os.Exit(2)
 	}
-	if *engine != "" && !slices.Contains(engines.DifferentialNames(), *engine) {
-		fmt.Fprintf(os.Stderr, "unknown -engine %q (valid: %v)\n", *engine, engines.DifferentialNames())
+	if *engine != "" && !slices.Contains(engines.Names(), *engine) {
+		fmt.Fprintf(os.Stderr, "unknown -engine %q (valid: %v)\n", *engine, engines.Names())
 		os.Exit(2)
 	}
 

@@ -90,15 +90,6 @@ func (sc *scratch) hull(g *graph.Network, dests []graph.NodeID) []graph.NodeID {
 	return hull
 }
 
-// Betweenness computes Brandes' betweenness centrality for every node of
-// the subgraph of g induced by the node set sub (nil means all nodes).
-// The graph is treated as unweighted and parallel channels are counted
-// once. The result maps only nodes of the subgraph; other entries are
-// zero. Runs in O(|sub| * (|N| + |C|)).
-func Betweenness(g *graph.Network, sub []graph.NodeID) []float64 {
-	return BetweennessN(g, sub, 1)
-}
-
 // betweennessShard is the number of source nodes per reduction shard.
 // Shard boundaries — and therefore the floating-point summation order of
 // per-source dependencies into the result — depend only on the source set,
@@ -106,12 +97,18 @@ func Betweenness(g *graph.Network, sub []graph.NodeID) []float64 {
 // value of workers.
 const betweennessShard = 64
 
-// BetweennessN is Betweenness computed by the given number of workers
-// (0 or negative means GOMAXPROCS, as par.Workers resolves it). The source
-// nodes are sharded into fixed-size blocks; par.For runs the blocks, each
-// accumulating its dependencies into a private buffer, and the buffers are
-// committed into the result in block order, so the output is bit-identical
-// regardless of workers. With one worker it allocates only the result.
+// BetweennessN computes Brandes' betweenness centrality for every node of
+// the subgraph of g induced by the node set sub (nil means all nodes).
+// The graph is treated as unweighted and parallel channels are counted
+// once. The result maps only nodes of the subgraph; other entries are
+// zero. Runs in O(|sub| * (|N| + |C|)).
+//
+// It runs on the given number of workers (0 or negative means
+// GOMAXPROCS, as par.Workers resolves it). The source nodes are sharded
+// into fixed-size blocks; par.For runs the blocks, each accumulating its
+// dependencies into a private buffer, and the buffers are committed into
+// the result in block order, so the output is bit-identical regardless of
+// workers. With one worker it allocates only the result.
 func BetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 	n := g.NumNodes()
 	sc := scratches.Get()

@@ -24,7 +24,7 @@ func pathGraph(n int) *graph.Network {
 
 func TestBetweennessPathGraph(t *testing.T) {
 	g := pathGraph(5)
-	cb := Betweenness(g, nil)
+	cb := BetweennessN(g, nil, 1)
 	// For a path 0-1-2-3-4 (undirected counted per ordered pair):
 	// node 2 lies on paths {0,1}x{3,4} and (1,3): 2*(2*2+1) = ... Brandes
 	// over ordered pairs counts each unordered pair twice.
@@ -46,7 +46,7 @@ func TestBetweennessCountsParallelChannelsOnce(t *testing.T) {
 	b.AddLink(a, m) // parallel
 	b.AddLink(m, c)
 	g := b.MustBuild()
-	cb := Betweenness(g, nil)
+	cb := BetweennessN(g, nil, 1)
 	if cb[m] != 2 { // ordered pairs (a,c) and (c,a)
 		t.Errorf("cb[middle] = %g, want 2", cb[m])
 	}
@@ -55,7 +55,7 @@ func TestBetweennessCountsParallelChannelsOnce(t *testing.T) {
 func TestBetweennessSubgraphRestriction(t *testing.T) {
 	g := pathGraph(5)
 	// Restrict to {0,1,2}: node 1 is the only intermediate.
-	cb := Betweenness(g, []graph.NodeID{0, 1, 2})
+	cb := BetweennessN(g, []graph.NodeID{0, 1, 2}, 1)
 	if cb[1] != 2 {
 		t.Errorf("cb[1] = %g, want 2", cb[1])
 	}
@@ -162,7 +162,7 @@ func TestBetweennessRandomSpotCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tp := topology.RandomTopology(rng, 9, 14, 0)
 	g := tp.Net
-	got := Betweenness(g, nil)
+	got := BetweennessN(g, nil, 1)
 	want := naiveBetweenness(g)
 	for i := range want {
 		if diff := got[i] - want[i]; diff > 1e-9 || diff < -1e-9 {

@@ -132,11 +132,12 @@ func (sc *brandesScratch) oneSource(csr *graph.CSR, in []bool, src graph.NodeID)
 	}
 }
 
-// referenceBetweennessN is Betweenness computed by the given number of workers
-// (0 or negative means GOMAXPROCS). The source nodes are sharded into
-// fixed-size blocks; each worker accumulates a block's dependencies into a
-// private buffer and commits the buffers into the result in block order,
-// so the output is bit-identical regardless of workers.
+// referenceBetweennessN computes BetweennessN's result on the given
+// number of workers (0 or negative means GOMAXPROCS). The source nodes
+// are sharded into fixed-size blocks; each worker accumulates a block's
+// dependencies into a private buffer and commits the buffers into the
+// result in block order, so the output is bit-identical regardless of
+// workers.
 func referenceBetweennessN(g *graph.Network, sub []graph.NodeID, workers int) []float64 {
 	n := g.NumNodes()
 	in := make([]bool, n)

@@ -17,11 +17,13 @@ import (
 	"repro/internal/engines"
 	"repro/internal/fabric"
 	"repro/internal/graph"
+	"repro/internal/oracle/exists"
 	"repro/internal/oracle/stress"
 	"repro/internal/routing"
 	"repro/internal/routing/dfsssp"
 	"repro/internal/routing/dor"
 	"repro/internal/routing/lash"
+	"repro/internal/routing/updn"
 	"repro/internal/topology"
 )
 
@@ -155,16 +157,36 @@ func Shapes(t testing.TB) []Case {
 	// SLToVL: the lane changes along the path at the datelines.
 	add("sltovl-torus2qos", torus.Net, route(dor.Engine{Meta: torus.Torus, Datelines: true}, torus, 2), nil)
 
-	// PairPath overrides: LASH-TOR's overflow pairs are source-routed
-	// across nodes the table pairs settle, and table pairs walk across
-	// nodes only overrides have visited.
+	// PairPath overrides: the existence witness source-routes every pair
+	// over an empty table; the partial case's override pairs are
+	// source-routed across nodes the table pairs settle, and table pairs
+	// walk across nodes only overrides have visited.
 	tor5 := topology.Torus3D(5, 5, 1, 2, 1)
-	add("pairpath-lashtor-all", tor5.Net, route(lash.TOREngine{}, tor5, 1), nil)
+	add("pairpath-exists-all", tor5.Net, route(exists.Engine{}, tor5, 1), nil)
 	tor52 := topology.Torus3D(5, 5, 2, 1, 1)
-	add("pairpath-lashtor-partial", tor52.Net, route(lash.TOREngine{}, tor52, 2), nil)
+	add("pairpath-updn-partial", tor52.Net, overridden(route(updn.Engine{}, tor52, 1), route(exists.Engine{}, tor52, 1)), nil)
 
 	out = append(out, terminalLess(t), halfFailed())
 	return out
+}
+
+// overridden is the Up*/Down* table with every other source's pairs
+// source-routed along the existence witness instead, on the one lane:
+// override pairs and table pairs cross each other's settled nodes, and
+// the override paths leave the table's. Each routing is deadlock-free,
+// and so, on the 5x5x2 torus, is the union of their dependencies.
+func overridden(table, witness *routing.Result) *routing.Result {
+	res := *table
+	res.PairPath = make(map[uint64][]graph.ChannelID)
+	dests := res.Table.Dests()
+	for i := 1; i < len(dests); i += 2 {
+		for _, d := range dests {
+			if k := routing.PairKey(dests[i], d); dests[i] != d {
+				res.PairPath[k] = witness.PairPath[k]
+			}
+		}
+	}
+	return &res
 }
 
 // terminalLess has no terminals: every switch is source and destination,

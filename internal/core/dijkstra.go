@@ -407,7 +407,7 @@ func (ls *layerState) backtrack(v graph.NodeID) bool {
 
 // updateWeights adds the load of the paths toward dest to each used
 // channel's weight (recorded orientation), normalized by the source count
-// like the SSSP baseline's update (minhop's addPathLoad) so balancing
+// like DFSSSP's update (minhop's addPathLoad) so balancing
 // pressure stays relative and path stretch bounded.
 //
 // Every tree channel receives exactly one +=, of the integer source count

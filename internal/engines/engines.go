@@ -1,9 +1,11 @@
 // Package engines is the one roster of routing engines: which names
 // exist, what topology metadata each engine is built from, and which of
-// them make up the differential-testing roster (internal/oracle/stress)
-// and the paper's baseline list (Fig. 1 / Fig. 10). The facade, the
-// binaries, the experiments and the test fixtures all resolve engines
-// here, so "which engines apply to this topology" has one answer.
+// them make up the paper's baseline list (Fig. 1 / Fig. 10). Every
+// engine of the roster is on the differential-testing roster
+// (internal/oracle/stress): an engine lives in the repository only if
+// the differential harness tests it. The facade, the binaries, the
+// experiments and the test fixtures all resolve engines here, so "which
+// engines apply to this topology" has one answer.
 package engines
 
 import (
@@ -18,7 +20,6 @@ import (
 	"repro/internal/routing/fullmesh"
 	"repro/internal/routing/lash"
 	"repro/internal/routing/minhop"
-	"repro/internal/routing/smart"
 	"repro/internal/routing/updn"
 	"repro/internal/topology"
 )
@@ -30,10 +31,9 @@ type entry struct {
 	// (nil: none); requires is how ByName's error names that metadata.
 	meta     func(*topology.Topology) bool
 	requires string
-	// differential puts the engine on the stress harness's roster,
-	// baseline on the paper's comparator list. Both lists are in table
+	// baseline puts the engine on the paper's comparator list, in table
 	// order.
-	differential, baseline bool
+	baseline bool
 	// build is called only with a topology that carries the metadata.
 	// Engines that do not parallelize ignore workers, deterministic ones
 	// seed.
@@ -54,29 +54,25 @@ func fixed(e routing.Engine) func(*topology.Topology, int64, int) routing.Engine
 // roster (stress replay strings, certtest case names, nueverify's lines)
 // and of the baseline rows of Fig. 1 / Fig. 10.
 var table = []entry{
-	{name: "nue", differential: true,
+	{name: "nue",
 		build: func(_ *topology.Topology, seed int64, workers int) routing.Engine { return Nue(seed, workers) }},
-	{name: "updn", differential: true, baseline: true, build: fixed(updn.Engine{})},
-	{name: "lash", differential: true, baseline: true, build: fixed(lash.Engine{})},
-	{name: "dfsssp", differential: true, baseline: true, build: fixed(dfsssp.Engine{})},
-	{name: "minhop", differential: true, build: fixed(minhop.MinHop{})},
-	{name: "exists", differential: true, build: fixed(exists.Engine{})},
-	{name: "ftree", meta: tree, requires: "a fat-tree topology", differential: true, baseline: true,
+	{name: "updn", baseline: true, build: fixed(updn.Engine{})},
+	{name: "lash", baseline: true, build: fixed(lash.Engine{})},
+	{name: "dfsssp", baseline: true, build: fixed(dfsssp.Engine{})},
+	{name: "minhop", build: fixed(minhop.MinHop{})},
+	{name: "exists", build: fixed(exists.Engine{})},
+	{name: "ftree", meta: tree, requires: "a fat-tree topology", baseline: true,
 		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine { return ftree.Engine{Level: tp.Tree.Level} }},
-	{name: "dor", meta: torus, requires: "a torus topology", differential: true,
+	{name: "dor", meta: torus, requires: "a torus topology",
 		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine { return dor.Engine{Meta: tp.Torus} }},
-	{name: "torus2qos", meta: torus, requires: "a torus topology", differential: true, baseline: true,
+	{name: "torus2qos", meta: torus, requires: "a torus topology", baseline: true,
 		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine {
 			return dor.Engine{Meta: tp.Torus, Datelines: true}
 		}},
-	{name: "angara", meta: torus, requires: "a torus or mesh topology", differential: true,
+	{name: "angara", meta: torus, requires: "a torus or mesh topology",
 		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine { return dor.Angara{Meta: tp.Torus} }},
-	{name: "fullmesh", meta: mesh, requires: "a full-mesh fabric", differential: true,
+	{name: "fullmesh", meta: mesh, requires: "a full-mesh fabric",
 		build: func(tp *topology.Topology, _ int64, _ int) routing.Engine { return fullmesh.Engine{Meta: tp.Mesh} }},
-	{name: "mupdn", build: fixed(updn.MultiEngine{})},
-	{name: "lashtor", build: fixed(lash.TOREngine{})},
-	{name: "smart", build: fixed(smart.Engine{})},
-	{name: "sssp", build: fixed(minhop.SSSP{})},
 }
 
 // Nue builds a Nue engine with the evaluation defaults. The routing is
@@ -88,24 +84,14 @@ func Nue(seed int64, workers int) routing.Engine {
 	return core.New(opts)
 }
 
-// Names lists every name ByName accepts.
-func Names() []string { return names(func(entry) bool { return true }) }
-
-// DifferentialNames lists every name a differential roster can contain.
-func DifferentialNames() []string { return names(isDifferential) }
-
-func names(member func(entry) bool) []string {
-	var out []string
-	for _, e := range table {
-		if member(e) {
-			out = append(out, e.name)
-		}
+// Names lists every name ByName accepts, in table order.
+func Names() []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
 	}
 	return out
 }
-
-func isDifferential(e entry) bool { return e.differential }
-func isBaseline(e entry) bool     { return e.baseline }
 
 // ByName resolves an engine name against the topology, refusing an engine
 // whose metadata the topology does not carry.
@@ -125,26 +111,29 @@ func ByName(name string, tp *topology.Topology, seed int64, workers int) (routin
 // Baselines returns the OpenSM comparator engines applicable to the
 // topology, in the paper's presentation order.
 func Baselines(tp *topology.Topology) []routing.Engine {
-	return applicable(tp, 0, 0, isBaseline)
+	return applicable(tp, 0, 0, true)
 }
 
-// Differential returns the differential-testing roster for the topology.
-// One-way faults break the duplex assumption baked into the
-// destination-based engines, so such a network's roster is just the
-// existence witness (must certify exactly when the decision procedure
-// says routable) and the MinHop negative baseline — witness first, the
-// reverse of table order, pinned by replay strings and case names.
+// Differential returns the differential-testing roster for the topology:
+// every engine of the table that applies to it, in table order. One-way
+// faults break the duplex assumption baked into the destination-based
+// engines, so such a network's roster is just the existence witness
+// (must certify exactly when the decision procedure says routable) and
+// the MinHop negative baseline — witness first, the reverse of table
+// order, pinned by replay strings and case names.
 func Differential(tp *topology.Topology, seed int64, workers int) []routing.Engine {
 	if !tp.Net.Symmetric() {
 		return []routing.Engine{exists.Engine{}, minhop.MinHop{}}
 	}
-	return applicable(tp, seed, workers, isDifferential)
+	return applicable(tp, seed, workers, false)
 }
 
-func applicable(tp *topology.Topology, seed int64, workers int, member func(entry) bool) []routing.Engine {
+// applicable builds, in table order, every engine that applies to tp (only
+// the baselines if baselinesOnly).
+func applicable(tp *topology.Topology, seed int64, workers int, baselinesOnly bool) []routing.Engine {
 	var out []routing.Engine
 	for _, e := range table {
-		if member(e) && e.appliesTo(tp) {
+		if (e.baseline || !baselinesOnly) && e.appliesTo(tp) {
 			out = append(out, e.build(tp, seed, workers))
 		}
 	}

@@ -96,8 +96,10 @@ func TestRoster(t *testing.T) {
 	if oneWay.Net.Symmetric() {
 		t.Error("the one-way case is duplex; the test covers no one-way roster")
 	}
-	if got := strings.Join(engines.DifferentialNames(), " "); got != common+" ftree dor torus2qos angara fullmesh" {
-		t.Errorf("differential names %q", got)
+	// One roster: every name is on the differential roster of some
+	// topology, in table order.
+	if got := strings.Join(engines.Names(), " "); got != common+" ftree dor torus2qos angara fullmesh" {
+		t.Errorf("names %q", got)
 	}
 	if _, err := engines.ByName("bogus", oneWay, 1, 1); err == nil || err.Error() != `unknown routing engine "bogus"` {
 		t.Errorf("ByName(bogus) = %v", err)

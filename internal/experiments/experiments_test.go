@@ -233,10 +233,10 @@ func TestMetricsDescribeVerifiedPaths(t *testing.T) {
 			t.Logf("%s: not applicable at 2 VCs: %v", name, err)
 			continue
 		}
-		if name == "lashtor" || name == "mupdn" {
+		if name == "exists" {
 			overrides += len(res.PairPath)
 		}
-		// minhop and sssp are not deadlock-free; the walk facts in the
+		// minhop and dor are not deadlock-free; the walk facts in the
 		// report are complete either way.
 		rep, _ := verify.Check(tp.Net, res, nil)
 		pl := metrics.PathLengths(tp.Net, res, nil)
@@ -256,6 +256,6 @@ func TestMetricsDescribeVerifiedPaths(t *testing.T) {
 		}
 	}
 	if overrides == 0 {
-		t.Error("neither lashtor nor mupdn produced a PairPath override; the fixture covers nothing")
+		t.Error("the exists witness produced no PairPath override; the fixture covers nothing")
 	}
 }

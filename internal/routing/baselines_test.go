@@ -81,8 +81,9 @@ func TestMinHopConnectivity(t *testing.T) {
 }
 
 func TestSSSPBalancesLoad(t *testing.T) {
-	// On a multigraph with two parallel links, balanced SSSP must use
-	// both parallel channels across destinations.
+	// On a multigraph with two parallel links, the balanced trees DFSSSP
+	// builds (minhop.Trees) must use both parallel channels across
+	// destinations.
 	b := graph.NewBuilder()
 	s1 := b.AddSwitch("")
 	s2 := b.AddSwitch("")
@@ -99,7 +100,7 @@ func TestSSSPBalancesLoad(t *testing.T) {
 		terms = append(terms, tm)
 	}
 	g := b.MustBuild()
-	res, err := (minhop.SSSP{}).Route(g, terms, 1)
+	res, err := (dfsssp.Engine{}).Route(g, terms, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

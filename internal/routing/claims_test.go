@@ -9,7 +9,6 @@ import (
 	"repro/internal/routing/ftree"
 	"repro/internal/routing/lash"
 	"repro/internal/routing/minhop"
-	"repro/internal/routing/smart"
 	"repro/internal/routing/updn"
 )
 
@@ -23,16 +22,12 @@ func TestClaimsRegistry(t *testing.T) {
 		want   routing.Claims
 	}{
 		{updn.Engine{}, routing.Claims{DeadlockFree: true, MinVCs: 1}},
-		{updn.MultiEngine{}, routing.Claims{DeadlockFree: true, MinVCs: 1}},
 		{lash.Engine{}, routing.Claims{DeadlockFree: true, MinVCs: 1}},
-		{lash.TOREngine{}, routing.Claims{DeadlockFree: true, MinVCs: 1}},
 		{dfsssp.Engine{}, routing.Claims{DeadlockFree: true, MinVCs: 1}},
 		{ftree.Engine{}, routing.Claims{DeadlockFree: true, MinVCs: 1}},
-		{smart.Engine{}, routing.Claims{DeadlockFree: true, MinVCs: 1}},
 		{dor.Engine{Datelines: true}, routing.Claims{DeadlockFree: true, MinVCs: 2}},
 		{dor.Engine{}, routing.Claims{}},
 		{minhop.MinHop{}, routing.Claims{}},
-		{minhop.SSSP{}, routing.Claims{}},
 	}
 	for _, c := range cases {
 		if got := routing.ClaimsOf(c.engine); got != c.want {

@@ -27,34 +27,19 @@ func (Engine) Name() string { return "lash" }
 // rather than overflows, when the budget is too small).
 func (Engine) Claims() routing.Claims { return routing.Claims{DeadlockFree: true, MinVCs: 1} }
 
-// Route implements routing.Engine.
-func (Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
-	res, failed, _, err := routeLASH(net, dests, maxVCs)
-	if err != nil {
-		return nil, err
-	}
-	if len(failed) > 0 {
-		p := failed[0]
-		return nil, fmt.Errorf("lash: path %d->%d fits no layer; required VCs exceed the limit of %d",
-			p.src, p.dst, maxVCs)
-	}
-	return res, nil
-}
-
 // swPair is one switch-to-switch path unit placed into a layer.
 type swPair struct {
 	src, dst graph.NodeID
 	path     []graph.ChannelID
 }
 
-// routeLASH runs both LASH phases with up to maxLayers layers and returns
-// the result, the pairs that fit no layer (instead of failing hard, for
-// LASH-TOR), and the destination grouping by attachment switch.
-func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routing.Result, []swPair, map[graph.NodeID][]graph.NodeID, error) {
-	if maxLayers < 1 {
-		return nil, nil, nil, errors.New("lash: need at least one virtual channel")
+// Route implements routing.Engine. It runs both LASH phases with up to
+// maxVCs layers and refuses the fabric at the first pair, in placement
+// order, that fits no layer.
+func (Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
+	if maxVCs < 1 {
+		return nil, errors.New("lash: need at least one virtual channel")
 	}
-	maxVCs := maxLayers
 	table := routing.NewTable(net, dests)
 	// Phase 1: minimum-hop trees per destination *switch* (plain BFS,
 	// LASH does not balance). All destinations attached to a switch share
@@ -112,7 +97,7 @@ func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routin
 				if errors.Is(err, routing.ErrNoRoute) {
 					continue
 				}
-				return nil, nil, nil, fmt.Errorf("lash: %w", err)
+				return nil, fmt.Errorf("lash: %w", err)
 			}
 			if len(path) >= 2 {
 				pairs = append(pairs, swPair{s, dstSw, path})
@@ -130,7 +115,6 @@ func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routin
 	})
 
 	pairLayerSw := make(map[[2]graph.NodeID]uint8, len(pairs))
-	var failed []swPair
 	for _, p := range pairs {
 		placed := false
 		for li, l := range layers {
@@ -142,13 +126,13 @@ func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routin
 		}
 		if !placed {
 			if len(layers) >= maxVCs {
-				failed = append(failed, p)
-				continue
+				return nil, fmt.Errorf("lash: path %d->%d fits no layer; required VCs exceed the limit of %d",
+					p.src, p.dst, maxVCs)
 			}
 			l := new(cdg.Induced)
 			l.Reset(net.NumChannels())
 			if !tryAddPath(l, p.path) {
-				return nil, nil, nil, fmt.Errorf("lash: internal error: path cyclic in empty layer")
+				return nil, fmt.Errorf("lash: internal error: path cyclic in empty layer")
 			}
 			layers = append(layers, l)
 			pairLayerSw[[2]graph.NodeID{p.src, p.dst}] = uint8(len(layers) - 1)
@@ -188,7 +172,7 @@ func routeLASH(net *graph.Network, dests []graph.NodeID, maxLayers int) (*routin
 		Table:     table,
 		VCs:       vcs,
 		PairLayer: pairLayer,
-	}, failed, destsBySwitch, nil
+	}, nil
 }
 
 // switchPath follows the table toward representative destination rep but

@@ -12,9 +12,9 @@ import (
 // (traffic orientation): parent[u] is the first channel of u's path toward
 // dest (NoChannel for dest itself and unreachable nodes), dist[u] the
 // weighted distance. weight[c] is the cost of traversing channel c; nil
-// means unit weights. This is the network-level Dijkstra of the SSSP
-// baseline, which DFSSSP shares through Trees (Nue's Algorithm 1 instead
-// searches the complete CDG).
+// means unit weights. This is the network-level Dijkstra of DFSSSP's
+// balanced trees (Trees); Nue's Algorithm 1 instead searches the complete
+// CDG.
 func destTree(net *graph.Network, dest graph.NodeID, weight []float64) (parent []graph.ChannelID, dist []float64) {
 	n := net.NumNodes()
 	parent = make([]graph.ChannelID, n)

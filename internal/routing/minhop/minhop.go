@@ -1,11 +1,9 @@
-// Package minhop implements two single-layer baselines from OpenSM:
-//
-//   - MinHop: per-destination minimum-hop routing with greedy port-load
-//     balancing (OpenSM's default). NOT deadlock-free in general — it is
-//     the negative baseline that demonstrates why Nue/DFSSSP/LASH exist.
-//   - SSSP: Hoefler et al.'s weighted single-source shortest-path routing
-//     with global balancing weight updates (the path-quality half of
-//     DFSSSP, without the deadlock-removal phase).
+// Package minhop implements OpenSM's MinHop, per-destination
+// minimum-hop routing with greedy port-load balancing (OpenSM's
+// default). It is NOT deadlock-free in general: it is the negative
+// baseline that demonstrates why Nue/DFSSSP/LASH exist. Trees holds the
+// path-quality half of DFSSSP: Hoefler et al.'s weighted single-source
+// shortest-path routing with global balancing weight updates.
 package minhop
 
 import (
@@ -64,28 +62,6 @@ func (MinHop) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 		}
 	}
 	return &routing.Result{Algorithm: "minhop", Table: table, VCs: 1}, nil
-}
-
-// SSSP is the weighted shortest-path routing of Hoefler et al. (single
-// layer, balanced, not deadlock-free in general).
-type SSSP struct{}
-
-// Name implements routing.Engine.
-func (SSSP) Name() string { return "sssp" }
-
-// Claims implements routing.Claimant: plain SSSP (no deadlock-free
-// post-processing) claims nothing.
-func (SSSP) Claims() routing.Claims { return routing.Claims{} }
-
-// Route computes balanced shortest-path tables; maxVCs is ignored beyond
-// the sanity check (the result is a single layer).
-func (SSSP) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
-	if maxVCs < 1 {
-		return nil, errors.New("sssp: need at least one virtual channel")
-	}
-	table := routing.NewTable(net, dests)
-	Trees(net, dests, table, nil)
-	return &routing.Result{Algorithm: "sssp", Table: table, VCs: 1}, nil
 }
 
 // Trees fills table with balanced shortest-path in-trees toward each

@@ -128,9 +128,9 @@ type Result struct {
 	// and dateline this way). When nil, VL == SL for the whole path.
 	SLToVL func(sl uint8, c graph.ChannelID) uint8
 	// PairPath, if non-nil, overrides the forwarding tables for specific
-	// (source, destination) pairs with explicit channel paths. Engines
-	// that are not destination-based in the general case (LASH-TOR) use
-	// this; such routings are inapplicable to InfiniBand but valid for
+	// (source, destination) pairs with explicit channel paths. Routings
+	// that are not destination-based (the existence procedure's witness)
+	// use this; such routings are inapplicable to InfiniBand but valid for
 	// source-routed technologies. Key via PairKey.
 	PairPath map[uint64][]graph.ChannelID
 	// LayerCDG, if non-nil, holds one digest per virtual layer over the

@@ -19,11 +19,9 @@ import (
 	"repro/internal/routing"
 )
 
-// Engine is the Up*/Down* routing engine. Root, if valid, overrides the
-// automatic root selection (highest betweenness switch).
-type Engine struct {
-	Root graph.NodeID
-}
+// Engine is the Up*/Down* routing engine, rooted at the switch of
+// highest betweenness.
+type Engine struct{}
 
 // Name implements routing.Engine.
 func (Engine) Name() string { return "updn" }
@@ -33,14 +31,11 @@ func (Engine) Name() string { return "updn" }
 func (Engine) Claims() routing.Claims { return routing.Claims{DeadlockFree: true, MinVCs: 1} }
 
 // Route implements routing.Engine. The result uses a single layer.
-func (e Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
+func (Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*routing.Result, error) {
 	if maxVCs < 1 {
 		return nil, errors.New("updn: need at least one virtual channel")
 	}
-	root := e.Root
-	if root <= 0 || int(root) >= net.NumNodes() || !net.IsSwitch(root) || net.Degree(root) == 0 {
-		root = pickRoot(net)
-	}
+	root := pickRoot(net)
 	if root == graph.NoNode {
 		return nil, errors.New("updn: no usable root switch")
 	}

@@ -75,7 +75,7 @@ func TestShardedCheckMatchesReference(t *testing.T) {
 		// lanes to be walked apart; every other shape is one walk.
 		oneWalk := map[string]bool{
 			"pairlayer-lash": true, "pairlayer-dfsssp": true, "pairlayer-alternating": true,
-			"sltovl-torus2qos": true, "pairpath-lashtor-all": true, "pairpath-lashtor-partial": true,
+			"sltovl-torus2qos": true, "pairpath-exists-all": true, "pairpath-updn-partial": true,
 			"half-failed": true,
 		}
 		for _, c := range certtest.Shapes(t) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle/exists"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -76,6 +77,30 @@ func TestAllMessagesDeliveredOnDeadlockFreeRouting(t *testing.T) {
 	}
 	if r.FlitsPerCycle <= 0 {
 		t.Error("throughput not positive")
+	}
+}
+
+// TestSourceRoutesDeliver drives the source-route branch: the existence
+// witness routes every pair along an explicit path over an empty table,
+// so every message follows a PairPath override, and a deadlock-free set
+// of them must deliver everything.
+func TestSourceRoutesDeliver(t *testing.T) {
+	tp := topology.Torus3D(5, 5, 1, 2, 1)
+	g := tp.Net
+	res, err := exists.Engine{}.Route(g, g.Terminals(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(g.Terminals()); len(res.PairPath) != n*(n-1) {
+		t.Fatalf("%d overrides for %d terminals: the fixture no longer source-routes every pair", len(res.PairPath), n)
+	}
+	msgs := AllToAllShift(g.Terminals(), 8)
+	r, err := Run(g, res, msgs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Deadlocked || r.DeliveredMessages != r.TotalMessages || r.TotalMessages != len(msgs) {
+		t.Fatalf("delivered %d of %d messages (%d sent), deadlocked %v", r.DeliveredMessages, r.TotalMessages, len(msgs), r.Deadlocked)
 	}
 }
 

@@ -8,7 +8,7 @@
 // channel dependency graph so deadlock freedom holds for ANY topology and
 // ANY number of virtual channels k >= 1 — together with the OpenSM
 // baseline routings the paper compares against (Up*/Down*, LASH, DFSSSP,
-// fat-tree, DOR/Torus-2QoS, MinHop, SSSP), topology generators for every
+// fat-tree, DOR/Torus-2QoS, MinHop), topology generators for every
 // network of the evaluation, a routing verifier, an edge-forwarding-index
 // metric suite, and a flit-level lossless-network simulator.
 //
