@@ -239,8 +239,8 @@ func run(cfg config) error {
 		src := sources[leader]
 		src.WaitConverged(plane.Epoch(), 10*time.Second)
 		if e, ok := src.FleetEpoch(); ok {
-			fmt.Fprintf(cfg.out, "# fleet: committed epoch %d (source epoch %d), %d quarantined\n",
-				e, plane.Epoch(), len(src.Quarantined()))
+			fmt.Fprintf(cfg.out, "# fleet: committed epoch %d (source epoch %d), quarantined %v\n",
+				e, plane.Epoch(), src.Quarantined())
 		} else {
 			fmt.Fprintln(cfg.out, "# fleet: no epoch committed")
 		}

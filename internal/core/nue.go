@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/bfs"
@@ -204,11 +205,10 @@ func (s *Stats) report(tm *telemetry.EngineMetrics) {
 	tm.EdgeUses.Add(int64(s.EdgeUses))
 }
 
-// routeLayer routes one virtual layer of a cold Route: escape root, a
-// check that its spanning tree reaches every destination, and one
-// algorithm2 pass with the escape paths marked and nothing kept. seed is
-// the layer's own, and bwWorkers the betweenness worker budget for the
-// root search.
+// routeLayer routes one virtual layer of a cold Route: its plan, a check
+// that the plan's tree reaches every destination, and one algorithm2 pass
+// with the escape paths marked and nothing kept. seed is the layer's own,
+// and bwWorkers the betweenness worker budget for the root search.
 func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []uint8, layerCDG []uint64,
 	layer uint8, part []graph.NodeID, isSource []bool, stats *Stats, seed int64, bwWorkers int) error {
 
@@ -217,20 +217,19 @@ func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []u
 	if tm != nil {
 		phaseStart = time.Now()
 	}
-	root := n.pickRoot(net, part, seed, bwWorkers)
+	plan, _, err := n.planLayer(net, part, Plan{}, seed, bwWorkers)
 	var bwNanos int64
 	if tm != nil {
 		bwNanos = time.Since(phaseStart).Nanoseconds()
 		tm.BetweennessNanos.Add(bwNanos)
 		tm.LayerBetweennessNanos.Observe(bwNanos)
 	}
-	if root == graph.NoNode {
-		return errors.New("no usable escape-path root")
+	if err != nil {
+		return err
 	}
-	tree := bfs.SpanningTree(net, root)
 	for _, d := range part {
-		if tree.Dist[d] < 0 {
-			return fmt.Errorf("destination %d unreachable from root %d (network disconnected)", d, root)
+		if plan.Tree.Dist[d] < 0 {
+			return fmt.Errorf("destination %d unreachable from root %d (network disconnected)", d, plan.Root)
 		}
 		destLayer[table.DestIndex(d)] = layer
 	}
@@ -239,7 +238,7 @@ func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []u
 	}
 	// With the escape paths marked and nothing kept the pass cannot be
 	// refused: every impasse has the tree to fall back to.
-	_, _, err := n.algorithm2(net, table, tree, part, nil, true, isSource, stats, &layerCDG[layer])
+	_, _, err = n.algorithm2(net, table, plan.Tree, part, nil, true, isSource, stats, &layerCDG[layer])
 	if tm != nil {
 		dijNanos := time.Since(phaseStart).Nanoseconds()
 		tm.DijkstraNanos.Add(dijNanos)
@@ -335,24 +334,45 @@ func (n *Nue) algorithm2(net *graph.Network, table *routing.Table, tree *bfs.Tre
 	return seeded, true, nil
 }
 
-// pickRoot chooses the escape-path root for a layer. Only the ablation
-// draws a random number, the first of a source seeded with seed, so only
-// the ablation pays for seeding one.
-func (n *Nue) pickRoot(net *graph.Network, part []graph.NodeID, seed int64, bwWorkers int) graph.NodeID {
-	if !n.opts.CentralRoot {
-		// Ablation: attachment switch of a random destination.
-		d := part[rand.New(rand.NewSource(seed)).Intn(len(part))]
-		if net.IsTerminal(d) {
-			return net.TerminalSwitch(d)
+// Plan is one virtual layer's escape configuration (§4.3): the root its
+// escape paths hang from and that root's spanning tree. The zero Plan
+// (Tree == nil) is no plan.
+type Plan struct {
+	Root graph.NodeID
+	Tree *bfs.Tree
+}
+
+// planLayer chooses the plan of a layer routing dests on net, for a cold
+// layer and every repair rung alike. hint's root is kept (reused) if its
+// fresh spanning tree reaches every destination; otherwise the root is the
+// most central node of the destinations' convex subgraph, on bwWorkers
+// betweenness workers, or in the ablation a random destination drawn from
+// a source seeded with seed (so only the ablation pays for seeding one).
+// A terminal root is hoisted to its switch.
+func (n *Nue) planLayer(net *graph.Network, dests []graph.NodeID, hint Plan, seed int64, bwWorkers int) (plan Plan, reused bool, err error) {
+	if hint.Tree != nil && net.Degree(hint.Root) > 0 {
+		// A plan from a previous repair: its root stays usable whenever
+		// churn since stayed outside its tree. Costs one BFS instead of a
+		// Brandes betweenness pass.
+		tree := bfs.SpanningTree(net, hint.Root)
+		if slices.IndexFunc(dests, func(d graph.NodeID) bool { return tree.Dist[d] < 0 }) < 0 {
+			return Plan{hint.Root, tree}, true, nil
 		}
-		return d
 	}
-	root := centrality.RootForDestinationsN(net, part, bwWorkers)
-	if root != graph.NoNode && net.IsTerminal(root) && net.Degree(root) > 0 {
-		// A terminal root works but wastes a hop; hoist to its switch.
+	var root graph.NodeID
+	if n.opts.CentralRoot {
+		root = centrality.RootForDestinationsN(net, dests, bwWorkers)
+	} else {
+		root = dests[rand.New(rand.NewSource(seed)).Intn(len(dests))]
+	}
+	if root == graph.NoNode {
+		return Plan{}, false, errors.New("no usable escape-path root")
+	}
+	if net.IsTerminal(root) && net.Degree(root) > 0 {
+		// A terminal root works but wastes a hop.
 		root = net.TerminalSwitch(root)
 	}
-	return root
+	return Plan{root, bfs.SpanningTree(net, root)}, false, nil
 }
 
 // sourceMask builds the traffic-source indicator for weight updates: all

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bfs"
 	"repro/internal/cdg"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -28,15 +27,13 @@ type RepairRequest struct {
 	// transition compatibility). When no repair compatible with them
 	// exists they are re-routed too (rungs 3 and 4 of the ladder).
 	Kept []graph.NodeID
-	// RootHint, when HasRootHint is set, proposes the escape-path root,
-	// skipping the betweenness-centrality search. Callers pass the root
-	// of a previous repair whose escape tree the churn did not touch (the
-	// tree still spans the surviving component, so the hint stays
-	// usable). The hint is revalidated against Repair reachability, and
-	// again when the repair widens to the whole layer; an invalid hint
-	// silently falls back to the full centrality pass.
-	RootHint    graph.NodeID
-	HasRootHint bool
+	// Hint, when not the zero Plan, proposes the escape plan, skipping
+	// the betweenness-centrality search: callers pass the Plan of a
+	// previous repair whose tree the churn did not touch. planLayer keeps
+	// its root while the root's fresh tree reaches every repairable
+	// destination, checked again when the repair widens to the whole
+	// layer; otherwise the root is elected as without a hint.
+	Hint Plan
 }
 
 // RepairStats reports one layer repair.
@@ -48,12 +45,10 @@ type RepairStats struct {
 	// Routed counts repair destinations actually re-routed; Unreachable
 	// those left without paths (disconnected from the repair root).
 	Routed, Unreachable int
-	// Root is the escape-path root the repair used; Tree its spanning
-	// tree over the post-event network. Callers cache the pair and pass
-	// Root back as RootHint while churn stays outside the tree.
-	Root graph.NodeID
-	Tree *bfs.Tree
-	// RootReused reports that RootHint was accepted, skipping the
+	// Plan is the escape root and tree the repair used. Callers cache it
+	// and pass it back as Hint while churn stays outside the tree.
+	Plan Plan
+	// RootReused reports that the Hint's root was kept, skipping the
 	// betweenness pass.
 	RootReused bool
 	// Rung is the rung of RepairLayer's ladder (1-4) the repair completed
@@ -103,7 +98,7 @@ func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
 					req.Table.ClearDest(dest)
 				}
 			}
-			seeded, ok, err := n.algorithm2(req.Net, req.Table, scope.Tree, routable, req.Kept, escape, isSource, &stats.Stats, nil)
+			seeded, ok, err := n.algorithm2(req.Net, req.Table, scope.Plan.Tree, routable, req.Kept, escape, isSource, &stats.Stats, nil)
 			stats.Seeded = seeded
 			if err != nil {
 				return &stats, fmt.Errorf("core: %w", err)
@@ -117,12 +112,10 @@ func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
 	return nil, errors.New("core: internal error: whole-layer repair with escape paths refused")
 }
 
-// repairRoot clears the columns of req.Repair and chooses the escape root
-// for them: the hinted root if its tree still reaches every repairable
-// destination, else the most central node of their convex hull. It
-// returns the stats of a repair that has routed nothing yet (Root, Tree,
-// RootReused, Unreachable) and the destinations the tree reaches, in
-// request order.
+// repairRoot clears the columns of req.Repair and plans the escape paths
+// of the connected ones (planLayer with req.Hint). It returns the stats of
+// a repair that has routed nothing yet (Plan, RootReused, Unreachable) and
+// the destinations the plan's tree reaches, in request order.
 func (n *Nue) repairRoot(req RepairRequest) (stats RepairStats, reached []graph.NodeID, err error) {
 	net := req.Net
 	routable := make([]graph.NodeID, 0, len(req.Repair))
@@ -137,32 +130,15 @@ func (n *Nue) repairRoot(req RepairRequest) (stats RepairStats, reached []graph.
 	if len(routable) == 0 {
 		return stats, nil, nil
 	}
-	if req.HasRootHint && req.RootHint != graph.NoNode && net.Degree(req.RootHint) > 0 {
-		// A cached root from a previous repair: accept it iff its fresh
-		// spanning tree still reaches every repairable destination, which
-		// holds whenever churn since the caching stayed outside the old
-		// escape tree. Costs one BFS instead of a Brandes betweenness pass.
-		stats.Root, stats.Tree = req.RootHint, bfs.SpanningTree(net, req.RootHint)
-		stats.RootReused = true
-		for _, d := range routable {
-			if stats.Tree.Dist[d] < 0 {
-				stats.RootReused = false
-				break
-			}
-		}
-	}
-	if !stats.RootReused {
-		// Repairs run one per layer (often concurrently, under the fabric
-		// manager), so each keeps its betweenness pass single-threaded.
-		stats.Root = n.pickRoot(net, routable, n.opts.Seed, 1)
-		if stats.Root == graph.NoNode {
-			return stats, nil, errors.New("core: no usable escape-path root for repair")
-		}
-		stats.Tree = bfs.SpanningTree(net, stats.Root)
+	// Repairs run one per layer (often concurrently, under the fabric
+	// manager), so each keeps its betweenness pass single-threaded.
+	stats.Plan, stats.RootReused, err = n.planLayer(net, routable, req.Hint, n.opts.Seed, 1)
+	if err != nil {
+		return stats, nil, fmt.Errorf("core: %w for repair", err)
 	}
 	reached = routable[:0]
 	for _, d := range routable {
-		if stats.Tree.Dist[d] >= 0 {
+		if stats.Plan.Tree.Dist[d] >= 0 {
 			reached = append(reached, d)
 		} else {
 			// Different component than the repair root; no path can exist

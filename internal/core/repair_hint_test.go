@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -12,14 +13,14 @@ import (
 // repairHintFixture routes a torus, fails one link and returns
 // everything needed to repair the largest broken layer repeatedly: the
 // degraded network, the baseline table, the repair/kept split of one
-// layer, and the escape root a first repair elected (the value the
-// fabric runner caches and passes back as RootHint).
+// layer, and the plan a first repair returned (the value the fabric
+// runner caches and passes back as Hint).
 type repairHintFixture struct {
 	net    *graph.Network
 	table  *routing.Table
 	repair []graph.NodeID
 	kept   []graph.NodeID
-	root   graph.NodeID
+	plan   Plan
 }
 
 func newRepairHintFixture(t testing.TB) *repairHintFixture {
@@ -87,20 +88,20 @@ func newRepairHintFixture(t testing.TB) *repairHintFixture {
 	if st.RootReused {
 		t.Fatal("hint-less repair claims a reused root")
 	}
-	f.root = st.Root
+	f.plan = st.Plan
 	return f
 }
 
 func (f *repairHintFixture) request(hint bool, table *routing.Table) RepairRequest {
 	req := RepairRequest{Net: f.net, Table: table, Repair: f.repair, Kept: f.kept}
 	if hint {
-		req.RootHint, req.HasRootHint = f.root, true
+		req.Hint = f.plan
 	}
 	return req
 }
 
 // TestRepairRootHintAllocs pins the escape-root cache: a repair handed a
-// still-valid RootHint takes it as its root instead of electing one by a
+// still-valid Hint keeps the hint's root instead of electing one by a
 // Brandes betweenness pass, and allocates nothing the hint-less repair
 // does not. The election allocates nothing once its scratch is warm, so
 // the two now allocate alike; that the hint replaces the election shows
@@ -155,17 +156,17 @@ func TestRepairRootHintAllocs(t *testing.T) {
 
 	// Every switch spans the connected torus, so any is a valid hint.
 	other := f.net.Switches()[0]
-	if other == f.root {
+	if other == f.plan.Root {
 		other = f.net.Switches()[1]
 	}
-	req := f.request(true, f.table.Clone(f.net))
-	req.RootHint = other
+	req := f.request(false, f.table.Clone(f.net))
+	req.Hint = Plan{other, bfs.SpanningTree(f.net, other)}
 	st, err := eng.RepairLayer(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.RootReused || st.Root != other {
-		t.Errorf("repair hinted %d rooted at %d (reused %v); the elected root is %d", other, st.Root, st.RootReused, f.root)
+	if !st.RootReused || st.Plan.Root != other {
+		t.Errorf("repair hinted %d rooted at %d (reused %v); the elected root is %d", other, st.Plan.Root, st.RootReused, f.plan.Root)
 	}
 }
 

@@ -76,13 +76,14 @@ func TestRepairLadder(t *testing.T) {
 		}
 		sort.Ints(layers)
 
+		hintPlan := Plan{faulty.Switches()[0], bfs.SpanningTree(faulty, faulty.Switches()[0])}
 		run := func(hint bool) ([]int, uint64) {
 			table := base.Clone(faulty)
 			var rungs []int
 			for _, l := range layers {
 				req := RepairRequest{Net: faulty, Table: table, Repair: repair[uint8(l)], Kept: kept[uint8(l)]}
 				if hint {
-					req.RootHint, req.HasRootHint = faulty.Switches()[0], true
+					req.Hint = hintPlan
 				}
 				st, err := eng.RepairLayer(req)
 				if err != nil {

@@ -96,8 +96,8 @@ func TestRepairEscapeRootFailure(t *testing.T) {
 
 	// The scenario's premise, checked white-box: the central-root
 	// heuristic picks the hub as escape root.
-	if root := eng.pickRoot(net, dests, 1, 1); root != hub {
-		t.Fatalf("premise broken: pickRoot chose %d, want hub %d", root, hub)
+	if plan, _, err := eng.planLayer(net, dests, Plan{}, 1, 1); err != nil || plan.Root != hub {
+		t.Fatalf("premise broken: planLayer chose %d (%v), want hub %d", plan.Root, err, hub)
 	}
 
 	res, err := eng.Route(net, dests, 1)
@@ -126,8 +126,8 @@ func TestRepairEscapeRootFailure(t *testing.T) {
 	}
 	// After the failure the repair must pick a live root off the ring.
 	flat := repair[0]
-	if root := eng.pickRoot(faulty, flat, 1, 1); root == hub || root == graph.NoNode || faulty.Degree(root) == 0 {
-		t.Fatalf("post-failure root %d is unusable (hub=%d)", root, hub)
+	if plan, _, err := eng.planLayer(faulty, flat, Plan{}, 1, 1); err != nil || plan.Root == hub || faulty.Degree(plan.Root) == 0 {
+		t.Fatalf("post-failure root %d is unusable (hub=%d, %v)", plan.Root, hub, err)
 	}
 
 	repairAll(t, eng, faulty, table, repair, kept)

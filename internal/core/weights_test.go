@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bfs"
 	"repro/internal/cdg"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -60,7 +59,11 @@ func weightUpdatesAgree(t *testing.T, net *graph.Network, dests []graph.NodeID, 
 	}
 	isSource := sourceMask(net)
 	for li, part := range parts {
-		tree := bfs.SpanningTree(net, n.pickRoot(net, part, seeds[li], 1))
+		plan, _, err := n.planLayer(net, part, Plan{}, seeds[li], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := plan.Tree
 		d := cdg.NewComplete(net)
 		d.MarkEscapePaths(tree, part)
 		var stats Stats

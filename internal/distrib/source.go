@@ -370,39 +370,46 @@ func (s *Source) Quarantined() []string {
 	return ids
 }
 
-// converged reports whether the fleet has fully caught up to epoch seq:
-// the source committed it, no newer target is queued, and every
-// connected, non-quarantined agent has acked it.
-func (s *Source) converged(seq uint64) bool {
+// converged reports whether the fleet is done with epoch seq: the source
+// committed it, no newer target is queued, and every connected agent has
+// acked it or is quarantined. all reports whether every connected agent
+// holds seq, which a quarantined straggler does not.
+func (s *Source) converged(seq uint64) (done, all bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.committed == nil || s.committed.Seq != seq {
-		return false
+		return false, false
 	}
 	if s.target != nil && s.target.Seq != seq {
-		return false
+		return false, false
 	}
+	all = true
 	for a := range s.conns {
 		a.mu.Lock()
-		ok := a.quarantined || (a.hasAcked && a.acked == seq)
+		holds, quarantined := a.hasAcked && a.acked == seq, a.quarantined
 		a.mu.Unlock()
-		if !ok {
-			return false
+		if !holds && !quarantined {
+			return false, false
 		}
+		all = all && holds
 	}
-	return true
+	return true, all
 }
 
-// WaitConverged blocks until converged(seq) or the timeout elapses.
+// WaitConverged waits until the fleet is done with epoch seq, or the
+// timeout elapses, and reports whether every connected agent then holds
+// it: a quarantined straggler ends the wait but makes it false.
 func (s *Source) WaitConverged(seq uint64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for !s.converged(seq) {
+	for {
+		if done, all := s.converged(seq); done {
+			return all
+		}
 		if time.Now().After(deadline) {
 			return false
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return true
 }
 
 // distribute is the source's single distributor goroutine: it waits for

@@ -461,3 +461,46 @@ func TestEpochMonotonic(t *testing.T) {
 }
 
 var _ = graph.NoChannel // keep the import for helpers above
+
+// TestRootCacheGoldens pins the tables the runner's escape-plan cache
+// leads to: 30 random events per case, each layer repair handed its
+// layer's cached plan as Hint whenever churn stayed outside its tree. At
+// pJoin 0 no restore clears the cache, so most repairs reuse a root; the
+// bench churn workloads alternate failures and restores and reuse none.
+// Each case pins the final table digest and the roots reused in total.
+func TestRootCacheGoldens(t *testing.T) {
+	cases := []struct {
+		tp     *topology.Topology
+		pJoin  float64
+		digest uint64
+		reused int
+	}{
+		{topology.Torus3D(4, 4, 4, 1, 1), 0, 0xaeabcc90aa74feda, 74},
+		{topology.Torus3D(4, 4, 4, 1, 1), 0.5, 0x7234351c3ccf3970, 14},
+		{topology.Dragonfly(4, 2, 2, 9), 0, 0x3f8be9c3f3a19280, 65},
+		{topology.Dragonfly(4, 2, 2, 9), 0.5, 0x249076d1061cfe97, 15},
+	}
+	for _, c := range cases {
+		m, err := NewManager(c.tp, Options{MaxVCs: 4, Seed: 1, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		reused := 0
+		for i := 0; i < 30; i++ {
+			ev, ok := m.RandomEvent(rng, c.pJoin)
+			if !ok {
+				t.Fatalf("%s pJoin %v: event %d: no churn event possible", c.tp.Name, c.pJoin, i)
+			}
+			rep, err := m.Apply(ev)
+			if err != nil {
+				t.Fatalf("%s pJoin %v: event %d (%s): %v", c.tp.Name, c.pJoin, i, ev, err)
+			}
+			reused += rep.RootsReused
+		}
+		if d := m.View().Result.Table.Digest(); d != c.digest || reused != c.reused {
+			t.Errorf("%s pJoin %v: digest %#x, %d roots reused; want %#x, %d",
+				c.tp.Name, c.pJoin, d, reused, c.digest, c.reused)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -61,24 +60,19 @@ func planJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []layerJob {
 	return jobs
 }
 
-// escapeRoot caches one layer's escape-path root and its spanning tree.
-// While churn stays outside the tree, the root is re-passed as a repair
-// hint, eliding the Brandes betweenness pass that otherwise reruns from
-// scratch on every event (the dominant repair cost on large fabrics).
-type escapeRoot struct {
-	root graph.NodeID
-	tree *bfs.Tree
-}
-
 // runner is the routing-computation half of the Manager: it owns the Nue
 // engine, executes planned repairs (with escape-root reuse), and
 // verifies/post-checks candidate results. It holds no epoch state and
 // publishes nothing. Methods are not safe for concurrent use; the
 // Manager serializes events.
 type runner struct {
-	opts  Options
-	nue   *core.Nue
-	roots map[uint8]escapeRoot
+	opts Options
+	nue  *core.Nue
+	// roots caches each layer's last escape plan. While churn stays
+	// outside its tree it is passed back as the repair's Hint, eliding
+	// the Brandes betweenness pass that otherwise reruns from scratch on
+	// every event (the dominant repair cost on large fabrics).
+	roots map[uint8]core.Plan
 	// check is verify.Check; a field so tests can observe when it runs.
 	check func(*graph.Network, *routing.Result) error
 }
@@ -93,7 +87,7 @@ func newRunner(opts Options) *runner {
 	return &runner{
 		opts:  opts,
 		nue:   core.New(nopts),
-		roots: make(map[uint8]escapeRoot),
+		roots: make(map[uint8]core.Plan),
 		check: func(net *graph.Network, res *routing.Result) error {
 			_, err := verify.Check(net, res, nil)
 			return err
@@ -123,9 +117,9 @@ func (r *runner) invalidateRoots(newNet *graph.Network, changed []graph.ChannelI
 			return
 		}
 	}
-	for l, er := range r.roots {
+	for l, p := range r.roots {
 		for _, c := range changed {
-			if er.tree.IsTreeChannel(c) {
+			if p.Tree.IsTreeChannel(c) {
 				delete(r.roots, l)
 				break
 			}
@@ -142,19 +136,17 @@ type jobOutcome struct {
 
 // runJob executes one planned layer job against table (bound to newNet):
 // one core.RepairLayer call, which widens to the whole layer by itself
-// when the incremental repair is infeasible. The cached escape root of
-// the layer, if still valid, is passed as a hint. Safe to call
-// concurrently for distinct jobs of one plan (the root cache is only read
-// here; write-back happens in retable after the barrier).
+// when the incremental repair is infeasible. The layer's cached plan, if
+// any, is passed as its Hint. Safe to call concurrently for distinct jobs
+// of one plan (the root cache is only read here; write-back happens in
+// retable after the barrier).
 func (r *runner) runJob(newNet *graph.Network, table *routing.Table, job layerJob) jobOutcome {
 	req := core.RepairRequest{
 		Net:    newNet,
 		Table:  table,
 		Repair: job.repair,
 		Kept:   job.kept,
-	}
-	if er, ok := r.roots[job.layer]; ok {
-		req.RootHint, req.HasRootHint = er.root, true
+		Hint:   r.roots[job.layer],
 	}
 	stats, err := r.nue.RepairLayer(req)
 	return jobOutcome{stats, err}
@@ -208,8 +200,8 @@ func (r *runner) retable(old *Snapshot, newNet *graph.Network, changed []graph.C
 			}
 			return res, nil
 		}
-		if out.stats.Tree != nil {
-			r.roots[j.layer] = escapeRoot{root: out.stats.Root, tree: out.stats.Tree}
+		if out.stats.Plan.Tree != nil {
+			r.roots[j.layer] = out.stats.Plan
 		}
 		if out.stats.RootReused {
 			report.RootsReused++

@@ -42,7 +42,7 @@ func (Engine) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 		return nil, errors.New("dfsssp: need at least one virtual channel")
 	}
 	table := routing.NewTable(net, dests)
-	minhop.Trees(net, dests, table, nil)
+	minhop.Trees(net, dests, table)
 
 	// Paths are tracked per (source switch, destination): terminals of a
 	// switch share its path exactly (their injection channel adds only

@@ -11,8 +11,7 @@ import (
 // destTree computes a shortest-path in-tree toward dest over the network
 // (traffic orientation): parent[u] is the first channel of u's path toward
 // dest (NoChannel for dest itself and unreachable nodes), dist[u] the
-// weighted distance. weight[c] is the cost of traversing channel c; nil
-// means unit weights. This is the network-level Dijkstra of DFSSSP's
+// weighted distance. weight[c] is the cost of traversing channel c. This is the network-level Dijkstra of DFSSSP's
 // balanced trees (Trees); Nue's Algorithm 1 instead searches the complete
 // CDG.
 func destTree(net *graph.Network, dest graph.NodeID, weight []float64) (parent []graph.ChannelID, dist []float64) {
@@ -37,11 +36,7 @@ func destTree(net *graph.Network, dest graph.NodeID, weight []float64) (parent [
 		// dest via (u, v).
 		for _, c := range net.In(v) {
 			u := net.Channel(c).From
-			w := 1.0
-			if weight != nil {
-				w = weight[c]
-			}
-			if nd := dv + w; nd < dist[u] {
+			if nd := dv + weight[c]; nd < dist[u] {
 				dist[u] = nd
 				parent[u] = c
 				h.InsertOrDecrease(int(u), nd)

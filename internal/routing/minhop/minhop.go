@@ -65,9 +65,8 @@ func (MinHop) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 }
 
 // Trees fills table with balanced shortest-path in-trees toward each
-// destination and optionally records every destination's parent array in
-// outTrees (keyed by destination). Shared with the DFSSSP engine.
-func Trees(net *graph.Network, dests []graph.NodeID, table *routing.Table, outTrees map[graph.NodeID][]graph.ChannelID) {
+// destination. Shared with the DFSSSP engine.
+func Trees(net *graph.Network, dests []graph.NodeID, table *routing.Table) {
 	weight := make([]float64, net.NumChannels())
 	for i := range weight {
 		weight[i] = 1
@@ -93,8 +92,5 @@ func Trees(net *graph.Network, dests []graph.NodeID, table *routing.Table, outTr
 			}
 		}
 		addPathLoad(net, d, parent, dist, isSource, weight)
-		if outTrees != nil {
-			outTrees[d] = parent
-		}
 	}
 }

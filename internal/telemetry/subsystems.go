@@ -13,8 +13,8 @@ type EngineMetrics struct {
 	Routes, Layers *Counter
 	// PartitionNanos, BetweennessNanos and DijkstraNanos accumulate the
 	// wall time of the three engine phases: destination partitioning
-	// (§4.5), escape-root betweenness selection (§4.3), and the per-layer
-	// modified-Dijkstra loop (Algorithm 1).
+	// (§4.5), the escape plan (§4.3: betweenness root and its tree's BFS),
+	// and the per-layer modified-Dijkstra loop (Algorithm 1).
 	PartitionNanos, BetweennessNanos, DijkstraNanos *Counter
 	// LayerBetweennessNanos and LayerDijkstraNanos are the per-layer
 	// distributions of the same phases.
