@@ -4,7 +4,10 @@
 // import it: their trusted base is graph and routing alone.
 package bfs
 
-import "repro/internal/graph"
+import (
+	"repro/internal/freelist"
+	"repro/internal/graph"
+)
 
 // Result holds the outcome of a breadth-first search.
 type Result struct {
@@ -28,9 +31,7 @@ func Forward(g *graph.Network, src graph.NodeID) *Result { return search(g, src,
 // symmetry.
 func Reverse(g *graph.Network, src graph.NodeID) *Result { return search(g, src, true) }
 
-// search visits nodes in the order of their out-channels (in-channels
-// when reverse), the order the spanning trees, and so the tables, are
-// built from.
+// search runs a breadth-first search into a new Result.
 func search(g *graph.Network, src graph.NodeID, reverse bool) *Result {
 	n := g.NumNodes()
 	res := &Result{
@@ -38,14 +39,23 @@ func search(g *graph.Network, src graph.NodeID, reverse bool) *Result {
 		Parent: make([]graph.ChannelID, n),
 		Order:  make([]graph.NodeID, 0, n),
 	}
-	for i := range res.Dist {
-		res.Dist[i] = -1
-		res.Parent[i] = graph.NoChannel
+	res.Order = walk(g, src, reverse, res.Dist, res.Parent, res.Order)
+	return res
+}
+
+// walk fills dist and parent (one entry per node of g) from src and
+// returns the visit order appended to order. It visits nodes in the
+// order of their out-channels (in-channels when reverse), the order the
+// spanning trees, and so the tables, are built from.
+func walk(g *graph.Network, src graph.NodeID, reverse bool, dist []int32, parent []graph.ChannelID, order []graph.NodeID) []graph.NodeID {
+	for i := range dist {
+		dist[i] = -1
+		parent[i] = graph.NoChannel
 	}
-	res.Dist[src] = 0
-	res.Order = append(res.Order, src)
-	for head := 0; head < len(res.Order); head++ {
-		u := res.Order[head]
+	dist[src] = 0
+	order = append(order, src)
+	for head := 0; head < len(order); head++ {
+		u := order[head]
 		adj := g.Out(u)
 		if reverse {
 			adj = g.In(u)
@@ -56,14 +66,14 @@ func search(g *graph.Network, src graph.NodeID, reverse bool) *Result {
 			if reverse {
 				v = ch.From
 			}
-			if res.Dist[v] < 0 {
-				res.Dist[v] = res.Dist[u] + 1
-				res.Parent[v] = c
-				res.Order = append(res.Order, v)
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				parent[v] = c
+				order = append(order, v)
 			}
 		}
 	}
-	return res
+	return order
 }
 
 // Connected reports whether all nodes that have at least one channel are
@@ -93,28 +103,41 @@ func Connected(g *graph.Network) bool {
 	return reached == active
 }
 
+// trees recycles spanning trees: Nue builds one per virtual layer and per
+// repair rung, each sized by the whole network, and hands back the ones
+// it drops with Release.
+var trees freelist.List[Tree]
+
 // SpanningTree computes a BFS spanning tree of g rooted at root. It
 // returns tree[n] = channel (parent(n), n) for every reached node, with
 // tree[root] = NoChannel, plus the visit order. The "spanning tree" is
 // over duplex links: if (p,n) is a tree channel, its reverse (n,p) is a
 // tree channel too (callers query via IsTreeChannel on the returned Tree).
+// The tree is drawn from a free list; a caller that drops it may hand it
+// back with Release, one that keeps it simply keeps it.
 func SpanningTree(g *graph.Network, root graph.NodeID) *Tree {
-	res := Forward(g, root)
-	t := &Tree{
-		g:      g,
-		Root:   root,
-		Parent: res.Parent,
-		Dist:   res.Dist,
-		Order:  res.Order,
-		member: make([]bool, g.NumChannels()),
-	}
-	for _, n := range res.Order {
-		if c := res.Parent[n]; c != graph.NoChannel {
+	n := g.NumNodes()
+	t := trees.Get()
+	t.g, t.Root = g, root
+	t.Dist = freelist.Grow(t.Dist, n)
+	t.Parent = freelist.Grow(t.Parent, n)
+	t.Order = walk(g, root, false, t.Dist, t.Parent, freelist.Grow(t.Order, n)[:0])
+	t.member = freelist.Grow(t.member, g.NumChannels())
+	clear(t.member)
+	for _, v := range t.Order {
+		if c := t.Parent[v]; c != graph.NoChannel {
 			t.member[c] = true
 			t.member[g.Channel(c).Reverse] = true
 		}
 	}
 	return t
+}
+
+// Release hands t back to the free list for the next SpanningTree. No
+// one may use t, or a slice of it, afterwards.
+func (t *Tree) Release() {
+	t.g = nil
+	trees.Put(t)
 }
 
 // Tree is a rooted spanning tree of a Network.

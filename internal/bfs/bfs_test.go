@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -182,5 +183,29 @@ func TestReverseTransposesForward(t *testing.T) {
 				t.Fatalf("Reverse(%d).Parent[%d] = %d does not step from %d toward %d", d, n, c, n, d)
 			}
 		}
+	}
+}
+
+// TestSpanningTreeReuse: a tree drawn from the free list after trees of a
+// larger and a smaller network were handed back reads as one built on
+// fresh arrays, and a warm build allocates nothing.
+func TestSpanningTreeReuse(t *testing.T) {
+	big, small := buildRing(t, 12), buildRing(t, 5)
+	fresh := SpanningTree(small, 2)
+	want := *fresh
+	SpanningTree(big, 7).Release()
+	SpanningTree(small, 0).Release()
+	got := SpanningTree(small, 2)
+	if got.Root != want.Root || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) || !slices.Equal(got.Order, want.Order) {
+		t.Fatalf("recycled tree %+v, fresh %+v", got, want)
+	}
+	for c := 0; c < small.NumChannels(); c++ {
+		if got.IsTreeChannel(graph.ChannelID(c)) != want.IsTreeChannel(graph.ChannelID(c)) {
+			t.Fatalf("channel %d: recycled tree member %v, fresh %v", c, got.IsTreeChannel(graph.ChannelID(c)), want.IsTreeChannel(graph.ChannelID(c)))
+		}
+	}
+	got.Release()
+	if n := testing.AllocsPerRun(20, func() { SpanningTree(big, 3).Release() }); n != 0 {
+		t.Errorf("a warm SpanningTree makes %v allocations, want 0", n)
 	}
 }

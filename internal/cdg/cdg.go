@@ -101,6 +101,11 @@ type Graph struct {
 	stack   []graph.ChannelID
 	indeg   []int32 // UsedAcyclic's in-degrees; stack is its queue
 
+	// MarkEscapePaths' per-node scratch: which nodes are destinations,
+	// and the destinations in each node's subtree.
+	isDest  []bool
+	destCnt []int32
+
 	// Stats for ablation/benchmarks/telemetry.
 	CycleSearches int // number of depth-first searches performed
 	EdgesBlocked  int // edges transitioned to blocked

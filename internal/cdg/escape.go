@@ -2,6 +2,7 @@ package cdg
 
 import (
 	"repro/internal/bfs"
+	"repro/internal/freelist"
 	"repro/internal/graph"
 )
 
@@ -32,7 +33,9 @@ type EscapePaths struct {
 // escape paths "all nodes -> destinations" of Definition 7.
 func (g *Graph) MarkEscapePaths(tree *bfs.Tree, dests []graph.NodeID) *EscapePaths {
 	net := g.net
-	isDest := make([]bool, net.NumNodes())
+	g.isDest = freelist.Grow(g.isDest, net.NumNodes())
+	clear(g.isDest)
+	isDest := g.isDest
 	total := 0
 	for _, d := range dests {
 		if !isDest[d] {
@@ -42,7 +45,9 @@ func (g *Graph) MarkEscapePaths(tree *bfs.Tree, dests []graph.NodeID) *EscapePat
 	}
 	// Destination count per subtree, computed leaf-to-root over the BFS
 	// order of the tree.
-	cnt := make([]int32, net.NumNodes())
+	g.destCnt = freelist.Grow(g.destCnt, net.NumNodes())
+	clear(g.destCnt)
+	cnt := g.destCnt
 	for _, n := range tree.Order {
 		if isDest[n] {
 			cnt[n]++

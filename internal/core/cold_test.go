@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -83,4 +86,48 @@ func TestRouteAllocs(t *testing.T) {
 		t.Errorf("a warm Route makes %.0f allocations, want fewer than 1,000", allocs)
 	}
 	t.Logf("a warm Route makes %.0f allocations", allocs)
+}
+
+// TestRouteBytes: a warm Route of each cold shape allocates its table's
+// entries and a fixed slack beside them: the table's two node indices,
+// the source mask, the partition's parts and the result. The escape
+// trees and the escape marking's scratch are recycled, so nothing else
+// sized by the network is made per route. Each slack is the measured
+// overhead plus 25% (16³: 81 KB; 8³: 23 KB). A route's bytes are the
+// least of five warm routes: the free lists keep as many states as were ever in use
+// at once, so the first route that runs more layers side by side than
+// any before it pays for the extra ones.
+func TestRouteBytes(t *testing.T) {
+	slack := map[string]int64{"torus512": 29 << 10, "torus4k-32": 102 << 10}
+	for _, s := range coldShapes {
+		net, dests := s.build()
+		opts := DefaultOptions()
+		opts.Seed = 1
+		eng := New(opts)
+		var res *routing.Result
+		route := func() int64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var err error
+			if res, err = eng.Route(net, dests, coldVCs); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		for range 5 {
+			route()
+		}
+		bytes := route()
+		for range 4 {
+			bytes = min(bytes, route())
+		}
+		rows, cols := res.Table.Shape()
+		entries := int64(rows*cols) * int64(unsafe.Sizeof(graph.ChannelID(0)))
+		if bytes > entries+slack[s.name] {
+			t.Errorf("%s: a warm Route allocates %d B, %d B over its %d B of table entries; want at most %d B over",
+				s.name, bytes, bytes-entries, entries, slack[s.name])
+		}
+		t.Logf("%s: a warm Route allocates %d B, %d B over its %d B of table entries", s.name, bytes, bytes-entries, entries)
+	}
 }

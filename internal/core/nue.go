@@ -227,6 +227,9 @@ func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []u
 	if err != nil {
 		return err
 	}
+	// Route never hands its plans out, so the tree goes back to bfs's
+	// free list once the layer is routed.
+	defer plan.Tree.Release()
 	for _, d := range part {
 		if plan.Tree.Dist[d] < 0 {
 			return fmt.Errorf("destination %d unreachable from root %d (network disconnected)", d, plan.Root)
@@ -358,6 +361,7 @@ func (n *Nue) planLayer(net *graph.Network, dests []graph.NodeID, hint Plan, see
 		if slices.IndexFunc(dests, func(d graph.NodeID) bool { return tree.Dist[d] < 0 }) < 0 {
 			return Plan{hint.Root, tree}, true, nil
 		}
+		tree.Release()
 	}
 	var root graph.NodeID
 	if n.opts.CentralRoot {
@@ -379,14 +383,9 @@ func (n *Nue) planLayer(net *graph.Network, dests []graph.NodeID, hint Plan, see
 // terminals, or all nodes if the network has no terminals.
 func sourceMask(net *graph.Network) []bool {
 	mask := make([]bool, net.NumNodes())
-	if net.NumTerminals() > 0 {
-		for _, t := range net.Terminals() {
-			mask[t] = true
-		}
-		return mask
-	}
+	all := net.NumTerminals() == 0
 	for i := range mask {
-		mask[i] = true
+		mask[i] = all || net.IsTerminal(graph.NodeID(i))
 	}
 	return mask
 }

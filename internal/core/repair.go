@@ -108,6 +108,9 @@ func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
 				return &stats, nil
 			}
 		}
+		// Widening plans the layer again, so this plan is dropped (it was
+		// built here: a hint's tree is never the plan's).
+		scope.Plan.Tree.Release()
 	}
 	return nil, errors.New("core: internal error: whole-layer repair with escape paths refused")
 }

@@ -1,8 +1,9 @@
 // Package freelist recycles scratch between calls: List keeps the
 // states a hot path draws and hands back, and Grow resizes their arrays
 // to a call's sizes. The engine's layer states, the CDG arenas, the
-// partition workspace, the root-choice scratch, the fluid run states and
-// distrib's CRC buffers all live in one List each (DESIGN §8).
+// escape trees (bfs.SpanningTree), the partition workspace, the
+// root-choice scratch, the fluid run states and distrib's CRC buffers
+// all live in one List each (DESIGN §8).
 package freelist
 
 import "sync"

@@ -29,6 +29,8 @@ type depGraph struct {
 
 	stack  []laneNode // Tarjan scratch
 	frames []tarjanFrame
+
+	walkMark []int32 // cycleWithin's per-vertex marks, zero between calls
 }
 
 // depLane is one lane's share of a depGraph. Only the goroutine that
@@ -337,19 +339,28 @@ func canonicalCycle(cycle []int32) []int32 {
 // cycleWithin extracts a concrete cycle from a strongly connected
 // component: walk from any member following in-component edges until a
 // vertex repeats; the walked suffix between the two visits is a cycle.
+// A member not yet walked is marked 1 and the member walked at position
+// i is marked 2+i; the marks of the component are zeroed on return.
 func (g *depGraph) cycleWithin(comp []int32) []int32 {
-	member := make(map[int32]bool, len(comp))
-	for _, v := range comp {
-		member[v] = true
+	if nv := g.channels * g.layers; len(g.walkMark) < nv {
+		g.walkMark = make([]int32, nv)
 	}
-	pos := make(map[int32]int, len(comp))
-	var path []int32
+	mark := g.walkMark
+	for _, v := range comp {
+		mark[v] = 1
+	}
+	defer func() {
+		for _, v := range comp {
+			mark[v] = 0
+		}
+	}()
+	path := make([]int32, 0, len(comp))
 	cur := comp[0]
 	for {
-		if at, ok := pos[cur]; ok {
+		if at := mark[cur] - 2; at >= 0 {
 			return path[at:]
 		}
-		pos[cur] = len(path)
+		mark[cur] = 2 + int32(len(path))
 		path = append(path, cur)
 		advanced := false
 		n, l := g.nodeOf(cur)
@@ -358,7 +369,7 @@ func (g *depGraph) cycleWithin(comp []int32) []int32 {
 			if !ok {
 				break
 			}
-			if member[w] {
+			if mark[w] > 0 {
 				cur = w
 				advanced = true
 				break
