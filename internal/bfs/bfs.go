@@ -134,8 +134,12 @@ func SpanningTree(g *graph.Network, root graph.NodeID) *Tree {
 }
 
 // Release hands t back to the free list for the next SpanningTree. No
-// one may use t, or a slice of it, afterwards.
+// one may use t, or a slice of it, afterwards. Releasing nil does
+// nothing.
 func (t *Tree) Release() {
+	if t == nil {
+		return
+	}
 	t.g = nil
 	trees.Put(t)
 }

@@ -89,16 +89,17 @@ func TestRouteAllocs(t *testing.T) {
 }
 
 // TestRouteBytes: a warm Route of each cold shape allocates its table's
-// entries and a fixed slack beside them: the table's two node indices,
-// the source mask, the partition's parts and the result. The escape
-// trees and the escape marking's scratch are recycled, so nothing else
-// sized by the network is made per route. Each slack is the measured
-// overhead plus 25% (16³: 81 KB; 8³: 23 KB). A route's bytes are the
+// entries and a fixed slack beside them: the table's destination index,
+// the partition's parts and the result. The switch rows are the
+// network's, the source mask is the engine's, and the escape trees and
+// the escape marking's scratch are recycled, so nothing else sized by
+// the network is made per route. Each slack is the measured overhead
+// plus 25% (16³: 40 KB; 8³: 17.7 KB). A route's bytes are the
 // least of five warm routes: the free lists keep as many states as were ever in use
 // at once, so the first route that runs more layers side by side than
 // any before it pays for the extra ones.
 func TestRouteBytes(t *testing.T) {
-	slack := map[string]int64{"torus512": 29 << 10, "torus4k-32": 102 << 10}
+	slack := map[string]int64{"torus512": 22 << 10, "torus4k-32": 50 << 10}
 	for _, s := range coldShapes {
 		net, dests := s.build()
 		opts := DefaultOptions()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bfs"
@@ -74,6 +75,11 @@ const maxLayers = 256
 // Nue is the routing engine. It implements routing.Engine.
 type Nue struct {
 	opts Options
+	// sources keeps the last traffic-source mask (sourceMask) for the
+	// next route or repair of a network with the same node kinds. A
+	// stored mask is never written, so concurrent layers and repairs
+	// share it.
+	sources atomic.Pointer[[]bool]
 }
 
 // New returns a Nue engine with the given options.
@@ -128,7 +134,7 @@ func (n *Nue) Route(net *graph.Network, dests []graph.NodeID, maxVCs int) (*rout
 
 	table := routing.NewTable(net, dests)
 	destLayer := make([]uint8, len(dests))
-	isSource := sourceMask(net)
+	isSource := n.sourceMask(net)
 
 	// Each layer owns its complete CDG, escape tree and weights, and
 	// writes disjoint table columns (the destinations are partitioned),
@@ -246,14 +252,16 @@ func (n *Nue) routeLayer(net *graph.Network, table *routing.Table, destLayer []u
 		dijNanos := time.Since(phaseStart).Nanoseconds()
 		tm.DijkstraNanos.Add(dijNanos)
 		tm.LayerDijkstraNanos.Observe(dijNanos)
-		tm.Events.Emit("engine_layer", map[string]int64{
-			"layer":            int64(layer),
-			"dests":            int64(len(part)),
-			"dijkstra_runs":    int64(stats.DijkstraRuns),
-			"escape_fallbacks": int64(stats.EscapeFallbacks),
-			"betweenness_ns":   bwNanos,
-			"dijkstra_ns":      dijNanos,
-		})
+		if tm.Events != nil {
+			tm.Events.Emit("engine_layer", map[string]int64{
+				"layer":            int64(layer),
+				"dests":            int64(len(part)),
+				"dijkstra_runs":    int64(stats.DijkstraRuns),
+				"escape_fallbacks": int64(stats.EscapeFallbacks),
+				"betweenness_ns":   bwNanos,
+				"dijkstra_ns":      dijNanos,
+			})
+		}
 	}
 	return err
 }
@@ -379,14 +387,28 @@ func (n *Nue) planLayer(net *graph.Network, dests []graph.NodeID, hint Plan, see
 	return Plan{root, bfs.SpanningTree(net, root)}, false, nil
 }
 
-// sourceMask builds the traffic-source indicator for weight updates: all
-// terminals, or all nodes if the network has no terminals.
-func sourceMask(net *graph.Network) []bool {
-	mask := make([]bool, net.NumNodes())
+// sourceMask returns the traffic-source indicator for weight updates:
+// all terminals, or all nodes if the network has no terminals. The kept
+// mask is returned when it matches net, a new one is built and kept
+// otherwise; the caller must not write it.
+func (n *Nue) sourceMask(net *graph.Network) []bool {
 	all := net.NumTerminals() == 0
-	for i := range mask {
-		mask[i] = all || net.IsTerminal(graph.NodeID(i))
+	isSource := func(i int) bool { return all || net.IsTerminal(graph.NodeID(i)) }
+	if kept := n.sources.Load(); kept != nil && len(*kept) == net.NumNodes() {
+		mask := *kept
+		i := 0
+		for i < len(mask) && mask[i] == isSource(i) {
+			i++
+		}
+		if i == len(mask) {
+			return mask
+		}
 	}
+	mask := make([]bool, net.NumNodes())
+	for i := range mask {
+		mask[i] = isSource(i)
+	}
+	n.sources.Store(&mask)
 	return mask
 }
 

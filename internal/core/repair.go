@@ -78,7 +78,10 @@ type RepairStats struct {
 // An error is a hard failure (no usable root, unseedable kept columns, an
 // internal inconsistency); the caller re-routes the fabric.
 func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
-	isSource := sourceMask(req.Net)
+	isSource := n.sourceMask(req.Net)
+	// Every pass starts its stats from the plan's; the one the ladder
+	// stops at is returned.
+	stats := new(RepairStats)
 	rung := 0
 	for _, whole := range [...]bool{false, true} {
 		if whole {
@@ -87,11 +90,12 @@ func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
 		}
 		scope, routable, err := n.repairRoot(req)
 		if err != nil || len(routable) == 0 {
-			return &scope, err
+			*stats = scope
+			return stats, err
 		}
 		for _, escape := range [...]bool{false, true} {
 			rung++
-			stats := scope
+			*stats = scope
 			if escape {
 				// The columns the pass without escape paths left half written.
 				for _, dest := range routable {
@@ -101,11 +105,11 @@ func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
 			seeded, ok, err := n.algorithm2(req.Net, req.Table, scope.Plan.Tree, routable, req.Kept, escape, isSource, &stats.Stats, nil)
 			stats.Seeded = seeded
 			if err != nil {
-				return &stats, fmt.Errorf("core: %w", err)
+				return stats, fmt.Errorf("core: %w", err)
 			}
 			if ok {
 				stats.Rung, stats.Routed = rung, len(routable)
-				return &stats, nil
+				return stats, nil
 			}
 		}
 		// Widening plans the layer again, so this plan is dropped (it was

@@ -57,7 +57,7 @@ func weightUpdatesAgree(t *testing.T, net *graph.Network, dests []graph.NodeID, 
 	for li := range parts {
 		seeds[li] = rng.Int63()
 	}
-	isSource := sourceMask(net)
+	isSource := n.sourceMask(net)
 	for li, part := range parts {
 		plan, _, err := n.planLayer(net, part, Plan{}, seeds[li], 1)
 		if err != nil {
@@ -155,7 +155,7 @@ func TestWeightUpdateEqualSiblings(t *testing.T) {
 	b.AddLink(3, 9) // 9 is reachable but routed nowhere
 	net := b.MustBuild()
 
-	ls := &layerState{net: net, csr: net.CSRView(), isSource: sourceMask(net)}
+	ls := &layerState{net: net, csr: net.CSRView(), isSource: New(DefaultOptions()).sourceMask(net)}
 	ls.weight = make([]float64, net.NumChannels())
 	for c := range ls.weight {
 		ls.weight[c] = 1 + float64(c)/7

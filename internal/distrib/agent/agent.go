@@ -62,6 +62,12 @@ type Stats struct {
 // into a row from the agent's spare list when it holds one. The prepare
 // re-sums every staged row, aliased or copied, so an installed row that
 // changed in memory since its own prepare is caught there as before.
+//
+// The agent keeps one staging and reuses it push after push. Its rows
+// and crcs headers are double-buffered with the installed ones: commit
+// swaps them, and the next push stages into the headers the last commit
+// replaced (the row slices those point to are the spare list's business,
+// not the headers').
 type staging struct {
 	epoch    uint64
 	flags    uint8
@@ -94,9 +100,15 @@ type Agent struct {
 	crcs     []uint32
 	draining bool
 	stats    Stats
-	stage    *staging
-	// entries is the delta decoder's buffer, reused from frame to frame.
+	// stage is the push being staged, nil when none: staged when it is
+	// in use. No query hands out rows or crcs, so the headers commit
+	// retires are free for the next staging.
+	stage  *staging
+	staged staging
+	// entries is the delta decoder's buffer and sums the prepare
+	// parser's, reused from frame to frame.
 	entries []routing.DeltaEntry
+	sums    []distrib.RowSum
 	// spare keeps rows no one reads any more for stageDelta to copy
 	// into: the installed rows a committed delta replaced and the rows an
 	// abandoned delta staging copied. A staging copies each row at most
@@ -104,6 +116,12 @@ type Agent struct {
 	// the staging's copies together never outnumber the installed rows;
 	// a full sync, which may change the shape, empties the list.
 	spare [][]graph.ChannelID
+
+	// ackMu guards the buffers an ack is built in: its payload and its
+	// frame.
+	ackMu    sync.Mutex
+	ackMsg   []byte
+	ackFrame []byte
 }
 
 // New creates an agent.
@@ -238,7 +256,11 @@ func (a *Agent) nak(conn net.Conn, epoch uint64, reason string) {
 }
 
 func (a *Agent) writeAck(conn net.Conn, epoch uint64, ack distrib.Ack) {
-	distrib.WriteFrame(conn, distrib.Frame{Type: distrib.MsgAck, Epoch: epoch, Payload: distrib.AppendAck(nil, ack)})
+	a.ackMu.Lock()
+	defer a.ackMu.Unlock()
+	a.ackMsg = distrib.AppendAck(a.ackMsg[:0], ack)
+	a.ackFrame = distrib.AppendFrame(a.ackFrame[:0], distrib.Frame{Type: distrib.MsgAck, Epoch: epoch, Payload: a.ackMsg})
+	conn.Write(a.ackFrame)
 }
 
 // handle processes one valid frame.
@@ -254,12 +276,7 @@ func (a *Agent) handle(conn net.Conn, f distrib.Frame) error {
 	case distrib.MsgDelta:
 		a.stageDelta(conn, f.Epoch, f.Payload)
 	case distrib.MsgPrepare:
-		sums, err := distrib.ParsePrepare(f.Payload)
-		if err != nil {
-			a.nak(conn, f.Epoch, fmt.Sprintf("bad prepare: %v", err))
-			return nil
-		}
-		a.prepare(conn, f.Epoch, sums)
+		a.prepare(conn, f.Epoch, f.Payload)
 	case distrib.MsgCommit:
 		a.commit(conn, f.Epoch)
 	}
@@ -270,7 +287,6 @@ func (a *Agent) handle(conn net.Conn, f distrib.Frame) error {
 // source retries by restarting the push).
 func (a *Agent) begin(conn net.Conn, f distrib.Frame, b distrib.Begin) {
 	a.mu.Lock()
-	st := &staging{epoch: f.Epoch, flags: f.Flags, begin: b}
 	if b.HasBase {
 		// A delta transforms the installed epoch; the base must be
 		// exactly what this agent holds.
@@ -284,11 +300,20 @@ func (a *Agent) begin(conn net.Conn, f distrib.Frame, b distrib.Begin) {
 			a.nak(conn, f.Epoch, "delta shape mismatch")
 			return
 		}
-		st.switches = a.switches // a delta never changes them
-		st.rows = slices.Clone(a.rows)
-		st.copied = make([]bool, len(a.rows))
 	}
 	a.dropStage()
+	st := &a.staged
+	*st = staging{
+		epoch: f.Epoch, flags: f.Flags, begin: b,
+		// The headers the last commit retired; next is not reused: a
+		// committed full sync's rows are views of it.
+		rows: st.rows[:0], copied: st.copied[:0], crcs: st.crcs[:0],
+	}
+	if b.HasBase {
+		st.switches = a.switches // a delta never changes them
+		st.rows = append(st.rows, a.rows...)
+		st.copied = append(st.copied, make([]bool, len(a.rows))...)
+	}
 	a.stage = st
 	a.mu.Unlock()
 }
@@ -385,10 +410,17 @@ func (a *Agent) stageDelta(conn net.Conn, epoch uint64, payload []byte) {
 }
 
 // prepare validates the staged rows against the source's authoritative
-// checksums and acks; a drained push pauses forwarding from here until
-// commit.
-func (a *Agent) prepare(conn net.Conn, epoch uint64, sums []distrib.RowSum) {
+// checksums, the MsgPrepare payload, and acks; a drained push pauses
+// forwarding from here until commit.
+func (a *Agent) prepare(conn net.Conn, epoch uint64, payload []byte) {
 	a.mu.Lock()
+	sums, err := distrib.ParsePrepare(a.sums[:0], payload)
+	a.sums = sums
+	if err != nil {
+		a.mu.Unlock()
+		a.nak(conn, epoch, fmt.Sprintf("bad prepare: %v", err))
+		return
+	}
 	st := a.stage
 	if st == nil || st.epoch != epoch {
 		a.mu.Unlock()
@@ -409,35 +441,36 @@ func (a *Agent) prepare(conn net.Conn, epoch uint64, sums []distrib.RowSum) {
 	if !st.begin.HasBase {
 		// A full sync's switches are the ones its checksums name.
 		st.switches = make([]graph.NodeID, rows)
-		st.rows = make([][]graph.ChannelID, rows)
+		st.rows = slices.Grow(st.rows[:0], rows)
 		for i, s := range sums {
 			if i > 0 && s.Switch <= sums[i-1].Switch {
 				a.mu.Unlock()
 				a.nak(conn, epoch, "prepare switches not in ascending order")
 				return
 			}
-			st.switches[i], st.rows[i] = s.Switch, st.next[i*cols:(i+1)*cols:(i+1)*cols]
+			st.switches[i] = s.Switch
+			st.rows = append(st.rows, st.next[i*cols:(i+1)*cols:(i+1)*cols])
 		}
 	}
-	crcs := make([]uint32, len(st.rows))
+	st.crcs = slices.Grow(st.crcs[:0], len(st.rows))[:len(st.rows)]
 	for i, row := range st.rows {
 		if sums[i].Switch != st.switches[i] {
 			a.mu.Unlock()
 			a.nak(conn, epoch, fmt.Sprintf("prepare switch %d, staged %d", sums[i].Switch, st.switches[i]))
 			return
 		}
-		crcs[i] = distrib.RowCRC(row)
-		if crcs[i] != sums[i].CRC {
+		st.crcs[i] = distrib.RowCRC(row)
+		if st.crcs[i] != sums[i].CRC {
 			a.mu.Unlock()
 			a.nak(conn, epoch, fmt.Sprintf("row %d checksum mismatch", sums[i].Switch))
 			return
 		}
 	}
-	st.prepared, st.crcs = true, crcs
+	st.prepared = true
 	if st.flags&distrib.FlagDrain != 0 {
 		a.draining = true
 	}
-	fleet := distrib.FleetCRC(crcs)
+	fleet := distrib.FleetCRC(st.crcs)
 	a.mu.Unlock()
 	a.writeAck(conn, epoch, distrib.Ack{Phase: distrib.AckPrepared, FleetCRC: fleet})
 }
@@ -460,8 +493,10 @@ func (a *Agent) commit(conn net.Conn, epoch uint64) {
 	}
 	a.keepCopied(st.copied, a.rows)
 	a.switches = st.switches
-	a.rows = st.rows
-	a.crcs = st.crcs
+	// The staged headers become the installed ones, and the installed
+	// ones the next staging's.
+	a.rows, st.rows = st.rows, a.rows
+	a.crcs, st.crcs = st.crcs, a.crcs
 	a.epoch, a.hasEpoch = epoch, true
 	a.stage = nil
 	a.draining = false

@@ -462,7 +462,7 @@ func TestFullSyncFrameRules(t *testing.T) {
 
 	// Every entry, but switches out of order in the prepare.
 	swapped := fullPush(c)
-	sums, err := distrib.ParsePrepare(swapped[2].Payload)
+	sums, err := distrib.ParsePrepare(nil, swapped[2].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,8 @@ type CompiledEpoch struct {
 	Epoch
 	// Rows and Cols are the table shape.
 	Rows, Cols int
-	// Switches[i] is the switch owning row i (ascending IDs).
+	// Switches[i] is the switch owning row i (ascending IDs): the
+	// network's own Net.RowSwitches() (do not modify).
 	Switches []graph.NodeID
 	// LFTs[i] is row i, the next-hop channel per destination column:
 	// Result.Table.Row(Switches[i]), a view (do not modify).
@@ -126,7 +127,7 @@ func Compile(e Epoch) *CompiledEpoch {
 		Epoch:    e,
 		Rows:     rows,
 		Cols:     cols,
-		Switches: e.Net.Switches(),
+		Switches: e.Net.RowSwitches(),
 		LFTs:     make([][]graph.ChannelID, rows),
 		CRCs:     make([]uint32, rows),
 		sizes:    make([]int32, rows),
@@ -151,22 +152,20 @@ func Compile(e Epoch) *CompiledEpoch {
 // switches (nil = all) must report for this epoch — the reference value
 // of a torn-install check.
 func (c *CompiledEpoch) OwnedCRC(owned []graph.NodeID) uint32 {
-	return c.fleetCRCFor(c.ownedRows(owned))
+	return c.fleetCRCFor(c.appendOwnedRows(nil, owned))
 }
 
-// ownedRows resolves an ownership list (nil = all switches) to row
-// indices in ascending order, skipping unknown switches. The list is
-// what an agent's Hello said; RowIndex answers -1 for any ID that is not
-// a switch of the fabric, whatever its value.
-func (c *CompiledEpoch) ownedRows(owned []graph.NodeID) []int {
+// appendOwnedRows resolves an ownership list (nil = all switches) to row
+// indices in ascending order, skipping unknown switches, and appends
+// them to rows. The list is what an agent's Hello said; RowIndex answers
+// -1 for any ID that is not a switch of the fabric, whatever its value.
+func (c *CompiledEpoch) appendOwnedRows(rows []int, owned []graph.NodeID) []int {
 	if owned == nil {
-		rows := make([]int, c.Rows)
-		for i := range rows {
-			rows[i] = i
+		for i := range c.Rows {
+			rows = append(rows, i)
 		}
 		return rows
 	}
-	rows := make([]int, 0, len(owned))
 	for _, sw := range owned {
 		if i := c.Result.Table.RowIndex(sw); i >= 0 {
 			rows = append(rows, int(i))
@@ -175,11 +174,11 @@ func (c *CompiledEpoch) ownedRows(owned []graph.NodeID) []int {
 	return rows
 }
 
-// rowSums builds the MsgPrepare checksum list for a row set.
-func (c *CompiledEpoch) rowSums(rows []int) []RowSum {
-	sums := make([]RowSum, len(rows))
-	for i, r := range rows {
-		sums[i] = RowSum{Switch: c.Switches[r], CRC: c.CRCs[r]}
+// appendRowSums appends the MsgPrepare checksum list of a row set to
+// sums.
+func (c *CompiledEpoch) appendRowSums(sums []RowSum, rows []int) []RowSum {
+	for _, r := range rows {
+		sums = append(sums, RowSum{Switch: c.Switches[r], CRC: c.CRCs[r]})
 	}
 	return sums
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -98,12 +99,21 @@ type agentConn struct {
 
 	// A push is built in buffers kept from round to round: the delta's
 	// entries, its MsgDelta payloads back to back, where each payload
-	// ends (cuts), and the frame being written. Only the round worker
-	// holding the agent touches them.
-	entries []routing.DeltaEntry
-	payload []byte
-	cuts    []int
-	frame   []byte
+	// ends (cuts), the frame being written, the prepare's checksums and
+	// the begin or prepare payload (msg). rows are the table rows the
+	// agent owns, resolved in the row space rowSpace (a CompiledEpoch's
+	// Switches) and resolved again only when it changes. timer bounds
+	// every ack wait. Only the round worker holding the agent touches
+	// them.
+	entries  []routing.DeltaEntry
+	payload  []byte
+	cuts     []int
+	frame    []byte
+	sums     []RowSum
+	msg      []byte
+	rows     []int
+	rowSpace []graph.NodeID
+	timer    *time.Timer
 
 	mu          sync.Mutex
 	acked       uint64
@@ -145,8 +155,17 @@ func (a *agentConn) writeFrame(f Frame, timeout time.Duration) (int, error) {
 // awaitAck waits for an ack of the given epoch and phase. Acks for
 // older epochs are discarded; a NAK returns errNak.
 func (a *agentConn) awaitAck(epoch uint64, phase uint8, timeout time.Duration) (Ack, error) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	// The connection's one timer. Under the go 1.22 timer rules a timer
+	// that fired unread keeps its tick in C, so it is stopped and
+	// drained before Reset.
+	if !a.timer.Stop() {
+		select {
+		case <-a.timer.C:
+		default:
+		}
+	}
+	a.timer.Reset(timeout)
+	defer a.timer.Stop()
 	for {
 		select {
 		case m := <-a.acks:
@@ -160,7 +179,7 @@ func (a *agentConn) awaitAck(epoch uint64, phase uint8, timeout time.Duration) (
 				continue
 			}
 			return m.Ack, nil
-		case <-deadline.C:
+		case <-a.timer.C:
 			return Ack{}, fmt.Errorf("distrib: agent %s: ack timeout (epoch %d phase %d)", a.id, epoch, phase)
 		}
 	}
@@ -171,6 +190,10 @@ func (a *agentConn) awaitAck(epoch uint64, phase uint8, timeout time.Duration) (
 // one two-phase round at a time.
 type Source struct {
 	opts Options
+
+	// round is the round in flight, kept from round to round: only the
+	// distributor goroutine runs rounds.
+	round round
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -192,6 +215,15 @@ func NewSource(opts Options) *Source {
 		conns: make(map[*agentConn]struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	r := &s.round
+	r.prepare = func(i int) {
+		r.prepared[i] = s.pushToAgent(r.conns[i], r.target, r.committed, r.drain)
+	}
+	r.commit = func(i int) {
+		if r.prepared[i] {
+			r.errs[i] = s.commitAgent(r.conns[i], r.target)
+		}
+	}
 	s.wg.Add(1)
 	go s.distribute()
 	return s
@@ -245,9 +277,11 @@ func (s *Source) AddConn(conn net.Conn) error {
 		id:       h.ID,
 		owned:    slices.Compact(h.Switches),
 		acks:     make(chan ackMsg, 4),
+		timer:    time.NewTimer(s.opts.AckTimeout),
 		acked:    h.Acked,
 		hasAcked: h.HasAcked,
 	}
+	a.timer.Stop()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -428,16 +462,17 @@ func (s *Source) distribute() {
 		}
 		s.wake = false
 		target := s.target
-		conns := make([]*agentConn, 0, len(s.conns))
+		r := &s.round
+		r.conns = r.conns[:0]
 		for a := range s.conns {
-			conns = append(conns, a)
+			r.conns = append(r.conns, a)
 		}
 		s.mu.Unlock()
 		if target == nil {
 			continue
 		}
-		sort.Slice(conns, func(i, j int) bool { return conns[i].id < conns[j].id })
-		s.runRound(target, conns)
+		slices.SortFunc(r.conns, func(a, b *agentConn) int { return strings.Compare(a.id, b.id) })
+		s.runRound(target)
 	}
 }
 
@@ -460,15 +495,31 @@ func (s *Source) anyBehindLocked() bool {
 	return false
 }
 
-// runRound distributes target to conns with the two-phase protocol:
-// certify (or drain), bounded-fanout prepare, ack barrier, commit.
-func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
+// round is one distribution round: what runRound distributes, to whom,
+// and what each agent's prepare and commit came to. Its slices are kept
+// from round to round, and prepare and commit, the tasks par.For runs per
+// agent, are bound to it once.
+type round struct {
+	target, committed *CompiledEpoch
+	conns             []*agentConn // in agent-ID order
+	drain             bool
+	prepared          []bool
+	errs              []error // commit outcomes
+	prepare, commit   func(i int)
+}
+
+// runRound distributes target to the round's conns with the two-phase
+// protocol: certify (or drain), bounded-fanout prepare, ack barrier,
+// commit.
+func (s *Source) runRound(target *CompiledEpoch) {
 	tm := s.opts.Telemetry
 	tm.RoundsStarted.Inc()
 
 	s.mu.Lock()
 	committed := s.committed
 	s.mu.Unlock()
+	r := &s.round
+	conns := r.conns
 
 	// Certify the union of the outgoing and incoming epoch; a refuted
 	// (or uncertifiable) union drains the fleet across the swap. A round
@@ -488,14 +539,16 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 			tm.TransitionsCertified.Inc()
 		}
 	}
+	r.target, r.committed, r.drain = target, committed, drain
+	r.prepared = slices.Grow(r.prepared[:0], len(conns))[:len(conns)]
+	r.errs = slices.Grow(r.errs[:0], len(conns))[:len(conns)]
+	clear(r.prepared)
+	clear(r.errs)
 
 	// Prepare fanout: par.For on at most Options.Workers goroutines
 	// pushes the epoch to every agent and collects the prepare acks.
 	barrierStart := time.Now()
-	prepared := make([]bool, len(conns))
-	par.For(s.opts.Workers, len(conns), func(i int) {
-		prepared[i] = s.pushToAgent(conns[i], target, committed, drain)
-	})
+	par.For(s.opts.Workers, len(conns), r.prepare)
 	tm.BarrierNanos.ObserveSince(barrierStart)
 
 	// The ack barrier: only agents that prepared take part in the
@@ -503,37 +556,48 @@ func (s *Source) runRound(target *CompiledEpoch, conns []*agentConn) {
 	// The commits fan out like the prepares — each is one write and one
 	// awaited ack — and their outcomes are booked in agent-ID order.
 	commitStart := time.Now()
-	commitErrs := make([]error, len(conns))
-	par.For(s.opts.Workers, len(conns), func(i int) {
-		if prepared[i] {
-			commitErrs[i] = s.commitAgent(conns[i], target)
-		}
-	})
+	par.For(s.opts.Workers, len(conns), r.commit)
 	committedAgents := 0
 	for i, a := range conns {
 		switch {
-		case !prepared[i]:
-		case commitErrs[i] != nil:
-			s.quarantine(a, commitErrs[i])
+		case !r.prepared[i]:
+		case r.errs[i] != nil:
+			s.quarantine(a, r.errs[i])
 		default:
 			committedAgents++
 		}
 	}
 	tm.CommitNanos.ObserveSince(commitStart)
+	// The round keeps no epoch, connection or error alive until the
+	// next one.
+	r.target, r.committed = nil, nil
+	clear(r.errs)
+	clear(conns)
+	s.endRound(target, len(conns), committedAgents, drain)
+}
 
+// endRound books a finished round: the fleet-committed epoch, the
+// gauges, and the round's event and log line, which are only built when
+// someone reads them.
+func (s *Source) endRound(target *CompiledEpoch, agents, committedAgents int, drain bool) {
+	tm := s.opts.Telemetry
 	s.mu.Lock()
 	s.committed = target
 	s.mu.Unlock()
 	s.updateQuarantineGauge()
 	tm.EpochsCommitted.Inc()
 	tm.FleetEpoch.Set(int64(target.Seq))
-	tm.Events.Emit("distrib_round", map[string]int64{
-		"epoch":     int64(target.Seq),
-		"agents":    int64(len(conns)),
-		"committed": int64(committedAgents),
-		"drained":   boolInt(drain),
-	})
-	s.logf("distrib: epoch %d committed on %d/%d agents (drain=%v)", target.Seq, committedAgents, len(conns), drain)
+	if tm.Events != nil {
+		tm.Events.Emit("distrib_round", map[string]int64{
+			"epoch":     int64(target.Seq),
+			"agents":    int64(agents),
+			"committed": int64(committedAgents),
+			"drained":   boolInt(drain),
+		})
+	}
+	if s.opts.Logf != nil {
+		s.logf("distrib: epoch %d committed on %d/%d agents (drain=%v)", target.Seq, committedAgents, agents, drain)
+	}
 }
 
 func boolInt(b bool) int64 {
@@ -614,7 +678,10 @@ func (s *Source) updateQuarantineGauge() {
 // agent and waits for its prepare ack.
 func (s *Source) sendEpoch(a *agentConn, target, committed *CompiledEpoch, drain bool) error {
 	tm := s.opts.Telemetry
-	rows := target.ownedRows(a.owned)
+	if !slices.Equal(a.rowSpace, target.Switches) {
+		a.rows, a.rowSpace = target.appendOwnedRows(a.rows[:0], a.owned), target.Switches
+	}
+	rows := a.rows
 
 	a.mu.Lock()
 	// Delta pushes need the agent to sit exactly on the last committed
@@ -662,7 +729,8 @@ func (s *Source) sendEpoch(a *agentConn, target, committed *CompiledEpoch, drain
 		sent += n
 		return err
 	}
-	if err := write(Frame{Type: MsgBegin, Flags: flags, Epoch: target.Seq, Payload: AppendBegin(nil, begin)}); err != nil {
+	a.msg = AppendBegin(a.msg[:0], begin)
+	if err := write(Frame{Type: MsgBegin, Flags: flags, Epoch: target.Seq, Payload: a.msg}); err != nil {
 		return err
 	}
 	start := 0
@@ -672,7 +740,9 @@ func (s *Source) sendEpoch(a *agentConn, target, committed *CompiledEpoch, drain
 		}
 		start = end
 	}
-	if err := write(Frame{Type: MsgPrepare, Flags: flags, Epoch: target.Seq, Payload: AppendPrepare(nil, target.rowSums(rows))}); err != nil {
+	a.sums = target.appendRowSums(a.sums[:0], rows)
+	a.msg = AppendPrepare(a.msg[:0], a.sums)
+	if err := write(Frame{Type: MsgPrepare, Flags: flags, Epoch: target.Seq, Payload: a.msg}); err != nil {
 		return err
 	}
 	tm.FramesSent.Add(int64(len(a.cuts) + 2))

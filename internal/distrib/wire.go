@@ -345,14 +345,16 @@ func AppendPrepare(buf []byte, sums []RowSum) []byte {
 	return buf
 }
 
-// ParsePrepare decodes a MsgPrepare payload.
-func ParsePrepare(p []byte) ([]RowSum, error) {
+// ParsePrepare decodes a MsgPrepare payload, appending its checksums to
+// sums: a reader that passes the last call's result, cut to length 0,
+// parses into the same array.
+func ParsePrepare(sums []RowSum, p []byte) ([]RowSum, error) {
 	c := &cursor{p: p}
 	n := c.uvarint()
 	if c.err == nil && n > uint64(len(c.p)) {
-		return nil, errors.New("distrib: prepare declares more rows than payload holds")
+		return sums, errors.New("distrib: prepare declares more rows than payload holds")
 	}
-	sums := make([]RowSum, 0, n)
+	sums = slices.Grow(sums, int(n))
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		sums = append(sums, RowSum{Switch: c.node(), CRC: c.u32()})
 	}

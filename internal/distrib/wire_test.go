@@ -184,7 +184,7 @@ func TestBeginPrepareAckRoundTrip(t *testing.T) {
 	}
 
 	sums := []RowSum{{Switch: 1, CRC: 0xdeadbeef}, {Switch: 2, CRC: 0}}
-	gs, err := ParsePrepare(AppendPrepare(nil, sums))
+	gs, err := ParsePrepare(nil, AppendPrepare(nil, sums))
 	if err != nil || len(gs) != 2 || gs[0] != sums[0] || gs[1] != sums[1] {
 		t.Fatalf("prepare: %v %v", gs, err)
 	}
@@ -193,7 +193,7 @@ func TestBeginPrepareAckRoundTrip(t *testing.T) {
 	for id, ok := range map[uint64]bool{math.MaxInt32: true, 1 << 31: false, 1<<32 + 1: false} {
 		p := binary.AppendUvarint(binary.AppendUvarint(nil, 1), id)
 		p = binary.LittleEndian.AppendUint32(p, 7)
-		gs, err := ParsePrepare(p)
+		gs, err := ParsePrepare(nil, p)
 		if ok && (err != nil || gs[0].Switch != math.MaxInt32) {
 			t.Fatalf("prepare naming switch %d: %v %v", id, gs, err)
 		}

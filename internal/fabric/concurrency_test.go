@@ -187,7 +187,7 @@ func TestLayerJobsPooledDigestEqual(t *testing.T) {
 		old := mgrs[0].View()
 		changed := shadow.Mutate(ev)
 		newNet := shadow.working.Clone()
-		if len(planJobs(old, affectedDests(newNet, old.Result.Table.Clone(newNet), changed))) >= 2 {
+		if len(new(runner).planJobs(old, affectedDests(nil, newNet, old.Result.Table.Clone(newNet), changed))) >= 2 {
 			pooled++
 		}
 		for _, m := range mgrs {

@@ -175,14 +175,13 @@ func (m *Manager) initialEpoch() (*Snapshot, error) {
 // Restore rewinds the manager to a committed epoch — what a successor
 // leader does after failover: the state is rebuilt from the epoch's
 // network and the replicated bookkeeping maps (see
-// Candidate.Bookkeeping), and the runner is replaced by a fresh one, so
-// escape-root caches start cold. Nothing is published (the epoch
-// already was).
+// Candidate.Bookkeeping), and the runner's escape-root cache is dropped,
+// so repairs start cold. Nothing is published (the epoch already was).
 func (m *Manager) Restore(snap *Snapshot, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.st = restoreState(snap.Net, linkFailed, nodeDown)
-	m.run = newRunner(m.opts)
+	m.st = restoreState(m.st, snap.Net, linkFailed, nodeDown)
+	m.run.dropRoots()
 	m.snap.Store(snap)
 }
 

@@ -240,7 +240,7 @@ func TestAffectedDestsMatchesColumnScan(t *testing.T) {
 						}
 					}
 				}
-				got := affectedDests(newNet, table, changed)
+				got := affectedSet(newNet, table, changed)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("event %d (%s): affected %d destinations, column scan says %d", i, ev, len(got), len(want))
 				}
@@ -256,6 +256,17 @@ func TestAffectedDestsMatchesColumnScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// affectedSet is affectedDests as a set of destinations.
+func affectedSet(newNet *graph.Network, table *routing.Table, changed []graph.ChannelID) map[graph.NodeID]struct{} {
+	set := make(map[graph.NodeID]struct{})
+	for i, a := range affectedDests(nil, newNet, table, changed) {
+		if a {
+			set[table.Dests()[i]] = struct{}{}
+		}
+	}
+	return set
 }
 
 // TestLinkFailJoinRestoresStability fails one link and joins it again;

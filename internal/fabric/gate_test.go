@@ -60,7 +60,7 @@ func TestGateAtomicity(t *testing.T) {
 			epoch:     snap.Epoch,
 			digest:    snap.Result.Table.Digest(),
 			down:      m.st.downLinks(),
-			affected:  affectedDests(probe, snap.Result.Table.Clone(probe), changed),
+			affected:  affectedSet(probe, snap.Result.Table.Clone(probe), changed),
 			nextDraw:  next,
 			published: published,
 		}

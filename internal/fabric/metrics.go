@@ -111,12 +111,14 @@ func recordEvent(tm *telemetry.FabricMetrics, r *EventReport, err error) {
 	if r.FullRecompute {
 		full = 1
 	}
-	tm.Events.Emit("fabric_event", map[string]int64{
-		"epoch":          int64(r.Epoch),
-		"repaired_dests": int64(r.RepairedDests),
-		"total_dests":    int64(r.TotalDests),
-		"layer_rebuilds": int64(r.LayerRebuilds),
-		"full_recompute": full,
-		"latency_ns":     r.Latency.Nanoseconds(),
-	})
+	if tm.Events != nil {
+		tm.Events.Emit("fabric_event", map[string]int64{
+			"epoch":          int64(r.Epoch),
+			"repaired_dests": int64(r.RepairedDests),
+			"total_dests":    int64(r.TotalDests),
+			"layer_rebuilds": int64(r.LayerRebuilds),
+			"full_recompute": full,
+			"latency_ns":     r.Latency.Nanoseconds(),
+		})
+	}
 }

@@ -3,7 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -26,38 +26,39 @@ type layerJob struct {
 	kept   []graph.NodeID
 }
 
-// planJobs groups the affected destinations of one event by virtual
-// layer, in table destination order (deterministic).
-func planJobs(old *Snapshot, affected map[graph.NodeID]struct{}) []layerJob {
+// planJobs groups the destinations of one event by virtual layer, in
+// table destination order (deterministic): affected[i] marks the i-th
+// destination of the table for repair. It returns the jobs with
+// something to repair in ascending layer order, built in the runner's
+// kept slices, valid until the next call.
+func (r *runner) planJobs(old *Snapshot, affected []bool) []layerJob {
 	oldRes := old.Result
-	dests := oldRes.Table.Dests()
-	byLayer := make(map[uint8]*layerJob)
-	var layers []uint8
-	for i, d := range dests {
+	for l := range r.byLayer {
+		j := &r.byLayer[l]
+		j.repair, j.kept = j.repair[:0], j.kept[:0]
+	}
+	for i, d := range oldRes.Table.Dests() {
 		var l uint8
 		if oldRes.DestLayer != nil {
 			l = oldRes.DestLayer[i]
 		}
-		j := byLayer[l]
-		if j == nil {
-			j = &layerJob{layer: l}
-			byLayer[l] = j
-			layers = append(layers, l)
+		for int(l) >= len(r.byLayer) {
+			r.byLayer = append(r.byLayer, layerJob{layer: uint8(len(r.byLayer))})
 		}
-		if _, ok := affected[d]; ok {
+		j := &r.byLayer[l]
+		if affected[i] {
 			j.repair = append(j.repair, d)
 		} else {
 			j.kept = append(j.kept, d)
 		}
 	}
-	sort.Slice(layers, func(i, j int) bool { return layers[i] < layers[j] })
-	jobs := make([]layerJob, 0, len(layers))
-	for _, l := range layers {
-		if j := byLayer[l]; len(j.repair) > 0 {
-			jobs = append(jobs, *j)
+	r.jobs = r.jobs[:0]
+	for _, j := range r.byLayer {
+		if len(j.repair) > 0 {
+			r.jobs = append(r.jobs, j)
 		}
 	}
-	return jobs
+	return r.jobs
 }
 
 // runner is the routing-computation half of the Manager: it owns the Nue
@@ -71,10 +72,31 @@ type runner struct {
 	// roots caches each layer's last escape plan. While churn stays
 	// outside its tree it is passed back as the repair's Hint, eliding
 	// the Brandes betweenness pass that otherwise reruns from scratch on
-	// every event (the dominant repair cost on large fabrics).
+	// every event (the dominant repair cost on large fabrics). The cache
+	// owns its plans: a plan's tree goes back to bfs's free list when
+	// the plan is replaced or dropped (dropRoot), and so does the tree
+	// of every repair plan the cache does not keep.
 	roots map[uint8]core.Plan
 	// check is verify.Check; a field so tests can observe when it runs.
 	check func(*graph.Network, *routing.Result) error
+
+	// An event's scratch, kept from event to event: the affected mark
+	// per destination column, the layer jobs (byLayer indexed by layer,
+	// jobs those with something to repair) and their outcomes, the
+	// network being repaired or certified with the table being repaired
+	// or the candidate being certified, and the two checks' errors (the
+	// verifier's, the post-check's). repairJob and certifyJob, the tasks
+	// par.For runs over them, are bound once.
+	affected   []bool
+	byLayer    []layerJob
+	jobs       []layerJob
+	outs       []jobOutcome
+	net        *graph.Network
+	table      *routing.Table
+	candidate  *routing.Result
+	errs       [2]error
+	repairJob  func(i int)
+	certifyJob func(i int)
 }
 
 // newRunner builds the computation layer for the manager's (defaulted)
@@ -84,7 +106,7 @@ func newRunner(opts Options) *runner {
 	nopts.Seed = opts.Seed
 	nopts.Workers = opts.Workers
 	nopts.Telemetry = opts.EngineTelemetry
-	return &runner{
+	r := &runner{
 		opts:  opts,
 		nue:   core.New(nopts),
 		roots: make(map[uint8]core.Plan),
@@ -93,6 +115,16 @@ func newRunner(opts Options) *runner {
 			return err
 		},
 	}
+	r.repairJob = func(i int) { r.outs[i] = r.runJob(r.net, r.table, r.jobs[i]) }
+	r.certifyJob = func(i int) {
+		// The verifier is the first task, when there is one.
+		if i == 0 && r.opts.Verify {
+			r.errs[0] = r.check(r.net, r.candidate)
+		} else {
+			r.errs[1] = r.opts.PostCheck(r.net, r.candidate)
+		}
+	}
+	return r
 }
 
 // routeFull recomputes the whole fabric from scratch on net. The root
@@ -102,8 +134,30 @@ func (r *runner) routeFull(net *graph.Network) (*routing.Result, error) {
 	if len(dests) == 0 {
 		return nil, errors.New("fabric: network has no destinations")
 	}
-	clear(r.roots)
+	r.dropRoots()
 	return r.nue.Route(net, dests, r.opts.MaxVCs)
+}
+
+// setRoot caches p as layer l's plan, releasing the tree of the plan it
+// replaces.
+func (r *runner) setRoot(l uint8, p core.Plan) {
+	r.dropRoot(l)
+	r.roots[l] = p
+}
+
+// dropRoot removes layer l's cached plan, if any, and releases its tree.
+func (r *runner) dropRoot(l uint8) {
+	if p, ok := r.roots[l]; ok {
+		p.Tree.Release()
+		delete(r.roots, l)
+	}
+}
+
+// dropRoots empties the root cache, releasing every tree.
+func (r *runner) dropRoots() {
+	for l := range r.roots {
+		r.dropRoot(l)
+	}
 }
 
 // invalidateRoots drops cached escape roots the changed channels can no
@@ -113,14 +167,14 @@ func (r *runner) routeFull(net *graph.Network) (*routing.Result, error) {
 func (r *runner) invalidateRoots(newNet *graph.Network, changed []graph.ChannelID) {
 	for _, c := range changed {
 		if !newNet.Channel(c).Failed {
-			clear(r.roots)
+			r.dropRoots()
 			return
 		}
 	}
 	for l, p := range r.roots {
 		for _, c := range changed {
 			if p.Tree.IsTreeChannel(c) {
-				delete(r.roots, l)
+				r.dropRoot(l)
 				break
 			}
 		}
@@ -168,8 +222,8 @@ func (r *runner) retable(old *Snapshot, newNet *graph.Network, changed []graph.C
 
 	// The published table is read only: the ID spaces of the two
 	// networks are shared, so its rows answer for newNet too.
-	affected := affectedDests(newNet, oldRes.Table, changed)
-	if len(affected) == 0 {
+	r.affected = affectedDests(r.affected, newNet, oldRes.Table, changed)
+	if !slices.Contains(r.affected, true) {
 		// Topology changed but no unicast route is impacted (e.g. failing
 		// an unused link): republish the same entries on the new network,
 		// shared, not copied.
@@ -183,17 +237,26 @@ func (r *runner) retable(old *Snapshot, newNet *graph.Network, changed []graph.C
 	// The layer jobs write disjoint columns of one eager clone; a lazy
 	// copy would race on its first write.
 	table := oldRes.Table.Clone(newNet)
-	jobs := planJobs(old, affected)
-	outs := make([]jobOutcome, len(jobs))
+	jobs := r.planJobs(old, r.affected)
+	outs := slices.Grow(r.outs[:0], len(jobs))[:len(jobs)]
+	r.outs, r.net, r.table = outs, newNet, table
 	barrier := time.Now()
-	par.For(par.Workers(r.opts.Workers), len(jobs), func(i int) {
-		outs[i] = r.runJob(newNet, table, jobs[i])
-	})
+	par.For(par.Workers(r.opts.Workers), len(jobs), r.repairJob)
 	report.RepairTime = time.Since(barrier)
+	// The kept scratch holds on to no plan, network or table.
+	r.net, r.table = nil, nil
+	defer clear(outs)
 	for i, j := range jobs {
 		out := outs[i]
 		if out.err != nil {
-			// Last resort: re-route the whole fabric.
+			// Last resort: re-route the whole fabric, which drops the
+			// cache; the plans of this job and the ones after it are not
+			// kept either.
+			for _, o := range outs[i:] {
+				if o.stats != nil {
+					o.stats.Plan.Tree.Release()
+				}
+			}
 			res, err := r.fullRecompute(newNet, report)
 			if err != nil {
 				return nil, fmt.Errorf("layer %d repair failed (%v) and full recompute failed: %w", j.layer, out.err, err)
@@ -201,7 +264,7 @@ func (r *runner) retable(old *Snapshot, newNet *graph.Network, changed []graph.C
 			return res, nil
 		}
 		if out.stats.Plan.Tree != nil {
-			r.roots[j.layer] = out.stats.Plan
+			r.setRoot(j.layer, out.stats.Plan)
 		}
 		if out.stats.RootReused {
 			report.RootsReused++
@@ -251,15 +314,17 @@ func (r *runner) fullRecompute(newNet *graph.Network, report *EventReport) (*rou
 // error wins when both fail.
 func (r *runner) maybeVerify(net *graph.Network, res *routing.Result, report *EventReport) error {
 	start := time.Now()
-	var verr, perr error
-	var tasks []func()
+	tasks := 0
 	if r.opts.Verify {
-		tasks = append(tasks, func() { verr = r.check(net, res) })
+		tasks++
 	}
 	if r.opts.PostCheck != nil {
-		tasks = append(tasks, func() { perr = r.opts.PostCheck(net, res) })
+		tasks++
 	}
-	par.For(par.Workers(r.opts.Workers), len(tasks), func(i int) { tasks[i]() })
+	r.net, r.candidate = net, res
+	par.For(par.Workers(r.opts.Workers), tasks, r.certifyJob)
+	verr, perr := r.errs[0], r.errs[1]
+	r.net, r.candidate, r.errs = nil, nil, [2]error{}
 	report.CertifyTime += time.Since(start)
 	if verr != nil {
 		return fmt.Errorf("invalid: %w", verr)

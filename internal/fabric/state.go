@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -26,7 +27,8 @@ type State struct {
 	linkFailed map[graph.ChannelID]bool
 	nodeDown   map[graph.NodeID]bool
 	// links lists, per node, the canonical duplex links attached to it
-	// (independent of current failed state).
+	// (independent of current failed state); never written after
+	// NewState, so a restored state shares it.
 	links [][]graph.ChannelID
 }
 
@@ -65,10 +67,15 @@ func (s *State) bookkeeping() (linkFailed map[graph.ChannelID]bool, nodeDown map
 // network (cloned) plus the replicated bookkeeping maps, which REPLACE
 // the explicit-failure inference NewState makes from the network (a link
 // that is down only because its switch is down must not be recorded as
-// explicitly failed, or a later switch join would strand it).
-func restoreState(net *graph.Network, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) *State {
-	s := NewState(net)
-	clear(s.linkFailed)
+// explicitly failed, or a later switch join would strand it). The links
+// per node depend on the fabric's IDs alone, so they are prev's.
+func restoreState(prev *State, net *graph.Network, linkFailed map[graph.ChannelID]bool, nodeDown map[graph.NodeID]bool) *State {
+	s := &State{
+		working:    net.Clone(),
+		linkFailed: make(map[graph.ChannelID]bool, len(linkFailed)),
+		nodeDown:   make(map[graph.NodeID]bool, len(nodeDown)),
+		links:      prev.links,
+	}
 	maps.Copy(s.linkFailed, linkFailed)
 	maps.Copy(s.nodeDown, nodeDown)
 	return s
@@ -126,9 +133,10 @@ func (s *State) revert(ev Event, changed []graph.ChannelID) {
 	}
 }
 
-// affectedDests computes the destinations an event must re-route on the
-// post-event network, reading table, the published pre-event entries
-// (bound to the old network, whose ID spaces newNet shares): for a failed
+// affectedDests marks the destinations an event must re-route on the
+// post-event network in affected (grown to one entry per column of table
+// and returned), reading table, the published pre-event entries (bound
+// to the old network, whose ID spaces newNet shares): for a failed
 // channel, exactly the destinations forwarded over it — the columns
 // holding it in its tail switch's row, the only row that can (a
 // terminal's single hop has no row and is covered by the degree rule
@@ -136,9 +144,10 @@ func (s *State) revert(ev Event, changed []graph.ChannelID) {
 // (disconnection healing); plus destinations that just lost their last
 // channel (their stale columns must drop even though no path can be
 // rebuilt).
-func affectedDests(newNet *graph.Network, table *routing.Table, changed []graph.ChannelID) map[graph.NodeID]struct{} {
-	affected := make(map[graph.NodeID]struct{})
-	dests, switches := table.Dests(), newNet.Switches()
+func affectedDests(affected []bool, newNet *graph.Network, table *routing.Table, changed []graph.ChannelID) []bool {
+	dests, switches := table.Dests(), newNet.RowSwitches()
+	affected = slices.Grow(affected[:0], len(dests))[:len(dests)]
+	clear(affected)
 	restored := false
 	for _, c := range changed {
 		ch := newNet.Channel(c)
@@ -147,31 +156,31 @@ func affectedDests(newNet *graph.Network, table *routing.Table, changed []graph.
 		} else if newNet.IsSwitch(ch.From) {
 			for i, next := range table.Row(ch.From) {
 				if next == c {
-					affected[dests[i]] = struct{}{}
+					affected[i] = true
 				}
 			}
 		}
 	}
 	if restored {
-		for _, d := range dests {
-			if _, ok := affected[d]; ok || newNet.Degree(d) == 0 {
+		for i, d := range dests {
+			if affected[i] || newNet.Degree(d) == 0 {
 				continue
 			}
 			for _, sw := range switches {
 				if newNet.Degree(sw) > 0 && sw != d && table.Next(sw, d) == graph.NoChannel {
-					affected[d] = struct{}{}
+					affected[i] = true
 					break
 				}
 			}
 		}
 	}
-	for _, d := range dests {
+	for i, d := range dests {
 		if newNet.Degree(d) > 0 {
 			continue
 		}
 		for _, sw := range switches {
 			if table.Next(sw, d) != graph.NoChannel {
-				affected[d] = struct{}{}
+				affected[i] = true
 				break
 			}
 		}

@@ -769,14 +769,16 @@ func (s *sim) reportTelemetry(r *Result, wall time.Duration) {
 	if r.TimedOut {
 		tm.Timeouts.Inc()
 	}
-	tm.Events.Emit("flowsim_run", map[string]int64{
-		"flows":          int64(r.FlowsTotal),
-		"finished":       int64(r.FlowsFinished),
-		"events":         r.Events,
-		"recomputes":     r.Recomputes,
-		"makespan_ticks": int64(r.Makespan),
-		"timed_out":      b2i(r.TimedOut),
-	})
+	if tm.Events != nil {
+		tm.Events.Emit("flowsim_run", map[string]int64{
+			"flows":          int64(r.FlowsTotal),
+			"finished":       int64(r.FlowsFinished),
+			"events":         r.Events,
+			"recomputes":     r.Recomputes,
+			"makespan_ticks": int64(r.Makespan),
+			"timed_out":      b2i(r.TimedOut),
+		})
+	}
 }
 
 func b2i(b bool) int64 {

@@ -76,8 +76,13 @@ type Network struct {
 	nodes []Node
 	// adj is the one adjacency (csr.go).
 	adj CSR
+	// switches lists the switches in ascending ID order, and swRow maps
+	// a node to its position there (-1 for a terminal): the row order of
+	// every forwarding table of the network. Build makes both; clones
+	// share them.
+	switches []NodeID
+	swRow    []int32
 
-	numSwitches  int
 	numTerminals int
 }
 
@@ -85,7 +90,7 @@ type Network struct {
 func (g *Network) NumNodes() int { return len(g.nodes) }
 
 // NumSwitches returns the number of switch nodes.
-func (g *Network) NumSwitches() int { return g.numSwitches }
+func (g *Network) NumSwitches() int { return len(g.switches) }
 
 // NumTerminals returns the number of terminal nodes.
 func (g *Network) NumTerminals() int { return g.numTerminals }
@@ -127,16 +132,19 @@ func (g *Network) Nodes() []NodeID {
 	return ids
 }
 
-// Switches returns the IDs of all switch nodes in ascending order.
-func (g *Network) Switches() []NodeID {
-	ids := make([]NodeID, 0, g.numSwitches)
-	for i := range g.nodes {
-		if g.nodes[i].Kind == Switch {
-			ids = append(ids, NodeID(i))
-		}
-	}
-	return ids
-}
+// Switches returns the IDs of all switch nodes in ascending order, in a
+// new slice the caller may modify.
+func (g *Network) Switches() []NodeID { return slices.Clone(g.switches) }
+
+// RowSwitches is Switches without the copy: the network's own list,
+// shared by its clones, whose i-th switch owns row i of every forwarding
+// table of the network. Do not modify it.
+func (g *Network) RowSwitches() []NodeID { return g.switches[:len(g.switches):len(g.switches)] }
+
+// SwitchRows maps each node to its position in Switches(), the
+// forwarding-table row it owns, or -1 for a terminal: the network's own
+// array, shared by its clones. Do not modify it.
+func (g *Network) SwitchRows() []int32 { return g.swRow[:len(g.swRow):len(g.swRow)] }
 
 // Terminals returns the IDs of all terminal nodes in ascending order.
 func (g *Network) Terminals() []NodeID {
@@ -221,8 +229,10 @@ func (b *Builder) Build() (*Network, error) {
 	g := &Network{
 		nodes: slices.Clone(b.nodes),
 		adj:   layout(len(b.nodes), slices.Clone(b.from), slices.Clone(b.to)),
+		swRow: make([]int32, len(b.nodes)),
 	}
 	for _, n := range g.nodes {
+		g.swRow[n.ID] = -1
 		switch n.Kind {
 		case Terminal:
 			if out, in := len(g.Out(n.ID)), len(g.In(n.ID)); out != 1 || in != 1 {
@@ -231,7 +241,8 @@ func (b *Builder) Build() (*Network, error) {
 			}
 			g.numTerminals++
 		case Switch:
-			g.numSwitches++
+			g.swRow[n.ID] = int32(len(g.switches))
+			g.switches = append(g.switches, n.ID)
 		}
 	}
 	return g, nil
@@ -251,7 +262,8 @@ func (b *Builder) MustBuild() *Network {
 // readers keep using g — the basis of the fabric manager's copy-on-write
 // snapshots. It copies only what a failure or restore writes (OutCh,
 // InCh, Failed and the live ends) and shares the rest — the nodes, the
-// range starts, From, To and Rev — which nothing writes after Build. A
+// switch rows, the range starts, From, To and Rev — which nothing writes
+// after Build. A
 // clone therefore costs a constant number of allocations: the repair path
 // clones per churn event.
 func (g *Network) Clone() *Network {

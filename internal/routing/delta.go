@@ -21,8 +21,8 @@ func (t *Table) Rebind(net *graph.Network) *Table {
 	if net == nil {
 		net = t.net
 	}
-	u := *t // dests, destIndex and swIndex are immutable after NewTable
-	u.net = net
+	u := *t // dests and destIndex are immutable after NewTable
+	u.net, u.swRow = net, net.SwitchRows()
 	return &u
 }
 
@@ -115,14 +115,14 @@ func (t *Table) Shape() (rows, cols int) {
 
 // RowIndex returns the table row of switch sw (-1 if sw owns no row,
 // which includes every ID outside the network: distrib asks it about
-// switch IDs read off the wire). Rows are assigned to switches in
-// ascending node-ID order, so row r belongs to the r-th switch of
+// switch IDs read off the wire). Rows are the network's
+// (Network.SwitchRows), so row r belongs to the r-th switch of
 // Network.Switches().
 func (t *Table) RowIndex(sw graph.NodeID) int32 {
-	if sw < 0 || int(sw) >= len(t.swIndex) {
+	if sw < 0 || int(sw) >= len(t.swRow) {
 		return -1
 	}
-	return t.swIndex[sw]
+	return t.swRow[sw]
 }
 
 // Row returns switch sw's row — one next-hop channel per destination
@@ -132,7 +132,7 @@ func (t *Table) RowIndex(sw graph.NodeID) int32 {
 // the table: a published table is never written — the fabric manager
 // clones before it repairs. It panics if sw owns no row.
 func (t *Table) Row(sw graph.NodeID) []graph.ChannelID {
-	r := t.swIndex[sw]
+	r := t.swRow[sw]
 	if r < 0 {
 		panic(fmt.Sprintf("routing: Row of non-switch node %d", sw))
 	}

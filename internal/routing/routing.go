@@ -23,8 +23,10 @@ type Table struct {
 	net       *graph.Network
 	dests     []graph.NodeID
 	destIndex []int32 // node -> column, -1 if not a destination
-	swIndex   []int32 // node -> row, -1 if not a switch
-	next      []graph.ChannelID
+	// swRow is net.SwitchRows(): node -> row, -1 if not a switch. The
+	// network's array, not a copy.
+	swRow []int32
+	next  []graph.ChannelID
 }
 
 // NewTable allocates an empty table for the given destination set.
@@ -33,23 +35,15 @@ func NewTable(net *graph.Network, dests []graph.NodeID) *Table {
 		net:       net,
 		dests:     append([]graph.NodeID(nil), dests...),
 		destIndex: make([]int32, net.NumNodes()),
-		swIndex:   make([]int32, net.NumNodes()),
+		swRow:     net.SwitchRows(),
 	}
 	for i := range t.destIndex {
 		t.destIndex[i] = -1
-		t.swIndex[i] = -1
 	}
 	for i, d := range t.dests {
 		t.destIndex[d] = int32(i)
 	}
-	rows := 0
-	for n := 0; n < net.NumNodes(); n++ {
-		if net.IsSwitch(graph.NodeID(n)) {
-			t.swIndex[n] = int32(rows)
-			rows++
-		}
-	}
-	t.next = make([]graph.ChannelID, rows*len(t.dests))
+	t.next = make([]graph.ChannelID, net.NumSwitches()*len(t.dests))
 	for i := range t.next {
 		t.next[i] = graph.NoChannel
 	}
@@ -61,7 +55,7 @@ func (t *Table) Dests() []graph.NodeID { return t.dests }
 
 // Set records the next-hop channel at switch sw toward destination dest.
 func (t *Table) Set(sw, dest graph.NodeID, c graph.ChannelID) {
-	r, d := t.swIndex[sw], t.destIndex[dest]
+	r, d := t.swRow[sw], t.destIndex[dest]
 	if r < 0 {
 		panic(fmt.Sprintf("routing: Set on non-switch node %d", sw))
 	}
@@ -78,15 +72,16 @@ func (t *Table) Next(n, dest graph.NodeID) graph.ChannelID {
 	if n == dest {
 		return graph.NoChannel
 	}
-	if t.net.IsTerminal(n) {
+	r := t.swRow[n]
+	if r < 0 { // a terminal
 		out := t.net.Out(n)
 		if len(out) == 0 {
 			return graph.NoChannel
 		}
 		return out[0]
 	}
-	r, d := t.swIndex[n], t.destIndex[dest]
-	if r < 0 || d < 0 {
+	d := t.destIndex[dest]
+	if d < 0 {
 		return graph.NoChannel
 	}
 	return t.next[int(r)*len(t.dests)+int(d)]

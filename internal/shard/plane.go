@@ -206,7 +206,7 @@ func (p *Plane) gate(c *fabric.Candidate) error {
 // Failover elects a new leader deterministically — the lowest-numbered
 // alive replica that can assemble a vote quorum — and restores the
 // manager from the last committed epoch: replicated bookkeeping and a
-// fresh runner (escape-root caches start cold).
+// dropped escape-root cache (repairs start cold).
 // Returns the new leader and term.
 func (p *Plane) Failover() (leader int, term uint64, err error) {
 	p.mu.Lock()
@@ -283,10 +283,12 @@ func (p *Plane) recordEpoch(rep *Report) {
 	t := p.opts.Telemetry
 	t.Term.Set(int64(rep.Term))
 	t.Leader.Set(int64(rep.Leader))
-	t.Events.Emit("shard_epoch", map[string]int64{
-		"epoch":      int64(rep.Epoch),
-		"term":       int64(rep.Term),
-		"leader":     int64(rep.Leader),
-		"latency_ns": rep.Latency.Nanoseconds(),
-	})
+	if t.Events != nil {
+		t.Events.Emit("shard_epoch", map[string]int64{
+			"epoch":      int64(rep.Epoch),
+			"term":       int64(rep.Term),
+			"leader":     int64(rep.Leader),
+			"latency_ns": rep.Latency.Nanoseconds(),
+		})
+	}
 }

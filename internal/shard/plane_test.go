@@ -439,3 +439,19 @@ func TestPlaneFabricTelemetryConsistency(t *testing.T) {
 		t.Errorf("shard_epochs_committed_total = %d, want %d (initial + events)", got, committed+1)
 	}
 }
+
+// TestTelemetryOffEpochAllocatesNothing holds recordEpoch to the
+// zero-overhead-when-off contract (DESIGN §10): with no telemetry bundle
+// the shard_epoch event is never built, so booking an epoch allocates
+// nothing.
+func TestTelemetryOffEpochAllocatesNothing(t *testing.T) {
+	p, err := New(topology.Ring(6, 1), Options{Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &Report{Term: 1 << 40, Leader: 2}
+	rep.Epoch = 1 << 40
+	if n := testing.AllocsPerRun(100, func() { p.recordEpoch(rep) }); n != 0 {
+		t.Errorf("recordEpoch with telemetry off makes %.0f allocations, want 0", n)
+	}
+}

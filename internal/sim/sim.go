@@ -407,21 +407,25 @@ func (s *sim) reportTelemetry(r *Result) {
 	}
 	if r.Deadlocked {
 		tm.Deadlocks.Inc()
-		tm.Events.Emit("sim_deadlock", map[string]int64{
+		if tm.Events != nil {
+			tm.Events.Emit("sim_deadlock", map[string]int64{
+				"cycles":          r.Cycles,
+				"stranded_flits":  r.InFlightFlits,
+				"delivered_flits": r.DeliveredFlits,
+				"injected_flits":  r.InjectedFlits,
+			})
+		}
+	}
+	if tm.Events != nil {
+		tm.Events.Emit("sim_run", map[string]int64{
 			"cycles":          r.Cycles,
-			"stranded_flits":  r.InFlightFlits,
-			"delivered_flits": r.DeliveredFlits,
 			"injected_flits":  r.InjectedFlits,
+			"delivered_flits": r.DeliveredFlits,
+			"stall_cycles":    r.StallCycles,
+			"deadlocked":      b2i(r.Deadlocked),
+			"timed_out":       b2i(r.TimedOut),
 		})
 	}
-	tm.Events.Emit("sim_run", map[string]int64{
-		"cycles":          r.Cycles,
-		"injected_flits":  r.InjectedFlits,
-		"delivered_flits": r.DeliveredFlits,
-		"stall_cycles":    r.StallCycles,
-		"deadlocked":      b2i(r.Deadlocked),
-		"timed_out":       b2i(r.TimedOut),
-	})
 }
 
 func b2i(b bool) int64 {

@@ -193,7 +193,9 @@ type Ring struct {
 
 // Emit appends an event, overwriting the oldest when the ring is full.
 // The fields map is retained; callers must not reuse it. No-op on a nil
-// receiver (and then allocates nothing).
+// receiver; the fields map is built before the call, so a caller that
+// must allocate nothing with telemetry off (DESIGN §10) checks for a nil
+// ring first.
 func (r *Ring) Emit(kind string, fields map[string]int64) {
 	if r == nil {
 		return
