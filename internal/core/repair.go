@@ -77,11 +77,11 @@ type RepairStats struct {
 //
 // An error is a hard failure (no usable root, unseedable kept columns, an
 // internal inconsistency); the caller re-routes the fabric.
-func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
+func (n *Nue) RepairLayer(req RepairRequest) (RepairStats, error) {
 	isSource := n.sourceMask(req.Net)
 	// Every pass starts its stats from the plan's; the one the ladder
 	// stops at is returned.
-	stats := new(RepairStats)
+	var stats RepairStats
 	rung := 0
 	for _, whole := range [...]bool{false, true} {
 		if whole {
@@ -90,12 +90,11 @@ func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
 		}
 		scope, routable, err := n.repairRoot(req)
 		if err != nil || len(routable) == 0 {
-			*stats = scope
-			return stats, err
+			return scope, err
 		}
 		for _, escape := range [...]bool{false, true} {
 			rung++
-			*stats = scope
+			stats = scope
 			if escape {
 				// The columns the pass without escape paths left half written.
 				for _, dest := range routable {
@@ -116,7 +115,7 @@ func (n *Nue) RepairLayer(req RepairRequest) (*RepairStats, error) {
 		// built here: a hint's tree is never the plan's).
 		scope.Plan.Tree.Release()
 	}
-	return nil, errors.New("core: internal error: whole-layer repair with escape paths refused")
+	return RepairStats{}, errors.New("core: internal error: whole-layer repair with escape paths refused")
 }
 
 // repairRoot clears the columns of req.Repair and plans the escape paths

@@ -116,12 +116,6 @@ type Agent struct {
 	// the staging's copies together never outnumber the installed rows;
 	// a full sync, which may change the shape, empties the list.
 	spare [][]graph.ChannelID
-
-	// ackMu guards the buffers an ack is built in: its payload and its
-	// frame.
-	ackMu    sync.Mutex
-	ackMsg   []byte
-	ackFrame []byte
 }
 
 // New creates an agent.
@@ -216,89 +210,81 @@ func (a *Agent) serve(ctx context.Context, conn net.Conn) (heard bool, err error
 		return false, err
 	}
 
-	// One frame buffer per connection: a payload is read before the
-	// next frame overwrites it, and what the agent keeps of it is a copy.
-	var buf []byte
+	// One frame buffer and one ack buffer per connection: a payload is
+	// read before the next frame overwrites it, and what the agent keeps
+	// of it is a copy.
+	var buf, msg, out []byte
 	for {
 		var f distrib.Frame
 		f, buf, err = distrib.ReadFrame(conn, buf)
-		if err != nil {
-			if errors.Is(err, distrib.ErrFrameCorrupt) {
-				// The frame is lost but the stream survives: drop any
-				// staged push (it can no longer complete) and NAK so the
-				// source re-syncs us from a full snapshot.
-				a.mu.Lock()
-				a.dropStage()
-				a.draining = false
-				a.stats.CorruptFrames++
-				a.mu.Unlock()
-				a.nak(conn, f.Epoch, "corrupt frame")
-				continue
-			}
+		// A corrupt frame is lost but the stream survives: it is refused
+		// like a bad push, so the source re-syncs us from a full snapshot.
+		corrupt := errors.Is(err, distrib.ErrFrameCorrupt)
+		if err != nil && !corrupt {
 			return heard, err
 		}
-		heard = true
-		if err := a.handle(conn, f); err != nil {
-			return heard, err
+		heard = heard || !corrupt
+		ack, reply := a.step(f, corrupt)
+		if !reply {
+			continue
 		}
+		if ack.Phase == distrib.AckNak {
+			a.logf("agent %s: nak epoch %d: %s", a.opts.ID, f.Epoch, ack.Reason)
+		}
+		msg = distrib.AppendAck(msg[:0], ack)
+		out = distrib.AppendFrame(out[:0], distrib.Frame{Type: distrib.MsgAck, Epoch: f.Epoch, Payload: msg})
+		conn.Write(out)
 	}
 }
 
-// nak rejects the current push.
-func (a *Agent) nak(conn net.Conn, epoch uint64, reason string) {
+// step answers one frame, or a frame lost to corruption, under the
+// agent's lock: the ack to write, if the frame draws one. begin,
+// stageDelta, prepare and commit return a refusal reason, "" when they
+// accept the frame, and a refusal is booked here alone: it counts a NAK,
+// drops the staging and resumes forwarding.
+func (a *Agent) step(f distrib.Frame, corrupt bool) (ack distrib.Ack, reply bool) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	var reason string
+	switch {
+	case corrupt:
+		a.stats.CorruptFrames++
+		reason = "corrupt frame"
+	case f.Type == distrib.MsgBegin:
+		reason = a.begin(f)
+	case f.Type == distrib.MsgDelta:
+		reason = a.stageDelta(f.Epoch, f.Payload)
+	case f.Type == distrib.MsgPrepare:
+		ack.Phase = distrib.AckPrepared
+		ack.FleetCRC, reason = a.prepare(f.Epoch, f.Payload)
+	case f.Type == distrib.MsgCommit:
+		ack.Phase = distrib.AckCommitted
+		ack.FleetCRC, reason = a.commit(f.Epoch)
+	}
+	if reason == "" {
+		return ack, ack.Phase != 0
+	}
 	a.stats.Naks++
 	a.dropStage()
 	a.draining = false
-	a.mu.Unlock()
-	a.logf("agent %s: nak epoch %d: %s", a.opts.ID, epoch, reason)
-	a.writeAck(conn, epoch, distrib.Ack{Phase: distrib.AckNak, Reason: reason})
-}
-
-func (a *Agent) writeAck(conn net.Conn, epoch uint64, ack distrib.Ack) {
-	a.ackMu.Lock()
-	defer a.ackMu.Unlock()
-	a.ackMsg = distrib.AppendAck(a.ackMsg[:0], ack)
-	a.ackFrame = distrib.AppendFrame(a.ackFrame[:0], distrib.Frame{Type: distrib.MsgAck, Epoch: epoch, Payload: a.ackMsg})
-	conn.Write(a.ackFrame)
-}
-
-// handle processes one valid frame.
-func (a *Agent) handle(conn net.Conn, f distrib.Frame) error {
-	switch f.Type {
-	case distrib.MsgBegin:
-		b, err := distrib.ParseBegin(f.Payload)
-		if err != nil {
-			a.nak(conn, f.Epoch, fmt.Sprintf("bad begin: %v", err))
-			return nil
-		}
-		a.begin(conn, f, b)
-	case distrib.MsgDelta:
-		a.stageDelta(conn, f.Epoch, f.Payload)
-	case distrib.MsgPrepare:
-		a.prepare(conn, f.Epoch, f.Payload)
-	case distrib.MsgCommit:
-		a.commit(conn, f.Epoch)
-	}
-	return nil
+	return distrib.Ack{Phase: distrib.AckNak, Reason: reason}, true
 }
 
 // begin opens a new staging area, replacing any previous one (the
 // source retries by restarting the push).
-func (a *Agent) begin(conn net.Conn, f distrib.Frame, b distrib.Begin) {
-	a.mu.Lock()
+func (a *Agent) begin(f distrib.Frame) string {
+	b, err := distrib.ParseBegin(f.Payload)
+	if err != nil {
+		return fmt.Sprintf("bad begin: %v", err)
+	}
 	if b.HasBase {
 		// A delta transforms the installed epoch; the base must be
 		// exactly what this agent holds.
 		if !a.hasEpoch || a.epoch != b.Base {
-			a.mu.Unlock()
-			a.nak(conn, f.Epoch, fmt.Sprintf("stale delta base %d (installed %d/%v)", b.Base, a.epoch, a.hasEpoch))
-			return
+			return fmt.Sprintf("stale delta base %d (installed %d/%v)", b.Base, a.epoch, a.hasEpoch)
 		}
 		if b.Rows != len(a.rows) || b.Cols != a.cols() {
-			a.mu.Unlock()
-			a.nak(conn, f.Epoch, "delta shape mismatch")
-			return
+			return "delta shape mismatch"
 		}
 	}
 	a.dropStage()
@@ -315,7 +301,7 @@ func (a *Agent) begin(conn net.Conn, f distrib.Frame, b distrib.Begin) {
 		st.copied = append(st.copied, make([]bool, len(a.rows))...)
 	}
 	a.stage = st
-	a.mu.Unlock()
+	return ""
 }
 
 // dropStage abandons the staged push, if any, and keeps the rows a delta
@@ -357,25 +343,18 @@ func (a *Agent) cols() int {
 	return len(a.rows[0])
 }
 
-func (a *Agent) stageDelta(conn net.Conn, epoch uint64, payload []byte) {
-	a.mu.Lock()
+// stageDelta writes one MsgDelta frame's entries into the staging.
+func (a *Agent) stageDelta(epoch uint64, payload []byte) string {
 	rows, cols, entries, err := routing.AppendDecodeDelta(a.entries[:0], payload)
 	a.entries = entries
 	st := a.stage
-	if st == nil || st.epoch != epoch || st.prepared {
-		a.mu.Unlock()
-		a.nak(conn, epoch, "delta without matching begin")
-		return
-	}
-	if err != nil {
-		a.mu.Unlock()
-		a.nak(conn, epoch, fmt.Sprintf("delta rejected: %v", err))
-		return
-	}
-	if rows != st.begin.Rows || cols != st.begin.Cols {
-		a.mu.Unlock()
-		a.nak(conn, epoch, "delta shape mismatch")
-		return
+	switch {
+	case st == nil || st.epoch != epoch || st.prepared:
+		return "delta without matching begin"
+	case err != nil:
+		return fmt.Sprintf("delta rejected: %v", err)
+	case rows != st.begin.Rows || cols != st.begin.Cols:
+		return "delta shape mismatch"
 	}
 	if !st.begin.HasBase {
 		// Each entry continues where the last one stopped, so the staging
@@ -383,21 +362,16 @@ func (a *Agent) stageDelta(conn net.Conn, epoch uint64, payload []byte) {
 		st.next = slices.Grow(st.next, len(entries))
 		for _, e := range entries {
 			if int64(e.Row)*int64(cols)+int64(e.Col) != int64(len(st.next)) {
-				a.mu.Unlock()
-				a.nak(conn, epoch, fmt.Sprintf("full sync skips to entry (%d,%d) after %d entries", e.Row, e.Col, len(st.next)))
-				return
+				return fmt.Sprintf("full sync skips to entry (%d,%d) after %d entries", e.Row, e.Col, len(st.next))
 			}
 			st.next = append(st.next, e.Next)
 		}
 		st.got++
-		a.mu.Unlock()
-		return
+		return ""
 	}
 	for _, e := range entries {
 		if int(e.Row) >= len(st.rows) || int(e.Col) >= cols {
-			a.mu.Unlock()
-			a.nak(conn, epoch, "delta entry out of range")
-			return
+			return "delta entry out of range"
 		}
 		if !st.copied[e.Row] {
 			st.rows[e.Row] = a.copyRow(st.rows[e.Row])
@@ -406,37 +380,28 @@ func (a *Agent) stageDelta(conn net.Conn, epoch uint64, payload []byte) {
 		st.rows[e.Row][e.Col] = e.Next
 	}
 	st.got++
-	a.mu.Unlock()
+	return ""
 }
 
 // prepare validates the staged rows against the source's authoritative
-// checksums, the MsgPrepare payload, and acks; a drained push pauses
-// forwarding from here until commit.
-func (a *Agent) prepare(conn net.Conn, epoch uint64, payload []byte) {
-	a.mu.Lock()
+// checksums, the MsgPrepare payload, and returns the staging's fleet CRC;
+// a drained push pauses forwarding from here until commit.
+func (a *Agent) prepare(epoch uint64, payload []byte) (uint32, string) {
 	sums, err := distrib.ParsePrepare(a.sums[:0], payload)
 	a.sums = sums
 	if err != nil {
-		a.mu.Unlock()
-		a.nak(conn, epoch, fmt.Sprintf("bad prepare: %v", err))
-		return
+		return 0, fmt.Sprintf("bad prepare: %v", err)
 	}
 	st := a.stage
 	if st == nil || st.epoch != epoch {
-		a.mu.Unlock()
-		a.nak(conn, epoch, "prepare without matching begin")
-		return
+		return 0, "prepare without matching begin"
 	}
 	rows, cols := st.begin.Rows, st.begin.Cols
 	if st.got != st.begin.Frames || (!st.begin.HasBase && int64(len(st.next)) != int64(rows)*int64(cols)) {
-		a.mu.Unlock()
-		a.nak(conn, epoch, fmt.Sprintf("incomplete push: %d/%d frames", st.got, st.begin.Frames))
-		return
+		return 0, fmt.Sprintf("incomplete push: %d/%d frames", st.got, st.begin.Frames)
 	}
 	if len(sums) != rows {
-		a.mu.Unlock()
-		a.nak(conn, epoch, "prepare row count mismatch")
-		return
+		return 0, "prepare row count mismatch"
 	}
 	if !st.begin.HasBase {
 		// A full sync's switches are the ones its checksums name.
@@ -444,9 +409,7 @@ func (a *Agent) prepare(conn net.Conn, epoch uint64, payload []byte) {
 		st.rows = slices.Grow(st.rows[:0], rows)
 		for i, s := range sums {
 			if i > 0 && s.Switch <= sums[i-1].Switch {
-				a.mu.Unlock()
-				a.nak(conn, epoch, "prepare switches not in ascending order")
-				return
+				return 0, "prepare switches not in ascending order"
 			}
 			st.switches[i] = s.Switch
 			st.rows = append(st.rows, st.next[i*cols:(i+1)*cols:(i+1)*cols])
@@ -455,35 +418,26 @@ func (a *Agent) prepare(conn net.Conn, epoch uint64, payload []byte) {
 	st.crcs = slices.Grow(st.crcs[:0], len(st.rows))[:len(st.rows)]
 	for i, row := range st.rows {
 		if sums[i].Switch != st.switches[i] {
-			a.mu.Unlock()
-			a.nak(conn, epoch, fmt.Sprintf("prepare switch %d, staged %d", sums[i].Switch, st.switches[i]))
-			return
+			return 0, fmt.Sprintf("prepare switch %d, staged %d", sums[i].Switch, st.switches[i])
 		}
 		st.crcs[i] = distrib.RowCRC(row)
 		if st.crcs[i] != sums[i].CRC {
-			a.mu.Unlock()
-			a.nak(conn, epoch, fmt.Sprintf("row %d checksum mismatch", sums[i].Switch))
-			return
+			return 0, fmt.Sprintf("row %d checksum mismatch", sums[i].Switch)
 		}
 	}
 	st.prepared = true
 	if st.flags&distrib.FlagDrain != 0 {
 		a.draining = true
 	}
-	fleet := distrib.FleetCRC(st.crcs)
-	a.mu.Unlock()
-	a.writeAck(conn, epoch, distrib.Ack{Phase: distrib.AckPrepared, FleetCRC: fleet})
+	return distrib.FleetCRC(st.crcs), ""
 }
 
 // commit atomically swaps the prepared staging in as the installed
-// state.
-func (a *Agent) commit(conn net.Conn, epoch uint64) {
-	a.mu.Lock()
+// state and returns its fleet CRC.
+func (a *Agent) commit(epoch uint64) (uint32, string) {
 	st := a.stage
 	if st == nil || st.epoch != epoch || !st.prepared {
-		a.mu.Unlock()
-		a.nak(conn, epoch, "commit without prepared epoch")
-		return
+		return 0, "commit without prepared epoch"
 	}
 	if !st.begin.HasBase {
 		// Every row is replaced, perhaps by rows of another shape: the
@@ -509,9 +463,7 @@ func (a *Agent) commit(conn net.Conn, epoch uint64) {
 	if st.flags&distrib.FlagDrain != 0 {
 		a.stats.Drains++
 	}
-	fleet := distrib.FleetCRC(a.crcs)
-	a.mu.Unlock()
-	a.writeAck(conn, epoch, distrib.Ack{Phase: distrib.AckCommitted, FleetCRC: fleet})
+	return distrib.FleetCRC(a.crcs), ""
 }
 
 // DialMulti connects to the first reachable publisher in addrs and

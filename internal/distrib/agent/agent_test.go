@@ -2,8 +2,12 @@ package agent
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -483,5 +487,137 @@ func TestFullSyncFrameRules(t *testing.T) {
 	}
 	if st := a.Stats(); st.FullSyncs != 1 || st.Naks != 3 {
 		t.Fatalf("stats %+v, want one full sync and three NAKs", st)
+	}
+}
+
+// TestRefusals sends the agent every refusal it can produce, each on an
+// agent holding epoch 1, and checks the one refusal path: the NAK names
+// the reason, Naks (and CorruptFrames for a corrupt frame) count it, the
+// staging is dropped, forwarding resumes, and the installed epoch and its
+// checksum are the ones before.
+func TestRefusals(t *testing.T) {
+	c := compiled(t, 1)
+	rows, cols := c.Rows, c.Cols
+	var sums []distrib.RowSum
+	for i := range c.LFTs {
+		sums = append(sums, distrib.RowSum{Switch: c.Switches[i], CRC: c.CRCs[i]})
+	}
+	begin := func(epoch uint64, b distrib.Begin) distrib.Frame {
+		return distrib.Frame{Type: distrib.MsgBegin, Epoch: epoch, Payload: distrib.AppendBegin(nil, b)}
+	}
+	onBase := distrib.Begin{Base: 1, HasBase: true, Rows: rows, Cols: cols, Frames: 1}
+	delta := func(rows, cols int) distrib.Frame {
+		return distrib.Frame{Type: distrib.MsgDelta, Epoch: 2, Payload: routing.EncodeDelta(nil, rows, cols, nil)}
+	}
+	prepare := func(edit func(s []distrib.RowSum) []distrib.RowSum) distrib.Frame {
+		return distrib.Frame{Type: distrib.MsgPrepare, Epoch: 2, Payload: distrib.AppendPrepare(nil, edit(slices.Clone(sums)))}
+	}
+	same := func(s []distrib.RowSum) []distrib.RowSum { return s }
+	commit := func(epoch uint64) distrib.Frame { return distrib.Frame{Type: distrib.MsgCommit, Epoch: epoch} }
+	fullOf2 := func() []distrib.Frame {
+		frames := fullPush(c)
+		for i := range frames {
+			frames[i].Epoch = 2
+		}
+		return frames
+	}
+	// outside is a delta of the installed shape whose one entry sits one
+	// past the table's last position, CRC-valid: the encoder refuses to
+	// write one.
+	outside := func() distrib.Frame {
+		body := routing.EncodeDelta(nil, rows, cols, nil)[:4] // the magic
+		for _, v := range []int{rows, cols, 1, rows * cols, 1} {
+			body = binary.AppendUvarint(body, uint64(v))
+		}
+		return distrib.Frame{Type: distrib.MsgDelta, Epoch: 2, Payload: binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))}
+	}
+	swapped := func(s []distrib.RowSum) []distrib.RowSum { s[0], s[1] = s[1], s[0]; return s }
+
+	cases := []struct {
+		name     string
+		prepared []distrib.Frame // a push that prepares first, if any
+		frames   []distrib.Frame // the last one draws the NAK
+		corrupt  bool            // then a corrupt frame draws it
+		reason   string          // the NAK's reason, or its prefix up to "..."
+	}{
+		{name: "bad begin", frames: []distrib.Frame{{Type: distrib.MsgBegin, Epoch: 2, Payload: []byte{1}}}, reason: "bad begin: ..."},
+		{name: "bad prepare", frames: []distrib.Frame{begin(2, onBase), delta(rows, cols), {Type: distrib.MsgPrepare, Epoch: 2, Payload: []byte{1, 2, 3}}}, reason: "bad prepare: ..."},
+		{name: "stale base", frames: []distrib.Frame{begin(2, distrib.Begin{Base: 7, HasBase: true, Rows: rows, Cols: cols, Frames: 1})}, reason: "stale delta base 7 (installed 1/true)"},
+		{name: "begin shape mismatch", frames: []distrib.Frame{begin(2, distrib.Begin{Base: 1, HasBase: true, Rows: rows + 1, Cols: cols, Frames: 1})}, reason: "delta shape mismatch"},
+		{name: "delta shape mismatch", frames: []distrib.Frame{begin(2, onBase), delta(rows, cols+1)}, reason: "delta shape mismatch"},
+		{name: "delta without begin", frames: []distrib.Frame{delta(rows, cols)}, reason: "delta without matching begin"},
+		{name: "delta of another epoch", frames: []distrib.Frame{begin(3, onBase), delta(rows, cols)}, reason: "delta without matching begin"},
+		{name: "prepare without begin", frames: []distrib.Frame{prepare(same)}, reason: "prepare without matching begin"},
+		{name: "out-of-range entry", frames: []distrib.Frame{begin(2, onBase), outside()},
+			reason: fmt.Sprintf("delta rejected: %v: entry position outside table", routing.ErrDeltaCorrupt)},
+		{name: "full sync skip", frames: skipPush(t, c)[:2], reason: "full sync skips to entry (0,2) after 1 entries"},
+		{name: "incomplete push", frames: []distrib.Frame{begin(2, distrib.Begin{Base: 1, HasBase: true, Rows: rows, Cols: cols, Frames: 2}), delta(rows, cols), prepare(same)}, reason: "incomplete push: 1/2 frames"},
+		{name: "row count mismatch", frames: append(fullOf2()[:2], prepare(func(s []distrib.RowSum) []distrib.RowSum { return s[1:] })), reason: "prepare row count mismatch"},
+		{name: "switch order", frames: append(fullOf2()[:2], prepare(swapped)), reason: "prepare switches not in ascending order"},
+		{name: "switch mismatch", frames: []distrib.Frame{begin(2, onBase), delta(rows, cols), prepare(swapped)},
+			reason: fmt.Sprintf("prepare switch %d, staged %d", sums[1].Switch, sums[0].Switch)},
+		{name: "checksum mismatch", frames: []distrib.Frame{begin(2, onBase), delta(rows, cols), prepare(func(s []distrib.RowSum) []distrib.RowSum { s[1].CRC ^= 1; return s })},
+			reason: fmt.Sprintf("row %d checksum mismatch", sums[1].Switch)},
+		{name: "commit without prepare", frames: []distrib.Frame{begin(2, onBase), delta(rows, cols), commit(2)}, reason: "commit without prepared epoch"},
+		{name: "drained, then a commit of another epoch", prepared: []distrib.Frame{begin(2, onBase), delta(rows, cols), prepare(same)},
+			frames: []distrib.Frame{commit(3)}, reason: "commit without prepared epoch"},
+		{name: "corrupt frame", frames: []distrib.Frame{begin(2, onBase), delta(rows, cols)}, corrupt: true, reason: "corrupt frame"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := New(Options{ID: "t"})
+			conn := pipeAgent(t, a)
+			if ack := exchange(t, conn, fullPush(c)...); ack.Phase != distrib.AckPrepared {
+				t.Fatalf("prepare of epoch 1: %+v", ack)
+			}
+			if ack := exchange(t, conn, commit(1)); ack.Phase != distrib.AckCommitted {
+				t.Fatalf("commit of epoch 1: %+v", ack)
+			}
+			ep0, crc0, _ := a.Snapshot()
+			if tc.prepared != nil {
+				tc.prepared[0].Flags = distrib.FlagDrain
+				if ack := exchange(t, conn, tc.prepared...); ack.Phase != distrib.AckPrepared || a.Forwarding() {
+					t.Fatalf("drained prepare: %+v, forwarding %v", ack, a.Forwarding())
+				}
+			}
+			frames := tc.frames
+			if tc.corrupt {
+				for _, f := range frames {
+					if _, err := distrib.WriteFrame(conn, f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bad := distrib.AppendFrame(nil, prepare(same))
+				bad[len(bad)-1] ^= 1
+				if _, err := conn.Write(bad); err != nil {
+					t.Fatal(err)
+				}
+				frames = nil
+			}
+			ack := exchange(t, conn, frames...)
+			prefix, open := strings.CutSuffix(tc.reason, "...")
+			if ack.Phase != distrib.AckNak || (open && !strings.HasPrefix(ack.Reason, prefix)) || (!open && ack.Reason != tc.reason) {
+				t.Fatalf("answered %+v, want a NAK: %s", ack, tc.reason)
+			}
+			corrupt := 0
+			if tc.corrupt {
+				corrupt = 1
+			}
+			if st := a.Stats(); st.Naks != 1 || st.CorruptFrames != corrupt || st.Commits != 1 {
+				t.Errorf("stats %+v, want 1 NAK, %d corrupt frames and the one commit", st, corrupt)
+			}
+			a.mu.Lock()
+			staged := a.stage != nil
+			a.mu.Unlock()
+			if staged {
+				t.Error("the refused push is still staged")
+			}
+			if !a.Forwarding() {
+				t.Error("the agent is still draining")
+			}
+			if ep, crc, ok := a.Snapshot(); !ok || ep != ep0 || crc != crc0 {
+				t.Errorf("snapshot (%d, %#x, %v), want (%d, %#x, true)", ep, crc, ok, ep0, crc0)
+			}
+		})
 	}
 }

@@ -456,6 +456,67 @@ func TestCertifiedTransitionNoDrain(t *testing.T) {
 	}
 }
 
+// TestConcurrentWaiters: WaitConverged callers wait on the same
+// notification as the distributor, so a wake-up has to reach all of them.
+// Two goroutines wait for the last of six epochs from the start, while
+// the test publishes the epochs one by one and waits for each: the
+// distributor must commit every one (a wake-up that reached a waiter and
+// not the distributor would leave an epoch unsent), and both early waits
+// must end true.
+func TestConcurrentWaiters(t *testing.T) {
+	rec := newEpochRecord()
+	src := distrib.NewSource(distrib.Options{Certify: distrib.DefaultCertify})
+	defer src.Close()
+	m := newFleetManager(t, topology.Torus3D(2, 2, 2, 1, 1), src, rec)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	agents := make([]*agent.Agent, 4)
+	for i := range agents {
+		agents[i] = agent.New(agent.Options{ID: fmt.Sprintf("a%d", i)})
+		srcSide, agSide := net.Pipe()
+		go agents[i].Serve(ctx, agSide)
+		if err := src.AddConn(srcSide); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !src.WaitConverged(0, 30*time.Second) {
+		t.Fatal("the fleet did not converge on the initial epoch")
+	}
+
+	const epochs = 6
+	last := m.Epoch() + epochs
+	var waits [2]atomic.Bool
+	var wg sync.WaitGroup
+	for i := range waits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			waits[i].Store(src.WaitConverged(last, 30*time.Second))
+		}()
+	}
+	rng := rand.New(rand.NewSource(5))
+	for want := m.Epoch() + 1; want <= last; want++ {
+		if got := churnUntilChange(t, m, rng); got != want {
+			t.Fatalf("churn published epoch %d, want %d", got, want)
+		}
+		if !src.WaitConverged(want, 30*time.Second) {
+			t.Fatalf("epoch %d was not committed to the fleet", want)
+		}
+	}
+	wg.Wait()
+	for i := range waits {
+		if !waits[i].Load() {
+			t.Errorf("waiter %d: WaitConverged(%d) = false", i, last)
+		}
+	}
+	want, _ := rec.crc(last, nil)
+	for i, a := range agents {
+		if ep, crc, ok := a.Snapshot(); !ok || ep != last || crc != want {
+			t.Errorf("agent %d: snapshot (%d, %#x, %v), want (%d, %#x, true)", i, ep, crc, ok, last, want)
+		}
+	}
+}
+
 // TestAgentlessRoundsCertifyNothing: a source nobody has dialled — every
 // standby publisher of a replicated control plane, every epoch — has no
 // fleet to take through the union of two epochs, so it certifies

@@ -88,9 +88,10 @@ type ackMsg struct {
 	Epoch uint64
 }
 
-// agentConn is the source's per-agent connection state. Frames are
-// written only by the (single) round worker currently assigned to the
-// agent; the reader goroutine only delivers acks.
+// agentConn is the source's per-agent connection. Frames are written
+// only by the (single) round worker currently assigned to the agent; the
+// reader goroutine only delivers acks. What the source knows of the agent
+// is its fleetRecord, kept beside it in Source.conns.
 type agentConn struct {
 	conn  net.Conn
 	id    string
@@ -114,24 +115,21 @@ type agentConn struct {
 	rows     []int
 	rowSpace []graph.NodeID
 	timer    *time.Timer
+}
 
-	mu          sync.Mutex
+// fleetRecord is what the source knows of one connected agent: the epoch
+// it last acked, whether its next push must be a full sync, and whether
+// it is quarantined. Records live in Source.conns, under Source.mu; a
+// connection whose record is gone has been closed.
+type fleetRecord struct {
 	acked       uint64
 	hasAcked    bool
 	forceFull   bool
 	quarantined bool
-	closed      bool
 }
 
-func (a *agentConn) close() {
-	a.mu.Lock()
-	already := a.closed
-	a.closed = true
-	a.mu.Unlock()
-	if !already {
-		a.conn.Close()
-	}
-}
+// holds reports whether the agent has acked epoch seq.
+func (f *fleetRecord) holds(seq uint64) bool { return f.hasAcked && f.acked == seq }
 
 // drainAcks discards acks left over from previous (timed-out) pushes.
 func (a *agentConn) drainAcks() {
@@ -195,13 +193,19 @@ type Source struct {
 	// distributor goroutine runs rounds.
 	round round
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	conns     map[*agentConn]struct{}
-	target    *CompiledEpoch // latest compiled epoch to distribute
-	committed *CompiledEpoch // last fleet-committed epoch
-	wake      bool           // re-run a round (new agent) without a new epoch
-	closed    bool
+	// mu guards the fleet: the connections and their records, the target
+	// and committed epochs. It is the source's one lock and is never held
+	// across a conn write or an ack wait. Every change to what it guards
+	// broadcasts cond, which the distributor and every WaitConverged
+	// caller wait on.
+	mu          sync.Mutex
+	cond        *sync.Cond
+	conns       map[*agentConn]*fleetRecord
+	quarantined int            // records with quarantined set
+	target      *CompiledEpoch // latest compiled epoch to distribute
+	committed   *CompiledEpoch // last fleet-committed epoch
+	wake        bool           // re-run a round (new agent) without a new epoch
+	closed      bool
 
 	wg sync.WaitGroup
 }
@@ -212,7 +216,7 @@ func NewSource(opts Options) *Source {
 	opts.defaults()
 	s := &Source{
 		opts:  opts,
-		conns: make(map[*agentConn]struct{}),
+		conns: make(map[*agentConn]*fleetRecord),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	r := &s.round
@@ -246,8 +250,8 @@ func (s *Source) Publish(e Epoch) {
 	if s.target == nil || compiled.Seq >= s.target.Seq {
 		s.target = compiled
 	}
+	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.cond.Signal()
 }
 
 // AddConn adopts one agent connection: it reads the agent's Hello and
@@ -273,13 +277,11 @@ func (s *Source) AddConn(conn net.Conn) error {
 	// The list is the Hello's own; a switch it names twice owns one row.
 	slices.Sort(h.Switches)
 	a := &agentConn{
-		conn:     conn,
-		id:       h.ID,
-		owned:    slices.Compact(h.Switches),
-		acks:     make(chan ackMsg, 4),
-		timer:    time.NewTimer(s.opts.AckTimeout),
-		acked:    h.Acked,
-		hasAcked: h.HasAcked,
+		conn:  conn,
+		id:    h.ID,
+		owned: slices.Compact(h.Switches),
+		acks:  make(chan ackMsg, 4),
+		timer: time.NewTimer(s.opts.AckTimeout),
 	}
 	a.timer.Stop()
 	s.mu.Lock()
@@ -288,14 +290,14 @@ func (s *Source) AddConn(conn net.Conn) error {
 		conn.Close()
 		return errors.New("distrib: source closed")
 	}
-	s.conns[a] = struct{}{}
+	s.conns[a] = &fleetRecord{acked: h.Acked, hasAcked: h.HasAcked}
 	n := len(s.conns)
 	s.wake = true
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.opts.Telemetry.AgentsConnected.Set(int64(n))
 	s.wg.Add(1)
 	go s.readAgent(a, read)
-	s.cond.Signal()
 	return nil
 }
 
@@ -343,14 +345,20 @@ func (s *Source) readAgent(a *agentConn, buf []byte) {
 	}
 }
 
+// removeConn drops a's record and closes its connection; the first call
+// does, later ones find no record.
 func (s *Source) removeConn(a *agentConn) {
-	a.close()
 	s.mu.Lock()
-	_, present := s.conns[a]
-	delete(s.conns, a)
+	rec := s.conns[a]
+	if rec != nil {
+		s.setQuarantined(rec, false)
+		delete(s.conns, a)
+		s.cond.Broadcast()
+	}
 	n := len(s.conns)
 	s.mu.Unlock()
-	if present {
+	if rec != nil {
+		a.conn.Close()
 		s.opts.Telemetry.AgentsConnected.Set(int64(n))
 		s.logf("distrib: agent %s disconnected", a.id)
 	}
@@ -368,10 +376,10 @@ func (s *Source) Close() error {
 	for a := range s.conns {
 		conns = append(conns, a)
 	}
-	s.mu.Unlock()
 	s.cond.Broadcast()
+	s.mu.Unlock()
 	for _, a := range conns {
-		a.close()
+		s.removeConn(a)
 	}
 	s.wg.Wait()
 	return nil
@@ -393,67 +401,91 @@ func (s *Source) Quarantined() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ids []string
-	for a := range s.conns {
-		a.mu.Lock()
-		if a.quarantined {
+	for a, rec := range s.conns {
+		if rec.quarantined {
 			ids = append(ids, a.id)
 		}
-		a.mu.Unlock()
 	}
 	sort.Strings(ids)
 	return ids
 }
 
-// converged reports whether the fleet is done with epoch seq: the source
-// committed it, no newer target is queued, and every connected agent has
-// acked it or is quarantined. all reports whether every connected agent
-// holds seq, which a quarantined straggler does not.
-func (s *Source) converged(seq uint64) (done, all bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.committed == nil || s.committed.Seq != seq {
-		return false, false
+// setQuarantined sets rec's quarantine mark, keeping the count and its
+// gauge (mu held).
+func (s *Source) setQuarantined(rec *fleetRecord, q bool) {
+	if rec.quarantined == q {
+		return
 	}
-	if s.target != nil && s.target.Seq != seq {
-		return false, false
+	rec.quarantined = q
+	if q {
+		s.quarantined++
+	} else {
+		s.quarantined--
 	}
-	all = true
-	for a := range s.conns {
-		a.mu.Lock()
-		holds, quarantined := a.hasAcked && a.acked == seq, a.quarantined
-		a.mu.Unlock()
-		if !holds && !quarantined {
-			return false, false
+	s.opts.Telemetry.Quarantined.Set(int64(s.quarantined))
+}
+
+// missing counts the connected agents that do not hold epoch seq, and
+// the ones among them that are not quarantined: behind (mu held).
+func (s *Source) missing(seq uint64) (missing, behind int) {
+	for _, rec := range s.conns {
+		if !rec.holds(seq) {
+			missing++
+			if !rec.quarantined {
+				behind++
+			}
 		}
-		all = all && holds
 	}
-	return true, all
+	return missing, behind
 }
 
 // WaitConverged waits until the fleet is done with epoch seq, or the
 // timeout elapses, and reports whether every connected agent then holds
-// it: a quarantined straggler ends the wait but makes it false.
+// it: a quarantined straggler ends the wait but makes it false. The fleet
+// is done with seq when the source committed it, no newer target is
+// queued, and every connected agent has acked it or is quarantined.
 func (s *Source) WaitConverged(seq uint64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var timer *time.Timer
 	for {
-		if done, all := s.converged(seq); done {
-			return all
+		if s.committed != nil && s.committed.Seq == seq && (s.target == nil || s.target.Seq == seq) {
+			if missing, behind := s.missing(seq); behind == 0 {
+				if timer != nil {
+					timer.Stop()
+				}
+				return missing == 0
+			}
 		}
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return false
 		}
-		time.Sleep(2 * time.Millisecond)
+		if timer == nil {
+			// The deadline is one more change to wake on.
+			timer = time.AfterFunc(left, s.broadcast)
+		}
+		s.cond.Wait()
 	}
+}
+
+// broadcast wakes every waiter on cond.
+func (s *Source) broadcast() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // distribute is the source's single distributor goroutine: it waits for
 // a published epoch (or a fleet change) and runs rounds until the fleet
-// is current.
+// is current. Quarantined stragglers deliberately do not keep it looping;
+// they are retried on the next publish or connection wake.
 func (s *Source) distribute() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for !s.closed && !s.wake && (s.target == nil || (s.committed == s.target && !s.anyBehindLocked())) {
+		for !s.closed && !s.wake && (s.target == nil || (s.committed == s.target && !s.anyBehind())) {
 			s.cond.Wait()
 		}
 		if s.closed {
@@ -476,23 +508,14 @@ func (s *Source) distribute() {
 	}
 }
 
-// anyBehindLocked reports whether some connected, non-quarantined agent
-// has not acked the committed epoch (mu held). Quarantined stragglers
-// deliberately do not keep the distributor looping; they are retried on
-// the next publish or connection wake.
-func (s *Source) anyBehindLocked() bool {
+// anyBehind reports whether some connected, non-quarantined agent has not
+// acked the committed epoch (mu held).
+func (s *Source) anyBehind() bool {
 	if s.committed == nil {
 		return false
 	}
-	for a := range s.conns {
-		a.mu.Lock()
-		behind := !a.quarantined && (!a.hasAcked || a.acked != s.committed.Seq)
-		a.mu.Unlock()
-		if behind {
-			return true
-		}
-	}
-	return false
+	_, behind := s.missing(s.committed.Seq)
+	return behind > 0
 }
 
 // round is one distribution round: what runRound distributes, to whom,
@@ -583,8 +606,8 @@ func (s *Source) endRound(target *CompiledEpoch, agents, committedAgents int, dr
 	tm := s.opts.Telemetry
 	s.mu.Lock()
 	s.committed = target
+	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.updateQuarantineGauge()
 	tm.EpochsCommitted.Inc()
 	tm.FleetEpoch.Set(int64(target.Seq))
 	if tm.Events != nil {
@@ -611,11 +634,12 @@ func boolInt(b bool) int64 {
 // backoff; it returns true once the agent acked the prepare. Exhausted
 // retries quarantine the agent.
 func (s *Source) pushToAgent(a *agentConn, target, committed *CompiledEpoch, drain bool) bool {
-	a.mu.Lock()
-	current := a.hasAcked && a.acked == target.Seq
-	a.mu.Unlock()
+	s.mu.Lock()
+	rec := s.conns[a]
+	current := rec == nil || rec.holds(target.Seq)
+	s.mu.Unlock()
 	if current {
-		return false // nothing to push, nothing to commit
+		return false // gone, or nothing to push: nothing to commit
 	}
 	var lastErr error
 	for attempt := 0; attempt <= s.opts.Retries; attempt++ {
@@ -624,25 +648,26 @@ func (s *Source) pushToAgent(a *agentConn, target, committed *CompiledEpoch, dra
 			time.Sleep(s.opts.Backoff * time.Duration(attempt))
 		}
 		lastErr = s.sendEpoch(a, target, committed, drain)
-		if lastErr == nil {
-			a.mu.Lock()
-			a.quarantined = false
-			a.mu.Unlock()
-			return true
-		}
-		if errors.Is(lastErr, errNak) {
+		nak := errors.Is(lastErr, errNak)
+		if nak {
 			// The agent rejected the push (corrupt frame, stale base or
 			// checksum mismatch): re-sync from a full snapshot.
 			s.opts.Telemetry.Naks.Inc()
-			a.mu.Lock()
-			a.forceFull = true
-			a.mu.Unlock()
 		}
-		a.mu.Lock()
-		dead := a.closed
-		a.mu.Unlock()
-		if dead {
-			return false
+		s.mu.Lock()
+		rec := s.conns[a]
+		if rec != nil {
+			if lastErr == nil {
+				s.setQuarantined(rec, false)
+			}
+			if nak {
+				rec.forceFull = true
+			}
+			s.cond.Broadcast()
+		}
+		s.mu.Unlock()
+		if lastErr == nil || rec == nil {
+			return lastErr == nil
 		}
 	}
 	s.quarantine(a, lastErr)
@@ -652,26 +677,14 @@ func (s *Source) pushToAgent(a *agentConn, target, committed *CompiledEpoch, dra
 // quarantine excludes an agent from the current barrier; it stays
 // connected and is retried (from a full snapshot) on following rounds.
 func (s *Source) quarantine(a *agentConn, err error) {
-	a.mu.Lock()
-	a.quarantined = true
-	a.forceFull = true
-	a.mu.Unlock()
-	s.updateQuarantineGauge()
-	s.logf("distrib: agent %s quarantined: %v", a.id, err)
-}
-
-func (s *Source) updateQuarantineGauge() {
 	s.mu.Lock()
-	n := 0
-	for a := range s.conns {
-		a.mu.Lock()
-		if a.quarantined {
-			n++
-		}
-		a.mu.Unlock()
+	if rec := s.conns[a]; rec != nil {
+		s.setQuarantined(rec, true)
+		rec.forceFull = true
+		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
-	s.opts.Telemetry.Quarantined.Set(int64(n))
+	s.logf("distrib: agent %s quarantined: %v", a.id, err)
 }
 
 // sendEpoch writes one complete push (begin, tables, prepare) to the
@@ -683,17 +696,19 @@ func (s *Source) sendEpoch(a *agentConn, target, committed *CompiledEpoch, drain
 	}
 	rows := a.rows
 
-	a.mu.Lock()
+	s.mu.Lock()
+	var rec fleetRecord
+	if r := s.conns[a]; r != nil {
+		rec = *r
+	}
+	s.mu.Unlock()
+	onBase := committed != nil && rec.holds(committed.Seq)
 	// Delta pushes need the agent to sit exactly on the last committed
 	// epoch with an identical row space; anything else gets a snapshot.
-	full := a.forceFull || !a.hasAcked || committed == nil || a.acked != committed.Seq ||
-		committed.Cols != target.Cols || !sameRowSpace(committed, target, rows)
-	agentAcked, agentHasAcked := a.acked, a.hasAcked
-	a.mu.Unlock()
-
+	full := rec.forceFull || !onBase || committed.Cols != target.Cols || !sameRowSpace(committed, target, rows)
 	// An agent holding any previous epoch whose union with the target
 	// was not certified (stale base, or a refuted round) must drain.
-	drainAgent := agentHasAcked && (drain || committed == nil || agentAcked != committed.Seq)
+	drainAgent := rec.hasAcked && (drain || !onBase)
 
 	// Every push is a delta: from the committed epoch, or from an empty
 	// table (a full sync), cut into MsgDelta frames of at most
@@ -770,11 +785,14 @@ func (s *Source) commitAgent(a *agentConn, target *CompiledEpoch) error {
 	if _, err := a.awaitAck(target.Seq, AckCommitted, s.opts.AckTimeout); err != nil {
 		return err
 	}
-	a.mu.Lock()
-	a.acked, a.hasAcked = target.Seq, true
-	a.forceFull = false
-	a.quarantined = false
-	a.mu.Unlock()
+	s.mu.Lock()
+	if rec := s.conns[a]; rec != nil {
+		rec.acked, rec.hasAcked = target.Seq, true
+		rec.forceFull = false
+		s.setQuarantined(rec, false)
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
 	return nil
 }
 

@@ -184,7 +184,7 @@ func (r *runner) invalidateRoots(newNet *graph.Network, changed []graph.ChannelI
 // jobOutcome collects one layer job's result for report aggregation and
 // root-cache write-back.
 type jobOutcome struct {
-	stats *core.RepairStats
+	stats core.RepairStats
 	err   error
 }
 
@@ -253,9 +253,7 @@ func (r *runner) retable(old *Snapshot, newNet *graph.Network, changed []graph.C
 			// cache; the plans of this job and the ones after it are not
 			// kept either.
 			for _, o := range outs[i:] {
-				if o.stats != nil {
-					o.stats.Plan.Tree.Release()
-				}
+				o.stats.Plan.Tree.Release()
 			}
 			res, err := r.fullRecompute(newNet, report)
 			if err != nil {

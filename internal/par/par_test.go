@@ -65,6 +65,18 @@ func TestForOneWorkerInOrder(t *testing.T) {
 	}
 }
 
+// TestForAllocs pins what a parallel For costs: the caller runs one
+// share of the tasks itself, so at workers = 2 one goroutine is started,
+// and For allocates its shared claim state and that goroutine's call.
+// When every share ran on a goroutine of its own it allocated 4 times.
+func TestForAllocs(t *testing.T) {
+	var sink [8]int
+	fn := func(i int) { sink[i]++ }
+	if n := testing.AllocsPerRun(100, func() { For(2, len(sink), fn) }); n > 2 {
+		t.Errorf("For(2, %d) allocates %.0f times, want at most 2", len(sink), n)
+	}
+}
+
 // TestForNoTasks: n = 0 (or less) calls nothing, at any worker count.
 func TestForNoTasks(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
